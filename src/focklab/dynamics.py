@@ -9,9 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
-from scipy.stats import poisson
 
 from .fock import (
     ModeSystem,
@@ -22,12 +19,14 @@ from .fock import (
     annihilation,
     apply_unitary,
     bosons,
+    evolution_operator,
     fermions,
     number_op,
     partial_trace,
     unitary_evolve,
 )
 from .ssr import ssr_check
+from .states import poisson_pmf
 from .measurement import ZeroProbabilityError
 
 REAL_ROTATION = "real-rotation"
@@ -88,7 +87,20 @@ def beam_splitter(system, spec):
         else:
             gen += -1j * (a.conj().T @ b + b.conj().T @ a)
     angle = math.atan2(spec.r, spec.t)
-    return Operator(system, expm(angle * gen))
+    # gen is anti-Hermitian in both conventions: exp(angle gen) = exp(-i (i gen) angle)
+    return evolution_operator(Operator(system, 1j * gen), angle)
+
+
+def expm(gen):
+    """exp(gen) for an anti-Hermitian matrix ``gen``, through ``evolution_operator``.
+
+    Nothing in focklab calls this.  It keeps the name
+    ``focklab.dynamics.expm`` bound, because bench/tracer.py wraps that name
+    as its ``linalg.expm`` kernel; it can go when the benchmark drops that
+    entry.
+    """
+    carrier = bosons(1, gen.shape[0] - 1)
+    return evolution_operator(Operator(carrier, 1j * gen), 1.0).matrix
 
 
 def _number_projector(system, mode_indices, total):
@@ -178,7 +190,30 @@ def _calibrate_half_transfer(system, h, evals, vecs, n_bec):
     if rabi == 0:
         raise ValueError("no atom-molecule coupling on this space")
     guess = math.pi / (4.0 * rabi)
-    return brentq(transfer, 0.1 * guess, 1.9 * guess, xtol=1e-14, rtol=1e-15)
+    return _bisect(transfer, 0.1 * guess, 1.9 * guess)
+
+
+def _bisect(f, lo, hi):
+    """Root of ``f`` in [lo, hi], halving until hi - lo <= 1e-14 + 1e-15 |x|.
+
+    The relative term exceeds four machine epsilons, so the interval can
+    always shrink to the stopping width.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo * f_hi > 0:
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    if f_lo == 0 or f_hi == 0:
+        return lo if f_lo == 0 else hi
+    while hi - lo > 1e-14 + 1e-15 * abs(0.5 * (lo + hi)):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _am_reduced_system():
@@ -243,7 +278,7 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock", weight_floor=1e-15)
 
     nbar = float(n_bec)
     n_max = int(nbar + 20.0 * math.sqrt(max(nbar, 1.0)) + 20)
-    weights = poisson.pmf(np.arange(n_max + 1), nbar)
+    weights = poisson_pmf(np.arange(n_max + 1), nbar)
     keep = np.nonzero(weights > weight_floor)[0]
     weights = weights[keep] / weights[keep].sum()
 

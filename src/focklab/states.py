@@ -82,6 +82,19 @@ class NamedState:
     note: str = ""
 
 
+def poisson_pmf(n, mu):
+    """Poisson probabilities e^{-mu} mu^n / n! at integer counts ``n >= 0``.
+
+    Evaluated as exp(n ln mu - mu - ln n!), which stays finite for large n
+    and mu; at mu = 0 all weight sits on n = 0.
+    """
+    n = np.asarray(n)
+    if mu == 0:
+        return (n == 0).astype(float)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n.ravel()]).reshape(n.shape)
+    return np.exp(n * math.log(mu) - mu - log_fact)
+
+
 def coherent(beta, cutoff, tail_tol=TAIL_TOL):
     """Truncated coherent state with amplitudes e^{-|b|^2/2} b^n / sqrt(n!).
 
@@ -90,13 +103,9 @@ def coherent(beta, cutoff, tail_tol=TAIL_TOL):
     """
     beta = complex(beta)
     nbar = abs(beta) ** 2
-    n = np.arange(cutoff + 1)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
-    log_weights = -nbar + n * np.log(nbar) - log_fact if nbar > 0 else None
-    if nbar > 0:
-        tail = 1.0 - np.exp(log_weights).sum()
-        if tail > tail_tol:
-            raise ValueError(f"insufficient cutoff: Poisson tail {tail:.3e}")
+    tail = 1.0 - poisson_pmf(np.arange(cutoff + 1), nbar).sum()
+    if tail > tail_tol:
+        raise ValueError(f"insufficient cutoff: Poisson tail {tail:.3e}")
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = 1.0
     for k in range(1, cutoff + 1):
@@ -254,10 +263,9 @@ def two_mode_coherent_mixture(alpha_abs, cutoff, tail_tol=TAIL_TOL):
     nbar = alpha_abs ** 2
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
-    if nbar > 0:
-        tail = 1.0 - np.exp(-nbar + n * np.log(nbar) - log_fact).sum()
-        if tail > tail_tol:
-            raise ValueError(f"insufficient cutoff: Poisson tail {tail:.3e}")
+    tail = 1.0 - poisson_pmf(n, nbar).sum()
+    if tail > tail_tol:
+        raise ValueError(f"insufficient cutoff: Poisson tail {tail:.3e}")
     system = bosons(2, cutoff, labels=["A", "B"])
     occ = system.occupancies
     # amplitude factor |a|^n / sqrt(n!) per single-mode occupancy

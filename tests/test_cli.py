@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from focklab.cli import EXPERIMENTS, emit, main, run_experiment
+from focklab.cli import EXPERIMENTS, emit, main, run_experiment, run_scenario
 
 
 def _write_scenario(tmp_path, payload, name="scenario.json"):
@@ -139,3 +143,80 @@ def test_run_from_path(tmp_path):
                                       "experiment": "verstraete"})
     report = run(path)
     assert report["overall_pass"] is True
+
+
+def test_atom_molecule_poisson_keeps_the_empty_component_atomic():
+    # N = 0 has no partner atom: at phi = 0 it is the whole atomic population
+    report = run_experiment("atom_molecule", params={"poisson_nbar": 2})
+    assert report["overall_pass"], report["checks"]
+    check = next(c for c in report["checks"]
+                 if c["name"] == "poisson_p_atom_phi0.000")
+    assert check["expected"] == pytest.approx(np.exp(-2.0), rel=1e-12)
+
+
+def test_zero_tolerance_is_honoured(tmp_path, capsys):
+    report = run_experiment("twirl_coherent", tolerance=0.0)
+    assert {c["tolerance"] for c in report["checks"]
+            if c["name"] == "poisson_diag_max_err"} == {0.0}
+    for payload, argv in (
+            ({"tolerances": {"global": 0}}, []),
+            ({"tolerances": {"global": 1e-3}}, ["--tol", "0"])):
+        path = _write_scenario(tmp_path, {"schema_version": 1,
+                                          "experiment": "extraction", **payload})
+        main([path] + argv)
+        report = json.loads(capsys.readouterr().out)
+        assert {c["tolerance"] for c in report["checks"]} == {0.0}
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [[], ["--tol", "0"], ["--seed", "1"]])
+def test_non_object_scenario_exit_two(tmp_path, capsys, argv):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main([str(path)] + argv) == 2
+    _assert_one_error_line(capsys)
+    with pytest.raises(ValueError, match="object"):
+        run_scenario([1, 2])
+
+
+@pytest.mark.parametrize("experiment,params", [
+    ("twirl_coherent", {"cutoff": "x"}),
+    ("twirl_coherent", {"nbar": True}),
+    ("twirl_coherent", {"nbar": [2.0]}),
+    ("extraction", {"r_values": 0.3}),
+    ("ghz_parity", [1]),
+])
+def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
+    path = _write_scenario(tmp_path, {"schema_version": 1,
+                                      "experiment": experiment, "params": params})
+    assert main([path]) == 2
+    _assert_one_error_line(capsys)
+    with pytest.raises(ValueError):
+        run_experiment(experiment, params=params)
+
+
+@pytest.mark.parametrize("field", [{"tolerances": [1e-3]},
+                                   {"tolerances": {"global": "tight"}},
+                                   {"seed": [1]}])
+def test_malformed_scenario_fields_exit_two(tmp_path, capsys, field):
+    path = _write_scenario(tmp_path, {"schema_version": 1,
+                                      "experiment": "ghz_parity", **field})
+    assert main([path]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing it costs about 1 s per CLI run
+    import focklab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(focklab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, focklab, focklab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from focklab import (
     BeamSplitterSpec,
@@ -10,11 +11,13 @@ from focklab import (
     beam_splitter,
     bosons,
     extraction_experiment,
+    fermions,
     number_op,
     ramsey_vacuum_superposition,
     ssr_propagation_check,
 )
-from focklab.dynamics import MINUS_I, REAL_ROTATION
+from focklab import dynamics
+from focklab.dynamics import MINUS_I, REAL_ROTATION, _bisect
 from focklab.measurement import ZeroProbabilityError
 from focklab.states import MixtureComponent, SeparableMixture, coherent
 from focklab.sampling import random_number_diagonal_mixture
@@ -43,6 +46,35 @@ def test_beam_splitter_unitary():
         u = beam_splitter(system, BeamSplitterSpec(((0, 1),), r=0.6, t=0.8,
                                                    convention=conv))
         assert np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(system.dim)) < 1e-10
+
+
+@pytest.mark.parametrize("system,pairs", [
+    (bosons(2, 3), ((0, 1),)),
+    (bosons(4, 2), ((0, 2), (1, 3))),
+    (fermions(4), ((0, 2), (1, 3))),
+], ids=["bose-1pair", "bose-2pairs", "fermi-2pairs"])
+@pytest.mark.parametrize("conv", [REAL_ROTATION, MINUS_I])
+def test_beam_splitter_matches_matrix_exponential(system, pairs, conv):
+    r, t = 0.6, 0.8
+    gen = np.zeros((system.dim, system.dim), dtype=complex)
+    for ma, mb in pairs:
+        a = annihilation(system, ma).matrix
+        b = annihilation(system, mb).matrix
+        if conv == REAL_ROTATION:
+            gen += b.conj().T @ a - a.conj().T @ b
+        else:
+            gen += -1j * (a.conj().T @ b + b.conj().T @ a)
+    reference = expm(np.arctan2(r, t) * gen)
+    u = beam_splitter(system, BeamSplitterSpec(pairs, r=r, t=t, convention=conv)).matrix
+    assert np.abs(u - reference).max() < 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(system.dim)).max() < 1e-12
+    assert np.abs(dynamics.expm(np.arctan2(r, t) * gen) - reference).max() < 1e-12
+
+
+def test_bisect_needs_a_sign_change():
+    assert _bisect(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-14)
+    with pytest.raises(ValueError, match="signs"):
+        _bisect(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_creation_operator_conjugation():
@@ -126,6 +158,13 @@ def test_atom_molecule_ramsey_fringes():
             assert res.quantities["p_molecule"] == pytest.approx(
                 np.cos(phi / 2) ** 2, abs=1e-10)
             assert abs(res.quantities["coherence"]) < 1e-12
+
+
+@pytest.mark.parametrize("n_bec", [1, 5, 50])
+def test_atom_molecule_first_pulse_transfers_half(n_bec):
+    state = atom_molecule_process(n_bec, 1.0, 0.3).stage("after_pulse1")
+    p_mol = abs(state.amplitude((0, 1, n_bec - 1))) ** 2
+    assert p_mol == pytest.approx(0.5, abs=1e-12)
 
 
 def test_atom_molecule_independent_of_kappa():

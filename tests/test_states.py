@@ -21,6 +21,7 @@ from focklab.states import (
     dissociation_state,
     ghz,
     mixed_N_boson,
+    poisson_pmf,
     rotated_mode_annihilation,
     singlet_spin,
     two_mode_N_boson,
@@ -29,6 +30,15 @@ from focklab.states import (
     werner_qudit,
 )
 from focklab.sampling import random_density
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 2.0, 50.0, 250.0])
+def test_poisson_pmf_matches_scipy(mu):
+    n = np.arange(1001)
+    got = poisson_pmf(n, mu)
+    ref = poisson.pmf(n, mu)
+    assert np.all(np.abs(got - ref) <= np.maximum(1e-15, 1e-12 * ref))
+    assert poisson_pmf(0, mu) == pytest.approx(np.exp(-mu), rel=1e-15)
 
 
 def test_coherent_zero_is_vacuum():
