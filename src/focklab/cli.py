@@ -326,9 +326,9 @@ def _exp_measurement_identities(params, tol, rng):
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    from .fock import tensor_embed, ModeSystem
-    sub_a = ModeSystem([system.modes[0]])
-    sub_b = ModeSystem([system.modes[1]])
+    from .fock import tensor_embed, sub_system
+    sub_a = sub_system(system, (0,))
+    sub_b = sub_system(system, (1,))
     worst_bayes = worst_nosig = worst_reduced = 0.0
     for _ in range(params["n_states"]):
         rho = random_density(system, rng)
@@ -449,7 +449,7 @@ EXPERIMENTS = {
     "extraction": (_exp_extraction, {"r_values": [0.3, 0.6, 0.8]}),
     "atom_molecule": (_exp_atom_molecule,
                       {"n_values": [1, 5], "phi_values": [0.0, np.pi / 2],
-                       "kappa": 1.0, "poisson_nbar": 0}),
+                       "kappa": 1.0, "poisson_nbar": 0.0}),
     "vacuum_interferometer": (_exp_vacuum_interferometer, {"n_draws": 50}),
     "verstraete": (_exp_verstraete, {}),
     "two_mode_coherent_mixture": (_exp_two_mode_coherent_mixture,
@@ -467,6 +467,36 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_param(name, key, value, default):
+    """Raise ValueError unless ``value`` has its default's kind and range.
+
+    Integer defaults take only integers: counts named ``n_*`` at least 1,
+    the others (cutoffs, orders) at least 0.  Lists must be non-empty, and a
+    list of integer defaults takes only integers >= 1.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            kind = "a non-empty list"
+        elif _is_int(default[0]) and not all(_is_int(v) and v >= 1 for v in value):
+            kind = "a list of integers >= 1"
+        else:
+            return
+    elif _is_int(default):
+        low = 1 if key.startswith("n_") else 0
+        if _is_int(value) and value >= low:
+            return
+        kind = f"an integer >= {low}"
+    elif _is_number(value):
+        return
+    else:
+        kind = "a number"
+    raise ValueError(f"parameter {key!r} of {name} must be {kind}, got {value!r}")
+
+
 def run_experiment(name, params=None, tolerance=None, seed=0):
     """Run one registered experiment and return the report dict."""
     if name not in EXPERIMENTS:
@@ -478,13 +508,8 @@ def run_experiment(name, params=None, tolerance=None, seed=0):
     unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
-    # every default is a number or a list; a value must keep its default's kind
     for key, value in params.items():
-        want_list = isinstance(defaults[key], list)
-        if not (isinstance(value, list) if want_list else _is_number(value)):
-            kind = "a list" if want_list else "a number"
-            raise ValueError(f"parameter {key!r} of {name} must be {kind}, "
-                             f"got {value!r}")
+        _check_param(name, key, value, defaults[key])
     merged = dict(defaults)
     merged.update(params)
     rng = np.random.default_rng(seed)

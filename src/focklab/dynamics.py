@@ -103,12 +103,6 @@ def expm(gen):
     return evolution_operator(Operator(carrier, 1j * gen), 1.0).matrix
 
 
-def _number_projector(system, mode_indices, total):
-    occ = system.occupancies
-    diag = (occ[:, mode_indices].sum(axis=1) == total).astype(complex)
-    return Operator(system, np.diag(diag))
-
-
 def extraction_experiment(case, r, t):
     """Beam-splitter extraction of symmetrisation entanglement.
 
@@ -139,9 +133,9 @@ def extraction_experiment(case, r, t):
     out = apply_unitary(u, initial)
 
     na, nb = sector
-    proj = _number_projector(system, (0, 1), na).matrix \
-        @ _number_projector(system, (2, 3), nb).matrix
-    projected = proj @ out.amplitudes
+    occ = system.occupancies
+    in_sector = (occ[:, :2].sum(axis=1) == na) & (occ[:, 2:].sum(axis=1) == nb)
+    projected = np.where(in_sector, out.amplitudes, 0.0)
     p_sector = float(np.linalg.norm(projected) ** 2)
     if p_sector <= 1e-12:
         raise ZeroProbabilityError(f"sector probability {p_sector} below floor")

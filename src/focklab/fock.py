@@ -1,9 +1,10 @@
 """Truncated multi-mode occupation-number spaces and dense operator algebra.
 
 The basis is the lexicographic enumeration of occupancy tuples, optionally
-filtered to a fixed total particle number.  All matrices are dense complex
-numpy arrays; dimensions stay at desk scale (<= a few thousand), so no sparse
-machinery is used.  hbar = 1 throughout.
+filtered to a fixed total particle number, and sorted by each row's
+mixed-radix code (radix cutoff+1), its index in the unrestricted basis.
+All matrices are dense complex numpy arrays; dimensions stay at desk scale
+(<= a few thousand), so no sparse machinery is used.  hbar = 1 throughout.
 
 Everything constructed here is immutable after creation (arrays are marked
 read-only), so values can be shared freely across threads.
@@ -11,7 +12,7 @@ read-only), so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +73,32 @@ class ModeSystem:
         self.modes = tuple(parsed)
         self.total_number_restriction = total_number_restriction
 
-        occ = np.array(
-            list(itertools.product(*(range(m.cutoff + 1) for m in self.modes))),
-            dtype=np.int64,
-        )
+        radices = [m.cutoff + 1 for m in self.modes]
+        if math.prod(radices) > np.iinfo(np.int64).max:
+            raise ValueError("basis codes overflow int64: too many modes or levels")
+        # built mode by mode: extending each prefix code by 0..cutoff keeps the
+        # lexicographic order, and prefixes already above the restriction drop out
+        codes = totals = np.zeros(1, dtype=np.int64)
+        for radix in radices:
+            digits = np.arange(radix)
+            codes = (codes[:, None] * radix + digits).ravel()
+            if total_number_restriction is not None:
+                totals = (totals[:, None] + digits).ravel()
+                keep = totals <= total_number_restriction
+                codes, totals = codes[keep], totals[keep]
         if total_number_restriction is not None:
-            occ = occ[occ.sum(axis=1) == total_number_restriction]
-        if occ.shape[0] == 0:
+            codes = codes[totals == total_number_restriction]
+        if codes.shape[0] == 0:
             raise ValueError("empty Hilbert space")
-        occ.setflags(write=False)
+        strides = np.array([math.prod(radices[i + 1:]) for i in range(len(radices))],
+                           dtype=np.int64)
+        occ = codes[:, None] // strides % radices
+        for arr in (occ, codes, strides):
+            arr.setflags(write=False)
         self.occupancies = occ
+        self.codes = codes
+        self.strides = strides
         self.dim = occ.shape[0]
-        self._index = {tuple(row): i for i, row in enumerate(occ)}
 
     @property
     def n_modes(self):
@@ -99,12 +114,28 @@ class ModeSystem:
                 return i
         raise KeyError(f"no mode labelled {label!r}")
 
+    def indices_of(self, occ_rows):
+        """Basis indices of occupancy rows (one row may be given as a 1-D sequence).
+
+        Raises KeyError naming the first row that is not in the basis: wrong
+        length, an entry outside 0..cutoff, or outside a number restriction.
+        """
+        rows = np.atleast_2d(np.asarray(occ_rows, dtype=np.int64))
+        if rows.shape[1] == self.n_modes:
+            idx = np.minimum(np.searchsorted(self.codes, rows @ self.strides), self.dim - 1)
+            # comparing whole rows, not codes, also rejects entries outside
+            # 0..cutoff, whose codes can alias another row's
+            bad = (self.occupancies[idx] != rows).any(axis=1)
+        else:
+            idx = np.zeros(len(rows), dtype=np.intp)
+            bad = np.ones(len(rows), dtype=bool)
+        if bad.any():
+            key = tuple(int(n) for n in rows[bad][0])
+            raise KeyError(f"occupancy {key} not in basis")
+        return idx
+
     def index_of(self, occupancies):
-        key = tuple(int(n) for n in occupancies)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"occupancy {key} not in basis") from None
+        return int(self.indices_of(occupancies)[0])
 
     def basis_state(self, occupancies):
         vec = np.zeros(self.dim, dtype=complex)
@@ -348,20 +379,14 @@ def annihilation(system, mode):
             "ladder operators leave a number-restricted space; "
             "build them on the unrestricted system")
     occ = system.occupancies
+    cols = np.nonzero(occ[:, mode] > 0)[0]
+    rows = system.indices_of(occ[cols] - np.eye(system.n_modes, dtype=np.int64)[mode])
+    if system.modes[mode].statistics == FERMI:
+        values = np.where(occ[cols, :mode].sum(axis=1) % 2, -1.0, 1.0)
+    else:
+        values = np.sqrt(occ[cols, mode])
     mat = np.zeros((system.dim, system.dim), dtype=complex)
-    stat = system.modes[mode].statistics
-    for col in range(system.dim):
-        n = occ[col, mode]
-        if n == 0:
-            continue
-        target = occ[col].copy()
-        target[mode] = n - 1
-        row = system.index_of(target)
-        if stat == FERMI:
-            sign = -1.0 if (occ[col, :mode].sum() % 2) else 1.0
-            mat[row, col] = sign
-        else:
-            mat[row, col] = np.sqrt(n)
+    mat[rows, cols] = values
     return Operator(system, mat)
 
 
@@ -380,19 +405,33 @@ def number_op(system, weights=None):
     return Operator(system, np.diag(diag.astype(complex)))
 
 
-def _sub_system(system, mode_indices):
+def sector_blocks(labels):
+    """(label, basis indices) per distinct integer label, labels ascending."""
+    labels = np.asarray(labels)
+    return [(int(v), np.nonzero(labels == v)[0]) for v in np.unique(labels)]
+
+
+def sector_state(rho, sel, floor):
+    """Weight of ``rho`` on basis indices ``sel``, and its normalised projection
+    there (None when the weight is below ``floor``)."""
+    block = rho.matrix[np.ix_(sel, sel)]
+    weight = float(np.real(np.trace(block)))
+    if weight < floor:
+        return weight, None
+    mat = np.zeros_like(rho.matrix)
+    mat[np.ix_(sel, sel)] = block / weight
+    return weight, DensityOperator(rho.system, mat)
+
+
+def sub_system(system, mode_indices):
+    """Unrestricted ModeSystem of the given modes of ``system``, in that order."""
     return ModeSystem([system.modes[i] for i in mode_indices])
 
 
-def _rest_codes(system, rest_indices):
-    """Integer code per basis state for the occupancies outside the kept modes."""
-    rest = system.occupancies[:, rest_indices] if rest_indices else \
-        np.zeros((system.dim, 0), dtype=np.int64)
-    codes = np.zeros(system.dim, dtype=np.int64)
-    seen = {}
-    for i, row in enumerate(map(tuple, rest)):
-        codes[i] = seen.setdefault(row, len(seen))
-    return codes
+def _rest_codes(system, keep_indices):
+    """Code of each basis state restricted to the modes outside ``keep_indices``."""
+    rest = [i for i in range(system.n_modes) if i not in keep_indices]
+    return system.occupancies[:, rest] @ system.strides[rest]
 
 
 def tensor_embed(op, system, mode_indices):
@@ -406,11 +445,8 @@ def tensor_embed(op, system, mode_indices):
     expected = tuple(system.modes[i] for i in mode_indices)
     if op.system.modes != expected:
         raise ValueError("operator modes do not match the target mode indices")
-    sub = op.system
-    sub_codes = np.array([sub.index_of(tuple(row))
-                          for row in system.occupancies[:, mode_indices]])
-    rest_idx = tuple(i for i in range(system.n_modes) if i not in mode_indices)
-    rest = _rest_codes(system, rest_idx)
+    sub_codes = op.system.indices_of(system.occupancies[:, mode_indices])
+    rest = _rest_codes(system, mode_indices)
     full = op.matrix[np.ix_(sub_codes, sub_codes)] * (rest[:, None] == rest[None, :])
     return Operator(system, full)
 
@@ -425,11 +461,9 @@ def partial_trace(state, partition, keep):
     system = rho.system
     partition.validate(system)
     keep_idx = partition.modes_of(keep)
-    sub = _sub_system(system, keep_idx)
-    rest_idx = tuple(i for i in range(system.n_modes) if i not in keep_idx)
-    sub_codes = np.array([sub.index_of(tuple(row))
-                          for row in system.occupancies[:, keep_idx]])
-    rest = _rest_codes(system, rest_idx)
+    sub = sub_system(system, keep_idx)
+    sub_codes = sub.indices_of(system.occupancies[:, keep_idx])
+    rest = _rest_codes(system, keep_idx)
     out = np.zeros((sub.dim, sub.dim), dtype=complex)
     for code in np.unique(rest):
         rows = np.nonzero(rest == code)[0]
@@ -457,11 +491,7 @@ def evolution_operator(h, t):
 
 def unitary_evolve(h, t, state):
     """Evolve a PureState or DensityOperator under exp(-i H t)."""
-    u = evolution_operator(h, t)
-    if isinstance(state, PureState):
-        return PureState(state.system, u.matrix @ state.amplitudes)
-    rho = as_density(state)
-    return DensityOperator(rho.system, u.matrix @ rho.matrix @ u.matrix.conj().T)
+    return apply_unitary(evolution_operator(h, t), state)
 
 
 def apply_unitary(u, state):

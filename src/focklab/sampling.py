@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import ModeSystem, DensityOperator, PureState, Partition, bosons, qubits
+from .fock import (DensityOperator, PureState, Partition, bosons, qubits,
+                   sector_blocks, sub_system)
 from .states import MixtureComponent, SeparableMixture
 from .witnesses import CHSHSetting
 
@@ -47,12 +48,10 @@ def random_chsh_directions(rng, n):
 
 def random_global_ssr_state(system, rng):
     """Block-diagonal over total-number sectors: [N, rho] = 0 by construction."""
-    totals = system.occupancies.sum(axis=1)
-    sectors = np.unique(totals)
-    weights = rng.dirichlet(np.ones(len(sectors)))
+    blocks = sector_blocks(system.occupancies.sum(axis=1))
+    weights = rng.dirichlet(np.ones(len(blocks)))
     mat = np.zeros((system.dim, system.dim), dtype=complex)
-    for w, n in zip(weights, sectors):
-        sel = np.nonzero(totals == n)[0]
+    for w, (_, sel) in zip(weights, blocks):
         d = len(sel)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         block = g @ g.conj().T
@@ -65,8 +64,8 @@ def random_qubit_pair_mixture(rng, n_components=4):
     """Separable mixture of generic single-qubit states on two cutoff-1 modes."""
     system = qubits(2)
     partition = Partition([("A", (0,)), ("B", (1,))])
-    sub_a = ModeSystem([system.modes[0]])
-    sub_b = ModeSystem([system.modes[1]])
+    sub_a = sub_system(system, (0,))
+    sub_b = sub_system(system, (1,))
     probs = rng.dirichlet(np.ones(n_components))
     components = [
         MixtureComponent(p, {"A": random_density(sub_a, rng),
@@ -83,8 +82,7 @@ def random_number_diagonal_mixture(system, partition, rng, n_components=3):
     for p in probs:
         factors = {}
         for name in partition.names:
-            idx = partition.modes_of(name)
-            sub = ModeSystem([system.modes[i] for i in idx])
+            sub = sub_system(system, partition.modes_of(name))
             diag = rng.dirichlet(np.ones(sub.dim))
             factors[name] = DensityOperator(sub, np.diag(diag.astype(complex)))
         components.append(MixtureComponent(p, factors))
@@ -104,8 +102,7 @@ def random_one_boson_pair_mixture(rng, n_components=3):
     for p in probs:
         factors = {}
         for name in partition.names:
-            idx = partition.modes_of(name)
-            sub = ModeSystem([system.modes[i] for i in idx])
+            sub = sub_system(system, partition.modes_of(name))
             sel = np.array([sub.index_of((0, 1)), sub.index_of((1, 0))])
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             block = g @ g.conj().T

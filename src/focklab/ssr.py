@@ -22,6 +22,8 @@ from .fock import (
     as_density,
     number_op,
     evolution_operator,
+    sector_blocks,
+    sector_state,
 )
 
 SSR_TOL = 1e-10
@@ -124,15 +126,10 @@ def sector_decompose(state, n_op, prune=SECTOR_PRUNE):
     rho = as_density(state)
     ids = _diagonal_sector_ids(n_op)
     sectors = []
-    for total in np.unique(ids):
-        sel = np.nonzero(ids == total)[0]
-        block = rho.matrix[np.ix_(sel, sel)]
-        weight = float(np.real(np.trace(block)))
-        if weight < prune:
-            continue
-        mat = np.zeros_like(rho.matrix)
-        mat[np.ix_(sel, sel)] = block / weight
-        sectors.append(Sector(int(total), weight, DensityOperator(rho.system, mat)))
+    for total, sel in sector_blocks(ids):
+        weight, sector = sector_state(rho, sel, prune)
+        if sector is not None:
+            sectors.append(Sector(total, weight, sector))
     return SectorDecomposition(tuple(sectors))
 
 

@@ -19,6 +19,7 @@ from .fock import (
     annihilation,
     bosons,
     qubits,
+    sub_system,
 )
 
 TAIL_TOL = 1e-10
@@ -58,9 +59,8 @@ class SeparableMixture:
         sub_codes = {}
         for name in self.partition.names:
             idx = self.partition.modes_of(name)
-            sub = ModeSystem([self.system.modes[i] for i in idx])
-            sub_codes[name] = np.array(
-                [sub.index_of(tuple(row)) for row in self.system.occupancies[:, idx]])
+            sub_codes[name] = sub_system(self.system, idx).indices_of(
+                self.system.occupancies[:, idx])
         out = np.zeros((self.system.dim, self.system.dim), dtype=complex)
         for comp in self.components:
             term = np.full((self.system.dim, self.system.dim), comp.probability,

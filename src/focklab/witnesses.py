@@ -4,20 +4,20 @@ conditional variances, and the sector-projected particle entanglement measure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import (
     Operator,
-    DensityOperator,
     PureState,
     annihilation,
     as_density,
     partial_trace,
+    sector_blocks,
+    sector_state,
 )
-from .measurement import spectral, prob, cond_variance, PROB_FLOOR
+from .measurement import spectral, unrecorded_conditioned_variance
 
 DECISION_TOL = 1e-9
 GHZ_TOL = 1e-12
@@ -195,24 +195,8 @@ def spin_epr(state, partition, decision_tol=DECISION_TOL):
         raise ValueError("each subsystem must hold two modes")
     spins1 = spin_ops(system, *m1)
     spins2 = spin_ops(system, *m2)
-
-    def conditioned_variance(target_op, given_op):
-        target = spectral(target_op)
-        given = spectral(given_op)
-        total, weight = 0.0, 0.0
-        for proj in given.projectors:
-            p = prob(rho, proj)
-            if p <= PROB_FLOOR:
-                continue
-            total += p * cond_variance(rho, target, proj)
-            weight += p
-        if weight < 1.0 - 1e-9:
-            warnings.warn("skipped zero-probability conditioning sectors; "
-                          "weights renormalised", RuntimeWarning)
-        return total / weight
-
-    var_x = conditioned_variance(spins1.sx, spins2.sx)
-    var_y = conditioned_variance(spins1.sy, spins2.sy)
+    var_x = unrecorded_conditioned_variance(rho, spectral(spins1.sx), spectral(spins2.sx))
+    var_y = unrecorded_conditioned_variance(rho, spectral(spins1.sy), spectral(spins2.sy))
     lhs = var_x * var_y
     mean_z = np.trace(spins1.sz.matrix @ rho.matrix)
     rhs = 0.25 * abs(mean_z) ** 2
@@ -242,15 +226,10 @@ def particle_entanglement(state, partition, sector_floor=SECTOR_FLOOR):
     num_b = occ[:, idx_b].sum(axis=1)
     keys = num_a * (int(num_b.max()) + 1) + num_b   # unique (nA, nB) encoding
     ep = 0.0
-    for key in np.unique(keys):
-        sel = np.nonzero(keys == key)[0]
-        block = rho.matrix[np.ix_(sel, sel)]
-        weight = float(np.real(np.trace(block)))
-        if weight < sector_floor:
+    for _, sel in sector_blocks(keys):
+        weight, sector = sector_state(rho, sel, sector_floor)
+        if sector is None:
             continue
-        mat = np.zeros_like(rho.matrix)
-        mat[np.ix_(sel, sel)] = block / weight
-        sector = DensityOperator(system, mat)
         reduced = partial_trace(sector, partition, names[0])
         evals = np.linalg.eigvalsh(reduced.matrix)
         evals = evals[evals > 1e-15]

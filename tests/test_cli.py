@@ -189,6 +189,16 @@ def test_non_object_scenario_exit_two(tmp_path, capsys, argv):
     ("twirl_coherent", {"nbar": [2.0]}),
     ("extraction", {"r_values": 0.3}),
     ("ghz_parity", [1]),
+    ("qcf_theorem", {"n_states": 2.5}),
+    ("qcf_theorem", {"cutoff": 1.5}),
+    ("qcf_theorem", {"max_order": -1}),
+    ("qcf_theorem", {"n_states": -1}),
+    ("particle_entanglement", {"n_mixtures": 0}),
+    ("twirl_coherent", {"cutoff": True}),
+    ("atom_molecule", {"n_values": [0]}),
+    ("atom_molecule", {"n_values": [2.5]}),
+    ("phase_clock", {"n_max_values": [True]}),
+    ("extraction", {"r_values": []}),
 ])
 def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
     path = _write_scenario(tmp_path, {"schema_version": 1,

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,43 @@ def test_number_restricted_basis():
 def test_empty_restricted_space_raises():
     with pytest.raises(ValueError, match="empty Hilbert space"):
         bosons(2, 1, total=5)
+
+
+@pytest.mark.parametrize("modes,total", [
+    ([("a", 2), ("b", 3), ("c", 1)], 3),
+    ([("a", 1, "fermi"), ("b", 4), ("c", 1, "fermi")], 2),
+    ([("a", 0), ("b", 2)], 0),
+    ([("a", 3)], 2),
+])
+def test_restricted_basis_equals_filtered_product(modes, total):
+    system = ModeSystem(modes, total_number_restriction=total)
+    product = [occ for occ in itertools.product(*(range(m[1] + 1) for m in modes))
+               if sum(occ) == total]
+    assert [b.occupancies for b in build_basis(system)] == product
+
+
+def test_fixed_number_basis_skips_the_full_product():
+    # the full product of 8 modes at cutoff 8 has 9**8 = 43M rows
+    start = time.perf_counter()
+    assert bosons(8, 8, total=2).dim == 36
+    assert time.perf_counter() - start < 1.0
+
+
+def test_basis_codes_must_fit_int64():
+    with pytest.raises(ValueError, match="overflow"):
+        fermions(64, total=2)
+
+
+@pytest.mark.parametrize("system,occ", [
+    (bosons(2, 2), (0, 3)),            # code 3 aliases (1, 0)
+    (bosons(2, 2), (1, -1)),           # code 2 aliases (0, 2)
+    (bosons(2, 2), (0, 1, 0)),
+    (bosons(2, 2), (1,)),
+    (bosons(3, 2, total=2), (0, 1, 0)),
+])
+def test_index_of_rejects_occupancies_outside_the_basis(system, occ):
+    with pytest.raises(KeyError, match="not in basis"):
+        system.index_of(occ)
 
 
 def test_fermi_cutoff_must_be_one():
