@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -463,38 +464,49 @@ EXPERIMENTS = {
 }
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    # a real number, not a bool; NaN, infinities and ints too large for a
+    # float all fail the bound
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# closed domains of the real params that have one; the others need only be finite
+_REAL_DOMAINS = {"nbar": (0.0, math.inf), "poisson_nbar": (0.0, math.inf),
+                 "r_values": (0.0, 1.0)}
+
+
+def _domain(key, default):
+    """(test, description) of one valid scalar for a param with this default."""
+    if _is_int(default):
+        low = 1 if key.startswith("n_") else 0
+        return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+    low, high = _REAL_DOMAINS.get(key, (-math.inf, math.inf))
+    text = "a finite number" + (f" in [{low}, {high}]" if key in _REAL_DOMAINS else "")
+    return (lambda v: _is_finite(v) and low <= v <= high), text
 
 
 def _check_param(name, key, value, default):
     """Raise ValueError unless ``value`` has its default's kind and range.
 
     Integer defaults take only integers: counts named ``n_*`` at least 1,
-    the others (cutoffs, orders) at least 0.  Lists must be non-empty, and a
-    list of integer defaults takes only integers >= 1.
+    the others (cutoffs, orders) at least 0.  Real defaults take only finite
+    numbers, within ``_REAL_DOMAINS`` where the param has a domain.  Lists
+    must be non-empty, and each entry obeys the rule of the default's entries.
     """
     if isinstance(default, list):
-        if not isinstance(value, list) or not value:
-            kind = "a non-empty list"
-        elif _is_int(default[0]) and not all(_is_int(v) and v >= 1 for v in value):
-            kind = "a list of integers >= 1"
-        else:
-            return
-    elif _is_int(default):
-        low = 1 if key.startswith("n_") else 0
-        if _is_int(value) and value >= low:
-            return
-        kind = f"an integer >= {low}"
-    elif _is_number(value):
-        return
+        valid, text = _domain(key, default[0])
+        ok = isinstance(value, list) and value and all(valid(v) for v in value)
+        text = f"a non-empty list, each entry {text}"
     else:
-        kind = "a number"
-    raise ValueError(f"parameter {key!r} of {name} must be {kind}, got {value!r}")
+        valid, text = _domain(key, default)
+        ok = valid(value)
+    if not ok:
+        raise ValueError(f"parameter {key!r} of {name} must be {text}, got {value!r}")
 
 
 def run_experiment(name, params=None, tolerance=None, seed=0):
@@ -555,13 +567,13 @@ def run_scenario(scenario, tolerance=None, seed=None):
         raise ValueError("'tolerances' must be an object")
     if tolerance is None:
         tolerance = tolerances.get("global")
-    if tolerance is not None and not _is_number(tolerance):
-        raise ValueError(f"global tolerance must be a number, got {tolerance!r}")
+    if tolerance is not None and not (_is_finite(tolerance) and tolerance >= 0):
+        raise ValueError(f"global tolerance must be a finite number >= 0, got {tolerance!r}")
     if seed is None:
         seed = scenario.get("seed", 0)
     try:
         seed = int(seed)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
     return run_experiment(name, params=scenario.get("params"),
                           tolerance=tolerance, seed=seed)

@@ -43,7 +43,7 @@ class BeamSplitterSpec:
     convention: str = REAL_ROTATION
 
     def __post_init__(self):
-        if abs(self.r ** 2 + self.t ** 2 - 1.0) > 1e-12:
+        if not abs(self.r ** 2 + self.t ** 2 - 1.0) <= 1e-12:   # NaN fails too
             raise ValueError("r^2 + t^2 must equal 1")
         if self.convention not in (REAL_ROTATION, MINUS_I):
             raise ValueError(f"unknown convention {self.convention!r}")
@@ -308,19 +308,18 @@ def ramsey_vacuum_superposition(alpha, beta, delta, tau):
         np.exp(-1j * delta * tau * system.occupancies[:, 1]).astype(complex)))
     u_total = bs @ free @ bs
 
+    i00, i10, i01 = system.indices_of([(0, 0), (1, 0), (0, 1)])
     vec = np.zeros(system.dim, dtype=complex)
-    vec[system.index_of((0, 0))] = alpha
-    vec[system.index_of((1, 0))] = beta
+    vec[i00] = alpha
+    vec[i10] = beta
     final = u_total.matrix @ vec
-    i10 = system.index_of((1, 0))
-    i01 = system.index_of((0, 1))
     p10 = float(abs(final[i10]) ** 2)
     p01 = float(abs(final[i01]) ** 2)
 
     mixed = np.zeros((system.dim, system.dim), dtype=complex)
-    mixed[system.index_of((0, 0)), system.index_of((0, 0))] = abs(alpha) ** 2
+    mixed[i00, i00] = abs(alpha) ** 2
     mixed[i10, i10] = abs(beta) ** 2
-    mixed_final = u_total.matrix @ mixed @ u_total.matrix.conj().T
+    mixed_final = apply_unitary(u_total, DensityOperator(system, mixed)).matrix
     p10_mixed = float(np.real(mixed_final[i10, i10]))
     p01_mixed = float(np.real(mixed_final[i01, i01]))
     if abs(p10 - p10_mixed) > 1e-12 or abs(p01 - p01_mixed) > 1e-12:

@@ -257,7 +257,7 @@ class PureState:
         if amplitudes.shape != (system.dim,):
             raise ValueError("amplitude vector has wrong length")
         nrm = np.linalg.norm(amplitudes)
-        if abs(nrm - 1.0) > NORM_ATOL:
+        if not abs(nrm - 1.0) <= NORM_ATOL:   # written so that NaN fails too
             raise ValueError(f"state vector norm {nrm} is not 1 within {NORM_ATOL}")
         amplitudes.setflags(write=False)
         self.system = system
@@ -282,7 +282,8 @@ class DensityOperator:
     """Density operator; the four physicality checks run at construction.
 
     Hermitian within 1e-12 (Frobenius), unit trace within 1e-12, smallest
-    eigenvalue >= -1e-10, purity <= 1 + 1e-12.
+    eigenvalue >= -1e-10, purity <= 1 + 1e-12.  Each check is written so that
+    a NaN residual fails it.
     """
 
     __slots__ = ("system", "matrix")
@@ -292,23 +293,24 @@ class DensityOperator:
         if matrix.shape != (system.dim, system.dim):
             raise ValueError("density matrix shape does not match system")
         herm = np.linalg.norm(matrix - matrix.conj().T)
-        if herm > HERM_ATOL:
+        if not herm <= HERM_ATOL:
             raise ValueError(f"not Hermitian: residual {herm}")
         tr = np.trace(matrix)
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"trace {tr} is not 1 within {TRACE_ATOL}")
         evals = np.linalg.eigvalsh(matrix)
-        if evals.min() < -PSD_SLACK:
+        if not evals.min() >= -PSD_SLACK:
             raise ValueError(f"not positive semidefinite: min eigenvalue {evals.min()}")
         purity = float(np.sum(evals**2))
-        if purity > 1.0 + PURITY_ATOL:
+        if not purity <= 1.0 + PURITY_ATOL:
             raise ValueError(f"purity {purity} exceeds 1")
         matrix.setflags(write=False)
         self.system = system
         self.matrix = matrix
 
     def purity(self):
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        # Tr(rho^2) = ||rho||_F^2 for the Hermitian rho validated at construction
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def diagonal(self):
         return np.real(np.diag(self.matrix)).copy()
@@ -473,11 +475,14 @@ def partial_trace(state, partition, keep):
 
 
 def expectation(state, op):
-    """<Omega> = Tr(Omega rho), returned as a complex number."""
+    """<Omega> = Tr(Omega rho), returned as a complex number.
+
+    Summed as sum_ij Omega_ij rho_ji in O(d^2), exact for any Omega.
+    """
     rho = as_density(state)
     if op.system != rho.system:
         raise ValueError("operator and state live on different systems")
-    return complex(np.trace(op.matrix @ rho.matrix))
+    return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
 
 
 def evolution_operator(h, t):

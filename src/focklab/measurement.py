@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 
-from .fock import Operator, DensityOperator, as_density
+from .fock import Operator, DensityOperator, as_density, expectation
 
 PROB_FLOOR = 1e-12
 MERGE_TOL = 1e-8        # relative to the spectral range
@@ -87,15 +89,10 @@ def spectral(op, merge_tol=MERGE_TOL):
     evals, vecs = np.linalg.eigh(op.matrix)
     spread = float(evals[-1] - evals[0])
     gap = merge_tol * max(spread, 1.0)
-    groups = [[0]]
-    for i in range(1, len(evals)):
-        if evals[i] - evals[groups[-1][-1]] <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    cuts = np.nonzero(np.diff(evals) > gap)[0] + 1
     eigenvalues = []
     projectors = []
-    for grp in groups:
+    for grp in np.split(np.arange(len(evals)), cuts):
         block = vecs[:, grp]
         eigenvalues.append(float(np.mean(evals[grp])))
         projectors.append(Operator(op.system, block @ block.conj().T))
@@ -110,25 +107,26 @@ def _real_prob(value):
 
 def prob(state, projector):
     """P = Tr(Pi rho)."""
-    rho = as_density(state)
-    return _real_prob(np.trace(projector.matrix @ rho.matrix))
+    return _real_prob(expectation(state, projector))
 
 
 def joint_prob(state, projectors):
     """Joint probability Tr(Pi_A Pi_B ... rho) for commuting full-space projectors."""
-    rho = as_density(state)
-    product = np.eye(rho.system.dim, dtype=complex)
-    for p in projectors:
-        product = product @ p.matrix
-    return _real_prob(np.trace(product @ rho.matrix))
+    return _real_prob(expectation(state, reduce(matmul, projectors)))
+
+
+def _given_prob(rho, given, floor):
+    """Tr(Pi rho) of the conditioning outcome ``given``; raises at or below ``floor``."""
+    p = prob(rho, given)
+    if p <= floor:
+        raise ZeroProbabilityError(f"zero-probability conditioning (P = {p})")
+    return p
 
 
 def conditioned_state(state, projector, floor=PROB_FLOOR):
     """Post-measurement state Pi rho Pi / Tr(Pi rho)."""
     rho = as_density(state)
-    p = prob(rho, projector)
-    if p <= floor:
-        raise ZeroProbabilityError(f"zero-probability conditioning (P = {p})")
+    p = _given_prob(rho, projector, floor)
     mat = projector.matrix @ rho.matrix @ projector.matrix / p
     # symmetrise away the last bits of roundoff before validation
     mat = 0.5 * (mat + mat.conj().T)
@@ -138,10 +136,7 @@ def conditioned_state(state, projector, floor=PROB_FLOOR):
 def cond_prob(state, proj_a, proj_b, floor=PROB_FLOOR):
     """P(A=i | B=j) = Tr(Pi_A Pi_B rho) / Tr(Pi_B rho)."""
     rho = as_density(state)
-    pb = prob(rho, proj_b)
-    if pb <= floor:
-        raise ZeroProbabilityError(f"zero-probability conditioning (P = {pb})")
-    return joint_prob(rho, [proj_a, proj_b]) / pb
+    return joint_prob(rho, [proj_a, proj_b]) / _given_prob(rho, proj_b, floor)
 
 
 def unrecorded_state(state, observable):
@@ -166,29 +161,24 @@ def _check_commuting(observable, projector):
         raise ValueError("target and conditioning projector do not commute")
 
 
+def _conditional_moments(rho, target, given, p_given):
+    """Mean and variance of ``target`` under P(j|i) = Tr(Xi_j Pi_i rho) / P(i)."""
+    _check_commuting(target, given)
+    pmf = [joint_prob(rho, [xi, given]) / p_given for xi in target.projectors]
+    mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))
+    return mean, sum((mu - mean) ** 2 * c for mu, c in zip(target.eigenvalues, pmf))
+
+
 def cond_mean(state, target, given, floor=PROB_FLOOR):
     """Conditioned mean sum_j mu_j P(j|i) of ``target`` given outcome projector ``given``."""
-    _check_commuting(target, given)
     rho = as_density(state)
-    p_given = prob(rho, given)
-    if p_given <= floor:
-        raise ZeroProbabilityError(f"zero-probability conditioning (P = {p_given})")
-    mean = 0.0
-    for mu, xi in zip(target.eigenvalues, target.projectors):
-        mean += mu * joint_prob(rho, [xi, given]) / p_given
-    return mean
+    return _conditional_moments(rho, target, given, _given_prob(rho, given, floor))[0]
 
 
 def cond_variance(state, target, given, floor=PROB_FLOOR):
     """Conditioned variance sum_j (mu_j - mean)^2 P(j|i)."""
-    _check_commuting(target, given)
     rho = as_density(state)
-    p_given = prob(rho, given)
-    if p_given <= floor:
-        raise ZeroProbabilityError(f"zero-probability conditioning (P = {p_given})")
-    cond = [joint_prob(rho, [xi, given]) / p_given for xi in target.projectors]
-    mean = sum(mu * c for mu, c in zip(target.eigenvalues, cond))
-    return sum((mu - mean) ** 2 * c for mu, c in zip(target.eigenvalues, cond))
+    return _conditional_moments(rho, target, given, _given_prob(rho, given, floor))[1]
 
 
 def unrecorded_conditioned_variance(state, target, given_observable, floor=PROB_FLOOR):
@@ -205,7 +195,7 @@ def unrecorded_conditioned_variance(state, target, given_observable, floor=PROB_
         p_i = prob(rho, p_proj)
         if p_i <= floor:
             continue
-        total += p_i * cond_variance(rho, target, p_proj, floor=floor)
+        total += p_i * _conditional_moments(rho, target, p_proj, p_i)[1]
         weight += p_i
     if weight < 1.0 - 1e-9:
         warnings.warn("skipped zero-probability conditioning sectors; "

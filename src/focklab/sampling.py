@@ -103,7 +103,7 @@ def random_one_boson_pair_mixture(rng, n_components=3):
         factors = {}
         for name in partition.names:
             sub = sub_system(system, partition.modes_of(name))
-            sel = np.array([sub.index_of((0, 1)), sub.index_of((1, 0))])
+            sel = sub.indices_of([(0, 1), (1, 0)])
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             block = g @ g.conj().T
             block /= np.real(np.trace(block))

@@ -20,6 +20,7 @@ from .fock import (
     PureState,
     annihilation,
     as_density,
+    expectation,
     number_op,
     evolution_operator,
     sector_blocks,
@@ -118,7 +119,7 @@ def qcf(state, n, m, l, k, modes=(0, 1)):
             warnings.warn(
                 f"state has weight near the cutoff of mode {mode}; "
                 "raising operators are truncated there", RuntimeWarning)
-    return complex(np.trace(op @ rho.matrix))
+    return expectation(rho, Operator(system, op))
 
 
 def sector_decompose(state, n_op, prune=SECTOR_PRUNE):

@@ -6,6 +6,7 @@ the factors, and summing to a single matrix would destroy that information.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -102,6 +103,8 @@ def coherent(beta, cutoff, tail_tol=TAIL_TOL):
     the kept amplitudes are renormalised.
     """
     beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise ValueError(f"coherent amplitude {beta} is not finite")
     nbar = abs(beta) ** 2
     tail = 1.0 - poisson_pmf(np.arange(cutoff + 1), nbar).sum()
     if tail > tail_tol:

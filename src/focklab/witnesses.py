@@ -13,6 +13,7 @@ from .fock import (
     PureState,
     annihilation,
     as_density,
+    expectation,
     partial_trace,
     sector_blocks,
     sector_state,
@@ -102,8 +103,7 @@ def chsh_correlation_tensor(state):
     t = np.empty((3, 3))
     for i, sa in enumerate(paulis_a):
         for j, sb in enumerate(paulis_b):
-            val = np.trace(sa.matrix @ sb.matrix @ rho.matrix)
-            t[i, j] = val.real
+            t[i, j] = expectation(rho, sa @ sb).real
     return t
 
 
@@ -131,10 +131,8 @@ def correlation_test(state, omega_a, omega_b, decision_tol=DECISION_TOL):
     subsystems (so they commute).  A violation certifies entanglement.
     """
     rho = as_density(state)
-    lhs = abs(np.trace(omega_a.dag().matrix @ omega_b.matrix @ rho.matrix)) ** 2
-    rhs_val = np.trace(omega_a.dag().matrix @ omega_a.matrix
-                       @ omega_b.dag().matrix @ omega_b.matrix @ rho.matrix)
-    rhs = float(rhs_val.real)
+    lhs = abs(expectation(rho, omega_a.dag() @ omega_b)) ** 2
+    rhs = expectation(rho, omega_a.dag() @ omega_a @ omega_b.dag() @ omega_b).real
     margin = lhs - rhs
     return WitnessVerdict(lhs=float(lhs), rhs=rhs,
                           violated=margin > decision_tol, margin=float(margin))
@@ -198,7 +196,7 @@ def spin_epr(state, partition, decision_tol=DECISION_TOL):
     var_x = unrecorded_conditioned_variance(rho, spectral(spins1.sx), spectral(spins2.sx))
     var_y = unrecorded_conditioned_variance(rho, spectral(spins1.sy), spectral(spins2.sy))
     lhs = var_x * var_y
-    mean_z = np.trace(spins1.sz.matrix @ rho.matrix)
+    mean_z = expectation(rho, spins1.sz)
     rhs = 0.25 * abs(mean_z) ** 2
     margin = rhs - lhs
     return WitnessVerdict(lhs=float(lhs), rhs=float(rhs),
@@ -239,8 +237,7 @@ def particle_entanglement(state, partition, sector_floor=SECTOR_FLOOR):
 
 def casimir_residual(state, spins, n_pair):
     """|| <sum_a S_a^2> - <(N/2)(N/2+1)> || as an expectation residual."""
-    rho = as_density(state)
     s2 = spins.sx @ spins.sx + spins.sy @ spins.sy + spins.sz @ spins.sz
     half = 0.5 * n_pair
     target = half @ half + half
-    return abs(np.trace((s2.matrix - target.matrix) @ rho.matrix))
+    return abs(expectation(state, s2 - target))

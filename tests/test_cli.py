@@ -199,7 +199,17 @@ def test_non_object_scenario_exit_two(tmp_path, capsys, argv):
     ("atom_molecule", {"n_values": [2.5]}),
     ("phase_clock", {"n_max_values": [True]}),
     ("extraction", {"r_values": []}),
+    ("extraction", {"r_values": [1.5]}),
+    ("twirl_coherent", {"nbar": -1.0}),
+    ("atom_molecule", {"poisson_nbar": -2.0}),
+    ("twirl_coherent", {"nbar": float("nan")}),
+    ("two_mode_coherent_mixture", {"alpha": float("inf")}),
+    ("atom_molecule", {"kappa": float("-inf")}),
+    ("atom_molecule", {"phi_values": [0.0, float("nan")]}),
+    ("extraction", {"r_values": ["x"]}),
+    ("twirl_coherent", {"nbar": 10 ** 400}),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
     path = _write_scenario(tmp_path, {"schema_version": 1,
                                       "experiment": experiment, "params": params})
@@ -211,7 +221,11 @@ def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
 
 @pytest.mark.parametrize("field", [{"tolerances": [1e-3]},
                                    {"tolerances": {"global": "tight"}},
-                                   {"seed": [1]}])
+                                   {"seed": [1]},
+                                   {"tolerances": {"global": float("nan")}},
+                                   {"tolerances": {"global": -1e-3}},
+                                   {"tolerances": {"global": float("inf")}},
+                                   {"seed": float("inf")}])
 def test_malformed_scenario_fields_exit_two(tmp_path, capsys, field):
     path = _write_scenario(tmp_path, {"schema_version": 1,
                                       "experiment": "ghz_parity", **field})

@@ -99,6 +99,12 @@ def test_beam_splitter_rejects_mismatched_pairs():
         BeamSplitterSpec(((0, 1),), r=0.9, t=0.9)
 
 
+@pytest.mark.parametrize("r,t", [(1.5, np.nan), (np.nan, 0.0), (np.nan, np.nan)])
+def test_beam_splitter_spec_rejects_nan(r, t):
+    with pytest.raises(ValueError, match="r\\^2"):
+        BeamSplitterSpec(((0, 1),), r=r, t=t)
+
+
 @pytest.mark.parametrize("r", [0.3, 0.6, 0.8])
 def test_extraction_three_boson(r):
     t = np.sqrt(1 - r * r)

@@ -8,6 +8,7 @@ from focklab import (
     ModeSystem,
     Partition,
     DensityOperator,
+    PureState,
     annihilation,
     bosons,
     build_basis,
@@ -268,6 +269,20 @@ def test_density_operator_validation():
         DensityOperator(system, np.eye(2))
     with pytest.raises(ValueError, match="positive"):
         DensityOperator(system, np.diag([1.5, -0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("matrix", [[[np.nan, 0], [0, 1]],
+                                    [[1, np.nan], [np.nan, 0]],
+                                    [[0.5, 0], [0, 0.5 + 1j * np.nan]]])
+def test_density_operator_rejects_nan(matrix):
+    with pytest.raises(ValueError):
+        DensityOperator(bosons(1, 1), matrix)
+
+
+@pytest.mark.parametrize("amplitudes", [[np.nan, 0], [1, np.nan], [np.inf, 0]])
+def test_pure_state_rejects_non_finite_amplitudes(amplitudes):
+    with pytest.raises(ValueError, match="norm"):
+        PureState(bosons(1, 1), amplitudes)
 
 
 def test_random_states_pass_physicality():

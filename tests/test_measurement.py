@@ -135,10 +135,14 @@ def test_repeated_measurement_certain():
 def test_zero_probability_conditioning_raises():
     system = bosons(2, 1)
     rho = system.basis_state((0, 0)).density()
-    obs_a, _ = _qubit_observables(system)
+    obs_a, obs_b = _qubit_observables(system)
     p1a = obs_a.projectors[np.argmax(obs_a.eigenvalues)]
-    with pytest.raises(ZeroProbabilityError, match="zero-probability"):
-        conditioned_state(rho, p1a)
+    for condition in (lambda: conditioned_state(rho, p1a),
+                      lambda: cond_prob(rho, obs_b.projectors[0], p1a),
+                      lambda: cond_mean(rho, obs_b, p1a),
+                      lambda: cond_variance(rho, obs_b, p1a)):
+        with pytest.raises(ZeroProbabilityError, match="zero-probability"):
+            condition()
 
 
 def test_product_state_cond_prob_independent_of_b():

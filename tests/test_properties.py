@@ -1,4 +1,5 @@
-"""Property tests of the basis bookkeeping over random small mode systems."""
+"""Property tests of the basis bookkeeping and the trace contractions over
+random small mode systems."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from focklab import (
     Partition,
     annihilation,
     creation,
+    expectation,
     fermions,
     number_op,
     partial_trace,
@@ -85,6 +87,18 @@ def test_tensor_embed_is_adjoint_to_partial_trace(case, seed):
     lhs = np.trace(tensor_embed(x, system, keep).matrix @ rho.matrix)
     rhs = np.trace(x.matrix @ partial_trace(rho, partition, "A").matrix)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(x.matrix))
+
+
+@SETTINGS
+@given(systems(), seeds, st.booleans())
+def test_expectation_and_purity_match_the_trace_reference(system, seed, hermitian):
+    rng = np.random.default_rng(seed)
+    rho = random_density(system, rng)
+    g = rng.standard_normal((system.dim, system.dim)) \
+        + 1j * rng.standard_normal((system.dim, system.dim))
+    x = Operator(system, g + g.conj().T if hermitian else g)
+    assert abs(expectation(rho, x) - np.trace(x.matrix @ rho.matrix)) <= 1e-12
+    assert abs(rho.purity() - np.trace(rho.matrix @ rho.matrix)) <= 1e-12
 
 
 @SETTINGS

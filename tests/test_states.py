@@ -58,6 +58,13 @@ def test_coherent_requires_enough_cutoff():
         coherent(3.0, 10)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_coherent_rejects_non_finite_amplitude(beta):
+    with pytest.raises(ValueError, match="not finite"):
+        coherent(beta, 5)
+
+
 def test_bell_states():
     psi_minus = bell_one_boson("psi-")
     assert psi_minus.amplitude((0, 1)) == pytest.approx(1 / np.sqrt(2))
