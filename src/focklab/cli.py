@@ -298,11 +298,12 @@ def _exp_two_mode_coherent_mixture(params, tol, rng):
     n_phases = params["n_phases"]
     rho = two_mode_coherent_mixture(alpha, cutoff)
     system = rho.system
-    quad = np.zeros((system.dim, system.dim), dtype=complex)
+    vecs = []
     for theta in 2.0 * np.pi * np.arange(n_phases) / n_phases:
         vec_1m = coherent(alpha * np.exp(-1j * theta), cutoff).amplitudes
-        vec = np.kron(vec_1m, vec_1m)
-        quad += np.outer(vec, vec.conj()) / n_phases
+        vecs.append(np.kron(vec_1m, vec_1m))
+    vecs = np.array(vecs)
+    quad = vecs.T @ vecs.conj() / n_phases
     occ = system.occupancies
     totals = occ.sum(axis=1)
     selection = rho.matrix[totals[:, None] != totals[None, :]]
@@ -571,10 +572,8 @@ def run_scenario(scenario, tolerance=None, seed=None):
         raise ValueError(f"global tolerance must be a finite number >= 0, got {tolerance!r}")
     if seed is None:
         seed = scenario.get("seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     return run_experiment(name, params=scenario.get("params"),
                           tolerance=tolerance, seed=seed)
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (
+    NORM_ATOL,
     ModeSystem,
     Operator,
     DensityOperator,
@@ -25,9 +26,9 @@ from .fock import (
     partial_trace,
     unitary_evolve,
 )
-from .ssr import ssr_check
+from .ssr import SSR_TOL, ssr_check
 from .states import poisson_pmf
-from .measurement import ZeroProbabilityError
+from .measurement import PROB_FLOOR, ZeroProbabilityError
 
 REAL_ROTATION = "real-rotation"
 MINUS_I = "minus_i"
@@ -43,7 +44,7 @@ class BeamSplitterSpec:
     convention: str = REAL_ROTATION
 
     def __post_init__(self):
-        if not abs(self.r ** 2 + self.t ** 2 - 1.0) <= 1e-12:   # NaN fails too
+        if not abs(self.r ** 2 + self.t ** 2 - 1.0) <= NORM_ATOL:   # NaN fails too
             raise ValueError("r^2 + t^2 must equal 1")
         if self.convention not in (REAL_ROTATION, MINUS_I):
             raise ValueError(f"unknown convention {self.convention!r}")
@@ -137,7 +138,7 @@ def extraction_experiment(case, r, t):
     in_sector = (occ[:, :2].sum(axis=1) == na) & (occ[:, 2:].sum(axis=1) == nb)
     projected = np.where(in_sector, out.amplitudes, 0.0)
     p_sector = float(np.linalg.norm(projected) ** 2)
-    if p_sector <= 1e-12:
+    if p_sector <= PROB_FLOOR:
         raise ZeroProbabilityError(f"sector probability {p_sector} below floor")
     projected_state = PureState(system, projected / np.sqrt(p_sector))
     return ProcessResult(
@@ -249,7 +250,7 @@ def _am_quantities(rdo):
     }
 
 
-def atom_molecule_process(n_bec, kappa, phi, initial="fock", weight_floor=1e-15):
+def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
     """Ramsey-type atom/molecule interconversion against a BEC reservoir.
 
     Resonant pulse (calibrated to half population transfer), free evolution
@@ -273,7 +274,7 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock", weight_floor=1e-15)
     nbar = float(n_bec)
     n_max = int(nbar + 20.0 * math.sqrt(max(nbar, 1.0)) + 20)
     weights = poisson_pmf(np.arange(n_max + 1), nbar)
-    keep = np.nonzero(weights > weight_floor)[0]
+    keep = np.nonzero(weights > 1e-15)[0]
     weights = weights[keep] / weights[keep].sum()
 
     sys_am = _am_reduced_system()
@@ -298,7 +299,7 @@ def ramsey_vacuum_superposition(alpha, beta, delta, tau):
     which is verified on every call.
     """
     alpha, beta = complex(alpha), complex(beta)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-12:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= NORM_ATOL:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     system = bosons(2, 1, labels=["A", "B"])
     s = 1.0 / math.sqrt(2.0)
@@ -339,7 +340,7 @@ class PropagationReport:
     tol: float
 
 
-def ssr_propagation_check(mixture, h, weights=None, times=(0.5, 1.0, 2.0), tol=1e-10):
+def ssr_propagation_check(mixture, h, weights=None, times=(0.5, 1.0, 2.0)):
     """Evolve a separable mixture under a number-conserving Hamiltonian.
 
     Requires [N_w, H] = 0 within 1e-10 (raises with the residual otherwise).
@@ -359,19 +360,19 @@ def ssr_propagation_check(mixture, h, weights=None, times=(0.5, 1.0, 2.0), tol=1
             idx = mixture.partition.modes_of(name)
             w_local = None if weights is None else \
                 np.asarray(weights, dtype=float)[list(idx)]
-            rep = ssr_check(factor, number_op(factor.system, w_local), tol=tol)
+            rep = ssr_check(factor, number_op(factor.system, w_local))
             local_ok = local_ok and rep.compliant
     rho0 = mixture.summed()
     residuals = []
     for t in times:
         rho_t = unitary_evolve(h, t, rho0)
-        residuals.append(ssr_check(rho_t, n_w, tol=tol).residual)
+        residuals.append(ssr_check(rho_t, n_w).residual)
     residuals = tuple(residuals)
     return PropagationReport(
         conserving_residual=conserving,
         all_local_compliant=local_ok,
         times=tuple(times),
         global_residuals=residuals,
-        compliant_at_all_times=all(r <= tol for r in residuals),
-        tol=tol,
+        compliant_at_all_times=all(r <= SSR_TOL for r in residuals),
+        tol=SSR_TOL,
     )

@@ -212,8 +212,8 @@ class Operator:
     def norm(self):
         return float(np.linalg.norm(self.matrix))
 
-    def is_hermitian(self, atol=HERM_INPUT_ATOL):
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= atol
+    def is_hermitian(self):
+        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= HERM_INPUT_ATOL
 
     def _coerce(self, other):
         if not isinstance(other, Operator):
@@ -292,7 +292,8 @@ class DensityOperator:
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (system.dim, system.dim):
             raise ValueError("density matrix shape does not match system")
-        herm = np.linalg.norm(matrix - matrix.conj().T)
+        with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
+            herm = np.linalg.norm(matrix - matrix.conj().T)
         if not herm <= HERM_ATOL:
             raise ValueError(f"not Hermitian: residual {herm}")
         tr = np.trace(matrix)
@@ -413,12 +414,15 @@ def sector_blocks(labels):
     return [(int(v), np.nonzero(labels == v)[0]) for v in np.unique(labels)]
 
 
-def sector_state(rho, sel, floor):
+SECTOR_FLOOR = 1e-14
+
+
+def sector_state(rho, sel):
     """Weight of ``rho`` on basis indices ``sel``, and its normalised projection
-    there (None when the weight is below ``floor``)."""
+    there (None when the weight is below ``SECTOR_FLOOR``)."""
     block = rho.matrix[np.ix_(sel, sel)]
     weight = float(np.real(np.trace(block)))
-    if weight < floor:
+    if weight < SECTOR_FLOOR:
         return weight, None
     mat = np.zeros_like(rho.matrix)
     mat[np.ix_(sel, sel)] = block / weight

@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import NORM_ATOL
 from .measurement import prob
+
+ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
 
 
 @dataclass(frozen=True)
@@ -31,14 +34,14 @@ class DiscreteLHVModel:
 
     def __init__(self, weights, observables):
         weights = np.asarray(weights, dtype=float)
-        if weights.min() < 0 or abs(weights.sum() - 1.0) > 1e-12:
+        if weights.min() < 0 or not abs(weights.sum() - 1.0) <= NORM_ATOL:
             raise ValueError("hidden-value probabilities must be a distribution")
         n_hidden = len(weights)
         for name, obs in observables.items():
             pmf = np.asarray(obs.pmf, dtype=float)
             if pmf.shape != (n_hidden, len(obs.values)):
                 raise ValueError(f"pmf shape mismatch for observable {name!r}")
-            if pmf.min() < 0 or np.max(np.abs(pmf.sum(axis=1) - 1.0)) > 1e-12:
+            if pmf.min() < 0 or not np.max(np.abs(pmf.sum(axis=1) - 1.0)) <= NORM_ATOL:
                 raise ValueError(f"pmf rows for {name!r} are not distributions")
         self.weights = weights
         self.observables = dict(observables)
@@ -151,7 +154,7 @@ def ghz_assignment_search(xxx_target=1):
     return count
 
 
-def sum_inequality_oracle(p, c, d, tol=1e-12):
+def sum_inequality_oracle(p, c, d):
     """Check sum(PC) sum(PD) >= (sum(P sqrt(CD)))^2 for nonnegative inputs."""
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -160,10 +163,10 @@ def sum_inequality_oracle(p, c, d, tol=1e-12):
         raise ValueError("inputs must be nonnegative")
     lhs = float(np.sum(p * c) * np.sum(p * d))
     rhs = float(np.sum(p * np.sqrt(c * d)) ** 2)
-    return lhs >= rhs - tol * max(1.0, abs(lhs))
+    return lhs >= rhs - ORACLE_RTOL * max(1.0, abs(lhs))
 
 
-def integral_inequality_oracle(lam, p, c, d, tol=1e-12):
+def integral_inequality_oracle(lam, p, c, d):
     """Quadrature analogue of the sum inequality on a lambda grid.
 
     Uses trapezoidal weights; with w_i P_i in place of P_R this is exactly
@@ -182,4 +185,4 @@ def integral_inequality_oracle(lam, p, c, d, tol=1e-12):
     pw = w * p
     lhs = float(np.sum(pw * c) * np.sum(pw * d))
     rhs = float(np.sum(pw * np.sqrt(c * d)) ** 2)
-    return lhs >= rhs - tol * max(1.0, abs(lhs))
+    return lhs >= rhs - ORACLE_RTOL * max(1.0, abs(lhs))

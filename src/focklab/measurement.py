@@ -67,20 +67,20 @@ class OutcomeDistribution:
         probs = np.array([p for _, p in self.outcomes])
         if probs.min() < -PROB_FLOOR:
             raise ValueError("negative outcome probability")
-        if abs(probs.sum() - 1.0) > 1e-10:
+        if not abs(probs.sum() - 1.0) <= 1e-10:    # written so that NaN fails too
             raise ValueError("outcome probabilities do not sum to 1")
 
-    def probability_of(self, eigenvalue, atol=1e-9):
+    def probability_of(self, eigenvalue):
         for lam, p in self.outcomes:
-            if abs(lam - eigenvalue) <= atol:
+            if abs(lam - eigenvalue) <= 1e-9:
                 return p
         return 0.0
 
 
-def spectral(op, merge_tol=MERGE_TOL):
+def spectral(op):
     """Spectral resolution of a Hermitian operator.
 
-    Eigenvalues closer than ``merge_tol`` times the spectral range are merged
+    Eigenvalues closer than ``MERGE_TOL`` times the spectral range are merged
     into a single degenerate projector, which keeps projectors robust after
     floating-point eigensolves.
     """
@@ -88,7 +88,7 @@ def spectral(op, merge_tol=MERGE_TOL):
         raise ValueError("operator is not Hermitian")
     evals, vecs = np.linalg.eigh(op.matrix)
     spread = float(evals[-1] - evals[0])
-    gap = merge_tol * max(spread, 1.0)
+    gap = MERGE_TOL * max(spread, 1.0)
     cuts = np.nonzero(np.diff(evals) > gap)[0] + 1
     eigenvalues = []
     projectors = []
@@ -115,28 +115,28 @@ def joint_prob(state, projectors):
     return _real_prob(expectation(state, reduce(matmul, projectors)))
 
 
-def _given_prob(rho, given, floor):
-    """Tr(Pi rho) of the conditioning outcome ``given``; raises at or below ``floor``."""
+def _given_prob(rho, given):
+    """Tr(Pi rho) of the conditioning outcome ``given``; raises at or below PROB_FLOOR."""
     p = prob(rho, given)
-    if p <= floor:
+    if p <= PROB_FLOOR:
         raise ZeroProbabilityError(f"zero-probability conditioning (P = {p})")
     return p
 
 
-def conditioned_state(state, projector, floor=PROB_FLOOR):
+def conditioned_state(state, projector):
     """Post-measurement state Pi rho Pi / Tr(Pi rho)."""
     rho = as_density(state)
-    p = _given_prob(rho, projector, floor)
+    p = _given_prob(rho, projector)
     mat = projector.matrix @ rho.matrix @ projector.matrix / p
     # symmetrise away the last bits of roundoff before validation
     mat = 0.5 * (mat + mat.conj().T)
     return DensityOperator(rho.system, mat)
 
 
-def cond_prob(state, proj_a, proj_b, floor=PROB_FLOOR):
+def cond_prob(state, proj_a, proj_b):
     """P(A=i | B=j) = Tr(Pi_A Pi_B rho) / Tr(Pi_B rho)."""
     rho = as_density(state)
-    return joint_prob(rho, [proj_a, proj_b]) / _given_prob(rho, proj_b, floor)
+    return joint_prob(rho, [proj_a, proj_b]) / _given_prob(rho, proj_b)
 
 
 def unrecorded_state(state, observable):
@@ -169,19 +169,19 @@ def _conditional_moments(rho, target, given, p_given):
     return mean, sum((mu - mean) ** 2 * c for mu, c in zip(target.eigenvalues, pmf))
 
 
-def cond_mean(state, target, given, floor=PROB_FLOOR):
+def cond_mean(state, target, given):
     """Conditioned mean sum_j mu_j P(j|i) of ``target`` given outcome projector ``given``."""
     rho = as_density(state)
-    return _conditional_moments(rho, target, given, _given_prob(rho, given, floor))[0]
+    return _conditional_moments(rho, target, given, _given_prob(rho, given))[0]
 
 
-def cond_variance(state, target, given, floor=PROB_FLOOR):
+def cond_variance(state, target, given):
     """Conditioned variance sum_j (mu_j - mean)^2 P(j|i)."""
     rho = as_density(state)
-    return _conditional_moments(rho, target, given, _given_prob(rho, given, floor))[1]
+    return _conditional_moments(rho, target, given, _given_prob(rho, given))[1]
 
 
-def unrecorded_conditioned_variance(state, target, given_observable, floor=PROB_FLOOR):
+def unrecorded_conditioned_variance(state, target, given_observable):
     """Outcome-probability-weighted conditional variance.
 
     sum_i P(i) Var(target | given = i) over the outcomes of the conditioning
@@ -193,7 +193,7 @@ def unrecorded_conditioned_variance(state, target, given_observable, floor=PROB_
     weight = 0.0
     for p_proj in given_observable.projectors:
         p_i = prob(rho, p_proj)
-        if p_i <= floor:
+        if p_i <= PROB_FLOOR:
             continue
         total += p_i * _conditional_moments(rho, target, p_proj, p_i)[1]
         weight += p_i

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    NORM_ATOL,
     ModeSystem,
     Operator,
     DensityOperator,
@@ -28,7 +29,6 @@ from .fock import (
 )
 
 SSR_TOL = 1e-10
-SECTOR_PRUNE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,13 @@ def qcf(state, n, m, l, k, modes=(0, 1)):
     return expectation(rho, Operator(system, op))
 
 
-def sector_decompose(state, n_op, prune=SECTOR_PRUNE):
+def sector_decompose(state, n_op):
     """Weights and normalised states of the number sectors of ``rho``."""
     rho = as_density(state)
     ids = _diagonal_sector_ids(n_op)
     sectors = []
     for total, sel in sector_blocks(ids):
-        weight, sector = sector_state(rho, sel, prune)
+        weight, sector = sector_state(rho, sel)
         if sector is not None:
             sectors.append(Sector(total, weight, sector))
     return SectorDecomposition(tuple(sectors))
@@ -144,7 +144,7 @@ class SeparableSSRReport:
     fixed_probability_caveat: bool
 
 
-def separable_ssr_theorem_check(mixture, tol=SSR_TOL):
+def separable_ssr_theorem_check(mixture):
     """Check the separability/SSR criterion on an explicit mixture.
 
     Reports (a) local number-SSR compliance of every component factor and
@@ -156,11 +156,11 @@ def separable_ssr_theorem_check(mixture, tol=SSR_TOL):
     all_local = True
     for ci, comp in enumerate(mixture.components):
         for name, factor in comp.factors.items():
-            rep = ssr_check(factor, number_op(factor.system), tol=tol)
+            rep = ssr_check(factor, number_op(factor.system))
             local_reports.append((ci, name, rep))
             all_local = all_local and rep.compliant
     summed = mixture.summed()
-    global_report = ssr_check(summed, number_op(summed.system), tol=tol)
+    global_report = ssr_check(summed, number_op(summed.system))
     return SeparableSSRReport(
         local_reports=tuple(local_reports),
         all_local_compliant=all_local,
@@ -227,7 +227,7 @@ def internalise(amplitudes, n_ref):
     m_max = len(amps) - 1
     if n_ref < m_max:
         raise ValueError("reference occupancy must be at least m_max")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
         raise ValueError("amplitudes are not normalised")
     system = ModeSystem([("S", m_max), ("R", n_ref)])
     vec = np.zeros(system.dim, dtype=complex)
@@ -236,13 +236,13 @@ def internalise(amplitudes, n_ref):
     return PureState(system, vec)
 
 
-def externalise(state, atol=1e-10):
+def externalise(state):
     """Inverse of internalise: recover the C_m from the entangled form."""
     system = state.system
     if system.n_modes != 2:
         raise ValueError("expected a two-mode system+reference state")
     occ = system.occupancies
-    support = np.nonzero(np.abs(state.amplitudes) > atol)[0]
+    support = np.nonzero(np.abs(state.amplitudes) > 1e-10)[0]
     if len(support) == 0:
         raise ValueError("state has no support")
     totals = occ[support].sum(axis=1)

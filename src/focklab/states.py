@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    NORM_ATOL,
     ModeSystem,
     DensityOperator,
     PureState,
@@ -40,7 +41,7 @@ class SeparableMixture:
         if not partition.covers(system):
             raise ValueError("partition must cover every mode of the system")
         total = sum(c.probability for c in components)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"component probabilities sum to {total}, not 1")
         for c in components:
             if c.probability < 0:
@@ -96,19 +97,31 @@ def poisson_pmf(n, mu):
     return np.exp(n * math.log(mu) - mu - log_fact)
 
 
-def coherent(beta, cutoff, tail_tol=TAIL_TOL):
+def _mean_within_cutoff(amplitude, cutoff):
+    """Mean occupancy ``amplitude**2`` of a coherent mode truncated at ``cutoff``.
+
+    Raises when the Poisson weight beyond the cutoff exceeds TAIL_TOL.  An
+    amplitude too large to square gives an infinite mean and a NaN tail,
+    which fail the same check, without a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        nbar = np.float64(amplitude) ** 2
+        tail = 1.0 - poisson_pmf(np.arange(cutoff + 1), nbar).sum()
+    if not tail <= TAIL_TOL:
+        raise ValueError(f"insufficient cutoff: Poisson tail {tail:.3e}")
+    return float(nbar)
+
+
+def coherent(beta, cutoff):
     """Truncated coherent state with amplitudes e^{-|b|^2/2} b^n / sqrt(n!).
 
-    Raises when the Poisson weight beyond the cutoff exceeds ``tail_tol``;
-    the kept amplitudes are renormalised.
+    Raises when the Poisson weight beyond the cutoff exceeds TAIL_TOL; the
+    kept amplitudes are renormalised.
     """
     beta = complex(beta)
     if not cmath.isfinite(beta):
         raise ValueError(f"coherent amplitude {beta} is not finite")
-    nbar = abs(beta) ** 2
-    tail = 1.0 - poisson_pmf(np.arange(cutoff + 1), nbar).sum()
-    if tail > tail_tol:
-        raise ValueError(f"insufficient cutoff: Poisson tail {tail:.3e}")
+    nbar = _mean_within_cutoff(abs(beta), cutoff)
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = 1.0
     for k in range(1, cutoff + 1):
@@ -255,7 +268,7 @@ def verstraete_state(form="mixture"):
     raise ValueError(f"unknown form {form!r}")
 
 
-def two_mode_coherent_mixture(alpha_abs, cutoff, tail_tol=TAIL_TOL):
+def two_mode_coherent_mixture(alpha_abs, cutoff):
     """Phase-averaged mixture of two-mode coherent states |a e^{-it}, a e^{-it}>.
 
     Built analytically: element (n,p|rho|m,q) = e^{-2|a|^2} |a|^{n+m+p+q}
@@ -263,12 +276,9 @@ def two_mode_coherent_mixture(alpha_abs, cutoff, tail_tol=TAIL_TOL):
     truncated space.  The delta selection rule is exact by construction.
     """
     alpha_abs = abs(alpha_abs)
-    nbar = alpha_abs ** 2
+    nbar = _mean_within_cutoff(alpha_abs, cutoff)
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
-    tail = 1.0 - poisson_pmf(n, nbar).sum()
-    if tail > tail_tol:
-        raise ValueError(f"insufficient cutoff: Poisson tail {tail:.3e}")
     system = bosons(2, cutoff, labels=["A", "B"])
     occ = system.occupancies
     # amplitude factor |a|^n / sqrt(n!) per single-mode occupancy
@@ -286,7 +296,7 @@ def dissociation_state(m_molecules, amplitudes):
     amps = np.asarray(amplitudes, dtype=complex)
     if len(amps) != m_molecules + 1:
         raise ValueError("need M+1 amplitudes")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
         raise ValueError("amplitudes are not normalised")
     system = ModeSystem([("mol", m_molecules), ("atom", 2 * m_molecules)])
     vec = np.zeros(system.dim, dtype=complex)
@@ -299,7 +309,7 @@ def two_mode_N_boson(amplitudes):
     """Pure state sum_k C_k |k>_A |N-k>_B with N fixed by len(amplitudes)-1."""
     amps = np.asarray(amplitudes, dtype=complex)
     n_total = len(amps) - 1
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
         raise ValueError("amplitudes are not normalised")
     system = bosons(2, n_total, labels=["A", "B"])
     vec = np.zeros(system.dim, dtype=complex)
@@ -311,7 +321,7 @@ def two_mode_N_boson(amplitudes):
 def mixed_N_boson(probabilities):
     """Statistical mixture sum_k P_k |k, N-k><k, N-k| (separable, SSR compliant)."""
     probs = np.asarray(probabilities, dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-12 or probs.min() < 0:
+    if not abs(probs.sum() - 1.0) <= NORM_ATOL or probs.min() < 0:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     n_total = len(probs) - 1
     system = bosons(2, n_total, labels=["A", "B"])

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    NORM_ATOL,
     Operator,
     PureState,
     annihilation,
@@ -22,7 +23,6 @@ from .measurement import spectral, unrecorded_conditioned_variance
 
 DECISION_TOL = 1e-9
 GHZ_TOL = 1e-12
-SECTOR_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class CHSHSetting:
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
+            if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= NORM_ATOL:
                 raise ValueError(f"{name} is not a unit 3-vector")
 
 
@@ -83,7 +83,7 @@ class WitnessVerdict:
     """Outcome of a witness evaluation.
 
     ``margin`` is the amount by which the violating side exceeds the bound,
-    so ``violated`` is always ``margin > decision tolerance``.
+    so ``violated`` is always ``margin > DECISION_TOL``.
     """
 
     lhs: float
@@ -124,7 +124,7 @@ def chsh_batch(tensors, a1, a2, b1, b2):
     return np.abs(s)
 
 
-def correlation_test(state, omega_a, omega_b, decision_tol=DECISION_TOL):
+def correlation_test(state, omega_a, omega_b):
     """Correlation inequality |<Oa^dag Ob>|^2 <= <Oa^dag Oa Ob^dag Ob>.
 
     ``omega_a`` and ``omega_b`` are full-space operators supported on disjoint
@@ -135,7 +135,7 @@ def correlation_test(state, omega_a, omega_b, decision_tol=DECISION_TOL):
     rhs = expectation(rho, omega_a.dag() @ omega_a @ omega_b.dag() @ omega_b).real
     margin = lhs - rhs
     return WitnessVerdict(lhs=float(lhs), rhs=rhs,
-                          violated=margin > decision_tol, margin=float(margin))
+                          violated=margin > DECISION_TOL, margin=float(margin))
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def ghz_parity(state, tol=GHZ_TOL):
                            tol=tol)
 
 
-def spin_epr(state, partition, decision_tol=DECISION_TOL):
+def spin_epr(state, partition):
     """Spin EPR test on two two-mode subsystems.
 
     lhs is the product of the unrecorded-conditioned variances
@@ -200,10 +200,10 @@ def spin_epr(state, partition, decision_tol=DECISION_TOL):
     rhs = 0.25 * abs(mean_z) ** 2
     margin = rhs - lhs
     return WitnessVerdict(lhs=float(lhs), rhs=float(rhs),
-                          violated=margin > decision_tol, margin=float(margin))
+                          violated=margin > DECISION_TOL, margin=float(margin))
 
 
-def particle_entanglement(state, partition, sector_floor=SECTOR_FLOOR):
+def particle_entanglement(state, partition):
     """Number-sector-projected mode-entanglement entropy E_P.
 
     E_P = sum_{nA,nB} P_{nA nB} E_M(sector state), where the sector state is
@@ -225,7 +225,7 @@ def particle_entanglement(state, partition, sector_floor=SECTOR_FLOOR):
     keys = num_a * (int(num_b.max()) + 1) + num_b   # unique (nA, nB) encoding
     ep = 0.0
     for _, sel in sector_blocks(keys):
-        weight, sector = sector_state(rho, sel, sector_floor)
+        weight, sector = sector_state(rho, sel)
         if sector is None:
             continue
         reduced = partial_trace(sector, partition, names[0])

@@ -208,6 +208,7 @@ def test_non_object_scenario_exit_two(tmp_path, capsys, argv):
     ("atom_molecule", {"phi_values": [0.0, float("nan")]}),
     ("extraction", {"r_values": ["x"]}),
     ("twirl_coherent", {"nbar": 10 ** 400}),
+    ("two_mode_coherent_mixture", {"alpha": 1e200}),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
@@ -225,7 +226,11 @@ def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
                                    {"tolerances": {"global": float("nan")}},
                                    {"tolerances": {"global": -1e-3}},
                                    {"tolerances": {"global": float("inf")}},
-                                   {"seed": float("inf")}])
+                                   {"seed": float("inf")},
+                                   {"seed": 1.5},
+                                   {"seed": 1.0},
+                                   {"seed": "3"},
+                                   {"seed": True}])
 def test_malformed_scenario_fields_exit_two(tmp_path, capsys, field):
     path = _write_scenario(tmp_path, {"schema_version": 1,
                                       "experiment": "ghz_parity", **field})

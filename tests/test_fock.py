@@ -271,9 +271,11 @@ def test_density_operator_validation():
         DensityOperator(system, np.diag([1.5, -0.5]).astype(complex))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("matrix", [[[np.nan, 0], [0, 1]],
                                     [[1, np.nan], [np.nan, 0]],
-                                    [[0.5, 0], [0, 0.5 + 1j * np.nan]]])
+                                    [[0.5, 0], [0, 0.5 + 1j * np.nan]],
+                                    [[np.inf, 0], [0, 1]]])
 def test_density_operator_rejects_nan(matrix):
     with pytest.raises(ValueError):
         DensityOperator(bosons(1, 1), matrix)

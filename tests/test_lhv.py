@@ -205,6 +205,14 @@ def test_oracles_reject_negative_inputs():
         integral_inequality_oracle([0, 1], [1, 1], [1, 1], [-2, 1])
 
 
+def test_model_rejects_nan():
+    with pytest.raises(ValueError, match="distribution"):
+        DiscreteLHVModel([np.nan, 0.5], {})
+    with pytest.raises(ValueError, match="rows"):
+        DiscreteLHVModel(np.array([1.0]),
+                         {"A": LHVObservable((1.0, -1.0), np.array([[np.nan, 0.5]]))})
+
+
 def test_model_validation():
     with pytest.raises(ValueError, match="distribution"):
         DiscreteLHVModel(np.array([0.7, 0.7]), {})

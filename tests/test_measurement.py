@@ -3,6 +3,7 @@ import pytest
 
 from focklab import (
     ModeSystem,
+    OutcomeDistribution,
     Partition,
     ZeroProbabilityError,
     bosons,
@@ -263,6 +264,11 @@ def test_outcome_distribution_sums_to_one():
     obs_a, _ = _qubit_observables(system)
     dist = outcome_distribution(random_density(system, rng), obs_a)
     assert sum(p for _, p in dist.outcomes) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_outcome_distribution_rejects_nan():
+    with pytest.raises(ValueError, match="sum to 1"):
+        OutcomeDistribution(((0.0, np.nan),))
 
 
 def test_joint_prob_order_independent():

@@ -65,6 +65,14 @@ def test_coherent_rejects_non_finite_amplitude(beta):
         coherent(beta, 5)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [coherent, two_mode_coherent_mixture])
+def test_huge_amplitude_needs_more_cutoff(make):
+    # |1e200|^2 overflows a float; the cutoff check rejects it all the same
+    with pytest.raises(ValueError, match="insufficient cutoff"):
+        make(1e200, 5)
+
+
 def test_bell_states():
     psi_minus = bell_one_boson("psi-")
     assert psi_minus.amplitude((0, 1)) == pytest.approx(1 / np.sqrt(2))
@@ -272,6 +280,15 @@ def test_mixture_probability_validation():
     f = {"A": sub_a.vacuum().density(), "B": sub_b.vacuum().density()}
     with pytest.raises(ValueError, match="sum"):
         SeparableMixture(system, part, [MixtureComponent(0.7, f)])
+
+
+def test_mixture_rejects_nan_probability():
+    system = bosons(2, 1)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    f = {"A": ModeSystem([system.modes[0]]).vacuum().density(),
+         "B": ModeSystem([system.modes[1]]).vacuum().density()}
+    with pytest.raises(ValueError, match="sum"):
+        SeparableMixture(system, part, [MixtureComponent(np.nan, f)])
 
 
 def test_ghz_and_singlet_shapes():

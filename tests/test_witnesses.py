@@ -248,3 +248,8 @@ def test_particle_entanglement_invariant_under_sector_projection():
 def test_chsh_setting_validation():
     with pytest.raises(ValueError, match="unit"):
         CHSHSetting(a1=(1.0, 1.0, 0.0), a2=(1, 0, 0), b1=(1, 0, 0), b2=(0, 1, 0))
+
+
+def test_chsh_setting_rejects_nan():
+    with pytest.raises(ValueError, match="unit"):
+        CHSHSetting(a1=(np.nan, 0, 0), a2=(1, 0, 0), b1=(1, 0, 0), b2=(0, 1, 0))
