@@ -39,13 +39,6 @@ class Mode:
     statistics: str = BOSE
 
 
-@dataclass(frozen=True)
-class BasisState:
-    """Occupancy tuple, one entry per mode of the owning system."""
-
-    occupancies: tuple
-
-
 class ModeSystem:
     """Ordered list of modes with a fixed occupation-number basis.
 
@@ -185,11 +178,6 @@ def qubits(n):
     return bosons(n, 1, labels=[f"q{i}" for i in range(n)])
 
 
-def build_basis(system):
-    """Ordered basis as BasisState records (lexicographic enumeration)."""
-    return [BasisState(tuple(int(n) for n in row)) for row in system.occupancies]
-
-
 class Operator:
     """Dense operator on a ModeSystem basis."""
 
@@ -205,12 +193,6 @@ class Operator:
 
     def dag(self):
         return Operator(self.system, self.matrix.conj().T)
-
-    def trace(self):
-        return complex(np.trace(self.matrix))
-
-    def norm(self):
-        return float(np.linalg.norm(self.matrix))
 
     def is_hermitian(self):
         return np.linalg.norm(self.matrix - self.matrix.conj().T) <= HERM_INPUT_ATOL
@@ -278,13 +260,30 @@ class PureState:
         return f"PureState(dim={self.system.dim})"
 
 
-class DensityOperator:
-    """Density operator; the four physicality checks run at construction.
+def _check_physical(matrix):
+    """The four physicality checks of a density matrix; raises ValueError.
 
     Hermitian within 1e-12 (Frobenius), unit trace within 1e-12, smallest
     eigenvalue >= -1e-10, purity <= 1 + 1e-12.  Each check is written so that
     a NaN residual fails it.
     """
+    with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
+        herm = np.linalg.norm(matrix - matrix.conj().T)
+    if not herm <= HERM_ATOL:
+        raise ValueError(f"not Hermitian: residual {herm}")
+    tr = np.trace(matrix)
+    if not abs(tr - 1.0) <= TRACE_ATOL:
+        raise ValueError(f"trace {tr} is not 1 within {TRACE_ATOL}")
+    evals = np.linalg.eigvalsh(matrix)
+    if not evals.min() >= -PSD_SLACK:
+        raise ValueError(f"not positive semidefinite: min eigenvalue {evals.min()}")
+    purity = float(np.sum(evals**2))
+    if not purity <= 1.0 + PURITY_ATOL:
+        raise ValueError(f"purity {purity} exceeds 1")
+
+
+class DensityOperator:
+    """Density operator; ``_check_physical`` runs at construction."""
 
     __slots__ = ("system", "matrix")
 
@@ -292,19 +291,7 @@ class DensityOperator:
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (system.dim, system.dim):
             raise ValueError("density matrix shape does not match system")
-        with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
-            herm = np.linalg.norm(matrix - matrix.conj().T)
-        if not herm <= HERM_ATOL:
-            raise ValueError(f"not Hermitian: residual {herm}")
-        tr = np.trace(matrix)
-        if not abs(tr - 1.0) <= TRACE_ATOL:
-            raise ValueError(f"trace {tr} is not 1 within {TRACE_ATOL}")
-        evals = np.linalg.eigvalsh(matrix)
-        if not evals.min() >= -PSD_SLACK:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {evals.min()}")
-        purity = float(np.sum(evals**2))
-        if not purity <= 1.0 + PURITY_ATOL:
-            raise ValueError(f"purity {purity} exceeds 1")
+        _check_physical(matrix)
         matrix.setflags(write=False)
         self.system = system
         self.matrix = matrix
@@ -417,16 +404,21 @@ def sector_blocks(labels):
 SECTOR_FLOOR = 1e-14
 
 
-def sector_state(rho, sel):
-    """Weight of ``rho`` on basis indices ``sel``, and its normalised projection
-    there (None when the weight is below ``SECTOR_FLOOR``)."""
-    block = rho.matrix[np.ix_(sel, sel)]
-    weight = float(np.real(np.trace(block)))
-    if weight < SECTOR_FLOOR:
-        return weight, None
-    mat = np.zeros_like(rho.matrix)
-    mat[np.ix_(sel, sel)] = block / weight
-    return weight, DensityOperator(rho.system, mat)
+def number_sectors(rho, labels):
+    """(label, weight, basis indices, normalised block) of ``rho`` per ``sector_blocks``
+    label of weight at least ``SECTOR_FLOOR``; both arrays are read-only.  Checking
+    the block is checking the zero-padded state: that has the block's eigenvalues
+    plus zeros, and its Hermitian residual, trace and purity."""
+    for label, sel in sector_blocks(labels):
+        block = rho.matrix[np.ix_(sel, sel)]
+        weight = float(np.real(np.trace(block)))
+        if weight < SECTOR_FLOOR:
+            continue
+        block = block / weight
+        _check_physical(block)
+        for arr in (sel, block):
+            arr.setflags(write=False)
+        yield label, weight, sel, block
 
 
 def sub_system(system, mode_indices):
@@ -464,17 +456,22 @@ def partial_trace(state, partition, keep):
     a named subsystem of the partition.  Trace is preserved.
     """
     rho = as_density(state)
-    system = rho.system
-    partition.validate(system)
-    keep_idx = partition.modes_of(keep)
+    partition.validate(rho.system)
+    return reduced_state(rho.system, np.arange(rho.system.dim), rho.matrix,
+                         partition.modes_of(keep))
+
+
+def reduced_state(system, rows, block, keep_idx):
+    """Reduced density operator on modes ``keep_idx`` of the state that is ``block``
+    on basis ``rows`` and zero elsewhere; ``partial_trace`` passes every row."""
     sub = sub_system(system, keep_idx)
-    sub_codes = sub.indices_of(system.occupancies[:, keep_idx])
-    rest = _rest_codes(system, keep_idx)
+    sub_codes = sub.indices_of(system.occupancies[np.ix_(rows, keep_idx)])
+    rest = _rest_codes(system, keep_idx)[rows]
     out = np.zeros((sub.dim, sub.dim), dtype=complex)
     for code in np.unique(rest):
-        rows = np.nonzero(rest == code)[0]
-        subs = sub_codes[rows]
-        out[np.ix_(subs, subs)] += rho.matrix[np.ix_(rows, rows)]
+        sel = np.nonzero(rest == code)[0]
+        subs = sub_codes[sel]
+        out[np.ix_(subs, subs)] += block[np.ix_(sel, sel)]
     return DensityOperator(sub, out)
 
 

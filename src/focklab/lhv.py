@@ -25,9 +25,6 @@ class LHVObservable:
     values: tuple          # outcome values, length n
     pmf: np.ndarray        # shape (n_hidden, n), rows sum to 1
 
-    def mean_given(self, xi):
-        return float(np.dot(self.pmf[xi], self.values))
-
 
 class DiscreteLHVModel:
     """Hidden-value distribution plus per-observable outcome pmfs."""
@@ -159,7 +156,7 @@ def sum_inequality_oracle(p, c, d):
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    if p.min() < 0 or c.min() < 0 or d.min() < 0:
+    if not (p.min() >= 0 and c.min() >= 0 and d.min() >= 0):   # NaN fails too
         raise ValueError("inputs must be nonnegative")
     lhs = float(np.sum(p * c) * np.sum(p * d))
     rhs = float(np.sum(p * np.sqrt(c * d)) ** 2)
@@ -169,20 +166,14 @@ def sum_inequality_oracle(p, c, d):
 def integral_inequality_oracle(lam, p, c, d):
     """Quadrature analogue of the sum inequality on a lambda grid.
 
-    Uses trapezoidal weights; with w_i P_i in place of P_R this is exactly
-    the discrete inequality, so it holds for any nonnegative samples.
+    With trapezoidal weights w_i, w_i P_i in place of P_R is exactly the
+    discrete inequality, so it holds whenever every w_i P_i, C and D is
+    nonnegative; other inputs raise ValueError.  A grid that steps down gives
+    negative weights, so positive samples on it are rejected.
     """
     lam = np.asarray(lam, dtype=float)
-    p = np.asarray(p, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if p.min() < 0 or c.min() < 0 or d.min() < 0:
-        raise ValueError("inputs must be nonnegative")
     w = np.zeros_like(lam)
     dl = np.diff(lam)
     w[:-1] += 0.5 * dl
     w[1:] += 0.5 * dl
-    pw = w * p
-    lhs = float(np.sum(pw * c) * np.sum(pw * d))
-    rhs = float(np.sum(pw * np.sqrt(c * d)) ** 2)
-    return lhs >= rhs - ORACLE_RTOL * max(1.0, abs(lhs))
+    return sum_inequality_oracle(w * np.asarray(p, dtype=float), c, d)

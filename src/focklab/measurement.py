@@ -53,9 +53,6 @@ class Observable:
     def system(self):
         return self.operator.system
 
-    def outcomes(self):
-        return list(zip(self.eigenvalues, self.projectors))
-
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
@@ -69,12 +66,6 @@ class OutcomeDistribution:
             raise ValueError("negative outcome probability")
         if not abs(probs.sum() - 1.0) <= 1e-10:    # written so that NaN fails too
             raise ValueError("outcome probabilities do not sum to 1")
-
-    def probability_of(self, eigenvalue):
-        for lam, p in self.outcomes:
-            if abs(lam - eigenvalue) <= 1e-9:
-                return p
-        return 0.0
 
 
 def spectral(op):

@@ -24,8 +24,7 @@ from .fock import (
     expectation,
     number_op,
     evolution_operator,
-    sector_blocks,
-    sector_state,
+    number_sectors,
 )
 
 SSR_TOL = 1e-10
@@ -38,11 +37,14 @@ class SSRReport:
     tol: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # arrays compare elementwise, so by identity
 class Sector:
+    """Weight, basis indices and normalised block (read-only) of number sector ``total``."""
+
     total: int
     weight: float
-    state: DensityOperator
+    indices: np.ndarray
+    block: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,15 +125,10 @@ def qcf(state, n, m, l, k, modes=(0, 1)):
 
 
 def sector_decompose(state, n_op):
-    """Weights and normalised states of the number sectors of ``rho``."""
+    """Weights, basis indices and normalised blocks of the number sectors of ``rho``."""
     rho = as_density(state)
-    ids = _diagonal_sector_ids(n_op)
-    sectors = []
-    for total, sel in sector_blocks(ids):
-        weight, sector = sector_state(rho, sel)
-        if sector is not None:
-            sectors.append(Sector(total, weight, sector))
-    return SectorDecomposition(tuple(sectors))
+    return SectorDecomposition(tuple(
+        Sector(*sector) for sector in number_sectors(rho, _diagonal_sector_ids(n_op))))
 
 
 @dataclass(frozen=True)
@@ -167,10 +164,6 @@ def separable_ssr_theorem_check(mixture):
         global_report=global_report,
         fixed_probability_caveat=global_report.compliant and not all_local,
     )
-
-
-def phase_angles(n_max):
-    return 2.0 * np.pi * np.arange(n_max + 1) / (n_max + 1)
 
 
 def phase_state(n_max, p):

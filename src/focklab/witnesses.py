@@ -15,9 +15,8 @@ from .fock import (
     annihilation,
     as_density,
     expectation,
-    partial_trace,
-    sector_blocks,
-    sector_state,
+    number_sectors,
+    reduced_state,
 )
 from .measurement import spectral, unrecorded_conditioned_variance
 
@@ -217,6 +216,7 @@ def particle_entanglement(state, partition):
     names = partition.names
     if len(names) != 2:
         raise ValueError("particle entanglement needs a bipartite partition")
+    partition.validate(system)
     idx_a = partition.modes_of(names[0])
     idx_b = partition.modes_of(names[1])
     occ = system.occupancies
@@ -224,11 +224,8 @@ def particle_entanglement(state, partition):
     num_b = occ[:, idx_b].sum(axis=1)
     keys = num_a * (int(num_b.max()) + 1) + num_b   # unique (nA, nB) encoding
     ep = 0.0
-    for _, sel in sector_blocks(keys):
-        weight, sector = sector_state(rho, sel)
-        if sector is None:
-            continue
-        reduced = partial_trace(sector, partition, names[0])
+    for _, weight, sel, block in number_sectors(rho, keys):
+        reduced = reduced_state(system, sel, block, idx_a)
         evals = np.linalg.eigvalsh(reduced.matrix)
         evals = evals[evals > 1e-15]
         ep += weight * float(-(evals * np.log(evals)).sum())

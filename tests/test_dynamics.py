@@ -99,7 +99,9 @@ def test_beam_splitter_rejects_mismatched_pairs():
         BeamSplitterSpec(((0, 1),), r=0.9, t=0.9)
 
 
-@pytest.mark.parametrize("r,t", [(1.5, np.nan), (np.nan, 0.0), (np.nan, np.nan)])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r,t", [(1.5, np.nan), (np.nan, 0.0), (np.nan, np.nan),
+                                 (1e200, 0.0)])
 def test_beam_splitter_spec_rejects_nan(r, t):
     with pytest.raises(ValueError, match="r\\^2"):
         BeamSplitterSpec(((0, 1),), r=r, t=t)
@@ -217,9 +219,12 @@ def test_ramsey_formula_random_draws():
         assert p01 == pytest.approx(w * np.cos(delta * tau / 2) ** 2, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_ramsey_normalisation_enforced():
     with pytest.raises(ValueError, match="equal 1"):
         ramsey_vacuum_superposition(1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="equal 1"):
+        ramsey_vacuum_superposition(1e200, 0.0, 1.0, 1.0)
 
 
 def _hopping_hamiltonian(system, strength=0.7):

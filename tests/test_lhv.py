@@ -203,6 +203,17 @@ def test_oracles_reject_negative_inputs():
         sum_inequality_oracle([0.5, 0.5], [1.0, -1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="nonnegative"):
         integral_inequality_oracle([0, 1], [1, 1], [1, 1], [-2, 1])
+    # NaN is not nonnegative either
+    for p, c, d in (([0.5, 0.5], [1.0, np.nan], [1.0, 1.0]),
+                    ([np.nan, 0.5], [1.0, 1.0], [1.0, 1.0]),
+                    ([0.5, 0.5], [1.0, 1.0], [np.nan, 1.0])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sum_inequality_oracle(p, c, d)
+        with pytest.raises(ValueError, match="nonnegative"):
+            integral_inequality_oracle([0.0, 1.0], p, c, d)
+    # a grid that steps down gives negative trapezoid weights
+    with pytest.raises(ValueError, match="nonnegative"):
+        integral_inequality_oracle([1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
 
 
 def test_model_rejects_nan():

@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from focklab import (
+    DensityOperator,
     ModeSystem,
     Operator,
     Partition,
@@ -38,8 +39,8 @@ def mode_lists(draw, min_modes=1, max_modes=3):
 
 
 @st.composite
-def systems(draw, restricted=True):
-    modes = draw(mode_lists())
+def systems(draw, restricted=True, min_modes=1):
+    modes = draw(mode_lists(min_modes=min_modes))
     system = ModeSystem(modes)
     if restricted and draw(st.booleans()):
         totals = sorted(set(system.occupancies.sum(axis=1).tolist()))
@@ -57,6 +58,22 @@ def systems_with_kept_modes(draw):
     keep, rest = tuple(order[:k]), tuple(order[k:])
     partition = Partition([("A", keep)] + ([("B", rest)] if rest else []))
     return system, keep, partition
+
+
+@st.composite
+def bipartitions(draw):
+    """A system of two or more modes and a partition of them into "A" and "B"."""
+    system = draw(systems(min_modes=2))
+    order = draw(st.permutations(range(system.n_modes)))
+    k = draw(st.integers(1, system.n_modes - 1))
+    return system, Partition([("A", tuple(order[:k])), ("B", tuple(order[k:]))])
+
+
+def padded(dim, indices, block):
+    """``block`` at rows and columns ``indices`` of an otherwise zero dim x dim matrix."""
+    out = np.zeros((dim, dim), dtype=complex)
+    out[np.ix_(indices, indices)] = block
+    return out
 
 
 @SETTINGS
@@ -110,8 +127,31 @@ def test_twirl_is_idempotent_and_sector_weights_sum_to_one(system, seed):
     assert np.array_equal(twirl(tw, n_op).matrix, tw.matrix)
     sectors = sector_decompose(rho, n_op).sectors
     assert abs(sum(s.weight for s in sectors) - 1.0) <= 1e-12
-    rebuilt = sum(s.weight * s.state.matrix for s in sectors)
+    rebuilt = sum(s.weight * padded(system.dim, s.indices, s.block) for s in sectors)
     assert np.abs(rebuilt - tw.matrix).max() <= 1e-12
+
+
+@SETTINGS
+@given(bipartitions(), seeds)
+def test_particle_entanglement_equals_the_padded_sector_reference(case, seed):
+    # E_P from zero-padded d x d sector states, reduced by partial_trace
+    system, partition = case
+    rho = random_density(system, np.random.default_rng(seed))
+    occ = system.occupancies
+    n_a = occ[:, partition.modes_of("A")].sum(axis=1)
+    n_b = occ[:, partition.modes_of("B")].sum(axis=1)
+    reference = 0.0
+    for key in sorted(set(zip(n_a.tolist(), n_b.tolist()))):
+        sel = np.nonzero((n_a == key[0]) & (n_b == key[1]))[0]
+        block = rho.matrix[np.ix_(sel, sel)]
+        weight = np.trace(block).real
+        if weight < 1e-14:
+            continue
+        sector = DensityOperator(system, padded(system.dim, sel, block / weight))
+        evals = np.linalg.eigvalsh(partial_trace(sector, partition, "A").matrix)
+        evals = evals[evals > 1e-15]
+        reference -= weight * (evals * np.log(evals)).sum()
+    assert abs(particle_entanglement(rho, partition) - reference) <= 1e-12
 
 
 @SETTINGS

@@ -206,8 +206,12 @@ def test_sector_reassembly_equals_twirl():
     n_op = number_op(system)
     rho = random_density(system, rng)
     decomp = sector_decompose(rho, n_op)
-    rebuilt = sum(s.weight * s.state.matrix for s in decomp.sectors)
+    rebuilt = np.zeros((system.dim, system.dim), dtype=complex)
+    for s in decomp.sectors:
+        assert not (s.indices.flags.writeable or s.block.flags.writeable)
+        rebuilt[np.ix_(s.indices, s.indices)] += s.weight * s.block
     assert np.abs(rebuilt - twirl(rho, n_op).matrix).max() < 1e-12
+    assert isinstance(hash(decomp), int)     # sectors compare by identity
 
 
 def test_separable_theorem_fock_diagonal_components():
