@@ -7,11 +7,15 @@ All matrices are dense complex numpy arrays; dimensions stay at desk scale
 (<= a few thousand), so no sparse machinery is used.  hbar = 1 throughout.
 
 Everything constructed here is immutable after creation (arrays are marked
-read-only), so values can be shared freely across threads.
+read-only), so values can be shared freely across threads.  That also makes
+the basis-derived index arrays pure functions of a hashable ``ModeSystem``,
+so the ladder entries and sub-system codes are memoised per system: O(d)
+arrays per entry, never d x d matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +32,9 @@ TRACE_ATOL = 1e-12
 PSD_SLACK = 1e-10
 PURITY_ATOL = 1e-12
 HERM_INPUT_ATOL = 1e-10
+
+# Largest basis a ModeSystem may have; at that size one d x d complex matrix is 256 MB.
+MAX_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,11 @@ class ModeSystem:
         self.total_number_restriction = total_number_restriction
 
         radices = [m.cutoff + 1 for m in self.modes]
-        if math.prod(radices) > np.iinfo(np.int64).max:
+        full_dim = math.prod(radices)
+        if full_dim > np.iinfo(np.int64).max:
             raise ValueError("basis codes overflow int64: too many modes or levels")
+        if total_number_restriction is None and full_dim > MAX_DIM:
+            raise ValueError(f"dimension {full_dim} exceeds MAX_DIM = {MAX_DIM}")
         # built mode by mode: extending each prefix code by 0..cutoff keeps the
         # lexicographic order, and prefixes already above the restriction drop out
         codes = totals = np.zeros(1, dtype=np.int64)
@@ -83,6 +93,8 @@ class ModeSystem:
             codes = codes[totals == total_number_restriction]
         if codes.shape[0] == 0:
             raise ValueError("empty Hilbert space")
+        if codes.shape[0] > MAX_DIM:
+            raise ValueError(f"dimension {codes.shape[0]} exceeds MAX_DIM = {MAX_DIM}")
         strides = np.array([math.prod(radices[i + 1:]) for i in range(len(radices))],
                            dtype=np.int64)
         occ = codes[:, None] // strides % radices
@@ -354,7 +366,7 @@ class Partition:
 
 
 def annihilation(system, mode):
-    """Matrix of the annihilation operator for one mode.
+    """Matrix of the annihilation operator for one mode (index or label).
 
     Bosonic: a|n> = sqrt(n)|n-1>, with raising past the cutoff mapped to zero
     (take cutoff above any total occupancy in play for exact results).
@@ -362,6 +374,15 @@ def annihilation(system, mode):
     """
     if isinstance(mode, str):
         mode = system.mode_index(mode)
+    rows, cols, values = _ladder_entries(system, mode)
+    mat = np.zeros((system.dim, system.dim), dtype=complex)
+    mat[rows, cols] = values
+    return Operator(system, mat)
+
+
+@functools.lru_cache
+def _ladder_entries(system, mode):
+    """Read-only (rows, cols, values) of the nonzero entries of ``annihilation``."""
     if not 0 <= mode < system.n_modes:
         raise ValueError(f"mode index {mode} out of range")
     if system.total_number_restriction is not None:
@@ -370,14 +391,16 @@ def annihilation(system, mode):
             "build them on the unrestricted system")
     occ = system.occupancies
     cols = np.nonzero(occ[:, mode] > 0)[0]
-    rows = system.indices_of(occ[cols] - np.eye(system.n_modes, dtype=np.int64)[mode])
+    # unrestricted, so a basis index is its code, and one quantum less in
+    # ``mode`` is one stride less
+    rows = cols - system.strides[mode]
     if system.modes[mode].statistics == FERMI:
         values = np.where(occ[cols, :mode].sum(axis=1) % 2, -1.0, 1.0)
     else:
         values = np.sqrt(occ[cols, mode])
-    mat = np.zeros((system.dim, system.dim), dtype=complex)
-    mat[rows, cols] = values
-    return Operator(system, mat)
+    for arr in (rows, cols, values):
+        arr.setflags(write=False)
+    return rows, cols, values
 
 
 def creation(system, mode):
@@ -423,29 +446,40 @@ def number_sectors(rho, labels):
 
 def sub_system(system, mode_indices):
     """Unrestricted ModeSystem of the given modes of ``system``, in that order."""
-    return ModeSystem([system.modes[i] for i in mode_indices])
+    return _sub_codes(system, tuple(mode_indices))[0]
 
 
-def _rest_codes(system, keep_indices):
-    """Code of each basis state restricted to the modes outside ``keep_indices``."""
-    rest = [i for i in range(system.n_modes) if i not in keep_indices]
-    return system.occupancies[:, rest] @ system.strides[rest]
+@functools.lru_cache
+def _sub_codes(system, mode_indices):
+    """``(sub, index, rest)`` for the modes ``mode_indices`` of ``system``.
+
+    ``sub`` is the unrestricted ModeSystem of those modes in that order, and
+    ``index[r]`` is basis row r's index in it.  ``rest[r]`` is the row's
+    mixed-radix code over the other modes, ascending in their lexicographic
+    order and all zero when there are none.  Both arrays are read-only.
+    """
+    sub = ModeSystem([system.modes[i] for i in mode_indices])
+    others = [i for i in range(system.n_modes) if i not in mode_indices]
+    occ = system.occupancies
+    # ``sub`` is unrestricted, so a row's index in it is its code there
+    index = occ[:, list(mode_indices)] @ sub.strides
+    rest = occ[:, others] @ system.strides[others]
+    for arr in (index, rest):
+        arr.setflags(write=False)
+    return sub, index, rest
 
 
 def tensor_embed(op, system, mode_indices):
     """Lift an operator on a subset of modes to the full system.
 
-    ``op.system.modes`` must match ``system.modes[mode_indices]`` in order.
-    The embedding uses the occupation-number product structure, which for
-    fermionic modes is faithful for parity-even (number-conserving) operators.
+    ``op.system`` must be the unrestricted system of ``system.modes[mode_indices]``,
+    in order.  The embedding uses the occupation-number product structure, which
+    for fermionic modes is faithful for parity-even (number-conserving) operators.
     """
-    mode_indices = tuple(int(i) for i in mode_indices)
-    expected = tuple(system.modes[i] for i in mode_indices)
-    if op.system.modes != expected:
+    sub, index, rest = _sub_codes(system, tuple(int(i) for i in mode_indices))
+    if op.system != sub:
         raise ValueError("operator modes do not match the target mode indices")
-    sub_codes = op.system.indices_of(system.occupancies[:, mode_indices])
-    rest = _rest_codes(system, mode_indices)
-    full = op.matrix[np.ix_(sub_codes, sub_codes)] * (rest[:, None] == rest[None, :])
+    full = op.matrix[np.ix_(index, index)] * (rest[:, None] == rest[None, :])
     return Operator(system, full)
 
 
@@ -464,9 +498,8 @@ def partial_trace(state, partition, keep):
 def reduced_state(system, rows, block, keep_idx):
     """Reduced density operator on modes ``keep_idx`` of the state that is ``block``
     on basis ``rows`` and zero elsewhere; ``partial_trace`` passes every row."""
-    sub = sub_system(system, keep_idx)
-    sub_codes = sub.indices_of(system.occupancies[np.ix_(rows, keep_idx)])
-    rest = _rest_codes(system, keep_idx)[rows]
+    sub, index, rest = _sub_codes(system, tuple(keep_idx))
+    sub_codes, rest = index[rows], rest[rows]
     out = np.zeros((sub.dim, sub.dim), dtype=complex)
     for code in np.unique(rest):
         sel = np.nonzero(rest == code)[0]

@@ -21,7 +21,7 @@ from .fock import (
     annihilation,
     bosons,
     qubits,
-    sub_system,
+    _sub_codes,
 )
 
 TAIL_TOL = 1e-10
@@ -58,11 +58,8 @@ class SeparableMixture:
 
     def summed(self):
         """The mixture as a single density operator on the full system."""
-        sub_codes = {}
-        for name in self.partition.names:
-            idx = self.partition.modes_of(name)
-            sub_codes[name] = sub_system(self.system, idx).indices_of(
-                self.system.occupancies[:, idx])
+        sub_codes = {name: _sub_codes(self.system, self.partition.modes_of(name))[1]
+                     for name in self.partition.names}
         out = np.zeros((self.system.dim, self.system.dim), dtype=complex)
         for comp in self.components:
             term = np.full((self.system.dim, self.system.dim), comp.probability,

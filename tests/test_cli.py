@@ -209,6 +209,7 @@ def test_non_object_scenario_exit_two(tmp_path, capsys, argv):
     ("extraction", {"r_values": ["x"]}),
     ("twirl_coherent", {"nbar": 10 ** 400}),
     ("two_mode_coherent_mixture", {"alpha": 1e200}),
+    ("two_mode_coherent_mixture", {"cutoff": 1000}),    # dim 10**6 > MAX_DIM
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):

@@ -1,5 +1,8 @@
 import itertools
+import sys
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from focklab import (
     tensor_embed,
     unitary_evolve,
 )
-from focklab.fock import evolution_operator
+from focklab.fock import MAX_DIM, _ladder_entries, _sub_codes, evolution_operator
 from focklab.states import bell_one_boson, coherent, dissociation_state
 from focklab.sampling import random_density, random_pure
 
@@ -68,6 +71,27 @@ def test_fixed_number_basis_skips_the_full_product():
 def test_basis_codes_must_fit_int64():
     with pytest.raises(ValueError, match="overflow"):
         fermions(64, total=2)
+
+
+def test_dimension_budget():
+    assert bosons(1, MAX_DIM - 1).dim == MAX_DIM
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        bosons(1, MAX_DIM)
+    # restricted: 5456 rows of a 31**4 product
+    with pytest.raises(ValueError, match="MAX_DIM"):
+        bosons(4, 30, total=30)
+
+
+def test_unrestricted_budget_is_checked_before_enumerating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            bosons(2, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # enumerating would take 10**12 rows; the check itself allocates nothing sizeable
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("system,occ", [
@@ -307,3 +331,61 @@ def test_tensor_embed_rejects_mismatched_modes():
     other = ModeSystem([("x", 1)])
     with pytest.raises(ValueError, match="match"):
         tensor_embed(number_op(other), system, (0,))
+    # the right modes, but a number-restricted operator system
+    full = bosons(3, 2)
+    restricted = ModeSystem(full.modes[:2], total_number_restriction=1)
+    with pytest.raises(ValueError, match="match"):
+        tensor_embed(restricted.identity(), full, (0, 1))
+
+
+def test_second_ladder_and_sub_system_lookup_do_no_search(monkeypatch):
+    searches = []
+    search = ModeSystem.indices_of
+
+    def counted(self, occ_rows):
+        searches.append(self)
+        return search(self, occ_rows)
+
+    monkeypatch.setattr(ModeSystem, "indices_of", counted)
+    part = Partition([("A", (1,)), ("B", (0, 2))])
+    for _ in range(2):
+        system = bosons(3, 2)        # equal to, but not, the last one built
+        vacuum = system.vacuum()
+        searches.clear()
+        annihilation(system, 1)
+        creation(system, "m2")
+        tensor_embed(number_op(bosons(1, 2, labels=["m1"])), system, (1,))
+        partial_trace(vacuum, part, "A")
+    assert searches == []
+
+
+def test_cached_index_arrays_are_read_only():
+    system = bosons(3, 2)
+    sub, index, rest = _sub_codes(system, (2, 0))
+    for arr in _ladder_entries(system, 1) + (index, rest):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert sub == ModeSystem([system.modes[2], system.modes[0]])
+
+
+def test_ladder_and_embedding_are_thread_safe():
+    def build():
+        system = bosons(3, 3)
+        n_b = number_op(bosons(2, 3, labels=["m2", "m0"]))
+        return [annihilation(system, m).matrix for m in range(3)] + [
+            tensor_embed(n_b, system, (2, 0)).matrix]
+
+    serial = build()
+    _ladder_entries.cache_clear()
+    _sub_codes.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(build) for _ in range(16)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(np.array_equal(g, s) for g, s in zip(got, serial, strict=True))
