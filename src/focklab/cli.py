@@ -331,16 +331,17 @@ def _exp_measurement_identities(params, tol, rng):
     from .fock import tensor_embed, sub_system
     sub_a = sub_system(system, (0,))
     sub_b = sub_system(system, (1,))
+    obs_a = spectral(tensor_embed(number_op(sub_a), system, (0,)))
+    obs_b = spectral(tensor_embed(number_op(sub_b), system, (1,)))
+    proj_a, proj_b = obs_a.projectors, obs_b.projectors
     worst_bayes = worst_nosig = worst_reduced = 0.0
     for _ in range(params["n_states"]):
         rho = random_density(system, rng)
-        obs_a = spectral(tensor_embed(number_op(sub_a), system, (0,)))
-        obs_b = spectral(tensor_embed(number_op(sub_b), system, (1,)))
-        for pa in obs_a.projectors:
-            total = sum(joint_prob(rho, [pa, pb]) for pb in obs_b.projectors)
+        for pa in proj_a:
+            total = sum(joint_prob(rho, [pa, pb]) for pb in proj_b)
             worst_bayes = max(worst_bayes, abs(total - prob(rho, pa)))
         after = unrecorded_state(rho, obs_b)
-        for pa in obs_a.projectors:
+        for pa in proj_a:
             worst_nosig = max(worst_nosig, abs(prob(after, pa) - prob(rho, pa)))
         worst_reduced = max(worst_reduced, float(np.abs(
             partial_trace(after, part, "A").matrix

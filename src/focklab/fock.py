@@ -77,24 +77,34 @@ class ModeSystem:
         full_dim = math.prod(radices)
         if full_dim > np.iinfo(np.int64).max:
             raise ValueError("basis codes overflow int64: too many modes or levels")
-        if total_number_restriction is None and full_dim > MAX_DIM:
-            raise ValueError(f"dimension {full_dim} exceeds MAX_DIM = {MAX_DIM}")
-        # built mode by mode: extending each prefix code by 0..cutoff keeps the
-        # lexicographic order, and prefixes already above the restriction drop out
+        room = sum(radices) - len(radices)     # levels the modes not yet added hold
+        if total_number_restriction is None:
+            if full_dim > MAX_DIM:
+                raise ValueError(f"dimension {full_dim} exceeds MAX_DIM = {MAX_DIM}")
+        elif not isinstance(total_number_restriction, (int, np.integer)):
+            raise ValueError("total_number_restriction must be an integer")
+        elif not 0 <= total_number_restriction <= room:
+            raise ValueError("empty Hilbert space")
+        # built mode by mode: extending each prefix code by ascending digits keeps
+        # the lexicographic order.  Under a restriction a prefix takes only the
+        # digits that stay at or below the total and can still reach it, so every
+        # prefix leads to a row; rows are counted before they are built, and
+        # nothing larger than MAX_DIM rows is ever held
         codes = totals = np.zeros(1, dtype=np.int64)
         for radix in radices:
-            digits = np.arange(radix)
-            codes = (codes[:, None] * radix + digits).ravel()
-            if total_number_restriction is not None:
-                totals = (totals[:, None] + digits).ravel()
-                keep = totals <= total_number_restriction
-                codes, totals = codes[keep], totals[keep]
-        if total_number_restriction is not None:
-            codes = codes[totals == total_number_restriction]
-        if codes.shape[0] == 0:
-            raise ValueError("empty Hilbert space")
-        if codes.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {codes.shape[0]} exceeds MAX_DIM = {MAX_DIM}")
+            if total_number_restriction is None:
+                codes = (codes[:, None] * radix + np.arange(radix)).ravel()
+                continue
+            room -= radix - 1
+            lo = np.maximum(total_number_restriction - room - totals, 0)
+            hi = np.minimum(total_number_restriction - totals, radix - 1)
+            counts = hi - lo + 1     # >= 1: each prefix can still reach the total
+            n = int(counts.sum())
+            if n > MAX_DIM:
+                raise ValueError(f"dimension of at least {n} exceeds MAX_DIM = {MAX_DIM}")
+            prefix = np.repeat(np.arange(len(codes)), counts)
+            digits = lo[prefix] + np.arange(n) - (np.cumsum(counts) - counts)[prefix]
+            codes, totals = codes[prefix] * radix + digits, totals[prefix] + digits
         strides = np.array([math.prod(radices[i + 1:]) for i in range(len(radices))],
                            dtype=np.int64)
         occ = codes[:, None] // strides % radices

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import NORM_ATOL
-from .measurement import prob
+from .measurement import outcome_distribution
 
 ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
 
@@ -79,10 +79,8 @@ def lhv_from_separable(mixture, subsystem_observables):
     weights = [c.probability for c in mixture.components]
     observables = {}
     for name, obs in subsystem_observables.items():
-        rows = []
-        for comp in mixture.components:
-            factor = comp.factors[name]
-            rows.append([prob(factor, p) for p in obs.projectors])
+        rows = [[p for _, p in outcome_distribution(comp.factors[name], obs).outcomes]
+                for comp in mixture.components]
         observables[name] = LHVObservable(tuple(obs.eigenvalues), np.array(rows))
     return DiscreteLHVModel(np.array(weights), observables)
 

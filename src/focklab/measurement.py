@@ -2,7 +2,7 @@
 
 Probabilities, conditioned states, conditional means/variances and the
 unrecorded-measurement map, all for Hermitian observables resolved into
-eigenvalue/projector pairs.
+eigenvalues and orthonormal eigenvector blocks.
 """
 
 from __future__ import annotations
@@ -26,32 +26,48 @@ class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an outcome of probability below the floor."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # arrays are unhashable: compare by identity
 class Observable:
-    """Hermitian operator together with its spectral resolution."""
+    """Hermitian operator together with its spectral resolution.
+
+    ``blocks[j]`` is a d x k_j matrix B_j whose orthonormal columns span the
+    eigenspace of ``eigenvalues[j]``; its projector B_j B_j^H is not stored.
+    """
 
     operator: Operator
     eigenvalues: tuple
-    projectors: tuple
+    blocks: tuple
 
     def __post_init__(self):
         dim = self.operator.system.dim
-        ident = np.eye(dim)
-        total = sum(p.matrix for p in self.projectors)
-        if np.linalg.norm(total - ident) > PROJ_ATOL:
+        vecs = np.hstack(self.blocks)
+        # with V square, ||sum_j P_j - I||_F = ||V^H V - I||_F
+        if vecs.shape != (dim, dim) \
+                or np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) > PROJ_ATOL:
             raise ValueError("projectors do not resolve the identity")
-        recon = sum(lam * p.matrix for lam, p in zip(self.eigenvalues, self.projectors))
+        lam = np.repeat(self.eigenvalues, [b.shape[1] for b in self.blocks])
+        recon = (vecs * lam) @ vecs.conj().T
         if np.linalg.norm(recon - self.operator.matrix) > PROJ_ATOL:
             raise ValueError("spectral resolution does not reconstruct the operator")
-        for p in self.projectors:
-            if np.linalg.norm(p.matrix @ p.matrix - p.matrix) > PROJ_ATOL:
+        for b in self.blocks:
+            # ||P^2 - P||_F = sqrt Tr((M G)^2) = ||M G||_F, with M = B^H B and
+            # G = M - I: P^2 - P = B G B^H, and M G = M^2 - M is Hermitian
+            m = b.conj().T @ b
+            if np.linalg.norm(m @ (m - np.eye(len(m)))) > PROJ_ATOL:
                 raise ValueError("projector is not idempotent")
-            if np.linalg.norm(p.matrix - p.matrix.conj().T) > PROJ_ATOL:
-                raise ValueError("projector is not Hermitian")
 
     @property
     def system(self):
         return self.operator.system
+
+    @property
+    def projectors(self):
+        """The outcome projectors B_j B_j^H as d x d Operators, built on each access."""
+        return tuple(_projector(self.system, b) for b in self.blocks)
+
+
+def _projector(system, block):
+    return Operator(system, block @ block.conj().T)
 
 
 @dataclass(frozen=True)
@@ -72,22 +88,19 @@ def spectral(op):
     """Spectral resolution of a Hermitian operator.
 
     Eigenvalues closer than ``MERGE_TOL`` times the spectral range are merged
-    into a single degenerate projector, which keeps projectors robust after
-    floating-point eigensolves.
+    into a single degenerate outcome, which keeps the resolution robust after
+    floating-point eigensolves.  The blocks are read-only column slices of
+    the one eigenvector matrix.
     """
     if not op.is_hermitian():
         raise ValueError("operator is not Hermitian")
     evals, vecs = np.linalg.eigh(op.matrix)
+    vecs.setflags(write=False)
     spread = float(evals[-1] - evals[0])
     gap = MERGE_TOL * max(spread, 1.0)
     cuts = np.nonzero(np.diff(evals) > gap)[0] + 1
-    eigenvalues = []
-    projectors = []
-    for grp in np.split(np.arange(len(evals)), cuts):
-        block = vecs[:, grp]
-        eigenvalues.append(float(np.mean(evals[grp])))
-        projectors.append(Operator(op.system, block @ block.conj().T))
-    return Observable(op, tuple(eigenvalues), tuple(projectors))
+    eigenvalues = tuple(float(np.mean(grp)) for grp in np.split(evals, cuts))
+    return Observable(op, eigenvalues, tuple(np.split(vecs, cuts, axis=1)))
 
 
 def _real_prob(value):
@@ -103,6 +116,8 @@ def prob(state, projector):
 
 def joint_prob(state, projectors):
     """Joint probability Tr(Pi_A Pi_B ... rho) for commuting full-space projectors."""
+    if not projectors:
+        raise ValueError("joint_prob needs at least one projector")
     return _real_prob(expectation(state, reduce(matmul, projectors)))
 
 
@@ -131,21 +146,33 @@ def cond_prob(state, proj_a, proj_b):
 
 
 def unrecorded_state(state, observable):
-    """State after an unrecorded measurement: sum_j Pi_j rho Pi_j."""
+    """State after an unrecorded measurement: sum_j B_j (B_j^H rho B_j) B_j^H."""
     rho = as_density(state)
     mat = np.zeros_like(rho.matrix)
-    for p in observable.projectors:
-        mat += p.matrix @ rho.matrix @ p.matrix
+    for b in observable.blocks:
+        bh = b.conj().T
+        mat += b @ (bh @ rho.matrix @ b) @ bh
     mat = 0.5 * (mat + mat.conj().T)
     return DensityOperator(rho.system, mat)
 
 
+def _block_probs(x, observable):
+    """Tr(B_j B_j^H X) = vdot(B_j, X B_j) for each block of ``observable``."""
+    return [_real_prob(np.vdot(b, x @ b)) for b in observable.blocks]
+
+
 def outcome_distribution(state, observable):
-    probs = [prob(state, p) for p in observable.projectors]
+    """Eigenvalue/probability pairs P_j = Tr(B_j B_j^H rho)."""
+    rho = as_density(state)
+    if observable.system != rho.system:
+        raise ValueError("operator and state live on different systems")
+    probs = _block_probs(rho.matrix, observable)
     return OutcomeDistribution(tuple(zip(observable.eigenvalues, probs)))
 
 
 def _check_commuting(observable, projector):
+    if projector.system != observable.system:
+        raise ValueError("operators live on different systems")
     comm = observable.operator.matrix @ projector.matrix \
         - projector.matrix @ observable.operator.matrix
     if np.linalg.norm(comm) > PROJ_ATOL:
@@ -155,7 +182,7 @@ def _check_commuting(observable, projector):
 def _conditional_moments(rho, target, given, p_given):
     """Mean and variance of ``target`` under P(j|i) = Tr(Xi_j Pi_i rho) / P(i)."""
     _check_commuting(target, given)
-    pmf = [joint_prob(rho, [xi, given]) / p_given for xi in target.projectors]
+    pmf = [p / p_given for p in _block_probs(given.matrix @ rho.matrix, target)]
     mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))
     return mean, sum((mu - mean) ** 2 * c for mu, c in zip(target.eigenvalues, pmf))
 
@@ -182,7 +209,8 @@ def unrecorded_conditioned_variance(state, target, given_observable):
     rho = as_density(state)
     total = 0.0
     weight = 0.0
-    for p_proj in given_observable.projectors:
+    for b in given_observable.blocks:
+        p_proj = _projector(rho.system, b)
         p_i = prob(rho, p_proj)
         if p_i <= PROB_FLOOR:
             continue

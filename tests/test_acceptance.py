@@ -244,15 +244,16 @@ def test_criterion_10_measurement_identities():
     sub_b = ModeSystem([system.modes[1]])
     obs_a = spectral(tensor_embed(number_op(sub_a), system, (0,)))
     obs_b = spectral(tensor_embed(number_op(sub_b), system, (1,)))
+    proj_a, proj_b = obs_a.projectors, obs_b.projectors
     worst_bayes = worst_nosig = worst_reduced = 0.0
     for _ in range(100):
         rho = random_density(system, rng)
-        for pa in obs_a.projectors:
+        for pa in proj_a:
             total = sum(cond_prob(rho, pa, pb) * prob(rho, pb)
-                        for pb in obs_b.projectors if prob(rho, pb) > 1e-12)
+                        for pb in proj_b if prob(rho, pb) > 1e-12)
             worst_bayes = max(worst_bayes, abs(total - prob(rho, pa)))
         after = unrecorded_state(rho, obs_b)
-        for pa in obs_a.projectors:
+        for pa in proj_a:
             worst_nosig = max(worst_nosig, abs(prob(after, pa) - prob(rho, pa)))
         worst_reduced = max(worst_reduced, float(np.abs(
             partial_trace(after, part, "A").matrix

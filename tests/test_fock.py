@@ -46,6 +46,10 @@ def test_number_restricted_basis():
 def test_empty_restricted_space_raises():
     with pytest.raises(ValueError, match="empty Hilbert space"):
         bosons(2, 1, total=5)
+    with pytest.raises(ValueError, match="empty Hilbert space"):
+        bosons(2, 1, total=-1)
+    with pytest.raises(ValueError, match="integer"):
+        bosons(2, 1, total=1.5)
 
 
 @pytest.mark.parametrize("modes,total", [
@@ -92,6 +96,24 @@ def test_unrestricted_budget_is_checked_before_enumerating():
         tracemalloc.stop()
     # enumerating would take 10**12 rows; the check itself allocates nothing sizeable
     assert peak < 100_000
+
+
+def test_restricted_budget_is_checked_while_enumerating():
+    tracemalloc.start()
+    try:
+        # 20301 rows; expanding the two-mode prefixes by the third radix
+        # before checking the budget would hold about 4M candidate rows
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            bosons(3, 200, total=200)
+        # dim 6: expanding the 6 one-mode prefixes by the full radix would
+        # hold 6M candidate rows
+        assert bosons(2, 10 ** 6, total=5).dim == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    # 10201 two-mode prefixes, but only the 66 that can still reach 290 are built
+    assert bosons(3, 100, total=290).dim == 66
 
 
 @pytest.mark.parametrize("system,occ", [

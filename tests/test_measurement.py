@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from focklab import (
     ModeSystem,
+    Observable,
     OutcomeDistribution,
     Partition,
     ZeroProbabilityError,
@@ -68,6 +71,49 @@ def test_spectral_projectors_orthogonal():
         for j, pj in enumerate(obs.projectors):
             if i != j:
                 assert np.abs((pi @ pj).matrix).max() < 1e-10
+
+
+def test_spectral_stores_no_projector_matrices():
+    # dim 256, 31 outcomes: one d x d projector per outcome would hold 32 MB
+    op = number_op(bosons(2, 15))
+    tracemalloc.start()
+    try:
+        obs = spectral(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(obs.blocks) == 31
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("change,message", [
+    # a non-orthonormal block, a missing outcome, a wrong eigenvalue
+    (lambda vals, blocks: (vals, (blocks[0], 2.0 * blocks[1], blocks[2])),
+     "do not resolve the identity"),
+    (lambda vals, blocks: (vals[:2], blocks[:2]), "do not resolve the identity"),
+    (lambda vals, blocks: ((vals[0], vals[1] + 0.5, vals[2]), blocks), "does not reconstruct"),
+])
+def test_observable_rejects_a_bad_resolution(change, message):
+    n_op = number_op(bosons(1, 2))
+    obs = spectral(n_op)
+    eigenvalues, blocks = change(obs.eigenvalues, obs.blocks)
+    with pytest.raises(ValueError, match=message):
+        Observable(n_op, eigenvalues, blocks)
+
+
+def test_block_consumers_reject_an_observable_on_another_system():
+    # same dim 4, different mode labels
+    rho = bosons(2, 1).basis_state((1, 0)).density()
+    obs = spectral(number_op(qubits(2)))
+    with pytest.raises(ValueError, match="different systems"):
+        outcome_distribution(rho, obs)
+    with pytest.raises(ValueError, match="different systems"):
+        cond_mean(rho, obs, rho.system.identity())
+
+
+def test_joint_prob_needs_a_projector():
+    with pytest.raises(ValueError, match="at least one projector"):
+        joint_prob(qubits(1).basis_state((0,)), [])
 
 
 def test_spectral_rejects_non_hermitian():

@@ -1,5 +1,5 @@
-"""Property tests of the basis bookkeeping and the trace contractions over
-random small mode systems."""
+"""Property tests of the basis bookkeeping, the trace contractions and the
+measurement algebra over random small mode systems."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -17,10 +17,20 @@ from focklab import (
     partial_trace,
     particle_entanglement,
     sector_decompose,
+    spectral,
     tensor_embed,
     twirl,
 )
 from focklab.fock import FERMI, sub_system
+from focklab.measurement import (
+    PROB_FLOOR,
+    PROJ_ATOL,
+    cond_mean,
+    cond_variance,
+    outcome_distribution,
+    unrecorded_conditioned_variance,
+    unrecorded_state,
+)
 from focklab.sampling import random_density, random_number_diagonal_mixture
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=50)
@@ -196,3 +206,64 @@ def test_particle_entanglement_vanishes_on_number_diagonal_mixtures(modes, swap,
     partition = Partition([("A", a), ("B", b)])
     mixture = random_number_diagonal_mixture(system, partition, np.random.default_rng(seed))
     assert abs(particle_entanglement(mixture.summed(), partition)) <= 1e-12
+
+
+@st.composite
+def commuting_observables(draw):
+    """A system and two commuting Hermitian operators with degenerate spectra:
+    U diag(a) U^H and U diag(b) U^H for small integer vectors a and b, or the
+    number operator of some modes and the total number operator."""
+    if draw(st.booleans()):
+        system, keep, _ = draw(systems_with_kept_modes())
+        n_kept = tensor_embed(number_op(sub_system(system, keep)), system, keep)
+        return system, n_kept, number_op(system)
+    system = draw(systems())
+    rng = np.random.default_rng(draw(seeds))
+    g = rng.standard_normal((system.dim, system.dim)) \
+        + 1j * rng.standard_normal((system.dim, system.dim))
+    u = np.linalg.qr(g)[0]
+    ops = []
+    for _ in range(2):
+        diag = draw(st.lists(st.integers(-2, 2), min_size=system.dim, max_size=system.dim))
+        h = (u * np.array(diag, dtype=float)) @ u.conj().T
+        ops.append(Operator(system, 0.5 * (h + h.conj().T)))
+    return system, ops[0], ops[1]
+
+
+def reference_moments(rho, target, given):
+    """Conditional mean and variance of ``target`` from explicit d x d projectors."""
+    p_given = np.trace(given @ rho).real
+    pmf = [np.trace(b @ b.conj().T @ given @ rho).real / p_given for b in target.blocks]
+    mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))
+    return mean, sum((mu - mean) ** 2 * c for mu, c in zip(target.eigenvalues, pmf))
+
+
+@SETTINGS
+@given(commuting_observables(), seeds)
+def test_block_measurement_matches_the_explicit_projector_reference(case, seed):
+    system, op_x, op_y = case
+    rho = random_density(system, np.random.default_rng(seed))
+    r = rho.matrix
+    for target, given_obs in ((spectral(op_x), spectral(op_y)),
+                              (spectral(op_y), spectral(op_x))):
+        projs = [b @ b.conj().T for b in target.blocks]
+        for p in target.projectors:
+            assert np.linalg.norm(p.matrix - p.matrix.conj().T) <= PROJ_ATOL
+            assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) <= PROJ_ATOL
+
+        probs = [p for _, p in outcome_distribution(rho, target).outcomes]
+        assert np.allclose(probs, [np.trace(p @ r).real for p in projs], rtol=0, atol=1e-12)
+        after = unrecorded_state(rho, target).matrix
+        assert np.abs(after - sum(p @ r @ p for p in projs)).max() <= 1e-12
+
+        given_projs = [b @ b.conj().T for b in given_obs.blocks]
+        weights = [np.trace(p @ r).real for p in given_projs]
+        given = given_projs[int(np.argmax(weights))]
+        mean, var = reference_moments(r, target, given)
+        assert abs(cond_mean(rho, target, Operator(system, given)) - mean) <= 1e-12
+        assert abs(cond_variance(rho, target, Operator(system, given)) - var) <= 1e-12
+
+        kept = [(w, p) for w, p in zip(weights, given_projs) if w > PROB_FLOOR]
+        expected = sum(w * reference_moments(r, target, p)[1] for w, p in kept) \
+            / sum(w for w, _ in kept)
+        assert abs(unrecorded_conditioned_variance(rho, target, given_obs) - expected) <= 1e-12
