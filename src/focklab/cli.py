@@ -5,8 +5,10 @@ A scenario file looks like::
     {"schema_version": 1, "experiment": "ghz_parity", "params": {},
      "tolerances": {}, "seed": 0}
 
-Exit status: 0 when every check passes, 1 on check failure, 2 on usage or
-parse errors.  Reports are deterministic for a fixed (scenario, seed) pair
+Every field but ``schema_version`` and ``experiment`` may be left out; any
+other field, and any tolerance but ``global``, is an error.  Exit status: 0
+when every check passes, 1 on check failure, 2 on usage, parse, input or
+I/O errors.  Reports are deterministic for a fixed (scenario, seed) pair
 up to the wall_time_s field.
 """
 
@@ -66,6 +68,8 @@ from .sampling import (
 )
 
 SCHEMA_VERSION = 1
+SCENARIO_FIELDS = frozenset(
+    {"schema_version", "experiment", "params", "tolerances", "seed"})
 
 
 @dataclass
@@ -545,7 +549,7 @@ def run_experiment(name, params=None, tolerance=None, seed=0):
 
 def run(path):
     """Load a scenario file and run it, returning the report dict."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         scenario = json.load(fh)
     return run_scenario(scenario)
 
@@ -561,12 +565,18 @@ def run_scenario(scenario, tolerance=None, seed=None):
     version = scenario.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
+    unknown = set(scenario) - SCENARIO_FIELDS
+    if unknown:
+        raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
     name = scenario.get("experiment")
     if not isinstance(name, str):
         raise ValueError("scenario needs an 'experiment' name")
     tolerances = scenario.get("tolerances") or {}
     if not isinstance(tolerances, dict):
         raise ValueError("'tolerances' must be an object")
+    unknown = set(tolerances) - {"global"}
+    if unknown:
+        raise ValueError(f"unknown tolerances: {sorted(unknown)}")
     if tolerance is None:
         tolerance = tolerances.get("global")
     if tolerance is not None and not (_is_finite(tolerance) and tolerance >= 0):
@@ -582,7 +592,7 @@ def run_scenario(scenario, tolerance=None, seed=None):
 def emit(report, fmt="structured"):
     """Render a report as bytes, either machine JSON or a human table."""
     if fmt == "structured":
-        return (json.dumps(report, indent=2, sort_keys=True, default=_jsonable)
+        return (json.dumps(report, indent=2, sort_keys=True)
                 + "\n").encode()
     if fmt == "table":
         lines = [f"experiment: {report['experiment']}   seed: {report['seed']}"]
@@ -595,16 +605,6 @@ def emit(report, fmt="structured"):
                      f"({s['failed']} failed)")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    raise TypeError(f"cannot serialise {type(value)}")
 
 
 def list_experiments():
@@ -640,9 +640,9 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             scenario = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: cannot read scenario: {exc}\n")
         return 2
     try:
@@ -652,8 +652,12 @@ def main(argv=None):
         return 2
     payload = emit(report, args.format)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write report: {exc}\n")
+            return 2
     else:
         sys.stdout.buffer.write(payload)
     return 0 if report["overall_pass"] else 1

@@ -6,7 +6,7 @@ interferometer, and number-SSR propagation under conserving Hamiltonians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .fock import (
     annihilation,
     apply_unitary,
     bosons,
+    commutator_norm,
     evolution_operator,
     fermions,
     number_op,
@@ -58,7 +59,7 @@ class ProcessResult:
 
     stages: tuple
     final_state: object
-    quantities: dict = field(default_factory=dict)
+    quantities: dict
 
     def stage(self, label):
         for name, state in self.stages:
@@ -213,10 +214,6 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _am_reduced_system():
-    return ModeSystem([("atom", 1), ("mol", 1)])
-
-
 def _run_atom_molecule_fock(n_bec, kappa, phi):
     """Three-stage pulse/phase/pulse sequence from |one atom> |N in the BEC>."""
     system, h = _atom_molecule_hamiltonian(n_bec, kappa)
@@ -279,7 +276,7 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
     keep = np.nonzero(weights > 1e-15)[0]
     weights = weights[keep] / weights[keep].sum()
 
-    sys_am = _am_reduced_system()
+    sys_am = ModeSystem([("atom", 1), ("mol", 1)])
     rdo_mat = np.zeros((sys_am.dim, sys_am.dim), dtype=complex)
     i_atom = sys_am.index_of((1, 0))
     for w, n in zip(weights, keep):
@@ -332,6 +329,9 @@ def ramsey_vacuum_superposition(alpha, beta, delta, tau):
     return p10, p01
 
 
+PROPAGATION_TIMES = (0.5, 1.0, 2.0)
+
+
 @dataclass(frozen=True)
 class PropagationReport:
     """SSR residuals of an evolving separable state under a conserving H."""
@@ -344,17 +344,17 @@ class PropagationReport:
     tol: float
 
 
-def ssr_propagation_check(mixture, h, weights=None, times=(0.5, 1.0, 2.0)):
+def ssr_propagation_check(mixture, h, weights=None):
     """Evolve a separable mixture under a number-conserving Hamiltonian.
 
     Requires [N_w, H] = 0 within 1e-10 (raises with the residual otherwise).
     Locally compliant components guarantee the evolved state stays globally
-    N_w-compliant; a non-compliant component shows up as a nonzero residual.
+    N_w-compliant; a non-compliant component shows up as a nonzero residual
+    at one of the ``PROPAGATION_TIMES``.
     """
     system = h.system
     n_w = number_op(system, weights)
-    comm = n_w.matrix @ h.matrix - h.matrix @ n_w.matrix
-    conserving = float(np.linalg.norm(comm))
+    conserving = commutator_norm(n_w.matrix, h.matrix)
     if conserving > 1e-10:
         raise ValueError(f"Hamiltonian does not conserve the weighted number "
                          f"(residual {conserving})")
@@ -368,14 +368,14 @@ def ssr_propagation_check(mixture, h, weights=None, times=(0.5, 1.0, 2.0)):
             local_ok = local_ok and rep.compliant
     rho0 = mixture.summed()
     residuals = []
-    for t in times:
+    for t in PROPAGATION_TIMES:
         rho_t = unitary_evolve(h, t, rho0)
         residuals.append(ssr_check(rho_t, n_w).residual)
     residuals = tuple(residuals)
     return PropagationReport(
         conserving_residual=conserving,
         all_local_compliant=local_ok,
-        times=tuple(times),
+        times=PROPAGATION_TIMES,
         global_residuals=residuals,
         compliant_at_all_times=all(r <= SSR_TOL for r in residuals),
         tol=SSR_TOL,

@@ -119,10 +119,6 @@ class ModeSystem:
     def n_modes(self):
         return len(self.modes)
 
-    @property
-    def labels(self):
-        return tuple(m.label for m in self.modes)
-
     def mode_index(self, label):
         for i, m in enumerate(self.modes):
             if m.label == label:
@@ -227,10 +223,6 @@ class Operator:
         return other
 
     def __matmul__(self, other):
-        if isinstance(other, PureState):
-            if other.system != self.system:
-                raise ValueError("operator and state live on different systems")
-            return self.matrix @ other.amplitudes
         return Operator(self.system, self.matrix @ self._coerce(other).matrix)
 
     def __add__(self, other):
@@ -243,9 +235,6 @@ class Operator:
         return Operator(self.system, self.matrix * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Operator(self.system, -self.matrix)
 
     def __repr__(self):
         return f"Operator(dim={self.system.dim})"
@@ -347,6 +336,8 @@ class Partition:
     def __init__(self, subsystems):
         # accepts [(name, indices), ...]; indices kept in the order given
         parsed = tuple((name, tuple(int(i) for i in idx)) for name, idx in subsystems)
+        if len({name for name, _ in parsed}) != len(parsed):
+            raise ValueError("partition subsystem names repeat")
         seen = set()
         for _, idx in parsed:
             for i in idx:
@@ -516,6 +507,11 @@ def reduced_state(system, rows, block, keep_idx):
         subs = sub_codes[sel]
         out[np.ix_(subs, subs)] += block[np.ix_(sel, sel)]
     return DensityOperator(sub, out)
+
+
+def commutator_norm(x, y):
+    """Frobenius norm of the commutator XY - YX of two matrices."""
+    return float(np.linalg.norm(x @ y - y @ x))
 
 
 def expectation(state, op):

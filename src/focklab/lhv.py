@@ -43,10 +43,6 @@ class DiscreteLHVModel:
         self.weights = weights
         self.observables = dict(observables)
 
-    @property
-    def n_hidden(self):
-        return len(self.weights)
-
 
 def lhv_joint(model, assignments):
     """Joint probability of named outcomes: sum_xi P(xi) prod_K P_K(i_K, xi).
@@ -93,12 +89,13 @@ def chsh_mean(model):
             - lhv_mean_product(model, ["A2", "B2"]))
 
 
-def lhv_chsh_bound_sweep(n_models, n_settings, rng=None):
+def lhv_chsh_bound_sweep(n_models, n_settings, rng):
     """Max |S| over random discrete models with +/-1 observables.
 
     Sweeps ``n_models`` random hidden-value distributions, each combined with
-    ``n_settings`` random outcome-pmf assignments for the four observables.
-    The classical bound keeps every value at or below 2.
+    ``n_settings`` random outcome-pmf assignments for the four observables,
+    drawn from ``rng`` (a numpy Generator or a seed).  The classical bound
+    keeps every value at or below 2.
     """
     rng = np.random.default_rng(rng)
     best = 0.0

@@ -14,7 +14,7 @@ from operator import matmul
 
 import numpy as np
 
-from .fock import Operator, DensityOperator, as_density, expectation
+from .fock import Operator, DensityOperator, as_density, commutator_norm, expectation
 
 PROB_FLOOR = 1e-12
 MERGE_TOL = 1e-8        # relative to the spectral range
@@ -173,9 +173,7 @@ def outcome_distribution(state, observable):
 def _check_commuting(observable, projector):
     if projector.system != observable.system:
         raise ValueError("operators live on different systems")
-    comm = observable.operator.matrix @ projector.matrix \
-        - projector.matrix @ observable.operator.matrix
-    if np.linalg.norm(comm) > PROJ_ATOL:
+    if commutator_norm(observable.operator.matrix, projector.matrix) > PROJ_ATOL:
         raise ValueError("target and conditioning projector do not commute")
 
 

@@ -14,12 +14,15 @@ from .states import MixtureComponent, SeparableMixture
 from .witnesses import CHSHSetting
 
 
-def random_density(system, rng, rank=None):
-    """Ginibre-sampled density operator of the given (or full) rank."""
-    dim = system.dim
-    rank = rank or dim
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    mat = g @ g.conj().T
+def _ginibre_gram(rng, dim):
+    """G G^H for a dim x dim complex Ginibre draw G; positive, not normalised."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T
+
+
+def random_density(system, rng):
+    """Full-rank Ginibre-sampled density operator."""
+    mat = _ginibre_gram(rng, system.dim)
     mat /= np.real(np.trace(mat))
     return DensityOperator(system, mat)
 
@@ -52,21 +55,19 @@ def random_global_ssr_state(system, rng):
     weights = rng.dirichlet(np.ones(len(blocks)))
     mat = np.zeros((system.dim, system.dim), dtype=complex)
     for w, (_, sel) in zip(weights, blocks):
-        d = len(sel)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        block = g @ g.conj().T
+        block = _ginibre_gram(rng, len(sel))
         block *= w / np.real(np.trace(block))
         mat[np.ix_(sel, sel)] = block
     return DensityOperator(system, mat)
 
 
-def random_qubit_pair_mixture(rng, n_components=4):
-    """Separable mixture of generic single-qubit states on two cutoff-1 modes."""
+def random_qubit_pair_mixture(rng):
+    """Separable mixture of four products of generic qubit states on two modes."""
     system = qubits(2)
     partition = Partition([("A", (0,)), ("B", (1,))])
     sub_a = sub_system(system, (0,))
     sub_b = sub_system(system, (1,))
-    probs = rng.dirichlet(np.ones(n_components))
+    probs = rng.dirichlet(np.ones(4))
     components = [
         MixtureComponent(p, {"A": random_density(sub_a, rng),
                              "B": random_density(sub_b, rng)})
@@ -75,9 +76,9 @@ def random_qubit_pair_mixture(rng, n_components=4):
     return SeparableMixture(system, partition, components)
 
 
-def random_number_diagonal_mixture(system, partition, rng, n_components=3):
-    """Separable mixture with number-diagonal (locally SSR compliant) factors."""
-    probs = rng.dirichlet(np.ones(n_components))
+def random_number_diagonal_mixture(system, partition, rng):
+    """Three-term separable mixture with number-diagonal (locally SSR compliant) factors."""
+    probs = rng.dirichlet(np.ones(3))
     components = []
     for p in probs:
         factors = {}
@@ -89,23 +90,22 @@ def random_number_diagonal_mixture(system, partition, rng, n_components=3):
     return SeparableMixture(system, partition, components)
 
 
-def random_one_boson_pair_mixture(rng, n_components=3):
-    """Separable mixture on (a1, b1, a2, b2), one boson per two-mode subsystem.
+def random_one_boson_pair_mixture(rng):
+    """Three-component separable mixture on (a1, b1, a2, b2), one boson per mode pair.
 
     Every factor lives in the one-boson sector of its pair, so it is locally
     number-SSR compliant while carrying arbitrary within-sector coherence.
     """
     system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
     partition = Partition([("one", (0, 1)), ("two", (2, 3))])
-    probs = rng.dirichlet(np.ones(n_components))
+    probs = rng.dirichlet(np.ones(3))
     components = []
     for p in probs:
         factors = {}
         for name in partition.names:
             sub = sub_system(system, partition.modes_of(name))
             sel = sub.indices_of([(0, 1), (1, 0)])
-            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            block = g @ g.conj().T
+            block = _ginibre_gram(rng, 2)
             block /= np.real(np.trace(block))
             mat = np.zeros((sub.dim, sub.dim), dtype=complex)
             mat[np.ix_(sel, sel)] = block

@@ -21,6 +21,7 @@ from .fock import (
     PureState,
     annihilation,
     as_density,
+    commutator_norm,
     expectation,
     number_op,
     evolution_operator,
@@ -74,11 +75,18 @@ def _diagonal_sector_ids(n_op):
     return ids
 
 
+def _density_on(state, n_op):
+    """``state`` as a DensityOperator, once ``n_op`` is known to act on its system."""
+    rho = as_density(state)
+    if n_op.system != rho.system:
+        raise ValueError("operator and state live on different systems")
+    return rho
+
+
 def ssr_check(state, n_op, tol=SSR_TOL):
     """Frobenius norm of [N, rho] and whether it sits below ``tol``."""
-    rho = as_density(state)
-    comm = n_op.matrix @ rho.matrix - rho.matrix @ n_op.matrix
-    residual = float(np.linalg.norm(comm))
+    rho = _density_on(state, n_op)
+    residual = commutator_norm(n_op.matrix, rho.matrix)
     return SSRReport(residual=residual, compliant=residual <= tol, tol=tol)
 
 
@@ -89,30 +97,29 @@ def twirl(state, n_op):
     analytically the projection onto number-sector block-diagonal form, so it
     is evaluated exactly by zeroing coherences between distinct sectors.
     """
-    rho = as_density(state)
+    rho = _density_on(state, n_op)
     ids = _diagonal_sector_ids(n_op)
     mask = ids[:, None] == ids[None, :]
     return DensityOperator(rho.system, rho.matrix * mask)
 
 
-def qcf(state, n, m, l, k, modes=(0, 1)):
-    """Two-mode correlation function <adag^n a^m bdag^l b^k>.
+def qcf(state, n, m, l, k):
+    """Correlation function <adag^n a^m bdag^l b^k> of modes a = 0 and b = 1.
 
     Warns when the state carries weight close enough to a cutoff for the
     truncated raising ladder to have dropped support.
     """
     rho = as_density(state)
     system = rho.system
-    ma, mb = modes
-    a = annihilation(system, ma).matrix
-    b = annihilation(system, mb).matrix
+    a = annihilation(system, 0).matrix
+    b = annihilation(system, 1).matrix
     adag = a.conj().T
     bdag = b.conj().T
     op = (np.linalg.matrix_power(adag, n) @ np.linalg.matrix_power(a, m)
           @ np.linalg.matrix_power(bdag, l) @ np.linalg.matrix_power(b, k))
     occ = system.occupancies
     pops = np.real(np.diag(rho.matrix))
-    for mode, raise_by, lower_by in ((ma, n, m), (mb, l, k)):
+    for mode, raise_by, lower_by in ((0, n, m), (1, l, k)):
         if raise_by == 0:
             continue
         cutoff = system.modes[mode].cutoff
@@ -126,7 +133,7 @@ def qcf(state, n, m, l, k, modes=(0, 1)):
 
 def sector_decompose(state, n_op):
     """Weights, basis indices and normalised blocks of the number sectors of ``rho``."""
-    rho = as_density(state)
+    rho = _density_on(state, n_op)
     return SectorDecomposition(tuple(
         Sector(*sector) for sector in number_sectors(rho, _diagonal_sector_ids(n_op))))
 

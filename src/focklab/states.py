@@ -71,16 +71,6 @@ class SeparableMixture:
         return DensityOperator(self.system, out)
 
 
-@dataclass(frozen=True)
-class NamedState:
-    """Catalog entry: a state plus a short description of what it is."""
-
-    label: str
-    state: object            # PureState or DensityOperator
-    system: ModeSystem
-    note: str = ""
-
-
 def poisson_pmf(n, mu):
     """Poisson probabilities e^{-mu} mu^n / n! at integer counts ``n >= 0``.
 
@@ -179,18 +169,14 @@ def singlet_spin():
     return PureState(system, vec)
 
 
-def binomial_state(theta, chi, n_total, cutoff=None):
+def binomial_state(theta, chi, n_total):
     """N bosons shared between two modes through a rotated creation operator.
 
-    Amplitude of |k, N-k> is sqrt(C(N,k)) cos^k(theta) sin^{N-k}(theta)
-    e^{i(N-2k) chi/2}, the expansion of the N-th power of the rotated-mode
-    creation operator applied to the vacuum.
+    Each mode has cutoff N.  Amplitude of |k, N-k> is sqrt(C(N,k)) cos^k(theta)
+    sin^{N-k}(theta) e^{i(N-2k) chi/2}, the expansion of the N-th power of the
+    rotated-mode creation operator applied to the vacuum.
     """
-    if cutoff is None:
-        cutoff = n_total
-    if cutoff < n_total:
-        raise ValueError("cutoff must be at least the boson number")
-    system = bosons(2, cutoff, labels=["a", "b"])
+    system = bosons(2, n_total, labels=["a", "b"])
     vec = np.zeros(system.dim, dtype=complex)
     for k in range(n_total + 1):
         amp = (math.sqrt(math.comb(n_total, k))
@@ -327,27 +313,3 @@ def mixed_N_boson(probabilities):
         i = system.index_of((k, n_total - k))
         mat[i, i] = p
     return DensityOperator(system, mat)
-
-
-def catalog():
-    """The parameterless named states, for listing and scenario tooling."""
-    entries = [
-        NamedState("bell_psi_plus", bell_one_boson("psi+"), bell_one_boson("psi+").system,
-                   "one-boson Bell state, global number-SSR compliant"),
-        NamedState("bell_psi_minus", bell_one_boson("psi-"), bell_one_boson("psi-").system,
-                   "one-boson Bell state, global number-SSR compliant"),
-        NamedState("bell_phi_plus", bell_one_boson("phi+"), bell_one_boson("phi+").system,
-                   "vacuum/two-boson Bell state, violates the global number SSR"),
-        NamedState("bell_phi_minus", bell_one_boson("phi-"), bell_one_boson("phi-").system,
-                   "vacuum/two-boson Bell state, violates the global number SSR"),
-        NamedState("ghz", ghz(), ghz().system,
-                   "three-qubit parity-contradiction state"),
-        NamedState("singlet", singlet_spin(), singlet_spin().system,
-                   "two-subsystem spin singlet, one boson per two-mode pair"),
-    ]
-    rho = verstraete_state("sectorized")
-    entries.append(NamedState(
-        "verstraete", rho, rho.system,
-        "equal mixture of four zero/one-boson superposition products; "
-        "global number SSR holds, local fails per component"))
-    return {e.label: e for e in entries}

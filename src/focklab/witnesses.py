@@ -32,10 +32,6 @@ class SpinOps:
     sy: Operator
     sz: Operator
 
-    def dot(self, direction):
-        nx, ny, nz = direction
-        return nx * self.sx + ny * self.sy + nz * self.sz
-
 
 def spin_ops(system, mode_a, mode_b):
     """S_x = (bdag a + adag b)/2, S_y = (bdag a - adag b)/2i, S_z = (nb - na)/2."""

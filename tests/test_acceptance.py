@@ -4,8 +4,6 @@ line with the measured figure and its pinned tolerance.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.stats import poisson
@@ -27,7 +25,6 @@ from focklab import (
     particle_entanglement,
     partial_trace,
     prob,
-    qcf,
     ramsey_vacuum_superposition,
     sector_decompose,
     separable_ssr_theorem_check,
@@ -40,6 +37,7 @@ from focklab import (
     verstraete_state,
     two_mode_coherent_mixture,
 )
+from focklab.cli import run_experiment
 from focklab.fock import PureState
 from focklab.ssr import clock_prob, clock_prob_by_evolution
 from focklab.states import bell_one_boson, coherent
@@ -48,11 +46,15 @@ from focklab.sampling import (
     random_chsh_directions,
     random_chsh_setting,
     random_density,
-    random_global_ssr_state,
     random_number_diagonal_mixture,
     random_one_boson_pair_mixture,
     random_qubit_pair_mixture,
 )
+
+
+def _actual(report, check):
+    """The measured figure of one check of a ``run_experiment`` report."""
+    return next(c["actual"] for c in report["checks"] if c["name"] == check)
 
 
 def _report(number, name, passed, detail):
@@ -74,26 +76,9 @@ def test_criterion_01_twirl_poisson():
 
 
 def test_criterion_02_qcf_theorem():
-    rng = np.random.default_rng(202)
-    system = bosons(2, 4)
-    n_op = number_op(system)
-    indices = [(n, m, l, k)
-               for n in range(3) for m in range(3)
-               for l in range(3) for k in range(3)]
-    worst_forbidden = 0.0
-    worst_invariance = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(100):
-            rho = random_global_ssr_state(system, rng)
-            tw = twirl(rho, n_op)
-            for n, m, l, k in indices:
-                val = qcf(rho, n, m, l, k)
-                if n + l != m + k:
-                    worst_forbidden = max(worst_forbidden, abs(val))
-                else:
-                    worst_invariance = max(worst_invariance,
-                                           abs(val - qcf(tw, n, m, l, k)))
+    report = run_experiment("qcf_theorem", params={"n_states": 100}, seed=202)
+    worst_forbidden = _actual(report, "forbidden_qcf_max")
+    worst_invariance = _actual(report, "twirl_invariance_max")
     _report(2, "qcf-theorem",
             worst_forbidden <= 1e-10 and worst_invariance <= 1e-10,
             f"forbidden_max={worst_forbidden:.2e}, "
@@ -265,21 +250,13 @@ def test_criterion_10_measurement_identities():
 
 
 def test_criterion_11_separability_ssr_theorem():
-    rng = np.random.default_rng(1111)
-    system = bosons(2, 2)
-    part = Partition([("A", (0,)), ("B", (1,))])
-    sufficiency = True
-    for _ in range(100):
-        mix = random_number_diagonal_mixture(system, part, rng)
-        rep = separable_ssr_theorem_check(mix)
-        sufficiency = sufficiency and rep.all_local_compliant \
-            and rep.global_report.compliant
-    _, verstraete_mix = verstraete_state("mixture")
-    caveat = separable_ssr_theorem_check(verstraete_mix)
+    report = run_experiment("separability_ssr", params={"n_mixtures": 100}, seed=1111)
+    sufficiency = _actual(report, "sufficiency_direction_holds")
+    caveat = _actual(report, "verstraete_caveat")
     _report(11, "separability-ssr-theorem",
-            sufficiency and caveat.fixed_probability_caveat,
+            sufficiency and caveat,
             f"sufficiency_100_mixtures={sufficiency}, "
-            f"verstraete_global_ok_local_fail={caveat.fixed_probability_caveat}")
+            f"verstraete_global_ok_local_fail={caveat}")
 
 
 def test_criterion_12_particle_entanglement():

@@ -231,11 +231,27 @@ def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
                                    {"seed": 1.5},
                                    {"seed": 1.0},
                                    {"seed": "3"},
-                                   {"seed": True}])
+                                   {"seed": True},
+                                   {"sead": 3},
+                                   {"tolerances": {"globl": 1e-3}}])
 def test_malformed_scenario_fields_exit_two(tmp_path, capsys, field):
     path = _write_scenario(tmp_path, {"schema_version": 1,
                                       "experiment": "ghz_parity", **field})
     assert main([path]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_unwritable_out_exit_two(tmp_path, capsys):
+    path = _write_scenario(tmp_path, {"schema_version": 1, "experiment": "ghz_parity"})
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main([path, "--out", str(out)]) == 2
+        _assert_one_error_line(capsys)
+
+
+def test_non_utf8_scenario_exit_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"experiment": "\xe9"}'.encode("latin-1"))
+    assert main([str(path)]) == 2
     _assert_one_error_line(capsys)
 
 

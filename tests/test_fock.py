@@ -348,6 +348,12 @@ def test_partition_rejects_overlap():
         part.modes_of("C")
 
 
+def test_partition_rejects_repeated_names():
+    # modes_of would find only the first of two subsystems named "A"
+    with pytest.raises(ValueError, match="names repeat"):
+        Partition([("A", (0,)), ("A", (1,))])
+
+
 def test_tensor_embed_rejects_mismatched_modes():
     system = bosons(2, 2)
     other = ModeSystem([("x", 1)])

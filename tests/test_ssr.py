@@ -356,3 +356,13 @@ def test_twirl_matches_phase_quadrature():
         u = np.exp(-1j * n_diag * theta)
         avg += (u[:, None] * rho.matrix * u.conj()[None, :]) / n_phases
     assert np.abs(avg - twirl(rho, n_op).matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("check", [ssr_check, twirl, sector_decompose])
+def test_ssr_functions_reject_a_number_operator_of_another_system(check):
+    rho = random_density(bosons(2, 2), np.random.default_rng(10))
+    same_dim = number_op(ModeSystem([("x", 8)]))     # dim 9 as well, other modes
+    other_dim = number_op(bosons(1, 2))
+    for n_op in (same_dim, other_dim):
+        with pytest.raises(ValueError, match="different systems"):
+            check(rho, n_op)

@@ -16,7 +16,6 @@ from focklab.states import (
     SeparableMixture,
     bell_one_boson,
     binomial_state,
-    catalog,
     coherent,
     dissociation_state,
     ghz,
@@ -296,13 +295,6 @@ def test_ghz_and_singlet_shapes():
     assert singlet_spin().system.dim == 16
     rep = ssr_check(singlet_spin(), number_op(singlet_spin().system), tol=1e-12)
     assert rep.compliant
-
-
-def test_catalog_states_are_physical():
-    for entry in catalog().values():
-        # construction already ran the physicality checks; spot the labels
-        assert entry.label
-        assert entry.note
 
 
 def test_normalisation_errors():
