@@ -547,13 +547,6 @@ def run_experiment(name, params=None, tolerance=None, seed=0):
     }
 
 
-def run(path):
-    """Load a scenario file and run it, returning the report dict."""
-    with open(path, encoding="utf-8") as fh:
-        scenario = json.load(fh)
-    return run_scenario(scenario)
-
-
 def run_scenario(scenario, tolerance=None, seed=None):
     """Run a parsed scenario dict.
 

@@ -17,12 +17,12 @@ from .fock import (
     DensityOperator,
     PureState,
     Partition,
-    annihilation,
     apply_unitary,
     bosons,
     commutator_norm,
     evolution_operator,
     fermions,
+    ladder_sum,
     number_op,
     partial_trace,
     unitary_evolve,
@@ -78,18 +78,18 @@ def beam_splitter(system, spec):
     with phi = atan2(r, t); at phi = pi/4 a single boson splits into
     (|1,0> - i|0,1>)/sqrt(2).
     """
-    gen = np.zeros((system.dim, system.dim), dtype=complex)
+    terms = []
     for ma, mb in spec.mode_pairs:
         if system.modes[ma].statistics != system.modes[mb].statistics:
             raise ValueError("paired modes must share statistics")
         if system.modes[ma].cutoff != system.modes[mb].cutoff:
             raise ValueError("paired modes must share cutoffs")
-        a = annihilation(system, ma).matrix
-        b = annihilation(system, mb).matrix
+        b_dag_a, a_dag_b = ((mb, True), (ma, False)), ((ma, True), (mb, False))
         if spec.convention == REAL_ROTATION:
-            gen += b.conj().T @ a - a.conj().T @ b
+            terms += [(1, b_dag_a), (-1, a_dag_b)]
         else:
-            gen += -1j * (a.conj().T @ b + b.conj().T @ a)
+            terms += [(-1j, a_dag_b), (-1j, b_dag_a)]
+    gen = ladder_sum(system, terms).matrix
     angle = math.atan2(spec.r, spec.t)
     # gen is anti-Hermitian in both conventions: exp(angle gen) = exp(-i (i gen) angle)
     return evolution_operator(Operator(system, 1j * gen), angle)
@@ -160,12 +160,10 @@ def _atom_molecule_hamiltonian(n_bec, kappa):
     matters.  The conserved combination is n_A + 2 n_M + n_2.
     """
     system = ModeSystem([("atom", 1), ("mol", 1), ("bec", n_bec)])
-    b_a = annihilation(system, 0).matrix
-    b_m = annihilation(system, 1).matrix
-    b_2 = annihilation(system, 2).matrix
-    coupling = 0.5 * kappa * (b_m.conj().T @ b_a @ b_2)
-    h = coupling + coupling.conj().T
-    return system, Operator(system, h)
+    half = 0.5 * kappa
+    return system, ladder_sum(system, [
+        (half, ((1, True), (0, False), (2, False))),
+        (np.conj(half), ((2, True), (0, True), (1, False)))])
 
 
 def _calibrate_half_transfer(system, h, evals, vecs, n_bec):

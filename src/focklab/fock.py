@@ -9,8 +9,8 @@ All matrices are dense complex numpy arrays; dimensions stay at desk scale
 Everything constructed here is immutable after creation (arrays are marked
 read-only), so values can be shared freely across threads.  That also makes
 the basis-derived index arrays pure functions of a hashable ``ModeSystem``,
-so the ladder entries and sub-system codes are memoised per system: O(d)
-arrays per entry, never d x d matrices.
+so the ladder entries, the entries of ladder products and the sub-system
+codes are memoised per system: O(d) arrays per entry, never d x d matrices.
 """
 
 from __future__ import annotations
@@ -408,6 +408,43 @@ def creation(system, mode):
     return annihilation(system, mode).dag()
 
 
+@functools.lru_cache
+def ladder_product(system, factors):
+    """Read-only (rows, cols, values) of the nonzero entries of a product of
+    ladder operators, one entry per basis column it does not annihilate.
+
+    ``factors`` is a tuple of ``(mode index, dagger)`` pairs, leftmost first;
+    the empty tuple is the identity.  A ladder operator has at most one
+    nonzero per column, and hence so has the product: the factors are
+    applied right to left to every column, O(d) each, and Jordan-Wigner
+    signs and truncation at the cutoff come out as in the dense product.
+    """
+    cols = np.arange(system.dim)
+    rows, values = cols, np.ones(system.dim)
+    for mode, dagger in reversed(factors):
+        lowered, raised, factor = _ladder_entries(system, mode)
+        src, dst = (lowered, raised) if dagger else (raised, lowered)
+        pos = np.full(system.dim, -1)
+        pos[src] = np.arange(len(src))
+        hit = pos[rows]
+        keep = hit >= 0
+        hit = hit[keep]
+        rows, cols, values = dst[hit], cols[keep], factor[hit] * values[keep]
+    for arr in (rows, cols, values):
+        arr.setflags(write=False)
+    return rows, cols, values
+
+
+def ladder_sum(system, terms):
+    """Operator sum of ``coeff * product`` over ``(coeff, factors)`` terms, each
+    product scattered from its ``ladder_product`` entries."""
+    mat = np.zeros((system.dim, system.dim), dtype=complex)
+    for coeff, factors in terms:
+        rows, cols, values = ladder_product(system, factors)
+        mat[rows, cols] += coeff * values
+    return Operator(system, mat)
+
+
 def number_op(system, weights=None):
     """Diagonal weighted number operator sum_i w_i n_i (weights default to 1)."""
     if weights is None:
@@ -541,6 +578,8 @@ def unitary_evolve(h, t, state):
 
 def apply_unitary(u, state):
     """Apply an explicit unitary Operator to a state of either kind."""
+    if u.system != state.system:
+        raise ValueError("operator and state live on different systems")
     if isinstance(state, PureState):
         return PureState(state.system, u.matrix @ state.amplitudes)
     rho = as_density(state)

@@ -16,15 +16,13 @@ import numpy as np
 from .fock import (
     NORM_ATOL,
     ModeSystem,
-    Operator,
     DensityOperator,
     PureState,
-    annihilation,
     as_density,
     commutator_norm,
-    expectation,
     number_op,
     evolution_operator,
+    ladder_product,
     number_sectors,
 )
 
@@ -106,19 +104,20 @@ def twirl(state, n_op):
 def qcf(state, n, m, l, k):
     """Correlation function <adag^n a^m bdag^l b^k> of modes a = 0 and b = 1.
 
+    Tr(P rho) summed over the O(d) ``ladder_product`` entries of the monomial P.
     Warns when the state carries weight close enough to a cutoff for the
     truncated raising ladder to have dropped support.
     """
     rho = as_density(state)
     system = rho.system
-    a = annihilation(system, 0).matrix
-    b = annihilation(system, 1).matrix
-    adag = a.conj().T
-    bdag = b.conj().T
-    op = (np.linalg.matrix_power(adag, n) @ np.linalg.matrix_power(a, m)
-          @ np.linalg.matrix_power(bdag, l) @ np.linalg.matrix_power(b, k))
+    if system.n_modes < 2:
+        raise ValueError("qcf needs modes 0 and 1")
+    if min(n, m, l, k) < 0:
+        raise ValueError("qcf powers must be >= 0")
+    rows, cols, values = ladder_product(
+        system, ((0, True),) * n + ((0, False),) * m + ((1, True),) * l + ((1, False),) * k)
     occ = system.occupancies
-    pops = np.real(np.diag(rho.matrix))
+    pops = rho.matrix.diagonal().real
     for mode, raise_by, lower_by in ((0, n, m), (1, l, k)):
         if raise_by == 0:
             continue
@@ -128,7 +127,7 @@ def qcf(state, n, m, l, k):
             warnings.warn(
                 f"state has weight near the cutoff of mode {mode}; "
                 "raising operators are truncated there", RuntimeWarning)
-    return expectation(rho, Operator(system, op))
+    return complex(values @ rho.matrix[cols, rows])
 
 
 def sector_decompose(state, n_op):

@@ -15,6 +15,7 @@ from .fock import (
     annihilation,
     as_density,
     expectation,
+    ladder_sum,
     number_sectors,
     reduced_state,
 )
@@ -35,13 +36,13 @@ class SpinOps:
 
 def spin_ops(system, mode_a, mode_b):
     """S_x = (bdag a + adag b)/2, S_y = (bdag a - adag b)/2i, S_z = (nb - na)/2."""
-    a = annihilation(system, mode_a)
-    b = annihilation(system, mode_b)
-    adag, bdag = a.dag(), b.dag()
-    sx = 0.5 * (bdag @ a + adag @ b)
-    sy = (-0.5j) * (bdag @ a - adag @ b)
-    sz = 0.5 * (bdag @ b - adag @ a)
-    return SpinOps(sx, sy, sz)
+    b_dag_a = ((mode_b, True), (mode_a, False))
+    a_dag_b = ((mode_a, True), (mode_b, False))
+    n_a = ((mode_a, True), (mode_a, False))
+    n_b = ((mode_b, True), (mode_b, False))
+    return SpinOps(sx=ladder_sum(system, [(0.5, b_dag_a), (0.5, a_dag_b)]),
+                   sy=ladder_sum(system, [(-0.5j, b_dag_a), (0.5j, a_dag_b)]),
+                   sz=ladder_sum(system, [(0.5, n_b), (-0.5, n_a)]))
 
 
 def pauli_ops(system, mode):
@@ -52,7 +53,7 @@ def pauli_ops(system, mode):
     adag = a.dag()
     sigma_x = a + adag
     sigma_y = 1j * (a - adag)
-    n = adag @ a
+    n = ladder_sum(system, [(1, ((mode, True), (mode, False)))])
     sigma_z = 2.0 * n - system.identity()
     return sigma_x, sigma_y, sigma_z
 

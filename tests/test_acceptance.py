@@ -26,15 +26,12 @@ from focklab import (
     partial_trace,
     prob,
     ramsey_vacuum_superposition,
-    sector_decompose,
-    separable_ssr_theorem_check,
     spectral,
     spin_epr,
     sum_inequality_oracle,
     tensor_embed,
     twirl,
     unrecorded_state,
-    verstraete_state,
     two_mode_coherent_mixture,
 )
 from focklab.cli import run_experiment
@@ -180,20 +177,16 @@ def test_criterion_07_vacuum_interferometer():
 
 
 def test_criterion_08_verstraete():
-    rho_mix, mixture = verstraete_state("mixture")
-    rho_sec = verstraete_state("sectorized")
-    form_diff = float(np.abs(rho_mix.matrix - rho_sec.matrix).max())
-    decomp = sector_decompose(rho_mix, number_op(rho_mix.system))
-    weight_err = max(abs(decomp.weight_of(0) - 0.25),
-                     abs(decomp.weight_of(1) - 0.50),
-                     abs(decomp.weight_of(2) - 0.25))
-    rep = separable_ssr_theorem_check(mixture)
-    local_fail = all(not r.compliant for _, _, r in rep.local_reports)
+    report = run_experiment("verstraete")
+    form_diff = _actual(report, "mixture_vs_sectorized")
+    weight_err = max(abs(_actual(report, f"weight_N{n}") - w)
+                     for n, w in ((0, 0.25), (1, 0.50), (2, 0.25)))
+    local_fail = _actual(report, "every_component_locally_noncompliant")
+    global_ok = _actual(report, "global_compliant")
     _report(8, "verstraete",
-            form_diff <= 1e-14 and weight_err <= 1e-12
-            and local_fail and rep.global_report.compliant,
+            form_diff <= 1e-14 and weight_err <= 1e-12 and local_fail and global_ok,
             f"form_diff={form_diff:.2e} (tol 1e-14), weight_err={weight_err:.2e}, "
-            f"local_all_fail={local_fail}, global_ok={rep.global_report.compliant}")
+            f"local_all_fail={local_fail}, global_ok={global_ok}")
 
 
 def test_criterion_09_two_mode_coherent_mixture():

@@ -137,12 +137,11 @@ def test_every_registered_experiment_passes_defaults():
         assert report["overall_pass"], (name, report["checks"])
 
 
-def test_run_from_path(tmp_path):
-    from focklab.cli import run
+def test_run_from_path(tmp_path, capsys):
     path = _write_scenario(tmp_path, {"schema_version": 1,
                                       "experiment": "verstraete"})
-    report = run(path)
-    assert report["overall_pass"] is True
+    assert main([path]) == 0
+    assert json.loads(capsys.readouterr().out)["overall_pass"] is True
 
 
 def test_atom_molecule_poisson_keeps_the_empty_component_atomic():

@@ -22,7 +22,14 @@ from focklab import (
     tensor_embed,
     unitary_evolve,
 )
-from focklab.fock import MAX_DIM, _ladder_entries, _sub_codes, evolution_operator
+from focklab.fock import (
+    MAX_DIM,
+    _ladder_entries,
+    _sub_codes,
+    apply_unitary,
+    evolution_operator,
+    ladder_product,
+)
 from focklab.states import bell_one_boson, coherent, dissociation_state
 from focklab.sampling import random_density, random_pure
 
@@ -291,6 +298,20 @@ def test_evolution_preserves_spectrum():
     assert np.abs(before - after).max() < 1e-10
 
 
+@pytest.mark.parametrize("other", [
+    ModeSystem([("x", 8)]),     # same dim as bosons(2, 2), another system
+    bosons(2, 1),               # another dim
+])
+@pytest.mark.parametrize("density", [False, True])
+def test_apply_unitary_rejects_a_unitary_of_another_system(other, density):
+    state = bosons(2, 2).vacuum()
+    if density:
+        state = state.density()
+    u = evolution_operator(number_op(other), 0.3)
+    with pytest.raises(ValueError, match="different systems"):
+        apply_unitary(u, state)
+
+
 def test_evolution_rejects_non_hermitian():
     system = bosons(1, 2, labels=["a"])
     a = annihilation(system, 0)
@@ -390,7 +411,7 @@ def test_second_ladder_and_sub_system_lookup_do_no_search(monkeypatch):
 def test_cached_index_arrays_are_read_only():
     system = bosons(3, 2)
     sub, index, rest = _sub_codes(system, (2, 0))
-    for arr in _ladder_entries(system, 1) + (index, rest):
+    for arr in _ladder_entries(system, 1) + ladder_product(system, ((1, True),)) + (index, rest):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -401,12 +422,14 @@ def test_ladder_and_embedding_are_thread_safe():
     def build():
         system = bosons(3, 3)
         n_b = number_op(bosons(2, 3, labels=["m2", "m0"]))
+        word = ((2, True), (0, False), (1, True), (1, False))
         return [annihilation(system, m).matrix for m in range(3)] + [
-            tensor_embed(n_b, system, (2, 0)).matrix]
+            tensor_embed(n_b, system, (2, 0)).matrix] + list(ladder_product(system, word))
 
     serial = build()
     _ladder_entries.cache_clear()
     _sub_codes.cache_clear()
+    ladder_product.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

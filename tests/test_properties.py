@@ -1,6 +1,8 @@
 """Property tests of the basis bookkeeping, the trace contractions and the
 measurement algebra over random small mode systems."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -16,12 +18,13 @@ from focklab import (
     number_op,
     partial_trace,
     particle_entanglement,
+    qcf,
     sector_decompose,
     spectral,
     tensor_embed,
     twirl,
 )
-from focklab.fock import FERMI, sub_system
+from focklab.fock import FERMI, ladder_product, sub_system
 from focklab.measurement import (
     PROB_FLOOR,
     PROJ_ATOL,
@@ -181,6 +184,45 @@ def test_annihilation_matches_its_defining_elements(system):
                 value = np.sqrt(n)
             expected[system.index_of(lowered), col] = value
         assert np.array_equal(annihilation(system, mode).matrix, expected)
+
+
+@st.composite
+def ladder_words(draw):
+    """An unrestricted system and a word of 0-5 (mode, dagger) factors, leftmost
+    first.  Cutoffs of 0-3 make raising past a cutoff, and a repeated fermionic
+    raise or lower, common."""
+    system = draw(systems(restricted=False))
+    factor = st.tuples(st.integers(0, system.n_modes - 1), st.booleans())
+    return system, tuple(draw(st.lists(factor, max_size=5)))
+
+
+@SETTINGS
+@given(ladder_words())
+def test_ladder_product_entries_match_the_dense_product(case):
+    system, word = case
+    rows, cols, values = ladder_product(system, word)
+    assert not any(arr.flags.writeable for arr in (rows, cols, values))
+    scattered = np.zeros((system.dim, system.dim))
+    scattered[rows, cols] = values
+    dense = np.eye(system.dim)
+    for mode, dagger in reversed(word):
+        dense = (creation if dagger else annihilation)(system, mode).matrix @ dense
+    assert np.count_nonzero(dense) == len(values)
+    assert np.abs(scattered - dense).max() <= 1e-15
+
+
+@SETTINGS
+@given(systems(restricted=False, min_modes=2), seeds, st.tuples(*[st.integers(0, 2)] * 4))
+def test_qcf_matches_the_dense_monomial_reference(system, seed, powers):
+    n, m, l, k = powers
+    rho = random_density(system, np.random.default_rng(seed))
+    a, b = annihilation(system, 0).matrix, annihilation(system, 1).matrix
+    power = np.linalg.matrix_power
+    op = power(a.conj().T, n) @ power(a, m) @ power(b.conj().T, l) @ power(b, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # saturation is expected here
+        value = qcf(rho, n, m, l, k)
+    assert abs(value - expectation(rho, Operator(system, op))) <= 1e-12
 
 
 @SETTINGS

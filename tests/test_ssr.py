@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.stats import poisson
 from focklab import (
     ModeSystem,
     Partition,
+    PureState,
     bosons,
     number_op,
     partial_trace,
@@ -170,6 +172,30 @@ def test_qcf_truncation_warning():
     rho = system.basis_state((2, 0)).density()
     with pytest.warns(RuntimeWarning, match="cutoff"):
         qcf(rho, 1, 0, 0, 0)
+
+
+def test_qcf_rejects_negative_powers_and_a_single_mode():
+    with pytest.raises(ValueError, match=">= 0"):
+        qcf(bosons(2, 2).vacuum(), 0, 0, -1, 0)
+    with pytest.raises(ValueError, match="modes 0 and 1"):
+        qcf(bosons(1, 2).vacuum(), 1, 1, 0, 0)
+
+
+def test_qcf_builds_no_dense_operator():
+    # dim 1024: one d x d complex matrix is 16 MB
+    system = bosons(2, 31)
+    vec = np.zeros(system.dim, dtype=complex)
+    vec[system.indices_of([(2, 3), (3, 2)])] = np.sqrt(0.5)
+    rho = PureState(system, vec).density()
+    tracemalloc.start()
+    try:
+        value = qcf(rho, 2, 1, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # <3,2| adag^2 a bdag b^2 |2,3> = sqrt(2 * 6) * sqrt(6 * 2) = 12, times rho = 1/2
+    assert value == pytest.approx(6.0, abs=1e-12)
+    assert peak < 4_000_000
 
 
 def test_sector_decompose_verstraete():
