@@ -300,6 +300,10 @@ def _exp_two_mode_coherent_mixture(params, tol, rng):
     alpha = params["alpha"]
     cutoff = params["cutoff"]
     n_phases = params["n_phases"]
+    # |N - M| <= 2 cutoff, so an n-point phase average cancels every
+    # off-sector term exactly only when n > 2 cutoff
+    if n_phases <= 2 * cutoff:
+        raise ValueError(f"n_phases must exceed 2 * cutoff = {2 * cutoff}, got {n_phases}")
     rho = two_mode_coherent_mixture(alpha, cutoff)
     system = rho.system
     vecs = []

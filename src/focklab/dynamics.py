@@ -18,8 +18,10 @@ from .fock import (
     PureState,
     Partition,
     apply_unitary,
+    block_unitary,
     bosons,
     commutator_norm,
+    eigh_blocks,
     evolution_operator,
     fermions,
     ladder_sum,
@@ -166,25 +168,32 @@ def _atom_molecule_hamiltonian(n_bec, kappa):
         (np.conj(half), ((2, True), (0, True), (1, False)))])
 
 
-def _calibrate_half_transfer(system, h, evals, vecs, n_bec):
+def _calibrate_half_transfer(system, h, blocks, n_bec):
     """First pulse duration with molecule population exactly 1/2.
 
-    Found numerically by root finding on the full-matrix evolution rather
-    than trusting any closed-form duration.
+    Found numerically by root finding on the exact evolution, through the
+    eigenpairs of the ``eigh_blocks`` component that holds the initial state,
+    rather than trusting any closed-form duration.
     """
     start = system.index_of((1, 0, n_bec))
     target = system.index_of((0, 1, n_bec - 1))
-    row = vecs[target, :]
-    col = vecs[start, :].conj()
+    # bracket around the quarter-Rabi estimate set by the coupling element
+    rabi = abs(h.matrix[target, start])
+    if rabi == 0:
+        raise ValueError("no atom-molecule coupling on this space")
+    # the coupling puts start and target in one component
+    for idx, evals, vecs in blocks:
+        (hit,) = np.nonzero((idx == start).any(axis=1))
+        if len(hit):
+            idx, evals, vecs = idx[hit[0]], evals[hit[0]], vecs[hit[0]]
+            break
+    row = vecs[np.searchsorted(idx, target), :]
+    col = vecs[np.searchsorted(idx, start), :].conj()
 
     def transfer(t):
         amp = np.sum(row * col * np.exp(-1j * evals * t))
         return float(abs(amp) ** 2) - 0.5
 
-    # bracket around the quarter-Rabi estimate set by the coupling element
-    rabi = abs(h.matrix[target, start])
-    if rabi == 0:
-        raise ValueError("no atom-molecule coupling on this space")
     guess = math.pi / (4.0 * rabi)
     return _bisect(transfer, 0.1 * guess, 1.9 * guess)
 
@@ -215,9 +224,9 @@ def _bisect(f, lo, hi):
 def _run_atom_molecule_fock(n_bec, kappa, phi):
     """Three-stage pulse/phase/pulse sequence from |one atom> |N in the BEC>."""
     system, h = _atom_molecule_hamiltonian(n_bec, kappa)
-    evals, vecs = np.linalg.eigh(h.matrix)
-    t_pulse = _calibrate_half_transfer(system, h, evals, vecs, n_bec)
-    pulse = Operator(system, (vecs * np.exp(-1j * evals * t_pulse)) @ vecs.conj().T)
+    blocks = eigh_blocks(h.matrix, True)
+    t_pulse = _calibrate_half_transfer(system, h, blocks, n_bec)
+    pulse = Operator(system, block_unitary(blocks, t_pulse, system.dim))
     initial = system.basis_state((1, 0, n_bec))
     after_pulse1 = apply_unitary(pulse, initial)
     # free stage at large detuning: phase phi accumulated by the molecule

@@ -36,6 +36,10 @@ HERM_INPUT_ATOL = 1e-10
 # Largest basis a ModeSystem may have; at that size one d x d complex matrix is 256 MB.
 MAX_DIM = 4096
 
+# Below this dimension one dense eigensolve costs less than scanning the matrix
+# for blocks, so ``eigh_blocks`` solves it whole.
+BLOCK_MIN_DIM = 48
+
 
 @dataclass(frozen=True)
 class Mode:
@@ -72,6 +76,8 @@ class ModeSystem:
             raise ValueError("a ModeSystem needs at least one mode")
         self.modes = tuple(parsed)
         self.total_number_restriction = total_number_restriction
+        # every memo lookup hashes its system: hash the modes once
+        self._hash = hash((self.modes, total_number_restriction))
 
         radices = [m.cutoff + 1 for m in self.modes]
         full_dim = math.prod(radices)
@@ -160,14 +166,14 @@ class ModeSystem:
         return Operator(self, np.eye(self.dim, dtype=complex))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, ModeSystem)
             and self.modes == other.modes
             and self.total_number_restriction == other.total_number_restriction
         )
 
     def __hash__(self):
-        return hash((self.modes, self.total_number_restriction))
+        return self._hash
 
     def __repr__(self):
         spec = ", ".join(f"{m.label}:{m.cutoff}{'f' if m.statistics == FERMI else ''}"
@@ -257,7 +263,12 @@ class PureState:
         self.amplitudes = amplitudes
 
     def density(self):
-        return DensityOperator(self.system, np.outer(self.amplitudes, self.amplitudes.conj()))
+        # |psi><psi| has rank one: its spectrum is {||psi||^2, 0, ...} in closed form
+        spectrum = np.zeros(self.system.dim)
+        spectrum[0] = np.vdot(self.amplitudes, self.amplitudes).real
+        rho = DensityOperator.__new__(DensityOperator)
+        rho._take(self.system, np.outer(self.amplitudes, self.amplitudes.conj()), spectrum)
+        return rho
 
     def amplitude(self, occupancies):
         return complex(self.amplitudes[self.system.index_of(occupancies)])
@@ -271,12 +282,14 @@ class PureState:
         return f"PureState(dim={self.system.dim})"
 
 
-def _check_physical(matrix):
+def _check_physical(matrix, spectrum):
     """The four physicality checks of a density matrix; raises ValueError.
 
     Hermitian within 1e-12 (Frobenius), unit trace within 1e-12, smallest
     eigenvalue >= -1e-10, purity <= 1 + 1e-12.  Each check is written so that
-    a NaN residual fails it.
+    a NaN residual fails it.  ``spectrum`` is the eigenvalues when they are
+    known in closed form; when it is None they are solved for by
+    ``eigvalsh_blocks``.
     """
     with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
         herm = np.linalg.norm(matrix - matrix.conj().T)
@@ -285,7 +298,7 @@ def _check_physical(matrix):
     tr = np.trace(matrix)
     if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace {tr} is not 1 within {TRACE_ATOL}")
-    evals = np.linalg.eigvalsh(matrix)
+    evals = eigvalsh_blocks(matrix) if spectrum is None else spectrum
     if not evals.min() >= -PSD_SLACK:
         raise ValueError(f"not positive semidefinite: min eigenvalue {evals.min()}")
     purity = float(np.sum(evals**2))
@@ -299,10 +312,14 @@ class DensityOperator:
     __slots__ = ("system", "matrix")
 
     def __init__(self, system, matrix):
+        self._take(system, matrix, None)
+
+    def _take(self, system, matrix, spectrum):
+        """Check ``matrix`` (``_check_physical``) and hold a read-only copy of it."""
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (system.dim, system.dim):
             raise ValueError("density matrix shape does not match system")
-        _check_physical(matrix)
+        _check_physical(matrix, spectrum)
         matrix.setflags(write=False)
         self.system = system
         self.matrix = matrix
@@ -462,6 +479,73 @@ def sector_blocks(labels):
     return [(int(v), np.nonzero(labels == v)[0]) for v in np.unique(labels)]
 
 
+def _component_labels(matrix):
+    """Smallest index in each index's connected component of the pattern
+    (M != 0) | (M^T != 0).
+
+    Min-label propagation: every index takes the smallest label among its
+    neighbours, O(d^2) per sweep, and pointer jumping then hands each label
+    on to the label it points at, until a sweep changes nothing.  A label is
+    always an index of the same component and never above its own index, so
+    the fixed point labels each component by its smallest index.
+    """
+    linked = matrix != 0
+    linked |= linked.T
+    dim = len(matrix)
+    labels = np.arange(dim)
+    while True:
+        new = np.minimum(labels, np.minimum.reduce(
+            np.broadcast_to(labels, (dim, dim)), axis=1, where=linked, initial=dim))
+        while True:
+            jumped = new[new]
+            if (jumped == new).all():
+                break
+            new = jumped
+        if not new.any() or (new == labels).all():     # all in one, or settled
+            return new
+        labels = new
+
+
+def eigh_blocks(matrix, vectors):
+    """Eigen-decomposition of a Hermitian matrix, one connected component of its
+    exact nonzero pattern at a time; the only eigensolver in focklab.
+
+    Returns ``[(indices, eigenvalues, eigenvectors)]``, one triple per component
+    size k held by n components: ``indices`` (n, k) are each component's basis
+    indices, ascending; ``eigenvalues`` (n, k) ascend within a component; and
+    ``eigenvectors`` (n, k, k), or None when ``vectors`` is false, hold each
+    component's orthonormal eigenvectors as columns.  1 x 1 components are
+    read off the diagonal.  A matrix below ``BLOCK_MIN_DIM`` or of one
+    component takes one dense ``eigh``/``eigvalsh`` call, as before blocks.
+    As with a dense solve, only the lower triangle is read.
+    """
+    dim = len(matrix)
+    labels = _component_labels(matrix) if dim >= BLOCK_MIN_DIM else None
+    if labels is None or not labels.any():
+        groups = [np.arange(dim)[None]]
+    else:
+        _, component, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        # a stable sort by label lays the components of size k out one per row
+        groups = [sel[np.argsort(labels[sel], kind="stable")].reshape(-1, k)
+                  for k, sel in sector_blocks(sizes[component])]
+    out = []
+    for idx in groups:
+        k = idx.shape[1]
+        if k == 1:
+            out.append((idx, matrix[idx, idx].real,
+                        np.ones((len(idx), 1, 1), dtype=complex) if vectors else None))
+            continue
+        blocks = matrix[None] if k == dim else matrix[idx[:, :, None], idx[:, None, :]]
+        out.append((idx, *np.linalg.eigh(blocks)) if vectors
+                   else (idx, np.linalg.eigvalsh(blocks), None))
+    return out
+
+
+def eigvalsh_blocks(matrix):
+    """Every eigenvalue of a Hermitian matrix by ``eigh_blocks``, in block order."""
+    return np.concatenate([evals.ravel() for _, evals, _ in eigh_blocks(matrix, False)])
+
+
 SECTOR_FLOOR = 1e-14
 
 
@@ -476,7 +560,7 @@ def number_sectors(rho, labels):
         if weight < SECTOR_FLOOR:
             continue
         block = block / weight
-        _check_physical(block)
+        _check_physical(block, None)
         for arr in (sel, block):
             arr.setflags(write=False)
         yield label, weight, sel, block
@@ -566,9 +650,18 @@ def evolution_operator(h, t):
     """U = exp(-i H t) through the eigendecomposition of Hermitian H."""
     if not h.is_hermitian():
         raise ValueError("Hamiltonian is not Hermitian within 1e-10")
-    evals, vecs = np.linalg.eigh(h.matrix)
-    u = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
-    return Operator(h.system, u)
+    return Operator(h.system, block_unitary(eigh_blocks(h.matrix, True), t, h.system.dim))
+
+
+def block_unitary(blocks, t, dim):
+    """exp(-i H t) as a dim x dim array from the ``eigh_blocks`` of H: each
+    component's V e^{-i lambda t} V^H is scattered into place, and no d x d
+    product is formed."""
+    u = np.zeros((dim, dim), dtype=complex)
+    for idx, evals, vecs in blocks:
+        u[idx[:, :, None], idx[:, None, :]] = \
+            (vecs * np.exp(-1j * evals * t)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return u
 
 
 def unitary_evolve(h, t, state):

@@ -14,7 +14,14 @@ from operator import matmul
 
 import numpy as np
 
-from .fock import Operator, DensityOperator, as_density, commutator_norm, expectation
+from .fock import (
+    Operator,
+    DensityOperator,
+    as_density,
+    commutator_norm,
+    eigh_blocks,
+    expectation,
+)
 
 PROB_FLOOR = 1e-12
 MERGE_TOL = 1e-8        # relative to the spectral range
@@ -87,14 +94,25 @@ class OutcomeDistribution:
 def spectral(op):
     """Spectral resolution of a Hermitian operator.
 
-    Eigenvalues closer than ``MERGE_TOL`` times the spectral range are merged
-    into a single degenerate outcome, which keeps the resolution robust after
-    floating-point eigensolves.  The blocks are read-only column slices of
-    the one eigenvector matrix.
+    The eigenpairs of every ``eigh_blocks`` component are sorted together
+    (stable) by eigenvalue.  Eigenvalues closer than ``MERGE_TOL`` times the
+    spectral range are then merged into a single degenerate outcome, which
+    keeps the resolution robust after floating-point eigensolves.  The blocks
+    are read-only column slices of the one eigenvector matrix.
     """
     if not op.is_hermitian():
         raise ValueError("operator is not Hermitian")
-    evals, vecs = np.linalg.eigh(op.matrix)
+    dim = op.system.dim
+    evals = np.empty(dim)
+    vecs = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for idx, values, blocks in eigh_blocks(op.matrix, True):
+        cols = start + np.arange(values.size).reshape(values.shape)
+        evals[cols] = values
+        vecs[idx[:, :, None], cols[:, None, :]] = blocks
+        start += values.size
+    order = np.argsort(evals, kind="stable")
+    evals, vecs = evals[order], vecs[:, order]
     vecs.setflags(write=False)
     spread = float(evals[-1] - evals[0])
     gap = MERGE_TOL * max(spread, 1.0)

@@ -4,6 +4,7 @@ conditional variances, and the sector-projected particle entanglement measure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .fock import (
     PureState,
     annihilation,
     as_density,
+    eigvalsh_blocks,
     expectation,
     ladder_sum,
     number_sectors,
@@ -187,16 +189,26 @@ def spin_epr(state, partition):
     m2 = partition.modes_of(names[1])
     if len(m1) != 2 or len(m2) != 2:
         raise ValueError("each subsystem must hold two modes")
-    spins1 = spin_ops(system, *m1)
-    spins2 = spin_ops(system, *m2)
-    var_x = unrecorded_conditioned_variance(rho, spectral(spins1.sx), spectral(spins2.sx))
-    var_y = unrecorded_conditioned_variance(rho, spectral(spins1.sy), spectral(spins2.sy))
+    sx1, sx2, sy1, sy2, sz1 = _spin_epr_observables(system, m1, m2)
+    var_x = unrecorded_conditioned_variance(rho, sx1, sx2)
+    var_y = unrecorded_conditioned_variance(rho, sy1, sy2)
     lhs = var_x * var_y
-    mean_z = expectation(rho, spins1.sz)
+    mean_z = expectation(rho, sz1)
     rhs = 0.25 * abs(mean_z) ** 2
     margin = rhs - lhs
     return WitnessVerdict(lhs=float(lhs), rhs=float(rhs),
                           violated=margin > DECISION_TOL, margin=float(margin))
+
+
+# each entry holds nine d x d matrices, so only a few are kept
+@functools.lru_cache(maxsize=8)
+def _spin_epr_observables(system, m1, m2):
+    """``spectral`` of S_x and S_y on the mode pairs ``m1`` and ``m2``, and S_z on
+    ``m1``: (S_x1, S_x2, S_y1, S_y2, S_z1), all read-only, memoised per arguments."""
+    spins1 = spin_ops(system, *m1)
+    spins2 = spin_ops(system, *m2)
+    return (spectral(spins1.sx), spectral(spins2.sx),
+            spectral(spins1.sy), spectral(spins2.sy), spins1.sz)
 
 
 def particle_entanglement(state, partition):
@@ -223,7 +235,7 @@ def particle_entanglement(state, partition):
     ep = 0.0
     for _, weight, sel, block in number_sectors(rho, keys):
         reduced = reduced_state(system, sel, block, idx_a)
-        evals = np.linalg.eigvalsh(reduced.matrix)
+        evals = eigvalsh_blocks(reduced.matrix)
         evals = evals[evals > 1e-15]
         ep += weight * float(-(evals * np.log(evals)).sum())
     return ep

@@ -76,6 +76,19 @@ def test_missing_scenario_exit_two(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("n_phases,code", [(18, 2), (36, 2), (37, 0)])
+def test_quadrature_must_resolve_every_number_difference(tmp_path, capsys, n_phases, code):
+    # |N - M| <= 2 cutoff, so the phase average cancels every off-sector term
+    # only with more than 2 cutoff points; a coarser one is a param error
+    path = _write_scenario(tmp_path, {
+        "schema_version": 1, "experiment": "two_mode_coherent_mixture",
+        "params": {"cutoff": 18, "n_phases": n_phases}})
+    assert main([path]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   f"error: n_phases must exceed 2 * cutoff = 36, got {n_phases}\n")
+
+
 def test_structured_report_roundtrip():
     report = run_experiment("verstraete", seed=0)
     payload = emit(report, "structured")
@@ -98,6 +111,39 @@ def test_report_deterministic_given_seed():
     c_lines = [l for l in emit(c, "structured").decode().splitlines()
                if "wall_time_s" not in l]
     assert c_lines != a_lines
+
+
+_ACTUALS = """
+import json, os, sys
+from focklab.cli import run_scenario
+folder = sys.argv[1]
+for name in sorted(os.listdir(folder)):
+    with open(os.path.join(folder, name)) as fh:
+        report = run_scenario(json.load(fh), seed=0)
+    for check in report["checks"]:
+        print(report["experiment"], check["name"], repr(check["actual"]))
+"""
+
+
+def _child_env(**variables):
+    """The environment with ``variables`` set and this focklab first on PYTHONPATH."""
+    import focklab
+    src = os.path.dirname(os.path.dirname(os.path.abspath(focklab.__file__)))
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    folder = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scenarios")
+    outputs = []
+    for threads in ("1", "2"):
+        env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                         MKL_NUM_THREADS=threads)
+        outputs.append(subprocess.run([sys.executable, "-c", _ACTUALS, folder], env=env,
+                                      check=True, capture_output=True, text=True).stdout)
+    assert outputs[0].count("\n") >= 90
+    assert outputs[0] == outputs[1]
 
 
 def test_table_format_has_summary_line(tmp_path, capsys):
@@ -208,7 +254,8 @@ def test_non_object_scenario_exit_two(tmp_path, capsys, argv):
     ("extraction", {"r_values": ["x"]}),
     ("twirl_coherent", {"nbar": 10 ** 400}),
     ("two_mode_coherent_mixture", {"alpha": 1e200}),
-    ("two_mode_coherent_mixture", {"cutoff": 1000}),    # dim 10**6 > MAX_DIM
+    # dim 10**6 > MAX_DIM; the quadrature resolves every sector
+    ("two_mode_coherent_mixture", {"cutoff": 1000, "n_phases": 2001}),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
@@ -256,10 +303,7 @@ def test_non_utf8_scenario_exit_two(tmp_path, capsys):
 
 def test_import_does_not_load_scipy():
     # scipy is a test-only dependency; importing it costs about 1 s per CLI run
-    import focklab
-    src = os.path.dirname(os.path.dirname(os.path.abspath(focklab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _child_env()
     code = ("import sys, focklab, focklab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

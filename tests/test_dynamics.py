@@ -71,6 +71,20 @@ def test_beam_splitter_matches_matrix_exponential(system, pairs, conv):
     assert np.abs(dynamics.expm(np.arctan2(r, t) * gen) - reference).max() < 1e-12
 
 
+def test_beam_splitter_solves_number_blocks_not_the_whole_space(monkeypatch):
+    # the pairs conserve n_a0 + n_b0 and n_a1 + n_b1: 49 blocks of at most 4 x 4
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(matrix):
+        shapes.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    beam_splitter(bosons(4, 3), BeamSplitterSpec(((0, 2), (1, 3)), r=0.6, t=0.8))
+    assert shapes and max(shape[-1] for shape in shapes) <= 16
+
+
 def test_bisect_needs_a_sign_change():
     assert _bisect(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-14)
     with pytest.raises(ValueError, match="signs"):

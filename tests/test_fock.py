@@ -24,6 +24,7 @@ from focklab import (
 )
 from focklab.fock import (
     MAX_DIM,
+    Mode,
     _ladder_entries,
     _sub_codes,
     apply_unitary,
@@ -351,6 +352,18 @@ def test_pure_state_rejects_non_finite_amplitudes(amplitudes):
         PureState(bosons(1, 1), amplitudes)
 
 
+def test_pure_density_takes_its_spectrum_in_closed_form(monkeypatch):
+    psi = coherent(np.sqrt(2.0), 30)
+
+    def solve(matrix):
+        raise AssertionError("eigensolve of a rank-one density")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    monkeypatch.setattr(np.linalg, "eigh", solve)
+    rho = psi.density()
+    assert abs(rho.purity() - 1.0) <= 1e-12
+
+
 def test_random_states_pass_physicality():
     rng = np.random.default_rng(0)
     system = bosons(2, 2)
@@ -406,6 +419,17 @@ def test_second_ladder_and_sub_system_lookup_do_no_search(monkeypatch):
         tensor_embed(number_op(bosons(1, 2, labels=["m1"])), system, (1,))
         partial_trace(vacuum, part, "A")
     assert searches == []
+
+
+def test_a_system_hashes_its_modes_once(monkeypatch):
+    a, b, c, d = bosons(3, 2), bosons(3, 2), bosons(3, 2, total=2), bosons(3, 1)
+    hashed = []
+    mode_hash = Mode.__hash__
+    monkeypatch.setattr(Mode, "__hash__", lambda self: hashed.append(self) or mode_hash(self))
+    for _ in range(3):
+        assert hash(a) == hash(b)
+    assert a == a and a == b and a != c and a != d
+    assert hashed == []
 
 
 def test_cached_index_arrays_are_read_only():

@@ -4,6 +4,7 @@ measurement algebra over random small mode systems."""
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from focklab import (
@@ -12,10 +13,12 @@ from focklab import (
     Operator,
     Partition,
     annihilation,
+    bosons,
     creation,
     expectation,
     fermions,
     number_op,
+    evolution_operator,
     partial_trace,
     particle_entanglement,
     qcf,
@@ -24,8 +27,16 @@ from focklab import (
     tensor_embed,
     twirl,
 )
-from focklab.fock import FERMI, ladder_product, sub_system
+from focklab.fock import (
+    BLOCK_MIN_DIM,
+    FERMI,
+    eigh_blocks,
+    eigvalsh_blocks,
+    ladder_product,
+    sub_system,
+)
 from focklab.measurement import (
+    MERGE_TOL,
     PROB_FLOOR,
     PROJ_ATOL,
     cond_mean,
@@ -309,3 +320,123 @@ def test_block_measurement_matches_the_explicit_projector_reference(case, seed):
         expected = sum(w * reference_moments(r, target, p)[1] for w, p in kept) \
             / sum(w for w, _ in kept)
         assert abs(unrecorded_conditioned_variance(rho, target, given_obs) - expected) <= 1e-12
+
+
+@st.composite
+def block_spectra(draw):
+    """Component sizes, a seed and whether the spectrum is degenerate.  Sizes are
+    many small blocks (1 x 1 ones among them) or one dense component, with
+    totals on both sides of ``BLOCK_MIN_DIM``."""
+    sizes = draw(st.one_of(
+        st.lists(st.integers(1, 8), min_size=1, max_size=20),
+        st.lists(st.integers(2, BLOCK_MIN_DIM + 24), min_size=1, max_size=1)))
+    return sizes, draw(seeds), draw(st.booleans())
+
+
+def permuted_blocks(sizes, eigenvalues, rng):
+    """Hermitian matrix whose components, under a random basis permutation, are
+    dense blocks of ``sizes`` with the consecutive runs of ``eigenvalues``."""
+    dim = sum(sizes)
+    mat = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for k in sizes:
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        q = np.linalg.qr(g)[0]
+        block = (q * eigenvalues[start:start + k]) @ q.conj().T
+        mat[start:start + k, start:start + k] = 0.5 * (block + block.conj().T)
+        start += k
+    perm = rng.permutation(dim)
+    return mat[np.ix_(perm, perm)]
+
+
+def block_eigenvalues(sizes, rng, degenerate):
+    # a degenerate spectrum repeats small integers across and within blocks;
+    # otherwise the eigenvalues are distinct, at least 0.25 apart
+    dim = sum(sizes)
+    if degenerate:
+        return rng.integers(-2, 3, size=dim).astype(float)
+    return 0.25 * rng.permutation(dim) - 0.125 * dim
+
+
+@SETTINGS
+@given(block_spectra())
+def test_block_solver_matches_the_dense_solve(case):
+    sizes, seed, degenerate = case
+    rng = np.random.default_rng(seed)
+    mat = permuted_blocks(sizes, block_eigenvalues(sizes, rng, degenerate), rng)
+    dim = len(mat)
+    evals, vecs = np.linalg.eigh(mat)
+
+    assert np.abs(np.sort(eigvalsh_blocks(mat)) - evals).max() <= 1e-12
+    recon = np.zeros_like(mat)
+    for idx, w, v in eigh_blocks(mat, True):
+        assert idx.shape == w.shape and v.shape == idx.shape + idx.shape[-1:]
+        if dim >= BLOCK_MIN_DIM and len(sizes) > 1:
+            assert idx.shape[1] <= max(sizes)
+        recon[idx[:, :, None], idx[:, None, :]] = \
+            (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    assert np.abs(recon - mat).max() <= 1e-12
+
+    op = Operator(bosons(1, dim - 1), mat)
+    u = (vecs * np.exp(-0.7j * evals)) @ vecs.conj().T
+    assert np.abs(evolution_operator(op, 0.7).matrix - u).max() <= 1e-12
+
+    # the dense reference of spectral: the same merge rule on the sorted eigenvalues
+    cuts = np.nonzero(np.diff(evals) > MERGE_TOL * max(evals[-1] - evals[0], 1.0))[0] + 1
+    observable = spectral(op)
+    assert len(observable.eigenvalues) == len(cuts) + 1
+    for mu, block, grp, ref in zip(observable.eigenvalues, observable.blocks,
+                                   np.split(evals, cuts), np.split(vecs, cuts, axis=1)):
+        assert abs(mu - grp.mean()) <= 1e-12
+        assert np.abs(block @ block.conj().T - ref @ ref.conj().T).max() <= 1e-12
+
+
+@SETTINGS
+@given(block_spectra())
+def test_block_solver_finds_chained_components(case):
+    # each component is a path, in a random order, so that one sweep of label
+    # propagation cannot settle it
+    sizes, seed, _ = case
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    mat = np.diag(rng.standard_normal(dim)).astype(complex)
+    for c in range(len(sizes)):
+        path = rng.permutation(np.nonzero(owner == c)[0])
+        links = len(path) - 1
+        coupling = rng.uniform(0.5, 1.5, links) * np.exp(2j * np.pi * rng.random(links))
+        mat[path[1:], path[:-1]] = coupling
+        mat[path[:-1], path[1:]] = coupling.conj()
+    evals, vecs = np.linalg.eigh(mat)
+
+    blocks = eigh_blocks(mat, True)
+    if dim >= BLOCK_MIN_DIM:
+        assert sorted(tuple(row) for idx, _, _ in blocks for row in idx) == \
+            sorted(tuple(np.nonzero(owner == c)[0]) for c in range(len(sizes)))
+    assert np.abs(np.sort(eigvalsh_blocks(mat)) - evals).max() <= 1e-12
+    u = (vecs * np.exp(-0.7j * evals)) @ vecs.conj().T
+    got = evolution_operator(Operator(bosons(1, dim - 1), mat), 0.7).matrix
+    assert np.abs(got - u).max() <= 1e-12
+
+
+@SETTINGS
+@given(block_spectra())
+def test_density_check_rejects_a_negative_eigenvalue_in_one_block(case):
+    sizes, seed, _ = case
+    rng = np.random.default_rng(seed)
+    dim = sum(sizes)
+    if dim < 2:
+        return
+    system = bosons(1, dim - 1)
+    lam = rng.uniform(0.0, 1.0, size=dim)
+    low, other = rng.choice(dim, size=2, replace=False)
+    lam[low] = 0.0
+    lam /= lam.sum()
+    state = rng.bit_generator.state
+    DensityOperator(system, permuted_blocks(sizes, lam, rng))
+    # the same blocks and permutation with one eigenvalue at -1e-9, trace kept at 1
+    lam[low] -= 1e-9
+    lam[other] += 1e-9
+    rng.bit_generator.state = state
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        DensityOperator(system, permuted_blocks(sizes, lam, rng))
