@@ -263,12 +263,7 @@ class PureState:
         self.amplitudes = amplitudes
 
     def density(self):
-        # |psi><psi| has rank one: its spectrum is {||psi||^2, 0, ...} in closed form
-        spectrum = np.zeros(self.system.dim)
-        spectrum[0] = np.vdot(self.amplitudes, self.amplitudes).real
-        rho = DensityOperator.__new__(DensityOperator)
-        rho._take(self.system, np.outer(self.amplitudes, self.amplitudes.conj()), spectrum)
-        return rho
+        return DensityOperator(self.system, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def amplitude(self, occupancies):
         return complex(self.amplitudes[self.system.index_of(occupancies)])
@@ -282,14 +277,12 @@ class PureState:
         return f"PureState(dim={self.system.dim})"
 
 
-def _check_physical(matrix, spectrum):
+def _check_physical(matrix):
     """The four physicality checks of a density matrix; raises ValueError.
 
     Hermitian within 1e-12 (Frobenius), unit trace within 1e-12, smallest
     eigenvalue >= -1e-10, purity <= 1 + 1e-12.  Each check is written so that
-    a NaN residual fails it.  ``spectrum`` is the eigenvalues when they are
-    known in closed form; when it is None they are solved for by
-    ``eigvalsh_blocks``.
+    a NaN residual fails it.  The spectrum comes from ``eigvalsh_blocks``.
     """
     with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
         herm = np.linalg.norm(matrix - matrix.conj().T)
@@ -298,7 +291,7 @@ def _check_physical(matrix, spectrum):
     tr = np.trace(matrix)
     if not abs(tr - 1.0) <= TRACE_ATOL:
         raise ValueError(f"trace {tr} is not 1 within {TRACE_ATOL}")
-    evals = eigvalsh_blocks(matrix) if spectrum is None else spectrum
+    evals = eigvalsh_blocks(matrix)
     if not evals.min() >= -PSD_SLACK:
         raise ValueError(f"not positive semidefinite: min eigenvalue {evals.min()}")
     purity = float(np.sum(evals**2))
@@ -312,14 +305,10 @@ class DensityOperator:
     __slots__ = ("system", "matrix")
 
     def __init__(self, system, matrix):
-        self._take(system, matrix, None)
-
-    def _take(self, system, matrix, spectrum):
-        """Check ``matrix`` (``_check_physical``) and hold a read-only copy of it."""
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (system.dim, system.dim):
             raise ValueError("density matrix shape does not match system")
-        _check_physical(matrix, spectrum)
+        _check_physical(matrix)
         matrix.setflags(write=False)
         self.system = system
         self.matrix = matrix
@@ -483,27 +472,40 @@ def _component_labels(matrix):
     """Smallest index in each index's connected component of the pattern
     (M != 0) | (M^T != 0).
 
-    Min-label propagation: every index takes the smallest label among its
-    neighbours, O(d^2) per sweep, and pointer jumping then hands each label
-    on to the label it points at, until a sweep changes nothing.  A label is
-    always an index of the same component and never above its own index, so
-    the fixed point labels each component by its smallest index.
+    Repeats ``_label_sweep`` until a sweep changes nothing.  A label is always
+    an index of the same component and never above its own index, so the fixed
+    point labels each component by its smallest index.
     """
     linked = matrix != 0
     linked |= linked.T
-    dim = len(matrix)
-    labels = np.arange(dim)
+    labels = np.arange(len(matrix))
     while True:
-        new = np.minimum(labels, np.minimum.reduce(
-            np.broadcast_to(labels, (dim, dim)), axis=1, where=linked, initial=dim))
-        while True:
-            jumped = new[new]
-            if (jumped == new).all():
-                break
-            new = jumped
+        new = _label_sweep(labels, linked)
         if not new.any() or (new == labels).all():     # all in one, or settled
             return new
         labels = new
+
+
+def _label_sweep(labels, linked):
+    """One O(d^2) sweep of min-label propagation with root hooking.
+
+    ``labels`` point every index at the root of its tree (``labels[r] == r``).
+    Every index takes the smallest label among its neighbours, every root
+    takes the smallest label its members saw, and pointer jumping then
+    flattens the trees again.  Hooking roots, not only indices, merges whole
+    trees per sweep, so a path in any index order settles in a few sweeps
+    rather than in one sweep per index.
+    """
+    dim = len(labels)
+    seen = np.minimum.reduce(np.broadcast_to(labels, (dim, dim)), axis=1,
+                             where=linked, initial=dim)
+    new = np.minimum(labels, seen)
+    np.minimum.at(new, labels, seen)
+    while True:
+        jumped = new[new]
+        if (jumped == new).all():
+            return new
+        new = jumped
 
 
 def eigh_blocks(matrix, vectors):
@@ -535,9 +537,14 @@ def eigh_blocks(matrix, vectors):
             out.append((idx, matrix[idx, idx].real,
                         np.ones((len(idx), 1, 1), dtype=complex) if vectors else None))
             continue
-        blocks = matrix[None] if k == dim else matrix[idx[:, :, None], idx[:, None, :]]
-        out.append((idx, *np.linalg.eigh(blocks)) if vectors
-                   else (idx, np.linalg.eigvalsh(blocks), None))
+        # a dense solve takes the 2-D matrix itself, as before blocks
+        blocks = matrix if k == dim else matrix[idx[:, :, None], idx[:, None, :]]
+        if vectors:
+            evals, vecs = np.linalg.eigh(blocks)
+            vecs = vecs.reshape(len(idx), k, k)
+        else:
+            evals, vecs = np.linalg.eigvalsh(blocks), None
+        out.append((idx, evals.reshape(idx.shape), vecs))
     return out
 
 
@@ -560,7 +567,7 @@ def number_sectors(rho, labels):
         if weight < SECTOR_FLOOR:
             continue
         block = block / weight
-        _check_physical(block, None)
+        _check_physical(block)
         for arr in (sel, block):
             arr.setflags(write=False)
         yield label, weight, sel, block

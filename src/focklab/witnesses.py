@@ -25,6 +25,9 @@ from .measurement import spectral, unrecorded_conditioned_variance
 
 DECISION_TOL = 1e-9
 GHZ_TOL = 1e-12
+# largest system whose spin_epr resolutions are memoised: the entry then holds
+# nine d x d complex matrices, at most 9.4 MB
+SPIN_MEMO_MAX_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,9 @@ def spin_epr(state, partition):
     m2 = partition.modes_of(names[1])
     if len(m1) != 2 or len(m2) != 2:
         raise ValueError("each subsystem must hold two modes")
-    sx1, sx2, sy1, sy2, sz1 = _spin_epr_observables(system, m1, m2)
+    resolve = (_spin_epr_observables if system.dim <= SPIN_MEMO_MAX_DIM
+               else _spin_epr_observables.__wrapped__)
+    sx1, sx2, sy1, sy2, sz1 = resolve(system, m1, m2)
     var_x = unrecorded_conditioned_variance(rho, sx1, sx2)
     var_y = unrecorded_conditioned_variance(rho, sy1, sy2)
     lhs = var_x * var_y
@@ -200,11 +205,12 @@ def spin_epr(state, partition):
                           violated=margin > DECISION_TOL, margin=float(margin))
 
 
-# each entry holds nine d x d matrices, so only a few are kept
-@functools.lru_cache(maxsize=8)
+# one entry: a sweep of mixtures asks for one (system, m1, m2) over and over
+@functools.lru_cache(maxsize=1)
 def _spin_epr_observables(system, m1, m2):
     """``spectral`` of S_x and S_y on the mode pairs ``m1`` and ``m2``, and S_z on
-    ``m1``: (S_x1, S_x2, S_y1, S_y2, S_z1), all read-only, memoised per arguments."""
+    ``m1``: (S_x1, S_x2, S_y1, S_y2, S_z1), all read-only.  ``spin_epr``
+    memoises them up to ``SPIN_MEMO_MAX_DIM``."""
     spins1 = spin_ops(system, *m1)
     spins2 = spin_ops(system, *m2)
     return (spectral(spins1.sx), spectral(spins2.sx),

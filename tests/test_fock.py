@@ -352,18 +352,6 @@ def test_pure_state_rejects_non_finite_amplitudes(amplitudes):
         PureState(bosons(1, 1), amplitudes)
 
 
-def test_pure_density_takes_its_spectrum_in_closed_form(monkeypatch):
-    psi = coherent(np.sqrt(2.0), 30)
-
-    def solve(matrix):
-        raise AssertionError("eigensolve of a rank-one density")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
-    monkeypatch.setattr(np.linalg, "eigh", solve)
-    rho = psi.density()
-    assert abs(rho.purity() - 1.0) <= 1e-12
-
-
 def test_random_states_pass_physicality():
     rng = np.random.default_rng(0)
     system = bosons(2, 2)

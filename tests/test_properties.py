@@ -27,6 +27,7 @@ from focklab import (
     tensor_embed,
     twirl,
 )
+from focklab import fock
 from focklab.fock import (
     BLOCK_MIN_DIM,
     FERMI,
@@ -417,6 +418,31 @@ def test_block_solver_finds_chained_components(case):
     u = (vecs * np.exp(-0.7j * evals)) @ vecs.conj().T
     got = evolution_operator(Operator(bosons(1, dim - 1), mat), 0.7).matrix
     assert np.abs(got - u).max() <= 1e-12
+
+
+@pytest.mark.parametrize("layout", ["descending", "random", "interleaved"])
+def test_component_finder_settles_paths_in_logarithmic_sweeps(layout, monkeypatch):
+    # laid out 0, d-1, d-2, ..., 1, a path hands the smallest label on one index
+    # per sweep under propagation alone; hooking roots must not need that many
+    dim = 300
+    rng = np.random.default_rng(11)
+    if layout == "descending":
+        paths = [np.r_[0, dim - 1:0:-1]]
+    elif layout == "random":
+        paths = [rng.permutation(dim)]
+    else:               # three paths, each in descending order, on interleaved indices
+        paths = [np.r_[c, np.arange(c, dim, 3)[:0:-1]] for c in range(3)]
+    mat = np.zeros((dim, dim))
+    for path in paths:
+        mat[path[1:], path[:-1]] = mat[path[:-1], path[1:]] = 1.0
+    sweeps = []
+    sweep = fock._label_sweep
+    monkeypatch.setattr(fock, "_label_sweep", lambda *a: sweeps.append(1) or sweep(*a))
+
+    labels = fock._component_labels(mat)
+    for path in paths:
+        assert (labels[path] == path.min()).all()
+    assert len(sweeps) <= 2 * int(np.ceil(np.log2(dim)))
 
 
 @SETTINGS

@@ -17,8 +17,10 @@ from focklab import (
     spin_epr,
     spin_ops,
 )
+from focklab import witnesses
 from focklab.fock import PureState
 from focklab.witnesses import (
+    _spin_epr_observables,
     casimir_residual,
     chsh_batch,
     chsh_correlation_tensor,
@@ -198,6 +200,20 @@ def test_spin_epr_separable_sweep():
         mix = random_one_boson_pair_mixture(rng)
         verdict = spin_epr(mix.summed(), part)
         assert verdict.margin <= 1e-10
+
+
+def test_spin_epr_memoises_only_systems_up_to_the_bound(monkeypatch):
+    state = singlet_spin()
+    part = Partition([("one", (0, 1)), ("two", (2, 3))])
+    _spin_epr_observables.cache_clear()
+    monkeypatch.setattr(witnesses, "SPIN_MEMO_MAX_DIM", state.system.dim - 1)
+    first = spin_epr(state, part)
+    assert _spin_epr_observables.cache_info().currsize == 0
+    monkeypatch.setattr(witnesses, "SPIN_MEMO_MAX_DIM", state.system.dim)
+    assert spin_epr(state, part) == first
+    assert spin_epr(state, part) == first
+    info = _spin_epr_observables.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
 
 
 def test_particle_entanglement_separable_zero():
