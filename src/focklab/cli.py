@@ -56,6 +56,7 @@ from . import (
     ramsey_vacuum_superposition,
     poisson_pmf,
 )
+from .lhv import CHUNK_ROWS
 from .ssr import clock_prob_by_evolution
 from .witnesses import chsh_batch, chsh_correlation_tensor
 from .sampling import (
@@ -414,14 +415,20 @@ def _exp_spin_epr_bound(params, tol, rng):
 
 def _exp_appendix_inequalities(params, tol, rng):
     n = params["n_samples"]
+    low, high = 2, 8     # sample sizes drawn from [low, high)
     ok_sum = ok_int = True
-    for _ in range(n):
-        size = int(rng.integers(2, 8))
-        p = rng.dirichlet(np.ones(size))
-        c = rng.random(size) * 10
-        d = rng.random(size) * 10
+    for start in range(0, n, CHUNK_ROWS):
+        # one sample per row, padded with P = C = D = 0 and a repeated last
+        # lambda, which add exactly 0.0 to every oracle sum
+        p, c, d, lam = np.zeros((4, min(CHUNK_ROWS, n - start), high - 1))
+        for row in range(len(p)):
+            size = int(rng.integers(low, high))
+            p[row, :size] = rng.dirichlet(np.ones(size))
+            c[row, :size] = rng.random(size) * 10
+            d[row, :size] = rng.random(size) * 10
+            lam[row, :size] = np.sort(rng.random(size))
+            lam[row, size:] = lam[row, size - 1]
         ok_sum = ok_sum and sum_inequality_oracle(p, c, d)
-        lam = np.sort(rng.random(size))
         ok_int = ok_int and integral_inequality_oracle(lam, p, c, d)
     p = rng.dirichlet(np.ones(5))
     c = rng.random(5) * 3

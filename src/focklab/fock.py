@@ -282,7 +282,8 @@ def _check_physical(matrix):
 
     Hermitian within 1e-12 (Frobenius), unit trace within 1e-12, smallest
     eigenvalue >= -1e-10, purity <= 1 + 1e-12.  Each check is written so that
-    a NaN residual fails it.  The spectrum comes from ``eigvalsh_blocks``.
+    a NaN residual fails it.  The spectrum comes from ``eigvalsh_blocks`` and
+    is returned, in block order.
     """
     with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
         herm = np.linalg.norm(matrix - matrix.conj().T)
@@ -297,6 +298,7 @@ def _check_physical(matrix):
     purity = float(np.sum(evals**2))
     if not purity <= 1.0 + PURITY_ATOL:
         raise ValueError(f"purity {purity} exceeds 1")
+    return evals
 
 
 class DensityOperator:
@@ -627,6 +629,11 @@ def partial_trace(state, partition, keep):
 def reduced_state(system, rows, block, keep_idx):
     """Reduced density operator on modes ``keep_idx`` of the state that is ``block``
     on basis ``rows`` and zero elsewhere; ``partial_trace`` passes every row."""
+    return DensityOperator(*_reduced_matrix(system, rows, block, keep_idx))
+
+
+def _reduced_matrix(system, rows, block, keep_idx):
+    """``(sub, matrix)`` of ``reduced_state``, with the matrix not yet checked."""
     sub, index, rest = _sub_codes(system, tuple(keep_idx))
     sub_codes, rest = index[rows], rest[rows]
     out = np.zeros((sub.dim, sub.dim), dtype=complex)
@@ -634,7 +641,7 @@ def reduced_state(system, rows, block, keep_idx):
         sel = np.nonzero(rest == code)[0]
         subs = sub_codes[sel]
         out[np.ix_(subs, subs)] += block[np.ix_(sel, sel)]
-    return DensityOperator(sub, out)
+    return sub, out
 
 
 def commutator_norm(x, y):

@@ -16,6 +16,10 @@ from .fock import NORM_ATOL
 from .measurement import outcome_distribution
 
 ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
+# rows per array step of the stacked paths (the CHSH sweep's settings, the
+# oracle stacks of the appendix scenario), so peak memory does not grow with
+# the number of draws
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -26,20 +30,27 @@ class LHVObservable:
     pmf: np.ndarray        # shape (n_hidden, n), rows sum to 1
 
 
+def _check_distributions(rows, message):
+    """Raise ValueError(message) unless every row along the last axis is a
+    distribution: nonnegative, summing to 1 within ``NORM_ATOL``.  NaN and an
+    empty array fail."""
+    if (rows.size == 0 or rows.min() < 0
+            or not np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= NORM_ATOL):
+        raise ValueError(message)
+
+
 class DiscreteLHVModel:
     """Hidden-value distribution plus per-observable outcome pmfs."""
 
     def __init__(self, weights, observables):
         weights = np.asarray(weights, dtype=float)
-        if weights.min() < 0 or not abs(weights.sum() - 1.0) <= NORM_ATOL:
-            raise ValueError("hidden-value probabilities must be a distribution")
+        _check_distributions(weights, "hidden-value probabilities must be a distribution")
         n_hidden = len(weights)
         for name, obs in observables.items():
             pmf = np.asarray(obs.pmf, dtype=float)
             if pmf.shape != (n_hidden, len(obs.values)):
                 raise ValueError(f"pmf shape mismatch for observable {name!r}")
-            if pmf.min() < 0 or not np.max(np.abs(pmf.sum(axis=1) - 1.0)) <= NORM_ATOL:
-                raise ValueError(f"pmf rows for {name!r} are not distributions")
+            _check_distributions(pmf, f"pmf rows for {name!r} are not distributions")
         self.weights = weights
         self.observables = dict(observables)
 
@@ -47,11 +58,18 @@ class DiscreteLHVModel:
 def lhv_joint(model, assignments):
     """Joint probability of named outcomes: sum_xi P(xi) prod_K P_K(i_K, xi).
 
-    ``assignments`` is a list of (observable name, outcome index) pairs.
+    ``assignments`` is a list of (observable name, outcome index) pairs; an
+    index must be an integer in 0..n-1 for an observable of n outcomes.
     """
     acc = model.weights.copy()
     for name, outcome in assignments:
-        acc = acc * model.observables[name].pmf[:, outcome]
+        pmf = model.observables[name].pmf
+        n = pmf.shape[1]
+        if (not isinstance(outcome, (int, np.integer)) or isinstance(outcome, bool)
+                or not 0 <= outcome < n):
+            raise ValueError(f"outcome index of {name!r} must be an integer in "
+                             f"0..{n - 1}, got {outcome!r}")
+        acc = acc * pmf[:, outcome]
     return float(acc.sum())
 
 
@@ -96,21 +114,30 @@ def lhv_chsh_bound_sweep(n_models, n_settings, rng):
     ``n_settings`` random outcome-pmf assignments for the four observables,
     drawn from ``rng`` (a numpy Generator or a seed).  The classical bound
     keeps every value at or below 2.
+
+    Each model's settings are drawn ``CHUNK_ROWS`` at a time as one
+    (settings, observable, hidden value) array of P(+1): the stream of one
+    ``rng.random(n_hidden)`` per observable A1, A2, B1, B2 per setting.  The
+    weights and pmf rows pass ``DiscreteLHVModel``'s checks, and S is summed
+    in ``chsh_mean``'s order, so the result is that of one model per setting
+    bit for bit.
     """
     rng = np.random.default_rng(rng)
     best = 0.0
-    values = (1.0, -1.0)
     for _ in range(n_models):
         n_hidden = int(rng.integers(1, 6))
         weights = rng.dirichlet(np.ones(n_hidden))
-        for _ in range(n_settings):
-            observables = {}
-            for name in ("A1", "A2", "B1", "B2"):
-                p_up = rng.random(n_hidden)
-                pmf = np.column_stack([p_up, 1.0 - p_up])
-                observables[name] = LHVObservable(values, pmf)
-            model = DiscreteLHVModel(weights, observables)
-            best = max(best, abs(chsh_mean(model)))
+        _check_distributions(weights, "hidden-value probabilities must be a distribution")
+        for start in range(0, n_settings, CHUNK_ROWS):
+            p_up = rng.random((min(CHUNK_ROWS, n_settings - start), 4, n_hidden))
+            pmf = np.stack([p_up, 1.0 - p_up], axis=-1)
+            for k, name in enumerate(("A1", "A2", "B1", "B2")):
+                _check_distributions(pmf[:, k], f"pmf rows for {name!r} are not distributions")
+            # pmf @ (1, -1): both products are exact, so one rounding either way
+            a1, a2, b1, b2 = (pmf[:, k, :, 0] - pmf[:, k, :, 1] for k in range(4))
+            s = (np.sum(weights * a1 * b1, axis=-1) + np.sum(weights * a1 * b2, axis=-1)
+                 + np.sum(weights * a2 * b1, axis=-1) - np.sum(weights * a2 * b2, axis=-1))
+            best = max(best, float(np.abs(s).max()))
     return best
 
 
@@ -147,15 +174,22 @@ def ghz_assignment_search(xxx_target=1):
 
 
 def sum_inequality_oracle(p, c, d):
-    """Check sum(PC) sum(PD) >= (sum(P sqrt(CD)))^2 for nonnegative inputs."""
+    """Check sum(PC) sum(PD) >= (sum(P sqrt(CD)))^2 for nonnegative inputs.
+
+    The sums run along the last axis, so a stack of rows (the inputs
+    broadcast together) holds only when every row holds; 1-D inputs are one
+    row.  A negative or NaN entry in any row raises ValueError.  A zero P
+    entry adds exactly 0.0 to every sum, so ragged rows may be padded with
+    P = 0 and any nonnegative C and D.
+    """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     if not (p.min() >= 0 and c.min() >= 0 and d.min() >= 0):   # NaN fails too
         raise ValueError("inputs must be nonnegative")
-    lhs = float(np.sum(p * c) * np.sum(p * d))
-    rhs = float(np.sum(p * np.sqrt(c * d)) ** 2)
-    return lhs >= rhs - ORACLE_RTOL * max(1.0, abs(lhs))
+    lhs = np.sum(p * c, axis=-1) * np.sum(p * d, axis=-1)
+    rhs = np.sum(p * np.sqrt(c * d), axis=-1) ** 2
+    return bool(np.all(lhs >= rhs - ORACLE_RTOL * np.maximum(1.0, np.abs(lhs))))
 
 
 def integral_inequality_oracle(lam, p, c, d):
@@ -164,11 +198,14 @@ def integral_inequality_oracle(lam, p, c, d):
     With trapezoidal weights w_i, w_i P_i in place of P_R is exactly the
     discrete inequality, so it holds whenever every w_i P_i, C and D is
     nonnegative; other inputs raise ValueError.  A grid that steps down gives
-    negative weights, so positive samples on it are rejected.
+    negative weights, so positive samples on it are rejected.  As for
+    ``sum_inequality_oracle``, each row along the last axis is one grid and
+    a stack holds only when every row holds.  A row padded by repeating its
+    last lambda, with P = 0, gets zero weight there and the same verdict.
     """
     lam = np.asarray(lam, dtype=float)
     w = np.zeros_like(lam)
-    dl = np.diff(lam)
-    w[:-1] += 0.5 * dl
-    w[1:] += 0.5 * dl
+    dl = np.diff(lam, axis=-1)
+    w[..., :-1] += 0.5 * dl
+    w[..., 1:] += 0.5 * dl
     return sum_inequality_oracle(w * np.asarray(p, dtype=float), c, d)

@@ -13,13 +13,13 @@ from .fock import (
     NORM_ATOL,
     Operator,
     PureState,
+    _check_physical,
+    _reduced_matrix,
     annihilation,
     as_density,
-    eigvalsh_blocks,
     expectation,
     ladder_sum,
     number_sectors,
-    reduced_state,
 )
 from .measurement import spectral, unrecorded_conditioned_variance
 
@@ -240,8 +240,9 @@ def particle_entanglement(state, partition):
     keys = num_a * (int(num_b.max()) + 1) + num_b   # unique (nA, nB) encoding
     ep = 0.0
     for _, weight, sel, block in number_sectors(rho, keys):
-        reduced = reduced_state(system, sel, block, idx_a)
-        evals = eigvalsh_blocks(reduced.matrix)
+        # the reduced state's physicality checks give its spectrum
+        _, reduced = _reduced_matrix(system, sel, block, idx_a)
+        evals = _check_physical(reduced)
         evals = evals[evals > 1e-15]
         ep += weight * float(-(evals * np.log(evals)).sum())
     return ep

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focklab.cli import EXPERIMENTS, emit, main, run_experiment, run_scenario
 
@@ -265,6 +267,32 @@ def test_wrongly_typed_params_exit_two(tmp_path, capsys, experiment, params):
     _assert_one_error_line(capsys)
     with pytest.raises(ValueError):
         run_experiment(experiment, params=params)
+
+
+EDGE_VALUES = (0, 1, 2, 1e-300, -1e-300, 1e300, -1, 0.5, 3.0)
+# every param of every experiment but the two that build a dim-100 to dim-361
+# space per run; each other count is 2, so one run takes milliseconds
+EDGE_EXPERIMENTS = sorted(set(EXPERIMENTS) - {"atom_molecule", "two_mode_coherent_mixture"})
+EDGE_CASES = [(name, key) for name in EDGE_EXPERIMENTS for key in EXPERIMENTS[name][1]]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.sampled_from(EDGE_CASES), st.sampled_from(EDGE_VALUES))
+def test_an_edge_value_of_any_param_passes_or_is_a_param_error(case, value):
+    name, key = case
+    defaults = EXPERIMENTS[name][1]
+    params = {k: 2 for k, v in defaults.items()
+              if k.startswith("n_") and not isinstance(v, list)}
+    params[key] = [value] if isinstance(defaults[key], list) else value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = run_experiment(name, params=params)
+        except ValueError:
+            return
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert not failed, (params, failed)
+    assert not caught, (params, [str(w.message) for w in caught])
 
 
 @pytest.mark.parametrize("field", [{"tolerances": [1e-3]},

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,15 @@ from focklab import (
     sum_inequality_oracle,
     tensor_embed,
 )
+from focklab import lhv
+from focklab.cli import run_experiment
 from focklab.fock import Partition
-from focklab.lhv import DiscreteLHVModel, LHVObservable, deterministic_chsh_corners
+from focklab.lhv import (
+    DiscreteLHVModel,
+    LHVObservable,
+    chsh_mean,
+    deterministic_chsh_corners,
+)
 from focklab.states import MixtureComponent, SeparableMixture
 
 
@@ -74,6 +83,62 @@ def test_deterministic_corners_saturate_bound():
 def test_random_models_respect_bound():
     best = lhv_chsh_bound_sweep(200, 50, rng=2)
     assert best <= 2.0 + 1e-12
+
+
+def _object_per_draw_sweep(n_models, n_settings, rng):
+    """The sweep as one DiscreteLHVModel per setting, with chsh_mean."""
+    rng = np.random.default_rng(rng)
+    best = 0.0
+    for _ in range(n_models):
+        n_hidden = int(rng.integers(1, 6))
+        weights = rng.dirichlet(np.ones(n_hidden))
+        for _ in range(n_settings):
+            observables = {name: _pm_observable(rng.random(n_hidden))
+                           for name in ("A1", "A2", "B1", "B2")}
+            best = max(best, abs(chsh_mean(DiscreteLHVModel(weights, observables))))
+    return best
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_sweep_equals_the_object_per_draw_reference_bit_for_bit(chunk, monkeypatch):
+    monkeypatch.setattr(lhv, "CHUNK_ROWS", chunk)
+    for seed in range(6):
+        # one setting per model: the result is that setting's |S| itself
+        assert lhv_chsh_bound_sweep(1, 1, seed) == _object_per_draw_sweep(1, 1, seed)
+        for n_models, n_settings in ((3, 2), (2, 3), (2, 4), (3, 7), (1, 10)):
+            got = lhv_chsh_bound_sweep(n_models, n_settings, seed)
+            assert got == _object_per_draw_sweep(n_models, n_settings, seed)
+            assert type(got) is float
+    # one setting past a chunk, and a second model drawn after it
+    n_settings = lhv.CHUNK_ROWS + 1
+    assert lhv_chsh_bound_sweep(2, n_settings, 7) == _object_per_draw_sweep(2, n_settings, 7)
+
+
+def test_sweep_with_no_draws_is_zero():
+    assert lhv_chsh_bound_sweep(0, 20, 0) == 0.0
+    assert lhv_chsh_bound_sweep(5, 0, 0) == 0.0
+
+
+def _peak_bytes(func):
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stacked_paths_hold_one_chunk_at_a_time(monkeypatch):
+    # one draw array of 200_000 settings x 4 observables x up to 5 hidden
+    # values would alone be 32 MB
+    assert _peak_bytes(lambda: lhv_chsh_bound_sweep(1, 200_000, 0)) < 8 * 2 ** 20
+    # the appendix stacks: with 64-row chunks, 64 and 640 samples peak alike
+    monkeypatch.setattr(lhv, "CHUNK_ROWS", 64)
+    monkeypatch.setattr("focklab.cli.CHUNK_ROWS", 64)
+    peaks = [_peak_bytes(lambda: run_experiment("appendix_inequalities",
+                                                {"n_samples": n}))
+             for n in (64, 640)]
+    assert peaks[1] < peaks[0] + 16 * 2 ** 10
 
 
 def test_all_four_sign_placements_bounded():
@@ -214,6 +279,10 @@ def test_oracles_reject_negative_inputs():
     # a grid that steps down gives negative trapezoid weights
     with pytest.raises(ValueError, match="nonnegative"):
         integral_inequality_oracle([1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+    # also when it steps down only into its last point, in any row of a stack
+    lam = [[0.0, 1.0, 2.0], [0.0, 1.0, 0.5]]
+    with pytest.raises(ValueError, match="nonnegative"):
+        integral_inequality_oracle(lam, [[1.0, 0.0, 1.0]] * 2, np.ones((2, 3)), np.ones(3))
 
 
 def test_model_rejects_nan():
@@ -227,6 +296,18 @@ def test_model_rejects_nan():
 def test_model_validation():
     with pytest.raises(ValueError, match="distribution"):
         DiscreteLHVModel(np.array([0.7, 0.7]), {})
+    with pytest.raises(ValueError, match="must be a distribution"):
+        DiscreteLHVModel([], {})
+    with pytest.raises(ValueError, match="rows"):
+        DiscreteLHVModel(np.array([1.0]), {"A": LHVObservable((), np.zeros((1, 0)))})
     with pytest.raises(ValueError, match="rows"):
         DiscreteLHVModel(np.array([1.0]),
                          {"A": LHVObservable((1.0, -1.0), np.array([[0.5, 0.4]]))})
+
+
+@pytest.mark.parametrize("outcome", [-1, 2, 1.0, True, np.float64(0.0), "0"])
+def test_joint_rejects_an_outcome_index_out_of_range_or_not_integer(outcome):
+    model = DiscreteLHVModel(np.array([1.0]), {"A": _pm_observable([0.85])})
+    with pytest.raises(ValueError, match="outcome index of 'A'"):
+        lhv_joint(model, [("A", outcome)])
+    assert lhv_joint(model, [("A", np.int64(1))]) == pytest.approx(0.15)

@@ -46,6 +46,7 @@ from focklab.measurement import (
     unrecorded_conditioned_variance,
     unrecorded_state,
 )
+from focklab.lhv import integral_inequality_oracle, sum_inequality_oracle
 from focklab.sampling import random_density, random_number_diagonal_mixture
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=50)
@@ -466,3 +467,86 @@ def test_density_check_rejects_a_negative_eigenvalue_in_one_block(case):
     rng.bit_generator.state = state
     with pytest.raises(ValueError, match="not positive semidefinite"):
         DensityOperator(system, permuted_blocks(sizes, lam, rng))
+
+
+@st.composite
+def oracle_samples(draw):
+    """Ragged oracle samples: one (lambda, P, C, D) row of 1 to 6 points each,
+    lambda ascending, P with zeros, and D equal to C in some rows (equality)."""
+    rng = np.random.default_rng(draw(seeds))
+    rows = []
+    for size in draw(st.lists(st.integers(1, 6), min_size=1, max_size=6)):
+        lam = np.sort(rng.random(size) * 4)
+        p = rng.random(size) * (rng.random(size) < 0.8)
+        c = rng.random(size) * 10
+        d = c.copy() if rng.random() < 0.3 else rng.random(size) * 10
+        rows.append((lam, p, c, d))
+    return rows, rng
+
+
+def padded_stack(rows):
+    """The rows as (lambda, P, C, D) stacks, padded with P = C = D = 0 and a
+    repeated last lambda."""
+    width = max(len(row[0]) for row in rows)
+    lam, p, c, d = np.zeros((4, len(rows), width))
+    for i, (lam_i, p_i, c_i, d_i) in enumerate(rows):
+        k = len(lam_i)
+        lam[i, :k], lam[i, k:] = lam_i, lam_i[-1]
+        p[i, :k], c[i, :k], d[i, :k] = p_i, c_i, d_i
+    return lam, p, c, d
+
+
+def oracle_verdicts(rows):
+    """(sum, integral) verdicts of the rows stacked, and of each row alone."""
+    lam, p, c, d = padded_stack(rows)
+    stacked = (sum_inequality_oracle(p, c, d), integral_inequality_oracle(lam, p, c, d))
+    alone = (all(sum_inequality_oracle(*row[1:]) for row in rows),
+             all(integral_inequality_oracle(*row) for row in rows))
+    return stacked, alone
+
+
+@SETTINGS
+@given(oracle_samples())
+def test_stacked_oracles_hold_when_every_row_holds(case):
+    rows, rng = case
+    stacked, alone = oracle_verdicts(rows)
+    assert stacked == alone == (True, True)
+    # rows of one length stack with no padding
+    k = min(len(row[0]) for row in rows)
+    cut = [tuple(a[:k] for a in row) for row in rows]
+    lam, p, c, d = (np.stack(a) for a in zip(*cut))
+    assert sum_inequality_oracle(p, c, d) == all(sum_inequality_oracle(*r[1:]) for r in cut)
+    assert integral_inequality_oracle(lam, p, c, d) == all(
+        integral_inequality_oracle(*r) for r in cut)
+
+
+@SETTINGS
+@given(oracle_samples())
+def test_one_failing_row_fails_the_stack(case):
+    rows, rng = case
+    # an overflowing row: its lhs and rhs are both inf, and inf - inf is NaN
+    big = np.full(2, 1e200)
+    bad = (np.array([0.0, 1.0]), np.ones(2), big, big)
+    rows.insert(int(rng.integers(len(rows) + 1)), bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not sum_inequality_oracle(*bad[1:])
+        assert not integral_inequality_oracle(*bad)
+        assert oracle_verdicts(rows) == ((False, False), (False, False))
+
+
+@SETTINGS
+@given(oracle_samples(), st.sampled_from([-1e-300, -0.5, np.nan]))
+def test_a_negative_or_nan_entry_in_any_row_is_rejected(case, bad):
+    rows, rng = case
+    i = int(rng.integers(len(rows)))
+    j = int(rng.integers(len(rows[i][0])))
+    which = int(rng.integers(1, 4))     # P, C or D
+    rows[i][which][j] = bad
+    lam, p, c, d = padded_stack(rows)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sum_inequality_oracle(p, c, d)
+    # the integral oracle checks w P, and a negative P may meet a zero
+    # trapezoid weight (a one-point grid, or a repeated lambda)
+    if which > 1 or np.isnan(bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            integral_inequality_oracle(lam, p, c, d)

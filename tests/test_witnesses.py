@@ -17,7 +17,7 @@ from focklab import (
     spin_epr,
     spin_ops,
 )
-from focklab import witnesses
+from focklab import fock, witnesses
 from focklab.fock import PureState
 from focklab.witnesses import (
     _spin_epr_observables,
@@ -226,6 +226,22 @@ def test_particle_entanglement_separable_zero():
     rho = mixed_N_boson([0.3, 0.3, 0.4])
     part2 = Partition([("A", (0,)), ("B", (1,))])
     assert particle_entanglement(rho, part2) <= 1e-10
+
+
+def test_particle_entanglement_solves_each_kept_sector_twice(monkeypatch):
+    # once for the sector block's checks, once for its reduced state's checks,
+    # which also give the entropy
+    system = bosons(2, 2)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    rho = random_number_diagonal_mixture(system, part, np.random.default_rng(0)).summed()
+    calls = []
+    solve = fock.eigh_blocks
+    monkeypatch.setattr(fock, "eigh_blocks", lambda *a: calls.append(1) or solve(*a))
+    kept = len(list(fock.number_sectors(rho, system.occupancies @ [3, 1])))
+    calls.clear()
+    particle_entanglement(rho, part)
+    assert kept == 9
+    assert len(calls) == 2 * kept
 
 
 def test_particle_entanglement_product_one_one():
