@@ -284,21 +284,42 @@ def _check_physical(matrix):
     eigenvalue >= -1e-10, purity <= 1 + 1e-12.  Each check is written so that
     a NaN residual fails it.  The spectrum comes from ``eigvalsh_blocks`` and
     is returned, in block order.
+
+    ``matrix`` may also be an (n, d, d) stack, as the samplers build below
+    ``BLOCK_MIN_DIM``.  Every matrix of it takes the same four checks, a
+    failure names the index of the first failing matrix, and the (n, d)
+    spectra come from one batched ``eigh_blocks`` call, ascending per matrix.
     """
     with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
-        herm = np.linalg.norm(matrix - matrix.conj().T)
-    if not herm <= HERM_ATOL:
-        raise ValueError(f"not Hermitian: residual {herm}")
-    tr = np.trace(matrix)
-    if not abs(tr - 1.0) <= TRACE_ATOL:
-        raise ValueError(f"trace {tr} is not 1 within {TRACE_ATOL}")
-    evals = eigvalsh_blocks(matrix)
-    if not evals.min() >= -PSD_SLACK:
-        raise ValueError(f"not positive semidefinite: min eigenvalue {evals.min()}")
-    purity = float(np.sum(evals**2))
-    if not purity <= 1.0 + PURITY_ATOL:
-        raise ValueError(f"purity {purity} exceeds 1")
+        residual = matrix - matrix.swapaxes(-1, -2).conj()
+        herm = np.sqrt(_row_dots(residual.reshape(*matrix.shape[:-2], -1).view(float)))
+    _require(herm <= HERM_ATOL, herm, "not Hermitian: residual {}")
+    tr = matrix.trace(axis1=-2, axis2=-1)
+    _require(abs(tr - 1.0) <= TRACE_ATOL, tr, f"trace {{}} is not 1 within {TRACE_ATOL}")
+    evals = eigvalsh_blocks(matrix) if matrix.ndim == 2 else eigh_blocks(matrix, False)[0][1]
+    low = evals.min(axis=-1)
+    _require(low >= -PSD_SLACK, low, "not positive semidefinite: min eigenvalue {}")
+    purity = _row_dots(evals)
+    _require(purity <= 1.0 + PURITY_ATOL, purity, "purity {} exceeds 1")
     return evals
+
+
+def _row_dots(x):
+    """x . x of a real vector, or of each row of a stack of them."""
+    return x @ x if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _require(ok, values, message):
+    """Raise ValueError with ``message`` formatted by the failing value unless
+    ``ok`` holds; per matrix of a stack, naming the first failing index."""
+    if ok.ndim == 0:
+        if ok:
+            return
+        raise ValueError(message.format(values))
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    raise ValueError(f"stack matrix {i}: " + message.format(values[i]))
 
 
 class DensityOperator:
@@ -324,6 +345,24 @@ class DensityOperator:
 
     def __repr__(self):
         return f"DensityOperator(dim={self.system.dim})"
+
+
+def _density_stack(systems, stack):
+    """One read-only DensityOperator per matrix of an (n, d, d) stack, the i-th
+    on ``systems[i]``.  The stack is checked once by ``_check_physical``, and
+    no matrix is checked again on its own."""
+    stack = np.array(stack, dtype=complex)
+    if stack.shape != (len(systems),) + stack.shape[-1:] * 2 or any(
+            s.dim != stack.shape[-1] for s in systems):
+        raise ValueError("density stack shape does not match its systems")
+    _check_physical(stack)
+    stack.setflags(write=False)
+    out = []
+    for system, matrix in zip(systems, stack):
+        rho = object.__new__(DensityOperator)
+        rho.system, rho.matrix = system, matrix
+        out.append(rho)
+    return out
 
 
 def as_density(state):
@@ -522,10 +561,16 @@ def eigh_blocks(matrix, vectors):
     read off the diagonal.  A matrix below ``BLOCK_MIN_DIM`` or of one
     component takes one dense ``eigh``/``eigvalsh`` call, as before blocks.
     As with a dense solve, only the lower triangle is read.
+
+    An (n, d, d) stack is solved whole, matrix by matrix, in one batched dense
+    call, 1 x 1 matrices too: each matrix is one component, so the one
+    triple's ``indices`` are (n, d) rows of 0..d-1.
     """
-    dim = len(matrix)
-    labels = _component_labels(matrix) if dim >= BLOCK_MIN_DIM else None
-    if labels is None or not labels.any():
+    dim = matrix.shape[-1]
+    labels = _component_labels(matrix) if matrix.ndim == 2 and dim >= BLOCK_MIN_DIM else None
+    if matrix.ndim == 3:
+        groups = [np.arange(dim)[None].repeat(len(matrix), axis=0)]
+    elif labels is None or not labels.any():
         groups = [np.arange(dim)[None]]
     else:
         _, component, sizes = np.unique(labels, return_inverse=True, return_counts=True)
@@ -535,11 +580,11 @@ def eigh_blocks(matrix, vectors):
     out = []
     for idx in groups:
         k = idx.shape[1]
-        if k == 1:
+        if k == 1 and matrix.ndim == 2:
             out.append((idx, matrix[idx, idx].real,
                         np.ones((len(idx), 1, 1), dtype=complex) if vectors else None))
             continue
-        # a dense solve takes the 2-D matrix itself, as before blocks
+        # a dense solve takes the 2-D matrix or the stack itself, as before blocks
         blocks = matrix if k == dim else matrix[idx[:, :, None], idx[:, None, :]]
         if vectors:
             evals, vecs = np.linalg.eigh(blocks)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import (DensityOperator, PureState, Partition, bosons, qubits,
-                   sector_blocks, sub_system)
+from .fock import (DensityOperator, PureState, Partition, _density_stack, bosons,
+                   qubits, sector_blocks, sub_system)
 from .states import MixtureComponent, SeparableMixture
 from .witnesses import CHSHSetting
 
@@ -61,33 +61,48 @@ def random_global_ssr_state(system, rng):
     return DensityOperator(system, mat)
 
 
+def _unit_trace_grams(rng, n, dim):
+    """n ``_ginibre_gram`` draws from the same stream, each divided by its trace,
+    as one (n, dim, dim) stack."""
+    g = rng.standard_normal((n, 2, dim, dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    grams = g @ g.conj().transpose(0, 2, 1)
+    grams /= np.real(np.trace(grams, axis1=1, axis2=2))[:, None, None]
+    return grams
+
+
+def _separable_mixture(system, partition, probs, subs, mats):
+    """Mixture of ``probs`` whose factors ``mats`` on ``subs`` are listed component
+    by component, in partition order; the factors of each dimension are checked
+    as one stack."""
+    factors = [None] * len(subs)
+    for _, sel in sector_blocks([sub.dim for sub in subs]):
+        checked = _density_stack([subs[i] for i in sel], np.stack([mats[i] for i in sel]))
+        for i, rho in zip(sel, checked):
+            factors[i] = rho
+    names = partition.names
+    return SeparableMixture(system, partition, [
+        MixtureComponent(p, dict(zip(names, factors[r * len(names):])))
+        for r, p in enumerate(probs)])
+
+
 def random_qubit_pair_mixture(rng):
     """Separable mixture of four products of generic qubit states on two modes."""
     system = qubits(2)
     partition = Partition([("A", (0,)), ("B", (1,))])
-    sub_a = sub_system(system, (0,))
-    sub_b = sub_system(system, (1,))
+    subs = [sub_system(system, (0,)), sub_system(system, (1,))] * 4
     probs = rng.dirichlet(np.ones(4))
-    components = [
-        MixtureComponent(p, {"A": random_density(sub_a, rng),
-                             "B": random_density(sub_b, rng)})
-        for p in probs
-    ]
-    return SeparableMixture(system, partition, components)
+    # the A then the B factor of each component, as ``random_density`` drew them
+    mats = _unit_trace_grams(rng, len(subs), 2)
+    return _separable_mixture(system, partition, probs, subs, mats)
 
 
 def random_number_diagonal_mixture(system, partition, rng):
     """Three-term separable mixture with number-diagonal (locally SSR compliant) factors."""
     probs = rng.dirichlet(np.ones(3))
-    components = []
-    for p in probs:
-        factors = {}
-        for name in partition.names:
-            sub = sub_system(system, partition.modes_of(name))
-            diag = rng.dirichlet(np.ones(sub.dim))
-            factors[name] = DensityOperator(sub, np.diag(diag.astype(complex)))
-        components.append(MixtureComponent(p, factors))
-    return SeparableMixture(system, partition, components)
+    subs = [sub_system(system, partition.modes_of(name)) for name in partition.names] * 3
+    mats = [np.diag(rng.dirichlet(np.ones(sub.dim)).astype(complex)) for sub in subs]
+    return _separable_mixture(system, partition, probs, subs, mats)
 
 
 def random_one_boson_pair_mixture(rng):
@@ -98,17 +113,11 @@ def random_one_boson_pair_mixture(rng):
     """
     system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
     partition = Partition([("one", (0, 1)), ("two", (2, 3))])
+    subs = [sub_system(system, partition.modes_of(name)) for name in partition.names] * 3
     probs = rng.dirichlet(np.ones(3))
-    components = []
-    for p in probs:
-        factors = {}
-        for name in partition.names:
-            sub = sub_system(system, partition.modes_of(name))
-            sel = sub.indices_of([(0, 1), (1, 0)])
-            block = _ginibre_gram(rng, 2)
-            block /= np.real(np.trace(block))
-            mat = np.zeros((sub.dim, sub.dim), dtype=complex)
-            mat[np.ix_(sel, sel)] = block
-            factors[name] = DensityOperator(sub, mat)
-        components.append(MixtureComponent(p, factors))
-    return SeparableMixture(system, partition, components)
+    blocks = _unit_trace_grams(rng, len(subs), 2)
+    # both pairs are two cutoff-1 modes, with the same one-boson indices
+    sel = subs[0].indices_of([(0, 1), (1, 0)])
+    mats = np.zeros((len(subs), subs[0].dim, subs[0].dim), dtype=complex)
+    mats[:, sel[:, None], sel] = blocks
+    return _separable_mixture(system, partition, probs, subs, mats)

@@ -119,7 +119,9 @@ def qcf(state, n, m, l, k):
     occ = system.occupancies
     pops = rho.matrix.diagonal().real
     for mode, raise_by, lower_by in ((0, n, m), (1, l, k)):
-        if raise_by == 0:
+        # raising acts after lowering and no occupancy exceeds the cutoff, so
+        # only a net raise can reach past it
+        if raise_by <= lower_by:
             continue
         cutoff = system.modes[mode].cutoff
         saturating = occ[:, mode] + raise_by - lower_by > cutoff

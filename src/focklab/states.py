@@ -57,16 +57,24 @@ class SeparableMixture:
         self.components = tuple(components)
 
     def summed(self):
-        """The mixture as a single density operator on the full system."""
-        sub_codes = {name: _sub_codes(self.system, self.partition.modes_of(name))[1]
-                     for name in self.partition.names}
-        out = np.zeros((self.system.dim, self.system.dim), dtype=complex)
-        for comp in self.components:
-            term = np.full((self.system.dim, self.system.dim), comp.probability,
-                           dtype=complex)
-            for name, factor in comp.factors.items():
-                codes = sub_codes[name]
-                term *= factor.matrix[np.ix_(codes, codes)]
+        """The mixture as a single density operator on the full system.
+
+        The terms P_R rho_R^A x rho_R^B x ... form one (R, d, d) array: each
+        subsystem's stack of factors, gathered onto the full basis by
+        ``_sub_codes``, multiplies the probabilities in partition order.  The
+        terms are then added to zero one by one, in component order, so every
+        entry has the bits of a term-by-term sum.
+        """
+        dim = self.system.dim
+        probs = np.array([c.probability for c in self.components], dtype=complex)
+        terms = np.empty((len(probs), dim, dim), dtype=complex)
+        terms[:] = probs[:, None, None]
+        for name in self.partition.names:
+            codes = _sub_codes(self.system, self.partition.modes_of(name))[1]
+            factors = np.stack([c.factors[name].matrix for c in self.components])
+            terms *= factors[:, codes[:, None], codes]
+        out = np.zeros((dim, dim), dtype=complex)
+        for term in terms:
             out += term
         return DensityOperator(self.system, out)
 

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import sys
 import time
 import tracemalloc
@@ -7,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import focklab
 from focklab import (
     ModeSystem,
     Partition,
@@ -452,3 +455,32 @@ def test_ladder_and_embedding_are_thread_safe():
         sys.setswitchinterval(interval)
     for got in results:
         assert all(np.array_equal(g, s) for g, s in zip(got, serial, strict=True))
+
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _eigensolver_uses(tree):
+    """(enclosing function, solver name) of each eigensolver a module names."""
+    uses = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS:
+            uses.append((func, node.attr))
+        if isinstance(node, ast.ImportFrom):
+            uses.extend((func, a.name) for a in node.names if a.name in EIGENSOLVERS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return uses
+
+
+def test_eigh_blocks_is_the_only_eigensolver():
+    src = pathlib.Path(focklab.__file__).parent
+    found = {path.name: _eigensolver_uses(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py"))}
+    found = {name: uses for name, uses in found.items() if uses}
+    assert found == {"fock.py": [("eigh_blocks", "eigh"), ("eigh_blocks", "eigvalsh")]}

@@ -469,6 +469,87 @@ def test_density_check_rejects_a_negative_eigenvalue_in_one_block(case):
         DensityOperator(system, permuted_blocks(sizes, lam, rng))
 
 
+def _density_draws(rng, n, d):
+    """n random d x d densities of random rank as one (n, d, d) stack."""
+    stack = np.empty((n, d, d), dtype=complex)
+    for i in range(n):
+        g = rng.standard_normal((d, rng.integers(1, d + 1)))
+        g = g + 1j * rng.standard_normal(g.shape)
+        stack[i] = g @ g.conj().T
+        stack[i] /= np.real(np.trace(stack[i]))
+    return stack
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 9), seeds)
+def test_a_stacked_check_gives_each_matrix_its_own_spectrum(d, n, seed):
+    stack = _density_draws(np.random.default_rng(seed), n, d)
+    spectra = fock._check_physical(stack)
+    assert spectra.shape == (n, d)
+    for mat, spectrum in zip(stack, spectra):
+        assert spectrum.tobytes() == fock._check_physical(mat).tobytes()
+    system = bosons(1, d - 1)
+    rhos = fock._density_stack([system] * n, stack)
+    assert [rho.matrix.tobytes() for rho in rhos] == [mat.tobytes() for mat in stack]
+    assert all(rho.system == system and not rho.matrix.flags.writeable for rho in rhos)
+
+
+def _anti_hermitian_noise(mat, rng):
+    a = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
+    return mat + 1e-9 * (a - a.conj().T)
+
+
+def _negative_eigenvalue(mat, rng):
+    # the smallest eigenvalue moved to -1e-9, its weight to another: trace kept at 1
+    lam, vecs = np.linalg.eigh(mat)
+    lam[1] += lam[0] + 1e-9
+    lam[0] = -1e-9
+    out = (vecs * lam) @ vecs.conj().T
+    return (out + out.conj().T) / 2
+
+
+def _purity_above_one(mat, rng):
+    # eigenvalues -5e-11, inside the PSD slack, and 1 + 5e-11, the rest 0:
+    # trace 1, purity 1 + 1e-10
+    lam, vecs = np.linalg.eigh(mat)
+    lam[:] = 0.0
+    lam[0], lam[-1] = -5e-11, 1.0 + 5e-11
+    out = (vecs * lam) @ vecs.conj().T
+    return (out + out.conj().T) / 2
+
+
+def _nan_entry(mat, rng):
+    out = mat.copy()
+    out[tuple(rng.integers(len(mat), size=2))] = np.nan
+    return out
+
+
+SPOILERS = {
+    "anti-Hermitian noise": (_anti_hermitian_noise, "not Hermitian"),
+    "trace 1 + 1e-9": (lambda mat, rng: mat * (1 + 1e-9), "trace"),
+    "eigenvalue -1e-9": (_negative_eigenvalue, "not positive semidefinite"),
+    "purity 1 + 1e-10": (_purity_above_one, "purity"),
+    "NaN entry": (_nan_entry, "not Hermitian"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPOILERS))
+@SETTINGS
+@given(st.integers(2, 6), st.integers(1, 9), seeds)
+def test_one_bad_matrix_fails_the_stack_by_its_index(kind, d, n, seed):
+    spoil, message = SPOILERS[kind]
+    rng = np.random.default_rng(seed)
+    stack = _density_draws(rng, n, d)
+    pos = int(rng.integers(n))
+    stack[pos] = spoil(stack[pos], rng)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fock._check_physical(stack[pos])
+    with pytest.raises(ValueError, match=f"^stack matrix {pos}: {message}"):
+        fock._check_physical(stack)
+    with pytest.raises(ValueError, match=f"^stack matrix {pos}: {message}"):
+        fock._density_stack([bosons(1, d - 1)] * n, stack)
+
+
 @st.composite
 def oracle_samples(draw):
     """Ragged oracle samples: one (lambda, P, C, D) row of 1 to 6 points each,

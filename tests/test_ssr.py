@@ -174,6 +174,19 @@ def test_qcf_truncation_warning():
         qcf(rho, 1, 0, 0, 0)
 
 
+def test_qcf_warns_only_for_a_net_raise_at_the_cutoff():
+    # all weight at the cutoff of both modes: net-zero and net-lowering powers
+    # never leave the truncated space, a net raise of either mode does
+    rho = bosons(2, 2).basis_state((2, 2)).density()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for powers in [(2, 2, 1, 1), (1, 1, 2, 2), (1, 2, 0, 1), (0, 0, 0, 0)]:
+            qcf(rho, *powers)
+    for powers, mode in [((2, 1, 1, 1), 0), ((1, 1, 1, 0), 1), ((3, 0, 0, 2), 0)]:
+        with pytest.warns(RuntimeWarning, match=f"cutoff of mode {mode}"):
+            qcf(rho, *powers)
+
+
 def test_qcf_rejects_negative_powers_and_a_single_mode():
     with pytest.raises(ValueError, match=">= 0"):
         qcf(bosons(2, 2).vacuum(), 0, 0, -1, 0)

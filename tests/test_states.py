@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import poisson, unitary_group
 
 from focklab import (
+    DensityOperator,
     ModeSystem,
     Partition,
     bosons,
@@ -28,7 +29,13 @@ from focklab.states import (
     verstraete_state,
     werner_qudit,
 )
-from focklab.sampling import random_density
+from focklab.fock import _sub_codes, qubits, sub_system
+from focklab.sampling import (
+    random_density,
+    random_number_diagonal_mixture,
+    random_one_boson_pair_mixture,
+    random_qubit_pair_mixture,
+)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0, 50.0, 250.0])
@@ -269,6 +276,116 @@ def test_separable_mixture_interleaved_partition():
     rho = mix.summed()
     assert np.abs(partial_trace(rho, part, "A").matrix - fa.matrix).max() < 1e-12
     assert np.abs(partial_trace(rho, part, "B").matrix - fb.matrix).max() < 1e-12
+
+
+# Reference samplers: one draw and one checked DensityOperator per factor, in
+# the stream order the stacked samplers keep.  Each returns (system, partition,
+# [(probability, {name: factor matrix})]).
+
+def _reference_gram(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    mat = g @ g.conj().T
+    return mat / np.real(np.trace(mat))
+
+
+def _reference_qubit_pair(rng):
+    system = qubits(2)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    sub_a, sub_b = sub_system(system, (0,)), sub_system(system, (1,))
+    probs = rng.dirichlet(np.ones(4))
+    return system, part, [
+        (p, {"A": DensityOperator(sub_a, _reference_gram(rng, 2)).matrix,
+             "B": DensityOperator(sub_b, _reference_gram(rng, 2)).matrix})
+        for p in probs]
+
+
+def _reference_number_diagonal(system, part, rng):
+    probs = rng.dirichlet(np.ones(3))
+    comps = []
+    for p in probs:
+        factors = {}
+        for name in part.names:
+            sub = sub_system(system, part.modes_of(name))
+            diag = rng.dirichlet(np.ones(sub.dim))
+            factors[name] = DensityOperator(sub, np.diag(diag.astype(complex))).matrix
+        comps.append((p, factors))
+    return system, part, comps
+
+
+def _reference_one_boson_pair(rng):
+    system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
+    part = Partition([("one", (0, 1)), ("two", (2, 3))])
+    probs = rng.dirichlet(np.ones(3))
+    comps = []
+    for p in probs:
+        factors = {}
+        for name in part.names:
+            sub = sub_system(system, part.modes_of(name))
+            sel = sub.indices_of([(0, 1), (1, 0)])
+            mat = np.zeros((sub.dim, sub.dim), dtype=complex)
+            mat[np.ix_(sel, sel)] = _reference_gram(rng, 2)
+            factors[name] = DensityOperator(sub, mat).matrix
+        comps.append((p, factors))
+    return system, part, comps
+
+
+# (sampler, reference) pairs; the number-diagonal ones on equal subsystems, on
+# subsystems of dims 2 and 3, and on three subsystems listed out of mode order
+SAMPLERS = [
+    (random_qubit_pair_mixture, _reference_qubit_pair),
+    (random_one_boson_pair_mixture, _reference_one_boson_pair),
+] + [
+    (lambda rng, s=system, p=part: random_number_diagonal_mixture(s, p, rng),
+     lambda rng, s=system, p=part: _reference_number_diagonal(s, p, rng))
+    for system, part in [
+        (bosons(2, 2), Partition([("A", (0,)), ("B", (1,))])),
+        (ModeSystem([("a", 1), ("b", 2)]), Partition([("A", (0,)), ("B", (1,))])),
+        (bosons(4, 1), Partition([("C", (3,)), ("A", (0, 2)), ("B", (1,))])),
+    ]
+]
+
+
+@pytest.mark.parametrize("sampler, reference", SAMPLERS)
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_samplers_equal_the_per_factor_draws(sampler, reference, seed):
+    mix = sampler(np.random.default_rng(seed))
+    system, part, comps = reference(np.random.default_rng(seed))
+    assert mix.system == system and mix.partition == part
+    assert len(mix.components) == len(comps)
+    for comp, (p, factors) in zip(mix.components, comps):
+        assert comp.probability == p
+        assert list(comp.factors) == list(part.names)
+        for name, mat in factors.items():
+            factor = comp.factors[name]
+            assert isinstance(factor, DensityOperator)
+            assert factor.system == sub_system(system, part.modes_of(name))
+            assert factor.matrix.tobytes() == mat.tobytes()
+            assert not factor.matrix.flags.writeable
+
+
+def _reference_summed(mix):
+    """Today's term-by-term sum: one term per component, in component order."""
+    dim = mix.system.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    for comp in mix.components:
+        term = np.full((dim, dim), comp.probability, dtype=complex)
+        for name, factor in comp.factors.items():
+            codes = _sub_codes(mix.system, mix.partition.modes_of(name))[1]
+            term *= factor.matrix[np.ix_(codes, codes)]
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("sampler", [s for s, _ in SAMPLERS])
+@pytest.mark.parametrize("seed", range(6))
+def test_summed_equals_the_term_by_term_sum_bit_for_bit(sampler, seed):
+    mix = sampler(np.random.default_rng(seed))
+    assert mix.summed().matrix.tobytes() == _reference_summed(mix).tobytes()
+
+
+def test_summed_of_the_verstraete_mixture_equals_the_term_by_term_sum():
+    _, mix = verstraete_state("mixture")
+    assert mix.summed().matrix.tobytes() == _reference_summed(mix).tobytes()
 
 
 def test_mixture_probability_validation():
