@@ -58,6 +58,7 @@ from . import (
 )
 from .lhv import CHUNK_ROWS
 from .ssr import clock_prob_by_evolution
+from .states import coherent_amplitudes
 from .witnesses import chsh_batch, chsh_correlation_tensor
 from .sampling import (
     random_chsh_directions,
@@ -307,12 +308,15 @@ def _exp_two_mode_coherent_mixture(params, tol, rng):
         raise ValueError(f"n_phases must exceed 2 * cutoff = {2 * cutoff}, got {n_phases}")
     rho = two_mode_coherent_mixture(alpha, cutoff)
     system = rho.system
-    vecs = []
-    for theta in 2.0 * np.pi * np.arange(n_phases) / n_phases:
-        vec_1m = coherent(alpha * np.exp(-1j * theta), cutoff).amplitudes
-        vecs.append(np.kron(vec_1m, vec_1m))
-    vecs = np.array(vecs)
-    quad = vecs.T @ vecs.conj() / n_phases
+    # sum_t |b_t, b_t><b_t, b_t| over CHUNK_ROWS phases at a time, so that
+    # neither the phases nor the two-mode vectors hold more than one chunk
+    quad = np.zeros((system.dim, system.dim), dtype=complex)
+    for start in range(0, n_phases, CHUNK_ROWS):
+        theta = 2.0 * np.pi * np.arange(start, min(start + CHUNK_ROWS, n_phases)) / n_phases
+        amps = coherent_amplitudes(alpha * np.exp(-1j * theta), cutoff)
+        vecs = (amps[:, :, None] * amps[:, None, :]).reshape(len(amps), -1)
+        quad += vecs.T @ vecs.conj()
+    quad /= n_phases
     occ = system.occupancies
     totals = occ.sum(axis=1)
     selection = rho.matrix[totals[:, None] != totals[None, :]]
@@ -445,12 +449,14 @@ def _exp_phase_clock(params, tol, rng):
     t_ = _tol(tol, 1e-12)
     worst = 0.0
     for n_max in params["n_max_values"]:
-        for p in range(0, n_max + 1, max(1, n_max // 4)):
-            for q in range(0, n_max + 1, max(1, n_max // 4)):
-                for omega_dt in (0.0, 0.3, 2 * np.pi / (n_max + 1), 1.7):
-                    direct = clock_prob_by_evolution(p, q, 1.0, omega_dt, n_max)
+        phases = range(0, n_max + 1, max(1, n_max // 4))
+        for omega_dt in (0.0, 0.3, 2 * np.pi / (n_max + 1), 1.7):
+            # one propagator per (n_max, omega dt) for the whole table
+            direct = clock_prob_by_evolution(phases, phases, 1.0, omega_dt, n_max)
+            for i, p in enumerate(phases):
+                for j, q in enumerate(phases):
                     closed = clock_prob(p, q, 1.0, omega_dt, n_max)
-                    worst = max(worst, abs(direct - closed))
+                    worst = max(worst, abs(float(direct[i, j]) - closed))
     return [_check_below("clock_formula_max_err", worst, t_)]
 
 

@@ -30,12 +30,16 @@ class LHVObservable:
     pmf: np.ndarray        # shape (n_hidden, n), rows sum to 1
 
 
+def _are_distributions(rows):
+    """Whether every row along the last axis is a distribution: nonnegative,
+    summing to 1 within ``NORM_ATOL``.  NaN and an empty array fail."""
+    return bool(rows.size and rows.min() >= 0
+                and np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= NORM_ATOL)
+
+
 def _check_distributions(rows, message):
-    """Raise ValueError(message) unless every row along the last axis is a
-    distribution: nonnegative, summing to 1 within ``NORM_ATOL``.  NaN and an
-    empty array fail."""
-    if (rows.size == 0 or rows.min() < 0
-            or not np.max(np.abs(rows.sum(axis=-1) - 1.0)) <= NORM_ATOL):
+    """Raise ValueError(message) unless ``_are_distributions(rows)``."""
+    if not _are_distributions(rows):
         raise ValueError(message)
 
 
@@ -131,8 +135,11 @@ def lhv_chsh_bound_sweep(n_models, n_settings, rng):
         for start in range(0, n_settings, CHUNK_ROWS):
             p_up = rng.random((min(CHUNK_ROWS, n_settings - start), 4, n_hidden))
             pmf = np.stack([p_up, 1.0 - p_up], axis=-1)
-            for k, name in enumerate(("A1", "A2", "B1", "B2")):
-                _check_distributions(pmf[:, k], f"pmf rows for {name!r} are not distributions")
+            # the whole chunk at once; the failing observable is looked for
+            # only when it fails
+            if not _are_distributions(pmf):
+                for k, name in enumerate(("A1", "A2", "B1", "B2")):
+                    _check_distributions(pmf[:, k], f"pmf rows for {name!r} are not distributions")
             # pmf @ (1, -1): both products are exact, so one rounding either way
             a1, a2, b1, b2 = (pmf[:, k, :, 0] - pmf[:, k, :, 1] for k in range(4))
             s = (np.sum(weights * a1 * b1, axis=-1) + np.sum(weights * a1 * b2, axis=-1)

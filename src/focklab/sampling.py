@@ -6,6 +6,8 @@ everything takes an explicit numpy Generator so sweeps stay reproducible.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fock import (DensityOperator, PureState, Partition, _density_stack, bosons,
@@ -86,11 +88,19 @@ def _separable_mixture(system, partition, probs, subs, mats):
         for r, p in enumerate(probs)])
 
 
+@functools.cache
+def _qubit_pair():
+    """The fixed system, partition and factor sub-systems of
+    ``random_qubit_pair_mixture``."""
+    system = qubits(2)
+    return (system, Partition([("A", (0,)), ("B", (1,))]),
+            (sub_system(system, (0,)), sub_system(system, (1,))))
+
+
 def random_qubit_pair_mixture(rng):
     """Separable mixture of four products of generic qubit states on two modes."""
-    system = qubits(2)
-    partition = Partition([("A", (0,)), ("B", (1,))])
-    subs = [sub_system(system, (0,)), sub_system(system, (1,))] * 4
+    system, partition, pair = _qubit_pair()
+    subs = pair * 4
     probs = rng.dirichlet(np.ones(4))
     # the A then the B factor of each component, as ``random_density`` drew them
     mats = _unit_trace_grams(rng, len(subs), 2)
@@ -105,19 +115,29 @@ def random_number_diagonal_mixture(system, partition, rng):
     return _separable_mixture(system, partition, probs, subs, mats)
 
 
+@functools.cache
+def _one_boson_pair():
+    """The fixed system, partition and factor sub-systems of
+    ``random_one_boson_pair_mixture``, and the one-boson indices of a pair."""
+    system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
+    partition = Partition([("one", (0, 1)), ("two", (2, 3))])
+    pair = tuple(sub_system(system, partition.modes_of(name)) for name in partition.names)
+    # both pairs are two cutoff-1 modes, with the same one-boson indices
+    sel = pair[0].indices_of([(0, 1), (1, 0)])
+    sel.setflags(write=False)
+    return system, partition, pair, sel
+
+
 def random_one_boson_pair_mixture(rng):
     """Three-component separable mixture on (a1, b1, a2, b2), one boson per mode pair.
 
     Every factor lives in the one-boson sector of its pair, so it is locally
     number-SSR compliant while carrying arbitrary within-sector coherence.
     """
-    system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
-    partition = Partition([("one", (0, 1)), ("two", (2, 3))])
-    subs = [sub_system(system, partition.modes_of(name)) for name in partition.names] * 3
+    system, partition, pair, sel = _one_boson_pair()
+    subs = pair * 3
     probs = rng.dirichlet(np.ones(3))
     blocks = _unit_trace_grams(rng, len(subs), 2)
-    # both pairs are two cutoff-1 modes, with the same one-boson indices
-    sel = subs[0].indices_of([(0, 1), (1, 0)])
     mats = np.zeros((len(subs), subs[0].dim, subs[0].dim), dtype=complex)
     mats[:, sel[:, None], sel] = blocks
     return _separable_mixture(system, partition, probs, subs, mats)

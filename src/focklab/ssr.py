@@ -209,13 +209,26 @@ def clock_prob(p, q, omega, dt, n_max):
 
 
 def clock_prob_by_evolution(p, q, omega, dt, n_max):
-    """Oracle for clock_prob: evolve |theta_p> under omega*N and project."""
+    """Oracle for clock_prob: evolve |theta_p> under omega*N and project.
+
+    ``p`` and ``q`` may also be 1-D sequences of phase indices; the result is
+    then the (len p, len q) table of the same probabilities, with the
+    system, the propagator and each phase state built once.
+    """
+    rows = [p] if np.ndim(p) == 0 else list(p)
+    cols = [q] if np.ndim(q) == 0 else list(q)
     sys1 = ModeSystem([("osc", n_max)])
     h = omega * number_op(sys1)
     u = evolution_operator(h, dt)
-    evolved = u.matrix @ phase_state(n_max, p).amplitudes
-    target = phase_state(n_max, q).amplitudes
-    return float(np.abs(np.vdot(target, evolved)) ** 2)
+    amps = {i: phase_state(n_max, i).amplitudes for i in set(rows + cols)}
+    table = np.empty((len(rows), len(cols)))
+    for r, i in enumerate(rows):
+        evolved = u.matrix @ amps[i]
+        for c, j in enumerate(cols):
+            table[r, c] = np.abs(np.vdot(amps[j], evolved)) ** 2
+    if np.ndim(p) == 0 and np.ndim(q) == 0:
+        return float(table[0, 0])
+    return table
 
 
 def internalise(amplitudes, n_ref):

@@ -6,7 +6,6 @@ the factors, and summing to a single matrix would destroy that information.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -83,48 +82,81 @@ def poisson_pmf(n, mu):
     """Poisson probabilities e^{-mu} mu^n / n! at integer counts ``n >= 0``.
 
     Evaluated as exp(n ln mu - mu - ln n!), which stays finite for large n
-    and mu; at mu = 0 all weight sits on n = 0.
+    and mu; at mu = 0 all weight sits on n = 0.  ``mu`` may be an array that
+    broadcasts against ``n``, such as a column of means against a row of
+    counts; ln n! is tabulated once per call.
     """
     n = np.asarray(n)
-    if mu == 0:
-        return (n == 0).astype(float)
+    mu = np.asarray(mu, dtype=float)
     log_fact = np.array([math.lgamma(k + 1.0) for k in n.ravel()]).reshape(n.shape)
-    return np.exp(n * math.log(mu) - mu - log_fact)
+    # math.log per mean: np.log differs from it in the last bit of some means
+    log_mu = np.array([math.log(m) if m else 0.0 for m in mu.ravel()]).reshape(mu.shape)
+    return np.where(mu == 0, n == 0, np.exp(n * log_mu - mu - log_fact))
 
 
-def _mean_within_cutoff(amplitude, cutoff):
-    """Mean occupancy ``amplitude**2`` of a coherent mode truncated at ``cutoff``.
+def _mean_within_cutoff(amplitudes, cutoff):
+    """Mean occupancies ``amplitudes**2`` of coherent modes truncated at ``cutoff``.
 
-    Raises when the Poisson weight beyond the cutoff exceeds TAIL_TOL.  An
-    amplitude too large to square gives an infinite mean and a NaN tail,
-    which fail the same check, without a warning.
+    ``amplitudes`` is one magnitude or an array of them.  Raises when the
+    Poisson weight beyond the cutoff exceeds TAIL_TOL, naming the first
+    failing entry of an array.  An amplitude too large to square gives an
+    infinite mean and a NaN tail, which fail the same check, without a
+    warning.
     """
+    amplitudes = np.asarray(amplitudes, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        nbar = np.float64(amplitude) ** 2
-        tail = 1.0 - poisson_pmf(np.arange(cutoff + 1), nbar).sum()
-    if not tail <= TAIL_TOL:
-        raise ValueError(f"insufficient cutoff: Poisson tail {tail:.3e}")
-    return float(nbar)
+        # each square as the scalar power np.float64(a) ** 2 (libm pow), whose
+        # last bit the array square a * a does not always reproduce
+        nbar = np.array([a ** 2 for a in amplitudes.ravel()]).reshape(amplitudes.shape)
+        tail = 1.0 - poisson_pmf(np.arange(cutoff + 1), nbar[..., None]).sum(axis=-1)
+    ok = tail <= TAIL_TOL
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        where = f" (row {i})" if tail.ndim else ""
+        raise ValueError(f"insufficient cutoff: Poisson tail {tail.ravel()[i]:.3e}{where}")
+    return nbar
+
+
+def coherent_amplitudes(betas, cutoff):
+    """Read-only (n, cutoff+1) amplitudes e^{-|b|^2/2} b^k / sqrt(k!) of the
+    truncated coherent states of the n amplitudes ``betas``, each row
+    renormalised.
+
+    Raises when an amplitude is not finite, or when the Poisson weight beyond
+    the cutoff exceeds TAIL_TOL, naming the first failing row.  Each row has
+    the bits of the state built on its own: |b| is a hypot, the complex
+    product of the recurrence is written out in real arithmetic and each
+    row's norm is its own ``np.linalg.norm``.
+    """
+    betas = np.asarray(betas, dtype=complex).reshape(-1)
+    finite = np.isfinite(betas)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"coherent amplitude {complex(betas[i])} is not finite (row {i})")
+    br, bi = betas.real, betas.imag
+    nbar = _mean_within_cutoff(np.hypot(br, bi), cutoff)
+    amps = np.zeros((len(betas), cutoff + 1), dtype=complex)
+    amps[:, 0] = 1.0
+    re, im = amps.real, amps.imag
+    roots = np.sqrt(np.arange(cutoff + 1))
+    for k in range(1, cutoff + 1):
+        re[:, k] = re[:, k - 1] * br - im[:, k - 1] * bi
+        im[:, k] = re[:, k - 1] * bi + im[:, k - 1] * br
+        amps[:, k] /= roots[k]
+    amps *= np.exp(-nbar / 2.0)[:, None]
+    amps /= np.array([np.linalg.norm(row) for row in amps])[:, None]
+    amps.setflags(write=False)
+    return amps
 
 
 def coherent(beta, cutoff):
     """Truncated coherent state with amplitudes e^{-|b|^2/2} b^n / sqrt(n!).
 
     Raises when the Poisson weight beyond the cutoff exceeds TAIL_TOL; the
-    kept amplitudes are renormalised.
+    kept amplitudes are renormalised.  It is one row of ``coherent_amplitudes``.
     """
-    beta = complex(beta)
-    if not cmath.isfinite(beta):
-        raise ValueError(f"coherent amplitude {beta} is not finite")
-    nbar = _mean_within_cutoff(abs(beta), cutoff)
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = 1.0
-    for k in range(1, cutoff + 1):
-        amps[k] = amps[k - 1] * beta / np.sqrt(k)
-    amps *= np.exp(-nbar / 2.0)
-    amps /= np.linalg.norm(amps)
     system = ModeSystem([("a", cutoff)])
-    return PureState(system, amps)
+    return PureState(system, coherent_amplitudes([beta], cutoff)[0])
 
 
 def bell_one_boson(kind):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -89,6 +90,50 @@ def test_quadrature_must_resolve_every_number_difference(tmp_path, capsys, n_pha
     err = capsys.readouterr().err
     assert err == ("" if code == 0 else
                    f"error: n_phases must exceed 2 * cutoff = 36, got {n_phases}\n")
+
+
+def _peak_bytes(func):
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadrature_holds_one_chunk_of_phases_at_a_time():
+    from focklab.cli import CHUNK_ROWS
+    peaks = []
+    # the first run fills the per-system memos
+    for n_phases in (CHUNK_ROWS, 2 * CHUNK_ROWS, 8 * CHUNK_ROWS):
+        params = {"alpha": 0.01, "cutoff": 7, "n_phases": n_phases}
+        report = {}
+        peaks.append(_peak_bytes(lambda: report.update(
+            run_experiment("two_mode_coherent_mixture", params))))
+        assert report["overall_pass"]
+    # held at once, the six further chunks' two-mode vectors (dim 64) would
+    # add 6 MB, and their phases 48 kB
+    assert peaks[2] < peaks[1] + 16 * 2 ** 10
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    func = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or func(*a, **k))
+    return calls
+
+
+def test_reference_sweeps_build_their_fixed_parts_once(monkeypatch):
+    from focklab import cli, ssr, states
+    # one propagator per (n_max, omega dt): two n_max values, four omega dt each
+    propagators = _count_calls(monkeypatch, ssr, "evolution_operator")
+    assert run_experiment("phase_clock")["overall_pass"]
+    assert len(propagators) == 8
+    # the coherent quadrature is one stack of amplitudes, not one state per phase
+    singles = [_count_calls(monkeypatch, module, "coherent") for module in (states, cli)]
+    stacks = _count_calls(monkeypatch, cli, "coherent_amplitudes")
+    assert run_experiment("two_mode_coherent_mixture")["overall_pass"]
+    assert ([len(calls) for calls in singles], len(stacks)) == ([0, 0], 1)
 
 
 def test_structured_report_roundtrip():

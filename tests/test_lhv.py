@@ -114,6 +114,28 @@ def test_sweep_equals_the_object_per_draw_reference_bit_for_bit(chunk, monkeypat
     assert lhv_chsh_bound_sweep(2, n_settings, 7) == _object_per_draw_sweep(2, n_settings, 7)
 
 
+class _SpoiledDraws(np.random.Generator):
+    """Draws P(+1) with the given observables' rows spoiled by ``value``."""
+
+    def __init__(self, seed, spoiled, value):
+        super().__init__(np.random.PCG64(seed))
+        self.spoiled, self.value = spoiled, value
+
+    def random(self, size=None):
+        out = super().random(size)
+        if isinstance(size, tuple) and len(size) == 3:
+            out[:, list(self.spoiled), :] = self.value
+        return out
+
+
+@pytest.mark.parametrize("value", [1.5, -1e-9, np.nan])
+@pytest.mark.parametrize("spoiled", [(0,), (1,), (2, 3), (3,)])
+def test_a_spoiled_pmf_row_names_the_first_failing_observable(spoiled, value):
+    name = ("A1", "A2", "B1", "B2")[spoiled[0]]
+    with pytest.raises(ValueError, match=f"pmf rows for '{name}' are not distributions"):
+        lhv_chsh_bound_sweep(2, 3, _SpoiledDraws(0, spoiled, value))
+
+
 def test_sweep_with_no_draws_is_zero():
     assert lhv_chsh_bound_sweep(0, 20, 0) == 0.0
     assert lhv_chsh_bound_sweep(5, 0, 0) == 0.0

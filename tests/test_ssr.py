@@ -329,6 +329,39 @@ def test_clock_formula_matches_evolution():
     assert worst < 1e-12
 
 
+def _per_pair_clock(p, q, omega, dt, n_max):
+    """clock_prob_by_evolution as one evolution per (p, q) pair."""
+    from focklab.fock import evolution_operator
+    u = evolution_operator(omega * number_op(ModeSystem([("osc", n_max)])), dt)
+    evolved = u.matrix @ phase_state(n_max, p).amplitudes
+    target = phase_state(n_max, q).amplitudes
+    return float(np.abs(np.vdot(target, evolved)) ** 2)
+
+
+@pytest.mark.parametrize("n_max", range(1, 21))
+def test_clock_table_equals_the_per_pair_probabilities_bit_for_bit(n_max):
+    rng = np.random.default_rng(n_max)
+    # all phases in order, and a random selection with repeats, as a list or an array
+    for rows, cols in ((range(n_max + 1), range(n_max + 1)),
+                       (list(rng.integers(0, n_max + 1, 5)), rng.integers(0, n_max + 1, 3))):
+        omega, dt = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 10.0)
+        table = clock_prob_by_evolution(rows, cols, omega, dt, n_max)
+        assert table.shape == (len(rows), len(cols))
+        for i, p in enumerate(rows):
+            for j, q in enumerate(cols):
+                want = _per_pair_clock(p, q, omega, dt, n_max)
+                assert table[i, j] == want
+        p, q = int(rows[0]), int(cols[-1])
+        single = clock_prob_by_evolution(p, q, omega, dt, n_max)
+        assert type(single) is float
+        assert single == table[0, len(cols) - 1]
+
+
+def test_clock_table_rejects_a_phase_index_out_of_range():
+    with pytest.raises(ValueError, match="phase index"):
+        clock_prob_by_evolution([0, 1], [0, 5], 1.0, 0.3, 4)
+
+
 def test_internalise_one_boson_superposition():
     amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
     psi = internalise(amps, 1)

@@ -1,5 +1,10 @@
+import functools
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson, unitary_group
 
 from focklab import (
@@ -18,6 +23,8 @@ from focklab.states import (
     bell_one_boson,
     binomial_state,
     coherent,
+    _mean_within_cutoff,
+    coherent_amplitudes,
     dissociation_state,
     ghz,
     mixed_N_boson,
@@ -45,6 +52,25 @@ def test_poisson_pmf_matches_scipy(mu):
     ref = poisson.pmf(n, mu)
     assert np.all(np.abs(got - ref) <= np.maximum(1e-15, 1e-12 * ref))
     assert poisson_pmf(0, mu) == pytest.approx(np.exp(-mu), rel=1e-15)
+
+
+def test_poisson_pmf_over_a_column_of_means_equals_each_mean_alone():
+    # np.log and math.log differ in the last bit of about 1 mean in 3000
+    mu = np.concatenate([[0.0], np.random.default_rng(0).random(20000) * 50.0])
+    n = np.arange(6)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    want = np.array([(n == 0).astype(float) if m == 0
+                     else np.exp(n * math.log(m) - m - log_fact) for m in mu])
+    assert poisson_pmf(n, mu[:, None]).tobytes() == want.tobytes()
+    assert poisson_pmf(n, 0.0).tobytes() == (n == 0).astype(float).tobytes()
+
+
+def test_stacked_means_equal_each_scalar_square():
+    # the array square a * a and the scalar power differ in about 1 in 1000
+    mags = np.random.default_rng(1).random(20000) * 3.0
+    want = np.array([np.float64(a) ** 2 for a in mags.tolist()])
+    assert _mean_within_cutoff(mags, 40).tobytes() == want.tobytes()
+    assert _mean_within_cutoff(mags[7], 40) == want[7]
 
 
 def test_coherent_zero_is_vacuum():
@@ -77,6 +103,106 @@ def test_huge_amplitude_needs_more_cutoff(make):
     # |1e200|^2 overflows a float; the cutoff check rejects it all the same
     with pytest.raises(ValueError, match="insufficient cutoff"):
         make(1e200, 5)
+
+
+def _reference_tail(amplitude, cutoff):
+    """The mean and Poisson tail of one coherent mode, as the per-state check had them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nbar = np.float64(amplitude) ** 2
+        n = np.arange(cutoff + 1)
+        if nbar == 0:
+            pmf = (n == 0).astype(float)
+        else:
+            log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+            pmf = np.exp(n * math.log(nbar) - nbar - log_fact)
+        return float(nbar), 1.0 - pmf.sum()
+
+
+def _reference_coherent(beta, cutoff):
+    """One coherent state's amplitudes by the scalar recurrence, state by state."""
+    beta = complex(beta)
+    nbar, tail = _reference_tail(abs(beta), cutoff)
+    assert tail <= 1e-10
+    amps = np.zeros(cutoff + 1, dtype=complex)
+    amps[0] = 1.0
+    for k in range(1, cutoff + 1):
+        amps[k] = amps[k - 1] * beta / np.sqrt(k)
+    amps *= np.exp(-nbar / 2.0)
+    amps /= np.linalg.norm(amps)
+    return amps
+
+
+@functools.cache
+def _tail_limit(cutoff):
+    """(largest passing, smallest failing) |beta| at ``cutoff``, adjacent floats."""
+    lo, hi = 0.0, 2.0 * math.sqrt(cutoff + 1.0) + 2.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if _reference_tail(mid, cutoff)[1] <= 1e-10 else (lo, mid)
+    return lo, hi
+
+
+@st.composite
+def coherent_stacks(draw):
+    """A cutoff and 1-8 amplitudes: zero, anywhere below the tail limit, or
+    within a few ulps of it on either side, each at a random phase."""
+    cutoff = draw(st.integers(0, 25))
+    lo, hi = _tail_limit(cutoff)
+    betas = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["zero", "below", "limit"]))
+        if kind == "zero":
+            betas.append(complex(draw(st.sampled_from([0.0, -0.0])), 0.0))
+            continue
+        mag = (lo * draw(st.floats(0.0, 1.0)) if kind == "below"
+               else draw(st.sampled_from([lo, hi])) * (1.0 + 2.0 ** -52 * draw(st.integers(-4, 4))))
+        phase = draw(st.floats(-np.pi, np.pi))
+        betas.append(mag * complex(math.cos(phase), math.sin(phase)))
+    return cutoff, betas
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(coherent_stacks())
+def test_each_row_of_the_stack_is_the_state_built_alone(case):
+    cutoff, betas = case
+    # the rounded tail is not monotone in |beta| within a few ulps of the
+    # limit, so which rows fail is read off the per-state check
+    tails = [_reference_tail(abs(complex(b)), cutoff)[1] for b in betas]
+    failing = [i for i, tail in enumerate(tails) if not tail <= 1e-10]
+    if failing:
+        i = failing[0]
+        with pytest.raises(ValueError, match=re.escape(
+                f"insufficient cutoff: Poisson tail {tails[i]:.3e} (row {i})")):
+            coherent_amplitudes(betas, cutoff)
+        return
+    amps = coherent_amplitudes(betas, cutoff)
+    assert amps.shape == (len(betas), cutoff + 1)
+    assert not amps.flags.writeable
+    for row, beta in zip(amps, betas):
+        assert row.tobytes() == _reference_coherent(beta, cutoff).tobytes()
+    assert coherent(betas[0], cutoff).amplitudes.tobytes() == amps[0].tobytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "tail"])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_bad_row_fails_the_stack_with_the_single_state_message(bad, seed):
+    rng = np.random.default_rng(seed)
+    cutoff = 12
+    betas = list(_tail_limit(cutoff)[0] * rng.random(6) * np.exp(2j * np.pi * rng.random(6)))
+    i = int(rng.integers(len(betas) + 1))
+    if bad == "tail":
+        beta = complex(1.01 * _tail_limit(cutoff)[1] * np.exp(2j * np.pi * rng.random()))
+        message = f"insufficient cutoff: Poisson tail {_reference_tail(abs(beta), cutoff)[1]:.3e}"
+    else:
+        beta = complex(float(bad), 0.3)
+        message = f"coherent amplitude {beta} is not finite"
+    betas.insert(i, beta)
+    with pytest.raises(ValueError, match=re.escape(f"{message} (row {i})")):
+        coherent_amplitudes(betas, cutoff)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        coherent(beta, cutoff)
 
 
 def test_bell_states():
