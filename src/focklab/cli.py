@@ -58,8 +58,8 @@ from . import (
 )
 from .lhv import CHUNK_ROWS
 from .ssr import clock_prob_by_evolution
-from .states import coherent_amplitudes
-from .witnesses import chsh_batch, chsh_correlation_tensor
+from .states import coherent_amplitudes, summed_stack
+from .witnesses import chsh_batch, chsh_correlation_tensor, chsh_correlation_tensors
 from .sampling import (
     random_chsh_directions,
     random_chsh_setting,
@@ -191,9 +191,8 @@ def _exp_chsh_singlet(params, tol, rng):
 def _exp_chsh_separable_bound(params, tol, rng):
     n_mix = params["n_mixtures"]
     n_settings = params["n_settings"]
-    tensors = np.stack([
-        chsh_correlation_tensor(random_qubit_pair_mixture(rng).summed())
-        for _ in range(n_mix)])
+    tensors = chsh_correlation_tensors(summed_stack(
+        [random_qubit_pair_mixture(rng) for _ in range(n_mix)]))
     a1, a2, b1, b2 = random_chsh_directions(rng, n_settings)
     s_abs = chsh_batch(tensors, a1, a2, b1, b2)
     return [_check_below("separable_max_abs_S", float(s_abs.max()),
@@ -386,10 +385,11 @@ def _exp_particle_entanglement(params, tol, rng):
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
+    summed = summed_stack([random_number_diagonal_mixture(system, part, rng)
+                           for _ in range(params["n_mixtures"])])
     worst = 0.0
-    for _ in range(params["n_mixtures"]):
-        mix = random_number_diagonal_mixture(system, part, rng)
-        worst = max(worst, particle_entanglement(mix.summed(), part))
+    for rho in summed:
+        worst = max(worst, particle_entanglement(rho, part))
     one_one = system.basis_state((1, 1))
     ep_prod = particle_entanglement(one_one, part)
     sys4 = bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
@@ -409,10 +409,11 @@ def _exp_particle_entanglement(params, tol, rng):
 def _exp_spin_epr_bound(params, tol, rng):
     t_ = _tol(tol, 1e-10)
     part = Partition([("one", (0, 1)), ("two", (2, 3))])
+    summed = summed_stack([random_one_boson_pair_mixture(rng)
+                           for _ in range(params["n_mixtures"])])
     worst = 0.0
-    for _ in range(params["n_mixtures"]):
-        mix = random_one_boson_pair_mixture(rng)
-        verdict = spin_epr(mix.summed(), part)
+    for rho in summed:
+        verdict = spin_epr(rho, part)
         worst = max(worst, verdict.margin)    # margin > 0 would be a violation
     return [_check_below("separable_epr_margin_max", worst, t_)]
 

@@ -285,10 +285,9 @@ def _check_physical(matrix):
     a NaN residual fails it.  The spectrum comes from ``eigvalsh_blocks`` and
     is returned, in block order.
 
-    ``matrix`` may also be an (n, d, d) stack, as the samplers build below
-    ``BLOCK_MIN_DIM``.  Every matrix of it takes the same four checks, a
-    failure names the index of the first failing matrix, and the (n, d)
-    spectra come from one batched ``eigh_blocks`` call, ascending per matrix.
+    ``matrix`` may also be an (n, d, d) stack.  Every matrix of it takes the
+    same four checks, a failure names the index of the first failing matrix,
+    and the (n, d) spectra are each matrix's own ``eigvalsh_blocks``.
     """
     with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
         residual = matrix - matrix.swapaxes(-1, -2).conj()
@@ -296,7 +295,7 @@ def _check_physical(matrix):
     _require(herm <= HERM_ATOL, herm, "not Hermitian: residual {}")
     tr = matrix.trace(axis1=-2, axis2=-1)
     _require(abs(tr - 1.0) <= TRACE_ATOL, tr, f"trace {{}} is not 1 within {TRACE_ATOL}")
-    evals = eigvalsh_blocks(matrix) if matrix.ndim == 2 else eigh_blocks(matrix, False)[0][1]
+    evals = eigvalsh_blocks(matrix)
     low = evals.min(axis=-1)
     _require(low >= -PSD_SLACK, low, "not positive semidefinite: min eigenvalue {}")
     purity = _row_dots(evals)
@@ -350,8 +349,9 @@ class DensityOperator:
 def _density_stack(systems, stack):
     """One read-only DensityOperator per matrix of an (n, d, d) stack, the i-th
     on ``systems[i]``.  The stack is checked once by ``_check_physical``, and
-    no matrix is checked again on its own."""
-    stack = np.array(stack, dtype=complex)
+    no matrix is checked again on its own.  A complex array is taken over,
+    not copied, and made read-only."""
+    stack = np.asarray(stack, dtype=complex)
     if stack.shape != (len(systems),) + stack.shape[-1:] * 2 or any(
             s.dim != stack.shape[-1] for s in systems):
         raise ValueError("density stack shape does not match its systems")
@@ -509,6 +509,24 @@ def sector_blocks(labels):
     return [(int(v), np.nonzero(labels == v)[0]) for v in np.unique(labels)]
 
 
+def _size_groups(labels):
+    """(k, indices) per count k of the distinct labels: ``indices`` (n, k) holds
+    the basis indices of each label held by k indices, one label per row in
+    ascending label order, each row ascending."""
+    # a stable sort by label lays each label's indices out in one ascending run
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    head = np.empty(len(order), dtype=bool)
+    head[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    counts = np.empty_like(heads)
+    counts[:-1] = heads[1:] - heads[:-1]
+    counts[-1] = len(order) - heads[-1]
+    return [(k, order[heads[counts == k, None] + np.arange(k)])
+            for k in sorted(set(counts.tolist()))]
+
+
 def _component_labels(matrix):
     """Smallest index in each index's connected component of the pattern
     (M != 0) | (M^T != 0).
@@ -573,10 +591,7 @@ def eigh_blocks(matrix, vectors):
     elif labels is None or not labels.any():
         groups = [np.arange(dim)[None]]
     else:
-        _, component, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-        # a stable sort by label lays the components of size k out one per row
-        groups = [sel[np.argsort(labels[sel], kind="stable")].reshape(-1, k)
-                  for k, sel in sector_blocks(sizes[component])]
+        groups = [idx for _, idx in _size_groups(labels)]
     out = []
     for idx in groups:
         k = idx.shape[1]
@@ -596,7 +611,17 @@ def eigh_blocks(matrix, vectors):
 
 
 def eigvalsh_blocks(matrix):
-    """Every eigenvalue of a Hermitian matrix by ``eigh_blocks``, in block order."""
+    """Every eigenvalue of a Hermitian matrix by ``eigh_blocks``, in block order.
+
+    An (n, d, d) stack gives (n, d) rows.  Below ``BLOCK_MIN_DIM`` they come
+    from one batched dense solve, ascending per matrix, as each matrix alone
+    would be solved; from it on, each matrix is solved block by block on its
+    own, so that stacking never turns a block solve into a dense one.
+    """
+    if matrix.ndim == 3 and matrix.shape[-1] < BLOCK_MIN_DIM:
+        return eigh_blocks(matrix, False)[0][1]
+    if matrix.ndim == 3:
+        return np.array([eigvalsh_blocks(m) for m in matrix]).reshape(matrix.shape[:2])
     return np.concatenate([evals.ravel() for _, evals, _ in eigh_blocks(matrix, False)])
 
 
@@ -605,19 +630,37 @@ SECTOR_FLOOR = 1e-14
 
 def number_sectors(rho, labels):
     """(label, weight, basis indices, normalised block) of ``rho`` per ``sector_blocks``
-    label of weight at least ``SECTOR_FLOOR``; both arrays are read-only.  Checking
-    the block is checking the zero-padded state: that has the block's eigenvalues
-    plus zeros, and its Hermitian residual, trace and purity."""
-    for label, sel in sector_blocks(labels):
-        block = rho.matrix[np.ix_(sel, sel)]
-        weight = float(np.real(np.trace(block)))
-        if weight < SECTOR_FLOOR:
+    label of weight at least ``SECTOR_FLOOR``, labels ascending; both arrays are
+    read-only.  The sectors come from ``_sector_stacks``."""
+    return sorted((sector for stack in _sector_stacks(rho, labels)
+                   for sector in zip(*stack)), key=lambda sector: sector[0])
+
+
+def _sector_stacks(rho, labels):
+    """The ``number_sectors`` of ``rho``, one stack per block size k.
+
+    Per size: the labels and the weights as lists of ints and floats, the basis
+    indices as a read-only (n, k) array and the normalised blocks as a
+    read-only (n, k, k) stack, in ascending label order.  Each stack of blocks
+    is checked by one ``_check_physical``.  Checking a block is checking the
+    zero-padded state: that has the block's eigenvalues plus zeros, and its
+    Hermitian residual, trace and purity.
+    """
+    labels = np.asarray(labels)
+    out = []
+    for _, idx in _size_groups(labels):
+        blocks = rho.matrix[idx[:, :, None], idx[:, None, :]]
+        weights = np.real(np.trace(blocks, axis1=1, axis2=2))
+        keep = ~(weights < SECTOR_FLOOR)    # written so that a NaN weight is kept
+        if not keep.any():
             continue
-        block = block / weight
-        _check_physical(block)
-        for arr in (sel, block):
+        idx, weights = idx[keep], weights[keep]
+        blocks = blocks[keep] / weights[:, None, None]
+        _check_physical(blocks)
+        for arr in (idx, blocks):
             arr.setflags(write=False)
-        yield label, weight, sel, block
+        out.append((labels[idx[:, 0]].tolist(), weights.tolist(), idx, blocks))
+    return out
 
 
 def sub_system(system, mode_indices):
@@ -674,19 +717,49 @@ def partial_trace(state, partition, keep):
 def reduced_state(system, rows, block, keep_idx):
     """Reduced density operator on modes ``keep_idx`` of the state that is ``block``
     on basis ``rows`` and zero elsewhere; ``partial_trace`` passes every row."""
-    return DensityOperator(*_reduced_matrix(system, rows, block, keep_idx))
+    sub, out = _reduced_matrices(system, rows[None], block[None], keep_idx)
+    return DensityOperator(sub, out[0])
 
 
-def _reduced_matrix(system, rows, block, keep_idx):
-    """``(sub, matrix)`` of ``reduced_state``, with the matrix not yet checked."""
+# row pairs ``_reduced_matrices`` forms at a time
+PAIR_CHUNK = 1 << 18
+
+
+def _reduced_matrices(system, rows, blocks, keep_idx):
+    """``(sub, stack)``: the unchecked (n, d_sub, d_sub) matrices on modes
+    ``keep_idx`` reduced from the states that are ``blocks[i]`` (k x k) on basis
+    ``rows[i]`` (k indices) and zero elsewhere; ``sub`` is ``sub_system``.
+
+    Entry (a, b) of a reduced matrix adds, from zero, the block entries whose
+    row has code a and column code b on ``sub`` and which share a code over
+    the other modes, one such code after another in ascending order.
+    """
     sub, index, rest = _sub_codes(system, tuple(keep_idx))
-    sub_codes, rest = index[rows], rest[rows]
-    out = np.zeros((sub.dim, sub.dim), dtype=complex)
-    for code in np.unique(rest):
-        sel = np.nonzero(rest == code)[0]
-        subs = sub_codes[sel]
-        out[np.ix_(subs, subs)] += block[np.ix_(sel, sel)]
-    return sub, out
+    n, k = rows.shape
+    dim = sub.dim
+    # each state's rows ordered by their code over the other modes, flattened
+    pos = np.argsort(rest[rows], axis=1, kind="stable")
+    flat = (pos + np.arange(0, n * k, k)[:, None]).ravel()     # state * k + position
+    codes, subs = rest[rows.ravel()[flat]], index[rows.ravel()[flat]]
+    new = np.ones(n * k, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    new[::k] = True
+    # each row pairs with the run of rows that share its state and code
+    run = np.cumsum(new) - 1
+    first, size = np.flatnonzero(new)[run], np.bincount(run)[run]
+    pos = pos.ravel()
+    target, source = (flat // k * dim + subs) * dim, flat * k
+    entries = blocks.reshape(-1)
+    out = np.zeros(n * dim * dim, dtype=complex)
+    width = int(size.max())
+    step = max(1, PAIR_CHUNK // width)
+    for lo in range(0, n * k, step):
+        # in row order, so the codes of each entry come in ascending order
+        i, t = np.nonzero(np.arange(width) < size[lo:lo + step, None])
+        i += lo
+        j = first[i] + t
+        np.add.at(out, target[i] + subs[j], entries[source[i] + pos[j]])
+    return sub, out.reshape(n, dim, dim)
 
 
 def commutator_norm(x, y):

@@ -159,9 +159,12 @@ def separable_ssr_theorem_check(mixture):
     """
     local_reports = []
     all_local = True
+    n_ops = {}      # one number operator per factor system
     for ci, comp in enumerate(mixture.components):
         for name, factor in comp.factors.items():
-            rep = ssr_check(factor, number_op(factor.system))
+            if factor.system not in n_ops:
+                n_ops[factor.system] = number_op(factor.system)
+            rep = ssr_check(factor, n_ops[factor.system])
             local_reports.append((ci, name, rep))
             all_local = all_local and rep.compliant
     summed = mixture.summed()

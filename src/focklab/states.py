@@ -20,6 +20,7 @@ from .fock import (
     annihilation,
     bosons,
     qubits,
+    _density_stack,
     _sub_codes,
 )
 
@@ -56,26 +57,44 @@ class SeparableMixture:
         self.components = tuple(components)
 
     def summed(self):
-        """The mixture as a single density operator on the full system.
+        """The mixture as a single density operator on the full system: a
+        stack of one of ``summed_stack``."""
+        return summed_stack([self])[0]
 
-        The terms P_R rho_R^A x rho_R^B x ... form one (R, d, d) array: each
-        subsystem's stack of factors, gathered onto the full basis by
-        ``_sub_codes``, multiplies the probabilities in partition order.  The
-        terms are then added to zero one by one, in component order, so every
-        entry has the bits of a term-by-term sum.
-        """
-        dim = self.system.dim
-        probs = np.array([c.probability for c in self.components], dtype=complex)
-        terms = np.empty((len(probs), dim, dim), dtype=complex)
-        terms[:] = probs[:, None, None]
-        for name in self.partition.names:
-            codes = _sub_codes(self.system, self.partition.modes_of(name))[1]
-            factors = np.stack([c.factors[name].matrix for c in self.components])
-            terms *= factors[:, codes[:, None], codes]
-        out = np.zeros((dim, dim), dtype=complex)
-        for term in terms:
-            out += term
-        return DensityOperator(self.system, out)
+
+def summed_stack(mixtures):
+    """Each of n mixtures on one system and partition, with one number of
+    components, as a single density operator: one read-only (n, d, d) stack,
+    checked once by ``_density_stack``.
+
+    The stack adds one component index at a time, over all mixtures at once:
+    the term P_R rho_R^A x rho_R^B x ... multiplies the probabilities by each
+    subsystem's factors, gathered onto the full basis by ``_sub_codes``, in
+    partition order, and is added to the sum, which starts at zero.  Every
+    entry so has the bits of a term-by-term sum, and a stack of one holds
+    three d x d arrays at its peak, whatever the number of components.
+    """
+    first = mixtures[0]
+    system, partition = first.system, first.partition
+    if any(m.system != system or m.partition != partition
+           or len(m.components) != len(first.components) for m in mixtures):
+        raise ValueError("a stack of mixtures needs one system, partition and "
+                         "number of components")
+    probs = np.array([[c.probability for c in m.components] for m in mixtures],
+                     dtype=complex)
+    # per subsystem: its codes and its (n, R, k, k) factors
+    factors = [(_sub_codes(system, partition.modes_of(name))[1],
+                np.array([[c.factors[name].matrix for c in m.components] for m in mixtures]))
+               for name in partition.names]
+    out = np.zeros((len(mixtures), system.dim, system.dim), dtype=complex)
+    for r in range(probs.shape[1]):
+        term = np.empty_like(out)
+        term[:] = probs[:, r, None, None]
+        for codes, stack in factors:
+            term *= stack[:, r][:, codes[:, None], codes]
+        out += term
+        del term    # before the next term is allocated
+    return _density_stack([system] * len(mixtures), out)
 
 
 def poisson_pmf(n, mu):

@@ -14,12 +14,12 @@ from .fock import (
     Operator,
     PureState,
     _check_physical,
-    _reduced_matrix,
+    _reduced_matrices,
+    _sector_stacks,
     annihilation,
     as_density,
     expectation,
     ladder_sum,
-    number_sectors,
 )
 from .measurement import spectral, unrecorded_conditioned_variance
 
@@ -95,17 +95,27 @@ class WitnessVerdict:
 
 def chsh_correlation_tensor(state):
     """T_ij = <sigma_i x sigma_j> on a two-qubit (two cutoff-1 mode) state."""
-    rho = as_density(state)
-    system = rho.system
-    if system.dim != 4:
+    return chsh_correlation_tensors([state])[0]
+
+
+def chsh_correlation_tensors(states):
+    """The (n, 3, 3) ``chsh_correlation_tensor`` of each of n two-qubit states
+    on one system.
+
+    The nine products sigma_i x sigma_j are built once and contracted with
+    the (n, 4, 4) stack of densities in one einsum, whose sums have the bits
+    of one ``expectation`` per entry.
+    """
+    rhos = [as_density(state) for state in states]
+    if not rhos or any(rho.system.dim != 4 for rho in rhos):
         raise ValueError("CHSH needs a two-qubit state (dimension 4)")
-    paulis_a = pauli_ops(system, 0)
+    system = rhos[0].system
+    if any(rho.system != system for rho in rhos):
+        raise ValueError("CHSH states of one stack live on different systems")
     paulis_b = pauli_ops(system, 1)
-    t = np.empty((3, 3))
-    for i, sa in enumerate(paulis_a):
-        for j, sb in enumerate(paulis_b):
-            t[i, j] = expectation(rho, sa @ sb).real
-    return t
+    products = np.stack([(sa @ sb).matrix for sa in pauli_ops(system, 0) for sb in paulis_b])
+    stack = np.stack([rho.matrix for rho in rhos])
+    return np.einsum("kij,nji->nk", products, stack).real.reshape(-1, 3, 3)
 
 
 def chsh(state, setting):
@@ -238,13 +248,16 @@ def particle_entanglement(state, partition):
     num_a = occ[:, idx_a].sum(axis=1)
     num_b = occ[:, idx_b].sum(axis=1)
     keys = num_a * (int(num_b.max()) + 1) + num_b   # unique (nA, nB) encoding
+    terms = []
+    for labels, weights, rows, blocks in _sector_stacks(rho, keys):
+        # the reduced states' physicality checks give their spectra
+        _, reduced = _reduced_matrices(system, rows, blocks, idx_a)
+        for label, weight, evals in zip(labels, weights, _check_physical(reduced)):
+            evals = evals[evals > 1e-15]
+            terms.append((label, weight * float(-(evals * np.log(evals)).sum())))
     ep = 0.0
-    for _, weight, sel, block in number_sectors(rho, keys):
-        # the reduced state's physicality checks give its spectrum
-        _, reduced = _reduced_matrix(system, sel, block, idx_a)
-        evals = _check_physical(reduced)
-        evals = evals[evals > 1e-15]
-        ep += weight * float(-(evals * np.log(evals)).sum())
+    for _, term in sorted(terms):
+        ep += term
     return ep
 
 

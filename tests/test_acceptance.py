@@ -27,7 +27,6 @@ from focklab import (
     prob,
     ramsey_vacuum_superposition,
     spectral,
-    spin_epr,
     sum_inequality_oracle,
     tensor_embed,
     twirl,
@@ -38,15 +37,8 @@ from focklab.cli import run_experiment
 from focklab.fock import PureState
 from focklab.ssr import clock_prob, clock_prob_by_evolution
 from focklab.states import bell_one_boson, coherent
-from focklab.witnesses import chsh_batch, chsh_correlation_tensor
-from focklab.sampling import (
-    random_chsh_directions,
-    random_chsh_setting,
-    random_density,
-    random_number_diagonal_mixture,
-    random_one_boson_pair_mixture,
-    random_qubit_pair_mixture,
-)
+from focklab.witnesses import chsh_correlation_tensor
+from focklab.sampling import random_chsh_setting, random_density
 
 
 def _actual(report, check):
@@ -95,11 +87,9 @@ def test_criterion_03_chsh():
     optimal = CHSHSetting(a1=(s, s, 0.0), a2=(s, -s, 0.0),
                           b1=(1.0, 0.0, 0.0), b2=(0.0, 1.0, 0.0))
     opt_err = abs(abs(chsh(singlet, optimal)) - 2.0 * np.sqrt(2.0))
-    tensors = np.stack([
-        chsh_correlation_tensor(random_qubit_pair_mixture(rng).summed())
-        for _ in range(1000)])
-    a1, a2, b1, b2 = random_chsh_directions(rng, 1000)
-    sep_max = float(chsh_batch(tensors, a1, a2, b1, b2).max())
+    report = run_experiment("chsh_separable_bound",
+                            params={"n_mixtures": 1000, "n_settings": 1000}, seed=303)
+    sep_max = _actual(report, "separable_max_abs_S")
     _report(3, "chsh",
             worst_corr <= 1e-12 and opt_err <= 1e-12 and sep_max <= 2.0 + 1e-10,
             f"E_vs_-ab={worst_corr:.2e} (tol 1e-12), |S|_opt_err={opt_err:.2e} "
@@ -253,13 +243,8 @@ def test_criterion_11_separability_ssr_theorem():
 
 
 def test_criterion_12_particle_entanglement():
-    rng = np.random.default_rng(1212)
-    system = bosons(2, 2)
-    part = Partition([("A", (0,)), ("B", (1,))])
-    worst_sep = 0.0
-    for _ in range(100):
-        mix = random_number_diagonal_mixture(system, part, rng)
-        worst_sep = max(worst_sep, particle_entanglement(mix.summed(), part))
+    report = run_experiment("particle_entanglement", params={"n_mixtures": 100}, seed=1212)
+    worst_sep = _actual(report, "separable_EP_max")
     sys11 = bosons(2, 1)
     ep_prod = particle_entanglement(
         sys11.basis_state((1, 1)), Partition([("A", (0,)), ("B", (1,))]))
@@ -276,13 +261,8 @@ def test_criterion_12_particle_entanglement():
 
 
 def test_criterion_13_spin_epr_bound():
-    rng = np.random.default_rng(1313)
-    part = Partition([("one", (0, 1)), ("two", (2, 3))])
-    worst_margin = -np.inf
-    for _ in range(1000):
-        mix = random_one_boson_pair_mixture(rng)
-        verdict = spin_epr(mix.summed(), part)
-        worst_margin = max(worst_margin, verdict.margin)
+    report = run_experiment("spin_epr_bound", params={"n_mixtures": 1000}, seed=1313)
+    worst_margin = _actual(report, "separable_epr_margin_max")
     _report(13, "spin-epr-separable-bound", worst_margin <= 1e-10,
             f"max_violation_margin={worst_margin:.2e} (tol 1e-10, "
             "1000 mixtures; no golden violating instance exists)")

@@ -116,6 +116,18 @@ def test_quadrature_holds_one_chunk_of_phases_at_a_time():
     assert peaks[2] < peaks[1] + 16 * 2 ** 10
 
 
+def test_summed_holds_at_most_four_matrices_whatever_its_components():
+    from focklab import Partition, bosons
+    from focklab.sampling import random_number_diagonal_mixture
+    system = bosons(2, 15)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    mix = random_number_diagonal_mixture(system, part, np.random.default_rng(0))
+    mix.summed()    # fills the per-system memos
+    matrix_bytes = system.dim ** 2 * np.dtype(complex).itemsize
+    assert len(mix.components) == 3
+    assert _peak_bytes(mix.summed) <= 4 * matrix_bytes
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     func = getattr(module, name)
@@ -385,3 +397,22 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name, dim, n, pure_checks", [
+    ("chsh_separable_bound", 4, 100, 0),
+    ("particle_entanglement", 9, 30, 1),     # the product state's density
+    ("spin_epr_bound", 16, 50, 0),
+])
+def test_mixture_sweeps_check_their_summed_states_once(monkeypatch, name, dim, n,
+                                                        pure_checks):
+    from focklab import fock, witnesses
+    shapes = []
+    check = fock._check_physical
+    for module in (fock, witnesses):
+        monkeypatch.setattr(module, "_check_physical",
+                            lambda m: shapes.append(m.shape) or check(m))
+    assert run_experiment(name)["overall_pass"]
+    full = [shape for shape in shapes if shape[-1] == dim]
+    assert full.count((dim, dim)) == pure_checks
+    assert [shape for shape in full if len(shape) == 3] == [(n, dim, dim)]

@@ -102,6 +102,110 @@ def padded(dim, indices, block):
     return out
 
 
+def _reference_reduced(system, rows, block, keep):
+    """The reduced matrix as a loop over the codes of the other modes."""
+    sub, index, rest = fock._sub_codes(system, tuple(keep))
+    sub_codes, rest = index[rows], rest[rows]
+    out = np.zeros((sub.dim, sub.dim), dtype=complex)
+    for code in np.unique(rest):
+        sel = np.nonzero(rest == code)[0]
+        subs = sub_codes[sel]
+        out[np.ix_(subs, subs)] += block[np.ix_(sel, sel)]
+    return out
+
+
+def _reference_sectors(rho, labels):
+    """The number sectors one label at a time, each block checked on its own."""
+    out = []
+    for label, sel in fock.sector_blocks(labels):
+        block = rho.matrix[np.ix_(sel, sel)]
+        weight = float(np.real(np.trace(block)))
+        if weight >= fock.SECTOR_FLOOR:
+            fock._check_physical(block / weight)
+            out.append((label, weight, sel, block / weight))
+    return out
+
+
+def _reference_particle_entanglement(rho, partition):
+    """E_P one sector at a time, each reduced state checked on its own."""
+    system = rho.system
+    occ = system.occupancies
+    idx_a, idx_b = (partition.modes_of(name) for name in partition.names)
+    num_a, num_b = occ[:, idx_a].sum(axis=1), occ[:, idx_b].sum(axis=1)
+    ep = 0.0
+    for _, weight, sel, block in _reference_sectors(rho, num_a * (num_b.max() + 1) + num_b):
+        evals = fock._check_physical(_reference_reduced(system, sel, block, idx_a))
+        evals = evals[evals > 1e-15]
+        ep += weight * float(-(evals * np.log(evals)).sum())
+    return ep
+
+
+@SETTINGS
+@given(systems_with_kept_modes(), seeds)
+def test_partial_trace_equals_the_per_code_loop_bit_for_bit(case, seed):
+    system, keep, partition = case
+    rho = random_density(system, np.random.default_rng(seed))
+    expected = _reference_reduced(system, np.arange(system.dim), rho.matrix, keep)
+    assert partial_trace(rho, partition, "A").matrix.tobytes() == expected.tobytes()
+
+
+@SETTINGS
+@given(bipartitions(), seeds)
+def test_stacked_sectors_and_entanglement_equal_the_per_sector_loop(case, seed):
+    system, partition = case
+    rho = random_density(system, np.random.default_rng(seed))
+    labels = system.occupancies @ np.arange(1, system.n_modes + 1)
+    got, expected = fock.number_sectors(rho, labels), _reference_sectors(rho, labels)
+    assert [(label, weight) for label, weight, _, _ in got] == \
+        [(label, weight) for label, weight, _, _ in expected]
+    for (_, _, sel, block), (_, _, ref_sel, ref_block) in zip(got, expected):
+        assert np.array_equal(sel, ref_sel) and block.tobytes() == ref_block.tobytes()
+        assert not sel.flags.writeable and not block.flags.writeable
+    assert particle_entanglement(rho, partition) == \
+        _reference_particle_entanglement(rho, partition)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_entanglement_adds_the_sectors_of_all_sizes_in_label_order(seed):
+    # sectors of sizes 1, 2 and 4 whose entropies interleave in label order
+    system = bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
+    partition = Partition([("A", (0, 1)), ("B", (2, 3))])
+    rho = random_density(system, np.random.default_rng(seed))
+    assert particle_entanglement(rho, partition) == \
+        _reference_particle_entanglement(rho, partition)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_partial_trace_in_small_chunks_equals_the_per_code_loop(chunk, monkeypatch):
+    monkeypatch.setattr(fock, "PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for system, keep in [(bosons(3, 2), (1,)), (bosons(3, 2, total=3), (0, 2)),
+                         (ModeSystem([("a", 1), ("b", 3), ("c", 2)]), (2, 0))]:
+        rho = random_density(system, rng)
+        partition = Partition([("A", keep)])
+        expected = _reference_reduced(system, np.arange(system.dim), rho.matrix, keep)
+        assert partial_trace(rho, partition, "A").matrix.tobytes() == expected.tobytes()
+
+
+def test_large_sectors_and_reduced_states_equal_the_per_sector_loop():
+    # reduced states of dim 50, at least BLOCK_MIN_DIM
+    system = ModeSystem([("a", 49), ("b", 1)])
+    partition = Partition([("A", (0,)), ("B", (1,))])
+    rho = random_density(system, np.random.default_rng(3))
+    assert particle_entanglement(rho, partition) == \
+        _reference_particle_entanglement(rho, partition)
+    # two sectors of size 64, number-diagonal within, so each is solved by blocks
+    system = ModeSystem([("a", 1), ("b", 7), ("c", 7)])
+    part = Partition([("A", (0,)), ("B", (1, 2))])
+    rho = random_number_diagonal_mixture(system, part, np.random.default_rng(4)).summed()
+    labels = system.occupancies[:, 0]
+    got, expected = fock.number_sectors(rho, labels), _reference_sectors(rho, labels)
+    assert [len(sel) for _, _, sel, _ in got] == [64, 64]
+    assert [(label, weight, sel.tobytes(), block.tobytes()) for label, weight, sel, block in got] \
+        == [(label, weight, sel.tobytes(), block.tobytes())
+            for label, weight, sel, block in expected]
+
+
 @SETTINGS
 @given(systems())
 def test_indices_of_the_basis_is_arange(system):
@@ -492,6 +596,29 @@ def test_a_stacked_check_gives_each_matrix_its_own_spectrum(d, n, seed):
     rhos = fock._density_stack([system] * n, stack)
     assert [rho.matrix.tobytes() for rho in rhos] == [mat.tobytes() for mat in stack]
     assert all(rho.system == system and not rho.matrix.flags.writeable for rho in rhos)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_stack_at_the_block_size_keeps_each_matrix_block_solve(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    stack, largest = [], 0
+    for _ in range(4):
+        sizes = rng.multinomial(64 - 8, np.ones(8) / 8) + 1
+        largest = max(largest, sizes.max())
+        lam = rng.random(64)
+        stack.append(permuted_blocks(sizes, lam / lam.sum(), rng))
+    stack = np.stack(stack)
+    assert stack.shape == (4, BLOCK_MIN_DIM + 16, BLOCK_MIN_DIM + 16)
+    alone = [fock._check_physical(mat) for mat in stack]
+    solved = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, solve=solve: solved.append(m.shape) or solve(m))
+    spectra = fock._check_physical(stack)
+    assert spectra.tobytes() == np.stack(alone).tobytes()
+    # block by block, as each matrix alone: no dense solve of a whole matrix
+    assert solved and max(shape[-1] for shape in solved) == largest < 64
 
 
 def _anti_hermitian_noise(mat, rng):

@@ -31,6 +31,7 @@ from focklab.states import (
     poisson_pmf,
     rotated_mode_annihilation,
     singlet_spin,
+    summed_stack,
     two_mode_N_boson,
     two_mode_coherent_mixture,
     verstraete_state,
@@ -512,6 +513,55 @@ def test_summed_equals_the_term_by_term_sum_bit_for_bit(sampler, seed):
 def test_summed_of_the_verstraete_mixture_equals_the_term_by_term_sum():
     _, mix = verstraete_state("mixture")
     assert mix.summed().matrix.tobytes() == _reference_summed(mix).tobytes()
+
+
+@pytest.mark.parametrize("sampler", [s for s, _ in SAMPLERS])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_summed_stack_equals_each_term_by_term_sum_bit_for_bit(sampler, seed):
+    rng = np.random.default_rng(seed)
+    mixtures = [sampler(rng) for _ in range(int(rng.integers(1, 9)))]
+    summed = summed_stack(mixtures)
+    assert len(summed) == len(mixtures)
+    for rho, mix in zip(summed, mixtures):
+        assert isinstance(rho, DensityOperator) and rho.system == mix.system
+        assert not rho.matrix.flags.writeable
+        assert rho.matrix.tobytes() == _reference_summed(mix).tobytes()
+
+
+def _with_factor_scaled(mix, name, scale):
+    """``mix`` with the ``name`` factor of its first component scaled, unchecked."""
+    first, *rest = mix.components
+    bad = object.__new__(DensityOperator)
+    bad.system = first.factors[name].system
+    bad.matrix = first.factors[name].matrix * scale
+    factors = dict(first.factors, **{name: bad})
+    return SeparableMixture(mix.system, mix.partition,
+                            [MixtureComponent(first.probability, factors), *rest])
+
+
+@pytest.mark.parametrize("pos", [0, 3, 6])
+def test_one_unphysical_sum_fails_the_stack_by_its_index(pos):
+    rng = np.random.default_rng(pos)
+    mixtures = [random_qubit_pair_mixture(rng) for _ in range(7)]
+    mixtures[pos] = _with_factor_scaled(mixtures[pos], "A", 2.0)
+    with pytest.raises(ValueError, match=f"^stack matrix {pos}: trace"):
+        summed_stack(mixtures)
+    with pytest.raises(ValueError, match="^stack matrix 0: trace"):
+        mixtures[pos].summed()
+
+
+def test_a_summed_stack_needs_one_system_partition_and_size():
+    rng = np.random.default_rng(0)
+    system = bosons(2, 2)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    mix = random_number_diagonal_mixture(system, part, rng)
+    other_part = Partition([("B", (1,)), ("A", (0,))])
+    _, verstraete = verstraete_state("mixture")
+    for other in (random_number_diagonal_mixture(system, other_part, rng), verstraete,
+                  SeparableMixture(system, part,
+                                   [MixtureComponent(1.0, mix.components[0].factors)])):
+        with pytest.raises(ValueError, match="one system, partition and number"):
+            summed_stack([mix, other])
 
 
 def test_mixture_probability_validation():

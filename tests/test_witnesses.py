@@ -24,6 +24,7 @@ from focklab.witnesses import (
     casimir_residual,
     chsh_batch,
     chsh_correlation_tensor,
+    chsh_correlation_tensors,
     pauli_ops,
 )
 from focklab.states import (
@@ -34,6 +35,7 @@ from focklab.states import (
 from focklab.sampling import (
     random_chsh_directions,
     random_chsh_setting,
+    random_density,
     random_number_diagonal_mixture,
     random_one_boson_pair_mixture,
     random_qubit_pair_mixture,
@@ -95,6 +97,35 @@ def test_chsh_separable_bound_sweep():
     a1, a2, b1, b2 = random_chsh_directions(rng, 1000)
     s_abs = chsh_batch(tensors, a1, a2, b1, b2)
     assert float(s_abs.max()) <= 2.0 + 1e-10
+
+
+def _reference_tensor(rho):
+    """The correlation tensor as one ``expectation`` per entry."""
+    t = np.empty((3, 3))
+    for i, sa in enumerate(pauli_ops(rho.system, 0)):
+        for j, sb in enumerate(pauli_ops(rho.system, 1)):
+            t[i, j] = expectation(rho, sa @ sb).real
+    return t
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_tensors_equal_the_per_state_tensors_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    system = qubits(2)
+    states = [random_qubit_pair_mixture(rng).summed() if rng.random() < 0.5
+              else random_density(system, rng) for _ in range(40)]
+    tensors = chsh_correlation_tensors(states)
+    assert tensors.shape == (40, 3, 3)
+    assert tensors.tobytes() == np.stack([_reference_tensor(s) for s in states]).tobytes()
+    assert chsh_correlation_tensor(states[7]).tobytes() == tensors[7].tobytes()
+
+
+def test_stacked_tensors_need_one_two_qubit_system():
+    rho = qubits(2).vacuum().density()
+    with pytest.raises(ValueError, match="different systems"):
+        chsh_correlation_tensors([rho, bell_one_boson("psi-")])
+    with pytest.raises(ValueError, match="two-qubit"):
+        chsh_correlation_tensors([rho, bosons(2, 2).vacuum()])
 
 
 def test_chsh_rejects_wrong_dimension():
@@ -228,20 +259,33 @@ def test_particle_entanglement_separable_zero():
     assert particle_entanglement(rho, part2) <= 1e-10
 
 
-def test_particle_entanglement_solves_each_kept_sector_twice(monkeypatch):
-    # once for the sector block's checks, once for its reduced state's checks,
-    # which also give the entropy
+def test_particle_entanglement_checks_each_sector_size_twice(monkeypatch):
+    # once for the stack of sector blocks of one size, once for the stack of
+    # their reduced states, whose checks also give the entropies
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
     rho = random_number_diagonal_mixture(system, part, np.random.default_rng(0)).summed()
-    calls = []
-    solve = fock.eigh_blocks
-    monkeypatch.setattr(fock, "eigh_blocks", lambda *a: calls.append(1) or solve(*a))
-    kept = len(list(fock.number_sectors(rho, system.occupancies @ [3, 1])))
-    calls.clear()
+    keys = system.occupancies @ [3, 1]
+    sizes = {len(sel) for _, _, sel, _ in fock.number_sectors(rho, keys)}
+    stacks = []
+    check = fock._check_physical
+    for module in (fock, witnesses):
+        monkeypatch.setattr(module, "_check_physical",
+                            lambda m: stacks.append(m.shape) or check(m))
     particle_entanglement(rho, part)
-    assert kept == 9
-    assert len(calls) == 2 * kept
+    assert sizes == {1}
+    assert stacks == [(9, 1, 1), (9, 3, 3)]
+    # the four-mode state has sectors of sizes 1, 2 and 4: at most two checks each
+    sys4 = bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
+    part4 = Partition([("A", (0, 1)), ("B", (2, 3))])
+    rho4 = random_density(sys4, np.random.default_rng(1))
+    occ = sys4.occupancies
+    keys4 = occ[:, :2].sum(axis=1) * 3 + occ[:, 2:].sum(axis=1)
+    sizes4 = {len(sel) for _, _, sel, _ in fock.number_sectors(rho4, keys4)}
+    stacks.clear()
+    particle_entanglement(rho4, part4)
+    assert sizes4 == {1, 2, 4}
+    assert len(stacks) == 2 * len(sizes4)
 
 
 def test_particle_entanglement_product_one_one():
