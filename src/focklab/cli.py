@@ -41,7 +41,6 @@ from . import (
     twirl,
     sector_decompose,
     separable_ssr_theorem_check,
-    qcf,
     clock_prob,
     chsh,
     ghz_parity,
@@ -57,16 +56,17 @@ from . import (
     poisson_pmf,
 )
 from .lhv import CHUNK_ROWS
-from .ssr import clock_prob_by_evolution
+from .ssr import clock_prob_by_evolution, qcf_table, twirl_stack
 from .states import coherent_amplitudes, summed_stack
 from .witnesses import chsh_batch, chsh_correlation_tensor, chsh_correlation_tensors
 from .sampling import (
     random_chsh_directions,
     random_chsh_setting,
-    random_global_ssr_state,
-    random_number_diagonal_mixture,
-    random_one_boson_pair_mixture,
-    random_qubit_pair_mixture,
+    random_densities,
+    random_global_ssr_states,
+    random_number_diagonal_mixtures,
+    random_one_boson_pair_mixtures,
+    random_qubit_pair_mixtures,
 )
 
 SCHEMA_VERSION = 1
@@ -143,26 +143,21 @@ def _exp_qcf_theorem(params, tol, rng):
     cutoff = params["cutoff"]
     max_order = params["max_order"]
     system = bosons(2, cutoff)
-    indices = [(n, m, l, k)
-               for n in range(max_order + 1) for m in range(max_order + 1)
-               for l in range(max_order + 1) for k in range(max_order + 1)]
-    worst_forbidden = 0.0
-    worst_invariance = 0.0
+    powers = [(n, m, l, k)
+              for n in range(max_order + 1) for m in range(max_order + 1)
+              for l in range(max_order + 1) for k in range(max_order + 1)]
+    balanced = np.array([n + l == m + k for n, m, l, k in powers])
+    states = random_global_ssr_states(system, rng, n_states)
+    twirled = twirl_stack(states, number_op(system))
     import warnings
     with warnings.catch_warnings():
         # the sweep states carry weight at the cutoff; the vanishing theorem
         # is exact under truncation, so the saturation warning is noise here
         warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(n_states):
-            rho = random_global_ssr_state(system, rng)
-            tw = twirl(rho, number_op(system))
-            for n, m, l, k in indices:
-                val = qcf(rho, n, m, l, k)
-                if n + l != m + k:
-                    worst_forbidden = max(worst_forbidden, abs(val))
-                else:
-                    val_t = qcf(tw, n, m, l, k)
-                    worst_invariance = max(worst_invariance, abs(val - val_t))
+        table = qcf_table(states, powers)
+        twirled_table = qcf_table(twirled, [p for p, b in zip(powers, balanced) if b])
+    worst_forbidden = np.abs(table[:, ~balanced]).max(initial=0.0)
+    worst_invariance = np.abs(table[:, balanced] - twirled_table).max()
     return [
         _check_below("forbidden_qcf_max", worst_forbidden, _tol(tol, 1e-10)),
         _check_below("twirl_invariance_max", worst_invariance, _tol(tol, 1e-10)),
@@ -191,8 +186,7 @@ def _exp_chsh_singlet(params, tol, rng):
 def _exp_chsh_separable_bound(params, tol, rng):
     n_mix = params["n_mixtures"]
     n_settings = params["n_settings"]
-    tensors = chsh_correlation_tensors(summed_stack(
-        [random_qubit_pair_mixture(rng) for _ in range(n_mix)]))
+    tensors = chsh_correlation_tensors(summed_stack(random_qubit_pair_mixtures(rng, n_mix)))
     a1, a2, b1, b2 = random_chsh_directions(rng, n_settings)
     s_abs = chsh_batch(tensors, a1, a2, b1, b2)
     return [_check_below("separable_max_abs_S", float(s_abs.max()),
@@ -336,7 +330,6 @@ def _exp_two_mode_coherent_mixture(params, tol, rng):
 
 
 def _exp_measurement_identities(params, tol, rng):
-    from .sampling import random_density
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
@@ -347,8 +340,7 @@ def _exp_measurement_identities(params, tol, rng):
     obs_b = spectral(tensor_embed(number_op(sub_b), system, (1,)))
     proj_a, proj_b = obs_a.projectors, obs_b.projectors
     worst_bayes = worst_nosig = worst_reduced = 0.0
-    for _ in range(params["n_states"]):
-        rho = random_density(system, rng)
+    for rho in random_densities(system, rng, params["n_states"]):
         for pa in proj_a:
             total = sum(joint_prob(rho, [pa, pb]) for pb in proj_b)
             worst_bayes = max(worst_bayes, abs(total - prob(rho, pa)))
@@ -369,8 +361,7 @@ def _exp_separability_ssr(params, tol, rng):
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
     ok = True
-    for _ in range(params["n_mixtures"]):
-        mix = random_number_diagonal_mixture(system, part, rng)
+    for mix in random_number_diagonal_mixtures(system, part, rng, params["n_mixtures"]):
         rep = separable_ssr_theorem_check(mix)
         ok = ok and rep.all_local_compliant and rep.global_report.compliant
     _, verstraete_mix = verstraete_state("mixture")
@@ -385,8 +376,8 @@ def _exp_particle_entanglement(params, tol, rng):
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    summed = summed_stack([random_number_diagonal_mixture(system, part, rng)
-                           for _ in range(params["n_mixtures"])])
+    summed = summed_stack(random_number_diagonal_mixtures(system, part, rng,
+                                                          params["n_mixtures"]))
     worst = 0.0
     for rho in summed:
         worst = max(worst, particle_entanglement(rho, part))
@@ -409,8 +400,7 @@ def _exp_particle_entanglement(params, tol, rng):
 def _exp_spin_epr_bound(params, tol, rng):
     t_ = _tol(tol, 1e-10)
     part = Partition([("one", (0, 1)), ("two", (2, 3))])
-    summed = summed_stack([random_one_boson_pair_mixture(rng)
-                           for _ in range(params["n_mixtures"])])
+    summed = summed_stack(random_one_boson_pair_mixtures(rng, params["n_mixtures"]))
     worst = 0.0
     for rho in summed:
         verdict = spin_epr(rho, part)

@@ -10,23 +10,57 @@ import functools
 
 import numpy as np
 
-from .fock import (DensityOperator, PureState, Partition, _density_stack, bosons,
-                   qubits, sector_blocks, sub_system)
+from .fock import (PureState, Partition, _density_stack, bosons, qubits, sector_blocks,
+                   sub_system)
 from .states import MixtureComponent, SeparableMixture
 from .witnesses import CHSHSetting
 
 
-def _ginibre_gram(rng, dim):
-    """G G^H for a dim x dim complex Ginibre draw G; positive, not normalised."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return g @ g.conj().T
+def _sweep_size(n):
+    if n < 1:
+        raise ValueError(f"a sampled sweep needs at least one draw, got n = {n}")
+
+
+def _weights_and_normals(rng, n, n_weights, n_normals):
+    """n draws of ``n_weights`` flat Dirichlet weights, each followed by
+    ``n_normals`` standard normals, as an (n, n_weights) and an (n, n_normals)
+    array: the stream of n single draws, two generator calls per draw."""
+    _sweep_size(n)
+    weights = np.empty((n, n_weights))
+    normals = np.empty((n, n_normals))
+    for i in range(n):
+        weights[i] = rng.dirichlet(np.ones(n_weights))
+        rng.standard_normal(out=normals[i])
+    return weights, normals
+
+
+def _ginibre_grams(normals):
+    """G G^H of each complex Ginibre matrix G = X + iY of an (m, 2, k, k) stack
+    of real (X, Y) draws; positive, not normalised."""
+    g = normals[:, 0] + 1j * normals[:, 1]
+    return g @ g.conj().transpose(0, 2, 1)
+
+
+def _unit_trace_grams(normals):
+    """``_ginibre_grams`` of an (m, 2, k, k) stack, each divided by its trace."""
+    grams = _ginibre_grams(normals)
+    grams /= np.real(np.trace(grams, axis1=1, axis2=2))[:, None, None]
+    return grams
+
+
+def random_densities(system, rng, n):
+    """n full-rank Ginibre-sampled density operators, checked as one stack:
+    the stream and the bits of n ``random_density`` draws."""
+    _sweep_size(n)
+    dim = system.dim
+    return _density_stack([system] * n,
+                          _unit_trace_grams(rng.standard_normal((n, 2, dim, dim))))
 
 
 def random_density(system, rng):
-    """Full-rank Ginibre-sampled density operator."""
-    mat = _ginibre_gram(rng, system.dim)
-    mat /= np.real(np.trace(mat))
-    return DensityOperator(system, mat)
+    """Full-rank Ginibre-sampled density operator: a sweep of one
+    ``random_densities`` draw."""
+    return random_densities(system, rng, 1)[0]
 
 
 def random_pure(system, rng):
@@ -51,41 +85,52 @@ def random_chsh_directions(rng, n):
     return vecs[0], vecs[1], vecs[2], vecs[3]
 
 
-def random_global_ssr_state(system, rng):
-    """Block-diagonal over total-number sectors: [N, rho] = 0 by construction."""
+def random_global_ssr_states(system, rng, n):
+    """n states, block-diagonal over total-number sectors, so that [N, rho] = 0
+    by construction, checked as one stack.
+
+    Each draw takes Dirichlet sector weights, then one complex Ginibre block per
+    sector, its real part before its imaginary part, scaled to its weight: the
+    stream and the bits of n ``random_global_ssr_state`` draws.
+    """
     blocks = sector_blocks(system.occupancies.sum(axis=1))
-    weights = rng.dirichlet(np.ones(len(blocks)))
-    mat = np.zeros((system.dim, system.dim), dtype=complex)
-    for w, (_, sel) in zip(weights, blocks):
-        block = _ginibre_gram(rng, len(sel))
-        block *= w / np.real(np.trace(block))
-        mat[np.ix_(sel, sel)] = block
-    return DensityOperator(system, mat)
+    sizes = [len(sel) for _, sel in blocks]
+    weights, normals = _weights_and_normals(rng, n, len(blocks),
+                                            sum(2 * k * k for k in sizes))
+    mats = np.zeros((n, system.dim, system.dim), dtype=complex)
+    start = 0
+    for w, (_, sel), k in zip(weights.T, blocks, sizes):
+        block = _ginibre_grams(normals[:, start:start + 2 * k * k].reshape(n, 2, k, k))
+        start += 2 * k * k
+        block *= (w / np.real(np.trace(block, axis1=1, axis2=2)))[:, None, None]
+        mats[:, sel[:, None], sel] = block
+    return _density_stack([system] * n, mats)
 
 
-def _unit_trace_grams(rng, n, dim):
-    """n ``_ginibre_gram`` draws from the same stream, each divided by its trace,
-    as one (n, dim, dim) stack."""
-    g = rng.standard_normal((n, 2, dim, dim))
-    g = g[:, 0] + 1j * g[:, 1]
-    grams = g @ g.conj().transpose(0, 2, 1)
-    grams /= np.real(np.trace(grams, axis1=1, axis2=2))[:, None, None]
-    return grams
+def random_global_ssr_state(system, rng):
+    """Block-diagonal over total-number sectors: [N, rho] = 0 by construction.
+    A sweep of one ``random_global_ssr_states`` draw."""
+    return random_global_ssr_states(system, rng, 1)[0]
 
 
-def _separable_mixture(system, partition, probs, subs, mats):
-    """Mixture of ``probs`` whose factors ``mats`` on ``subs`` are listed component
-    by component, in partition order; the factors of each dimension are checked
-    as one stack."""
+def _separable_mixtures(system, partition, probs, subs, mats):
+    """One mixture per row of the (n, R) ``probs``: component r of mixture i
+    has the factor ``mats[j][i, r]`` on ``subs[j]`` for the j-th name of the
+    partition.  The factors of each dimension, over all n mixtures, are
+    checked as one stack."""
+    n, n_comp = probs.shape
+    count = n * n_comp
     factors = [None] * len(subs)
     for _, sel in sector_blocks([sub.dim for sub in subs]):
-        checked = _density_stack([subs[i] for i in sel], np.stack([mats[i] for i in sel]))
-        for i, rho in zip(sel, checked):
-            factors[i] = rho
+        k = subs[sel[0]].dim
+        checked = _density_stack([subs[j] for j in sel for _ in range(count)],
+                                 np.concatenate([mats[j].reshape(count, k, k) for j in sel]))
+        for t, j in enumerate(sel):
+            factors[j] = checked[t * count:(t + 1) * count]
     names = partition.names
-    return SeparableMixture(system, partition, [
-        MixtureComponent(p, dict(zip(names, factors[r * len(names):])))
-        for r, p in enumerate(probs)])
+    return [SeparableMixture(system, partition, [
+        MixtureComponent(p, {name: factors[j][i * n_comp + r] for j, name in enumerate(names)})
+        for r, p in enumerate(row)]) for i, row in enumerate(probs)]
 
 
 @functools.cache
@@ -97,22 +142,57 @@ def _qubit_pair():
             (sub_system(system, (0,)), sub_system(system, (1,))))
 
 
-def random_qubit_pair_mixture(rng):
-    """Separable mixture of four products of generic qubit states on two modes."""
+def random_qubit_pair_mixtures(rng, n):
+    """n separable mixtures of four products of generic qubit states on two
+    modes.  Each draw takes the four probabilities, then the A and the B
+    factor of each component as ``random_density`` would draw them: the
+    stream and the bits of n ``random_qubit_pair_mixture`` draws."""
     system, partition, pair = _qubit_pair()
-    subs = pair * 4
-    probs = rng.dirichlet(np.ones(4))
-    # the A then the B factor of each component, as ``random_density`` drew them
-    mats = _unit_trace_grams(rng, len(subs), 2)
-    return _separable_mixture(system, partition, probs, subs, mats)
+    probs, normals = _weights_and_normals(rng, n, 4, 4 * 2 * 2 * 2 * 2)
+    # (draw, component, factor, 2, 2)
+    grams = _unit_trace_grams(normals.reshape(-1, 2, 2, 2)).reshape(n, 4, 2, 2, 2)
+    return _separable_mixtures(system, partition, probs, pair,
+                               [grams[:, :, j] for j in range(2)])
+
+
+def random_qubit_pair_mixture(rng):
+    """Separable mixture of four products of generic qubit states on two modes:
+    a sweep of one ``random_qubit_pair_mixtures`` draw."""
+    return random_qubit_pair_mixtures(rng, 1)[0]
+
+
+def random_number_diagonal_mixtures(system, partition, rng, n):
+    """n three-term separable mixtures with number-diagonal (locally SSR
+    compliant) factors.  Each draw takes the three probabilities, then one
+    Dirichlet diagonal per factor, component by component in partition order:
+    the stream and the bits of n ``random_number_diagonal_mixture`` draws."""
+    _sweep_size(n)
+    subs = [sub_system(system, partition.modes_of(name)) for name in partition.names]
+    dims = [sub.dim for sub in subs] * 3
+    # one call of ``size`` draws the same stream as one call per factor
+    one_call = len(set(dims)) == 1
+    probs = np.empty((n, 3))
+    diags = [np.empty((n, 3, sub.dim)) for sub in subs]
+    for i in range(n):
+        probs[i] = rng.dirichlet(np.ones(3))
+        if one_call:
+            draws = rng.dirichlet(np.ones(dims[0]), size=len(dims))
+        else:
+            draws = [rng.dirichlet(np.ones(d)) for d in dims]
+        for t, draw in enumerate(draws):
+            diags[t % len(subs)][i, t // len(subs)] = draw
+    mats = []
+    for diag, sub in zip(diags, subs):
+        mat = np.zeros((n, 3, sub.dim, sub.dim), dtype=complex)
+        mat[..., np.arange(sub.dim), np.arange(sub.dim)] = diag
+        mats.append(mat)
+    return _separable_mixtures(system, partition, probs, subs, mats)
 
 
 def random_number_diagonal_mixture(system, partition, rng):
-    """Three-term separable mixture with number-diagonal (locally SSR compliant) factors."""
-    probs = rng.dirichlet(np.ones(3))
-    subs = [sub_system(system, partition.modes_of(name)) for name in partition.names] * 3
-    mats = [np.diag(rng.dirichlet(np.ones(sub.dim)).astype(complex)) for sub in subs]
-    return _separable_mixture(system, partition, probs, subs, mats)
+    """Three-term separable mixture with number-diagonal (locally SSR compliant)
+    factors: a sweep of one ``random_number_diagonal_mixtures`` draw."""
+    return random_number_diagonal_mixtures(system, partition, rng, 1)[0]
 
 
 @functools.cache
@@ -128,16 +208,26 @@ def _one_boson_pair():
     return system, partition, pair, sel
 
 
-def random_one_boson_pair_mixture(rng):
-    """Three-component separable mixture on (a1, b1, a2, b2), one boson per mode pair.
+def random_one_boson_pair_mixtures(rng, n):
+    """n three-component separable mixtures on (a1, b1, a2, b2), one boson per
+    mode pair.
 
     Every factor lives in the one-boson sector of its pair, so it is locally
     number-SSR compliant while carrying arbitrary within-sector coherence.
+    Each draw takes the three probabilities, then each factor's one-boson
+    block as ``random_density`` would draw it: the stream and the bits of n
+    ``random_one_boson_pair_mixture`` draws.
     """
     system, partition, pair, sel = _one_boson_pair()
-    subs = pair * 3
-    probs = rng.dirichlet(np.ones(3))
-    blocks = _unit_trace_grams(rng, len(subs), 2)
-    mats = np.zeros((len(subs), subs[0].dim, subs[0].dim), dtype=complex)
-    mats[:, sel[:, None], sel] = blocks
-    return _separable_mixture(system, partition, probs, subs, mats)
+    probs, normals = _weights_and_normals(rng, n, 3, 3 * 2 * 2 * 2 * 2)
+    blocks = _unit_trace_grams(normals.reshape(-1, 2, 2, 2)).reshape(n, 3, 2, 2, 2)
+    mats = np.zeros((n, 3, 2, pair[0].dim, pair[0].dim), dtype=complex)
+    mats[..., sel[:, None], sel] = blocks
+    return _separable_mixtures(system, partition, probs, pair,
+                               [mats[:, :, j] for j in range(2)])
+
+
+def random_one_boson_pair_mixture(rng):
+    """Three-component separable mixture on (a1, b1, a2, b2), one boson per mode
+    pair: a sweep of one ``random_one_boson_pair_mixtures`` draw."""
+    return random_one_boson_pair_mixtures(rng, 1)[0]

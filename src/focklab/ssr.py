@@ -16,8 +16,8 @@ import numpy as np
 from .fock import (
     NORM_ATOL,
     ModeSystem,
-    DensityOperator,
     PureState,
+    _density_stack,
     as_density,
     commutator_norm,
     number_op,
@@ -88,48 +88,110 @@ def ssr_check(state, n_op, tol=SSR_TOL):
     return SSRReport(residual=residual, compliant=residual <= tol, tol=tol)
 
 
-def twirl(state, n_op):
-    """Phase-average over the U(1) group generated by ``n_op``.
+def twirl_stack(states, n_op):
+    """Phase-average each of a non-empty sequence of states over the U(1) group
+    generated by ``n_op``.
 
     The integral (1/2pi) int dtheta e^{-iN theta} rho e^{+iN theta} is
     analytically the projection onto number-sector block-diagonal form, so it
-    is evaluated exactly by zeroing coherences between distinct sectors.
+    is evaluated exactly by zeroing coherences between distinct sectors: one
+    sector mask for the whole stack, whose twirled matrices are checked as one
+    stack by ``_density_stack``.
     """
-    rho = _density_on(state, n_op)
+    if not states:
+        raise ValueError("twirl_stack needs at least one state")
+    rhos = [_density_on(state, n_op) for state in states]
     ids = _diagonal_sector_ids(n_op)
-    mask = ids[:, None] == ids[None, :]
-    return DensityOperator(rho.system, rho.matrix * mask)
+    stack = np.array([rho.matrix for rho in rhos])
+    stack *= ids[:, None] == ids[None, :]
+    return _density_stack([rho.system for rho in rhos], stack)
+
+
+def twirl(state, n_op):
+    """Phase-average over the U(1) group generated by ``n_op``: a stack of one
+    of ``twirl_stack``."""
+    return twirl_stack([state], n_op)[0]
+
+
+def _qcf_word(powers):
+    """The ``ladder_product`` factors of adag^n a^m bdag^l b^k, after checking
+    that the powers are four integers >= 0."""
+    if len(powers) != 4 or not all(
+            isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in powers):
+        raise ValueError(f"qcf powers must be four integers >= 0, got {powers!r}")
+    n, m, l, k = powers
+    if min(powers) < 0:
+        raise ValueError(f"qcf powers must be >= 0, got {powers!r}")
+    return ((0, True),) * n + ((0, False),) * m + ((1, True),) * l + ((1, False),) * k
+
+
+def qcf_table(states, powers):
+    """Correlation functions <adag^n a^m bdag^l b^k> of modes a = 0 and b = 1
+    for each state and each ``(n, m, l, k)`` of ``powers``, as an
+    (n_states, n_powers) complex array.
+
+    Every power tuple is checked before any state is read.  The ``ladder_product``
+    entries of all monomials are concatenated and gathered from each state in
+    one step; each entry of the table sums its monomial's O(d) terms on its
+    own, so it does not depend on the other states or powers.  Warns once
+    when some state carries weight close enough to a cutoff for the truncated
+    raising ladder of some monomial to have dropped support.
+    """
+    words = [_qcf_word(tuple(p)) for p in powers]
+    rhos = [as_density(state) for state in states]
+    if not rhos or not words:
+        raise ValueError("qcf_table needs at least one state and one power tuple")
+    system = rhos[0].system
+    if any(rho.system != system for rho in rhos):
+        raise ValueError("qcf_table needs all states on one system")
+    if system.n_modes < 2:
+        raise ValueError("qcf needs modes 0 and 1")
+    entries = [ladder_product(system, word) for word in words]
+    lengths = np.array([len(values) for _, _, values in entries])
+    rows, cols, values = (np.concatenate(arrays) for arrays in zip(*entries))
+    # one (n_states, n_terms) array, filled state by state and scaled in place
+    terms = np.empty((len(rhos), len(values)), dtype=complex)
+    for term, rho in zip(terms, rhos):
+        term[:] = rho.matrix[cols, rows]
+    terms *= values
+    table = np.zeros((len(rhos), len(words)), dtype=complex)
+    kept = lengths > 0
+    if kept.any():
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        table[:, kept] = np.add.reduceat(terms, starts[kept], axis=1)
+    _warn_on_saturation(system, rhos, powers)
+    return table
+
+
+def _warn_on_saturation(system, rhos, powers):
+    """One warning naming each mode at whose cutoff a net raise of some
+    monomial meets more than 1e-12 of some state's weight."""
+    occ = system.occupancies
+    pops = np.array([rho.matrix.diagonal().real for rho in rhos])
+    # raising acts after lowering and no occupancy exceeds the cutoff, so only
+    # a net raise can reach past it; its reach depends on the mode and the net
+    raises = {(mode, raise_by - lower_by)
+              for n, m, l, k in powers
+              for mode, raise_by, lower_by in ((0, n, m), (1, l, k)) if raise_by > lower_by}
+    modes = sorted({mode for mode, net in raises
+                    if (pops[:, occ[:, mode] + net > system.modes[mode].cutoff].sum(axis=1)
+                        > 1e-12).any()})
+    if modes:
+        warnings.warn(
+            "state has weight near the cutoff of "
+            + " and ".join(f"mode {mode}" for mode in modes)
+            + "; raising operators are truncated there", RuntimeWarning)
 
 
 def qcf(state, n, m, l, k):
-    """Correlation function <adag^n a^m bdag^l b^k> of modes a = 0 and b = 1.
+    """Correlation function <adag^n a^m bdag^l b^k> of modes a = 0 and b = 1:
+    a table of one of ``qcf_table``.
 
     Tr(P rho) summed over the O(d) ``ladder_product`` entries of the monomial P.
     Warns when the state carries weight close enough to a cutoff for the
     truncated raising ladder to have dropped support.
     """
-    rho = as_density(state)
-    system = rho.system
-    if system.n_modes < 2:
-        raise ValueError("qcf needs modes 0 and 1")
-    if min(n, m, l, k) < 0:
-        raise ValueError("qcf powers must be >= 0")
-    rows, cols, values = ladder_product(
-        system, ((0, True),) * n + ((0, False),) * m + ((1, True),) * l + ((1, False),) * k)
-    occ = system.occupancies
-    pops = rho.matrix.diagonal().real
-    for mode, raise_by, lower_by in ((0, n, m), (1, l, k)):
-        # raising acts after lowering and no occupancy exceeds the cutoff, so
-        # only a net raise can reach past it
-        if raise_by <= lower_by:
-            continue
-        cutoff = system.modes[mode].cutoff
-        saturating = occ[:, mode] + raise_by - lower_by > cutoff
-        if pops[saturating].sum() > 1e-12:
-            warnings.warn(
-                f"state has weight near the cutoff of mode {mode}; "
-                "raising operators are truncated there", RuntimeWarning)
-    return complex(values @ rho.matrix[cols, rows])
+    return complex(qcf_table([state], [(n, m, l, k)])[0, 0])
 
 
 def sector_decompose(state, n_op):

@@ -43,14 +43,16 @@ class SeparableMixture:
         total = sum(c.probability for c in components)
         if not abs(total - 1.0) <= NORM_ATOL:
             raise ValueError(f"component probabilities sum to {total}, not 1")
+        expected = {name: tuple(system.modes[i] for i in modes)
+                    for name, modes in partition.subsystems}
+        names = set(expected)
         for c in components:
             if c.probability < 0:
                 raise ValueError("negative component probability")
-            if set(c.factors) != set(partition.names):
+            if set(c.factors) != names:
                 raise ValueError("each component needs one factor per subsystem")
             for name, factor in c.factors.items():
-                expected = tuple(system.modes[i] for i in partition.modes_of(name))
-                if factor.system.modes != expected:
+                if factor.system.modes != expected[name]:
                     raise ValueError(f"factor for {name!r} lives on the wrong modes")
         self.system = system
         self.partition = partition
@@ -74,6 +76,8 @@ def summed_stack(mixtures):
     entry so has the bits of a term-by-term sum, and a stack of one holds
     three d x d arrays at its peak, whatever the number of components.
     """
+    if not mixtures:
+        raise ValueError("summed_stack needs at least one mixture, got an empty stack")
     first = mixtures[0]
     system, partition = first.system, first.partition
     if any(m.system != system or m.partition != partition

@@ -416,3 +416,22 @@ def test_mixture_sweeps_check_their_summed_states_once(monkeypatch, name, dim, n
     full = [shape for shape in shapes if shape[-1] == dim]
     assert full.count((dim, dim)) == pure_checks
     assert [shape for shape in full if len(shape) == 3] == [(n, dim, dim)]
+
+
+@pytest.mark.parametrize("name, key", [("qcf_theorem", "n_states"),
+                                       ("chsh_separable_bound", "n_mixtures")])
+def test_sampled_sweeps_check_their_states_as_stacks(monkeypatch, name, key):
+    # the number of physicality checks does not grow with the sweep
+    from focklab import fock, witnesses
+    calls = []
+    check = fock._check_physical
+    for module in (fock, witnesses):
+        monkeypatch.setattr(module, "_check_physical",
+                            lambda m: calls.append(m.shape) or check(m))
+    counts = []
+    for n in (5, 50):
+        calls.clear()
+        assert run_experiment(name, params={key: n})["overall_pass"]
+        assert any(shape[0] == n for shape in calls if len(shape) == 3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -22,6 +22,7 @@ from focklab import (
     partial_trace,
     particle_entanglement,
     qcf,
+    qcf_table,
     sector_decompose,
     spectral,
     tensor_embed,
@@ -34,6 +35,7 @@ from focklab.fock import (
     eigh_blocks,
     eigvalsh_blocks,
     ladder_product,
+    sector_blocks,
     sub_system,
 )
 from focklab.measurement import (
@@ -47,7 +49,18 @@ from focklab.measurement import (
     unrecorded_state,
 )
 from focklab.lhv import integral_inequality_oracle, sum_inequality_oracle
-from focklab.sampling import random_density, random_number_diagonal_mixture
+from focklab.sampling import (
+    random_densities,
+    random_density,
+    random_global_ssr_state,
+    random_global_ssr_states,
+    random_number_diagonal_mixture,
+    random_number_diagonal_mixtures,
+    random_one_boson_pair_mixture,
+    random_one_boson_pair_mixtures,
+    random_qubit_pair_mixture,
+    random_qubit_pair_mixtures,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=50)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -758,3 +771,122 @@ def test_a_negative_or_nan_entry_in_any_row_is_rejected(case, bad):
     if which > 1 or np.isnan(bad):
         with pytest.raises(ValueError, match="nonnegative"):
             integral_inequality_oracle(lam, p, c, d)
+
+
+# Reference single draws: the per-draw code the stacked samplers replace, in
+# the stream order they keep.
+
+def _reference_density(system, rng):
+    dim = system.dim
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    mat = g @ g.conj().T
+    return mat / np.real(np.trace(mat))
+
+
+def _reference_global_ssr_state(system, rng):
+    blocks = sector_blocks(system.occupancies.sum(axis=1))
+    weights = rng.dirichlet(np.ones(len(blocks)))
+    mat = np.zeros((system.dim, system.dim), dtype=complex)
+    for w, (_, sel) in zip(weights, blocks):
+        k = len(sel)
+        g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        block = g @ g.conj().T
+        block *= w / np.real(np.trace(block))
+        mat[np.ix_(sel, sel)] = block
+    return mat
+
+
+@SETTINGS
+@given(systems(), seeds)
+def test_single_state_draws_keep_the_per_draw_stream_and_bits(system, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for draw, reference in ((random_density, _reference_density),
+                            (random_global_ssr_state, _reference_global_ssr_state)):
+        rho = draw(system, rng)
+        assert rho.matrix.tobytes() == reference(system, ref).tobytes()
+        assert not rho.matrix.flags.writeable
+    assert rng.random() == ref.random()
+
+
+def _draw_bytes(draw):
+    """A state's matrix, or a mixture's probabilities and factor matrices, as bytes."""
+    if isinstance(draw, DensityOperator):
+        assert not draw.matrix.flags.writeable
+        return draw.matrix.tobytes()
+    out = []
+    for comp in draw.components:
+        out.append(np.float64(comp.probability).tobytes())
+        for name, factor in comp.factors.items():
+            assert not factor.matrix.flags.writeable
+            out += [name.encode(), factor.matrix.tobytes()]
+    return b"|".join(out)
+
+
+@SETTINGS
+@given(systems(restricted=False, min_modes=2), st.data(), seeds, st.integers(1, 12))
+def test_each_plural_sampler_draws_n_single_draws_bit_for_bit(system, data, seed, n):
+    order = data.draw(st.permutations(range(system.n_modes)))
+    k = data.draw(st.integers(1, system.n_modes - 1))
+    part = Partition([("A", tuple(order[:k])), ("B", tuple(order[k:]))])
+    pairs = [
+        (lambda rng, n: random_densities(system, rng, n),
+         lambda rng: random_density(system, rng)),
+        (lambda rng, n: random_global_ssr_states(system, rng, n),
+         lambda rng: random_global_ssr_state(system, rng)),
+        (lambda rng, n: random_number_diagonal_mixtures(system, part, rng, n),
+         lambda rng: random_number_diagonal_mixture(system, part, rng)),
+        (random_qubit_pair_mixtures, random_qubit_pair_mixture),
+        (random_one_boson_pair_mixtures, random_one_boson_pair_mixture),
+    ]
+    for plural, single in pairs:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        many = plural(rng, n)
+        assert len(many) == n
+        assert [_draw_bytes(d) for d in many] == [_draw_bytes(single(ref)) for _ in range(n)]
+        assert rng.random() == ref.random()     # the generator is left in the same state
+
+
+def _qcf_states(system, seed, n_random):
+    """The vacuum, then ``n_random`` Ginibre states and as many number-block states."""
+    rng = np.random.default_rng(seed)
+    states = [system.vacuum()]
+    if n_random:
+        states += random_densities(system, rng, n_random)
+        states += random_global_ssr_states(system, rng, n_random)
+    return states
+
+
+powers_lists = st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=12)
+
+
+@SETTINGS
+@given(systems(restricted=False, min_modes=2), seeds, st.integers(0, 4), powers_lists)
+def test_a_qcf_table_equals_the_loop_of_qcf_calls(system, seed, n_random, powers):
+    states = _qcf_states(system, seed, n_random)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        table = qcf_table(states, powers)
+        loop = np.array([[qcf(state, *p) for p in powers] for state in states])
+    assert table.shape == (len(states), len(powers)) and table.dtype == complex
+    assert table.tobytes() == loop.tobytes()
+    # the forbidden functions vanish exactly on the number-block states
+    forbidden = [j for j, (n, m, l, k) in enumerate(powers) if n + l != m + k]
+    assert not table[1 + n_random:, forbidden].any()
+
+
+def _runtime_warnings(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@SETTINGS
+@given(systems(restricted=False, min_modes=2), seeds, st.integers(0, 2), powers_lists)
+def test_a_qcf_table_warns_once_exactly_when_some_pair_saturates(system, seed, n_random,
+                                                                  powers):
+    states = _qcf_states(system, seed, n_random)
+    single = [len(_runtime_warnings(lambda: qcf(state, *p)))
+              for state in states for p in powers]
+    assert set(single) <= {0, 1}
+    assert len(_runtime_warnings(lambda: qcf_table(states, powers))) == max(single)

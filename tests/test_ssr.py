@@ -13,12 +13,14 @@ from focklab import (
     number_op,
     partial_trace,
     qcf,
+    qcf_table,
     sector_decompose,
     separable_ssr_theorem_check,
     ssr_check,
     twirl,
 )
 from focklab.ssr import (
+    twirl_stack,
     clock_prob,
     clock_prob_by_evolution,
     externalise,
@@ -34,6 +36,7 @@ from focklab.states import (
     verstraete_state,
 )
 from focklab.sampling import (
+    random_densities,
     random_density,
     random_global_ssr_state,
     random_number_diagonal_mixture,
@@ -190,8 +193,76 @@ def test_qcf_warns_only_for_a_net_raise_at_the_cutoff():
 def test_qcf_rejects_negative_powers_and_a_single_mode():
     with pytest.raises(ValueError, match=">= 0"):
         qcf(bosons(2, 2).vacuum(), 0, 0, -1, 0)
+    for power in (1.5, 1.0, np.float64(2.0), True, None):
+        with pytest.raises(ValueError, match="integers >= 0"):
+            qcf(bosons(2, 2).vacuum(), power, 0, 0, 0)
     with pytest.raises(ValueError, match="modes 0 and 1"):
         qcf(bosons(1, 2).vacuum(), 1, 1, 0, 0)
+
+
+def test_qcf_table_checks_every_power_before_reading_a_state():
+    vac = bosons(2, 2).vacuum()
+    # the bad power comes last and the state is no state: the power is reported
+    with pytest.raises(ValueError, match="integers >= 0"):
+        qcf_table(["not a state"], [(1, 0, 0, 0), (0, 1.5, 0, 0)])
+    with pytest.raises(ValueError, match="four integers"):
+        qcf_table([vac], [(1, 0, 0)])
+    for states, powers in (([], [(1, 0, 0, 0)]), ([vac], [])):
+        with pytest.raises(ValueError, match="at least one state and one power"):
+            qcf_table(states, powers)
+    with pytest.raises(ValueError, match="one system"):
+        qcf_table([vac, bosons(2, 3).vacuum()], [(1, 0, 0, 0)])
+    with pytest.raises(ValueError, match="modes 0 and 1"):
+        qcf_table([bosons(1, 2).vacuum()], [(1, 1, 0, 0)])
+
+
+def _near_cutoff(weight):
+    # weight on |2, 0> of bosons(2, 2), at the cutoff of mode 0; the rest on the vacuum
+    system = bosons(2, 2)
+    diag = np.zeros(system.dim)
+    diag[system.index_of((2, 0))] = weight
+    diag[system.index_of((0, 0))] = 1.0 - weight
+    from focklab import DensityOperator
+    return DensityOperator(system, np.diag(diag))
+
+
+def test_qcf_table_warns_once_per_call_at_the_per_state_threshold():
+    raises = [(1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # 1.2e-12 at the cutoff over both states, but no more than 1e-12 in either
+        qcf_table([_near_cutoff(0.6e-12), _near_cutoff(0.6e-12), _near_cutoff(1e-12)],
+                  raises)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qcf_table([_near_cutoff(0.0), _near_cutoff(2e-12), _near_cutoff(0.5)], raises)
+    assert [str(w.message) for w in caught] == [
+        "state has weight near the cutoff of mode 0; raising operators are truncated there"]
+    full = bosons(2, 2).basis_state((2, 2)).density()
+    with pytest.warns(RuntimeWarning, match="cutoff of mode 0 and mode 1") as caught:
+        qcf_table([full], [(1, 0, 0, 0), (0, 0, 1, 0)])
+    assert len(caught) == 1
+
+
+def test_twirl_stack_zeroes_each_cross_sector_entry_and_checks_once(monkeypatch):
+    from focklab import fock
+    system = bosons(2, 3)
+    n_op = number_op(system)
+    states = random_densities(system, np.random.default_rng(4), 5)
+    totals = system.occupancies.sum(axis=1)
+    shapes = []
+    check = fock._check_physical
+    monkeypatch.setattr(fock, "_check_physical", lambda m: shapes.append(m.shape) or check(m))
+    twirled = twirl_stack(states, n_op)
+    assert shapes == [(5, system.dim, system.dim)]
+    for tw, rho in zip(twirled, states):
+        assert tw.matrix.tobytes() == (rho.matrix * (totals[:, None] == totals)).tobytes()
+        assert tw.matrix.tobytes() == twirl(rho, n_op).matrix.tobytes()
+        assert not tw.matrix.flags.writeable
+    with pytest.raises(ValueError, match="at least one state"):
+        twirl_stack([], n_op)
+    with pytest.raises(ValueError, match="different systems"):
+        twirl_stack([states[0], bosons(2, 2).vacuum()], n_op)
 
 
 def test_qcf_builds_no_dense_operator():

@@ -39,10 +39,15 @@ from focklab.states import (
 )
 from focklab.fock import _sub_codes, qubits, sub_system
 from focklab.sampling import (
+    random_densities,
     random_density,
+    random_global_ssr_states,
     random_number_diagonal_mixture,
+    random_number_diagonal_mixtures,
     random_one_boson_pair_mixture,
+    random_one_boson_pair_mixtures,
     random_qubit_pair_mixture,
+    random_qubit_pair_mixtures,
 )
 
 
@@ -562,6 +567,25 @@ def test_a_summed_stack_needs_one_system_partition_and_size():
                                    [MixtureComponent(1.0, mix.components[0].factors)])):
         with pytest.raises(ValueError, match="one system, partition and number"):
             summed_stack([mix, other])
+
+
+def test_an_empty_stack_or_sweep_is_rejected():
+    with pytest.raises(ValueError, match="empty stack"):
+        summed_stack([])
+    rng = np.random.default_rng(0)
+    system = bosons(2, 2)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    sweeps = [lambda n: random_densities(system, rng, n),
+              lambda n: random_global_ssr_states(system, rng, n),
+              lambda n: random_number_diagonal_mixtures(system, part, rng, n),
+              lambda n: random_qubit_pair_mixtures(rng, n),
+              lambda n: random_one_boson_pair_mixtures(rng, n)]
+    state = rng.bit_generator.state
+    for sweep in sweeps:
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least one draw, got n = "):
+                sweep(n)
+    assert rng.bit_generator.state == state     # nothing was drawn
 
 
 def test_mixture_probability_validation():
