@@ -169,17 +169,11 @@ def random_number_diagonal_mixtures(system, partition, rng, n):
     _sweep_size(n)
     subs = [sub_system(system, partition.modes_of(name)) for name in partition.names]
     dims = [sub.dim for sub in subs] * 3
-    # one call of ``size`` draws the same stream as one call per factor
-    one_call = len(set(dims)) == 1
     probs = np.empty((n, 3))
     diags = [np.empty((n, 3, sub.dim)) for sub in subs]
     for i in range(n):
         probs[i] = rng.dirichlet(np.ones(3))
-        if one_call:
-            draws = rng.dirichlet(np.ones(dims[0]), size=len(dims))
-        else:
-            draws = [rng.dirichlet(np.ones(d)) for d in dims]
-        for t, draw in enumerate(draws):
+        for t, draw in enumerate(rng.dirichlet(np.ones(d)) for d in dims):
             diags[t % len(subs)][i, t // len(subs)] = draw
     mats = []
     for diag, sub in zip(diags, subs):

@@ -13,6 +13,7 @@ from focklab import (
     Operator,
     Partition,
     annihilation,
+    as_density,
     bosons,
     creation,
     expectation,
@@ -872,6 +873,29 @@ def test_a_qcf_table_equals_the_loop_of_qcf_calls(system, seed, n_random, powers
     # the forbidden functions vanish exactly on the number-block states
     forbidden = [j for j, (n, m, l, k) in enumerate(powers) if n + l != m + k]
     assert not table[1 + n_random:, forbidden].any()
+
+
+def _reference_qcf(state, n, m, l, k):
+    """The per-call ``qcf`` of the one-state implementation: one complex dot
+    of the monomial's values with the gathered entries."""
+    rho = as_density(state)
+    rows, cols, values = ladder_product(
+        rho.system, ((0, True),) * n + ((0, False),) * m + ((1, True),) * l + ((1, False),) * k)
+    return complex(values @ rho.matrix[cols, rows]), np.abs(values).sum()
+
+
+@SETTINGS
+@given(systems(restricted=False, min_modes=2), seeds, st.integers(1, 4), powers_lists)
+def test_qcf_equals_the_one_dot_per_call_up_to_rounding(system, seed, n_random, powers):
+    # the table sums each entry's terms in order, the dot in blocks: the
+    # results may differ in the last bits, never by more than rounding
+    states = _qcf_states(system, seed, n_random)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for state in states:
+            for p in powers:
+                expected, scale = _reference_qcf(state, *p)
+                assert abs(qcf(state, *p) - expected) <= 1e-13 * (1.0 + scale)
 
 
 def _runtime_warnings(call):
