@@ -27,9 +27,10 @@ from .fock import (
     ladder_sum,
     number_op,
     partial_trace,
+    sub_system,
     unitary_evolve,
 )
-from .ssr import SSR_TOL, ssr_check
+from .ssr import SSR_TOL, _ssr_report, ssr_check
 from .states import poisson_pmf
 from .measurement import PROB_FLOOR, ZeroProbabilityError
 
@@ -366,13 +367,11 @@ def ssr_propagation_check(mixture, h, weights=None):
         raise ValueError(f"Hamiltonian does not conserve the weighted number "
                          f"(residual {conserving})")
     local_ok = True
-    for comp in mixture.components:
-        for name, factor in comp.factors.items():
-            idx = mixture.partition.modes_of(name)
-            w_local = None if weights is None else \
-                np.asarray(weights, dtype=float)[list(idx)]
-            rep = ssr_check(factor, number_op(factor.system, w_local))
-            local_ok = local_ok and rep.compliant
+    for name, idx in mixture.partition.subsystems:
+        w_local = None if weights is None else np.asarray(weights, dtype=float)[list(idx)]
+        n_local = number_op(sub_system(mixture.system, idx), w_local)
+        local_ok = local_ok and all(_ssr_report(f, n_local).compliant
+                                    for f in mixture.factors[name])
     rho0 = mixture.summed()
     residuals = []
     for t in PROPAGATION_TIMES:

@@ -346,19 +346,18 @@ class DensityOperator:
         return f"DensityOperator(dim={self.system.dim})"
 
 
-def _density_stack(systems, stack):
-    """One read-only DensityOperator per matrix of an (n, d, d) stack, the i-th
-    on ``systems[i]``.  The stack is checked once by ``_check_physical``, and
-    no matrix is checked again on its own.  A complex array is taken over,
-    not copied, and made read-only."""
+def _density_stack(system, stack):
+    """One read-only DensityOperator on ``system`` per matrix of an (n, d, d)
+    stack.  The stack is checked once by ``_check_physical``, and no matrix is
+    checked again on its own.  A complex array is taken over, not copied, and
+    made read-only."""
     stack = np.asarray(stack, dtype=complex)
-    if stack.shape != (len(systems),) + stack.shape[-1:] * 2 or any(
-            s.dim != stack.shape[-1] for s in systems):
-        raise ValueError("density stack shape does not match its systems")
+    if stack.ndim != 3 or stack.shape[1:] != (system.dim, system.dim):
+        raise ValueError("density stack shape does not match its system")
     _check_physical(stack)
     stack.setflags(write=False)
     out = []
-    for system, matrix in zip(systems, stack):
+    for matrix in stack:
         rho = object.__new__(DensityOperator)
         rho.system, rho.matrix = system, matrix
         out.append(rho)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_ATOL
-from .measurement import outcome_distribution
+from .fock import NORM_ATOL, sub_system
+from .measurement import _block_probs
 
 ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
 # rows per array step of the stacked paths (the CHSH sweep's settings, the
@@ -94,13 +94,13 @@ def lhv_from_separable(mixture, subsystem_observables):
     ``subsystem_observables`` maps subsystem name -> Observable on that
     subsystem's factor space.
     """
-    weights = [c.probability for c in mixture.components]
     observables = {}
     for name, obs in subsystem_observables.items():
-        rows = [[p for _, p in outcome_distribution(comp.factors[name], obs).outcomes]
-                for comp in mixture.components]
+        if obs.system != sub_system(mixture.system, mixture.partition.modes_of(name)):
+            raise ValueError("operator and state live on different systems")
+        rows = [_block_probs(factor, obs) for factor in mixture.factors[name]]
         observables[name] = LHVObservable(tuple(obs.eigenvalues), np.array(rows))
-    return DiscreteLHVModel(np.array(weights), observables)
+    return DiscreteLHVModel(mixture.probabilities.copy(), observables)
 
 
 def chsh_mean(model):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .fock import (PureState, Partition, _density_stack, bosons, qubits, sector_blocks,
                    sub_system)
-from .states import MixtureComponent, SeparableMixture
+from .states import mixture_stack
 from .witnesses import CHSHSetting
 
 
@@ -53,8 +53,7 @@ def random_densities(system, rng, n):
     the stream and the bits of n ``random_density`` draws."""
     _sweep_size(n)
     dim = system.dim
-    return _density_stack([system] * n,
-                          _unit_trace_grams(rng.standard_normal((n, 2, dim, dim))))
+    return _density_stack(system, _unit_trace_grams(rng.standard_normal((n, 2, dim, dim))))
 
 
 def random_density(system, rng):
@@ -104,7 +103,7 @@ def random_global_ssr_states(system, rng, n):
         start += 2 * k * k
         block *= (w / np.real(np.trace(block, axis1=1, axis2=2)))[:, None, None]
         mats[:, sel[:, None], sel] = block
-    return _density_stack([system] * n, mats)
+    return _density_stack(system, mats)
 
 
 def random_global_ssr_state(system, rng):
@@ -113,33 +112,10 @@ def random_global_ssr_state(system, rng):
     return random_global_ssr_states(system, rng, 1)[0]
 
 
-def _separable_mixtures(system, partition, probs, subs, mats):
-    """One mixture per row of the (n, R) ``probs``: component r of mixture i
-    has the factor ``mats[j][i, r]`` on ``subs[j]`` for the j-th name of the
-    partition.  The factors of each dimension, over all n mixtures, are
-    checked as one stack."""
-    n, n_comp = probs.shape
-    count = n * n_comp
-    factors = [None] * len(subs)
-    for _, sel in sector_blocks([sub.dim for sub in subs]):
-        k = subs[sel[0]].dim
-        checked = _density_stack([subs[j] for j in sel for _ in range(count)],
-                                 np.concatenate([mats[j].reshape(count, k, k) for j in sel]))
-        for t, j in enumerate(sel):
-            factors[j] = checked[t * count:(t + 1) * count]
-    names = partition.names
-    return [SeparableMixture(system, partition, [
-        MixtureComponent(p, {name: factors[j][i * n_comp + r] for j, name in enumerate(names)})
-        for r, p in enumerate(row)]) for i, row in enumerate(probs)]
-
-
 @functools.cache
 def _qubit_pair():
-    """The fixed system, partition and factor sub-systems of
-    ``random_qubit_pair_mixture``."""
-    system = qubits(2)
-    return (system, Partition([("A", (0,)), ("B", (1,))]),
-            (sub_system(system, (0,)), sub_system(system, (1,))))
+    """The fixed system and partition of ``random_qubit_pair_mixture``."""
+    return qubits(2), Partition([("A", (0,)), ("B", (1,))])
 
 
 def random_qubit_pair_mixtures(rng, n):
@@ -147,12 +123,11 @@ def random_qubit_pair_mixtures(rng, n):
     modes.  Each draw takes the four probabilities, then the A and the B
     factor of each component as ``random_density`` would draw them: the
     stream and the bits of n ``random_qubit_pair_mixture`` draws."""
-    system, partition, pair = _qubit_pair()
+    system, partition = _qubit_pair()
     probs, normals = _weights_and_normals(rng, n, 4, 4 * 2 * 2 * 2 * 2)
     # (draw, component, factor, 2, 2)
     grams = _unit_trace_grams(normals.reshape(-1, 2, 2, 2)).reshape(n, 4, 2, 2, 2)
-    return _separable_mixtures(system, partition, probs, pair,
-                               [grams[:, :, j] for j in range(2)])
+    return mixture_stack(system, partition, probs, {"A": grams[:, :, 0], "B": grams[:, :, 1]})
 
 
 def random_qubit_pair_mixture(rng):
@@ -167,20 +142,16 @@ def random_number_diagonal_mixtures(system, partition, rng, n):
     Dirichlet diagonal per factor, component by component in partition order:
     the stream and the bits of n ``random_number_diagonal_mixture`` draws."""
     _sweep_size(n)
-    subs = [sub_system(system, partition.modes_of(name)) for name in partition.names]
-    dims = [sub.dim for sub in subs] * 3
+    dims = [sub_system(system, modes).dim for _, modes in partition.subsystems]
     probs = np.empty((n, 3))
-    diags = [np.empty((n, 3, sub.dim)) for sub in subs]
+    diags = [np.empty((n, 3, d)) for d in dims]
     for i in range(n):
         probs[i] = rng.dirichlet(np.ones(3))
-        for t, draw in enumerate(rng.dirichlet(np.ones(d)) for d in dims):
-            diags[t % len(subs)][i, t // len(subs)] = draw
-    mats = []
-    for diag, sub in zip(diags, subs):
-        mat = np.zeros((n, 3, sub.dim, sub.dim), dtype=complex)
-        mat[..., np.arange(sub.dim), np.arange(sub.dim)] = diag
-        mats.append(mat)
-    return _separable_mixtures(system, partition, probs, subs, mats)
+        for t, draw in enumerate(rng.dirichlet(np.ones(d)) for d in dims * 3):
+            diags[t % len(dims)][i, t // len(dims)] = draw
+    # times the identity: each draw on the diagonal, exactly 0 off it
+    return mixture_stack(system, partition, probs, {
+        name: diag[..., None] * np.eye(d) for name, diag, d in zip(partition.names, diags, dims)})
 
 
 def random_number_diagonal_mixture(system, partition, rng):
@@ -217,8 +188,7 @@ def random_one_boson_pair_mixtures(rng, n):
     blocks = _unit_trace_grams(normals.reshape(-1, 2, 2, 2)).reshape(n, 3, 2, 2, 2)
     mats = np.zeros((n, 3, 2, pair[0].dim, pair[0].dim), dtype=complex)
     mats[..., sel[:, None], sel] = blocks
-    return _separable_mixtures(system, partition, probs, pair,
-                               [mats[:, :, j] for j in range(2)])
+    return mixture_stack(system, partition, probs, {"one": mats[:, :, 0], "two": mats[:, :, 1]})
 
 
 def random_one_boson_pair_mixture(rng):

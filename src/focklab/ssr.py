@@ -24,6 +24,7 @@ from .fock import (
     evolution_operator,
     ladder_product,
     number_sectors,
+    sub_system,
 )
 
 SSR_TOL = 1e-10
@@ -83,8 +84,12 @@ def _density_on(state, n_op):
 
 def ssr_check(state, n_op, tol=SSR_TOL):
     """Frobenius norm of [N, rho] and whether it sits below ``tol``."""
-    rho = _density_on(state, n_op)
-    residual = commutator_norm(n_op.matrix, rho.matrix)
+    return _ssr_report(_density_on(state, n_op).matrix, n_op, tol)
+
+
+def _ssr_report(matrix, n_op, tol=SSR_TOL):
+    """``ssr_check`` of a density matrix already known to act on ``n_op``'s system."""
+    residual = commutator_norm(n_op.matrix, matrix)
     return SSRReport(residual=residual, compliant=residual <= tol, tol=tol)
 
 
@@ -104,7 +109,7 @@ def twirl_stack(states, n_op):
     ids = _diagonal_sector_ids(n_op)
     stack = np.array([rho.matrix for rho in rhos])
     stack *= ids[:, None] == ids[None, :]
-    return _density_stack([rho.system for rho in rhos], stack)
+    return _density_stack(n_op.system, stack)
 
 
 def twirl(state, n_op):
@@ -116,7 +121,7 @@ def twirl(state, n_op):
 def _qcf_word(powers):
     """The ``ladder_product`` factors of adag^n a^m bdag^l b^k, after checking
     that the powers are four integers >= 0."""
-    if len(powers) != 4 or not all(
+    if not np.iterable(powers) or len(powers := tuple(powers)) != 4 or not all(
             isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in powers):
         raise ValueError(f"qcf powers must be four integers >= 0, got {powers!r}")
     n, m, l, k = powers
@@ -137,7 +142,7 @@ def qcf_table(states, powers):
     when some state carries weight close enough to a cutoff for the truncated
     raising ladder of some monomial to have dropped support.
     """
-    words = [_qcf_word(tuple(p)) for p in powers]
+    words = [_qcf_word(p) for p in powers]
     rhos = [as_density(state) for state in states]
     if not rhos or not words:
         raise ValueError("qcf_table needs at least one state and one power tuple")
@@ -219,20 +224,16 @@ def separable_ssr_theorem_check(mixture):
     where (b) holds although (a) fails (possible only at fixed component
     probabilities).
     """
-    local_reports = []
-    all_local = True
-    n_ops = {}      # one number operator per factor system
-    for ci, comp in enumerate(mixture.components):
-        for name, factor in comp.factors.items():
-            if factor.system not in n_ops:
-                n_ops[factor.system] = number_op(factor.system)
-            rep = ssr_check(factor, n_ops[factor.system])
-            local_reports.append((ci, name, rep))
-            all_local = all_local and rep.compliant
+    n_ops = {name: number_op(sub_system(mixture.system, modes))
+             for name, modes in mixture.partition.subsystems}
+    local_reports = tuple((r, name, _ssr_report(stack[r], n_ops[name]))
+                          for r in range(len(mixture.probabilities))
+                          for name, stack in mixture.factors.items())
+    all_local = all(rep.compliant for _, _, rep in local_reports)
     summed = mixture.summed()
     global_report = ssr_check(summed, number_op(summed.system))
     return SeparableSSRReport(
-        local_reports=tuple(local_reports),
+        local_reports=local_reports,
         all_local_compliant=all_local,
         global_report=global_report,
         fixed_probability_caveat=global_report.compliant and not all_local,

@@ -7,7 +7,6 @@ the factors, and summing to a single matrix would destroy that information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,48 +19,89 @@ from .fock import (
     annihilation,
     bosons,
     qubits,
+    _check_physical,
     _density_stack,
     _sub_codes,
+    sector_blocks,
+    sub_system,
 )
 
 TAIL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MixtureComponent:
-    probability: float
-    factors: dict    # subsystem name -> DensityOperator on that subsystem
-
-
 class SeparableMixture:
-    """Werner-form mixture sum_R P_R rho_R^A x rho_R^B x ... with components kept."""
+    """Werner-form mixture sum_R P_R rho_R^A x rho_R^B x ...: the read-only (R,)
+    ``probabilities`` and, per subsystem name in partition order, the read-only
+    (R, k, k) stack of ``factors`` on ``sub_system(system, modes)``.  It is
+    checked as a stack of one of ``mixture_stack``."""
 
-    def __init__(self, system, partition, components):
-        partition.validate(system)
-        if not partition.covers(system):
-            raise ValueError("partition must cover every mode of the system")
-        total = sum(c.probability for c in components)
-        if not abs(total - 1.0) <= NORM_ATOL:
-            raise ValueError(f"component probabilities sum to {total}, not 1")
-        expected = {name: tuple(system.modes[i] for i in modes)
-                    for name, modes in partition.subsystems}
-        names = set(expected)
-        for c in components:
-            if c.probability < 0:
-                raise ValueError("negative component probability")
-            if set(c.factors) != names:
-                raise ValueError("each component needs one factor per subsystem")
-            for name, factor in c.factors.items():
-                if factor.system.modes != expected[name]:
-                    raise ValueError(f"factor for {name!r} lives on the wrong modes")
-        self.system = system
-        self.partition = partition
-        self.components = tuple(components)
+    __slots__ = ("system", "partition", "probabilities", "factors")
+
+    def __init__(self, system, partition, probabilities, factors):
+        (one,) = mixture_stack(system, partition, _real_array(probabilities, 1)[None],
+                               {name: np.asarray(factors[name])[None] for name in factors})
+        self.system, self.partition = system, partition
+        self.probabilities, self.factors = one.probabilities, one.factors
 
     def summed(self):
         """The mixture as a single density operator on the full system: a
         stack of one of ``summed_stack``."""
         return summed_stack([self])[0]
+
+
+def _real_array(values, rank):
+    """``values`` as a new float array; raises ValueError unless it has rank
+    ``rank`` and every entry is a real number, not a bool, string or complex.
+    An array is judged by its dtype, anything else entry by entry."""
+    entries = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    real = entries.dtype.kind in "iuf" or entries.dtype == object and all(
+        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        for v in entries.flat)
+    if entries.ndim != rank or not real:
+        raise ValueError(f"probabilities must be a rank-{rank} array of reals, got {values!r}")
+    return entries.astype(float)
+
+
+def mixture_stack(system, partition, probabilities, factors):
+    """n mixtures on one system and partition from the (n, R) ``probabilities``
+    and, per subsystem name, the (n, R, k, k) ``factors``: mixture i holds
+    read-only views of row i of copies of each.
+
+    Raises ValueError unless every probability is a real number >= 0, each row
+    sums to 1 within NORM_ATOL, the factors name each subsystem once with a
+    stack of that shape, and every factor passes ``_check_physical``: one stack
+    per dimension, subsystem after subsystem in partition order, whose failure
+    names its index."""
+    partition.validate(system)
+    if not partition.covers(system):
+        raise ValueError("partition must cover every mode of the system")
+    probs = _real_array(probabilities, 2)
+    if not len(probs):
+        raise ValueError("a mixture stack needs at least one mixture")
+    with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
+        ok = (abs(probs.sum(axis=1) - 1.0) <= NORM_ATOL) & (probs >= 0).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"mixture {i}: probabilities {probs[i]} must be >= 0 and sum to 1")
+    names = partition.names
+    if set(factors) != set(names):
+        raise ValueError(f"factors must name each subsystem {names} once, got {tuple(factors)}")
+    stacks = {name: np.asarray(factors[name], dtype=complex) for name in names}
+    for name, modes in partition.subsystems:
+        shape = probs.shape + (sub_system(system, modes).dim,) * 2
+        if stacks[name].shape != shape:
+            raise ValueError(f"factors of {name!r} have shape {stacks[name].shape}, not {shape}")
+    for k, sel in sector_blocks([stack.shape[-1] for stack in stacks.values()]):
+        checked = np.concatenate([stacks[names[j]] for j in sel])
+        _check_physical(checked.reshape(-1, k, k))
+        checked.setflags(write=False)
+        stacks.update(zip([names[j] for j in sel], np.split(checked, len(sel))))
+    probs.setflags(write=False)
+    mixtures = [object.__new__(SeparableMixture) for _ in probs]
+    for i, mix in enumerate(mixtures):
+        mix.system, mix.partition, mix.probabilities = system, partition, probs[i]
+        mix.factors = {name: stacks[name][i] for name in names}
+    return mixtures
 
 
 def summed_stack(mixtures):
@@ -81,14 +121,13 @@ def summed_stack(mixtures):
     first = mixtures[0]
     system, partition = first.system, first.partition
     if any(m.system != system or m.partition != partition
-           or len(m.components) != len(first.components) for m in mixtures):
+           or len(m.probabilities) != len(first.probabilities) for m in mixtures):
         raise ValueError("a stack of mixtures needs one system, partition and "
                          "number of components")
-    probs = np.array([[c.probability for c in m.components] for m in mixtures],
-                     dtype=complex)
+    probs = np.array([m.probabilities for m in mixtures], dtype=complex)
     # per subsystem: its codes and its (n, R, k, k) factors
     factors = [(_sub_codes(system, partition.modes_of(name))[1],
-                np.array([[c.factors[name].matrix for c in m.components] for m in mixtures]))
+                np.array([m.factors[name] for m in mixtures]))
                for name in partition.names]
     out = np.zeros((len(mixtures), system.dim, system.dim), dtype=complex)
     for r in range(probs.shape[1]):
@@ -98,7 +137,7 @@ def summed_stack(mixtures):
             term *= stack[:, r][:, codes[:, None], codes]
         out += term
         del term    # before the next term is allocated
-    return _density_stack([system] * len(mixtures), out)
+    return _density_stack(system, out)
 
 
 def poisson_pmf(n, mu):
@@ -275,11 +314,6 @@ def werner_qudit(d, phi):
     return DensityOperator(system, mat)     # PSD check runs at construction
 
 
-def _zero_one_superposition(omega, label):
-    system = ModeSystem([(label, 1)])
-    return PureState(system, np.array([1.0, omega], dtype=complex) / math.sqrt(2.0))
-
-
 def verstraete_state(form="mixture"):
     """Two-mode state that obeys the global number SSR but not the local one.
 
@@ -292,12 +326,9 @@ def verstraete_state(form="mixture"):
     system = bosons(2, 1, labels=["A", "B"])
     if form == "mixture":
         partition = Partition([("A", (0,)), ("B", (1,))])
-        components = []
-        for omega in (1.0, 1.0j, -1.0, -1.0j):
-            factors = {lab: _zero_one_superposition(omega, lab).density()
-                       for lab in ("A", "B")}
-            components.append(MixtureComponent(0.25, factors))
-        mixture = SeparableMixture(system, partition, components)
+        vecs = np.array([[1, w] for w in (1, 1j, -1, -1j)], dtype=complex) / math.sqrt(2.0)
+        factor = vecs[:, :, None] * vecs[:, None, :].conj()     # |psi_w><psi_w|
+        mixture = SeparableMixture(system, partition, np.full(4, 0.25), {"A": factor, "B": factor})
         return mixture.summed(), mixture
     if form == "sectorized":
         mat = np.zeros((4, 4), dtype=complex)

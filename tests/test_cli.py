@@ -124,8 +124,22 @@ def test_summed_holds_at_most_four_matrices_whatever_its_components():
     mix = random_number_diagonal_mixture(system, part, np.random.default_rng(0))
     mix.summed()    # fills the per-system memos
     matrix_bytes = system.dim ** 2 * np.dtype(complex).itemsize
-    assert len(mix.components) == 3
+    assert mix.probabilities.shape == (3,)
     assert _peak_bytes(mix.summed) <= 4 * matrix_bytes
+
+
+def test_a_mixture_sweep_holds_each_draw_in_at_most_2_kb():
+    # about 3.4 kB per draw, when each component and factor was an object
+    from focklab.sampling import random_qubit_pair_mixtures
+    random_qubit_pair_mixtures(np.random.default_rng(0), 100)    # fills the memos
+    tracemalloc.start()
+    try:
+        draws = random_qubit_pair_mixtures(np.random.default_rng(1), 100)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(draws) == 100
+    assert held <= 100 * 2000
 
 
 def _count_calls(monkeypatch, module, name):
@@ -419,13 +433,14 @@ def test_mixture_sweeps_check_their_summed_states_once(monkeypatch, name, dim, n
 
 
 @pytest.mark.parametrize("name, key", [("qcf_theorem", "n_states"),
-                                       ("chsh_separable_bound", "n_mixtures")])
+                                       ("chsh_separable_bound", "n_mixtures"),
+                                       ("spin_epr_bound", "n_mixtures")])
 def test_sampled_sweeps_check_their_states_as_stacks(monkeypatch, name, key):
     # the number of physicality checks does not grow with the sweep
-    from focklab import fock, witnesses
+    from focklab import fock, states, witnesses
     calls = []
     check = fock._check_physical
-    for module in (fock, witnesses):
+    for module in (fock, states, witnesses):
         monkeypatch.setattr(module, "_check_physical",
                             lambda m: calls.append(m.shape) or check(m))
     counts = []

@@ -19,7 +19,7 @@ from focklab import (
 from focklab import dynamics
 from focklab.dynamics import MINUS_I, REAL_ROTATION, _bisect
 from focklab.measurement import ZeroProbabilityError
-from focklab.states import MixtureComponent, SeparableMixture, coherent
+from focklab.states import SeparableMixture, coherent
 from focklab.sampling import random_number_diagonal_mixture
 
 
@@ -284,12 +284,16 @@ def test_propagation_coherent_component_breaks_compliance():
     coh = coherent(0.7, cutoff)
     from focklab.fock import PureState
     factor_a = PureState(sub_a, coh.amplitudes).density()
-    mix = SeparableMixture(system, part, [
-        MixtureComponent(1.0, {"A": factor_a, "B": sub_b.vacuum().density()})])
+    vac_a, vac_b = sub_a.vacuum().density().matrix, sub_b.vacuum().density().matrix
+    mix = SeparableMixture(system, part, [1.0], {"A": factor_a.matrix[None], "B": vac_b[None]})
     report = ssr_propagation_check(mix, _hopping_hamiltonian(system))
     assert not report.all_local_compliant
     assert not report.compliant_at_all_times
     assert min(report.global_residuals) > 0.1
+    # a coherent factor in a later component is found too
+    mix = SeparableMixture(system, part, [0.5, 0.5], {"A": np.array([vac_a, factor_a.matrix]),
+                                                      "B": np.array([vac_b, vac_b])})
+    assert not ssr_propagation_check(mix, _hopping_hamiltonian(system)).all_local_compliant
 
 
 def test_propagation_rejects_nonconserving_hamiltonian():

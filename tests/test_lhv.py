@@ -27,7 +27,7 @@ from focklab.lhv import (
     chsh_mean,
     deterministic_chsh_corners,
 )
-from focklab.states import MixtureComponent, SeparableMixture
+from focklab.states import SeparableMixture
 
 
 def _pm_observable(p_up_per_hidden):
@@ -191,15 +191,17 @@ def test_deterministic_model_matches_separable_mixture():
     sub_b = ModeSystem([system.modes[1]])
     weights = rng.dirichlet(np.ones(4))
     outcomes = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    components = []
+    factors_a, factors_b = [], []
     rows_a, rows_b = [], []
     for (oa, ob), w in zip(outcomes, weights):
         fa = sub_a.basis_state((1,) if oa == 1 else (0,)).density()
         fb = sub_b.basis_state((1,) if ob == 1 else (0,)).density()
-        components.append(MixtureComponent(w, {"A": fa, "B": fb}))
+        factors_a.append(fa.matrix)
+        factors_b.append(fb.matrix)
         rows_a.append([1.0, 0.0] if oa == 1 else [0.0, 1.0])
         rows_b.append([1.0, 0.0] if ob == 1 else [0.0, 1.0])
-    mixture = SeparableMixture(system, partition, components)
+    mixture = SeparableMixture(system, partition, weights,
+                               {"A": np.array(factors_a), "B": np.array(factors_b)})
     model = DiscreteLHVModel(weights, {
         "A": LHVObservable((1.0, -1.0), np.array(rows_a)),
         "B": LHVObservable((1.0, -1.0), np.array(rows_b))})
@@ -239,6 +241,9 @@ def test_general_separable_mixture_has_matching_model():
                                            emb["B"].projectors[j]])
                 classical = lhv_joint(model, [("A", i), ("B", j)])
                 assert quantum == pytest.approx(classical, abs=1e-12)
+    # an observable of the other subsystem, of the same dimension, is refused
+    with pytest.raises(ValueError, match="different systems"):
+        lhv_from_separable(mixture, {"A": observables["B"], "B": observables["A"]})
 
 
 def test_ghz_search_counts():

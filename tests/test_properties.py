@@ -607,7 +607,7 @@ def test_a_stacked_check_gives_each_matrix_its_own_spectrum(d, n, seed):
     for mat, spectrum in zip(stack, spectra):
         assert spectrum.tobytes() == fock._check_physical(mat).tobytes()
     system = bosons(1, d - 1)
-    rhos = fock._density_stack([system] * n, stack)
+    rhos = fock._density_stack(system, stack)
     assert [rho.matrix.tobytes() for rho in rhos] == [mat.tobytes() for mat in stack]
     assert all(rho.system == system and not rho.matrix.flags.writeable for rho in rhos)
 
@@ -688,7 +688,7 @@ def test_one_bad_matrix_fails_the_stack_by_its_index(kind, d, n, seed):
     with pytest.raises(ValueError, match=f"^stack matrix {pos}: {message}"):
         fock._check_physical(stack)
     with pytest.raises(ValueError, match=f"^stack matrix {pos}: {message}"):
-        fock._density_stack([bosons(1, d - 1)] * n, stack)
+        fock._density_stack(bosons(1, d - 1), stack)
 
 
 @st.composite
@@ -814,12 +814,11 @@ def _draw_bytes(draw):
     if isinstance(draw, DensityOperator):
         assert not draw.matrix.flags.writeable
         return draw.matrix.tobytes()
-    out = []
-    for comp in draw.components:
-        out.append(np.float64(comp.probability).tobytes())
-        for name, factor in comp.factors.items():
-            assert not factor.matrix.flags.writeable
-            out += [name.encode(), factor.matrix.tobytes()]
+    assert not draw.probabilities.flags.writeable
+    out = [draw.probabilities.tobytes()]
+    for name, stack in draw.factors.items():
+        assert not stack.flags.writeable
+        out += [name.encode(), stack.tobytes()]
     return b"|".join(out)
 
 

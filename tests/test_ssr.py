@@ -28,7 +28,6 @@ from focklab.ssr import (
     phase_state,
 )
 from focklab.states import (
-    MixtureComponent,
     SeparableMixture,
     bell_one_boson,
     coherent,
@@ -205,8 +204,9 @@ def test_qcf_table_checks_every_power_before_reading_a_state():
     # the bad power comes last and the state is no state: the power is reported
     with pytest.raises(ValueError, match="integers >= 0"):
         qcf_table(["not a state"], [(1, 0, 0, 0), (0, 1.5, 0, 0)])
-    with pytest.raises(ValueError, match="four integers"):
-        qcf_table([vac], [(1, 0, 0)])
+    for powers in ([(1, 0, 0)], [1, 1, 1, 1]):     # a flat list holds no power tuple
+        with pytest.raises(ValueError, match="four integers"):
+            qcf_table([vac], powers)
     for states, powers in (([], [(1, 0, 0, 0)]), ([vac], [])):
         with pytest.raises(ValueError, match="at least one state and one power"):
             qcf_table(states, powers)
@@ -340,6 +340,12 @@ def test_separable_theorem_verstraete_caveat():
     rep = separable_ssr_theorem_check(mix)
     assert not rep.all_local_compliant
     assert all(not r.compliant for _, _, r in rep.local_reports)
+    # component by component, each subsystem in partition order; each factor
+    # (|0> + w|1>)/sqrt(2) has ||[n, rho]||_F = sqrt(2 |rho_01|^2) = sqrt(1/2)
+    assert [(r, name) for r, name, _ in rep.local_reports] == [
+        (r, name) for r in range(4) for name in ("A", "B")]
+    assert all(r.residual == pytest.approx(np.sqrt(0.5), abs=1e-15)
+               for _, _, r in rep.local_reports)
     assert rep.global_report.compliant
     assert rep.fixed_probability_caveat
 
@@ -354,10 +360,9 @@ def test_separable_theorem_coherent_component_fails_globally():
     coh_factor = type(coh)(sub_a, coh.amplitudes).density()
     vac_a = sub_a.basis_state((0,)).density()
     vac_b = sub_b.basis_state((0,)).density()
-    mix = SeparableMixture(system, part, [
-        MixtureComponent(0.5, {"A": coh_factor, "B": vac_b}),
-        MixtureComponent(0.5, {"A": vac_a, "B": vac_b}),
-    ])
+    mix = SeparableMixture(system, part, [0.5, 0.5], {
+        "A": np.array([coh_factor.matrix, vac_a.matrix]),
+        "B": np.array([vac_b.matrix, vac_b.matrix])})
     rep = separable_ssr_theorem_check(mix)
     assert not rep.all_local_compliant
     assert not rep.global_report.compliant

@@ -18,7 +18,6 @@ from focklab import (
     ssr_check,
 )
 from focklab.states import (
-    MixtureComponent,
     SeparableMixture,
     bell_one_boson,
     binomial_state,
@@ -26,6 +25,7 @@ from focklab.states import (
     _mean_within_cutoff,
     coherent_amplitudes,
     dissociation_state,
+    mixture_stack,
     ghz,
     mixed_N_boson,
     poisson_pmf,
@@ -304,14 +304,16 @@ def test_verstraete_forms_agree():
     rho_mix, mixture = verstraete_state("mixture")
     rho_sec = verstraete_state("sectorized")
     assert np.abs(rho_mix.matrix - rho_sec.matrix).max() < 1e-14
-    assert len(mixture.components) == 4
+    assert mixture.probabilities.shape == (4,)
+    assert [stack.shape for stack in mixture.factors.values()] == [(4, 2, 2)] * 2
 
 
 def test_verstraete_component_local_ssr_fails():
     _, mixture = verstraete_state("mixture")
-    for comp in mixture.components:
-        for factor in comp.factors.values():
-            rep = ssr_check(factor, number_op(factor.system))
+    for name, stack in mixture.factors.items():
+        sub = sub_system(mixture.system, mixture.partition.modes_of(name))
+        for factor in stack:
+            rep = ssr_check(DensityOperator(sub, factor), number_op(sub))
             assert not rep.compliant
 
 
@@ -383,15 +385,17 @@ def test_separable_mixture_summed_matches_direct_sum():
     part = Partition([("A", (0,)), ("B", (1,))])
     sub_a = ModeSystem([system.modes[0]])
     sub_b = ModeSystem([system.modes[1]])
-    comps = []
+    factors = {"A": [], "B": []}
     expected = np.zeros((4, 4), dtype=complex)
     probs = rng.dirichlet(np.ones(3))
     for p in probs:
         fa = random_density(sub_a, rng)
         fb = random_density(sub_b, rng)
-        comps.append(MixtureComponent(p, {"A": fa, "B": fb}))
+        factors["A"].append(fa.matrix)
+        factors["B"].append(fb.matrix)
         expected += p * np.kron(fa.matrix, fb.matrix)
-    mix = SeparableMixture(system, part, comps)
+    mix = SeparableMixture(system, part, probs,
+                           {name: np.array(mats) for name, mats in factors.items()})
     assert np.abs(mix.summed().matrix - expected).max() < 1e-13
 
 
@@ -404,7 +408,7 @@ def test_separable_mixture_interleaved_partition():
     sub_b = ModeSystem([system.modes[1]])
     fa = random_density(sub_a, rng)
     fb = random_density(sub_b, rng)
-    mix = SeparableMixture(system, part, [MixtureComponent(1.0, {"A": fa, "B": fb})])
+    mix = SeparableMixture(system, part, [1.0], {"A": fa.matrix[None], "B": fb.matrix[None]})
     rho = mix.summed()
     assert np.abs(partial_trace(rho, part, "A").matrix - fa.matrix).max() < 1e-12
     assert np.abs(partial_trace(rho, part, "B").matrix - fb.matrix).max() < 1e-12
@@ -483,27 +487,25 @@ def test_stacked_samplers_equal_the_per_factor_draws(sampler, reference, seed):
     mix = sampler(np.random.default_rng(seed))
     system, part, comps = reference(np.random.default_rng(seed))
     assert mix.system == system and mix.partition == part
-    assert len(mix.components) == len(comps)
-    for comp, (p, factors) in zip(mix.components, comps):
-        assert comp.probability == p
-        assert list(comp.factors) == list(part.names)
-        for name, mat in factors.items():
-            factor = comp.factors[name]
-            assert isinstance(factor, DensityOperator)
-            assert factor.system == sub_system(system, part.modes_of(name))
-            assert factor.matrix.tobytes() == mat.tobytes()
-            assert not factor.matrix.flags.writeable
+    assert mix.probabilities.tobytes() == np.array([p for p, _ in comps]).tobytes()
+    assert not mix.probabilities.flags.writeable
+    assert list(mix.factors) == list(part.names)
+    for name, stack in mix.factors.items():
+        k = sub_system(system, part.modes_of(name)).dim
+        assert stack.shape == (len(comps), k, k)
+        assert stack.tobytes() == np.array([factors[name] for _, factors in comps]).tobytes()
+        assert not stack.flags.writeable
 
 
 def _reference_summed(mix):
     """Today's term-by-term sum: one term per component, in component order."""
     dim = mix.system.dim
     out = np.zeros((dim, dim), dtype=complex)
-    for comp in mix.components:
-        term = np.full((dim, dim), comp.probability, dtype=complex)
-        for name, factor in comp.factors.items():
+    for r, p in enumerate(mix.probabilities):
+        term = np.full((dim, dim), p, dtype=complex)
+        for name, stack in mix.factors.items():
             codes = _sub_codes(mix.system, mix.partition.modes_of(name))[1]
-            term *= factor.matrix[np.ix_(codes, codes)]
+            term *= stack[r][np.ix_(codes, codes)]
         out += term
     return out
 
@@ -535,13 +537,12 @@ def test_a_summed_stack_equals_each_term_by_term_sum_bit_for_bit(sampler, seed):
 
 def _with_factor_scaled(mix, name, scale):
     """``mix`` with the ``name`` factor of its first component scaled, unchecked."""
-    first, *rest = mix.components
-    bad = object.__new__(DensityOperator)
-    bad.system = first.factors[name].system
-    bad.matrix = first.factors[name].matrix * scale
-    factors = dict(first.factors, **{name: bad})
-    return SeparableMixture(mix.system, mix.partition,
-                            [MixtureComponent(first.probability, factors), *rest])
+    stack = mix.factors[name].copy()
+    stack[0] *= scale
+    bad = object.__new__(SeparableMixture)
+    bad.system, bad.partition, bad.probabilities = mix.system, mix.partition, mix.probabilities
+    bad.factors = dict(mix.factors, **{name: stack})
+    return bad
 
 
 @pytest.mark.parametrize("pos", [0, 3, 6])
@@ -563,8 +564,8 @@ def test_a_summed_stack_needs_one_system_partition_and_size():
     other_part = Partition([("B", (1,)), ("A", (0,))])
     _, verstraete = verstraete_state("mixture")
     for other in (random_number_diagonal_mixture(system, other_part, rng), verstraete,
-                  SeparableMixture(system, part,
-                                   [MixtureComponent(1.0, mix.components[0].factors)])):
+                  SeparableMixture(system, part, [1.0],
+                                   {name: stack[:1] for name, stack in mix.factors.items()})):
         with pytest.raises(ValueError, match="one system, partition and number"):
             summed_stack([mix, other])
 
@@ -588,23 +589,66 @@ def test_an_empty_stack_or_sweep_is_rejected():
     assert rng.bit_generator.state == state     # nothing was drawn
 
 
-def test_mixture_probability_validation():
+def _vacuum_pair():
+    """Two one-mode subsystems and their vacuum factors as (1, 2, 2) stacks, and
+    the same factors for two components."""
     system = bosons(2, 1)
     part = Partition([("A", (0,)), ("B", (1,))])
-    sub_a = ModeSystem([system.modes[0]])
-    sub_b = ModeSystem([system.modes[1]])
-    f = {"A": sub_a.vacuum().density(), "B": sub_b.vacuum().density()}
-    with pytest.raises(ValueError, match="sum"):
-        SeparableMixture(system, part, [MixtureComponent(0.7, f)])
+    one = {"A": ModeSystem([system.modes[0]]).vacuum().density().matrix[None],
+           "B": ModeSystem([system.modes[1]]).vacuum().density().matrix[None]}
+    two = {name: np.concatenate([stack, stack]) for name, stack in one.items()}
+    return system, part, one, two
+
+
+def _rejects(system, part, probabilities, factors, match):
+    """Both constructors refuse one mixture: alone and as a stack of one."""
+    with pytest.raises(ValueError, match=match):
+        SeparableMixture(system, part, probabilities, factors)
+    with pytest.raises(ValueError, match=match):
+        mixture_stack(system, part, [probabilities],
+                      {name: np.asarray(stack)[None] for name, stack in factors.items()})
+
+
+def test_mixture_probability_validation():
+    system, part, f, two = _vacuum_pair()
+    for probabilities, factors, match in [
+            ([0.7], f, r"probabilities \[0.7\] must be >= 0 and sum to 1"),
+            ([-0.5, 1.5], two, r"probabilities \[-0.5 +1.5\] must be"),
+            ([True], f, "array of reals"),
+            ([0.0, True], two, "array of reals"),
+            (np.array([True]), f, "array of reals"),
+            (np.array([0.0, True], dtype=object), two, "array of reals"),
+            ([np.True_], f, "array of reals"),
+            (["1"], f, "array of reals"),
+            (np.array(["1"]), f, "array of reals"),
+            ([1 + 0j], f, "array of reals"),
+            (np.array([1.0 + 0j]), f, "array of reals"),
+            (1.0, f, "rank"),
+            ([[1.0]], f, "rank"),
+            ([1.0], {"A": f["A"]}, "each subsystem"),
+            ([1.0], dict(f, C=f["A"]), "each subsystem"),
+            ([1.0], dict(f, A=f["A"][0]), "shape"),
+            ([1.0], two, "shape"),
+            ([1.0], dict(f, B=2 * f["B"]), "^stack matrix 1: trace")]:
+        _rejects(system, part, probabilities, factors, match)
+    # a stack names its failing mixture, and its failing factor by stack index
+    pairs = {name: stack[None].repeat(2, axis=0) for name, stack in f.items()}
+    with pytest.raises(ValueError, match=r"^mixture 1: probabilities \[0.7\]"):
+        mixture_stack(system, part, [[1.0], [0.7]], pairs)
+    scaled = pairs["B"].copy()
+    scaled[1] *= 2.0
+    with pytest.raises(ValueError, match="^stack matrix 3: trace"):
+        mixture_stack(system, part, [[1.0], [1.0]], dict(pairs, B=scaled))
+    with pytest.raises(ValueError, match="at least one mixture"):
+        mixture_stack(system, part, np.ones((0, 1)),
+                      {name: stack[:0] for name, stack in pairs.items()})
 
 
 def test_mixture_rejects_nan_probability():
-    system = bosons(2, 1)
-    part = Partition([("A", (0,)), ("B", (1,))])
-    f = {"A": ModeSystem([system.modes[0]]).vacuum().density(),
-         "B": ModeSystem([system.modes[1]]).vacuum().density()}
-    with pytest.raises(ValueError, match="sum"):
-        SeparableMixture(system, part, [MixtureComponent(np.nan, f)])
+    system, part, f, two = _vacuum_pair()
+    for probabilities, factors in [([np.nan], f), ([np.nan, 1.0], two),
+                                   ([0.5, np.nan], two), ([np.inf, -np.inf], two)]:
+        _rejects(system, part, probabilities, factors, "sum")
 
 
 def test_ghz_and_singlet_shapes():
