@@ -20,17 +20,15 @@ from .fock import (
     apply_unitary,
     block_unitary,
     bosons,
-    commutator_norm,
     eigh_blocks,
     evolution_operator,
     fermions,
     ladder_sum,
     number_op,
     partial_trace,
-    sub_system,
     unitary_evolve,
 )
-from .ssr import SSR_TOL, _ssr_report, ssr_check
+from .ssr import SSR_TOL, _commutator_residuals, _local_reports, _number_diagonal
 from .states import poisson_pmf
 from .measurement import PROB_FLOOR, ZeroProbabilityError
 
@@ -360,24 +358,15 @@ def ssr_propagation_check(mixture, h, weights=None):
     N_w-compliant; a non-compliant component shows up as a nonzero residual
     at one of the ``PROPAGATION_TIMES``.
     """
-    system = h.system
-    n_w = number_op(system, weights)
-    conserving = commutator_norm(n_w.matrix, h.matrix)
+    n_diag = _number_diagonal(number_op(h.system, weights))
+    conserving = _commutator_residuals(n_diag, h.matrix)
     if conserving > 1e-10:
         raise ValueError(f"Hamiltonian does not conserve the weighted number "
                          f"(residual {conserving})")
-    local_ok = True
-    for name, idx in mixture.partition.subsystems:
-        w_local = None if weights is None else np.asarray(weights, dtype=float)[list(idx)]
-        n_local = number_op(sub_system(mixture.system, idx), w_local)
-        local_ok = local_ok and all(_ssr_report(f, n_local).compliant
-                                    for f in mixture.factors[name])
+    local_ok = all(rep.compliant for _, _, rep in _local_reports(mixture, weights))
     rho0 = mixture.summed()
-    residuals = []
-    for t in PROPAGATION_TIMES:
-        rho_t = unitary_evolve(h, t, rho0)
-        residuals.append(ssr_check(rho_t, n_w).residual)
-    residuals = tuple(residuals)
+    evolved = np.array([unitary_evolve(h, t, rho0).matrix for t in PROPAGATION_TIMES])
+    residuals = tuple(float(r) for r in _commutator_residuals(n_diag, evolved))
     return PropagationReport(
         conserving_residual=conserving,
         all_local_compliant=local_ok,

@@ -41,6 +41,11 @@ MAX_DIM = 4096
 BLOCK_MIN_DIM = 48
 
 
+def _is_integer(value):
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Mode:
     """One truncated mode: occupancies run over 0..cutoff."""
@@ -65,8 +70,8 @@ class ModeSystem:
         for m in modes:
             if not isinstance(m, Mode):
                 m = Mode(*m)
-            if m.cutoff < 0:
-                raise ValueError("mode cutoff must be >= 0")
+            if not _is_integer(m.cutoff) or m.cutoff < 0:
+                raise ValueError(f"mode cutoff must be an integer >= 0, got {m.cutoff!r}")
             if m.statistics not in (BOSE, FERMI):
                 raise ValueError(f"unknown statistics {m.statistics!r}")
             if m.statistics == FERMI and m.cutoff != 1:
@@ -76,8 +81,6 @@ class ModeSystem:
             raise ValueError("a ModeSystem needs at least one mode")
         self.modes = tuple(parsed)
         self.total_number_restriction = total_number_restriction
-        # every memo lookup hashes its system: hash the modes once
-        self._hash = hash((self.modes, total_number_restriction))
 
         radices = [m.cutoff + 1 for m in self.modes]
         full_dim = math.prod(radices)
@@ -87,10 +90,12 @@ class ModeSystem:
         if total_number_restriction is None:
             if full_dim > MAX_DIM:
                 raise ValueError(f"dimension {full_dim} exceeds MAX_DIM = {MAX_DIM}")
-        elif not isinstance(total_number_restriction, (int, np.integer)):
+        elif not _is_integer(total_number_restriction):
             raise ValueError("total_number_restriction must be an integer")
         elif not 0 <= total_number_restriction <= room:
             raise ValueError("empty Hilbert space")
+        # every memo lookup hashes its system: hash the modes once
+        self._hash = hash((self.modes, total_number_restriction))
         # built mode by mode: extending each prefix code by ascending digits keeps
         # the lexicographic order.  Under a restriction a prefix takes only the
         # digits that stay at or below the total and can still reach it, so every
@@ -371,6 +376,15 @@ def as_density(state):
     if isinstance(state, PureState):
         return state.density()
     raise TypeError("expected PureState or DensityOperator")
+
+
+def _density_on(state, *operators):
+    """``state`` as a DensityOperator, once each operator is known to act on its system."""
+    rho = as_density(state)
+    for op in operators:
+        if op.system != rho.system:
+            raise ValueError("operator and state live on different systems")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -761,19 +775,12 @@ def _reduced_matrices(system, rows, blocks, keep_idx):
     return sub, out.reshape(n, dim, dim)
 
 
-def commutator_norm(x, y):
-    """Frobenius norm of the commutator XY - YX of two matrices."""
-    return float(np.linalg.norm(x @ y - y @ x))
-
-
 def expectation(state, op):
     """<Omega> = Tr(Omega rho), returned as a complex number.
 
     Summed as sum_ij Omega_ij rho_ji in O(d^2), exact for any Omega.
     """
-    rho = as_density(state)
-    if op.system != rho.system:
-        raise ValueError("operator and state live on different systems")
+    rho = _density_on(state, op)
     return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
 
 

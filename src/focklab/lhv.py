@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_ATOL, sub_system
+from .fock import NORM_ATOL, _is_integer, sub_system
 from .measurement import _block_probs
 
 ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
@@ -69,8 +69,7 @@ def lhv_joint(model, assignments):
     for name, outcome in assignments:
         pmf = model.observables[name].pmf
         n = pmf.shape[1]
-        if (not isinstance(outcome, (int, np.integer)) or isinstance(outcome, bool)
-                or not 0 <= outcome < n):
+        if not _is_integer(outcome) or not 0 <= outcome < n:
             raise ValueError(f"outcome index of {name!r} must be an integer in "
                              f"0..{n - 1}, got {outcome!r}")
         acc = acc * pmf[:, outcome]

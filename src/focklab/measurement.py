@@ -17,8 +17,8 @@ import numpy as np
 from .fock import (
     Operator,
     DensityOperator,
+    _density_on,
     as_density,
-    commutator_norm,
     eigh_blocks,
     expectation,
 )
@@ -165,7 +165,7 @@ def cond_prob(state, proj_a, proj_b):
 
 def unrecorded_state(state, observable):
     """State after an unrecorded measurement: sum_j B_j (B_j^H rho B_j) B_j^H."""
-    rho = as_density(state)
+    rho = _density_on(state, observable)
     mat = np.zeros_like(rho.matrix)
     for b in observable.blocks:
         bh = b.conj().T
@@ -181,17 +181,14 @@ def _block_probs(x, observable):
 
 def outcome_distribution(state, observable):
     """Eigenvalue/probability pairs P_j = Tr(B_j B_j^H rho)."""
-    rho = as_density(state)
-    if observable.system != rho.system:
-        raise ValueError("operator and state live on different systems")
+    rho = _density_on(state, observable)
     probs = _block_probs(rho.matrix, observable)
     return OutcomeDistribution(tuple(zip(observable.eigenvalues, probs)))
 
 
 def _check_commuting(observable, projector):
-    if projector.system != observable.system:
-        raise ValueError("operators live on different systems")
-    if commutator_norm(observable.operator.matrix, projector.matrix) > PROJ_ATOL:
+    x, y = observable.operator.matrix, projector.matrix
+    if np.linalg.norm(x @ y - y @ x) > PROJ_ATOL:
         raise ValueError("target and conditioning projector do not commute")
 
 
@@ -205,13 +202,13 @@ def _conditional_moments(rho, target, given, p_given):
 
 def cond_mean(state, target, given):
     """Conditioned mean sum_j mu_j P(j|i) of ``target`` given outcome projector ``given``."""
-    rho = as_density(state)
+    rho = _density_on(state, target, given)
     return _conditional_moments(rho, target, given, _given_prob(rho, given))[0]
 
 
 def cond_variance(state, target, given):
     """Conditioned variance sum_j (mu_j - mean)^2 P(j|i)."""
-    rho = as_density(state)
+    rho = _density_on(state, target, given)
     return _conditional_moments(rho, target, given, _given_prob(rho, given))[1]
 
 
@@ -222,7 +219,7 @@ def unrecorded_conditioned_variance(state, target, given_observable):
     observable.  Outcomes below the probability floor are skipped and the
     remaining weights renormalised.
     """
-    rho = as_density(state)
+    rho = _density_on(state, target, given_observable)
     total = 0.0
     weight = 0.0
     for b in given_observable.blocks:

@@ -17,9 +17,11 @@ from .fock import (
     NORM_ATOL,
     ModeSystem,
     PureState,
+    _density_on,
     _density_stack,
+    _is_integer,
+    _row_dots,
     as_density,
-    commutator_norm,
     number_op,
     evolution_operator,
     ladder_product,
@@ -61,36 +63,40 @@ class SectorDecomposition:
         return 0.0
 
 
-def _diagonal_sector_ids(n_op):
-    """Integer sector labels from a diagonal number operator."""
-    mat = n_op.matrix
-    off = mat - np.diag(np.diag(mat))
+def _number_diagonal(n_op):
+    """Real diagonal of ``n_op``, whose off-diagonal Frobenius norm must be <= 1e-12."""
+    off = n_op.matrix.copy()
+    np.fill_diagonal(off, 0.0)
     if np.linalg.norm(off) > 1e-12:
         raise ValueError("number operator is not diagonal in the occupation basis")
-    diag = np.real(np.diag(mat))
+    return n_op.matrix.diagonal().real
+
+
+def _diagonal_sector_ids(n_op):
+    """Integer sector labels from a diagonal number operator."""
+    diag = _number_diagonal(n_op)
     ids = np.rint(diag).astype(int)
     if np.max(np.abs(diag - ids)) > 1e-9:
         raise ValueError("number operator spectrum is not integer")
     return ids
 
 
-def _density_on(state, n_op):
-    """``state`` as a DensityOperator, once ``n_op`` is known to act on its system."""
-    rho = as_density(state)
-    if n_op.system != rho.system:
-        raise ValueError("operator and state live on different systems")
-    return rho
+def _commutator_residuals(n_diag, x):
+    """||[N, X]||_F = ||(n_i - n_j) X_ij||_F of the N with diagonal ``n_diag``: a
+    float of a d x d ``x``, an array of one per matrix of an (m, d, d) stack."""
+    r = (n_diag[:, None] - n_diag) * x
+    norms = np.sqrt(_row_dots(r.reshape(*x.shape[:-2], -1).view(float)))
+    return float(norms) if x.ndim == 2 else norms
+
+
+def _ssr_report(residual, tol=SSR_TOL):
+    return SSRReport(residual=residual, compliant=residual <= tol, tol=tol)
 
 
 def ssr_check(state, n_op, tol=SSR_TOL):
-    """Frobenius norm of [N, rho] and whether it sits below ``tol``."""
-    return _ssr_report(_density_on(state, n_op).matrix, n_op, tol)
-
-
-def _ssr_report(matrix, n_op, tol=SSR_TOL):
-    """``ssr_check`` of a density matrix already known to act on ``n_op``'s system."""
-    residual = commutator_norm(n_op.matrix, matrix)
-    return SSRReport(residual=residual, compliant=residual <= tol, tol=tol)
+    """Frobenius norm of [N, rho] for a diagonal N, and whether it sits below ``tol``."""
+    rho = _density_on(state, n_op)
+    return _ssr_report(_commutator_residuals(_number_diagonal(n_op), rho.matrix), tol)
 
 
 def twirl_stack(states, n_op):
@@ -105,9 +111,8 @@ def twirl_stack(states, n_op):
     """
     if not states:
         raise ValueError("twirl_stack needs at least one state")
-    rhos = [_density_on(state, n_op) for state in states]
+    stack = np.array([_density_on(state, n_op).matrix for state in states])
     ids = _diagonal_sector_ids(n_op)
-    stack = np.array([rho.matrix for rho in rhos])
     stack *= ids[:, None] == ids[None, :]
     return _density_stack(n_op.system, stack)
 
@@ -121,8 +126,8 @@ def twirl(state, n_op):
 def _qcf_word(powers):
     """The ``ladder_product`` factors of adag^n a^m bdag^l b^k, after checking
     that the powers are four integers >= 0."""
-    if not np.iterable(powers) or len(powers := tuple(powers)) != 4 or not all(
-            isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in powers):
+    if not np.iterable(powers) or len(powers := tuple(powers)) != 4 \
+            or not all(_is_integer(p) for p in powers):
         raise ValueError(f"qcf powers must be four integers >= 0, got {powers!r}")
     n, m, l, k = powers
     if min(powers) < 0:
@@ -216,6 +221,20 @@ class SeparableSSRReport:
     fixed_probability_caveat: bool
 
 
+def _local_reports(mixture, weights=None):
+    """``(component, subsystem, SSRReport)`` of every factor, components outer and
+    subsystems in partition order, against each subsystem's number operator with
+    its modes' ``weights``: one residual array per subsystem's factor stack."""
+    residuals = []
+    for name, modes in mixture.partition.subsystems:
+        w = None if weights is None else np.asarray(weights, dtype=float)[list(modes)]
+        n_diag = _number_diagonal(number_op(sub_system(mixture.system, modes), w))
+        residuals.append((name, _commutator_residuals(n_diag, mixture.factors[name])))
+    return tuple((r, name, _ssr_report(float(res[r])))
+                 for r in range(len(mixture.probabilities))
+                 for name, res in residuals)
+
+
 def separable_ssr_theorem_check(mixture):
     """Check the separability/SSR criterion on an explicit mixture.
 
@@ -224,11 +243,7 @@ def separable_ssr_theorem_check(mixture):
     where (b) holds although (a) fails (possible only at fixed component
     probabilities).
     """
-    n_ops = {name: number_op(sub_system(mixture.system, modes))
-             for name, modes in mixture.partition.subsystems}
-    local_reports = tuple((r, name, _ssr_report(stack[r], n_ops[name]))
-                          for r in range(len(mixture.probabilities))
-                          for name, stack in mixture.factors.items())
+    local_reports = _local_reports(mixture)
     all_local = all(rep.compliant for _, _, rep in local_reports)
     summed = mixture.summed()
     global_report = ssr_check(summed, number_op(summed.system))

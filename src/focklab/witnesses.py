@@ -4,7 +4,6 @@ conditional variances, and the sector-projected particle entanglement measure.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,6 @@ from .measurement import spectral, unrecorded_conditioned_variance
 
 DECISION_TOL = 1e-9
 GHZ_TOL = 1e-12
-# largest system whose spin_epr resolutions are memoised: the entry then holds
-# nine d x d complex matrices, at most 9.4 MB
-SPIN_MEMO_MAX_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -186,15 +182,26 @@ def ghz_parity(state, tol=GHZ_TOL):
 
 
 def spin_epr(state, partition):
-    """Spin EPR test on two two-mode subsystems.
+    """Spin EPR test on two two-mode subsystems; a stack of one of ``spin_epr_stack``.
 
     lhs is the product of the unrecorded-conditioned variances
     <dS_x1^2>_{S_x2} <dS_y1^2>_{S_y2}; rhs is |<S_z1>|^2 / 4.  A violation
     (lhs below rhs) certifies entanglement; separable states always satisfy
     the inequality.
     """
-    rho = as_density(state)
-    system = rho.system
+    return spin_epr_stack([state], partition)[0]
+
+
+def spin_epr_stack(states, partition):
+    """The ``spin_epr`` verdict of each of a non-empty sequence of states on one
+    system.  The spins are built and resolved by ``spectral`` once per call; each
+    state then takes the arithmetic of a stack of one, whatever the others."""
+    rhos = [as_density(state) for state in states]
+    if not rhos:
+        raise ValueError("spin_epr_stack needs at least one state")
+    system = rhos[0].system
+    if any(rho.system != system for rho in rhos):
+        raise ValueError("spin EPR states of one stack live on different systems")
     names = partition.names
     if len(names) != 2:
         raise ValueError("spin EPR needs a two-subsystem partition")
@@ -202,29 +209,17 @@ def spin_epr(state, partition):
     m2 = partition.modes_of(names[1])
     if len(m1) != 2 or len(m2) != 2:
         raise ValueError("each subsystem must hold two modes")
-    resolve = (_spin_epr_observables if system.dim <= SPIN_MEMO_MAX_DIM
-               else _spin_epr_observables.__wrapped__)
-    sx1, sx2, sy1, sy2, sz1 = resolve(system, m1, m2)
-    var_x = unrecorded_conditioned_variance(rho, sx1, sx2)
-    var_y = unrecorded_conditioned_variance(rho, sy1, sy2)
-    lhs = var_x * var_y
-    mean_z = expectation(rho, sz1)
-    rhs = 0.25 * abs(mean_z) ** 2
-    margin = rhs - lhs
-    return WitnessVerdict(lhs=float(lhs), rhs=float(rhs),
-                          violated=margin > DECISION_TOL, margin=float(margin))
-
-
-# one entry: a sweep of mixtures asks for one (system, m1, m2) over and over
-@functools.lru_cache(maxsize=1)
-def _spin_epr_observables(system, m1, m2):
-    """``spectral`` of S_x and S_y on the mode pairs ``m1`` and ``m2``, and S_z on
-    ``m1``: (S_x1, S_x2, S_y1, S_y2, S_z1), all read-only.  ``spin_epr``
-    memoises them up to ``SPIN_MEMO_MAX_DIM``."""
-    spins1 = spin_ops(system, *m1)
-    spins2 = spin_ops(system, *m2)
-    return (spectral(spins1.sx), spectral(spins2.sx),
-            spectral(spins1.sy), spectral(spins2.sy), spins1.sz)
+    spins1, spins2 = spin_ops(system, *m1), spin_ops(system, *m2)
+    sx1, sx2, sy1, sy2 = (spectral(op) for op in (spins1.sx, spins2.sx, spins1.sy, spins2.sy))
+    verdicts = []
+    for rho in rhos:
+        lhs = (unrecorded_conditioned_variance(rho, sx1, sx2)
+               * unrecorded_conditioned_variance(rho, sy1, sy2))
+        rhs = 0.25 * abs(expectation(rho, spins1.sz)) ** 2
+        margin = rhs - lhs
+        verdicts.append(WitnessVerdict(lhs=float(lhs), rhs=float(rhs),
+                                       violated=margin > DECISION_TOL, margin=float(margin)))
+    return verdicts
 
 
 def particle_entanglement(state, partition):

@@ -296,6 +296,21 @@ def test_propagation_coherent_component_breaks_compliance():
     assert not ssr_propagation_check(mix, _hopping_hamiltonian(system)).all_local_compliant
 
 
+def test_propagation_judges_each_factor_by_the_weighted_number():
+    # (|1,0> + |0,1>)/sqrt 2 on modes (a, b) keeps n_a + n_b but not n_a + 2 n_b
+    system = bosons(3, 1, labels=["a", "b", "c"])
+    part = Partition([("AB", (0, 1)), ("C", (2,))])
+    sub_ab = ModeSystem(system.modes[:2])
+    vec = np.zeros(sub_ab.dim, dtype=complex)
+    vec[sub_ab.indices_of([(1, 0), (0, 1)])] = 1 / np.sqrt(2)
+    vac_c = ModeSystem(system.modes[2:]).vacuum().density().matrix
+    mix = SeparableMixture(system, part, [1.0],
+                           {"AB": np.outer(vec, vec.conj())[None], "C": vac_c[None]})
+    h = number_op(system)     # diagonal, so it conserves every weighted number
+    assert ssr_propagation_check(mix, h).all_local_compliant
+    assert not ssr_propagation_check(mix, h, weights=[1, 2, 1]).all_local_compliant
+
+
 def test_propagation_rejects_nonconserving_hamiltonian():
     system = bosons(2, 2)
     a = annihilation(system, 0)

@@ -59,8 +59,9 @@ def test_empty_restricted_space_raises():
         bosons(2, 1, total=5)
     with pytest.raises(ValueError, match="empty Hilbert space"):
         bosons(2, 1, total=-1)
-    with pytest.raises(ValueError, match="integer"):
-        bosons(2, 1, total=1.5)
+    for total in (1.5, True, np.True_, "1", [1]):
+        with pytest.raises(ValueError, match="integer"):
+            bosons(2, 1, total=total)
 
 
 @pytest.mark.parametrize("modes,total", [
@@ -142,6 +143,16 @@ def test_index_of_rejects_occupancies_outside_the_basis(system, occ):
 def test_fermi_cutoff_must_be_one():
     with pytest.raises(ValueError):
         ModeSystem([("c", 2, "fermi")])
+    # and any cutoff must be an integer >= 0, not a float, bool or string
+    for cutoff in (-1, 1.5, 2.0, True, np.True_, "2", None):
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 0"):
+            ModeSystem([("a", cutoff)])
+
+
+def test_a_numpy_integer_cutoff_and_total_are_integers():
+    system = ModeSystem([("a", np.int64(2)), ("b", np.int32(1))],
+                        total_number_restriction=np.int16(2))
+    assert system == ModeSystem([("a", 2), ("b", 1)], total_number_restriction=2)
 
 
 def test_annihilation_single_quantum():

@@ -105,10 +105,19 @@ def test_block_consumers_reject_an_observable_on_another_system():
     # same dim 4, different mode labels
     rho = bosons(2, 1).basis_state((1, 0)).density()
     obs = spectral(number_op(qubits(2)))
+    own = spectral(number_op(rho.system))
     with pytest.raises(ValueError, match="different systems"):
         outcome_distribution(rho, obs)
     with pytest.raises(ValueError, match="different systems"):
         cond_mean(rho, obs, rho.system.identity())
+    # and of another dim, where a product would fail in numpy instead
+    for other in (obs, spectral(number_op(qubits(3)))):
+        with pytest.raises(ValueError, match="operator and state live on different systems"):
+            unrecorded_state(rho, other)
+        for target, given in ((other, own), (own, other)):
+            with pytest.raises(ValueError,
+                               match="operator and state live on different systems"):
+                unrecorded_conditioned_variance(rho, target, given)
 
 
 def test_joint_prob_needs_a_projector():

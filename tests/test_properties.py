@@ -49,6 +49,7 @@ from focklab.measurement import (
     unrecorded_conditioned_variance,
     unrecorded_state,
 )
+from focklab.ssr import _commutator_residuals, _number_diagonal, ssr_check
 from focklab.lhv import integral_inequality_oracle, sum_inequality_oracle
 from focklab.sampling import (
     random_densities,
@@ -273,6 +274,30 @@ def test_twirl_is_idempotent_and_sector_weights_sum_to_one(system, seed):
     assert abs(sum(s.weight for s in sectors) - 1.0) <= 1e-12
     rebuilt = sum(s.weight * padded(system.dim, s.indices, s.block) for s in sectors)
     assert np.abs(rebuilt - tw.matrix).max() <= 1e-12
+
+
+@SETTINGS
+@given(systems(), seeds, st.booleans(), st.integers(1, 3))
+def test_commutator_residuals_equal_the_dense_commutator_norm(system, seed, weighted, n):
+    rng = np.random.default_rng(seed)
+    n_op = number_op(system, rng.uniform(-3.0, 3.0, system.n_modes) if weighted else None)
+    n_diag = _number_diagonal(n_op)
+    shape = (n, system.dim, system.dim)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def dense(x):
+        return np.linalg.norm(n_op.matrix @ x - x @ n_op.matrix)
+
+    residuals = _commutator_residuals(n_diag, stack)
+    assert residuals.shape == (n,)
+    for x, residual in zip(stack, residuals):
+        assert abs(residual - dense(x)) <= 1e-12 * (1.0 + np.linalg.norm(x))
+    single = _commutator_residuals(n_diag, stack[0])
+    assert isinstance(single, float)
+    assert abs(single - dense(stack[0])) <= 1e-12 * (1.0 + np.linalg.norm(stack[0]))
+    rho = random_density(system, rng)
+    assert abs(ssr_check(rho, n_op).residual - dense(rho.matrix)) <= 1e-12 * (
+        1.0 + np.linalg.norm(rho.matrix))
 
 
 @SETTINGS

@@ -7,6 +7,7 @@ from scipy.stats import poisson
 
 from focklab import (
     ModeSystem,
+    Operator,
     Partition,
     PureState,
     bosons,
@@ -514,3 +515,22 @@ def test_ssr_functions_reject_a_number_operator_of_another_system(check):
     for n_op in (same_dim, other_dim):
         with pytest.raises(ValueError, match="different systems"):
             check(rho, n_op)
+
+
+def _with_off_diagonal(n_op, entry):
+    """``n_op`` plus the Hermitian off-diagonal pair ``entry`` at (0, 1) and (1, 0)."""
+    mat = n_op.matrix.copy()
+    mat[0, 1] = mat[1, 0] = entry
+    return Operator(n_op.system, mat)
+
+
+@pytest.mark.parametrize("check", [ssr_check, twirl, sector_decompose,
+                                   lambda rho, n_op: twirl_stack([rho], n_op)])
+def test_ssr_functions_reject_a_number_operator_that_is_not_diagonal(check):
+    system = bosons(2, 2)
+    rho = random_density(system, np.random.default_rng(11))
+    n_op = number_op(system)
+    # off-diagonal Frobenius norm 1e-12 passes the bound, 2e-12 does not
+    check(rho, _with_off_diagonal(n_op, 1e-12 / np.sqrt(2)))
+    with pytest.raises(ValueError, match="not diagonal in the occupation basis"):
+        check(rho, _with_off_diagonal(n_op, 2e-12 / np.sqrt(2)))

@@ -20,12 +20,12 @@ from focklab import (
 from focklab import fock, witnesses
 from focklab.fock import PureState
 from focklab.witnesses import (
-    _spin_epr_observables,
     casimir_residual,
     chsh_batch,
     chsh_correlation_tensor,
     chsh_correlation_tensors,
     pauli_ops,
+    spin_epr_stack,
 )
 from focklab.states import (
     bell_one_boson,
@@ -233,18 +233,30 @@ def test_spin_epr_separable_sweep():
         assert verdict.margin <= 1e-10
 
 
-def test_spin_epr_memoises_only_systems_up_to_the_bound(monkeypatch):
-    state = singlet_spin()
+@pytest.mark.parametrize("n_states", [1, 5, 20])
+def test_spin_epr_stack_resolves_the_spins_once_and_equals_each_state_alone(
+        n_states, monkeypatch):
+    rng = np.random.default_rng(n_states)
     part = Partition([("one", (0, 1)), ("two", (2, 3))])
-    _spin_epr_observables.cache_clear()
-    monkeypatch.setattr(witnesses, "SPIN_MEMO_MAX_DIM", state.system.dim - 1)
-    first = spin_epr(state, part)
-    assert _spin_epr_observables.cache_info().currsize == 0
-    monkeypatch.setattr(witnesses, "SPIN_MEMO_MAX_DIM", state.system.dim)
-    assert spin_epr(state, part) == first
-    assert spin_epr(state, part) == first
-    info = _spin_epr_observables.cache_info()
-    assert (info.hits, info.currsize) == (1, 1)
+    states = [singlet_spin()] + [random_one_boson_pair_mixture(rng).summed()
+                                 for _ in range(n_states - 1)]
+    alone = [repr(spin_epr(state, part)) for state in states]
+    calls = []
+    spectral = witnesses.spectral
+    monkeypatch.setattr(witnesses, "spectral", lambda op: calls.append(op) or spectral(op))
+    stacked = spin_epr_stack(states, part)
+    assert len(calls) == 4
+    # repr shows every bit of each float, and the sign of a zero
+    assert [repr(verdict) for verdict in stacked] == alone
+
+
+def test_spin_epr_stack_needs_states_on_one_system():
+    part = Partition([("one", (0, 1)), ("two", (2, 3))])
+    with pytest.raises(ValueError, match="at least one state"):
+        spin_epr_stack([], part)
+    other = bosons(4, 1, labels=["p", "q", "r", "s"]).vacuum()
+    with pytest.raises(ValueError, match="different systems"):
+        spin_epr_stack([singlet_spin(), other], part)
 
 
 def test_particle_entanglement_separable_zero():
