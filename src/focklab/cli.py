@@ -53,7 +53,9 @@ from . import (
     atom_molecule_process,
     ramsey_vacuum_superposition,
     poisson_pmf,
+    ZeroProbabilityError,
 )
+from .fock import _is_integer, number_diagonal
 from .lhv import CHUNK_ROWS
 from .ssr import clock_prob_by_evolution, qcf_table, twirl_stack
 from .states import coherent_amplitudes, summed_stack
@@ -216,7 +218,12 @@ def _exp_extraction(params, tol, rng):
     for case, pairs in targets.items():
         for r in params["r_values"]:
             t = np.sqrt(1.0 - r * r)
-            result = extraction_experiment(case, r=r, t=t)
+            try:
+                result = extraction_experiment(case, r=r, t=t)
+            except ZeroProbabilityError as exc:
+                # near r = 0 or 1 the particles do not split: nothing to extract
+                raise ValueError(f"parameter 'r_values' of extraction: r = {r!r} leaves the "
+                                 f"{case} split with no weight ({exc})") from exc
             for occ, amp in pairs:
                 got = result.final_state.amplitude(occ)
                 checks.append(_check(f"{case}_r{r}_amp{occ}", float(amp),
@@ -228,10 +235,14 @@ def _exp_extraction(params, tol, rng):
 
 def _exp_atom_molecule(params, tol, rng):
     t_ = _tol(tol, 1e-10)
+    kappa = params["kappa"]
+    if 0.5 * kappa == 0:     # also when the coupling kappa/2 underflows
+        raise ValueError(f"parameter 'kappa' of atom_molecule must be nonzero: no pulse "
+                         f"transfers population without coupling, got {kappa!r}")
     checks = []
     for n in params["n_values"]:
         for phi in params["phi_values"]:
-            res = atom_molecule_process(n, params.get("kappa", 1.0), phi)
+            res = atom_molecule_process(n, kappa, phi)
             checks.append(_check(f"p_atom_N{n}_phi{phi:.3f}",
                                  float(np.sin(phi / 2) ** 2),
                                  res.quantities["p_atom"], t_))
@@ -243,7 +254,7 @@ def _exp_atom_molecule(params, tol, rng):
     nbar = params.get("poisson_nbar")
     if nbar:
         phi = params["phi_values"][0]
-        res = atom_molecule_process(nbar, params.get("kappa", 1.0), phi,
+        res = atom_molecule_process(nbar, kappa, phi,
                                     initial="poisson")
         # the N = 0 component has no partner atom and stays atomic
         w0 = float(poisson_pmf(0, nbar))
@@ -309,8 +320,7 @@ def _exp_two_mode_coherent_mixture(params, tol, rng):
         vecs = (amps[:, :, None] * amps[:, None, :]).reshape(len(amps), -1)
         quad += vecs.T @ vecs.conj()
     quad /= n_phases
-    occ = system.occupancies
-    totals = occ.sum(axis=1)
+    totals = number_diagonal(system)
     selection = rho.matrix[totals[:, None] != totals[None, :]]
     part = Partition([("A", (0,)), ("B", (1,))])
     ra = partial_trace(rho, part, "A")
@@ -332,11 +342,8 @@ def _exp_measurement_identities(params, tol, rng):
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    from .fock import tensor_embed, sub_system
-    sub_a = sub_system(system, (0,))
-    sub_b = sub_system(system, (1,))
-    obs_a = spectral(tensor_embed(number_op(sub_a), system, (0,)))
-    obs_b = spectral(tensor_embed(number_op(sub_b), system, (1,)))
+    obs_a = spectral(number_op(system, [1, 0]))
+    obs_b = spectral(number_op(system, [0, 1]))
     proj_a, proj_b = obs_a.projectors, obs_b.projectors
     worst_bayes = worst_nosig = worst_reduced = 0.0
     for rho in random_densities(system, rng, params["n_states"]):
@@ -384,11 +391,8 @@ def _exp_particle_entanglement(params, tol, rng):
     ep_prod = particle_entanglement(one_one, part)
     sys4 = bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
     part4 = Partition([("A", (0, 1)), ("B", (2, 3))])
-    vec = np.zeros(sys4.dim, dtype=complex)
-    vec[sys4.index_of((1, 0, 0, 1))] = 1 / np.sqrt(2)
-    vec[sys4.index_of((0, 1, 1, 0))] = 1 / np.sqrt(2)
-    from .fock import PureState
-    ep_ln2 = particle_entanglement(PureState(sys4, vec), part4)
+    ep_ln2 = particle_entanglement(
+        sys4.superposition([(1, 0, 0, 1), (0, 1, 1, 0)], [1 / np.sqrt(2)] * 2), part4)
     return [
         _check_below("separable_EP_max", worst, t_),
         _check_below("product_EP", ep_prod, t_),
@@ -475,10 +479,6 @@ EXPERIMENTS = {
 }
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_finite(value):
     # a real number, not a bool; NaN, infinities and ints too large for a
     # float all fail the bound
@@ -493,9 +493,9 @@ _REAL_DOMAINS = {"nbar": (0.0, math.inf), "poisson_nbar": (0.0, math.inf),
 
 def _domain(key, default):
     """(test, description) of one valid scalar for a param with this default."""
-    if _is_int(default):
+    if _is_integer(default):
         low = 1 if key.startswith("n_") else 0
-        return (lambda v: _is_int(v) and v >= low), f"an integer >= {low}"
+        return (lambda v: _is_integer(v) and v >= low), f"an integer >= {low}"
     low, high = _REAL_DOMAINS.get(key, (-math.inf, math.inf))
     text = "a finite number" + (f" in [{low}, {high}]" if key in _REAL_DOMAINS else "")
     return (lambda v: _is_finite(v) and low <= v <= high), text
@@ -581,10 +581,10 @@ def run_scenario(scenario, tolerance=None, seed=None):
         raise ValueError(f"global tolerance must be a finite number >= 0, got {tolerance!r}")
     if seed is None:
         seed = scenario.get("seed", 0)
-    if not _is_int(seed):
+    if not _is_integer(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     return run_experiment(name, params=scenario.get("params"),
-                          tolerance=tolerance, seed=seed)
+                          tolerance=tolerance, seed=int(seed))
 
 
 def emit(report, fmt="structured"):

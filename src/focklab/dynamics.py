@@ -17,6 +17,7 @@ from .fock import (
     DensityOperator,
     PureState,
     Partition,
+    _is_integer,
     apply_unitary,
     block_unitary,
     bosons,
@@ -24,11 +25,11 @@ from .fock import (
     evolution_operator,
     fermions,
     ladder_sum,
-    number_op,
+    number_diagonal,
     partial_trace,
     unitary_evolve,
 )
-from .ssr import SSR_TOL, _commutator_residuals, _local_reports, _number_diagonal
+from .ssr import SSR_TOL, _commutator_residuals, _local_reports
 from .states import poisson_pmf
 from .measurement import PROB_FLOOR, ZeroProbabilityError
 
@@ -46,6 +47,10 @@ class BeamSplitterSpec:
     convention: str = REAL_ROTATION
 
     def __post_init__(self):
+        for pair in self.mode_pairs:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(_is_integer(m) and m >= 0 for m in pair) and pair[0] != pair[1]):
+                raise ValueError(f"a mode pair is two distinct mode indices, got {pair!r}")
         with np.errstate(over="ignore"):    # a huge r or t squares to inf, which fails
             norm2 = np.float64(self.r) ** 2 + np.float64(self.t) ** 2
         if not abs(norm2 - 1.0) <= NORM_ATOL:   # NaN fails too
@@ -81,6 +86,8 @@ def beam_splitter(system, spec):
     """
     terms = []
     for ma, mb in spec.mode_pairs:
+        if max(ma, mb) >= system.n_modes:
+            raise ValueError(f"mode pair {(ma, mb)} outside a system of {system.n_modes} modes")
         if system.modes[ma].statistics != system.modes[mb].statistics:
             raise ValueError("paired modes must share statistics")
         if system.modes[ma].cutoff != system.modes[mb].cutoff:
@@ -137,9 +144,8 @@ def extraction_experiment(case, r, t):
     u = beam_splitter(system, spec)
     out = apply_unitary(u, initial)
 
-    na, nb = sector
-    occ = system.occupancies
-    in_sector = (occ[:, :2].sum(axis=1) == na) & (occ[:, 2:].sum(axis=1) == nb)
+    in_sector = ((number_diagonal(system, [1, 1, 0, 0]) == sector[0])
+                 & (number_diagonal(system, [0, 0, 1, 1]) == sector[1]))
     projected = np.where(in_sector, out.amplitudes, 0.0)
     p_sector = float(np.linalg.norm(projected) ** 2)
     if p_sector <= PROB_FLOOR:
@@ -174,8 +180,7 @@ def _calibrate_half_transfer(system, h, blocks, n_bec):
     eigenpairs of the ``eigh_blocks`` component that holds the initial state,
     rather than trusting any closed-form duration.
     """
-    start = system.index_of((1, 0, n_bec))
-    target = system.index_of((0, 1, n_bec - 1))
+    start, target = system.indices_of([(1, 0, n_bec), (0, 1, n_bec - 1)])
     # bracket around the quarter-Rabi estimate set by the coupling element
     rabi = abs(h.matrix[target, start])
     if rabi == 0:
@@ -244,9 +249,7 @@ def _run_atom_molecule_fock(n_bec, kappa, phi):
 
 
 def _am_quantities(rdo):
-    sys_am = rdo.system
-    i_atom = sys_am.index_of((1, 0))
-    i_mol = sys_am.index_of((0, 1))
+    i_atom, i_mol = rdo.system.indices_of([(1, 0), (0, 1)])
     return {
         "atom_molecule_rdo": rdo,
         "p_atom": float(np.real(rdo.matrix[i_atom, i_atom])),
@@ -270,8 +273,9 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
     atomic.
     """
     if initial == "fock":
-        if n_bec < 1:
-            raise ValueError("need at least one BEC boson")
+        if not _is_integer(n_bec) or n_bec < 1:
+            raise ValueError(f"n_bec of a Fock initial state must be an integer >= 1, "
+                             f"got {n_bec!r}")
         return _run_atom_molecule_fock(int(n_bec), kappa, phi)
     if initial != "poisson":
         raise ValueError(f"unknown initial {initial!r}")
@@ -358,7 +362,7 @@ def ssr_propagation_check(mixture, h, weights=None):
     N_w-compliant; a non-compliant component shows up as a nonzero residual
     at one of the ``PROPAGATION_TIMES``.
     """
-    n_diag = _number_diagonal(number_op(h.system, weights))
+    n_diag = number_diagonal(h.system, weights)
     conserving = _commutator_residuals(n_diag, h.matrix)
     if conserving > 1e-10:
         raise ValueError(f"Hamiltonian does not conserve the weighted number "

@@ -60,7 +60,7 @@ class ModeSystem:
 
     Parameters
     ----------
-    modes : iterable of Mode or (label, cutoff[, statistics]) tuples
+    modes : iterable of Mode or (str label, cutoff[, statistics]) tuples
     total_number_restriction : int, optional
         Keep only basis states whose total occupancy equals this value.
     """
@@ -69,7 +69,12 @@ class ModeSystem:
         parsed = []
         for m in modes:
             if not isinstance(m, Mode):
+                if not isinstance(m, tuple) or not 2 <= len(m) <= 3:
+                    raise ValueError("a mode is a Mode or a (str label, cutoff[, statistics]) "
+                                     f"tuple, got {m!r}")
                 m = Mode(*m)
+            if not isinstance(m.label, str):
+                raise ValueError(f"mode label must be a string, got {m.label!r}")
             if not _is_integer(m.cutoff) or m.cutoff < 0:
                 raise ValueError(f"mode cutoff must be an integer >= 0, got {m.cutoff!r}")
             if m.statistics not in (BOSE, FERMI):
@@ -159,10 +164,18 @@ class ModeSystem:
     def index_of(self, occupancies):
         return int(self.indices_of(occupancies)[0])
 
-    def basis_state(self, occupancies):
+    def superposition(self, rows, amplitudes):
+        """PureState with ``amplitudes[i]`` on basis row ``rows[i]`` and zero elsewhere.
+
+        The rows are looked up by one ``indices_of`` call, so a row outside the
+        basis raises its KeyError; ``PureState`` checks the norm.
+        """
         vec = np.zeros(self.dim, dtype=complex)
-        vec[self.index_of(occupancies)] = 1.0
+        vec[self.indices_of(rows)] = amplitudes
         return PureState(self, vec)
+
+    def basis_state(self, occupancies):
+        return self.superposition([occupancies], [1.0])
 
     def vacuum(self):
         return self.basis_state((0,) * self.n_modes)
@@ -395,7 +408,12 @@ class Partition:
 
     def __init__(self, subsystems):
         # accepts [(name, indices), ...]; indices kept in the order given
-        parsed = tuple((name, tuple(int(i) for i in idx)) for name, idx in subsystems)
+        parsed = []
+        for name, idx in subsystems:
+            if not np.iterable(idx) or not all(_is_integer(i) for i in idx):
+                raise ValueError(f"mode indices of subsystem {name!r} must be a "
+                                 f"sequence of integers, got {idx!r}")
+            parsed.append((name, tuple(int(i) for i in idx)))
         if len({name for name, _ in parsed}) != len(parsed):
             raise ValueError("partition subsystem names repeat")
         seen = set()
@@ -404,7 +422,7 @@ class Partition:
                 if i in seen:
                     raise ValueError("partition subsystems overlap")
                 seen.add(i)
-        object.__setattr__(self, "subsystems", parsed)
+        object.__setattr__(self, "subsystems", tuple(parsed))
 
     @property
     def names(self):
@@ -505,15 +523,20 @@ def ladder_sum(system, terms):
     return Operator(system, mat)
 
 
-def number_op(system, weights=None):
-    """Diagonal weighted number operator sum_i w_i n_i (weights default to 1)."""
+def number_diagonal(system, weights=None):
+    """Real diagonal of the weighted number operator sum_i w_i n_i, one entry
+    per basis row, read off the occupancies in O(d) (weights default to 1)."""
     if weights is None:
         weights = np.ones(system.n_modes)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (system.n_modes,):
         raise ValueError("one weight per mode required")
-    diag = system.occupancies @ weights
-    return Operator(system, np.diag(diag.astype(complex)))
+    return system.occupancies @ weights
+
+
+def number_op(system, weights=None):
+    """Diagonal weighted number operator sum_i w_i n_i (weights default to 1)."""
+    return Operator(system, np.diag(number_diagonal(system, weights)))
 
 
 def sector_blocks(labels):

@@ -125,6 +125,9 @@ def lhv_chsh_bound_sweep(n_models, n_settings, rng):
     in ``chsh_mean``'s order, so the result is that of one model per setting
     bit for bit.
     """
+    for name, count in (("n_models", n_models), ("n_settings", n_settings)):
+        if not _is_integer(count) or count < 0:
+            raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
     rng = np.random.default_rng(rng)
     best = 0.0
     for _ in range(n_models):
@@ -164,6 +167,8 @@ def ghz_assignment_search(xxx_target=1):
     ``xxx_target=None`` to drop the last constraint.  Quantum mechanics makes
     all four hold at once, which no assignment reproduces: the count is 0.
     """
+    if xxx_target is not None and not (_is_integer(xxx_target) and xxx_target in (1, -1)):
+        raise ValueError(f"xxx_target must be 1, -1 or None, got {xxx_target!r}")
     count = 0
     for values in itertools.product((1, -1), repeat=9):
         (xa, ya, za, xb, yb, zb, xc, yc, zc) = values

@@ -6,12 +6,10 @@ everything takes an explicit numpy Generator so sweeps stay reproducible.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .fock import (PureState, Partition, _density_stack, bosons, qubits, sector_blocks,
-                   sub_system)
+from .fock import (PureState, Partition, _density_stack, bosons, number_diagonal, qubits,
+                   sector_blocks, sub_system)
 from .states import mixture_stack
 from .witnesses import CHSHSetting
 
@@ -92,7 +90,7 @@ def random_global_ssr_states(system, rng, n):
     sector, its real part before its imaginary part, scaled to its weight: the
     stream and the bits of n ``random_global_ssr_state`` draws.
     """
-    blocks = sector_blocks(system.occupancies.sum(axis=1))
+    blocks = sector_blocks(number_diagonal(system))
     sizes = [len(sel) for _, sel in blocks]
     weights, normals = _weights_and_normals(rng, n, len(blocks),
                                             sum(2 * k * k for k in sizes))
@@ -112,18 +110,12 @@ def random_global_ssr_state(system, rng):
     return random_global_ssr_states(system, rng, 1)[0]
 
 
-@functools.cache
-def _qubit_pair():
-    """The fixed system and partition of ``random_qubit_pair_mixture``."""
-    return qubits(2), Partition([("A", (0,)), ("B", (1,))])
-
-
 def random_qubit_pair_mixtures(rng, n):
     """n separable mixtures of four products of generic qubit states on two
     modes.  Each draw takes the four probabilities, then the A and the B
     factor of each component as ``random_density`` would draw them: the
     stream and the bits of n ``random_qubit_pair_mixture`` draws."""
-    system, partition = _qubit_pair()
+    system, partition = qubits(2), Partition([("A", (0,)), ("B", (1,))])
     probs, normals = _weights_and_normals(rng, n, 4, 4 * 2 * 2 * 2 * 2)
     # (draw, component, factor, 2, 2)
     grams = _unit_trace_grams(normals.reshape(-1, 2, 2, 2)).reshape(n, 4, 2, 2, 2)
@@ -160,19 +152,6 @@ def random_number_diagonal_mixture(system, partition, rng):
     return random_number_diagonal_mixtures(system, partition, rng, 1)[0]
 
 
-@functools.cache
-def _one_boson_pair():
-    """The fixed system, partition and factor sub-systems of
-    ``random_one_boson_pair_mixture``, and the one-boson indices of a pair."""
-    system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
-    partition = Partition([("one", (0, 1)), ("two", (2, 3))])
-    pair = tuple(sub_system(system, partition.modes_of(name)) for name in partition.names)
-    # both pairs are two cutoff-1 modes, with the same one-boson indices
-    sel = pair[0].indices_of([(0, 1), (1, 0)])
-    sel.setflags(write=False)
-    return system, partition, pair, sel
-
-
 def random_one_boson_pair_mixtures(rng, n):
     """n three-component separable mixtures on (a1, b1, a2, b2), one boson per
     mode pair.
@@ -183,10 +162,14 @@ def random_one_boson_pair_mixtures(rng, n):
     block as ``random_density`` would draw it: the stream and the bits of n
     ``random_one_boson_pair_mixture`` draws.
     """
-    system, partition, pair, sel = _one_boson_pair()
+    system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
+    partition = Partition([("one", (0, 1)), ("two", (2, 3))])
+    # both pairs are two cutoff-1 modes, with the same one-boson indices
+    pair = sub_system(system, (0, 1))
+    sel = pair.indices_of([(0, 1), (1, 0)])
     probs, normals = _weights_and_normals(rng, n, 3, 3 * 2 * 2 * 2 * 2)
     blocks = _unit_trace_grams(normals.reshape(-1, 2, 2, 2)).reshape(n, 3, 2, 2, 2)
-    mats = np.zeros((n, 3, 2, pair[0].dim, pair[0].dim), dtype=complex)
+    mats = np.zeros((n, 3, 2, pair.dim, pair.dim), dtype=complex)
     mats[..., sel[:, None], sel] = blocks
     return mixture_stack(system, partition, probs, {"one": mats[:, :, 0], "two": mats[:, :, 1]})
 

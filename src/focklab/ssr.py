@@ -22,6 +22,7 @@ from .fock import (
     _is_integer,
     _row_dots,
     as_density,
+    number_diagonal,
     number_op,
     evolution_operator,
     ladder_product,
@@ -63,8 +64,10 @@ class SectorDecomposition:
         return 0.0
 
 
-def _number_diagonal(n_op):
-    """Real diagonal of ``n_op``, whose off-diagonal Frobenius norm must be <= 1e-12."""
+def _diagonal_of(n_op):
+    """Real diagonal of a number operator handed in by a caller, whose
+    off-diagonal Frobenius norm must be <= 1e-12: an O(d^2) scan.  A diagonal
+    known from the occupancies is ``number_diagonal``."""
     off = n_op.matrix.copy()
     np.fill_diagonal(off, 0.0)
     if np.linalg.norm(off) > 1e-12:
@@ -74,7 +77,7 @@ def _number_diagonal(n_op):
 
 def _diagonal_sector_ids(n_op):
     """Integer sector labels from a diagonal number operator."""
-    diag = _number_diagonal(n_op)
+    diag = _diagonal_of(n_op)
     ids = np.rint(diag).astype(int)
     if np.max(np.abs(diag - ids)) > 1e-9:
         raise ValueError("number operator spectrum is not integer")
@@ -96,7 +99,7 @@ def _ssr_report(residual, tol=SSR_TOL):
 def ssr_check(state, n_op, tol=SSR_TOL):
     """Frobenius norm of [N, rho] for a diagonal N, and whether it sits below ``tol``."""
     rho = _density_on(state, n_op)
-    return _ssr_report(_commutator_residuals(_number_diagonal(n_op), rho.matrix), tol)
+    return _ssr_report(_commutator_residuals(_diagonal_of(n_op), rho.matrix), tol)
 
 
 def twirl_stack(states, n_op):
@@ -228,7 +231,7 @@ def _local_reports(mixture, weights=None):
     residuals = []
     for name, modes in mixture.partition.subsystems:
         w = None if weights is None else np.asarray(weights, dtype=float)[list(modes)]
-        n_diag = _number_diagonal(number_op(sub_system(mixture.system, modes), w))
+        n_diag = number_diagonal(sub_system(mixture.system, modes), w)
         residuals.append((name, _commutator_residuals(n_diag, mixture.factors[name])))
     return tuple((r, name, _ssr_report(float(res[r])))
                  for r in range(len(mixture.probabilities))
@@ -246,7 +249,8 @@ def separable_ssr_theorem_check(mixture):
     local_reports = _local_reports(mixture)
     all_local = all(rep.compliant for _, _, rep in local_reports)
     summed = mixture.summed()
-    global_report = ssr_check(summed, number_op(summed.system))
+    global_report = _ssr_report(_commutator_residuals(number_diagonal(summed.system),
+                                                      summed.matrix))
     return SeparableSSRReport(
         local_reports=local_reports,
         all_local_compliant=all_local,
@@ -257,8 +261,8 @@ def separable_ssr_theorem_check(mixture):
 
 def phase_state(n_max, p):
     """Orthonormal phase eigenstate |theta_p> of a single truncated mode."""
-    if not 0 <= p <= n_max:
-        raise ValueError("phase index p must lie in 0..n_max")
+    if not _is_integer(p) or not 0 <= p <= n_max:
+        raise ValueError(f"phase index p must be an integer in 0..{n_max}, got {p!r}")
     system = ModeSystem([("osc", n_max)])
     n = np.arange(n_max + 1)
     theta = 2.0 * np.pi * p / (n_max + 1)
@@ -273,8 +277,10 @@ def clock_prob(p, q, omega, dt, n_max):
     Delta = theta_p - theta_q - omega dt; the removable singularity at
     Delta = 2 pi m is evaluated by its limit, 1.
     """
-    if not (0 <= p <= n_max and 0 <= q <= n_max):
-        raise ValueError("phase indices must lie in 0..n_max")
+    if not (_is_integer(p) and _is_integer(q) and _is_integer(n_max)
+            and 0 <= p <= n_max and 0 <= q <= n_max):
+        raise ValueError(f"phase indices p = {p!r} and q = {q!r} must be integers in "
+                         f"0..n_max, with n_max = {n_max!r} an integer")
     m = n_max + 1
     theta_p = 2.0 * np.pi * p / m
     theta_q = 2.0 * np.pi * q / m
@@ -324,11 +330,9 @@ def internalise(amplitudes, n_ref):
         raise ValueError("reference occupancy must be at least m_max")
     if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
         raise ValueError("amplitudes are not normalised")
-    system = ModeSystem([("S", m_max), ("R", n_ref)])
-    vec = np.zeros(system.dim, dtype=complex)
-    for m, c in enumerate(amps):
-        vec[system.index_of((m, n_ref - m))] = c
-    return PureState(system, vec)
+    m = np.arange(m_max + 1)
+    return ModeSystem([("S", m_max), ("R", n_ref)]).superposition(
+        np.stack([m, n_ref - m], axis=1), amps)
 
 
 def externalise(state):
@@ -344,9 +348,8 @@ def externalise(state):
     if totals.max() != totals.min():
         raise ValueError("state is not of the internalised fixed-total form")
     n_ref = int(totals[0])
-    m_max = system.modes[0].cutoff
-    amps = np.zeros(m_max + 1, dtype=complex)
-    for m in range(m_max + 1):
-        if n_ref - m <= system.modes[1].cutoff and n_ref - m >= 0:
-            amps[m] = state.amplitude((m, n_ref - m))
+    m = np.arange(system.modes[0].cutoff + 1)
+    m = m[(n_ref - m >= 0) & (n_ref - m <= system.modes[1].cutoff)]
+    amps = np.zeros(system.modes[0].cutoff + 1, dtype=complex)
+    amps[m] = state.amplitudes[system.indices_of(np.stack([m, n_ref - m], axis=1))]
     return amps

@@ -22,6 +22,7 @@ from .fock import (
     _check_physical,
     _density_stack,
     _sub_codes,
+    number_diagonal,
     sector_blocks,
     sub_system,
 )
@@ -228,20 +229,12 @@ def bell_one_boson(kind):
     number; phi+/phi- superpose the vacuum with a two-boson state and violate
     the global number SSR.
     """
-    system = bosons(2, 1, labels=["A", "B"])
-    vec = np.zeros(system.dim, dtype=complex)
-    s = 1.0 / math.sqrt(2.0)
-    if kind in ("psi+", "psi-"):
-        sign = 1.0 if kind == "psi+" else -1.0
-        vec[system.index_of((0, 1))] = s
-        vec[system.index_of((1, 0))] = sign * s
-    elif kind in ("phi+", "phi-"):
-        sign = 1.0 if kind == "phi+" else -1.0
-        vec[system.index_of((0, 0))] = s
-        vec[system.index_of((1, 1))] = sign * s
-    else:
+    if kind not in ("psi+", "psi-", "phi+", "phi-"):
         raise ValueError(f"unknown Bell state {kind!r}")
-    return PureState(system, vec)
+    rows = [(0, 1), (1, 0)] if kind.startswith("psi") else [(0, 0), (1, 1)]
+    s = 1.0 / math.sqrt(2.0)
+    sign = 1.0 if kind.endswith("+") else -1.0
+    return bosons(2, 1, labels=["A", "B"]).superposition(rows, [s, sign * s])
 
 
 def ghz():
@@ -249,11 +242,7 @@ def ghz():
 
     Qubits are cutoff-1 modes with spin-up mapped to the occupied state.
     """
-    system = qubits(3)
-    vec = np.zeros(system.dim, dtype=complex)
-    vec[system.index_of((1, 1, 1))] = 1.0 / math.sqrt(2.0)
-    vec[system.index_of((0, 0, 0))] = 1.0 / math.sqrt(2.0)
-    return PureState(system, vec)
+    return qubits(3).superposition([(1, 1, 1), (0, 0, 0)], [1.0 / math.sqrt(2.0)] * 2)
 
 
 def singlet_spin():
@@ -263,12 +252,16 @@ def singlet_spin():
     and |1,0> within each pair.  The state is rotation invariant, so it has
     the same form in the x, y and z spin bases.
     """
-    system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
-    vec = np.zeros(system.dim, dtype=complex)
     s = 1.0 / math.sqrt(2.0)
-    vec[system.index_of((0, 1, 1, 0))] = s      # |+>_1 |->_2
-    vec[system.index_of((1, 0, 0, 1))] = -s     # |->_1 |+>_2
-    return PureState(system, vec)
+    # |+>_1 |->_2 and |->_1 |+>_2
+    return bosons(4, 1, labels=["a1", "b1", "a2", "b2"]).superposition(
+        [(0, 1, 1, 0), (1, 0, 0, 1)], [s, -s])
+
+
+def _two_mode_rows(n_total):
+    """The occupancy rows (k, N - k), k = 0..N, of N bosons in two modes."""
+    k = np.arange(n_total + 1)
+    return np.stack([k, n_total - k], axis=1)
 
 
 def binomial_state(theta, chi, n_total):
@@ -278,14 +271,10 @@ def binomial_state(theta, chi, n_total):
     sin^{N-k}(theta) e^{i(N-2k) chi/2}, the expansion of the N-th power of the
     rotated-mode creation operator applied to the vacuum.
     """
-    system = bosons(2, n_total, labels=["a", "b"])
-    vec = np.zeros(system.dim, dtype=complex)
-    for k in range(n_total + 1):
-        amp = (math.sqrt(math.comb(n_total, k))
-               * math.cos(theta) ** k * math.sin(theta) ** (n_total - k)
-               * np.exp(1j * (n_total - 2 * k) * chi / 2.0))
-        vec[system.index_of((k, n_total - k))] = amp
-    return PureState(system, vec)
+    amps = [math.sqrt(math.comb(n_total, k))
+            * math.cos(theta) ** k * math.sin(theta) ** (n_total - k)
+            * np.exp(1j * (n_total - 2 * k) * chi / 2.0) for k in range(n_total + 1)]
+    return bosons(2, n_total, labels=["a", "b"]).superposition(_two_mode_rows(n_total), amps)
 
 
 def rotated_mode_annihilation(system, theta, chi):
@@ -306,10 +295,9 @@ def werner_qudit(d, phi):
         raise ValueError("qudit dimension must be at least 2")
     system = bosons(2, d - 1, labels=["A", "B"])
     eye = np.eye(d * d, dtype=complex)
+    # V |r, s> = |s, r>: row i of the basis meets the row with its occupancies swapped
     flip = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(d):
-        for s in range(d):
-            flip[system.index_of((r, s)), system.index_of((s, r))] = 1.0
+    flip[np.arange(d * d), system.indices_of(system.occupancies[:, ::-1])] = 1.0
     mat = ((d - phi) * eye + (d * phi - 1.0) * flip) / (d ** 3 - d)
     return DensityOperator(system, mat)     # PSD check runs at construction
 
@@ -332,15 +320,9 @@ def verstraete_state(form="mixture"):
         return mixture.summed(), mixture
     if form == "sectorized":
         mat = np.zeros((4, 4), dtype=complex)
-        i00 = system.index_of((0, 0))
-        i11 = system.index_of((1, 1))
-        i01 = system.index_of((0, 1))
-        i10 = system.index_of((1, 0))
-        mat[i00, i00] = 0.25
-        mat[i11, i11] = 0.25
-        for i in (i01, i10):
-            for j in (i01, i10):
-                mat[i, j] += 0.25
+        idx = system.indices_of([(0, 0), (1, 1), (0, 1), (1, 0)])
+        mat[idx[:2], idx[:2]] = 0.25                  # N = 0 and N = 2
+        mat[np.ix_(idx[2:], idx[2:])] = 0.25          # N = 1, maximally entangled
         return DensityOperator(system, mat)
     raise ValueError(f"unknown form {form!r}")
 
@@ -361,7 +343,7 @@ def two_mode_coherent_mixture(alpha_abs, cutoff):
     # amplitude factor |a|^n / sqrt(n!) per single-mode occupancy
     single = alpha_abs ** n / np.sqrt(np.exp(log_fact))
     weight = single[occ[:, 0]] * single[occ[:, 1]]
-    totals = occ.sum(axis=1)
+    totals = number_diagonal(system)
     mat = np.outer(weight, weight) * (totals[:, None] == totals[None, :])
     mat *= np.exp(-2.0 * nbar)
     mat /= np.real(np.trace(mat))
@@ -375,11 +357,9 @@ def dissociation_state(m_molecules, amplitudes):
         raise ValueError("need M+1 amplitudes")
     if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
         raise ValueError("amplitudes are not normalised")
-    system = ModeSystem([("mol", m_molecules), ("atom", 2 * m_molecules)])
-    vec = np.zeros(system.dim, dtype=complex)
-    for m, c in enumerate(amps):
-        vec[system.index_of((m_molecules - m, 2 * m))] = c
-    return PureState(system, vec)
+    m = np.arange(m_molecules + 1)
+    return ModeSystem([("mol", m_molecules), ("atom", 2 * m_molecules)]).superposition(
+        np.stack([m_molecules - m, 2 * m], axis=1), amps)
 
 
 def two_mode_N_boson(amplitudes):
@@ -388,11 +368,7 @@ def two_mode_N_boson(amplitudes):
     n_total = len(amps) - 1
     if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
         raise ValueError("amplitudes are not normalised")
-    system = bosons(2, n_total, labels=["A", "B"])
-    vec = np.zeros(system.dim, dtype=complex)
-    for k, c in enumerate(amps):
-        vec[system.index_of((k, n_total - k))] = c
-    return PureState(system, vec)
+    return bosons(2, n_total, labels=["A", "B"]).superposition(_two_mode_rows(n_total), amps)
 
 
 def mixed_N_boson(probabilities):
@@ -403,7 +379,6 @@ def mixed_N_boson(probabilities):
     n_total = len(probs) - 1
     system = bosons(2, n_total, labels=["A", "B"])
     mat = np.zeros((system.dim, system.dim), dtype=complex)
-    for k, p in enumerate(probs):
-        i = system.index_of((k, n_total - k))
-        mat[i, i] = p
+    idx = system.indices_of(_two_mode_rows(n_total))
+    mat[idx, idx] = probs
     return DensityOperator(system, mat)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focklab.cli import EXPERIMENTS, emit, main, run_experiment, run_scenario
+from focklab.cli import _REAL_DOMAINS, EXPERIMENTS, emit, main, run_experiment, run_scenario
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write_scenario(tmp_path, payload, name="scenario.json"):
@@ -367,6 +369,73 @@ def test_an_edge_value_of_any_param_passes_or_is_a_param_error(case, value):
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert not failed, (params, failed)
     assert not caught, (params, [str(w.message) for w in caught])
+
+
+# the messages of the param errors an experiment may raise for a param inside its domain
+PARAM_ERRORS = ("parameter ", "n_phases must exceed ", "insufficient cutoff")
+
+
+@st.composite
+def experiment_draws(draw):
+    """An experiment, a seed and a value for each of its params inside the
+    param's documented domain: counts (``n_*``) 1-6, cutoffs 0-10, orders 0-4
+    and reals within ``_REAL_DOMAINS`` cut to [-10, 10]; a list holds one to
+    three such values.  An order of 10 alone makes 11**4 qcf monomials."""
+    name = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    params = {}
+    for key, default in EXPERIMENTS[name][1].items():
+        entry = default[0] if isinstance(default, list) else default
+        if isinstance(entry, int):
+            value = st.integers(1, 6) if key.startswith("n_") \
+                else st.integers(0, 4 if key == "max_order" else 10)
+        else:
+            low, high = _REAL_DOMAINS.get(key, (-10.0, 10.0))
+            value = st.floats(max(low, -10.0), min(high, 10.0))
+        params[key] = draw(st.lists(value, min_size=1, max_size=3)
+                           if isinstance(default, list) else value)
+    return name, params, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(experiment_draws())
+def test_any_params_in_their_domains_pass_or_are_a_param_error(case):
+    name, params, seed = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = run_experiment(name, params=params, seed=seed)
+        except ValueError as exc:
+            assert str(exc).startswith(PARAM_ERRORS), (name, params, seed, str(exc))
+            return
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert not failed, (name, params, seed, failed)
+
+
+@pytest.mark.parametrize("experiment,params", [
+    ("extraction", {"r_values": [0.0]}),
+    ("extraction", {"r_values": [0.5, 1.0]}),
+    ("atom_molecule", {"kappa": 0.0}),
+    ("atom_molecule", {"kappa": 5e-324}),     # kappa / 2 underflows to 0
+])
+def test_params_that_leave_nothing_to_measure_are_param_errors(experiment, params):
+    with pytest.raises(ValueError, match=f"^parameter '{next(iter(params))}' of {experiment}"):
+        run_experiment(experiment, params=params)
+
+
+def test_scenario_check_names_match_the_benchmark_record():
+    # the benchmark fails every op whose check names differ from this record,
+    # which it reads and never writes
+    with open(os.path.join(ROOT, "bench", "expected_checks.json")) as fh:
+        expected = json.load(fh)["scenarios"]
+    folder = os.path.join(ROOT, "scenarios")
+    seen = set()
+    for file in sorted(os.listdir(folder)):
+        with open(os.path.join(folder, file)) as fh:
+            report = run_scenario(json.load(fh), seed=0)
+        seen.add(report["experiment"])
+        assert sorted(c["name"] for c in report["checks"]) == \
+            sorted(expected[report["experiment"]]), file
+    assert seen == set(expected)
 
 
 @pytest.mark.parametrize("field", [{"tolerances": [1e-3]},

@@ -111,6 +111,12 @@ def test_beam_splitter_rejects_mismatched_pairs():
         beam_splitter(system, BeamSplitterSpec(((0, 1),), r=0.6, t=0.8))
     with pytest.raises(ValueError):
         BeamSplitterSpec(((0, 1),), r=0.9, t=0.9)
+    # a pair is two distinct integer mode indices, within the system
+    for pair in ((0, 0), (0, 1.0), (True, 1), (0, -1), (0, 1, 2), 1):
+        with pytest.raises(ValueError, match="a mode pair is two distinct mode indices"):
+            BeamSplitterSpec((pair,), r=0.6, t=0.8)
+    with pytest.raises(ValueError, match="outside a system of 2 modes"):
+        beam_splitter(system, BeamSplitterSpec(((0, 2),), r=0.6, t=0.8))
 
 
 @pytest.mark.filterwarnings("error")
@@ -204,8 +210,9 @@ def test_atom_molecule_poisson_matches_fock():
 
 
 def test_atom_molecule_requires_boson():
-    with pytest.raises(ValueError):
-        atom_molecule_process(0, 1.0, 0.5)
+    for n_bec in (0, 2.5, True, 1.0):
+        with pytest.raises(ValueError, match="n_bec of a Fock initial state"):
+            atom_molecule_process(n_bec, 1.0, 0.5)
 
 
 def test_ramsey_vacuum_in_vacuum_out():

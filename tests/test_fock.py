@@ -147,6 +147,13 @@ def test_fermi_cutoff_must_be_one():
     for cutoff in (-1, 1.5, 2.0, True, np.True_, "2", None):
         with pytest.raises(ValueError, match="cutoff must be an integer >= 0"):
             ModeSystem([("a", cutoff)])
+    # a mode is a Mode or a (str label, cutoff[, statistics]) tuple
+    for mode in (("a",), ("a", 1, "bose", "x"), 3, ["a", 1]):
+        with pytest.raises(ValueError, match="a mode is a Mode or a"):
+            ModeSystem([mode])
+    for mode in ((["a"], 1), Mode(["a"], 1), (3, 1)):
+        with pytest.raises(ValueError, match="mode label must be a string"):
+            ModeSystem([mode])
 
 
 def test_a_numpy_integer_cutoff_and_total_are_integers():
@@ -379,6 +386,11 @@ def test_random_states_pass_physicality():
 def test_partition_rejects_overlap():
     with pytest.raises(ValueError, match="overlap"):
         Partition([("A", (0, 1)), ("B", (1, 2))])
+    # mode indices are integers, never read through int()
+    for idx in ((0.5,), (True,), ("1",), "1", 0, (np.float64(1.0),)):
+        with pytest.raises(ValueError, match="must be a sequence of integers"):
+            Partition([("A", idx)])
+    assert Partition([("A", (np.int64(1), 0))]).modes_of("A") == (1, 0)
     part = Partition([("A", (0,)), ("B", (1,))])
     with pytest.raises(KeyError):
         part.modes_of("C")

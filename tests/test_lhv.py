@@ -139,6 +139,10 @@ def test_a_spoiled_pmf_row_names_the_first_failing_observable(spoiled, value):
 def test_sweep_with_no_draws_is_zero():
     assert lhv_chsh_bound_sweep(0, 20, 0) == 0.0
     assert lhv_chsh_bound_sweep(5, 0, 0) == 0.0
+    # a count is an integer >= 0
+    for n_models, n_settings in ((2.5, 3), (True, 3), (2, 3.0), (-1, 3), (2, "3")):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
+            lhv_chsh_bound_sweep(n_models, n_settings, 0)
 
 
 def _peak_bytes(func):
@@ -250,6 +254,9 @@ def test_ghz_search_counts():
     assert ghz_assignment_search() == 0
     assert ghz_assignment_search(xxx_target=None) == 64
     assert ghz_assignment_search(xxx_target=-1) == 64
+    for target in (5, 0, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="xxx_target must be 1, -1 or None"):
+            ghz_assignment_search(target)
 
 
 def test_sum_inequality_random_sweep():

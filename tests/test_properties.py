@@ -49,7 +49,7 @@ from focklab.measurement import (
     unrecorded_conditioned_variance,
     unrecorded_state,
 )
-from focklab.ssr import _commutator_residuals, _number_diagonal, ssr_check
+from focklab.ssr import _commutator_residuals, _diagonal_of, ssr_check
 from focklab.lhv import integral_inequality_oracle, sum_inequality_oracle
 from focklab.sampling import (
     random_densities,
@@ -228,6 +228,43 @@ def test_indices_of_the_basis_is_arange(system):
 
 
 @SETTINGS
+@given(systems(), seeds)
+def test_superposition_equals_a_scatter_of_each_row(system, seed):
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(system.dim, size=int(rng.integers(1, system.dim + 1)), replace=False)
+    rows = system.occupancies[picked]
+    amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    amps /= np.linalg.norm(amps)
+    reference = np.zeros(system.dim, dtype=complex)
+    for row, amp in zip(rows, amps):
+        reference[np.flatnonzero((system.occupancies == row).all(axis=1))[0]] = amp
+    assert system.superposition(rows, amps).amplitudes.tobytes() == reference.tobytes()
+    unit = np.zeros(system.dim, dtype=complex)
+    unit[picked[0]] = 1.0
+    assert system.basis_state(rows[0]).amplitudes.tobytes() == unit.tobytes()
+    # a row outside the basis raises the KeyError of indices_of
+    outside = rows.copy()
+    outside[-1, 0] = system.modes[0].cutoff + 1
+    with pytest.raises(KeyError) as expected:
+        system.indices_of(outside)
+    with pytest.raises(KeyError) as got:
+        system.superposition(outside, amps)
+    assert got.value.args == expected.value.args
+
+
+@SETTINGS
+@given(systems(), seeds, st.booleans())
+def test_number_diagonal_is_the_diagonal_of_number_op(system, seed, weighted):
+    weights = np.random.default_rng(seed).uniform(-3.0, 3.0, system.n_modes) if weighted else None
+    diag = fock.number_diagonal(system, weights)
+    assert diag.tobytes() == number_op(system, weights).matrix.diagonal().real.tobytes()
+    for bad in (np.ones(system.n_modes + 1), np.ones((1, system.n_modes))):
+        for build in (fock.number_diagonal, number_op):
+            with pytest.raises(ValueError, match="one weight per mode required"):
+                build(system, bad)
+
+
+@SETTINGS
 @given(systems_with_kept_modes(), seeds)
 def test_partial_trace_preserves_trace_and_hermiticity(case, seed):
     system, _, partition = case
@@ -281,7 +318,7 @@ def test_twirl_is_idempotent_and_sector_weights_sum_to_one(system, seed):
 def test_commutator_residuals_equal_the_dense_commutator_norm(system, seed, weighted, n):
     rng = np.random.default_rng(seed)
     n_op = number_op(system, rng.uniform(-3.0, 3.0, system.n_modes) if weighted else None)
-    n_diag = _number_diagonal(n_op)
+    n_diag = _diagonal_of(n_op)
     shape = (n, system.dim, system.dim)
     stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
 

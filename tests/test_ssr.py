@@ -437,6 +437,13 @@ def test_clock_table_equals_the_per_pair_probabilities_bit_for_bit(n_max):
 def test_clock_table_rejects_a_phase_index_out_of_range():
     with pytest.raises(ValueError, match="phase index"):
         clock_prob_by_evolution([0, 1], [0, 5], 1.0, 0.3, 4)
+    # a phase index is an integer, not a float or a bool
+    for p in (1.5, True):
+        with pytest.raises(ValueError, match="phase index p must be an integer"):
+            phase_state(4, p)
+    for p, q, n_max in ((1.5, 0, 4), (1, True, 4), (5, 0, 4), (1, 0, 4.5), (0, 0, -1)):
+        with pytest.raises(ValueError, match="phase indices p = .* must be integers"):
+            clock_prob(p, q, 1.0, 0.3, n_max)
 
 
 def test_internalise_one_boson_superposition():
@@ -475,6 +482,10 @@ def test_externalise_inverts_internalise():
     amps /= np.linalg.norm(amps)
     recovered = externalise(internalise(amps, 8))
     assert np.abs(recovered - amps).max() < 1e-12
+    # a reference of cutoff 1 holds no row (0, 2) of total 2: C_0 is read as 0
+    system = ModeSystem([("S", 2), ("R", 1)])
+    state = system.superposition([(1, 1), (2, 0)], [0.6, 0.8j])
+    assert np.array_equal(externalise(state), [0.0, 0.6, 0.8j])
 
 
 def test_internalise_requires_enough_reference_bosons():
