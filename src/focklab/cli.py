@@ -29,10 +29,7 @@ from . import (
     bosons,
     number_op,
     partial_trace,
-    prob,
     spectral,
-    joint_prob,
-    unrecorded_state,
     bell_one_boson,
     coherent,
     ghz,
@@ -49,17 +46,18 @@ from . import (
     lhv_chsh_bound_sweep,
     sum_inequality_oracle,
     integral_inequality_oracle,
-    extraction_experiment,
     atom_molecule_process,
-    ramsey_vacuum_superposition,
     poisson_pmf,
     ZeroProbabilityError,
 )
-from .fock import _is_integer, number_diagonal
+from .dynamics import extraction_experiments, ramsey_vacuum_superpositions
+from .fock import _is_integer, number_diagonal, partial_trace_stack
 from .lhv import CHUNK_ROWS
-from .ssr import clock_prob_by_evolution, qcf_table, twirl_stack
+from .measurement import joint_prob_stack, prob_stack, unrecorded_state_stack
+from .ssr import clock_prob_by_evolution, qcf_table, separable_ssr_theorem_checks, twirl_stack
 from .states import coherent_amplitudes, summed_stack
-from .witnesses import chsh_batch, chsh_correlation_tensor, chsh_correlation_tensors, spin_epr_stack
+from .witnesses import (chsh_batch, chsh_correlation_tensor, chsh_correlation_tensors,
+                        particle_entanglement_stack, spin_epr_stack)
 from .sampling import (
     random_chsh_directions,
     random_chsh_setting,
@@ -215,15 +213,16 @@ def _exp_extraction(params, tol, rng):
         "three_boson": (((2, 0, 0, 1), 1 / np.sqrt(3)), ((1, 1, 1, 0), np.sqrt(2 / 3))),
         "two_fermion": (((1, 0, 0, 1), 1 / np.sqrt(2)), ((0, 1, 1, 0), -1 / np.sqrt(2))),
     }
+    r_values = params["r_values"]
+    t_values = [np.sqrt(1.0 - r * r) for r in r_values]
     for case, pairs in targets.items():
-        for r in params["r_values"]:
-            t = np.sqrt(1.0 - r * r)
-            try:
-                result = extraction_experiment(case, r=r, t=t)
-            except ZeroProbabilityError as exc:
-                # near r = 0 or 1 the particles do not split: nothing to extract
-                raise ValueError(f"parameter 'r_values' of extraction: r = {r!r} leaves the "
-                                 f"{case} split with no weight ({exc})") from exc
+        try:
+            results = extraction_experiments(case, r_values, t_values)
+        except ZeroProbabilityError as exc:
+            # near r = 0 or 1 the particles do not split: nothing to extract
+            raise ValueError(f"parameter 'r_values' of extraction leaves the {case} split "
+                             f"with no weight ({exc})") from exc
+        for r, result in zip(r_values, results):
             for occ, amp in pairs:
                 got = result.final_state.amplitude(occ)
                 checks.append(_check(f"{case}_r{r}_amp{occ}", float(amp),
@@ -266,17 +265,16 @@ def _exp_atom_molecule(params, tol, rng):
 
 def _exp_vacuum_interferometer(params, tol, rng):
     t_ = _tol(tol, 1e-12)
-    worst10 = worst01 = 0.0
-    for _ in range(params["n_draws"]):
-        w = rng.random()
-        phase_a, phase_b = np.exp(2j * np.pi * rng.random(2))
-        alpha = np.sqrt(1.0 - w) * phase_a
-        beta = np.sqrt(w) * phase_b
-        delta = rng.uniform(0.1, 3.0)
-        tau = rng.uniform(0.1, 3.0)
-        p10, p01 = ramsey_vacuum_superposition(alpha, beta, delta, tau)
-        worst10 = max(worst10, abs(p10 - w * np.sin(delta * tau / 2) ** 2))
-        worst01 = max(worst01, abs(p01 - w * np.cos(delta * tau / 2) ** 2))
+    # per draw: w, the two phases, then delta and tau from uniform(0.1, 3.0),
+    # which is 0.1 + (3.0 - 0.1) u: the stream of five single draws
+    w, phase_a, phase_b, delta, tau = rng.random((params["n_draws"], 5)).T
+    phase_a, phase_b = np.exp(2j * np.pi * np.stack([phase_a, phase_b]))
+    delta, tau = 0.1 + (3.0 - 0.1) * delta, 0.1 + (3.0 - 0.1) * tau
+    p10, p01 = ramsey_vacuum_superpositions(np.sqrt(1.0 - w) * phase_a, np.sqrt(w) * phase_b,
+                                            delta, tau)
+    # float_power squares by pow, as a scalar ** 2 does
+    worst10 = float(np.abs(p10 - w * np.float_power(np.sin(delta * tau / 2), 2)).max())
+    worst01 = float(np.abs(p01 - w * np.float_power(np.cos(delta * tau / 2), 2)).max())
     return [
         _check_below("p10_formula_max_err", worst10, t_),
         _check_below("p01_formula_max_err", worst01, t_),
@@ -345,17 +343,17 @@ def _exp_measurement_identities(params, tol, rng):
     obs_a = spectral(number_op(system, [1, 0]))
     obs_b = spectral(number_op(system, [0, 1]))
     proj_a, proj_b = obs_a.projectors, obs_b.projectors
-    worst_bayes = worst_nosig = worst_reduced = 0.0
-    for rho in random_densities(system, rng, params["n_states"]):
-        for pa in proj_a:
-            total = sum(joint_prob(rho, [pa, pb]) for pb in proj_b)
-            worst_bayes = max(worst_bayes, abs(total - prob(rho, pa)))
-        after = unrecorded_state(rho, obs_b)
-        for pa in proj_a:
-            worst_nosig = max(worst_nosig, abs(prob(after, pa) - prob(rho, pa)))
-        worst_reduced = max(worst_reduced, float(np.abs(
-            partial_trace(after, part, "A").matrix
-            - partial_trace(rho, part, "A").matrix).max()))
+    rhos = random_densities(system, rng, params["n_states"])
+    after = unrecorded_state_stack(rhos, obs_b)
+    worst_bayes = worst_nosig = 0.0
+    for pa in proj_a:
+        before = prob_stack(rhos, pa)
+        total = sum(joint_prob_stack(rhos, [pa, pb]) for pb in proj_b)
+        worst_bayes = max(worst_bayes, float(np.abs(total - before).max()))
+        worst_nosig = max(worst_nosig, float(np.abs(prob_stack(after, pa) - before).max()))
+    reduced = np.array([rho.matrix for rho in partial_trace_stack(after + rhos, part, "A")])
+    n = len(rhos)
+    worst_reduced = float(np.abs(reduced[:n] - reduced[n:]).max())
     return [
         _check_below("bayes_max_err", worst_bayes, t_),
         _check_below("no_signalling_max_err", worst_nosig, t_),
@@ -366,10 +364,9 @@ def _exp_measurement_identities(params, tol, rng):
 def _exp_separability_ssr(params, tol, rng):
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    ok = True
-    for mix in random_number_diagonal_mixtures(system, part, rng, params["n_mixtures"]):
-        rep = separable_ssr_theorem_check(mix)
-        ok = ok and rep.all_local_compliant and rep.global_report.compliant
+    mixtures = random_number_diagonal_mixtures(system, part, rng, params["n_mixtures"])
+    ok = all(rep.all_local_compliant and rep.global_report.compliant
+             for rep in separable_ssr_theorem_checks(mixtures))
     _, verstraete_mix = verstraete_state("mixture")
     caveat = separable_ssr_theorem_check(verstraete_mix)
     return [
@@ -384,9 +381,7 @@ def _exp_particle_entanglement(params, tol, rng):
     part = Partition([("A", (0,)), ("B", (1,))])
     summed = summed_stack(random_number_diagonal_mixtures(system, part, rng,
                                                           params["n_mixtures"]))
-    worst = 0.0
-    for rho in summed:
-        worst = max(worst, particle_entanglement(rho, part))
+    worst = max([0.0] + particle_entanglement_stack(summed, part))
     one_one = system.basis_state((1, 1))
     ep_prod = particle_entanglement(one_one, part)
     sys4 = bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
@@ -417,13 +412,19 @@ def _exp_appendix_inequalities(params, tol, rng):
         # one sample per row, padded with P = C = D = 0 and a repeated last
         # lambda, which add exactly 0.0 to every oracle sum
         p, c, d, lam = np.zeros((4, min(CHUNK_ROWS, n - start), high - 1))
+        sizes = np.empty(len(p), dtype=int)
         for row in range(len(p)):
-            size = int(rng.integers(low, high))
+            size = sizes[row] = int(rng.integers(low, high))
             p[row, :size] = rng.dirichlet(np.ones(size))
-            c[row, :size] = rng.random(size) * 10
-            d[row, :size] = rng.random(size) * 10
-            lam[row, :size] = np.sort(rng.random(size))
-            lam[row, size:] = lam[row, size - 1]
+            # one call for c, d and lambda: the stream of three rng.random(size)
+            c[row, :size], d[row, :size], lam[row, :size] = rng.random(3 * size).reshape(3, -1)
+        c *= 10
+        d *= 10
+        # sorting with +inf in the padding leaves it last; it then repeats the largest lambda
+        padding = np.arange(high - 1) >= sizes[:, None]
+        lam[padding] = np.inf
+        lam.sort(axis=1)
+        lam = np.where(padding, lam[np.arange(len(lam)), sizes - 1][:, None], lam)
         ok_sum = ok_sum and sum_inequality_oracle(p, c, d)
         ok_int = ok_int and integral_inequality_oracle(lam, p, c, d)
     p = rng.dirichlet(np.ones(5))
@@ -521,9 +522,15 @@ def _check_param(name, key, value, default):
 
 
 def run_experiment(name, params=None, tolerance=None, seed=0):
-    """Run one registered experiment and return the report dict."""
+    """Run one registered experiment and return the report dict.
+
+    ``seed`` is a Python or numpy integer >= 0 (not a bool); the report holds
+    it as an int."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = int(seed)
     func, defaults = EXPERIMENTS[name]
     params = params or {}
     if not isinstance(params, dict):
@@ -581,10 +588,8 @@ def run_scenario(scenario, tolerance=None, seed=None):
         raise ValueError(f"global tolerance must be a finite number >= 0, got {tolerance!r}")
     if seed is None:
         seed = scenario.get("seed", 0)
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
     return run_experiment(name, params=scenario.get("params"),
-                          tolerance=tolerance, seed=int(seed))
+                          tolerance=tolerance, seed=seed)
 
 
 def emit(report, fmt="structured"):

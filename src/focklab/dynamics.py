@@ -17,12 +17,16 @@ from .fock import (
     DensityOperator,
     PureState,
     Partition,
+    _abs_squared,
+    _check_physical,
+    _hamiltonian_blocks,
     _is_integer,
     apply_unitary,
     block_unitary,
     bosons,
     eigh_blocks,
     evolution_operator,
+    evolved_amplitudes,
     fermions,
     ladder_sum,
     number_diagonal,
@@ -84,6 +88,12 @@ def beam_splitter(system, spec):
     with phi = atan2(r, t); at phi = pi/4 a single boson splits into
     (|1,0> - i|0,1>)/sqrt(2).
     """
+    return evolution_operator(_splitter_hamiltonian(system, spec), math.atan2(spec.r, spec.t))
+
+
+def _splitter_hamiltonian(system, spec):
+    """The Hermitian H with ``beam_splitter`` = exp(-i H atan2(r, t)); it does not
+    depend on r and t."""
     terms = []
     for ma, mb in spec.mode_pairs:
         if max(ma, mb) >= system.n_modes:
@@ -97,10 +107,8 @@ def beam_splitter(system, spec):
             terms += [(1, b_dag_a), (-1, a_dag_b)]
         else:
             terms += [(-1j, a_dag_b), (-1j, b_dag_a)]
-    gen = ladder_sum(system, terms).matrix
-    angle = math.atan2(spec.r, spec.t)
     # gen is anti-Hermitian in both conventions: exp(angle gen) = exp(-i (i gen) angle)
-    return evolution_operator(Operator(system, 1j * gen), angle)
+    return Operator(system, 1j * ladder_sum(system, terms).matrix)
 
 
 def expm(gen):
@@ -123,7 +131,17 @@ def extraction_experiment(case, r, t):
     split (N_A, N_B).  Cases: ``two_boson`` (one boson in each of a0, a1,
     project (1,1)), ``three_boson`` (two in a0, one in a1, project (2,1)),
     ``two_fermion`` (modes c0, c1 occupied, project (1,1); the output keeps
-    the anticommutation minus sign).
+    the anticommutation minus sign).  A sweep of one ``extraction_experiments``.
+    """
+    return extraction_experiments(case, [r], [t])[0]
+
+
+def extraction_experiments(case, r_values, t_values):
+    """The ``extraction_experiment`` of one case at each (r, t) pair, as a list.
+
+    Only the splitter angle atan2(r, t) depends on the pair, so the generator,
+    its Hermitian check and its ``eigh_blocks`` are made once, and the input is
+    evolved to every angle by ``evolved_amplitudes``: no unitary is formed.
     """
     if case == "two_boson":
         system = bosons(4, 2, labels=["a0", "a1", "b0", "b1"])
@@ -139,24 +157,36 @@ def extraction_experiment(case, r, t):
         sector = (1, 1)
     else:
         raise ValueError(f"unknown case {case!r}")
-
-    spec = BeamSplitterSpec(mode_pairs=((0, 2), (1, 3)), r=r, t=t)
-    u = beam_splitter(system, spec)
-    out = apply_unitary(u, initial)
+    if len(r_values) != len(t_values) or not len(r_values):
+        raise ValueError("extraction needs as many t values as r values, at least one")
+    specs = []
+    for i, (r, t) in enumerate(zip(r_values, t_values)):
+        try:
+            specs.append(BeamSplitterSpec(mode_pairs=((0, 2), (1, 3)), r=r, t=t))
+        except ValueError as exc:
+            raise ValueError(f"pair {i}: {exc}") from None
+    blocks = _hamiltonian_blocks(_splitter_hamiltonian(system, specs[0]))
+    outs = evolved_amplitudes(blocks, [math.atan2(spec.r, spec.t) for spec in specs],
+                              initial.amplitudes)
 
     in_sector = ((number_diagonal(system, [1, 1, 0, 0]) == sector[0])
                  & (number_diagonal(system, [0, 0, 1, 1]) == sector[1]))
-    projected = np.where(in_sector, out.amplitudes, 0.0)
-    p_sector = float(np.linalg.norm(projected) ** 2)
-    if p_sector <= PROB_FLOOR:
-        raise ZeroProbabilityError(f"sector probability {p_sector} below floor")
-    projected_state = PureState(system, projected / np.sqrt(p_sector))
-    return ProcessResult(
-        stages=(("input", initial), ("after_splitter", out),
-                ("projected", projected_state)),
-        final_state=projected_state,
-        quantities={"sector": sector, "sector_probability": p_sector},
-    )
+    results = []
+    for i, (spec, amplitudes) in enumerate(zip(specs, outs)):
+        out = PureState(system, amplitudes)
+        projected = np.where(in_sector, amplitudes, 0.0)
+        p_sector = float(np.linalg.norm(projected) ** 2)
+        if p_sector <= PROB_FLOOR:
+            raise ZeroProbabilityError(f"pair {i}: sector probability {p_sector} below "
+                                       f"floor at r = {spec.r!r}")
+        projected_state = PureState(system, projected / np.sqrt(p_sector))
+        results.append(ProcessResult(
+            stages=(("input", initial), ("after_splitter", out),
+                    ("projected", projected_state)),
+            final_state=projected_state,
+            quantities={"sector": sector, "sector_probability": p_sector},
+        ))
+    return results
 
 
 def _atom_molecule_hamiltonian(n_bec, kappa):
@@ -305,37 +335,57 @@ def ramsey_vacuum_superposition(alpha, beta, delta, tau):
     Returns (P10, P01), the probabilities of finding the boson in mode A or
     mode B.  Both equal |beta|^2 sin^2/cos^2 of (delta tau / 2); the same
     probabilities result from the phase-insensitive mixed initial state,
-    which is verified on every call.
+    which is verified on every call.  A sweep of one
+    ``ramsey_vacuum_superpositions``.
     """
-    alpha, beta = complex(alpha), complex(beta)
+    p10, p01 = ramsey_vacuum_superpositions([alpha], [beta], [delta], [tau])
+    return float(p10[0]), float(p01[0])
+
+
+def ramsey_vacuum_superpositions(alphas, betas, deltas, taus):
+    """``ramsey_vacuum_superposition`` of each of n draws, as two (n,) arrays.
+
+    The 50/50 splitter is built once; the mixed initial states and their
+    evolved forms are each checked as one stack, and the pure and mixed
+    probabilities must agree within 1e-12 for every draw, whose index a
+    disagreement names.
+    """
+    alphas, betas = np.asarray(alphas, dtype=complex), np.asarray(betas, dtype=complex)
+    deltas, taus = np.asarray(deltas, dtype=float), np.asarray(taus, dtype=float)
     with np.errstate(over="ignore"):    # a huge amplitude squares to inf, which fails
-        norm2 = np.float64(abs(alpha)) ** 2 + np.float64(abs(beta)) ** 2
-    if not abs(norm2 - 1.0) <= NORM_ATOL:
-        raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
+        norm2 = _abs_squared(alphas) + _abs_squared(betas)
+    bad = ~(abs(norm2 - 1.0) <= NORM_ATOL)
+    if bad.any():
+        raise ValueError(f"draw {int(np.argmax(bad))}: |alpha|^2 + |beta|^2 must equal 1")
     system = bosons(2, 1, labels=["A", "B"])
     s = 1.0 / math.sqrt(2.0)
     bs = beam_splitter(system, BeamSplitterSpec(
-        mode_pairs=((0, 1),), r=s, t=s, convention=MINUS_I))
-    free = Operator(system, np.diag(
-        np.exp(-1j * delta * tau * system.occupancies[:, 1]).astype(complex)))
+        mode_pairs=((0, 1),), r=s, t=s, convention=MINUS_I)).matrix
+    diag = np.arange(system.dim)
+    free = np.zeros((len(deltas), system.dim, system.dim), dtype=complex)
+    free[:, diag, diag] = np.exp(-1j * deltas[:, None] * taus[:, None]
+                                 * system.occupancies[:, 1])
     u_total = bs @ free @ bs
 
     i00, i10, i01 = system.indices_of([(0, 0), (1, 0), (0, 1)])
-    vec = np.zeros(system.dim, dtype=complex)
-    vec[i00] = alpha
-    vec[i10] = beta
-    final = u_total.matrix @ vec
-    p10 = float(abs(final[i10]) ** 2)
-    p01 = float(abs(final[i01]) ** 2)
+    vecs = np.zeros((len(deltas), system.dim), dtype=complex)
+    vecs[:, i00] = alphas
+    vecs[:, i10] = betas
+    final = (u_total @ vecs[:, :, None])[..., 0]
+    p10 = _abs_squared(final[:, i10])
+    p01 = _abs_squared(final[:, i01])
 
-    mixed = np.zeros((system.dim, system.dim), dtype=complex)
-    mixed[i00, i00] = abs(alpha) ** 2
-    mixed[i10, i10] = abs(beta) ** 2
-    mixed_final = apply_unitary(u_total, DensityOperator(system, mixed)).matrix
-    p10_mixed = float(np.real(mixed_final[i10, i10]))
-    p01_mixed = float(np.real(mixed_final[i01, i01]))
-    if abs(p10 - p10_mixed) > 1e-12 or abs(p01 - p01_mixed) > 1e-12:
-        raise AssertionError("pure and mixed initial states disagree")
+    mixed = np.zeros_like(free)
+    mixed[:, i00, i00] = _abs_squared(alphas)
+    mixed[:, i10, i10] = _abs_squared(betas)
+    _check_physical(mixed)
+    mixed_final = u_total @ mixed @ u_total.conj().swapaxes(-1, -2)
+    _check_physical(mixed_final)
+    disagree = (abs(p10 - mixed_final[:, i10, i10].real) > 1e-12) \
+        | (abs(p01 - mixed_final[:, i01, i01].real) > 1e-12)
+    if disagree.any():
+        raise AssertionError(f"draw {int(np.argmax(disagree))}: "
+                             "pure and mixed initial states disagree")
     return p10, p01
 
 
@@ -367,7 +417,7 @@ def ssr_propagation_check(mixture, h, weights=None):
     if conserving > 1e-10:
         raise ValueError(f"Hamiltonian does not conserve the weighted number "
                          f"(residual {conserving})")
-    local_ok = all(rep.compliant for _, _, rep in _local_reports(mixture, weights))
+    local_ok = all(rep.compliant for _, _, rep in _local_reports([mixture], weights)[0])
     rho0 = mixture.summed()
     evolved = np.array([unitary_evolve(h, t, rho0).matrix for t in PROPAGATION_TIMES])
     residuals = tuple(float(r) for r in _commutator_residuals(n_diag, evolved))

@@ -321,6 +321,13 @@ def _check_physical(matrix):
     return evals
 
 
+def _abs_squared(z):
+    """|z|^2 of each entry of a complex array, with the bits of Python's
+    ``abs(z) ** 2``: a libm hypot, then a libm pow, neither of which numpy's
+    complex ``abs`` and array square always reproduce."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
 def _row_dots(x):
     """x . x of a real vector, or of each row of a stack of them."""
     return x @ x if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0, 0]
@@ -398,6 +405,21 @@ def _density_on(state, *operators):
         if op.system != rho.system:
             raise ValueError("operator and state live on different systems")
     return rho
+
+
+def _density_matrices(states, *operators):
+    """``(system, stack)``: the (n, d, d) density matrices of a non-empty sequence
+    of states on one system, which each operator acts on.  A state that is not
+    one, or lives on another system, raises naming its index."""
+    if not len(states):
+        raise ValueError("a stack needs at least one state")
+    rhos = []
+    for i, state in enumerate(states):
+        try:     # every state after the first must share its system
+            rhos.append(_density_on(state, *operators, *rhos[:1]))
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"state {i}: {exc}") from None
+    return rhos[0].system, np.stack([rho.matrix for rho in rhos])
 
 
 @dataclass(frozen=True)
@@ -667,35 +689,38 @@ SECTOR_FLOOR = 1e-14
 def number_sectors(rho, labels):
     """(label, weight, basis indices, normalised block) of ``rho`` per ``sector_blocks``
     label of weight at least ``SECTOR_FLOOR``, labels ascending; both arrays are
-    read-only.  The sectors come from ``_sector_stacks``."""
-    return sorted((sector for stack in _sector_stacks(rho, labels)
-                   for sector in zip(*stack)), key=lambda sector: sector[0])
+    read-only.  The sectors come from ``_sector_stacks`` of a stack of one."""
+    return sorted((sector for stack in _sector_stacks(rho.matrix[None], labels)
+                   for sector in zip(*stack[1:])), key=lambda sector: sector[0])
 
 
-def _sector_stacks(rho, labels):
-    """The ``number_sectors`` of ``rho``, one stack per block size k.
+def _sector_stacks(stack, labels):
+    """The ``number_sectors`` of each matrix of an (n, d, d) stack, joined into
+    one stack per block size k.
 
-    Per size: the labels and the weights as lists of ints and floats, the basis
-    indices as a read-only (n, k) array and the normalised blocks as a
-    read-only (n, k, k) stack, in ascending label order.  Each stack of blocks
-    is checked by one ``_check_physical``.  Checking a block is checking the
-    zero-padded state: that has the block's eigenvalues plus zeros, and its
-    Hermitian residual, trace and purity.
+    Per size: the (m,) index of each sector's matrix in ``stack``, the labels
+    and the weights as lists of ints and floats, the basis indices as a
+    read-only (m, k) array and the normalised blocks as a read-only (m, k, k)
+    stack, matrix by matrix and in ascending label order within each.  Each
+    stack of blocks is checked by one ``_check_physical``.  Checking a block is
+    checking the zero-padded state: that has the block's eigenvalues plus
+    zeros, and its Hermitian residual, trace and purity.
     """
     labels = np.asarray(labels)
     out = []
     for _, idx in _size_groups(labels):
-        blocks = rho.matrix[idx[:, :, None], idx[:, None, :]]
-        weights = np.real(np.trace(blocks, axis1=1, axis2=2))
-        keep = ~(weights < SECTOR_FLOOR)    # written so that a NaN weight is kept
-        if not keep.any():
+        blocks = stack[:, idx[:, :, None], idx[:, None, :]]
+        weights = np.real(np.trace(blocks, axis1=-2, axis2=-1))
+        # written so that a NaN weight is kept
+        source, sector = np.nonzero(~(weights < SECTOR_FLOOR))
+        if not len(source):
             continue
-        idx, weights = idx[keep], weights[keep]
-        blocks = blocks[keep] / weights[:, None, None]
+        idx, weights = idx[sector], weights[source, sector]
+        blocks = blocks[source, sector] / weights[:, None, None]
         _check_physical(blocks)
         for arr in (idx, blocks):
             arr.setflags(write=False)
-        out.append((labels[idx[:, 0]].tolist(), weights.tolist(), idx, blocks))
+        out.append((source, labels[idx[:, 0]].tolist(), weights.tolist(), idx, blocks))
     return out
 
 
@@ -742,19 +767,20 @@ def partial_trace(state, partition, keep):
     """Reduced density operator over the modes of subsystem ``keep``.
 
     All modes outside ``keep`` are traced out, whether or not they belong to
-    a named subsystem of the partition.  Trace is preserved.
+    a named subsystem of the partition.  Trace is preserved.  It is a stack
+    of one of ``partial_trace_stack``.
     """
-    rho = as_density(state)
-    partition.validate(rho.system)
-    return reduced_state(rho.system, np.arange(rho.system.dim), rho.matrix,
-                         partition.modes_of(keep))
+    return partial_trace_stack([state], partition, keep)[0]
 
 
-def reduced_state(system, rows, block, keep_idx):
-    """Reduced density operator on modes ``keep_idx`` of the state that is ``block``
-    on basis ``rows`` and zero elsewhere; ``partial_trace`` passes every row."""
-    sub, out = _reduced_matrices(system, rows[None], block[None], keep_idx)
-    return DensityOperator(sub, out[0])
+def partial_trace_stack(states, partition, keep):
+    """The ``partial_trace`` of each of a non-empty sequence of states on one
+    system: one ``_reduced_matrices`` call, whose reduced operators are checked
+    as one stack."""
+    system, stack = _density_matrices(states)
+    partition.validate(system)
+    rows = np.broadcast_to(np.arange(system.dim), stack.shape[:2])
+    return _density_stack(*_reduced_matrices(system, rows, stack, partition.modes_of(keep)))
 
 
 # row pairs ``_reduced_matrices`` forms at a time
@@ -807,11 +833,16 @@ def expectation(state, op):
     return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
 
 
-def evolution_operator(h, t):
-    """U = exp(-i H t) through the eigendecomposition of Hermitian H."""
+def _hamiltonian_blocks(h):
+    """The ``eigh_blocks`` eigenpairs of a Hamiltonian, once it is Hermitian within 1e-10."""
     if not h.is_hermitian():
         raise ValueError("Hamiltonian is not Hermitian within 1e-10")
-    return Operator(h.system, block_unitary(eigh_blocks(h.matrix, True), t, h.system.dim))
+    return eigh_blocks(h.matrix, True)
+
+
+def evolution_operator(h, t):
+    """U = exp(-i H t) through the eigendecomposition of Hermitian H."""
+    return Operator(h.system, block_unitary(_hamiltonian_blocks(h), t, h.system.dim))
 
 
 def block_unitary(blocks, t, dim):
@@ -825,9 +856,28 @@ def block_unitary(blocks, t, dim):
     return u
 
 
+def evolved_amplitudes(blocks, times, amplitudes):
+    """exp(-i H t) psi for each t of ``times``, as a (len(times), d) array, from
+    the ``eigh_blocks`` of H: per component V (e^{-i lambda t} V^H psi), so that
+    no d x d matrix is formed.  V^H psi is formed once; each row has the bits
+    of its time alone."""
+    out = np.zeros((len(times), len(amplitudes)), dtype=complex)
+    for idx, evals, vecs in blocks:
+        coeffs = vecs.conj().transpose(0, 2, 1) @ amplitudes[idx][:, :, None]
+        for row, t in zip(out, times):
+            row[idx] = (vecs @ (np.exp(-1j * evals * t)[:, :, None] * coeffs))[..., 0]
+    return out
+
+
 def unitary_evolve(h, t, state):
-    """Evolve a PureState or DensityOperator under exp(-i H t)."""
-    return apply_unitary(evolution_operator(h, t), state)
+    """Evolve a PureState or DensityOperator under exp(-i H t).  A pure state
+    takes ``evolved_amplitudes``, a density operator ``apply_unitary``."""
+    if not isinstance(state, PureState):
+        return apply_unitary(evolution_operator(h, t), state)
+    blocks = _hamiltonian_blocks(h)
+    if h.system != state.system:
+        raise ValueError("operator and state live on different systems")
+    return PureState(h.system, evolved_amplitudes(blocks, [t], state.amplitudes)[0])
 
 
 def apply_unitary(u, state):

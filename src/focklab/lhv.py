@@ -97,8 +97,8 @@ def lhv_from_separable(mixture, subsystem_observables):
     for name, obs in subsystem_observables.items():
         if obs.system != sub_system(mixture.system, mixture.partition.modes_of(name)):
             raise ValueError("operator and state live on different systems")
-        rows = [_block_probs(factor, obs) for factor in mixture.factors[name]]
-        observables[name] = LHVObservable(tuple(obs.eigenvalues), np.array(rows))
+        observables[name] = LHVObservable(tuple(obs.eigenvalues),
+                                          _block_probs(mixture.factors[name], obs))
     return DiscreteLHVModel(mixture.probabilities.copy(), observables)
 
 

@@ -17,10 +17,11 @@ import numpy as np
 from .fock import (
     Operator,
     DensityOperator,
+    _density_matrices,
     _density_on,
+    _density_stack,
     as_density,
     eigh_blocks,
-    expectation,
 )
 
 PROB_FLOOR = 1e-12
@@ -121,22 +122,46 @@ def spectral(op):
     return Observable(op, eigenvalues, tuple(np.split(vecs, cuts, axis=1)))
 
 
-def _real_prob(value):
-    if abs(value.imag) > IMAG_ATOL:
-        raise ValueError(f"probability has imaginary part {value.imag}")
-    return float(value.real)
+def _real_probs(values):
+    """The real parts of a complex array of probabilities, one row per state;
+    raises naming the first state with an entry whose imaginary part exceeds
+    IMAG_ATOL."""
+    bad = np.abs(values.imag) > IMAG_ATOL
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"state {first[0]}: probability has imaginary part {values.imag[first]}")
+    return values.real.copy()
+
+
+def _probs(stack, matrix):
+    """Tr(M rho) of each matrix of an (n, d, d) stack: one einsum, whose sums
+    have the bits of one ``expectation`` per state."""
+    return _real_probs(np.einsum("ij,nji->n", matrix, stack))
 
 
 def prob(state, projector):
-    """P = Tr(Pi rho)."""
-    return _real_prob(expectation(state, projector))
+    """P = Tr(Pi rho): a stack of one of ``prob_stack``."""
+    return float(prob_stack([state], projector)[0])
+
+
+def prob_stack(states, projector):
+    """Tr(Pi rho) of each of a non-empty sequence of states on one system, as an (n,) array."""
+    return _probs(_density_matrices(states, projector)[1], projector.matrix)
 
 
 def joint_prob(state, projectors):
-    """Joint probability Tr(Pi_A Pi_B ... rho) for commuting full-space projectors."""
+    """Joint probability Tr(Pi_A Pi_B ... rho) for commuting full-space projectors:
+    a stack of one of ``joint_prob_stack``."""
+    return float(joint_prob_stack([state], projectors)[0])
+
+
+def joint_prob_stack(states, projectors):
+    """``joint_prob`` of each of a non-empty sequence of states on one system, as
+    an (n,) array; the projectors are multiplied once."""
     if not projectors:
         raise ValueError("joint_prob needs at least one projector")
-    return _real_prob(expectation(state, reduce(matmul, projectors)))
+    product = reduce(matmul, projectors)
+    return _probs(_density_matrices(states, product)[1], product.matrix)
 
 
 def _given_prob(rho, given):
@@ -164,26 +189,35 @@ def cond_prob(state, proj_a, proj_b):
 
 
 def unrecorded_state(state, observable):
-    """State after an unrecorded measurement: sum_j B_j (B_j^H rho B_j) B_j^H."""
-    rho = _density_on(state, observable)
-    mat = np.zeros_like(rho.matrix)
+    """State after an unrecorded measurement: sum_j B_j (B_j^H rho B_j) B_j^H.
+    A stack of one of ``unrecorded_state_stack``."""
+    return unrecorded_state_stack([state], observable)[0]
+
+
+def unrecorded_state_stack(states, observable):
+    """The ``unrecorded_state`` of each of a non-empty sequence of states on one
+    system, checked as one stack."""
+    system, stack = _density_matrices(states, observable)
+    mat = np.zeros_like(stack)
     for b in observable.blocks:
         bh = b.conj().T
-        mat += b @ (bh @ rho.matrix @ b) @ bh
-    mat = 0.5 * (mat + mat.conj().T)
-    return DensityOperator(rho.system, mat)
+        mat += b @ (bh @ stack @ b) @ bh
+    mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+    return _density_stack(system, mat)
 
 
 def _block_probs(x, observable):
-    """Tr(B_j B_j^H X) = vdot(B_j, X B_j) for each block of ``observable``."""
-    return [_real_prob(np.vdot(b, x @ b)) for b in observable.blocks]
+    """Tr(B_j B_j^H X) = vdot(B_j, X B_j) for each block of ``observable`` and each
+    matrix X of an (n, d, d) stack, as an (n, blocks) array: one einsum per block."""
+    return _real_probs(np.stack([np.einsum("ij,nij->n", b.conj(), x @ b)
+                                 for b in observable.blocks], axis=1))
 
 
 def outcome_distribution(state, observable):
     """Eigenvalue/probability pairs P_j = Tr(B_j B_j^H rho)."""
     rho = _density_on(state, observable)
-    probs = _block_probs(rho.matrix, observable)
-    return OutcomeDistribution(tuple(zip(observable.eigenvalues, probs)))
+    probs = _block_probs(rho.matrix[None], observable)[0]
+    return OutcomeDistribution(tuple(zip(observable.eigenvalues, probs.tolist())))
 
 
 def _check_commuting(observable, projector):
@@ -192,24 +226,28 @@ def _check_commuting(observable, projector):
         raise ValueError("target and conditioning projector do not commute")
 
 
-def _conditional_moments(rho, target, given, p_given):
-    """Mean and variance of ``target`` under P(j|i) = Tr(Xi_j Pi_i rho) / P(i)."""
+def _conditional_moments(stack, target, given, p_given):
+    """Mean and variance of ``target`` under P(j|i) = Tr(Xi_j Pi_i rho) / P(i), as
+    two (n,) arrays for an (n, d, d) stack and its (n,) P(i)."""
     _check_commuting(target, given)
-    pmf = [p / p_given for p in _block_probs(given.matrix @ rho.matrix, target)]
+    pmf = (_block_probs(given.matrix @ stack, target) / p_given[:, None]).T
     mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))
-    return mean, sum((mu - mean) ** 2 * c for mu, c in zip(target.eigenvalues, pmf))
+    # float_power is the scalar pow of a state alone, which an array square is not always
+    return mean, sum(np.float_power(mu - mean, 2) * c for mu, c in zip(target.eigenvalues, pmf))
 
 
 def cond_mean(state, target, given):
     """Conditioned mean sum_j mu_j P(j|i) of ``target`` given outcome projector ``given``."""
     rho = _density_on(state, target, given)
-    return _conditional_moments(rho, target, given, _given_prob(rho, given))[0]
+    p = _given_prob(rho, given)
+    return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[0][0])
 
 
 def cond_variance(state, target, given):
     """Conditioned variance sum_j (mu_j - mean)^2 P(j|i)."""
     rho = _density_on(state, target, given)
-    return _conditional_moments(rho, target, given, _given_prob(rho, given))[1]
+    p = _given_prob(rho, given)
+    return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[1][0])
 
 
 def unrecorded_conditioned_variance(state, target, given_observable):
@@ -217,19 +255,37 @@ def unrecorded_conditioned_variance(state, target, given_observable):
 
     sum_i P(i) Var(target | given = i) over the outcomes of the conditioning
     observable.  Outcomes below the probability floor are skipped and the
-    remaining weights renormalised.
+    remaining weights renormalised.  A stack of one of
+    ``unrecorded_conditioned_variance_stack``.
     """
-    rho = _density_on(state, target, given_observable)
-    total = 0.0
-    weight = 0.0
+    return float(unrecorded_conditioned_variance_stack([state], target, given_observable)[0])
+
+
+def unrecorded_conditioned_variance_stack(states, target, given_observable):
+    """``unrecorded_conditioned_variance`` of each of a non-empty sequence of
+    states on one system, as an (n,) array."""
+    stack = _density_matrices(states, target, given_observable)[1]
+    return _unrecorded_variances(stack, target, given_observable)
+
+
+def _unrecorded_variances(stack, target, given_observable):
+    """``unrecorded_conditioned_variance`` of each matrix of an (n, d, d) stack.
+
+    Each outcome's projector is built, and checked to commute with the target,
+    once for the stack; a state adds exactly 0.0 for an outcome it skips.
+    Warns once when some state skipped an outcome.
+    """
+    total = weight = np.zeros(len(stack))
     for b in given_observable.blocks:
-        p_proj = _projector(rho.system, b)
-        p_i = prob(rho, p_proj)
-        if p_i <= PROB_FLOOR:
+        p_proj = _projector(given_observable.system, b)
+        p_i = _probs(stack, p_proj.matrix)
+        kept = p_i > PROB_FLOOR
+        if not kept.any():
             continue
-        total += p_i * _conditional_moments(rho, target, p_proj, p_i)[1]
-        weight += p_i
-    if weight < 1.0 - 1e-9:
+        var = _conditional_moments(stack, target, p_proj, np.where(kept, p_i, 1.0))[1]
+        total = total + np.where(kept, p_i * var, 0.0)
+        weight = weight + np.where(kept, p_i, 0.0)
+    if (weight < 1.0 - 1e-9).any():
         warnings.warn("skipped zero-probability conditioning sectors; "
                       "weights renormalised", RuntimeWarning)
     return total / weight

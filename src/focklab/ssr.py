@@ -17,6 +17,7 @@ from .fock import (
     NORM_ATOL,
     ModeSystem,
     PureState,
+    _density_matrices,
     _density_on,
     _density_stack,
     _is_integer,
@@ -29,6 +30,7 @@ from .fock import (
     number_sectors,
     sub_system,
 )
+from .states import summed_stack
 
 SSR_TOL = 1e-10
 
@@ -112,9 +114,7 @@ def twirl_stack(states, n_op):
     sector mask for the whole stack, whose twirled matrices are checked as one
     stack by ``_density_stack``.
     """
-    if not states:
-        raise ValueError("twirl_stack needs at least one state")
-    stack = np.array([_density_on(state, n_op).matrix for state in states])
+    stack = _density_matrices(states, n_op)[1]
     ids = _diagonal_sector_ids(n_op)
     stack *= ids[:, None] == ids[None, :]
     return _density_stack(n_op.system, stack)
@@ -224,18 +224,24 @@ class SeparableSSRReport:
     fixed_probability_caveat: bool
 
 
-def _local_reports(mixture, weights=None):
-    """``(component, subsystem, SSRReport)`` of every factor, components outer and
-    subsystems in partition order, against each subsystem's number operator with
-    its modes' ``weights``: one residual array per subsystem's factor stack."""
+def _local_reports(mixtures, weights=None):
+    """Per mixture of a stack on one system and partition with one number of
+    components, ``(component, subsystem, SSRReport)`` of every factor,
+    components outer and subsystems in partition order, against each
+    subsystem's number operator with its modes' ``weights``: one residual array
+    per subsystem, over the factors of every mixture."""
+    first = mixtures[0]
+    n, r = len(mixtures), len(first.probabilities)
     residuals = []
-    for name, modes in mixture.partition.subsystems:
+    for name, modes in first.partition.subsystems:
         w = None if weights is None else np.asarray(weights, dtype=float)[list(modes)]
-        n_diag = number_diagonal(sub_system(mixture.system, modes), w)
-        residuals.append((name, _commutator_residuals(n_diag, mixture.factors[name])))
-    return tuple((r, name, _ssr_report(float(res[r])))
-                 for r in range(len(mixture.probabilities))
-                 for name, res in residuals)
+        n_diag = number_diagonal(sub_system(first.system, modes), w)
+        factors = np.array([m.factors[name] for m in mixtures])
+        residuals.append((name, _commutator_residuals(
+            n_diag, factors.reshape(n * r, *factors.shape[2:])).reshape(n, r).tolist()))
+    return [tuple((c, name, _ssr_report(res[i][c]))
+                  for c in range(r) for name, res in residuals)
+            for i in range(n)]
 
 
 def separable_ssr_theorem_check(mixture):
@@ -244,19 +250,29 @@ def separable_ssr_theorem_check(mixture):
     Reports (a) local number-SSR compliance of every component factor and
     (b) global compliance of the summed state, flagging the caveat case
     where (b) holds although (a) fails (possible only at fixed component
-    probabilities).
+    probabilities).  A stack of one of ``separable_ssr_theorem_checks``.
     """
-    local_reports = _local_reports(mixture)
-    all_local = all(rep.compliant for _, _, rep in local_reports)
-    summed = mixture.summed()
-    global_report = _ssr_report(_commutator_residuals(number_diagonal(summed.system),
-                                                      summed.matrix))
-    return SeparableSSRReport(
-        local_reports=local_reports,
-        all_local_compliant=all_local,
-        global_report=global_report,
-        fixed_probability_caveat=global_report.compliant and not all_local,
-    )
+    return separable_ssr_theorem_checks([mixture])[0]
+
+
+def separable_ssr_theorem_checks(mixtures):
+    """The ``separable_ssr_theorem_check`` of each of a non-empty sequence of
+    mixtures on one system and partition with one number of components: one
+    ``summed_stack`` and one residual array per subsystem and for the sums."""
+    summed = summed_stack(mixtures)
+    global_residuals = _commutator_residuals(number_diagonal(summed[0].system),
+                                             np.array([rho.matrix for rho in summed]))
+    reports = []
+    for local_reports, residual in zip(_local_reports(mixtures), global_residuals.tolist()):
+        all_local = all(rep.compliant for _, _, rep in local_reports)
+        global_report = _ssr_report(residual)
+        reports.append(SeparableSSRReport(
+            local_reports=local_reports,
+            all_local_compliant=all_local,
+            global_report=global_report,
+            fixed_probability_caveat=global_report.compliant and not all_local,
+        ))
+    return reports
 
 
 def phase_state(n_max, p):

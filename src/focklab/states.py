@@ -121,10 +121,11 @@ def summed_stack(mixtures):
         raise ValueError("summed_stack needs at least one mixture, got an empty stack")
     first = mixtures[0]
     system, partition = first.system, first.partition
-    if any(m.system != system or m.partition != partition
-           or len(m.probabilities) != len(first.probabilities) for m in mixtures):
-        raise ValueError("a stack of mixtures needs one system, partition and "
-                         "number of components")
+    for i, m in enumerate(mixtures):
+        if m.system != system or m.partition != partition \
+                or len(m.probabilities) != len(first.probabilities):
+            raise ValueError(f"mixture {i}: a stack of mixtures needs one system, partition "
+                             "and number of components")
     probs = np.array([m.probabilities for m in mixtures], dtype=complex)
     # per subsystem: its codes and its (n, R, k, k) factors
     factors = [(_sub_codes(system, partition.modes_of(name))[1],

@@ -12,7 +12,9 @@ from .fock import (
     NORM_ATOL,
     Operator,
     PureState,
+    _abs_squared,
     _check_physical,
+    _density_matrices,
     _reduced_matrices,
     _sector_stacks,
     annihilation,
@@ -20,7 +22,7 @@ from .fock import (
     expectation,
     ladder_sum,
 )
-from .measurement import spectral, unrecorded_conditioned_variance
+from .measurement import _unrecorded_variances, spectral
 
 DECISION_TOL = 1e-9
 GHZ_TOL = 1e-12
@@ -194,14 +196,10 @@ def spin_epr(state, partition):
 
 def spin_epr_stack(states, partition):
     """The ``spin_epr`` verdict of each of a non-empty sequence of states on one
-    system.  The spins are built and resolved by ``spectral`` once per call; each
-    state then takes the arithmetic of a stack of one, whatever the others."""
-    rhos = [as_density(state) for state in states]
-    if not rhos:
-        raise ValueError("spin_epr_stack needs at least one state")
-    system = rhos[0].system
-    if any(rho.system != system for rho in rhos):
-        raise ValueError("spin EPR states of one stack live on different systems")
+    system.  The spins are built and resolved by ``spectral`` once per call, and
+    the conditioned variances and <S_z1> are evaluated over the whole stack;
+    each state's verdict does not depend on the others."""
+    system, stack = _density_matrices(states)
     names = partition.names
     if len(names) != 2:
         raise ValueError("spin EPR needs a two-subsystem partition")
@@ -211,15 +209,11 @@ def spin_epr_stack(states, partition):
         raise ValueError("each subsystem must hold two modes")
     spins1, spins2 = spin_ops(system, *m1), spin_ops(system, *m2)
     sx1, sx2, sy1, sy2 = (spectral(op) for op in (spins1.sx, spins2.sx, spins1.sy, spins2.sy))
-    verdicts = []
-    for rho in rhos:
-        lhs = (unrecorded_conditioned_variance(rho, sx1, sx2)
-               * unrecorded_conditioned_variance(rho, sy1, sy2))
-        rhs = 0.25 * abs(expectation(rho, spins1.sz)) ** 2
-        margin = rhs - lhs
-        verdicts.append(WitnessVerdict(lhs=float(lhs), rhs=float(rhs),
-                                       violated=margin > DECISION_TOL, margin=float(margin)))
-    return verdicts
+    lhs = _unrecorded_variances(stack, sx1, sx2) * _unrecorded_variances(stack, sy1, sy2)
+    rhs = 0.25 * _abs_squared(np.einsum("ij,nji->n", spins1.sz.matrix, stack))
+    margin = rhs - lhs
+    return [WitnessVerdict(lhs=left, rhs=right, violated=m > DECISION_TOL, margin=m)
+            for left, right, m in zip(lhs.tolist(), rhs.tolist(), margin.tolist())]
 
 
 def particle_entanglement(state, partition):
@@ -229,10 +223,22 @@ def particle_entanglement(state, partition):
     the (nA, nB) joint-number projection of rho (normalised) and E_M is the
     von Neumann entropy (natural log) of its reduced operator on the first
     subsystem.  Zero on separable states for single-mode subsystems, where
-    the joint-number projectors are rank one.
+    the joint-number projectors are rank one.  A stack of one of
+    ``particle_entanglement_stack``.
     """
-    rho = as_density(state)
-    system = rho.system
+    return particle_entanglement_stack([state], partition)[0]
+
+
+def particle_entanglement_stack(states, partition):
+    """The ``particle_entanglement`` of each of a non-empty sequence of states on
+    one system, as a list of floats.
+
+    The sectors of every state are joined by block size: per size, one
+    ``_reduced_matrices`` call, whose reduced states take one
+    ``_check_physical``, which gives their spectra.  Each state's terms are
+    added in ascending label order, from 0.0, as for the state alone.
+    """
+    system, stack = _density_matrices(states)
     names = partition.names
     if len(names) != 2:
         raise ValueError("particle entanglement needs a bipartite partition")
@@ -244,15 +250,16 @@ def particle_entanglement(state, partition):
     num_b = occ[:, idx_b].sum(axis=1)
     keys = num_a * (int(num_b.max()) + 1) + num_b   # unique (nA, nB) encoding
     terms = []
-    for labels, weights, rows, blocks in _sector_stacks(rho, keys):
-        # the reduced states' physicality checks give their spectra
+    for source, labels, weights, rows, blocks in _sector_stacks(stack, keys):
         _, reduced = _reduced_matrices(system, rows, blocks, idx_a)
-        for label, weight, evals in zip(labels, weights, _check_physical(reduced)):
-            evals = evals[evals > 1e-15]
-            terms.append((label, weight * float(-(evals * np.log(evals)).sum())))
-    ep = 0.0
-    for _, term in sorted(terms):
-        ep += term
+        evals = _check_physical(reduced)
+        # an eigenvalue at or below 1e-15 becomes 1, whose 1 log 1 adds exactly 0.0
+        evals = np.where(evals > 1e-15, evals, 1.0)
+        entropies = -(evals * np.log(evals)).sum(axis=-1)
+        terms += zip(source.tolist(), labels, (np.array(weights) * entropies).tolist())
+    ep = [0.0] * len(stack)
+    for i, _, term in sorted(terms):
+        ep[i] += term
     return ep
 
 

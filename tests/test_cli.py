@@ -503,13 +503,17 @@ def test_mixture_sweeps_check_their_summed_states_once(monkeypatch, name, dim, n
 
 @pytest.mark.parametrize("name, key", [("qcf_theorem", "n_states"),
                                        ("chsh_separable_bound", "n_mixtures"),
-                                       ("spin_epr_bound", "n_mixtures")])
+                                       ("spin_epr_bound", "n_mixtures"),
+                                       ("measurement_identities", "n_states"),
+                                       ("vacuum_interferometer", "n_draws"),
+                                       ("separability_ssr", "n_mixtures"),
+                                       ("particle_entanglement", "n_mixtures")])
 def test_sampled_sweeps_check_their_states_as_stacks(monkeypatch, name, key):
     # the number of physicality checks does not grow with the sweep
-    from focklab import fock, states, witnesses
+    from focklab import dynamics, fock, states, witnesses
     calls = []
     check = fock._check_physical
-    for module in (fock, states, witnesses):
+    for module in (dynamics, fock, states, witnesses):
         monkeypatch.setattr(module, "_check_physical",
                             lambda m: calls.append(m.shape) or check(m))
     counts = []
@@ -519,3 +523,105 @@ def test_sampled_sweeps_check_their_states_as_stacks(monkeypatch, name, key):
         assert any(shape[0] == n for shape in calls if len(shape) == 3)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _measurement_identities_per_state(rng, n_states):
+    """The ``measurement_identities`` actuals, one state and one call at a time."""
+    from focklab import Partition, bosons, joint_prob, number_op, partial_trace, prob, spectral
+    from focklab import unrecorded_state
+    from focklab.sampling import random_densities
+    system = bosons(2, 2)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    obs_b = spectral(number_op(system, [0, 1]))
+    proj_a, proj_b = spectral(number_op(system, [1, 0])).projectors, obs_b.projectors
+    bayes = nosig = reduced = 0.0
+    for rho in random_densities(system, rng, n_states):
+        after = unrecorded_state(rho, obs_b)
+        for pa in proj_a:
+            total = sum(joint_prob(rho, [pa, pb]) for pb in proj_b)
+            bayes = max(bayes, abs(total - prob(rho, pa)))
+            nosig = max(nosig, abs(prob(after, pa) - prob(rho, pa)))
+        reduced = max(reduced, float(np.abs(partial_trace(after, part, "A").matrix
+                                            - partial_trace(rho, part, "A").matrix).max()))
+    return {"bayes_max_err": bayes, "no_signalling_max_err": nosig,
+            "reduced_operator_max_err": reduced}
+
+
+def _vacuum_interferometer_per_draw(rng, n_draws):
+    """The ``vacuum_interferometer`` actuals, one draw and one call at a time."""
+    from focklab import ramsey_vacuum_superposition
+    worst10 = worst01 = 0.0
+    for _ in range(n_draws):
+        w = rng.random()
+        phase_a, phase_b = np.exp(2j * np.pi * rng.random(2))
+        delta, tau = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+        p10, p01 = ramsey_vacuum_superposition(np.sqrt(1.0 - w) * phase_a, np.sqrt(w) * phase_b,
+                                               delta, tau)
+        worst10 = max(worst10, abs(p10 - w * np.sin(delta * tau / 2) ** 2))
+        worst01 = max(worst01, abs(p01 - w * np.cos(delta * tau / 2) ** 2))
+    return {"p10_formula_max_err": worst10, "p01_formula_max_err": worst01}
+
+
+def _particle_entanglement_per_state(rng, n_mixtures):
+    """The sampled ``particle_entanglement`` actual, one state at a time."""
+    from focklab import Partition, bosons, particle_entanglement
+    from focklab.sampling import random_number_diagonal_mixtures
+    part = Partition([("A", (0,)), ("B", (1,))])
+    mixtures = random_number_diagonal_mixtures(bosons(2, 2), part, rng, n_mixtures)
+    return {"separable_EP_max": max([0.0] + [particle_entanglement(m.summed(), part)
+                                             for m in mixtures])}
+
+
+@pytest.mark.parametrize("name, key, per_state", [
+    ("measurement_identities", "n_states", _measurement_identities_per_state),
+    ("vacuum_interferometer", "n_draws", _vacuum_interferometer_per_draw),
+    ("particle_entanglement", "n_mixtures", _particle_entanglement_per_state),
+])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_stacked_sweep_reports_the_bits_of_its_per_state_loop(name, key, per_state, seed):
+    # the sweep draws the same stream and keeps every bit of every actual
+    report = run_experiment(name, seed=seed)
+    expected = per_state(np.random.default_rng(seed), EXPERIMENTS[name][1][key])
+    actuals = {c["name"]: c["actual"] for c in report["checks"] if c["name"] in expected}
+    assert {k: repr(v) for k, v in actuals.items()} == {k: repr(float(v))
+                                                        for k, v in expected.items()}
+
+
+def test_the_extraction_sweep_solves_each_case_once(monkeypatch):
+    # one eigh_blocks per case and no physicality check, whatever the number of r
+    from focklab import dynamics, fock
+    calls = []
+    check, solve = fock._check_physical, fock.eigh_blocks
+    for module in (dynamics, fock):
+        monkeypatch.setattr(module, "_check_physical",
+                            lambda m: calls.append("check") or check(m))
+    monkeypatch.setattr(fock, "eigh_blocks",
+                        lambda m, vectors: calls.append(m.shape) or solve(m, vectors))
+    counts = []
+    for n in (5, 50):
+        calls.clear()
+        r_values = np.linspace(0.1, 0.9, n).tolist()
+        assert run_experiment("extraction", params={"r_values": r_values})["overall_pass"]
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1] == [(16, 16), (81, 81), (256, 256)]
+
+
+def test_run_experiment_takes_a_numpy_integer_seed_and_reports_an_int():
+    report = run_experiment("ghz_parity", seed=np.int64(1))
+    assert report["seed"] == 1 and type(report["seed"]) is int
+    assert json.loads(emit(report))["seed"] == 1
+    assert run_experiment("vacuum_interferometer", seed=np.int64(7))["checks"] == \
+        run_experiment("vacuum_interferometer", seed=7)["checks"]
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, "1", None])
+def test_run_experiment_rejects_a_seed_that_is_not_an_integer_at_least_zero(seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+        run_experiment("ghz_parity", seed=seed)
+
+
+def test_a_negative_seed_on_the_command_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"schema_version": 1, "experiment": "ghz_parity"}))
+    assert main([str(path), "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err

@@ -17,7 +17,13 @@ from focklab import (
     ssr_propagation_check,
 )
 from focklab import dynamics
-from focklab.dynamics import MINUS_I, REAL_ROTATION, _bisect
+from focklab.dynamics import (
+    MINUS_I,
+    REAL_ROTATION,
+    _bisect,
+    extraction_experiments,
+    ramsey_vacuum_superpositions,
+)
 from focklab.measurement import ZeroProbabilityError
 from focklab.states import SeparableMixture, coherent
 from focklab.sampling import random_number_diagonal_mixture
@@ -327,3 +333,24 @@ def test_propagation_rejects_nonconserving_hamiltonian():
     mix = random_number_diagonal_mixture(system, part, rng)
     with pytest.raises(ValueError, match="conserve"):
         ssr_propagation_check(mix, h)
+
+
+def test_a_sweep_with_one_bad_draw_fails_naming_its_index():
+    s = 1 / np.sqrt(2)
+    with pytest.raises(ValueError, match=r"^draw 1: \|alpha\|\^2 \+ \|beta\|\^2 must equal 1"):
+        ramsey_vacuum_superpositions([1.0, 1.0, s], [0.0, 1.0, s], [1.0] * 3, [1.0] * 3)
+    with pytest.raises(ValueError, match=r"^pair 1: r\^2 \+ t\^2 must equal 1"):
+        extraction_experiments("two_boson", [0.6, 0.6], [0.8, 0.6])
+    with pytest.raises(ZeroProbabilityError, match="^pair 2: sector probability .* at r = 0.0"):
+        extraction_experiments("two_fermion", [0.6, 0.8, 0.0], [0.8, 0.6, 1.0])
+    with pytest.raises(ValueError, match="as many t values as r values"):
+        extraction_experiments("two_boson", [0.6], [0.8, 0.6])
+
+
+def test_the_interferometer_checks_its_mixed_states_as_two_stacks(monkeypatch):
+    shapes = []
+    check = dynamics._check_physical
+    monkeypatch.setattr(dynamics, "_check_physical", lambda m: shapes.append(m.shape) or check(m))
+    s = 1 / np.sqrt(2)
+    ramsey_vacuum_superpositions([1.0, s, 0.0], [0.0, s, 1.0], [0.3, 1.0, 2.0], [1.0] * 3)
+    assert shapes == [(3, 4, 4), (3, 4, 4)]

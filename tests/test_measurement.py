@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from focklab import (
+    DensityOperator,
     ModeSystem,
     Observable,
+    Operator,
     OutcomeDistribution,
     Partition,
     ZeroProbabilityError,
@@ -25,10 +27,17 @@ from focklab import (
     tensor_embed,
     unrecorded_state,
 )
-from focklab.measurement import unrecorded_conditioned_variance
+from focklab.fock import partial_trace_stack
+from focklab.measurement import (
+    joint_prob_stack,
+    prob_stack,
+    unrecorded_conditioned_variance,
+    unrecorded_conditioned_variance_stack,
+    unrecorded_state_stack,
+)
 from focklab.states import bell_one_boson, ghz, singlet_spin
 from focklab.witnesses import pauli_ops, spin_ops
-from focklab.sampling import random_density
+from focklab.sampling import random_densities, random_density
 
 
 def _qubit_observables(system):
@@ -345,3 +354,74 @@ def test_spectral_merges_near_degenerate_eigenvalues():
     assert len(obs.projectors) == 2
     degs = sorted(int(round(np.real(np.trace(p.matrix)))) for p in obs.projectors)
     assert degs == [1, 2]
+
+
+def test_a_stack_with_one_bad_state_fails_naming_its_index():
+    system = bosons(2, 2)
+    rng = np.random.default_rng(0)
+    states = list(random_densities(system, rng, 4))
+    obs = spectral(number_op(system, [1, 0]))
+    proj = obs.projectors[1]
+    part = Partition([("A", (0,)), ("B", (1,))])
+    calls = [lambda s: prob_stack(s, proj), lambda s: joint_prob_stack(s, [proj, proj]),
+             lambda s: unrecorded_state_stack(s, obs),
+             lambda s: unrecorded_conditioned_variance_stack(s, obs, obs),
+             lambda s: partial_trace_stack(s, part, "A")]
+    # same dimension, another system
+    elsewhere = states[:2] + [random_density(bosons(2, 2, labels=["x", "y"]), rng)] + states[3:]
+    not_a_state = states[:3] + [proj]
+    for call in calls:
+        with pytest.raises(ValueError, match="^state 2: .*different systems"):
+            call(elsewhere)
+        with pytest.raises(TypeError, match="^state 3: expected PureState"):
+            call(not_a_state)
+        with pytest.raises(ValueError, match="at least one state"):
+            call([])
+    # Tr(i |00><00| rho) is imaginary exactly for the state with weight on |00>
+    vacuum = system.vacuum()
+    occupied = system.basis_state((1, 1))
+    tilted = Operator(system, 1j * vacuum.density().matrix)
+    with pytest.raises(ValueError, match="^state 2: probability has imaginary part 1.0"):
+        prob_stack([occupied, occupied, vacuum], tilted)
+    with pytest.raises(ValueError, match="^state 0: probability has imaginary part"):
+        prob(vacuum, tilted)
+
+
+def test_block_probabilities_name_the_state_not_the_block():
+    from focklab.measurement import _block_probs
+    system = bosons(1, 2)
+    obs = spectral(number_op(system))
+    # state 1's only imaginary entry sits on the last block
+    stack = np.array([np.eye(3) / 3, np.diag([0.5, 0.5, 1j])])
+    with pytest.raises(ValueError, match="^state 1: probability has imaginary part 1.0"):
+        _block_probs(stack, obs)
+
+
+def test_an_outcome_no_state_can_take_is_skipped_unchecked():
+    # the target swaps |1> and |2>: it commutes with the projector on |0>, not
+    # with those on |1> or |2>, on which the states have no weight
+    system = bosons(1, 2)
+    swap = np.eye(3)[[0, 2, 1]]
+    target = spectral(Operator(system, swap))
+    given = spectral(number_op(system))
+    vacuum = system.vacuum()
+    assert unrecorded_conditioned_variance(vacuum, target, given) == 0.0
+    assert unrecorded_conditioned_variance_stack([vacuum, vacuum], target, given).tolist() == \
+        [0.0, 0.0]
+    with pytest.raises(ValueError, match="do not commute"):
+        unrecorded_conditioned_variance(system.basis_state((1,)), target, given)
+
+
+def test_an_outcome_at_or_below_the_floor_adds_exactly_nothing():
+    # 1e-13 of the weight sits in the N = 1 sector, where n_A has variance 1/4;
+    # the vacuum sector has none, so the skipped sector must leave exactly 0.0
+    system = bosons(2, 1)
+    i00, i10, i01 = system.indices_of([(0, 0), (1, 0), (0, 1)])
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[i00, i00] = 1.0 - 1e-13
+    mat[np.ix_([i10, i01], [i10, i01])] = 0.5e-13
+    rho = DensityOperator(system, mat)
+    target, given = spectral(number_op(system, [1, 0])), spectral(number_op(system))
+    assert unrecorded_conditioned_variance(rho, target, given) == 0.0
+    assert unrecorded_conditioned_variance_stack([system.basis_state((1, 0)), rho], target,
+                                                 given).tolist() == [0.0, 0.0]

@@ -13,29 +13,39 @@ from focklab import (
     Operator,
     Partition,
     annihilation,
+    apply_unitary,
     as_density,
     bosons,
     creation,
     expectation,
+    extraction_experiment,
     fermions,
+    joint_prob,
     number_op,
     evolution_operator,
     partial_trace,
     particle_entanglement,
+    prob,
     qcf,
     qcf_table,
+    ramsey_vacuum_superposition,
     sector_decompose,
+    separable_ssr_theorem_check,
     spectral,
     tensor_embed,
     twirl,
+    unitary_evolve,
 )
+from focklab.dynamics import extraction_experiments, ramsey_vacuum_superpositions
 from focklab import fock
 from focklab.fock import (
     BLOCK_MIN_DIM,
     FERMI,
     eigh_blocks,
     eigvalsh_blocks,
+    evolved_amplitudes,
     ladder_product,
+    partial_trace_stack,
     sector_blocks,
     sub_system,
 )
@@ -45,11 +55,16 @@ from focklab.measurement import (
     PROJ_ATOL,
     cond_mean,
     cond_variance,
+    joint_prob_stack,
     outcome_distribution,
+    prob_stack,
     unrecorded_conditioned_variance,
+    unrecorded_conditioned_variance_stack,
     unrecorded_state,
+    unrecorded_state_stack,
 )
-from focklab.ssr import _commutator_residuals, _diagonal_of, ssr_check
+from focklab.ssr import _commutator_residuals, _diagonal_of, separable_ssr_theorem_checks, ssr_check
+from focklab.witnesses import particle_entanglement_stack
 from focklab.lhv import integral_inequality_oracle, sum_inequality_oracle
 from focklab.sampling import (
     random_densities,
@@ -60,6 +75,7 @@ from focklab.sampling import (
     random_number_diagonal_mixtures,
     random_one_boson_pair_mixture,
     random_one_boson_pair_mixtures,
+    random_pure,
     random_qubit_pair_mixture,
     random_qubit_pair_mixtures,
 )
@@ -975,3 +991,141 @@ def test_a_qcf_table_warns_once_exactly_when_some_pair_saturates(system, seed, n
               for state in states for p in powers]
     assert set(single) <= {0, 1}
     assert len(_runtime_warnings(lambda: qcf_table(states, powers))) == max(single)
+
+
+def _random_hermitian(system, rng, conserving=False):
+    """A Gaussian Hermitian operator; ``conserving`` zeroes its entries between
+    different total numbers, so that it commutes with the total number."""
+    g = rng.standard_normal((system.dim,) * 2) + 1j * rng.standard_normal((system.dim,) * 2)
+    h = 0.5 * (g + g.conj().T)
+    if conserving:
+        totals = fock.number_diagonal(system)
+        h *= totals[:, None] == totals[None, :]
+    return Operator(system, h)
+
+
+@SETTINGS
+@given(systems(), seeds, st.floats(-3.0, 3.0))
+def test_evolution_is_unitary_and_keeps_the_trace_under_a_conserving_hamiltonian(system, seed,
+                                                                                 t):
+    rng = np.random.default_rng(seed)
+    h = _random_hermitian(system, rng, conserving=True)
+    u = evolution_operator(h, t)
+    eye = np.eye(system.dim)
+    assert np.linalg.norm(u.matrix.conj().T @ u.matrix - eye) <= 1e-12
+    assert np.linalg.norm(u.matrix @ u.matrix.conj().T - eye) <= 1e-12
+    for evolved in (apply_unitary(u, random_density(system, rng)),
+                    unitary_evolve(h, t, random_density(system, rng))):
+        assert abs(np.trace(evolved.matrix) - 1.0) <= 1e-12
+    # a pure state is evolved per component, with no unitary formed
+    psi = random_pure(system, rng)
+    pure = unitary_evolve(h, t, psi)
+    assert abs(np.linalg.norm(pure.amplitudes) - 1.0) <= 1e-12
+    assert np.abs(pure.amplitudes - u.matrix @ psi.amplitudes).max() <= 1e-12
+    blocks = eigh_blocks(h.matrix, True)
+    times = [t, -0.5 * t, 0.0]
+    many = evolved_amplitudes(blocks, times, psi.amplitudes)
+    assert [row.tobytes() for row in many] == \
+        [evolved_amplitudes(blocks, [s], psi.amplitudes)[0].tobytes() for s in times]
+    assert np.abs(many[2] - psi.amplitudes).max() <= 1e-12
+
+
+@SETTINGS
+@given(commuting_observables(), seeds, st.integers(1, 4))
+def test_unrecorded_state_keeps_the_trace_and_the_measured_populations(case, seed, n):
+    system, op_x, op_y = case
+    rng = np.random.default_rng(seed)
+    states = list(random_densities(system, rng, n)) + [random_pure(system, rng)]
+    for obs in (spectral(op_x), spectral(op_y)):
+        after = unrecorded_state_stack(states, obs)
+        for state, out in zip(states, after):
+            assert out.matrix.tobytes() == unrecorded_state(state, obs).matrix.tobytes()
+            assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
+            before = [p for _, p in outcome_distribution(state, obs).outcomes]
+            kept = [p for _, p in outcome_distribution(out, obs).outcomes]
+            assert np.abs(np.subtract(before, kept)).max() <= 1e-12
+
+
+@SETTINGS
+@given(systems(), seeds)
+def test_outcome_distribution_of_a_random_hermitian_observable_sums_to_one(system, seed):
+    rng = np.random.default_rng(seed)
+    obs = spectral(_random_hermitian(system, rng))
+    for state in (random_density(system, rng), random_pure(system, rng)):
+        probs = np.array([p for _, p in outcome_distribution(state, obs).outcomes])
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        assert probs.min() >= -PROB_FLOOR
+
+
+@SETTINGS
+@given(commuting_observables(), seeds, st.integers(1, 5))
+def test_stacked_measurements_equal_the_loop_of_single_calls_bit_for_bit(case, seed, n):
+    system, op_x, op_y = case
+    rng = np.random.default_rng(seed)
+    states = list(random_densities(system, rng, n)) + [random_pure(system, rng)]
+    target, given_obs = spectral(op_x), spectral(op_y)
+    for proj in given_obs.projectors:
+        assert prob_stack(states, proj).tobytes() == \
+            np.array([prob(state, proj) for state in states]).tobytes()
+    pair = [target.projectors[0], given_obs.projectors[-1]]
+    assert joint_prob_stack(states, pair).tobytes() == \
+        np.array([joint_prob(state, pair) for state in states]).tobytes()
+    assert [rho.matrix.tobytes() for rho in unrecorded_state_stack(states, target)] == \
+        [unrecorded_state(state, target).matrix.tobytes() for state in states]
+    with warnings.catch_warnings():
+        # a state may skip an outcome below the floor and renormalise
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stacked = unrecorded_conditioned_variance_stack(states, target, given_obs)
+        alone = [unrecorded_conditioned_variance(state, target, given_obs) for state in states]
+    assert stacked.tobytes() == np.array(alone).tobytes()
+
+
+@SETTINGS
+@given(bipartitions(), seeds, st.integers(1, 4))
+def test_stacked_entanglement_and_partial_traces_equal_the_loop_of_single_calls(case, seed, n):
+    system, partition = case
+    rng = np.random.default_rng(seed)
+    states = list(random_densities(system, rng, n)) + list(random_global_ssr_states(system, rng, n))
+    # repr shows every bit of a float, and the sign of a zero
+    assert [repr(ep) for ep in particle_entanglement_stack(states, partition)] == \
+        [repr(particle_entanglement(state, partition)) for state in states]
+    for keep in partition.names:
+        assert [rho.matrix.tobytes() for rho in partial_trace_stack(states, partition, keep)] == \
+            [partial_trace(state, partition, keep).matrix.tobytes() for state in states]
+
+
+@SETTINGS
+@given(systems(restricted=False, min_modes=2), st.data(), seeds, st.integers(1, 5))
+def test_stacked_separability_checks_equal_the_loop_of_single_calls(system, data, seed, n):
+    order = data.draw(st.permutations(range(system.n_modes)))
+    k = data.draw(st.integers(1, system.n_modes - 1))
+    part = Partition([("A", tuple(order[:k])), ("B", tuple(order[k:]))])
+    rng = np.random.default_rng(seed)
+    # locally compliant factors, then generic qubit factors that are not
+    for mixtures in (random_number_diagonal_mixtures(system, part, rng, n),
+                     random_qubit_pair_mixtures(rng, n)):
+        assert separable_ssr_theorem_checks(mixtures) == \
+            [separable_ssr_theorem_check(mixture) for mixture in mixtures]
+
+
+@SETTINGS
+@given(seeds, st.integers(1, 6))
+def test_stacked_interferometer_and_extraction_equal_the_loop_of_single_calls(seed, n):
+    rng = np.random.default_rng(seed)
+    w, phase_a, phase_b, delta, tau = rng.random((n, 5)).T
+    alphas, betas = np.sqrt(1.0 - w) * np.exp(2j * np.pi * phase_a), np.sqrt(w) * np.exp(
+        2j * np.pi * phase_b)
+    delta, tau = 0.1 + 2.9 * delta, 0.1 + 2.9 * tau
+    p10, p01 = ramsey_vacuum_superpositions(alphas, betas, delta, tau)
+    alone = np.array([ramsey_vacuum_superposition(*args)
+                      for args in zip(alphas, betas, delta, tau)])
+    assert p10.tobytes() == alone[:, 0].tobytes() and p01.tobytes() == alone[:, 1].tobytes()
+    r_values = rng.uniform(0.1, 0.9, n)
+    t_values = np.sqrt(1.0 - r_values ** 2)
+    for case in ("two_boson", "three_boson", "two_fermion"):
+        for result, r, t in zip(extraction_experiments(case, r_values, t_values),
+                                r_values, t_values):
+            single = extraction_experiment(case, r, t)
+            assert [state.amplitudes.tobytes() for _, state in result.stages] == \
+                [state.amplitudes.tobytes() for _, state in single.stages]
+            assert result.quantities == single.quantities

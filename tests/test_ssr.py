@@ -21,6 +21,7 @@ from focklab import (
     twirl,
 )
 from focklab.ssr import (
+    separable_ssr_theorem_checks,
     twirl_stack,
     clock_prob,
     clock_prob_by_evolution,
@@ -545,3 +546,18 @@ def test_ssr_functions_reject_a_number_operator_that_is_not_diagonal(check):
     check(rho, _with_off_diagonal(n_op, 1e-12 / np.sqrt(2)))
     with pytest.raises(ValueError, match="not diagonal in the occupation basis"):
         check(rho, _with_off_diagonal(n_op, 2e-12 / np.sqrt(2)))
+
+
+def test_a_stack_of_mixtures_with_one_bad_mixture_fails_naming_its_index():
+    from focklab.sampling import random_number_diagonal_mixtures
+    system = bosons(2, 2)
+    rng = np.random.default_rng(0)
+    mixtures = random_number_diagonal_mixtures(
+        system, Partition([("A", (0,)), ("B", (1,))]), rng, 3)
+    swapped = random_number_diagonal_mixtures(
+        system, Partition([("A", (1,)), ("B", (0,))]), rng, 1)
+    with pytest.raises(ValueError, match="^mixture 3: a stack of mixtures needs one system, "
+                                         "partition and number of components"):
+        separable_ssr_theorem_checks(mixtures + swapped)
+    with pytest.raises(ValueError, match="at least one mixture"):
+        separable_ssr_theorem_checks([])

@@ -25,6 +25,7 @@ from focklab.witnesses import (
     chsh_correlation_tensor,
     chsh_correlation_tensors,
     pauli_ops,
+    particle_entanglement_stack,
     spin_epr_stack,
 )
 from focklab.states import (
@@ -341,3 +342,14 @@ def test_chsh_setting_validation():
 def test_chsh_setting_rejects_nan():
     with pytest.raises(ValueError, match="unit"):
         CHSHSetting(a1=(np.nan, 0, 0), a2=(1, 0, 0), b1=(1, 0, 0), b2=(0, 1, 0))
+
+
+def test_an_entanglement_stack_with_one_bad_state_fails_naming_its_index():
+    system = bosons(2, 2)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    states = [system.vacuum(), system.basis_state((1, 1)), bosons(2, 2, labels=["x", "y"]).vacuum()]
+    for call in (particle_entanglement_stack, spin_epr_stack):
+        with pytest.raises(ValueError, match="^state 2: .*different systems"):
+            call(states, part)
+    with pytest.raises(ValueError, match="at least one state"):
+        particle_entanglement_stack([], part)
