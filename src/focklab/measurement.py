@@ -271,9 +271,10 @@ def unrecorded_conditioned_variance_stack(states, target, given_observable):
 def _unrecorded_variances(stack, target, given_observable):
     """``unrecorded_conditioned_variance`` of each matrix of an (n, d, d) stack.
 
-    Each outcome's projector is built, and checked to commute with the target,
-    once for the stack; a state adds exactly 0.0 for an outcome it skips.
-    Warns once when some state skipped an outcome.
+    Each outcome's projector is built once for the stack, and checked to
+    commute with the target once when some state keeps the outcome; a state
+    adds exactly 0.0 for an outcome it skips.  Warns once when the outcomes
+    some state skipped held more than 1e-9 of its weight.
     """
     total = weight = np.zeros(len(stack))
     for b in given_observable.blocks:
