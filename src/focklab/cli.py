@@ -51,7 +51,7 @@ from . import (
     ZeroProbabilityError,
 )
 from .dynamics import extraction_experiments, ramsey_vacuum_superpositions
-from .fock import _is_integer, number_diagonal, partial_trace_stack
+from .fock import MAX_DIM, _is_integer, number_diagonal, partial_trace_stack
 from .lhv import CHUNK_ROWS
 from .measurement import joint_prob_stack, prob_stack, unrecorded_state_stack
 from .ssr import clock_prob_by_evolution, qcf_table, separable_ssr_theorem_checks, twirl_stack
@@ -59,6 +59,7 @@ from .states import coherent_amplitudes, summed_stack
 from .witnesses import (chsh_batch, chsh_correlation_tensor, chsh_correlation_tensors,
                         particle_entanglement_stack, spin_epr_stack)
 from .sampling import (
+    _flat_dirichlet,
     random_chsh_directions,
     random_chsh_setting,
     random_densities,
@@ -141,6 +142,12 @@ def _exp_qcf_theorem(params, tol, rng):
     n_states = params["n_states"]
     cutoff = params["cutoff"]
     max_order = params["max_order"]
+    # one table entry per state and power tuple, held at once: no more than
+    # the entries of the largest dense matrix a system may have
+    entries = n_states * (max_order + 1) ** 4
+    if entries > MAX_DIM ** 2:
+        raise ValueError(f"n_states * (max_order + 1)**4 = {entries} table entries exceed "
+                         f"the budget MAX_DIM**2 = {MAX_DIM ** 2}")
     system = bosons(2, cutoff)
     powers = [(n, m, l, k)
               for n in range(max_order + 1) for m in range(max_order + 1)
@@ -299,6 +306,29 @@ def _exp_verstraete(params, tol, rng):
     ]
 
 
+def _phase_averaged_pair(alpha, system, n_phases):
+    """(1/N) sum_t |b_t, b_t><b_t, b_t| on the two-mode ``system``, with
+    b_t = alpha e^{-i theta_t} and theta_t = 2 pi t / N for t < N = ``n_phases``.
+
+    Amplitude (n, p) of |b_t, b_t> is c_n c_p e^{-i(n + p) theta_t}, with c the
+    amplitudes of |alpha>, so entry (i, j) is v_i v_j^* S(N_i - N_j) for the
+    two-mode vector v of |alpha, alpha> and the total numbers N of the rows:
+    one phase sum S(D) = (1/N) sum_t e^{-i D theta_t} per number difference,
+    taken CHUNK_ROWS phases at a time."""
+    cutoff = system.modes[0].cutoff
+    amps = coherent_amplitudes([alpha], cutoff)[0]
+    occ = system.occupancies
+    vec = amps[occ[:, 0]] * amps[occ[:, 1]]
+    totals = occ.sum(axis=1)
+    diffs = np.arange(-2 * cutoff, 2 * cutoff + 1)
+    sums = np.zeros(len(diffs), dtype=complex)
+    for start in range(0, n_phases, CHUNK_ROWS):
+        theta = 2.0 * np.pi * np.arange(start, min(start + CHUNK_ROWS, n_phases)) / n_phases
+        sums += np.exp(-1j * np.outer(diffs, theta)).sum(axis=1)
+    sums /= n_phases
+    return np.outer(vec, vec.conj()) * sums[totals[:, None] - totals[None, :] + 2 * cutoff]
+
+
 def _exp_two_mode_coherent_mixture(params, tol, rng):
     alpha = params["alpha"]
     cutoff = params["cutoff"]
@@ -309,15 +339,7 @@ def _exp_two_mode_coherent_mixture(params, tol, rng):
         raise ValueError(f"n_phases must exceed 2 * cutoff = {2 * cutoff}, got {n_phases}")
     rho = two_mode_coherent_mixture(alpha, cutoff)
     system = rho.system
-    # sum_t |b_t, b_t><b_t, b_t| over CHUNK_ROWS phases at a time, so that
-    # neither the phases nor the two-mode vectors hold more than one chunk
-    quad = np.zeros((system.dim, system.dim), dtype=complex)
-    for start in range(0, n_phases, CHUNK_ROWS):
-        theta = 2.0 * np.pi * np.arange(start, min(start + CHUNK_ROWS, n_phases)) / n_phases
-        amps = coherent_amplitudes(alpha * np.exp(-1j * theta), cutoff)
-        vecs = (amps[:, :, None] * amps[:, None, :]).reshape(len(amps), -1)
-        quad += vecs.T @ vecs.conj()
-    quad /= n_phases
+    quad = _phase_averaged_pair(alpha, system, n_phases)
     totals = number_diagonal(system)
     selection = rho.matrix[totals[:, None] != totals[None, :]]
     part = Partition([("A", (0,)), ("B", (1,))])
@@ -415,9 +437,11 @@ def _exp_appendix_inequalities(params, tol, rng):
         sizes = np.empty(len(p), dtype=int)
         for row in range(len(p)):
             size = sizes[row] = int(rng.integers(low, high))
-            p[row, :size] = rng.dirichlet(np.ones(size))
+            # the exponentials of rng.dirichlet(np.ones(size)), normalised below
+            rng.standard_exponential(out=p[row, :size])
             # one call for c, d and lambda: the stream of three rng.random(size)
             c[row, :size], d[row, :size], lam[row, :size] = rng.random(3 * size).reshape(3, -1)
+        _flat_dirichlet(p)
         c *= 10
         d *= 10
         # sorting with +inf in the padding leaves it last; it then repeats the largest lambda
@@ -427,7 +451,7 @@ def _exp_appendix_inequalities(params, tol, rng):
         lam = np.where(padding, lam[np.arange(len(lam)), sizes - 1][:, None], lam)
         ok_sum = ok_sum and sum_inequality_oracle(p, c, d)
         ok_int = ok_int and integral_inequality_oracle(lam, p, c, d)
-    p = rng.dirichlet(np.ones(5))
+    p = _flat_dirichlet(rng.standard_exponential(5))
     c = rng.random(5) * 3
     lhs = float(np.sum(p * c) ** 2)
     rhs = float(np.sum(p * np.sqrt(c * c)) ** 2)

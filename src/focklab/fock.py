@@ -408,9 +408,10 @@ def _density_on(state, *operators):
 
 
 def _density_matrices(states, *operators):
-    """``(system, stack)``: the (n, d, d) density matrices of a non-empty sequence
-    of states on one system, which each operator acts on.  A state that is not
-    one, or lives on another system, raises naming its index."""
+    """``(system, stack)``: the read-only (n, d, d) density matrices of a
+    non-empty sequence of states on one system, which each operator acts on;
+    the stack of one state is a view of its matrix, not a copy.  A state that
+    is not one, or lives on another system, raises naming its index."""
     if not len(states):
         raise ValueError("a stack needs at least one state")
     rhos = []
@@ -419,7 +420,11 @@ def _density_matrices(states, *operators):
             rhos.append(_density_on(state, *operators, *rhos[:1]))
         except (TypeError, ValueError) as exc:
             raise type(exc)(f"state {i}: {exc}") from None
-    return rhos[0].system, np.stack([rho.matrix for rho in rhos])
+    if len(rhos) == 1:
+        return rhos[0].system, rhos[0].matrix[None]
+    stack = np.stack([rho.matrix for rho in rhos])
+    stack.setflags(write=False)
+    return rhos[0].system, stack
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .fock import NORM_ATOL, _is_integer, sub_system
 from .measurement import _block_probs
+from .sampling import _flat_dirichlet
 
 ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
 # rows per array step of the stacked paths (the CHSH sweep's settings, the
@@ -132,7 +133,7 @@ def lhv_chsh_bound_sweep(n_models, n_settings, rng):
     best = 0.0
     for _ in range(n_models):
         n_hidden = int(rng.integers(1, 6))
-        weights = rng.dirichlet(np.ones(n_hidden))
+        weights = _flat_dirichlet(rng.standard_exponential(n_hidden))
         _check_distributions(weights, "hidden-value probabilities must be a distribution")
         for start in range(0, n_settings, CHUNK_ROWS):
             p_up = rng.random((min(CHUNK_ROWS, n_settings - start), 4, n_hidden))

@@ -19,6 +19,21 @@ def _sweep_size(n):
         raise ValueError(f"a sampled sweep needs at least one draw, got n = {n}")
 
 
+def _flat_dirichlet(exps):
+    """Normalise each row (last axis) of standard exponentials in place and
+    return it: flat Dirichlet weights.
+
+    numpy's ``rng.dirichlet(np.ones(k))`` draws k standard exponentials and
+    multiplies them by the reciprocal of their running sum, so a row drawn by
+    ``rng.standard_exponential`` and normalised here has its stream and its
+    bits.  The total is the last entry of a ``cumsum``, which adds in order as
+    numpy does; ``np.sum`` adds pairwise from 8 entries on.  A 0.0 padding
+    entry adds +0.0 to the total and stays 0.0.
+    """
+    exps *= 1.0 / np.cumsum(exps, axis=-1)[..., -1:]
+    return exps
+
+
 def _weights_and_normals(rng, n, n_weights, n_normals):
     """n draws of ``n_weights`` flat Dirichlet weights, each followed by
     ``n_normals`` standard normals, as an (n, n_weights) and an (n, n_normals)
@@ -27,9 +42,9 @@ def _weights_and_normals(rng, n, n_weights, n_normals):
     weights = np.empty((n, n_weights))
     normals = np.empty((n, n_normals))
     for i in range(n):
-        weights[i] = rng.dirichlet(np.ones(n_weights))
+        rng.standard_exponential(out=weights[i])
         rng.standard_normal(out=normals[i])
-    return weights, normals
+    return _flat_dirichlet(weights), normals
 
 
 def _ginibre_grams(normals):
@@ -135,12 +150,13 @@ def random_number_diagonal_mixtures(system, partition, rng, n):
     the stream and the bits of n ``random_number_diagonal_mixture`` draws."""
     _sweep_size(n)
     dims = [sub_system(system, modes).dim for _, modes in partition.subsystems]
-    probs = np.empty((n, 3))
-    diags = [np.empty((n, 3, d)) for d in dims]
-    for i in range(n):
-        probs[i] = rng.dirichlet(np.ones(3))
-        for t, draw in enumerate(rng.dirichlet(np.ones(d)) for d in dims * 3):
-            diags[t % len(dims)][i, t // len(dims)] = draw
+    # a draw is nothing but flat Dirichlets, so the n draws are one block of
+    # exponentials: per row the three probabilities, then the factors of
+    # each component in partition order
+    exps = rng.standard_exponential((n, 3 + 3 * sum(dims)))
+    probs = _flat_dirichlet(exps[:, :3])
+    factors = exps[:, 3:].reshape(n, 3, sum(dims))
+    diags = [_flat_dirichlet(f) for f in np.split(factors, np.cumsum(dims)[:-1], axis=-1)]
     # times the identity: each draw on the diagonal, exactly 0 off it
     return mixture_stack(system, partition, probs, {
         name: diag[..., None] * np.eye(d) for name, diag, d in zip(partition.names, diags, dims)})

@@ -22,7 +22,6 @@ from .fock import (
     _density_stack,
     _is_integer,
     _row_dots,
-    as_density,
     number_diagonal,
     number_op,
     evolution_operator,
@@ -116,8 +115,7 @@ def twirl_stack(states, n_op):
     """
     stack = _density_matrices(states, n_op)[1]
     ids = _diagonal_sector_ids(n_op)
-    stack *= ids[:, None] == ids[None, :]
-    return _density_stack(n_op.system, stack)
+    return _density_stack(n_op.system, stack * (ids[:, None] == ids[None, :]))
 
 
 def twirl(state, n_op):
@@ -151,36 +149,32 @@ def qcf_table(states, powers):
     raising ladder of some monomial to have dropped support.
     """
     words = [_qcf_word(p) for p in powers]
-    rhos = [as_density(state) for state in states]
-    if not rhos or not words:
-        raise ValueError("qcf_table needs at least one state and one power tuple")
-    system = rhos[0].system
-    if any(rho.system != system for rho in rhos):
-        raise ValueError("qcf_table needs all states on one system")
+    if not words:
+        raise ValueError("qcf_table needs at least one power tuple")
+    system, stack = _density_matrices(states)
     if system.n_modes < 2:
         raise ValueError("qcf needs modes 0 and 1")
     entries = [ladder_product(system, word) for word in words]
     lengths = np.array([len(values) for _, _, values in entries])
     rows, cols, values = (np.concatenate(arrays) for arrays in zip(*entries))
-    # one (n_states, n_terms) array, filled state by state and scaled in place
-    terms = np.empty((len(rhos), len(values)), dtype=complex)
-    for term, rho in zip(terms, rhos):
-        term[:] = rho.matrix[cols, rows]
+    # one (n_states, n_terms) array, gathered from the stack and scaled in place
+    terms = stack[:, cols, rows]
     terms *= values
-    table = np.zeros((len(rhos), len(words)), dtype=complex)
+    table = np.zeros((len(stack), len(words)), dtype=complex)
     kept = lengths > 0
     if kept.any():
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         table[:, kept] = np.add.reduceat(terms, starts[kept], axis=1)
-    _warn_on_saturation(system, rhos, powers)
+    _warn_on_saturation(system, stack, powers)
     return table
 
 
-def _warn_on_saturation(system, rhos, powers):
+def _warn_on_saturation(system, stack, powers):
     """One warning naming each mode at whose cutoff a net raise of some
-    monomial meets more than 1e-12 of some state's weight."""
+    monomial meets more than 1e-12 of the weight of some state of the
+    (n, d, d) ``stack``."""
     occ = system.occupancies
-    pops = np.array([rho.matrix.diagonal().real for rho in rhos])
+    pops = stack.diagonal(axis1=1, axis2=2).real
     # raising acts after lowering and no occupancy exceeds the cutoff, so only
     # a net raise can reach past it; its reach depends on the mode and the net
     raises = {(mode, raise_by - lower_by)

@@ -104,15 +104,11 @@ def chsh_correlation_tensors(states):
     the (n, 4, 4) stack of densities in one einsum, whose sums have the bits
     of one ``expectation`` per entry.
     """
-    rhos = [as_density(state) for state in states]
-    if not rhos or any(rho.system.dim != 4 for rho in rhos):
+    system, stack = _density_matrices(states)
+    if system.dim != 4:
         raise ValueError("CHSH needs a two-qubit state (dimension 4)")
-    system = rhos[0].system
-    if any(rho.system != system for rho in rhos):
-        raise ValueError("CHSH states of one stack live on different systems")
     paulis_b = pauli_ops(system, 1)
     products = np.stack([(sa @ sb).matrix for sa in pauli_ops(system, 0) for sb in paulis_b])
-    stack = np.stack([rho.matrix for rho in rhos])
     return np.einsum("kij,nji->nk", products, stack).real.reshape(-1, 3, 3)
 
 

@@ -118,6 +118,41 @@ def test_quadrature_holds_one_chunk_of_phases_at_a_time():
     assert peaks[2] < peaks[1] + 16 * 2 ** 10
 
 
+def _vector_quadrature(alpha, cutoff, n_phases):
+    """The phase average as sum_t |b_t, b_t><b_t, b_t| / N over the stacked
+    two-mode vectors of b_t = alpha e^{-i theta_t}, CHUNK_ROWS phases at a time."""
+    from focklab.cli import CHUNK_ROWS
+    from focklab.states import coherent_amplitudes
+    quad = 0.0
+    for start in range(0, n_phases, CHUNK_ROWS):
+        theta = 2.0 * np.pi * np.arange(start, min(start + CHUNK_ROWS, n_phases)) / n_phases
+        amps = coherent_amplitudes(alpha * np.exp(-1j * theta), cutoff)
+        vecs = (amps[:, :, None] * amps[:, None, :]).reshape(len(amps), -1)
+        quad = quad + vecs.T @ vecs.conj()
+    return quad / n_phases
+
+
+@pytest.mark.parametrize("alpha, cutoff", [(0.01, 3), (0.2, 5), (-0.3, 8), (0.5, 10)])
+def test_the_factored_quadrature_is_the_sum_over_two_mode_vectors(alpha, cutoff):
+    from focklab import bosons
+    from focklab.cli import CHUNK_ROWS, _phase_averaged_pair
+    from focklab.states import coherent_amplitudes
+    system = bosons(2, cutoff, labels=["A", "B"])
+    totals = system.occupancies.sum(axis=1)
+    on = totals[:, None] == totals[None, :]
+    amps = coherent_amplitudes([alpha], cutoff)[0]
+    pair = np.outer(np.kron(amps, amps), np.kron(amps, amps).conj())
+    # the smallest resolving grid, and one of three chunks, the last partial
+    for n_phases in (2 * cutoff + 1, 2 * CHUNK_ROWS + 7):
+        quad = _phase_averaged_pair(alpha, system, n_phases)
+        # the phase sum of a zero number difference is exactly 1
+        assert np.array_equal(quad[on], pair[on])
+        err = np.abs(quad - _vector_quadrature(alpha, cutoff, n_phases))
+        assert err[~on].max() <= 1e-15
+        # in the sectors, the reference adds n_phases rounded terms per entry
+        assert err[on].max() <= 1e-15 * np.sqrt(n_phases)
+
+
 def test_summed_holds_at_most_four_matrices_whatever_its_components():
     from focklab import Partition, bosons
     from focklab.sampling import random_number_diagonal_mixture
@@ -604,6 +639,59 @@ def test_the_extraction_sweep_solves_each_case_once(monkeypatch):
         assert run_experiment("extraction", params={"r_values": r_values})["overall_pass"]
         counts.append(sorted(calls))
     assert counts[0] == counts[1] == [(16, 16), (81, 81), (256, 256)]
+
+
+@pytest.mark.parametrize("params", [{"max_order": 10 ** 5}, {"max_order": 64, "n_states": 1},
+                                    {"n_states": 207_127}])
+def test_a_qcf_table_over_the_budget_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             params):
+    # n_states * (max_order + 1)**4 entries; MAX_DIM**2 = 16_777_216 allows
+    # 20 states up to order 29, and one state up to order 63
+    from focklab import cli
+
+    def no_work(*args):
+        raise AssertionError("the scenario built a system")
+
+    monkeypatch.setattr(cli, "bosons", no_work)
+    path = _write_scenario(tmp_path, {"schema_version": 1, "experiment": "qcf_theorem",
+                                      "params": params})
+    assert main([path]) == 2
+    merged = {**EXPERIMENTS["qcf_theorem"][1], **params}
+    entries = merged["n_states"] * (merged["max_order"] + 1) ** 4
+    assert capsys.readouterr().err == (
+        f"error: n_states * (max_order + 1)**4 = {entries} table entries exceed "
+        "the budget MAX_DIM**2 = 16777216\n")
+
+
+def test_a_qcf_table_at_the_budget_runs(monkeypatch):
+    from focklab import cli
+    # a budget of 81 entries: one state at max_order 2, but not two
+    monkeypatch.setattr(cli, "MAX_DIM", 9)
+    assert run_experiment("qcf_theorem", {"n_states": 1})["overall_pass"]
+    with pytest.raises(ValueError, match="= 162 table entries exceed the budget MAX_DIM"):
+        run_experiment("qcf_theorem", {"n_states": 2})
+
+
+def _appendix_equality_actual(rng, n_samples):
+    """The ``equality_case`` actual of ``appendix_inequalities``, drawn one
+    sample at a time with ``rng.dirichlet``."""
+    for _ in range(n_samples):
+        size = int(rng.integers(2, 8))
+        rng.dirichlet(np.ones(size))
+        rng.random(3 * size)
+    p = rng.dirichlet(np.ones(5))
+    c = rng.random(5) * 3
+    return float(np.sum(p * np.sqrt(c * c)) ** 2)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 77])
+def test_the_appendix_sweep_keeps_the_stream_of_numpys_dirichlet(seed):
+    # the final weights come after every sample's draws, so their bits pin the stream
+    for n_samples in (1, 7, 1000):
+        report = run_experiment("appendix_inequalities", {"n_samples": n_samples}, seed=seed)
+        actual = {c["name"]: c["actual"] for c in report["checks"]}["equality_case"]
+        assert repr(actual) == repr(_appendix_equality_actual(np.random.default_rng(seed),
+                                                              n_samples))
 
 
 def test_run_experiment_takes_a_numpy_integer_seed_and_reports_an_int():

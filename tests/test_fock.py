@@ -28,6 +28,7 @@ from focklab import (
 from focklab.fock import (
     MAX_DIM,
     Mode,
+    _density_matrices,
     _ladder_entries,
     _sub_codes,
     apply_unitary,
@@ -229,6 +230,16 @@ def test_ndpa_weighted_quanta_number():
     for n in range(n_total + 1):
         vec = system.basis_state((n, n, n_total - n))
         assert expectation(vec, n_w) == pytest.approx(2 * n_total)
+
+
+def test_a_density_stack_is_read_only_and_a_stack_of_one_copies_nothing():
+    rhos = [bosons(2, 2).vacuum().density(), bosons(2, 2).basis_state((1, 1)).density()]
+    system, one = _density_matrices(rhos[:1])
+    assert system == rhos[0].system and one.shape == (1, 9, 9)
+    assert np.shares_memory(one, rhos[0].matrix) and not one.flags.writeable
+    _, both = _density_matrices(rhos)
+    assert both.tobytes() == np.stack([rho.matrix for rho in rhos]).tobytes()
+    assert not both.flags.writeable
 
 
 def test_partial_trace_of_product_state():

@@ -209,11 +209,15 @@ def test_qcf_table_checks_every_power_before_reading_a_state():
     for powers in ([(1, 0, 0)], [1, 1, 1, 1]):     # a flat list holds no power tuple
         with pytest.raises(ValueError, match="four integers"):
             qcf_table([vac], powers)
-    for states, powers in (([], [(1, 0, 0, 0)]), ([vac], [])):
-        with pytest.raises(ValueError, match="at least one state and one power"):
-            qcf_table(states, powers)
-    with pytest.raises(ValueError, match="one system"):
+    with pytest.raises(ValueError, match="^qcf_table needs at least one power tuple$"):
+        qcf_table([vac], [])
+    with pytest.raises(ValueError, match="^a stack needs at least one state$"):
+        qcf_table([], [(1, 0, 0, 0)])
+    # the stack check names the state that fails it
+    with pytest.raises(ValueError, match="^state 1: .*different systems"):
         qcf_table([vac, bosons(2, 3).vacuum()], [(1, 0, 0, 0)])
+    with pytest.raises(TypeError, match="^state 1: expected PureState"):
+        qcf_table([vac, "not a state"], [(1, 0, 0, 0)])
     with pytest.raises(ValueError, match="modes 0 and 1"):
         qcf_table([bosons(1, 2).vacuum()], [(1, 1, 0, 0)])
 

@@ -39,6 +39,7 @@ from focklab.states import (
 )
 from focklab.fock import _sub_codes, qubits, sub_system
 from focklab.sampling import (
+    _flat_dirichlet,
     random_densities,
     random_density,
     random_global_ssr_states,
@@ -495,6 +496,35 @@ def test_stacked_samplers_equal_the_per_factor_draws(sampler, reference, seed):
         assert stack.shape == (len(comps), k, k)
         assert stack.tobytes() == np.array([factors[name] for _, factors in comps]).tobytes()
         assert not stack.flags.writeable
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_flat_dirichlet_rows_are_numpys_flat_dirichlet_bit_for_bit(seed):
+    # np.sum adds pairwise from 8 entries on; k runs well past that
+    for k in range(1, 41):
+        rng, ref = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+        exps = rng.standard_exponential(k)
+        padded = np.zeros(k + 3)
+        padded[:k] = exps
+        row = _flat_dirichlet(exps)
+        expected = ref.dirichlet(np.ones(k))
+        assert row.tobytes() == expected.tobytes()
+        assert rng.random() == ref.random()
+        # 0.0 padding adds +0.0 to the total and stays 0.0
+        assert _flat_dirichlet(padded).tobytes() == np.concatenate(
+            [expected, np.zeros(3)]).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 25])
+def test_a_stacked_exponential_draw_is_n_single_dirichlet_draws(k):
+    # numpy fills an (n, k) draw row after row with the stream of n single
+    # draws, which the stacked samplers rely on
+    for seed in range(8):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = _flat_dirichlet(rng.standard_exponential((13, k)))
+        assert stack.tobytes() == np.array([ref.dirichlet(np.ones(k))
+                                            for _ in range(13)]).tobytes()
+        assert rng.random() == ref.random()
 
 
 def _reference_summed(mix):

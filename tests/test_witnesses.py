@@ -123,10 +123,15 @@ def test_stacked_tensors_equal_the_per_state_tensors_bit_for_bit(seed):
 
 def test_stacked_tensors_need_one_two_qubit_system():
     rho = qubits(2).vacuum().density()
-    with pytest.raises(ValueError, match="different systems"):
+    # the stack check names the state that fails it
+    with pytest.raises(ValueError, match="^state 1: .*different systems"):
         chsh_correlation_tensors([rho, bell_one_boson("psi-")])
-    with pytest.raises(ValueError, match="two-qubit"):
+    with pytest.raises(ValueError, match="^state 1: .*different systems"):
         chsh_correlation_tensors([rho, bosons(2, 2).vacuum()])
+    with pytest.raises(ValueError, match="^a stack needs at least one state$"):
+        chsh_correlation_tensors([])
+    with pytest.raises(ValueError, match="two-qubit"):
+        chsh_correlation_tensors([bosons(2, 2).vacuum(), bosons(2, 2).vacuum()])
 
 
 def test_chsh_rejects_wrong_dimension():
