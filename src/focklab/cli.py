@@ -50,23 +50,22 @@ from . import (
     poisson_pmf,
     ZeroProbabilityError,
 )
-from .dynamics import extraction_experiments, ramsey_vacuum_superpositions
-from .fock import MAX_DIM, _is_integer, number_diagonal, partial_trace_stack
+from .dynamics import extraction_experiment, ramsey_vacuum_superposition
+from .fock import MAX_DIM, _is_integer, number_diagonal
 from .lhv import CHUNK_ROWS
-from .measurement import joint_prob_stack, prob_stack, unrecorded_state_stack
-from .ssr import clock_prob_by_evolution, qcf_table, separable_ssr_theorem_checks, twirl_stack
+from .measurement import joint_prob, prob, unrecorded_state
+from .ssr import clock_prob_by_evolution, qcf
 from .states import coherent_amplitudes, summed_stack
-from .witnesses import (chsh_batch, chsh_correlation_tensor, chsh_correlation_tensors,
-                        particle_entanglement_stack, spin_epr_stack)
+from .witnesses import chsh_batch, chsh_correlation_tensor, spin_epr
 from .sampling import (
     _flat_dirichlet,
     random_chsh_directions,
     random_chsh_setting,
-    random_densities,
-    random_global_ssr_states,
-    random_number_diagonal_mixtures,
-    random_one_boson_pair_mixtures,
-    random_qubit_pair_mixtures,
+    random_density,
+    random_global_ssr_state,
+    random_number_diagonal_mixture,
+    random_one_boson_pair_mixture,
+    random_qubit_pair_mixture,
 )
 
 SCHEMA_VERSION = 1
@@ -103,6 +102,14 @@ def _check(name, expected, actual, tolerance):
 def _tol(tol, default):
     """The global tolerance override, or this check's default when unset."""
     return default if tol is None else tol
+
+
+def _check_budget(count, entries, what="array entries"):
+    """Before any draw, reject a sweep whose largest array, of ``entries``
+    counted as ``count``, exceeds the largest dense matrix of a system."""
+    if entries > MAX_DIM ** 2:
+        raise ValueError(f"{count} = {entries} {what} exceed the budget "
+                         f"MAX_DIM**2 = {MAX_DIM ** 2}")
 
 
 def _check_below(name, actual, bound):
@@ -142,26 +149,23 @@ def _exp_qcf_theorem(params, tol, rng):
     n_states = params["n_states"]
     cutoff = params["cutoff"]
     max_order = params["max_order"]
-    # one table entry per state and power tuple, held at once: no more than
-    # the entries of the largest dense matrix a system may have
-    entries = n_states * (max_order + 1) ** 4
-    if entries > MAX_DIM ** 2:
-        raise ValueError(f"n_states * (max_order + 1)**4 = {entries} table entries exceed "
-                         f"the budget MAX_DIM**2 = {MAX_DIM ** 2}")
+    # one table entry per state and power tuple, held at once
+    _check_budget("n_states * (max_order + 1)**4", n_states * (max_order + 1) ** 4,
+                  "table entries")
     system = bosons(2, cutoff)
     powers = [(n, m, l, k)
               for n in range(max_order + 1) for m in range(max_order + 1)
               for l in range(max_order + 1) for k in range(max_order + 1)]
     balanced = np.array([n + l == m + k for n, m, l, k in powers])
-    states = random_global_ssr_states(system, rng, n_states)
-    twirled = twirl_stack(states, number_op(system))
+    states = random_global_ssr_state(system, rng, n_states)
+    twirled = twirl(states, number_op(system))
     import warnings
     with warnings.catch_warnings():
         # the sweep states carry weight at the cutoff; the vanishing theorem
         # is exact under truncation, so the saturation warning is noise here
         warnings.simplefilter("ignore", RuntimeWarning)
-        table = qcf_table(states, powers)
-        twirled_table = qcf_table(twirled, [p for p, b in zip(powers, balanced) if b])
+        table = qcf(states, powers)
+        twirled_table = qcf(twirled, [p for p, b in zip(powers, balanced) if b])
     worst_forbidden = np.abs(table[:, ~balanced]).max(initial=0.0)
     worst_invariance = np.abs(table[:, balanced] - twirled_table).max()
     return [
@@ -192,7 +196,10 @@ def _exp_chsh_singlet(params, tol, rng):
 def _exp_chsh_separable_bound(params, tol, rng):
     n_mix = params["n_mixtures"]
     n_settings = params["n_settings"]
-    tensors = chsh_correlation_tensors(summed_stack(random_qubit_pair_mixtures(rng, n_mix)))
+    # the summed states, then the (4, n_settings, 3) directions and |S| per pair
+    _check_budget("n_mixtures * 4**2", n_mix * 4 ** 2)
+    _check_budget("max(n_mixtures, 12) * n_settings", max(n_mix, 12) * n_settings)
+    tensors = chsh_correlation_tensor(summed_stack(random_qubit_pair_mixture(rng, n_mix)))
     a1, a2, b1, b2 = random_chsh_directions(rng, n_settings)
     s_abs = chsh_batch(tensors, a1, a2, b1, b2)
     return [_check_below("separable_max_abs_S", float(s_abs.max()),
@@ -224,7 +231,7 @@ def _exp_extraction(params, tol, rng):
     t_values = [np.sqrt(1.0 - r * r) for r in r_values]
     for case, pairs in targets.items():
         try:
-            results = extraction_experiments(case, r_values, t_values)
+            results = extraction_experiment(case, r_values, t_values)
         except ZeroProbabilityError as exc:
             # near r = 0 or 1 the particles do not split: nothing to extract
             raise ValueError(f"parameter 'r_values' of extraction leaves the {case} split "
@@ -272,13 +279,14 @@ def _exp_atom_molecule(params, tol, rng):
 
 def _exp_vacuum_interferometer(params, tol, rng):
     t_ = _tol(tol, 1e-12)
+    _check_budget("n_draws * 4**2", params["n_draws"] * 4 ** 2)
     # per draw: w, the two phases, then delta and tau from uniform(0.1, 3.0),
     # which is 0.1 + (3.0 - 0.1) u: the stream of five single draws
     w, phase_a, phase_b, delta, tau = rng.random((params["n_draws"], 5)).T
     phase_a, phase_b = np.exp(2j * np.pi * np.stack([phase_a, phase_b]))
     delta, tau = 0.1 + (3.0 - 0.1) * delta, 0.1 + (3.0 - 0.1) * tau
-    p10, p01 = ramsey_vacuum_superpositions(np.sqrt(1.0 - w) * phase_a, np.sqrt(w) * phase_b,
-                                            delta, tau)
+    p10, p01 = ramsey_vacuum_superposition(np.sqrt(1.0 - w) * phase_a, np.sqrt(w) * phase_b,
+                                           delta, tau)
     # float_power squares by pow, as a scalar ** 2 does
     worst10 = float(np.abs(p10 - w * np.float_power(np.sin(delta * tau / 2), 2)).max())
     worst01 = float(np.abs(p01 - w * np.float_power(np.cos(delta * tau / 2), 2)).max())
@@ -361,19 +369,20 @@ def _exp_two_mode_coherent_mixture(params, tol, rng):
 def _exp_measurement_identities(params, tol, rng):
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
+    _check_budget("n_states * 9**2", params["n_states"] * 9 ** 2)
     part = Partition([("A", (0,)), ("B", (1,))])
     obs_a = spectral(number_op(system, [1, 0]))
     obs_b = spectral(number_op(system, [0, 1]))
     proj_a, proj_b = obs_a.projectors, obs_b.projectors
-    rhos = random_densities(system, rng, params["n_states"])
-    after = unrecorded_state_stack(rhos, obs_b)
+    rhos = random_density(system, rng, params["n_states"])
+    after = unrecorded_state(rhos, obs_b)
     worst_bayes = worst_nosig = 0.0
     for pa in proj_a:
-        before = prob_stack(rhos, pa)
-        total = sum(joint_prob_stack(rhos, [pa, pb]) for pb in proj_b)
+        before = prob(rhos, pa)
+        total = sum(joint_prob(rhos, [pa, pb]) for pb in proj_b)
         worst_bayes = max(worst_bayes, float(np.abs(total - before).max()))
-        worst_nosig = max(worst_nosig, float(np.abs(prob_stack(after, pa) - before).max()))
-    reduced = np.array([rho.matrix for rho in partial_trace_stack(after + rhos, part, "A")])
+        worst_nosig = max(worst_nosig, float(np.abs(prob(after, pa) - before).max()))
+    reduced = np.array([rho.matrix for rho in partial_trace(after + rhos, part, "A")])
     n = len(rhos)
     worst_reduced = float(np.abs(reduced[:n] - reduced[n:]).max())
     return [
@@ -385,10 +394,11 @@ def _exp_measurement_identities(params, tol, rng):
 
 def _exp_separability_ssr(params, tol, rng):
     system = bosons(2, 2)
+    _check_budget("n_mixtures * 9**2", params["n_mixtures"] * 9 ** 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    mixtures = random_number_diagonal_mixtures(system, part, rng, params["n_mixtures"])
+    mixtures = random_number_diagonal_mixture(system, part, rng, params["n_mixtures"])
     ok = all(rep.all_local_compliant and rep.global_report.compliant
-             for rep in separable_ssr_theorem_checks(mixtures))
+             for rep in separable_ssr_theorem_check(mixtures))
     _, verstraete_mix = verstraete_state("mixture")
     caveat = separable_ssr_theorem_check(verstraete_mix)
     return [
@@ -400,10 +410,11 @@ def _exp_separability_ssr(params, tol, rng):
 def _exp_particle_entanglement(params, tol, rng):
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
+    _check_budget("n_mixtures * 9**2", params["n_mixtures"] * 9 ** 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    summed = summed_stack(random_number_diagonal_mixtures(system, part, rng,
-                                                          params["n_mixtures"]))
-    worst = max([0.0] + particle_entanglement_stack(summed, part))
+    summed = summed_stack(random_number_diagonal_mixture(system, part, rng,
+                                                         params["n_mixtures"]))
+    worst = max([0.0] + particle_entanglement(summed, part))
     one_one = system.basis_state((1, 1))
     ep_prod = particle_entanglement(one_one, part)
     sys4 = bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
@@ -419,10 +430,11 @@ def _exp_particle_entanglement(params, tol, rng):
 
 def _exp_spin_epr_bound(params, tol, rng):
     t_ = _tol(tol, 1e-10)
+    _check_budget("n_mixtures * 16**2", params["n_mixtures"] * 16 ** 2)
     part = Partition([("one", (0, 1)), ("two", (2, 3))])
-    summed = summed_stack(random_one_boson_pair_mixtures(rng, params["n_mixtures"]))
+    summed = summed_stack(random_one_boson_pair_mixture(rng, params["n_mixtures"]))
     # margin > 0 would be a violation
-    worst = max([0.0] + [v.margin for v in spin_epr_stack(summed, part)])
+    worst = max([0.0] + [v.margin for v in spin_epr(summed, part)])
     return [_check_below("separable_epr_margin_max", worst, t_)]
 
 

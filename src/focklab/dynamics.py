@@ -131,18 +131,16 @@ def extraction_experiment(case, r, t):
     split (N_A, N_B).  Cases: ``two_boson`` (one boson in each of a0, a1,
     project (1,1)), ``three_boson`` (two in a0, one in a1, project (2,1)),
     ``two_fermion`` (modes c0, c1 occupied, project (1,1); the output keeps
-    the anticommutation minus sign).  A sweep of one ``extraction_experiments``.
+    the anticommutation minus sign).
+
+    Scalar ``r`` and ``t`` give one result; two sequences give the list of
+    results at each (r, t) pair.  Only the splitter angle atan2(r, t) depends
+    on the pair, so the generator, its Hermitian check and its
+    ``eigh_blocks`` are made once, and the input is evolved to every angle by
+    ``evolved_amplitudes``: no unitary is formed.
     """
-    return extraction_experiments(case, [r], [t])[0]
-
-
-def extraction_experiments(case, r_values, t_values):
-    """The ``extraction_experiment`` of one case at each (r, t) pair, as a list.
-
-    Only the splitter angle atan2(r, t) depends on the pair, so the generator,
-    its Hermitian check and its ``eigh_blocks`` are made once, and the input is
-    evolved to every angle by ``evolved_amplitudes``: no unitary is formed.
-    """
+    one = np.ndim(r) == 0 and np.ndim(t) == 0
+    r_values, t_values = ([r], [t]) if one else (r, t)
     if case == "two_boson":
         system = bosons(4, 2, labels=["a0", "a1", "b0", "b1"])
         initial = system.basis_state((1, 1, 0, 0))
@@ -157,8 +155,10 @@ def extraction_experiments(case, r_values, t_values):
         sector = (1, 1)
     else:
         raise ValueError(f"unknown case {case!r}")
-    if len(r_values) != len(t_values) or not len(r_values):
-        raise ValueError("extraction needs as many t values as r values, at least one")
+    if np.ndim(r_values) != 1 or np.ndim(t_values) != 1 \
+            or len(r_values) != len(t_values) or not len(r_values):
+        raise ValueError("extraction needs a scalar r and t, or as many t values as "
+                         "r values, at least one")
     specs = []
     for i, (r, t) in enumerate(zip(r_values, t_values)):
         try:
@@ -186,7 +186,7 @@ def extraction_experiments(case, r_values, t_values):
             final_state=projected_state,
             quantities={"sector": sector, "sector_probability": p_sector},
         ))
-    return results
+    return results[0] if one else results
 
 
 def _atom_molecule_hamiltonian(n_bec, kappa):
@@ -332,26 +332,20 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
 def ramsey_vacuum_superposition(alpha, beta, delta, tau):
     """Interferometry on (alpha|0> + beta|1>)_A |0>_B: pulse, drift, pulse.
 
-    Returns (P10, P01), the probabilities of finding the boson in mode A or
-    mode B.  Both equal |beta|^2 sin^2/cos^2 of (delta tau / 2); the same
+    Gives (P10, P01), the probabilities of finding the boson in mode A or
+    mode B: two floats for scalar arguments, two (n,) arrays for n draws.
+    Both equal |beta|^2 sin^2/cos^2 of (delta tau / 2); the same
     probabilities result from the phase-insensitive mixed initial state,
-    which is verified on every call.  A sweep of one
-    ``ramsey_vacuum_superpositions``.
+    which is verified on every call.  The 50/50 splitter is built once; the
+    mixed initial states and their evolved forms are each checked as one
+    stack, and the pure and mixed probabilities must agree within 1e-12 for
+    every draw, whose index a disagreement names.
     """
-    p10, p01 = ramsey_vacuum_superpositions([alpha], [beta], [delta], [tau])
-    return float(p10[0]), float(p01[0])
-
-
-def ramsey_vacuum_superpositions(alphas, betas, deltas, taus):
-    """``ramsey_vacuum_superposition`` of each of n draws, as two (n,) arrays.
-
-    The 50/50 splitter is built once; the mixed initial states and their
-    evolved forms are each checked as one stack, and the pure and mixed
-    probabilities must agree within 1e-12 for every draw, whose index a
-    disagreement names.
-    """
-    alphas, betas = np.asarray(alphas, dtype=complex), np.asarray(betas, dtype=complex)
-    deltas, taus = np.asarray(deltas, dtype=float), np.asarray(taus, dtype=float)
+    one = all(np.ndim(x) == 0 for x in (alpha, beta, delta, tau))
+    alphas, betas = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (alpha, beta))
+    deltas, taus = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (delta, tau))
+    if not alphas.size:
+        raise ValueError("the interferometer needs at least one draw")
     with np.errstate(over="ignore"):    # a huge amplitude squares to inf, which fails
         norm2 = _abs_squared(alphas) + _abs_squared(betas)
     bad = ~(abs(norm2 - 1.0) <= NORM_ATOL)
@@ -386,7 +380,7 @@ def ramsey_vacuum_superpositions(alphas, betas, deltas, taus):
     if disagree.any():
         raise AssertionError(f"draw {int(np.argmax(disagree))}: "
                              "pure and mixed initial states disagree")
-    return p10, p01
+    return (float(p10[0]), float(p01[0])) if one else (p10, p01)
 
 
 PROPAGATION_TIMES = (0.5, 1.0, 2.0)

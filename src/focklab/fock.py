@@ -408,10 +408,15 @@ def _density_on(state, *operators):
 
 
 def _density_matrices(states, *operators):
-    """``(system, stack)``: the read-only (n, d, d) density matrices of a
-    non-empty sequence of states on one system, which each operator acts on;
-    the stack of one state is a view of its matrix, not a copy.  A state that
-    is not one, or lives on another system, raises naming its index."""
+    """``(system, stack, one)``: the read-only (n, d, d) density matrices of one
+    state (``one`` true, n = 1) or of a non-empty sequence of states on one
+    system, which each operator acts on; the stack of one state is a view of
+    its matrix, not a copy.  A state that is not one, or lives on another
+    system, raises naming its index.  This is the one place where a function
+    of states tells one state from a sequence."""
+    one = isinstance(states, (DensityOperator, PureState))
+    if one:
+        states = [states]
     if not len(states):
         raise ValueError("a stack needs at least one state")
     rhos = []
@@ -421,10 +426,10 @@ def _density_matrices(states, *operators):
         except (TypeError, ValueError) as exc:
             raise type(exc)(f"state {i}: {exc}") from None
     if len(rhos) == 1:
-        return rhos[0].system, rhos[0].matrix[None]
+        return rhos[0].system, rhos[0].matrix[None], one
     stack = np.stack([rho.matrix for rho in rhos])
     stack.setflags(write=False)
-    return rhos[0].system, stack
+    return rhos[0].system, stack, one
 
 
 @dataclass(frozen=True)
@@ -768,24 +773,20 @@ def tensor_embed(op, system, mode_indices):
     return Operator(system, full)
 
 
-def partial_trace(state, partition, keep):
-    """Reduced density operator over the modes of subsystem ``keep``.
+def partial_trace(states, partition, keep):
+    """Reduced density operator over the modes of subsystem ``keep`` of one
+    state, or the list of them of a non-empty sequence of states on one system.
 
     All modes outside ``keep`` are traced out, whether or not they belong to
-    a named subsystem of the partition.  Trace is preserved.  It is a stack
-    of one of ``partial_trace_stack``.
+    a named subsystem of the partition.  Trace is preserved.  A sequence takes
+    one ``_reduced_matrices`` call, whose reduced operators are checked as one
+    stack.
     """
-    return partial_trace_stack([state], partition, keep)[0]
-
-
-def partial_trace_stack(states, partition, keep):
-    """The ``partial_trace`` of each of a non-empty sequence of states on one
-    system: one ``_reduced_matrices`` call, whose reduced operators are checked
-    as one stack."""
-    system, stack = _density_matrices(states)
+    system, stack, one = _density_matrices(states)
     partition.validate(system)
     rows = np.broadcast_to(np.arange(system.dim), stack.shape[:2])
-    return _density_stack(*_reduced_matrices(system, rows, stack, partition.modes_of(keep)))
+    out = _density_stack(*_reduced_matrices(system, rows, stack, partition.modes_of(keep)))
+    return out[0] if one else out
 
 
 # row pairs ``_reduced_matrices`` forms at a time

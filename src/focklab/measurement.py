@@ -139,29 +139,21 @@ def _probs(stack, matrix):
     return _real_probs(np.einsum("ij,nji->n", matrix, stack))
 
 
-def prob(state, projector):
-    """P = Tr(Pi rho): a stack of one of ``prob_stack``."""
-    return float(prob_stack([state], projector)[0])
+def prob(states, projector):
+    """P = Tr(Pi rho) of one state, as a float, or of each of a non-empty
+    sequence of states on one system, as an (n,) array."""
+    _, stack, one = _density_matrices(states, projector)
+    probs = _probs(stack, projector.matrix)
+    return float(probs[0]) if one else probs
 
 
-def prob_stack(states, projector):
-    """Tr(Pi rho) of each of a non-empty sequence of states on one system, as an (n,) array."""
-    return _probs(_density_matrices(states, projector)[1], projector.matrix)
-
-
-def joint_prob(state, projectors):
-    """Joint probability Tr(Pi_A Pi_B ... rho) for commuting full-space projectors:
-    a stack of one of ``joint_prob_stack``."""
-    return float(joint_prob_stack([state], projectors)[0])
-
-
-def joint_prob_stack(states, projectors):
-    """``joint_prob`` of each of a non-empty sequence of states on one system, as
-    an (n,) array; the projectors are multiplied once."""
+def joint_prob(states, projectors):
+    """Joint probability Tr(Pi_A Pi_B ... rho) for commuting full-space
+    projectors, of one state or of a sequence, as ``prob`` gives it; the
+    projectors are multiplied once."""
     if not projectors:
         raise ValueError("joint_prob needs at least one projector")
-    product = reduce(matmul, projectors)
-    return _probs(_density_matrices(states, product)[1], product.matrix)
+    return prob(states, reduce(matmul, projectors))
 
 
 def _given_prob(rho, given):
@@ -188,22 +180,18 @@ def cond_prob(state, proj_a, proj_b):
     return joint_prob(rho, [proj_a, proj_b]) / _given_prob(rho, proj_b)
 
 
-def unrecorded_state(state, observable):
-    """State after an unrecorded measurement: sum_j B_j (B_j^H rho B_j) B_j^H.
-    A stack of one of ``unrecorded_state_stack``."""
-    return unrecorded_state_stack([state], observable)[0]
-
-
-def unrecorded_state_stack(states, observable):
-    """The ``unrecorded_state`` of each of a non-empty sequence of states on one
+def unrecorded_state(states, observable):
+    """State after an unrecorded measurement, sum_j B_j (B_j^H rho B_j) B_j^H, of
+    one state, or the list of them of a non-empty sequence of states on one
     system, checked as one stack."""
-    system, stack = _density_matrices(states, observable)
+    system, stack, one = _density_matrices(states, observable)
     mat = np.zeros_like(stack)
     for b in observable.blocks:
         bh = b.conj().T
         mat += b @ (bh @ stack @ b) @ bh
     mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-    return _density_stack(system, mat)
+    out = _density_stack(system, mat)
+    return out[0] if one else out
 
 
 def _block_probs(x, observable):
@@ -250,22 +238,17 @@ def cond_variance(state, target, given):
     return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[1][0])
 
 
-def unrecorded_conditioned_variance(state, target, given_observable):
+def unrecorded_conditioned_variance(states, target, given_observable):
     """Outcome-probability-weighted conditional variance.
 
     sum_i P(i) Var(target | given = i) over the outcomes of the conditioning
-    observable.  Outcomes below the probability floor are skipped and the
-    remaining weights renormalised.  A stack of one of
-    ``unrecorded_conditioned_variance_stack``.
+    observable, of one state as a float, or of each of a non-empty sequence of
+    states on one system as an (n,) array.  Outcomes below the probability
+    floor are skipped and the remaining weights renormalised.
     """
-    return float(unrecorded_conditioned_variance_stack([state], target, given_observable)[0])
-
-
-def unrecorded_conditioned_variance_stack(states, target, given_observable):
-    """``unrecorded_conditioned_variance`` of each of a non-empty sequence of
-    states on one system, as an (n,) array."""
-    stack = _density_matrices(states, target, given_observable)[1]
-    return _unrecorded_variances(stack, target, given_observable)
+    _, stack, one = _density_matrices(states, target, given_observable)
+    out = _unrecorded_variances(stack, target, given_observable)
+    return float(out[0]) if one else out
 
 
 def _unrecorded_variances(stack, target, given_observable):

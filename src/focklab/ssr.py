@@ -29,7 +29,7 @@ from .fock import (
     number_sectors,
     sub_system,
 )
-from .states import summed_stack
+from .states import SeparableMixture, summed_stack
 
 SSR_TOL = 1e-10
 
@@ -103,9 +103,9 @@ def ssr_check(state, n_op, tol=SSR_TOL):
     return _ssr_report(_commutator_residuals(_diagonal_of(n_op), rho.matrix), tol)
 
 
-def twirl_stack(states, n_op):
-    """Phase-average each of a non-empty sequence of states over the U(1) group
-    generated by ``n_op``.
+def twirl(states, n_op):
+    """Phase-average one state, or each of a non-empty sequence of states on one
+    system, over the U(1) group generated by ``n_op``.
 
     The integral (1/2pi) int dtheta e^{-iN theta} rho e^{+iN theta} is
     analytically the projection onto number-sector block-diagonal form, so it
@@ -113,15 +113,10 @@ def twirl_stack(states, n_op):
     sector mask for the whole stack, whose twirled matrices are checked as one
     stack by ``_density_stack``.
     """
-    stack = _density_matrices(states, n_op)[1]
+    _, stack, one = _density_matrices(states, n_op)
     ids = _diagonal_sector_ids(n_op)
-    return _density_stack(n_op.system, stack * (ids[:, None] == ids[None, :]))
-
-
-def twirl(state, n_op):
-    """Phase-average over the U(1) group generated by ``n_op``: a stack of one
-    of ``twirl_stack``."""
-    return twirl_stack([state], n_op)[0]
+    out = _density_stack(n_op.system, stack * (ids[:, None] == ids[None, :]))
+    return out[0] if one else out
 
 
 def _qcf_word(powers):
@@ -136,10 +131,11 @@ def _qcf_word(powers):
     return ((0, True),) * n + ((0, False),) * m + ((1, True),) * l + ((1, False),) * k
 
 
-def qcf_table(states, powers):
+def qcf(states, powers):
     """Correlation functions <adag^n a^m bdag^l b^k> of modes a = 0 and b = 1
-    for each state and each ``(n, m, l, k)`` of ``powers``, as an
-    (n_states, n_powers) complex array.
+    for each ``(n, m, l, k)`` of ``powers``: of one state as an (n_powers,)
+    complex row, of a non-empty sequence of states on one system as an
+    (n_states, n_powers) complex table.
 
     Every power tuple is checked before any state is read.  The ``ladder_product``
     entries of all monomials are concatenated and gathered from each state in
@@ -150,8 +146,8 @@ def qcf_table(states, powers):
     """
     words = [_qcf_word(p) for p in powers]
     if not words:
-        raise ValueError("qcf_table needs at least one power tuple")
-    system, stack = _density_matrices(states)
+        raise ValueError("qcf needs at least one power tuple")
+    system, stack, one = _density_matrices(states)
     if system.n_modes < 2:
         raise ValueError("qcf needs modes 0 and 1")
     entries = [ladder_product(system, word) for word in words]
@@ -166,7 +162,7 @@ def qcf_table(states, powers):
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         table[:, kept] = np.add.reduceat(terms, starts[kept], axis=1)
     _warn_on_saturation(system, stack, powers)
-    return table
+    return table[0] if one else table
 
 
 def _warn_on_saturation(system, stack, powers):
@@ -188,17 +184,6 @@ def _warn_on_saturation(system, stack, powers):
             "state has weight near the cutoff of "
             + " and ".join(f"mode {mode}" for mode in modes)
             + "; raising operators are truncated there", RuntimeWarning)
-
-
-def qcf(state, n, m, l, k):
-    """Correlation function <adag^n a^m bdag^l b^k> of modes a = 0 and b = 1:
-    a table of one of ``qcf_table``.
-
-    Tr(P rho) summed over the O(d) ``ladder_product`` entries of the monomial P.
-    Warns when the state carries weight close enough to a cutoff for the
-    truncated raising ladder to have dropped support.
-    """
-    return complex(qcf_table([state], [(n, m, l, k)])[0, 0])
 
 
 def sector_decompose(state, n_op):
@@ -238,21 +223,20 @@ def _local_reports(mixtures, weights=None):
             for i in range(n)]
 
 
-def separable_ssr_theorem_check(mixture):
-    """Check the separability/SSR criterion on an explicit mixture.
+def separable_ssr_theorem_check(mixtures):
+    """Check the separability/SSR criterion on one explicit mixture, or on each of
+    a non-empty sequence of mixtures on one system and partition with one
+    number of components.
 
     Reports (a) local number-SSR compliance of every component factor and
     (b) global compliance of the summed state, flagging the caveat case
     where (b) holds although (a) fails (possible only at fixed component
-    probabilities).  A stack of one of ``separable_ssr_theorem_checks``.
+    probabilities).  A sequence takes one ``summed_stack`` and one residual
+    array per subsystem and for the sums.
     """
-    return separable_ssr_theorem_checks([mixture])[0]
-
-
-def separable_ssr_theorem_checks(mixtures):
-    """The ``separable_ssr_theorem_check`` of each of a non-empty sequence of
-    mixtures on one system and partition with one number of components: one
-    ``summed_stack`` and one residual array per subsystem and for the sums."""
+    one = isinstance(mixtures, SeparableMixture)
+    if one:
+        mixtures = [mixtures]
     summed = summed_stack(mixtures)
     global_residuals = _commutator_residuals(number_diagonal(summed[0].system),
                                              np.array([rho.matrix for rho in summed]))
@@ -266,7 +250,7 @@ def separable_ssr_theorem_checks(mixtures):
             global_report=global_report,
             fixed_probability_caveat=global_report.compliant and not all_local,
         ))
-    return reports
+    return reports[0] if one else reports
 
 
 def phase_state(n_max, p):

@@ -91,25 +91,21 @@ class WitnessVerdict:
     margin: float
 
 
-def chsh_correlation_tensor(state):
-    """T_ij = <sigma_i x sigma_j> on a two-qubit (two cutoff-1 mode) state."""
-    return chsh_correlation_tensors([state])[0]
-
-
-def chsh_correlation_tensors(states):
-    """The (n, 3, 3) ``chsh_correlation_tensor`` of each of n two-qubit states
-    on one system.
+def chsh_correlation_tensor(states):
+    """T_ij = <sigma_i x sigma_j> on a two-qubit (two cutoff-1 mode) state, as a
+    (3, 3) array, or the (n, 3, 3) tensors of n two-qubit states on one system.
 
     The nine products sigma_i x sigma_j are built once and contracted with
     the (n, 4, 4) stack of densities in one einsum, whose sums have the bits
     of one ``expectation`` per entry.
     """
-    system, stack = _density_matrices(states)
+    system, stack, one = _density_matrices(states)
     if system.dim != 4:
         raise ValueError("CHSH needs a two-qubit state (dimension 4)")
     paulis_b = pauli_ops(system, 1)
     products = np.stack([(sa @ sb).matrix for sa in pauli_ops(system, 0) for sb in paulis_b])
-    return np.einsum("kij,nji->nk", products, stack).real.reshape(-1, 3, 3)
+    out = np.einsum("kij,nji->nk", products, stack).real.reshape(-1, 3, 3)
+    return out[0] if one else out
 
 
 def chsh(state, setting):
@@ -179,23 +175,18 @@ def ghz_parity(state, tol=GHZ_TOL):
                            tol=tol)
 
 
-def spin_epr(state, partition):
-    """Spin EPR test on two two-mode subsystems; a stack of one of ``spin_epr_stack``.
+def spin_epr(states, partition):
+    """Spin EPR test on two two-mode subsystems: the verdict of one state, or
+    the list of verdicts of a non-empty sequence of states on one system.
 
     lhs is the product of the unrecorded-conditioned variances
     <dS_x1^2>_{S_x2} <dS_y1^2>_{S_y2}; rhs is |<S_z1>|^2 / 4.  A violation
     (lhs below rhs) certifies entanglement; separable states always satisfy
-    the inequality.
+    the inequality.  The spins are built and resolved by ``spectral`` once
+    per call, and the conditioned variances and <S_z1> are evaluated over
+    the whole stack; each state's verdict does not depend on the others.
     """
-    return spin_epr_stack([state], partition)[0]
-
-
-def spin_epr_stack(states, partition):
-    """The ``spin_epr`` verdict of each of a non-empty sequence of states on one
-    system.  The spins are built and resolved by ``spectral`` once per call, and
-    the conditioned variances and <S_z1> are evaluated over the whole stack;
-    each state's verdict does not depend on the others."""
-    system, stack = _density_matrices(states)
+    system, stack, one = _density_matrices(states)
     names = partition.names
     if len(names) != 2:
         raise ValueError("spin EPR needs a two-subsystem partition")
@@ -208,33 +199,28 @@ def spin_epr_stack(states, partition):
     lhs = _unrecorded_variances(stack, sx1, sx2) * _unrecorded_variances(stack, sy1, sy2)
     rhs = 0.25 * _abs_squared(np.einsum("ij,nji->n", spins1.sz.matrix, stack))
     margin = rhs - lhs
-    return [WitnessVerdict(lhs=left, rhs=right, violated=m > DECISION_TOL, margin=m)
-            for left, right, m in zip(lhs.tolist(), rhs.tolist(), margin.tolist())]
+    out = [WitnessVerdict(lhs=left, rhs=right, violated=m > DECISION_TOL, margin=m)
+           for left, right, m in zip(lhs.tolist(), rhs.tolist(), margin.tolist())]
+    return out[0] if one else out
 
 
-def particle_entanglement(state, partition):
-    """Number-sector-projected mode-entanglement entropy E_P.
+def particle_entanglement(states, partition):
+    """Number-sector-projected mode-entanglement entropy E_P of one state, as a
+    float, or of each of a non-empty sequence of states on one system, as a
+    list of floats.
 
     E_P = sum_{nA,nB} P_{nA nB} E_M(sector state), where the sector state is
     the (nA, nB) joint-number projection of rho (normalised) and E_M is the
     von Neumann entropy (natural log) of its reduced operator on the first
     subsystem.  Zero on separable states for single-mode subsystems, where
-    the joint-number projectors are rank one.  A stack of one of
-    ``particle_entanglement_stack``.
-    """
-    return particle_entanglement_stack([state], partition)[0]
-
-
-def particle_entanglement_stack(states, partition):
-    """The ``particle_entanglement`` of each of a non-empty sequence of states on
-    one system, as a list of floats.
+    the joint-number projectors are rank one.
 
     The sectors of every state are joined by block size: per size, one
     ``_reduced_matrices`` call, whose reduced states take one
     ``_check_physical``, which gives their spectra.  Each state's terms are
     added in ascending label order, from 0.0, as for the state alone.
     """
-    system, stack = _density_matrices(states)
+    system, stack, one = _density_matrices(states)
     names = partition.names
     if len(names) != 2:
         raise ValueError("particle entanglement needs a bipartite partition")
@@ -256,7 +242,7 @@ def particle_entanglement_stack(states, partition):
     ep = [0.0] * len(stack)
     for i, _, term in sorted(terms):
         ep[i] += term
-    return ep
+    return ep[0] if one else ep
 
 
 def casimir_residual(state, spins, n_pair):

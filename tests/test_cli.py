@@ -167,11 +167,11 @@ def test_summed_holds_at_most_four_matrices_whatever_its_components():
 
 def test_a_mixture_sweep_holds_each_draw_in_at_most_2_kb():
     # about 3.4 kB per draw, when each component and factor was an object
-    from focklab.sampling import random_qubit_pair_mixtures
-    random_qubit_pair_mixtures(np.random.default_rng(0), 100)    # fills the memos
+    from focklab.sampling import random_qubit_pair_mixture
+    random_qubit_pair_mixture(np.random.default_rng(0), 100)    # fills the memos
     tracemalloc.start()
     try:
-        draws = random_qubit_pair_mixtures(np.random.default_rng(1), 100)
+        draws = random_qubit_pair_mixture(np.random.default_rng(1), 100)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -564,13 +564,13 @@ def _measurement_identities_per_state(rng, n_states):
     """The ``measurement_identities`` actuals, one state and one call at a time."""
     from focklab import Partition, bosons, joint_prob, number_op, partial_trace, prob, spectral
     from focklab import unrecorded_state
-    from focklab.sampling import random_densities
+    from focklab.sampling import random_density
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
     obs_b = spectral(number_op(system, [0, 1]))
     proj_a, proj_b = spectral(number_op(system, [1, 0])).projectors, obs_b.projectors
     bayes = nosig = reduced = 0.0
-    for rho in random_densities(system, rng, n_states):
+    for rho in random_density(system, rng, n_states):
         after = unrecorded_state(rho, obs_b)
         for pa in proj_a:
             total = sum(joint_prob(rho, [pa, pb]) for pb in proj_b)
@@ -600,9 +600,9 @@ def _vacuum_interferometer_per_draw(rng, n_draws):
 def _particle_entanglement_per_state(rng, n_mixtures):
     """The sampled ``particle_entanglement`` actual, one state at a time."""
     from focklab import Partition, bosons, particle_entanglement
-    from focklab.sampling import random_number_diagonal_mixtures
+    from focklab.sampling import random_number_diagonal_mixture
     part = Partition([("A", (0,)), ("B", (1,))])
-    mixtures = random_number_diagonal_mixtures(bosons(2, 2), part, rng, n_mixtures)
+    mixtures = random_number_diagonal_mixture(bosons(2, 2), part, rng, n_mixtures)
     return {"separable_EP_max": max([0.0] + [particle_entanglement(m.summed(), part)
                                              for m in mixtures])}
 
@@ -670,6 +670,57 @@ def test_a_qcf_table_at_the_budget_runs(monkeypatch):
     assert run_experiment("qcf_theorem", {"n_states": 1})["overall_pass"]
     with pytest.raises(ValueError, match="= 162 table entries exceed the budget MAX_DIM"):
         run_experiment("qcf_theorem", {"n_states": 2})
+
+
+# (experiment, oversized params, the count the error names)
+OVERSIZED_SWEEPS = [
+    ("vacuum_interferometer", {"n_draws": 10 ** 9}, "n_draws * 4**2"),
+    ("measurement_identities", {"n_states": 10 ** 8}, "n_states * 9**2"),
+    ("separability_ssr", {"n_mixtures": 10 ** 8}, "n_mixtures * 9**2"),
+    ("particle_entanglement", {"n_mixtures": 10 ** 8}, "n_mixtures * 9**2"),
+    ("chsh_separable_bound", {"n_settings": 10 ** 9}, "max(n_mixtures, 12) * n_settings"),
+    ("chsh_separable_bound", {"n_mixtures": 10 ** 9}, "n_mixtures * 4**2"),
+    ("spin_epr_bound", {"n_mixtures": 10 ** 8}, "n_mixtures * 16**2"),
+]
+
+
+def _capped_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 10 ** 9, 3 * 10 ** 9))
+
+
+@pytest.mark.parametrize("name, params, count", OVERSIZED_SWEEPS)
+def test_an_oversized_sweep_exits_2_naming_the_budget(tmp_path, name, params, count):
+    # in a child process whose address space is capped at 3 GB: a sweep that
+    # drew first would die there with a MemoryError traceback and exit 1
+    path = _write_scenario(tmp_path, {"schema_version": 1, "experiment": name,
+                                      "params": params})
+    proc = subprocess.run([sys.executable, "-m", "focklab.cli", path], env=_child_env(),
+                          capture_output=True, text=True, preexec_fn=_capped_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {count} = ")
+    assert proc.stderr.endswith(" array entries exceed the budget MAX_DIM**2 = 16777216\n")
+
+
+@pytest.mark.parametrize("name, max_dim, edge, over", [
+    ("vacuum_interferometer", 8, {"n_draws": 4}, [{"n_draws": 5}]),
+    ("measurement_identities", 18, {"n_states": 4}, [{"n_states": 5}]),
+    ("separability_ssr", 18, {"n_mixtures": 4}, [{"n_mixtures": 5}]),
+    ("particle_entanglement", 18, {"n_mixtures": 4}, [{"n_mixtures": 5}]),
+    ("spin_epr_bound", 32, {"n_mixtures": 4}, [{"n_mixtures": 5}]),
+    ("chsh_separable_bound", 12, {"n_mixtures": 9, "n_settings": 12},
+     [{"n_mixtures": 10, "n_settings": 12}, {"n_mixtures": 9, "n_settings": 13}]),
+])
+def test_a_sweep_at_the_budget_runs(monkeypatch, name, max_dim, edge, over):
+    from focklab import cli
+    # the largest array of the edge params holds max_dim**2 entries exactly
+    monkeypatch.setattr(cli, "MAX_DIM", max_dim)
+    assert run_experiment(name, edge)["overall_pass"]
+    for params in over:
+        with pytest.raises(ValueError,
+                           match=rf"array entries exceed the budget MAX_DIM\*\*2 = {max_dim ** 2}$"):
+            run_experiment(name, params)
 
 
 def _appendix_equality_actual(rng, n_samples):

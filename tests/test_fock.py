@@ -234,12 +234,15 @@ def test_ndpa_weighted_quanta_number():
 
 def test_a_density_stack_is_read_only_and_a_stack_of_one_copies_nothing():
     rhos = [bosons(2, 2).vacuum().density(), bosons(2, 2).basis_state((1, 1)).density()]
-    system, one = _density_matrices(rhos[:1])
-    assert system == rhos[0].system and one.shape == (1, 9, 9)
+    system, one, alone = _density_matrices(rhos[:1])
+    assert system == rhos[0].system and one.shape == (1, 9, 9) and not alone
     assert np.shares_memory(one, rhos[0].matrix) and not one.flags.writeable
-    _, both = _density_matrices(rhos)
+    # a lone state is a stack of one that says so
+    system, lone, alone = _density_matrices(rhos[0])
+    assert alone and lone.shape == (1, 9, 9) and np.shares_memory(lone, rhos[0].matrix)
+    _, both, alone = _density_matrices(rhos)
     assert both.tobytes() == np.stack([rho.matrix for rho in rhos]).tobytes()
-    assert not both.flags.writeable
+    assert not both.flags.writeable and not alone
 
 
 def test_partial_trace_of_product_state():

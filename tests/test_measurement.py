@@ -27,17 +27,10 @@ from focklab import (
     tensor_embed,
     unrecorded_state,
 )
-from focklab.fock import partial_trace_stack
-from focklab.measurement import (
-    joint_prob_stack,
-    prob_stack,
-    unrecorded_conditioned_variance,
-    unrecorded_conditioned_variance_stack,
-    unrecorded_state_stack,
-)
+from focklab.measurement import unrecorded_conditioned_variance
 from focklab.states import bell_one_boson, ghz, singlet_spin
 from focklab.witnesses import pauli_ops, spin_ops
-from focklab.sampling import random_densities, random_density
+from focklab.sampling import random_density
 
 
 def _qubit_observables(system):
@@ -359,14 +352,14 @@ def test_spectral_merges_near_degenerate_eigenvalues():
 def test_a_stack_with_one_bad_state_fails_naming_its_index():
     system = bosons(2, 2)
     rng = np.random.default_rng(0)
-    states = list(random_densities(system, rng, 4))
+    states = list(random_density(system, rng, 4))
     obs = spectral(number_op(system, [1, 0]))
     proj = obs.projectors[1]
     part = Partition([("A", (0,)), ("B", (1,))])
-    calls = [lambda s: prob_stack(s, proj), lambda s: joint_prob_stack(s, [proj, proj]),
-             lambda s: unrecorded_state_stack(s, obs),
-             lambda s: unrecorded_conditioned_variance_stack(s, obs, obs),
-             lambda s: partial_trace_stack(s, part, "A")]
+    calls = [lambda s: prob(s, proj), lambda s: joint_prob(s, [proj, proj]),
+             lambda s: unrecorded_state(s, obs),
+             lambda s: unrecorded_conditioned_variance(s, obs, obs),
+             lambda s: partial_trace(s, part, "A")]
     # same dimension, another system
     elsewhere = states[:2] + [random_density(bosons(2, 2, labels=["x", "y"]), rng)] + states[3:]
     not_a_state = states[:3] + [proj]
@@ -382,7 +375,7 @@ def test_a_stack_with_one_bad_state_fails_naming_its_index():
     occupied = system.basis_state((1, 1))
     tilted = Operator(system, 1j * vacuum.density().matrix)
     with pytest.raises(ValueError, match="^state 2: probability has imaginary part 1.0"):
-        prob_stack([occupied, occupied, vacuum], tilted)
+        prob([occupied, occupied, vacuum], tilted)
     with pytest.raises(ValueError, match="^state 0: probability has imaginary part"):
         prob(vacuum, tilted)
 
@@ -406,7 +399,7 @@ def test_an_outcome_no_state_can_take_is_skipped_unchecked():
     given = spectral(number_op(system))
     vacuum = system.vacuum()
     assert unrecorded_conditioned_variance(vacuum, target, given) == 0.0
-    assert unrecorded_conditioned_variance_stack([vacuum, vacuum], target, given).tolist() == \
+    assert unrecorded_conditioned_variance([vacuum, vacuum], target, given).tolist() == \
         [0.0, 0.0]
     with pytest.raises(ValueError, match="do not commute"):
         unrecorded_conditioned_variance(system.basis_state((1,)), target, given)
@@ -423,5 +416,5 @@ def test_an_outcome_at_or_below_the_floor_adds_exactly_nothing():
     rho = DensityOperator(system, mat)
     target, given = spectral(number_op(system, [1, 0])), spectral(number_op(system))
     assert unrecorded_conditioned_variance(rho, target, given) == 0.0
-    assert unrecorded_conditioned_variance_stack([system.basis_state((1, 0)), rho], target,
-                                                 given).tolist() == [0.0, 0.0]
+    assert unrecorded_conditioned_variance([system.basis_state((1, 0)), rho], target,
+                                           given).tolist() == [0.0, 0.0]

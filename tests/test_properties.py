@@ -27,7 +27,6 @@ from focklab import (
     particle_entanglement,
     prob,
     qcf,
-    qcf_table,
     ramsey_vacuum_superposition,
     sector_decompose,
     separable_ssr_theorem_check,
@@ -36,7 +35,6 @@ from focklab import (
     twirl,
     unitary_evolve,
 )
-from focklab.dynamics import extraction_experiments, ramsey_vacuum_superpositions
 from focklab import fock
 from focklab.fock import (
     BLOCK_MIN_DIM,
@@ -45,7 +43,6 @@ from focklab.fock import (
     eigvalsh_blocks,
     evolved_amplitudes,
     ladder_product,
-    partial_trace_stack,
     sector_blocks,
     sub_system,
 )
@@ -55,29 +52,19 @@ from focklab.measurement import (
     PROJ_ATOL,
     cond_mean,
     cond_variance,
-    joint_prob_stack,
     outcome_distribution,
-    prob_stack,
     unrecorded_conditioned_variance,
-    unrecorded_conditioned_variance_stack,
     unrecorded_state,
-    unrecorded_state_stack,
 )
-from focklab.ssr import _commutator_residuals, _diagonal_of, separable_ssr_theorem_checks, ssr_check
-from focklab.witnesses import particle_entanglement_stack
+from focklab.ssr import _commutator_residuals, _diagonal_of, ssr_check
 from focklab.lhv import integral_inequality_oracle, sum_inequality_oracle
 from focklab.sampling import (
-    random_densities,
     random_density,
     random_global_ssr_state,
-    random_global_ssr_states,
     random_number_diagonal_mixture,
-    random_number_diagonal_mixtures,
     random_one_boson_pair_mixture,
-    random_one_boson_pair_mixtures,
     random_pure,
     random_qubit_pair_mixture,
-    random_qubit_pair_mixtures,
 )
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=50)
@@ -430,7 +417,7 @@ def test_qcf_matches_the_dense_monomial_reference(system, seed, powers):
     op = power(a.conj().T, n) @ power(a, m) @ power(b.conj().T, l) @ power(b, k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)     # saturation is expected here
-        value = qcf(rho, n, m, l, k)
+        value = qcf(rho, [(n, m, l, k)])[0]
     assert abs(value - expectation(rho, Operator(system, op))) <= 1e-12
 
 
@@ -906,21 +893,19 @@ def test_each_plural_sampler_draws_n_single_draws_bit_for_bit(system, data, seed
     order = data.draw(st.permutations(range(system.n_modes)))
     k = data.draw(st.integers(1, system.n_modes - 1))
     part = Partition([("A", tuple(order[:k])), ("B", tuple(order[k:]))])
-    pairs = [
-        (lambda rng, n: random_densities(system, rng, n),
-         lambda rng: random_density(system, rng)),
-        (lambda rng, n: random_global_ssr_states(system, rng, n),
-         lambda rng: random_global_ssr_state(system, rng)),
-        (lambda rng, n: random_number_diagonal_mixtures(system, part, rng, n),
-         lambda rng: random_number_diagonal_mixture(system, part, rng)),
-        (random_qubit_pair_mixtures, random_qubit_pair_mixture),
-        (random_one_boson_pair_mixtures, random_one_boson_pair_mixture),
+    samplers = [
+        lambda rng, n: random_density(system, rng, n),
+        lambda rng, n: random_global_ssr_state(system, rng, n),
+        lambda rng, n: random_number_diagonal_mixture(system, part, rng, n),
+        random_qubit_pair_mixture,
+        random_one_boson_pair_mixture,
     ]
-    for plural, single in pairs:
+    for sample in samplers:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        many = plural(rng, n)
+        many = sample(rng, n)
         assert len(many) == n
-        assert [_draw_bytes(d) for d in many] == [_draw_bytes(single(ref)) for _ in range(n)]
+        assert [_draw_bytes(d) for d in many] == [_draw_bytes(sample(ref, None))
+                                                  for _ in range(n)]
         assert rng.random() == ref.random()     # the generator is left in the same state
 
 
@@ -929,8 +914,8 @@ def _qcf_states(system, seed, n_random):
     rng = np.random.default_rng(seed)
     states = [system.vacuum()]
     if n_random:
-        states += random_densities(system, rng, n_random)
-        states += random_global_ssr_states(system, rng, n_random)
+        states += random_density(system, rng, n_random)
+        states += random_global_ssr_state(system, rng, n_random)
     return states
 
 
@@ -943,8 +928,8 @@ def test_a_qcf_table_equals_the_loop_of_qcf_calls(system, seed, n_random, powers
     states = _qcf_states(system, seed, n_random)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        table = qcf_table(states, powers)
-        loop = np.array([[qcf(state, *p) for p in powers] for state in states])
+        table = qcf(states, powers)
+        loop = np.array([[qcf(state, [p])[0] for p in powers] for state in states])
     assert table.shape == (len(states), len(powers)) and table.dtype == complex
     assert table.tobytes() == loop.tobytes()
     # the forbidden functions vanish exactly on the number-block states
@@ -972,7 +957,7 @@ def test_qcf_equals_the_one_dot_per_call_up_to_rounding(system, seed, n_random, 
         for state in states:
             for p in powers:
                 expected, scale = _reference_qcf(state, *p)
-                assert abs(qcf(state, *p) - expected) <= 1e-13 * (1.0 + scale)
+                assert abs(qcf(state, [p])[0] - expected) <= 1e-13 * (1.0 + scale)
 
 
 def _runtime_warnings(call):
@@ -987,10 +972,10 @@ def _runtime_warnings(call):
 def test_a_qcf_table_warns_once_exactly_when_some_pair_saturates(system, seed, n_random,
                                                                   powers):
     states = _qcf_states(system, seed, n_random)
-    single = [len(_runtime_warnings(lambda: qcf(state, *p)))
+    single = [len(_runtime_warnings(lambda: qcf(state, [p])))
               for state in states for p in powers]
     assert set(single) <= {0, 1}
-    assert len(_runtime_warnings(lambda: qcf_table(states, powers))) == max(single)
+    assert len(_runtime_warnings(lambda: qcf(states, powers))) == max(single)
 
 
 def _random_hermitian(system, rng, conserving=False):
@@ -1035,9 +1020,9 @@ def test_evolution_is_unitary_and_keeps_the_trace_under_a_conserving_hamiltonian
 def test_unrecorded_state_keeps_the_trace_and_the_measured_populations(case, seed, n):
     system, op_x, op_y = case
     rng = np.random.default_rng(seed)
-    states = list(random_densities(system, rng, n)) + [random_pure(system, rng)]
+    states = list(random_density(system, rng, n)) + [random_pure(system, rng)]
     for obs in (spectral(op_x), spectral(op_y)):
-        after = unrecorded_state_stack(states, obs)
+        after = unrecorded_state(states, obs)
         for state, out in zip(states, after):
             assert out.matrix.tobytes() == unrecorded_state(state, obs).matrix.tobytes()
             assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
@@ -1062,20 +1047,20 @@ def test_outcome_distribution_of_a_random_hermitian_observable_sums_to_one(syste
 def test_stacked_measurements_equal_the_loop_of_single_calls_bit_for_bit(case, seed, n):
     system, op_x, op_y = case
     rng = np.random.default_rng(seed)
-    states = list(random_densities(system, rng, n)) + [random_pure(system, rng)]
+    states = list(random_density(system, rng, n)) + [random_pure(system, rng)]
     target, given_obs = spectral(op_x), spectral(op_y)
     for proj in given_obs.projectors:
-        assert prob_stack(states, proj).tobytes() == \
+        assert prob(states, proj).tobytes() == \
             np.array([prob(state, proj) for state in states]).tobytes()
     pair = [target.projectors[0], given_obs.projectors[-1]]
-    assert joint_prob_stack(states, pair).tobytes() == \
+    assert joint_prob(states, pair).tobytes() == \
         np.array([joint_prob(state, pair) for state in states]).tobytes()
-    assert [rho.matrix.tobytes() for rho in unrecorded_state_stack(states, target)] == \
+    assert [rho.matrix.tobytes() for rho in unrecorded_state(states, target)] == \
         [unrecorded_state(state, target).matrix.tobytes() for state in states]
     with warnings.catch_warnings():
         # a state may skip an outcome below the floor and renormalise
         warnings.simplefilter("ignore", RuntimeWarning)
-        stacked = unrecorded_conditioned_variance_stack(states, target, given_obs)
+        stacked = unrecorded_conditioned_variance(states, target, given_obs)
         alone = [unrecorded_conditioned_variance(state, target, given_obs) for state in states]
     assert stacked.tobytes() == np.array(alone).tobytes()
 
@@ -1085,12 +1070,12 @@ def test_stacked_measurements_equal_the_loop_of_single_calls_bit_for_bit(case, s
 def test_stacked_entanglement_and_partial_traces_equal_the_loop_of_single_calls(case, seed, n):
     system, partition = case
     rng = np.random.default_rng(seed)
-    states = list(random_densities(system, rng, n)) + list(random_global_ssr_states(system, rng, n))
+    states = list(random_density(system, rng, n)) + list(random_global_ssr_state(system, rng, n))
     # repr shows every bit of a float, and the sign of a zero
-    assert [repr(ep) for ep in particle_entanglement_stack(states, partition)] == \
+    assert [repr(ep) for ep in particle_entanglement(states, partition)] == \
         [repr(particle_entanglement(state, partition)) for state in states]
     for keep in partition.names:
-        assert [rho.matrix.tobytes() for rho in partial_trace_stack(states, partition, keep)] == \
+        assert [rho.matrix.tobytes() for rho in partial_trace(states, partition, keep)] == \
             [partial_trace(state, partition, keep).matrix.tobytes() for state in states]
 
 
@@ -1102,9 +1087,9 @@ def test_stacked_separability_checks_equal_the_loop_of_single_calls(system, data
     part = Partition([("A", tuple(order[:k])), ("B", tuple(order[k:]))])
     rng = np.random.default_rng(seed)
     # locally compliant factors, then generic qubit factors that are not
-    for mixtures in (random_number_diagonal_mixtures(system, part, rng, n),
-                     random_qubit_pair_mixtures(rng, n)):
-        assert separable_ssr_theorem_checks(mixtures) == \
+    for mixtures in (random_number_diagonal_mixture(system, part, rng, n),
+                     random_qubit_pair_mixture(rng, n)):
+        assert separable_ssr_theorem_check(mixtures) == \
             [separable_ssr_theorem_check(mixture) for mixture in mixtures]
 
 
@@ -1116,14 +1101,14 @@ def test_stacked_interferometer_and_extraction_equal_the_loop_of_single_calls(se
     alphas, betas = np.sqrt(1.0 - w) * np.exp(2j * np.pi * phase_a), np.sqrt(w) * np.exp(
         2j * np.pi * phase_b)
     delta, tau = 0.1 + 2.9 * delta, 0.1 + 2.9 * tau
-    p10, p01 = ramsey_vacuum_superpositions(alphas, betas, delta, tau)
+    p10, p01 = ramsey_vacuum_superposition(alphas, betas, delta, tau)
     alone = np.array([ramsey_vacuum_superposition(*args)
                       for args in zip(alphas, betas, delta, tau)])
     assert p10.tobytes() == alone[:, 0].tobytes() and p01.tobytes() == alone[:, 1].tobytes()
     r_values = rng.uniform(0.1, 0.9, n)
     t_values = np.sqrt(1.0 - r_values ** 2)
     for case in ("two_boson", "three_boson", "two_fermion"):
-        for result, r, t in zip(extraction_experiments(case, r_values, t_values),
+        for result, r, t in zip(extraction_experiment(case, r_values, t_values),
                                 r_values, t_values):
             single = extraction_experiment(case, r, t)
             assert [state.amplitudes.tobytes() for _, state in result.stages] == \

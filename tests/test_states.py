@@ -40,15 +40,11 @@ from focklab.states import (
 from focklab.fock import _sub_codes, qubits, sub_system
 from focklab.sampling import (
     _flat_dirichlet,
-    random_densities,
     random_density,
-    random_global_ssr_states,
+    random_global_ssr_state,
     random_number_diagonal_mixture,
-    random_number_diagonal_mixtures,
     random_one_boson_pair_mixture,
-    random_one_boson_pair_mixtures,
     random_qubit_pair_mixture,
-    random_qubit_pair_mixtures,
 )
 
 
@@ -606,17 +602,38 @@ def test_an_empty_stack_or_sweep_is_rejected():
     rng = np.random.default_rng(0)
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    sweeps = [lambda n: random_densities(system, rng, n),
-              lambda n: random_global_ssr_states(system, rng, n),
-              lambda n: random_number_diagonal_mixtures(system, part, rng, n),
-              lambda n: random_qubit_pair_mixtures(rng, n),
-              lambda n: random_one_boson_pair_mixtures(rng, n)]
+    sweeps = [lambda n: random_density(system, rng, n),
+              lambda n: random_global_ssr_state(system, rng, n),
+              lambda n: random_number_diagonal_mixture(system, part, rng, n),
+              lambda n: random_qubit_pair_mixture(rng, n),
+              lambda n: random_one_boson_pair_mixture(rng, n)]
     state = rng.bit_generator.state
     for sweep in sweeps:
         for n in (0, -1):
             with pytest.raises(ValueError, match="at least one draw, got n = "):
                 sweep(n)
     assert rng.bit_generator.state == state     # nothing was drawn
+
+
+@pytest.mark.parametrize("n", [True, False, np.True_, 2.5, 3.0, "3", 0, -2, [3]])
+def test_a_sampler_count_is_none_or_an_integer_at_least_one(n):
+    rng = np.random.default_rng(0)
+    system = bosons(2, 2)
+    part = Partition([("A", (0,)), ("B", (1,))])
+    samplers = [lambda n: random_density(system, rng, n),
+                lambda n: random_global_ssr_state(system, rng, n),
+                lambda n: random_number_diagonal_mixture(system, part, rng, n),
+                lambda n: random_qubit_pair_mixture(rng, n),
+                lambda n: random_one_boson_pair_mixture(rng, n)]
+    state = rng.bit_generator.state
+    for sampler in samplers:
+        with pytest.raises(ValueError, match=f"got n = {re.escape(repr(n))}$"):
+            sampler(n)
+    assert rng.bit_generator.state == state     # nothing was drawn
+    for sampler in samplers:
+        # None is one draw given alone, a numpy integer a list of draws
+        assert not isinstance(sampler(None), list)
+        assert len(sampler(np.int64(2))) == 2
 
 
 def _vacuum_pair():

@@ -23,10 +23,7 @@ from focklab.witnesses import (
     casimir_residual,
     chsh_batch,
     chsh_correlation_tensor,
-    chsh_correlation_tensors,
     pauli_ops,
-    particle_entanglement_stack,
-    spin_epr_stack,
 )
 from focklab.states import (
     bell_one_boson,
@@ -115,7 +112,7 @@ def test_stacked_tensors_equal_the_per_state_tensors_bit_for_bit(seed):
     system = qubits(2)
     states = [random_qubit_pair_mixture(rng).summed() if rng.random() < 0.5
               else random_density(system, rng) for _ in range(40)]
-    tensors = chsh_correlation_tensors(states)
+    tensors = chsh_correlation_tensor(states)
     assert tensors.shape == (40, 3, 3)
     assert tensors.tobytes() == np.stack([_reference_tensor(s) for s in states]).tobytes()
     assert chsh_correlation_tensor(states[7]).tobytes() == tensors[7].tobytes()
@@ -125,13 +122,13 @@ def test_stacked_tensors_need_one_two_qubit_system():
     rho = qubits(2).vacuum().density()
     # the stack check names the state that fails it
     with pytest.raises(ValueError, match="^state 1: .*different systems"):
-        chsh_correlation_tensors([rho, bell_one_boson("psi-")])
+        chsh_correlation_tensor([rho, bell_one_boson("psi-")])
     with pytest.raises(ValueError, match="^state 1: .*different systems"):
-        chsh_correlation_tensors([rho, bosons(2, 2).vacuum()])
+        chsh_correlation_tensor([rho, bosons(2, 2).vacuum()])
     with pytest.raises(ValueError, match="^a stack needs at least one state$"):
-        chsh_correlation_tensors([])
+        chsh_correlation_tensor([])
     with pytest.raises(ValueError, match="two-qubit"):
-        chsh_correlation_tensors([bosons(2, 2).vacuum(), bosons(2, 2).vacuum()])
+        chsh_correlation_tensor([bosons(2, 2).vacuum(), bosons(2, 2).vacuum()])
 
 
 def test_chsh_rejects_wrong_dimension():
@@ -250,7 +247,7 @@ def test_spin_epr_stack_resolves_the_spins_once_and_equals_each_state_alone(
     calls = []
     spectral = witnesses.spectral
     monkeypatch.setattr(witnesses, "spectral", lambda op: calls.append(op) or spectral(op))
-    stacked = spin_epr_stack(states, part)
+    stacked = spin_epr(states, part)
     assert len(calls) == 4
     # repr shows every bit of each float, and the sign of a zero
     assert [repr(verdict) for verdict in stacked] == alone
@@ -259,10 +256,10 @@ def test_spin_epr_stack_resolves_the_spins_once_and_equals_each_state_alone(
 def test_spin_epr_stack_needs_states_on_one_system():
     part = Partition([("one", (0, 1)), ("two", (2, 3))])
     with pytest.raises(ValueError, match="at least one state"):
-        spin_epr_stack([], part)
+        spin_epr([], part)
     other = bosons(4, 1, labels=["p", "q", "r", "s"]).vacuum()
     with pytest.raises(ValueError, match="different systems"):
-        spin_epr_stack([singlet_spin(), other], part)
+        spin_epr([singlet_spin(), other], part)
 
 
 def test_particle_entanglement_separable_zero():
@@ -353,8 +350,8 @@ def test_an_entanglement_stack_with_one_bad_state_fails_naming_its_index():
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
     states = [system.vacuum(), system.basis_state((1, 1)), bosons(2, 2, labels=["x", "y"]).vacuum()]
-    for call in (particle_entanglement_stack, spin_epr_stack):
+    for call in (particle_entanglement, spin_epr):
         with pytest.raises(ValueError, match="^state 2: .*different systems"):
             call(states, part)
     with pytest.raises(ValueError, match="at least one state"):
-        particle_entanglement_stack([], part)
+        particle_entanglement([], part)
