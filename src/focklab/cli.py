@@ -382,9 +382,10 @@ def _exp_measurement_identities(params, tol, rng):
         total = sum(joint_prob(rhos, [pa, pb]) for pb in proj_b)
         worst_bayes = max(worst_bayes, float(np.abs(total - before).max()))
         worst_nosig = max(worst_nosig, float(np.abs(prob(after, pa) - before).max()))
-    reduced = np.array([rho.matrix for rho in partial_trace(after + rhos, part, "A")])
-    n = len(rhos)
-    worst_reduced = float(np.abs(reduced[:n] - reduced[n:]).max())
+    # one call per stack, so no stack holds more than the n_states the budget counts
+    unrecorded, direct = (np.array([rho.matrix for rho in partial_trace(states, part, "A")])
+                          for states in (after, rhos))
+    worst_reduced = float(np.abs(unrecorded - direct).max())
     return [
         _check_below("bayes_max_err", worst_bayes, t_),
         _check_below("no_signalling_max_err", worst_nosig, t_),

@@ -19,14 +19,11 @@ from .fock import (
     Partition,
     _abs_squared,
     _check_physical,
-    _hamiltonian_blocks,
+    _evolve,
     _is_integer,
-    apply_unitary,
-    block_unitary,
     bosons,
     eigh_blocks,
     evolution_operator,
-    evolved_amplitudes,
     fermions,
     ladder_sum,
     number_diagonal,
@@ -135,9 +132,9 @@ def extraction_experiment(case, r, t):
 
     Scalar ``r`` and ``t`` give one result; two sequences give the list of
     results at each (r, t) pair.  Only the splitter angle atan2(r, t) depends
-    on the pair, so the generator, its Hermitian check and its
-    ``eigh_blocks`` are made once, and the input is evolved to every angle by
-    ``evolved_amplitudes``: no unitary is formed.
+    on the pair, so the generator is built once and the input is evolved to
+    every angle by one ``unitary_evolve`` call: one Hermitian check, one
+    ``eigh_blocks`` and no unitary.
     """
     one = np.ndim(r) == 0 and np.ndim(t) == 0
     r_values, t_values = ([r], [t]) if one else (r, t)
@@ -165,16 +162,14 @@ def extraction_experiment(case, r, t):
             specs.append(BeamSplitterSpec(mode_pairs=((0, 2), (1, 3)), r=r, t=t))
         except ValueError as exc:
             raise ValueError(f"pair {i}: {exc}") from None
-    blocks = _hamiltonian_blocks(_splitter_hamiltonian(system, specs[0]))
-    outs = evolved_amplitudes(blocks, [math.atan2(spec.r, spec.t) for spec in specs],
-                              initial.amplitudes)
+    outs = unitary_evolve(_splitter_hamiltonian(system, specs[0]),
+                          [math.atan2(spec.r, spec.t) for spec in specs], initial)
 
     in_sector = ((number_diagonal(system, [1, 1, 0, 0]) == sector[0])
                  & (number_diagonal(system, [0, 0, 1, 1]) == sector[1]))
     results = []
-    for i, (spec, amplitudes) in enumerate(zip(specs, outs)):
-        out = PureState(system, amplitudes)
-        projected = np.where(in_sector, amplitudes, 0.0)
+    for i, (spec, out) in enumerate(zip(specs, outs)):
+        projected = np.where(in_sector, out.amplitudes, 0.0)
         p_sector = float(np.linalg.norm(projected) ** 2)
         if p_sector <= PROB_FLOOR:
             raise ZeroProbabilityError(f"pair {i}: sector probability {p_sector} below "
@@ -260,14 +255,12 @@ def _run_atom_molecule_fock(n_bec, kappa, phi):
     system, h = _atom_molecule_hamiltonian(n_bec, kappa)
     blocks = eigh_blocks(h.matrix, True)
     t_pulse = _calibrate_half_transfer(system, h, blocks, n_bec)
-    pulse = Operator(system, block_unitary(blocks, t_pulse, system.dim))
     initial = system.basis_state((1, 0, n_bec))
-    after_pulse1 = apply_unitary(pulse, initial)
+    after_pulse1 = PureState(system, _evolve(blocks, [t_pulse], initial.amplitudes)[0])
     # free stage at large detuning: phase phi accumulated by the molecule
-    phase = Operator(system, np.diag(
-        np.exp(-1j * phi * system.occupancies[:, 1]).astype(complex)))
-    after_free = apply_unitary(phase, after_pulse1)
-    final = apply_unitary(pulse, after_free)
+    after_free = PureState(system, np.exp(-1j * phi * system.occupancies[:, 1])
+                           * after_pulse1.amplitudes)
+    final = PureState(system, _evolve(blocks, [t_pulse], after_free.amplitudes)[0])
     partition = Partition([("am", (0, 1)), ("bec", (2,))])
     rdo = partial_trace(final, partition, "am")
     return ProcessResult(
@@ -412,9 +405,8 @@ def ssr_propagation_check(mixture, h, weights=None):
         raise ValueError(f"Hamiltonian does not conserve the weighted number "
                          f"(residual {conserving})")
     local_ok = all(rep.compliant for _, _, rep in _local_reports([mixture], weights)[0])
-    rho0 = mixture.summed()
-    evolved = np.array([unitary_evolve(h, t, rho0).matrix for t in PROPAGATION_TIMES])
-    residuals = tuple(float(r) for r in _commutator_residuals(n_diag, evolved))
+    residuals = tuple(_commutator_residuals(n_diag, rho.matrix)
+                      for rho in unitary_evolve(h, PROPAGATION_TIMES, mixture.summed()))
     return PropagationReport(
         conserving_residual=conserving,
         all_local_compliant=local_ok,

@@ -389,22 +389,19 @@ def _density_stack(system, stack):
     return out
 
 
+def _on_system(state, *operators):
+    """``state``, once it is a PureState or DensityOperator on each operator's system."""
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise TypeError("expected PureState or DensityOperator")
+    for op in operators:
+        if op.system != state.system:
+            raise ValueError("operator and state live on different systems")
+    return state
+
+
 def as_density(state):
     """Accept a PureState or DensityOperator and return the density form."""
-    if isinstance(state, DensityOperator):
-        return state
-    if isinstance(state, PureState):
-        return state.density()
-    raise TypeError("expected PureState or DensityOperator")
-
-
-def _density_on(state, *operators):
-    """``state`` as a DensityOperator, once each operator is known to act on its system."""
-    rho = as_density(state)
-    for op in operators:
-        if op.system != rho.system:
-            raise ValueError("operator and state live on different systems")
-    return rho
+    return state if isinstance(_on_system(state), DensityOperator) else state.density()
 
 
 def _density_matrices(states, *operators):
@@ -422,7 +419,7 @@ def _density_matrices(states, *operators):
     rhos = []
     for i, state in enumerate(states):
         try:     # every state after the first must share its system
-            rhos.append(_density_on(state, *operators, *rhos[:1]))
+            rhos.append(as_density(_on_system(state, *operators, *rhos[:1])))
         except (TypeError, ValueError) as exc:
             raise type(exc)(f"state {i}: {exc}") from None
     if len(rhos) == 1:
@@ -835,7 +832,7 @@ def expectation(state, op):
 
     Summed as sum_ij Omega_ij rho_ji in O(d^2), exact for any Omega.
     """
-    rho = _density_on(state, op)
+    rho = as_density(_on_system(state, op))
     return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
 
 
@@ -847,50 +844,50 @@ def _hamiltonian_blocks(h):
 
 
 def evolution_operator(h, t):
-    """U = exp(-i H t) through the eigendecomposition of Hermitian H."""
-    return Operator(h.system, block_unitary(_hamiltonian_blocks(h), t, h.system.dim))
-
-
-def block_unitary(blocks, t, dim):
-    """exp(-i H t) as a dim x dim array from the ``eigh_blocks`` of H: each
-    component's V e^{-i lambda t} V^H is scattered into place, and no d x d
-    product is formed."""
-    u = np.zeros((dim, dim), dtype=complex)
-    for idx, evals, vecs in blocks:
+    """U = exp(-i H t) as a dense Operator, from the ``eigh_blocks`` of Hermitian H:
+    each component's V e^{-i lambda t} V^H is scattered into place, and no d x d
+    product is formed.  The one place focklab builds a d x d unitary."""
+    u = np.zeros((h.system.dim,) * 2, dtype=complex)
+    for idx, evals, vecs in _hamiltonian_blocks(h):
         u[idx[:, :, None], idx[:, None, :]] = \
             (vecs * np.exp(-1j * evals * t)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    return u
+    return Operator(h.system, u)
 
 
-def evolved_amplitudes(blocks, times, amplitudes):
-    """exp(-i H t) psi for each t of ``times``, as a (len(times), d) array, from
-    the ``eigh_blocks`` of H: per component V (e^{-i lambda t} V^H psi), so that
-    no d x d matrix is formed.  V^H psi is formed once; each row has the bits
-    of its time alone."""
-    out = np.zeros((len(times), len(amplitudes)), dtype=complex)
+def _evolve(blocks, times, x):
+    """exp(-i H t) x for each t of ``times``, along a leading axis, from the ``eigh_blocks``
+    of H, for a (d,) vector or each column of a (d, m) array: per component
+    V (e^{-i lambda t} V^H x), with V^H x formed once, each time with the bits of its
+    time alone, and no d x d unitary.  The one place exp(-i H t) acts on a state."""
+    cols = x.reshape(len(x), -1)
+    out = np.zeros((len(times), *cols.shape), dtype=complex)
     for idx, evals, vecs in blocks:
-        coeffs = vecs.conj().transpose(0, 2, 1) @ amplitudes[idx][:, :, None]
+        coeffs = vecs.conj().transpose(0, 2, 1) @ cols[idx]
         for row, t in zip(out, times):
-            row[idx] = (vecs @ (np.exp(-1j * evals * t)[:, :, None] * coeffs))[..., 0]
-    return out
+            row[idx] = vecs @ (np.exp(-1j * evals * t)[:, :, None] * coeffs)
+    return out.reshape(len(times), *x.shape)
 
 
 def unitary_evolve(h, t, state):
-    """Evolve a PureState or DensityOperator under exp(-i H t).  A pure state
-    takes ``evolved_amplitudes``, a density operator ``apply_unitary``."""
-    if not isinstance(state, PureState):
-        return apply_unitary(evolution_operator(h, t), state)
+    """Evolve a PureState or DensityOperator under exp(-i H t) for one time ``t``, or
+    to each of a non-empty sequence of times, giving the list of states.  H is checked
+    and solved once; a density operator takes ``_evolve`` on its rows, then on its
+    columns, so that no unitary is formed, and a sequence is checked as one stack."""
     blocks = _hamiltonian_blocks(h)
-    if h.system != state.system:
-        raise ValueError("operator and state live on different systems")
-    return PureState(h.system, evolved_amplitudes(blocks, [t], state.amplitudes)[0])
+    times = np.atleast_1d(t)
+    if times.ndim != 1 or not times.size:
+        raise ValueError("unitary_evolve takes one time or a non-empty sequence of times")
+    if isinstance(_on_system(state, h), PureState):
+        out = [PureState(h.system, psi) for psi in _evolve(blocks, times, state.amplitudes)]
+    else:     # U rho U^H = (U (U rho)^H)^H, the rows of every time first
+        rows = _evolve(blocks, times, state.matrix)
+        out = _density_stack(h.system, [_evolve(blocks, [s], a.conj().T)[0].conj().T
+                                        for s, a in zip(times, rows)])
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def apply_unitary(u, state):
     """Apply an explicit unitary Operator to a state of either kind."""
-    if u.system != state.system:
-        raise ValueError("operator and state live on different systems")
-    if isinstance(state, PureState):
+    if isinstance(_on_system(state, u), PureState):
         return PureState(state.system, u.matrix @ state.amplitudes)
-    rho = as_density(state)
-    return DensityOperator(rho.system, u.matrix @ rho.matrix @ u.matrix.conj().T)
+    return DensityOperator(state.system, u.matrix @ state.matrix @ u.matrix.conj().T)

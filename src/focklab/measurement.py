@@ -18,7 +18,7 @@ from .fock import (
     Operator,
     DensityOperator,
     _density_matrices,
-    _density_on,
+    _on_system,
     _density_stack,
     as_density,
     eigh_blocks,
@@ -203,7 +203,7 @@ def _block_probs(x, observable):
 
 def outcome_distribution(state, observable):
     """Eigenvalue/probability pairs P_j = Tr(B_j B_j^H rho)."""
-    rho = _density_on(state, observable)
+    rho = as_density(_on_system(state, observable))
     probs = _block_probs(rho.matrix[None], observable)[0]
     return OutcomeDistribution(tuple(zip(observable.eigenvalues, probs.tolist())))
 
@@ -226,14 +226,14 @@ def _conditional_moments(stack, target, given, p_given):
 
 def cond_mean(state, target, given):
     """Conditioned mean sum_j mu_j P(j|i) of ``target`` given outcome projector ``given``."""
-    rho = _density_on(state, target, given)
+    rho = as_density(_on_system(state, target, given))
     p = _given_prob(rho, given)
     return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[0][0])
 
 
 def cond_variance(state, target, given):
     """Conditioned variance sum_j (mu_j - mean)^2 P(j|i)."""
-    rho = _density_on(state, target, given)
+    rho = as_density(_on_system(state, target, given))
     p = _given_prob(rho, given)
     return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[1][0])
 

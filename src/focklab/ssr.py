@@ -15,13 +15,16 @@ import numpy as np
 
 from .fock import (
     NORM_ATOL,
+    PAIR_CHUNK,
     ModeSystem,
     PureState,
     _density_matrices,
-    _density_on,
+    _on_system,
     _density_stack,
     _is_integer,
     _row_dots,
+    apply_unitary,
+    as_density,
     number_diagonal,
     number_op,
     evolution_operator,
@@ -67,11 +70,11 @@ class SectorDecomposition:
 
 def _diagonal_of(n_op):
     """Real diagonal of a number operator handed in by a caller, whose
-    off-diagonal Frobenius norm must be <= 1e-12: an O(d^2) scan.  A diagonal
-    known from the occupancies is ``number_diagonal``."""
-    off = n_op.matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.linalg.norm(off) > 1e-12:
+    off-diagonal Frobenius norm must be <= 1e-12: an O(d^2) scan that copies
+    nothing.  A diagonal known from the occupancies is ``number_diagonal``."""
+    # entries 1.. of the flat matrix, in rows of d + 1 that each end on the diagonal
+    off = n_op.matrix.reshape(-1)[1:].reshape(-1, len(n_op.matrix) + 1)[:, :-1].view(float)
+    if np.sqrt(np.einsum("ij,ij->", off, off)) > 1e-12:
         raise ValueError("number operator is not diagonal in the occupation basis")
     return n_op.matrix.diagonal().real
 
@@ -87,9 +90,15 @@ def _diagonal_sector_ids(n_op):
 
 def _commutator_residuals(n_diag, x):
     """||[N, X]||_F = ||(n_i - n_j) X_ij||_F of the N with diagonal ``n_diag``: a
-    float of a d x d ``x``, an array of one per matrix of an (m, d, d) stack."""
-    r = (n_diag[:, None] - n_diag) * x
-    norms = np.sqrt(_row_dots(r.reshape(*x.shape[:-2], -1).view(float)))
+    float of a d x d ``x``, an array of one per matrix of an (m, d, d) stack.
+    Formed in row blocks of at most ``PAIR_CHUNK`` entries per matrix, so that
+    no d x d temporary is held; up to d = 512 that is one block."""
+    step = max(1, PAIR_CHUNK // len(n_diag))
+    squares = 0.0
+    for lo in range(0, len(n_diag), step):
+        r = (n_diag[lo:lo + step, None] - n_diag) * x[..., lo:lo + step, :]
+        squares = squares + _row_dots(r.reshape(*x.shape[:-2], -1).view(float))
+    norms = np.sqrt(squares)
     return float(norms) if x.ndim == 2 else norms
 
 
@@ -99,7 +108,7 @@ def _ssr_report(residual, tol=SSR_TOL):
 
 def ssr_check(state, n_op, tol=SSR_TOL):
     """Frobenius norm of [N, rho] for a diagonal N, and whether it sits below ``tol``."""
-    rho = _density_on(state, n_op)
+    rho = as_density(_on_system(state, n_op))
     return _ssr_report(_commutator_residuals(_diagonal_of(n_op), rho.matrix), tol)
 
 
@@ -188,7 +197,7 @@ def _warn_on_saturation(system, stack, powers):
 
 def sector_decompose(state, n_op):
     """Weights, basis indices and normalised blocks of the number sectors of ``rho``."""
-    rho = _density_on(state, n_op)
+    rho = as_density(_on_system(state, n_op))
     return SectorDecomposition(tuple(
         Sector(*sector) for sector in number_sectors(rho, _diagonal_sector_ids(n_op))))
 
@@ -301,12 +310,12 @@ def clock_prob_by_evolution(p, q, omega, dt, n_max):
     sys1 = ModeSystem([("osc", n_max)])
     h = omega * number_op(sys1)
     u = evolution_operator(h, dt)
-    amps = {i: phase_state(n_max, i).amplitudes for i in set(rows + cols)}
+    states = {i: phase_state(n_max, i) for i in set(rows + cols)}
     table = np.empty((len(rows), len(cols)))
     for r, i in enumerate(rows):
-        evolved = u.matrix @ amps[i]
+        evolved = apply_unitary(u, states[i])
         for c, j in enumerate(cols):
-            table[r, c] = np.abs(np.vdot(amps[j], evolved)) ** 2
+            table[r, c] = np.abs(np.vdot(states[j].amplitudes, evolved.amplitudes)) ** 2
     if np.ndim(p) == 0 and np.ndim(q) == 0:
         return float(table[0, 0])
     return table

@@ -13,9 +13,10 @@ import focklab.cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# the work every warm pass of the scenarios does under these names
+# the work every warm pass of the scenarios does under these names; the interferometer's
+# beam_splitter and the clock oracle build and apply the dense unitaries
 MUST_COUNT = ("measurement.prob", "measurement.joint_prob", "measurement.unrecorded_state",
-              "ssr.qcf", "witnesses.spin_epr")
+              "ssr.qcf", "witnesses.spin_epr", "fock.evolution_operator", "fock.apply_unitary")
 
 
 def _tracer_module():

@@ -322,6 +322,19 @@ def test_propagation_judges_each_factor_by_the_weighted_number():
     assert not ssr_propagation_check(mix, h, weights=[1, 2, 1]).all_local_compliant
 
 
+def test_propagation_solves_the_hamiltonian_once(monkeypatch):
+    from focklab import fock
+    calls = []
+    solve = fock._hamiltonian_blocks
+    monkeypatch.setattr(fock, "_hamiltonian_blocks", lambda h: calls.append(h) or solve(h))
+    system = bosons(2, 2)
+    mix = random_number_diagonal_mixture(
+        system, Partition([("A", (0,)), ("B", (1,))]), np.random.default_rng(1))
+    report = ssr_propagation_check(mix, _hopping_hamiltonian(system))
+    assert len(calls) == 1
+    assert len(report.global_residuals) == len(report.times) == 3
+
+
 def test_propagation_rejects_nonconserving_hamiltonian():
     system = bosons(2, 2)
     a = annihilation(system, 0)

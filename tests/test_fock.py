@@ -353,6 +353,51 @@ def test_evolution_rejects_non_hermitian():
     a = annihilation(system, 0)
     with pytest.raises(ValueError, match="Hermitian"):
         unitary_evolve(a, 1.0, system.vacuum())
+    # before it looks at the state or the times
+    with pytest.raises(ValueError, match="Hermitian"):
+        unitary_evolve(a, [], "vacuum")
+
+
+@pytest.mark.parametrize("state", ["vacuum", None, np.eye(9)])
+def test_evolution_of_something_that_is_not_a_state_is_a_type_error(state):
+    h = number_op(bosons(2, 2))
+    with pytest.raises(TypeError, match="^expected PureState or DensityOperator$"):
+        unitary_evolve(h, 0.3, state)
+    with pytest.raises(TypeError, match="^expected PureState or DensityOperator$"):
+        apply_unitary(evolution_operator(h, 0.3), state)
+
+
+@pytest.mark.parametrize("times", [[], (), np.array([]), [[0.1, 0.2]]])
+def test_evolution_to_an_empty_or_nested_sequence_of_times_is_named(times):
+    system = bosons(2, 2)
+    for state in (system.vacuum(), system.vacuum().density()):
+        with pytest.raises(ValueError, match="^unitary_evolve takes one time or a "
+                                             "non-empty sequence of times$"):
+            unitary_evolve(number_op(system), times, state)
+
+
+def test_evolution_rejects_a_state_of_another_system():
+    h = number_op(bosons(2, 2))
+    for state in (ModeSystem([("x", 8)]).vacuum(), bosons(2, 1).vacuum().density()):
+        with pytest.raises(ValueError, match="different systems"):
+            unitary_evolve(h, [0.3, 0.4], state)
+
+
+def test_a_density_is_evolved_without_a_dense_unitary(monkeypatch):
+    from focklab import fock
+
+    def forbidden(*args):
+        raise AssertionError("a dense unitary was built or applied")
+
+    monkeypatch.setattr(fock, "evolution_operator", forbidden)
+    monkeypatch.setattr(fock, "apply_unitary", forbidden)
+    system = bosons(2, 7)      # dim 64: number blocks, solved block by block
+    rho = random_density(system, np.random.default_rng(4))
+    h = 0.3 * number_op(system) + creation(system, 0) @ annihilation(system, 1)
+    h = h + h.dag()
+    evolved = unitary_evolve(h, [0.2, 0.9], rho)
+    assert [type(state) for state in evolved] == [DensityOperator] * 2
+    assert isinstance(unitary_evolve(h, 0.2, rho), DensityOperator)
 
 
 def test_coherent_mean_occupancy():

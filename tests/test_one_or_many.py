@@ -13,6 +13,7 @@ import pytest
 
 from focklab import (
     DensityOperator,
+    Operator,
     Partition,
     bosons,
     extraction_experiment,
@@ -28,6 +29,7 @@ from focklab import (
     spectral,
     spin_epr,
     twirl,
+    unitary_evolve,
     unrecorded_state,
 )
 from focklab.dynamics import ProcessResult
@@ -95,6 +97,9 @@ SAMPLERS = {
 }
 
 R_VALUES, T_VALUES = [0.6, 0.3], [0.8, math.sqrt(0.91)]
+TIMES = [0.7, -1.9]
+HOPPING = number_op(SYSTEM) + Operator(SYSTEM, np.diag(np.ones(SYSTEM.dim - 3), 3)
+                                       + np.diag(np.ones(SYSTEM.dim - 3), -3))
 RAMSEY = [[math.sqrt(0.3), 1.0], [math.sqrt(0.7) * np.exp(0.4j), 0.0], [1.1, 0.2], [0.7, 2.0]]
 
 # name -> (one item, sequence of count items); with count 0 the sequence is empty
@@ -107,6 +112,9 @@ CASES = {
     "extraction_experiment": (
         lambda: extraction_experiment("two_boson", R_VALUES[0], T_VALUES[0]),
         lambda count: extraction_experiment("two_boson", R_VALUES[:count], T_VALUES[:count])),
+    "unitary_evolve": (
+        lambda: unitary_evolve(HOPPING, TIMES[0], _states(SYSTEM, 1)[0][0]),
+        lambda count: unitary_evolve(HOPPING, TIMES[:count], _states(SYSTEM, 1)[0][0])),
     "ramsey_vacuum_superposition": (
         lambda: ramsey_vacuum_superposition(*(values[0] for values in RAMSEY)),
         lambda count: ramsey_vacuum_superposition(*(values[:count] for values in RAMSEY))),
@@ -139,8 +147,8 @@ def _bits(value):
     return repr(value)
 
 
-def test_there_are_eighteen_merged_names():
-    assert len(CASES) == 18
+def test_there_are_nineteen_merged_names():
+    assert len(CASES) == 19
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # qcf saturation at the cutoff

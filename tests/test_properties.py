@@ -41,7 +41,6 @@ from focklab.fock import (
     FERMI,
     eigh_blocks,
     eigvalsh_blocks,
-    evolved_amplitudes,
     ladder_product,
     sector_blocks,
     sub_system,
@@ -1007,12 +1006,31 @@ def test_evolution_is_unitary_and_keeps_the_trace_under_a_conserving_hamiltonian
     pure = unitary_evolve(h, t, psi)
     assert abs(np.linalg.norm(pure.amplitudes) - 1.0) <= 1e-12
     assert np.abs(pure.amplitudes - u.matrix @ psi.amplitudes).max() <= 1e-12
-    blocks = eigh_blocks(h.matrix, True)
     times = [t, -0.5 * t, 0.0]
-    many = evolved_amplitudes(blocks, times, psi.amplitudes)
-    assert [row.tobytes() for row in many] == \
-        [evolved_amplitudes(blocks, [s], psi.amplitudes)[0].tobytes() for s in times]
-    assert np.abs(many[2] - psi.amplitudes).max() <= 1e-12
+    many = unitary_evolve(h, times, psi)
+    assert [state.amplitudes.tobytes() for state in many] == \
+        [unitary_evolve(h, s, psi).amplitudes.tobytes() for s in times]
+    assert np.abs(many[2].amplitudes - psi.amplitudes).max() <= 1e-12
+
+
+@SETTINGS
+@given(st.one_of(systems(), st.builds(bosons, st.just(2), st.integers(6, 12))), seeds,
+       st.floats(-3.0, 3.0))
+def test_a_density_evolves_block_by_block_as_the_dense_unitary_does(system, seed, t):
+    # bosons(2, 6..12) runs from dim 49 to 169, so a conserving H there
+    # splits into number blocks above BLOCK_MIN_DIM
+    rng = np.random.default_rng(seed)
+    h = _random_hermitian(system, rng, conserving=True)
+    rho = random_density(system, rng)
+    evals, vecs = np.linalg.eigh(h.matrix)
+    u = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+    evolved = unitary_evolve(h, t, rho)
+    assert np.abs(evolved.matrix - u @ rho.matrix @ u.conj().T).max() <= 1e-12
+    times = [t, 0.0, -2.0 * t]
+    many = unitary_evolve(h, times, rho)
+    assert [state.matrix.tobytes() for state in many] == \
+        [unitary_evolve(h, s, rho).matrix.tobytes() for s in times]
+    assert many[0].matrix.tobytes() == evolved.matrix.tobytes()
 
 
 @SETTINGS

@@ -19,7 +19,9 @@ from focklab import (
     ssr_check,
     twirl,
 )
+from focklab.fock import number_diagonal
 from focklab.ssr import (
+    _diagonal_of,
     clock_prob,
     clock_prob_by_evolution,
     externalise,
@@ -282,6 +284,53 @@ def test_qcf_builds_no_dense_operator():
     # <3,2| adag^2 a bdag b^2 |2,3> = sqrt(2 * 6) * sqrt(6 * 2) = 12, times rho = 1/2
     assert value == pytest.approx(6.0, abs=1e-12)
     assert peak < 4_000_000
+
+
+def _ssr_check_peak(cutoff):
+    system = bosons(2, cutoff)
+    rho = system.basis_state((1, 2)).density()
+    n_op = number_op(system)
+    tracemalloc.start()
+    try:
+        report = ssr_check(rho, n_op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.compliant
+    return peak
+
+
+def test_ssr_check_memory_does_not_grow_with_the_dimension():
+    # dims 1024 and 2025: a d x d complex temporary would be 16 and 65 MB
+    assert abs(_ssr_check_peak(31) - _ssr_check_peak(44)) < 1_000_000
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, 100, 1 << 18])
+def test_commutator_residuals_in_row_blocks_are_the_whole_matrix_norms(chunk, monkeypatch):
+    from focklab import ssr
+    system = bosons(2, 3)
+    rng = np.random.default_rng(chunk)
+    shape = (3, system.dim, system.dim)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    n_diag = number_diagonal(system, [1.0, 2.5])
+    whole = [np.linalg.norm((n_diag[:, None] - n_diag) * x) for x in stack]
+    monkeypatch.setattr(ssr, "PAIR_CHUNK", chunk)
+    assert np.abs(ssr._commutator_residuals(n_diag, stack) - whole).max() <= 1e-12
+    assert abs(ssr._commutator_residuals(n_diag, stack[1]) - whole[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("system", [bosons(1, 0), bosons(1, 1), bosons(2, 2)])
+def test_the_off_diagonal_scan_reads_every_off_diagonal_entry_and_no_diagonal_one(system):
+    n_op = number_op(system)
+    assert _diagonal_of(n_op).tobytes() == number_diagonal(system).tobytes()
+    for i, j in np.ndindex(n_op.matrix.shape):
+        mat = n_op.matrix.copy()
+        mat[i, j] += 5.0 if i == j else 2e-12
+        if i == j:
+            assert _diagonal_of(Operator(system, mat))[i] == n_op.matrix[i, i].real + 5.0
+        else:
+            with pytest.raises(ValueError, match="not diagonal"):
+                _diagonal_of(Operator(system, mat))
 
 
 def test_sector_decompose_verstraete():
