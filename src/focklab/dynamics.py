@@ -19,8 +19,10 @@ from .fock import (
     Partition,
     _abs_squared,
     _check_physical,
+    _eigenvalues,
     _evolve,
     _is_integer,
+    _rotate,
     bosons,
     eigh_blocks,
     evolution_operator,
@@ -202,22 +204,18 @@ def _calibrate_half_transfer(system, h, blocks, n_bec):
     """First pulse duration with molecule population exactly 1/2.
 
     Found numerically by root finding on the exact evolution, through the
-    eigenpairs of the ``eigh_blocks`` component that holds the initial state,
-    rather than trusting any closed-form duration.
+    eigenpairs of the ``eigh_blocks`` of H: <target|V and V^H|start> are read
+    once by ``_rotate``, rather than trusting any closed-form duration.
     """
     start, target = system.indices_of([(1, 0, n_bec), (0, 1, n_bec - 1)])
     # bracket around the quarter-Rabi estimate set by the coupling element
     rabi = abs(h.matrix[target, start])
     if rabi == 0:
         raise ValueError("no atom-molecule coupling on this space")
-    # the coupling puts start and target in one component
-    for idx, evals, vecs in blocks:
-        (hit,) = np.nonzero((idx == start).any(axis=1))
-        if len(hit):
-            idx, evals, vecs = idx[hit[0]], evals[hit[0]], vecs[hit[0]]
-            break
-    row = vecs[np.searchsorted(idx, target), :]
-    col = vecs[np.searchsorted(idx, start), :].conj()
+    units = np.zeros((system.dim, 2), dtype=complex)
+    units[[target, start], [0, 1]] = 1.0
+    bra, col = _rotate(blocks, units, adjoint=True).T
+    row, evals = bra.conj(), _eigenvalues(blocks)
 
     def transfer(t):
         amp = np.sum(row * col * np.exp(-1j * evals * t))

@@ -836,36 +836,73 @@ def expectation(state, op):
     return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
 
 
-def _hamiltonian_blocks(h):
-    """The ``eigh_blocks`` eigenpairs of a Hamiltonian, once it is Hermitian within 1e-10."""
-    if not h.is_hermitian():
-        raise ValueError("Hamiltonian is not Hermitian within 1e-10")
-    return eigh_blocks(h.matrix, True)
+def _hermitian_blocks(op):
+    """The ``eigh_blocks`` eigenpairs of an operator, once it is Hermitian within
+    ``HERM_INPUT_ATOL``: the one check and solve of Hamiltonians and observables."""
+    if not op.is_hermitian():
+        raise ValueError(f"operator is not Hermitian within {HERM_INPUT_ATOL}")
+    return eigh_blocks(op.matrix, True)
+
+
+def _eigenvalues(blocks):
+    """The eigenvalue of the eigenvector at each position of ``eigh_blocks`` triples."""
+    order = np.argsort(np.concatenate([idx.ravel() for idx, _, _ in blocks]))
+    return np.concatenate([values.ravel() for _, values, _ in blocks])[order]
+
+
+def _rotate(blocks, x, adjoint=False):
+    """V x, or V^H x when ``adjoint``, in place on the rows of a writable complex
+    (d, m) or (n, d, m) array ``x``, which it returns; the only code in focklab that
+    multiplies by eigenvectors.
+
+    V holds the eigenvectors of ``eigh_blocks`` triples: eigenvector j of a
+    component with indices ``idx``, ascending, is column idx[j].  Each component
+    takes its own k x k product, formed from at most ``PAIR_CHUNK`` entries of ``x``
+    at a time; below ``BLOCK_MIN_DIM`` a matrix is one component, so one matmul.
+    """
+    flat = x if x.ndim == 3 else x[None]
+    for idx, _, vecs in blocks:
+        (n, k), m = idx.shape, x.shape[-1]
+        w = vecs.conj().swapaxes(-1, -2).copy() if adjoint else vecs
+        # columns, then components, then states per chunk, as many as fit
+        width = min(m, max(1, PAIR_CHUNK // k))
+        comps = max(1, PAIR_CHUNK // (k * width))
+        states = max(1, comps // n)
+        for s in range(0, len(flat), states):
+            for c in range(0, n, comps):
+                # one component of every row holds them in order: a slice, not a copy
+                rows = slice(None) if k == flat.shape[1] else idx[c:c + comps]
+                for j in range(0, m, width):
+                    part = slice(s, s + states), rows, slice(j, j + width)
+                    flat[part] = w[c:c + comps] @ flat[part]
+    return x
+
+
+def _conjugate(blocks, x, adjoint=False):
+    """V x V^H, or V^H x V when ``adjoint``, in place on each matrix of a writable
+    complex (n, d, d) stack ``x``, which it returns: ``_rotate`` of the rows, then
+    the conjugate transpose, twice."""
+    for _ in range(2):
+        x = np.conj(_rotate(blocks, x, adjoint), out=x).swapaxes(-1, -2)
+    return x
 
 
 def evolution_operator(h, t):
-    """U = exp(-i H t) as a dense Operator, from the ``eigh_blocks`` of Hermitian H:
-    each component's V e^{-i lambda t} V^H is scattered into place, and no d x d
-    product is formed.  The one place focklab builds a d x d unitary."""
-    u = np.zeros((h.system.dim,) * 2, dtype=complex)
-    for idx, evals, vecs in _hamiltonian_blocks(h):
-        u[idx[:, :, None], idx[:, None, :]] = \
-            (vecs * np.exp(-1j * evals * t)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    return Operator(h.system, u)
+    """U = exp(-i H t) as a dense Operator: ``_evolve`` of the identity, from the
+    ``eigh_blocks`` of Hermitian H.  The one place focklab builds a d x d unitary."""
+    return Operator(h.system, _evolve(_hermitian_blocks(h), [t], np.eye(h.system.dim))[0])
 
 
 def _evolve(blocks, times, x):
-    """exp(-i H t) x for each t of ``times``, along a leading axis, from the ``eigh_blocks``
-    of H, for a (d,) vector or each column of a (d, m) array: per component
-    V (e^{-i lambda t} V^H x), with V^H x formed once, each time with the bits of its
-    time alone, and no d x d unitary.  The one place exp(-i H t) acts on a state."""
-    cols = x.reshape(len(x), -1)
-    out = np.zeros((len(times), *cols.shape), dtype=complex)
-    for idx, evals, vecs in blocks:
-        coeffs = vecs.conj().transpose(0, 2, 1) @ cols[idx]
-        for row, t in zip(out, times):
-            row[idx] = vecs @ (np.exp(-1j * evals * t)[:, :, None] * coeffs)
-    return out.reshape(len(times), *x.shape)
+    """exp(-i H t) x = V (e^{-i lambda t} V^H x) for each t of ``times``, along a leading
+    axis, from the ``eigh_blocks`` of H, for a (d,) vector or each column of a (d, m)
+    array, which is not changed: V^H x is formed once, each time has the bits of its
+    time alone, and no unitary is formed.  The one place exp(-i H t) acts on a state."""
+    cols = _rotate(blocks, np.array(x, dtype=complex, order="C").reshape(len(x), -1), adjoint=True)
+    out = np.empty((len(times), *cols.shape), dtype=complex)
+    for row, t in zip(out, times):     # one product per time, whose bits its shape sets
+        np.multiply(np.exp(-1j * _eigenvalues(blocks) * t)[:, None], cols, out=row)
+    return _rotate(blocks, out).reshape(len(times), *x.shape)
 
 
 def unitary_evolve(h, t, state):
@@ -873,16 +910,17 @@ def unitary_evolve(h, t, state):
     to each of a non-empty sequence of times, giving the list of states.  H is checked
     and solved once; a density operator takes ``_evolve`` on its rows, then on its
     columns, so that no unitary is formed, and a sequence is checked as one stack."""
-    blocks = _hamiltonian_blocks(h)
+    blocks = _hermitian_blocks(h)
     times = np.atleast_1d(t)
     if times.ndim != 1 or not times.size:
         raise ValueError("unitary_evolve takes one time or a non-empty sequence of times")
     if isinstance(_on_system(state, h), PureState):
         out = [PureState(h.system, psi) for psi in _evolve(blocks, times, state.amplitudes)]
-    else:     # U rho U^H = (U (U rho)^H)^H, the rows of every time first
+    else:     # U rho U^H = (U (U rho)^H)^H, the rows of every time first, in place
         rows = _evolve(blocks, times, state.matrix)
-        out = _density_stack(h.system, [_evolve(blocks, [s], a.conj().T)[0].conj().T
-                                        for s, a in zip(times, rows)])
+        for s, a in zip(times, rows):
+            np.conj(_evolve(blocks, [s], np.conj(a, out=a).T)[0].T, out=a)
+        out = _density_stack(h.system, rows)
     return out[0] if np.ndim(t) == 0 else out
 
 

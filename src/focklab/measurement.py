@@ -20,8 +20,11 @@ from .fock import (
     _density_matrices,
     _on_system,
     _density_stack,
+    _conjugate,
+    _eigenvalues,
+    _hermitian_blocks,
+    _rotate,
     as_density,
-    eigh_blocks,
 )
 
 PROB_FLOOR = 1e-12
@@ -38,29 +41,34 @@ class ZeroProbabilityError(ValueError):
 class Observable:
     """Hermitian operator together with its spectral resolution.
 
-    ``blocks[j]`` is a d x k_j matrix B_j whose orthonormal columns span the
-    eigenspace of ``eigenvalues[j]``; its projector B_j B_j^H is not stored.
+    ``blocks`` are the operator's ``eigh_blocks`` triples, which hold its
+    eigenvector matrix V (``fock._rotate``), and ``outcomes[r]`` is the index
+    into ``eigenvalues`` of the eigenvector at position r.  The projector
+    V D_j V^H of outcome j, D_j the 0/1 diagonal of its positions, is not stored.
     """
 
     operator: Operator
     eigenvalues: tuple
     blocks: tuple
+    outcomes: np.ndarray
 
     def __post_init__(self):
-        dim = self.operator.system.dim
-        vecs = np.hstack(self.blocks)
-        # with V square, ||sum_j P_j - I||_F = ||V^H V - I||_F
-        if vecs.shape != (dim, dim) \
-                or np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) > PROJ_ATOL:
+        dim = self.system.dim
+        _check_resolution(self.blocks, self.outcomes, dim, len(self.eigenvalues))
+        v = _rotate(self.blocks, np.eye(dim, dtype=complex))
+        lam = np.asarray(self.eigenvalues)[self.outcomes, None]
+        recon = _rotate(self.blocks, lam * v.conj().T)     # V Lambda V^H
+        gram = _rotate(self.blocks, v, adjoint=True)     # V^H V, in place of V
+        if np.linalg.norm(gram - np.eye(dim)) > PROJ_ATOL:
             raise ValueError("projectors do not resolve the identity")
-        lam = np.repeat(self.eigenvalues, [b.shape[1] for b in self.blocks])
-        recon = (vecs * lam) @ vecs.conj().T
         if np.linalg.norm(recon - self.operator.matrix) > PROJ_ATOL:
             raise ValueError("spectral resolution does not reconstruct the operator")
-        for b in self.blocks:
+        for j in range(len(self.eigenvalues)):
             # ||P^2 - P||_F = sqrt Tr((M G)^2) = ||M G||_F, with M = B^H B and
-            # G = M - I: P^2 - P = B G B^H, and M G = M^2 - M is Hermitian
-            m = b.conj().T @ b
+            # G = M - I for the eigenvectors B of outcome j: P^2 - P = B G B^H,
+            # and M G = M^2 - M is Hermitian
+            cols = np.flatnonzero(self.outcomes == j)
+            m = gram[cols[:, None], cols]
             if np.linalg.norm(m @ (m - np.eye(len(m)))) > PROJ_ATOL:
                 raise ValueError("projector is not idempotent")
 
@@ -70,12 +78,44 @@ class Observable:
 
     @property
     def projectors(self):
-        """The outcome projectors B_j B_j^H as d x d Operators, built on each access."""
-        return tuple(_projector(self.system, b) for b in self.blocks)
+        """The outcome projectors V D_j V^H as d x d Operators, built on each access."""
+        return tuple(self._projectors())
+
+    def _projectors(self):
+        """The outcome projectors, built one at a time, each from its own D_j."""
+        for j in range(len(self.eigenvalues)):
+            yield Operator(self.system, _conjugate(self.blocks, np.diag(
+                (self.outcomes == j).astype(complex))))
 
 
-def _projector(system, block):
-    return Operator(system, block @ block.conj().T)
+def _check_resolution(blocks, outcomes, dim, count):
+    """Raise ValueError unless ``blocks`` are ``eigh_blocks`` triples, each with
+    (n, k) integer indices, ascending within a component, and (n, k, k)
+    eigenvectors, whose indices partition 0..d-1, and ``outcomes`` is a (d,)
+    integer array that holds each of 0..count-1.  A triple of any other form is
+    left out of the partition, which then fails."""
+    try:
+        rows = np.concatenate([np.ravel(i) for i, _, v in blocks if np.ndim(i) == 2
+                               and np.shape(v) == np.shape(i) + np.shape(i)[1:]
+                               and (i[:, 1:] > i[:, :-1]).all()])
+        outcomes = np.asarray(outcomes)
+        used = np.bincount(outcomes, minlength=count)      # raises below 0, or for a float
+        ok = (rows.dtype.kind in "iu" and len(rows) == dim
+              and (np.bincount(rows, minlength=dim) == 1).all()
+              and outcomes.dtype.kind in "iu" and outcomes.shape == (dim,)
+              and len(used) == count and used.all())
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"blocks and outcomes do not resolve {dim} positions into {count} "
+                         "outcomes")
+
+
+def _of_kind(value, kind):
+    """``value``, once it is a ``kind``; raises TypeError naming the expected type."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -95,31 +135,23 @@ class OutcomeDistribution:
 def spectral(op):
     """Spectral resolution of a Hermitian operator.
 
-    The eigenpairs of every ``eigh_blocks`` component are sorted together
-    (stable) by eigenvalue.  Eigenvalues closer than ``MERGE_TOL`` times the
+    The eigenvalues of every ``eigh_blocks`` component, one per position, are
+    sorted together (stable).  Eigenvalues closer than ``MERGE_TOL`` times the
     spectral range are then merged into a single degenerate outcome, which
-    keeps the resolution robust after floating-point eigensolves.  The blocks
-    are read-only column slices of the one eigenvector matrix.
+    keeps the resolution robust after floating-point eigensolves.  The
+    components are kept as returned, with each position's read-only outcome
+    index, so no d x d eigenvector matrix is built.
     """
-    if not op.is_hermitian():
-        raise ValueError("operator is not Hermitian")
-    dim = op.system.dim
-    evals = np.empty(dim)
-    vecs = np.zeros((dim, dim), dtype=complex)
-    start = 0
-    for idx, values, blocks in eigh_blocks(op.matrix, True):
-        cols = start + np.arange(values.size).reshape(values.shape)
-        evals[cols] = values
-        vecs[idx[:, :, None], cols[:, None, :]] = blocks
-        start += values.size
+    blocks = _hermitian_blocks(op)
+    evals = _eigenvalues(blocks)
     order = np.argsort(evals, kind="stable")
-    evals, vecs = evals[order], vecs[:, order]
-    vecs.setflags(write=False)
-    spread = float(evals[-1] - evals[0])
-    gap = MERGE_TOL * max(spread, 1.0)
+    evals = evals[order]
+    gap = MERGE_TOL * max(float(evals[-1] - evals[0]), 1.0)
     cuts = np.nonzero(np.diff(evals) > gap)[0] + 1
     eigenvalues = tuple(float(np.mean(grp)) for grp in np.split(evals, cuts))
-    return Observable(op, eigenvalues, tuple(np.split(vecs, cuts, axis=1)))
+    outcomes = np.searchsorted(cuts, np.argsort(order), side="right")     # by rank
+    outcomes.setflags(write=False)
+    return Observable(op, eigenvalues, blocks, outcomes)
 
 
 def _real_probs(values):
@@ -142,7 +174,7 @@ def _probs(stack, matrix):
 def prob(states, projector):
     """P = Tr(Pi rho) of one state, as a float, or of each of a non-empty
     sequence of states on one system, as an (n,) array."""
-    _, stack, one = _density_matrices(states, projector)
+    _, stack, one = _density_matrices(states, _of_kind(projector, Operator))
     probs = _probs(stack, projector.matrix)
     return float(probs[0]) if one else probs
 
@@ -181,28 +213,40 @@ def cond_prob(state, proj_a, proj_b):
 
 
 def unrecorded_state(states, observable):
-    """State after an unrecorded measurement, sum_j B_j (B_j^H rho B_j) B_j^H, of
-    one state, or the list of them of a non-empty sequence of states on one
-    system, checked as one stack."""
-    system, stack, one = _density_matrices(states, observable)
-    mat = np.zeros_like(stack)
-    for b in observable.blocks:
-        bh = b.conj().T
-        mat += b @ (bh @ stack @ b) @ bh
+    """State after an unrecorded measurement, V (M o V^H rho V) V^H with M zero
+    between positions of distinct outcomes, of one state, or the list of them of
+    a non-empty sequence of states on one system, checked as one stack."""
+    system, stack, one = _density_matrices(states, _of_kind(observable, Observable))
+    mat = _conjugate(observable.blocks, stack.astype(complex), adjoint=True)
+    mat[:, observable.outcomes[:, None] != observable.outcomes] = 0
+    mat = _conjugate(observable.blocks, mat)
     mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
     out = _density_stack(system, mat)
     return out[0] if one else out
 
 
 def _block_probs(x, observable):
-    """Tr(B_j B_j^H X) = vdot(B_j, X B_j) for each block of ``observable`` and each
-    matrix X of an (n, d, d) stack, as an (n, blocks) array: one einsum per block."""
-    return _real_probs(np.stack([np.einsum("ij,nij->n", b.conj(), x @ b)
-                                 for b in observable.blocks], axis=1))
+    """Tr(P_j X) for each outcome j of ``observable`` and each matrix X of an (n, d, d)
+    stack, as an (n, outcomes) array: the diagonal of V^H X V, formed component by
+    component from the diagonal blocks of X, then added per outcome in position
+    order by one ``np.add.reduceat``, whose sums do not go through BLAS."""
+    diag = np.empty(x.shape[:2], dtype=complex)
+    for idx, evals, vecs in _of_kind(observable, Observable).blocks:
+        # each component's k x k diagonal block of X (X itself when one component
+        # holds every row), and of the identity, one block after another:
+        # (V^H X V)_pp = sum_b (V^H X)_pb conj((V^H)_pb)
+        own = [(np.arange(idx.size).reshape(idx.shape), evals, vecs)]
+        x_cc = x.copy() if idx.shape[1] == x.shape[1] else \
+            x[:, idx[:, :, None], idx[:, None, :]].reshape(len(x), idx.size, -1)
+        v_h = _rotate(own, np.tile(np.eye(idx.shape[1], dtype=complex), (len(idx), 1)), True)
+        diag[:, idx.ravel()] = np.einsum("spb,pb->sp", _rotate(own, x_cc, True), v_h.conj())
+    order = np.argsort(observable.outcomes, kind="stable")
+    starts = np.searchsorted(observable.outcomes[order], np.arange(len(observable.eigenvalues)))
+    return _real_probs(np.add.reduceat(diag[:, order], starts, axis=1))
 
 
 def outcome_distribution(state, observable):
-    """Eigenvalue/probability pairs P_j = Tr(B_j B_j^H rho)."""
+    """Eigenvalue/probability pairs P_j = Tr(P_j rho)."""
     rho = as_density(_on_system(state, observable))
     probs = _block_probs(rho.matrix[None], observable)[0]
     return OutcomeDistribution(tuple(zip(observable.eigenvalues, probs.tolist())))
@@ -226,14 +270,14 @@ def _conditional_moments(stack, target, given, p_given):
 
 def cond_mean(state, target, given):
     """Conditioned mean sum_j mu_j P(j|i) of ``target`` given outcome projector ``given``."""
-    rho = as_density(_on_system(state, target, given))
+    rho = as_density(_on_system(state, _of_kind(target, Observable), given))
     p = _given_prob(rho, given)
     return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[0][0])
 
 
 def cond_variance(state, target, given):
     """Conditioned variance sum_j (mu_j - mean)^2 P(j|i)."""
-    rho = as_density(_on_system(state, target, given))
+    rho = as_density(_on_system(state, _of_kind(target, Observable), given))
     p = _given_prob(rho, given)
     return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[1][0])
 
@@ -246,7 +290,8 @@ def unrecorded_conditioned_variance(states, target, given_observable):
     states on one system as an (n,) array.  Outcomes below the probability
     floor are skipped and the remaining weights renormalised.
     """
-    _, stack, one = _density_matrices(states, target, given_observable)
+    _, stack, one = _density_matrices(states, _of_kind(target, Observable),
+                                      _of_kind(given_observable, Observable))
     out = _unrecorded_variances(stack, target, given_observable)
     return float(out[0]) if one else out
 
@@ -260,8 +305,7 @@ def _unrecorded_variances(stack, target, given_observable):
     some state skipped held more than 1e-9 of its weight.
     """
     total = weight = np.zeros(len(stack))
-    for b in given_observable.blocks:
-        p_proj = _projector(given_observable.system, b)
+    for p_proj in given_observable._projectors():
         p_i = _probs(stack, p_proj.matrix)
         kept = p_i > PROB_FLOOR
         if not kept.any():

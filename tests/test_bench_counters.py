@@ -14,8 +14,10 @@ import focklab.cli
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the work every warm pass of the scenarios does under these names; the interferometer's
-# beam_splitter and the clock oracle build and apply the dense unitaries
+# beam_splitter and the clock oracle build and apply the dense unitaries, and
+# measurement_identities and spin_epr_bound resolve observables
 MUST_COUNT = ("measurement.prob", "measurement.joint_prob", "measurement.unrecorded_state",
+              "measurement.spectral", "measurement.Observable",
               "ssr.qcf", "witnesses.spin_epr", "fock.evolution_operator", "fock.apply_unitary")
 
 

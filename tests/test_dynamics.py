@@ -192,6 +192,13 @@ def test_atom_molecule_ramsey_fringes():
             assert abs(res.quantities["coherence"]) < 1e-12
 
 
+def test_the_atom_molecule_free_stage_puts_its_phase_on_the_molecule():
+    result = atom_molecule_process(3, 1.0, 0.9)
+    before, after = result.stage("after_pulse1"), result.stage("after_free")
+    for occ, phase in (((0, 1, 2), np.exp(-0.9j)), ((1, 0, 3), 1.0)):
+        assert abs(after.amplitude(occ) / before.amplitude(occ) - phase) <= 1e-12
+
+
 @pytest.mark.parametrize("n_bec", [1, 5, 50])
 def test_atom_molecule_first_pulse_transfers_half(n_bec):
     state = atom_molecule_process(n_bec, 1.0, 0.3).stage("after_pulse1")
@@ -325,8 +332,8 @@ def test_propagation_judges_each_factor_by_the_weighted_number():
 def test_propagation_solves_the_hamiltonian_once(monkeypatch):
     from focklab import fock
     calls = []
-    solve = fock._hamiltonian_blocks
-    monkeypatch.setattr(fock, "_hamiltonian_blocks", lambda h: calls.append(h) or solve(h))
+    solve = fock._hermitian_blocks
+    monkeypatch.setattr(fock, "_hermitian_blocks", lambda h: calls.append(h) or solve(h))
     system = bosons(2, 2)
     mix = random_number_diagonal_mixture(
         system, Partition([("A", (0,)), ("B", (1,))]), np.random.default_rng(1))

@@ -27,9 +27,12 @@ from focklab import (
 )
 from focklab.fock import (
     MAX_DIM,
+    PAIR_CHUNK,
     Mode,
     _density_matrices,
+    _hermitian_blocks,
     _ladder_entries,
+    _rotate,
     _sub_codes,
     apply_unitary,
     evolution_operator,
@@ -381,6 +384,56 @@ def test_evolution_rejects_a_state_of_another_system():
     for state in (ModeSystem([("x", 8)]).vacuum(), bosons(2, 1).vacuum().density()):
         with pytest.raises(ValueError, match="different systems"):
             unitary_evolve(h, [0.3, 0.4], state)
+
+
+def test_the_eigenvector_kernel_holds_chunks_not_matrices():
+    # dim 1024, one d x d complex matrix is 16 MiB; the hopping conserves the
+    # total number, so H splits into number blocks of at most 32
+    system = bosons(2, 31)
+    h = 0.3 * number_op(system) + creation(system, 0) @ annihilation(system, 1)
+    h = h + h.dag()
+    blocks = _hermitian_blocks(h)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((system.dim, 3)) + 1j * rng.standard_normal((system.dim, 3))
+    v = np.zeros((system.dim,) * 2, dtype=complex)
+    for idx, _, vecs in blocks:
+        v[idx[:, :, None], idx[:, None, :]] = vecs
+    assert np.abs(_rotate(blocks, x.copy()) - v @ x).max() <= 1e-12
+    assert np.abs(_rotate(blocks, x.copy(), adjoint=True) - v.conj().T @ x).max() <= 1e-12
+    rho = DensityOperator(system, np.diag(rng.dirichlet(np.ones(system.dim))))
+    square = 16 * system.dim ** 2
+    x = rng.standard_normal((system.dim,) * 2) + 0j
+    tracemalloc.start()
+    try:
+        # in place, from copies of at most PAIR_CHUNK entries and their products
+        assert _rotate(blocks, x, adjoint=True) is x
+        in_place = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        # the rows for every time, one time's copy and product, and no unitary
+        unitary_evolve(h, 0.4, rho)
+        evolve = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert in_place < 2 * 16 * PAIR_CHUNK + square / 16
+    assert evolve < 3.5 * square
+
+
+@pytest.mark.parametrize("states,k", [(1, 1024), (512, 64)])
+def test_the_eigenvector_kernel_forms_at_most_pair_chunk_entries_at_a_time(states, k):
+    # one k x k component over every row: 1024 columns of one matrix are cut
+    # into column chunks, and 512 matrices of 64 x 64 into chunks of matrices
+    rng = np.random.default_rng(6)
+    blocks = [(np.arange(k)[None], np.zeros((1, k)), rng.standard_normal((1, k, k)) + 0j)]
+    x = rng.standard_normal((states, k, k)) + 1j * rng.standard_normal((states, k, k))
+    expected = blocks[0][2] @ x
+    tracemalloc.start()
+    try:
+        _rotate(blocks, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * PAIR_CHUNK + 100_000
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_a_density_is_evolved_without_a_dense_unitary(monkeypatch):

@@ -84,23 +84,104 @@ def test_spectral_stores_no_projector_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(obs.blocks) == 31
+    assert len(obs.eigenvalues) == 31 and obs.outcomes.shape == (256,)
+    # number_op is diagonal: 256 components of one eigenvector each
+    assert [vecs.shape for _, _, vecs in obs.blocks] == [(256, 1, 1)]
     assert peak < 8_000_000
 
 
+def _scaled_column(blocks):
+    (idx, evals, vecs), = blocks
+    vecs = vecs.copy()
+    vecs[:, :, 1] *= 2.0
+    return [(idx, evals, vecs)]
+
+
 @pytest.mark.parametrize("change,message", [
-    # a non-orthonormal block, a missing outcome, a wrong eigenvalue
-    (lambda vals, blocks: (vals, (blocks[0], 2.0 * blocks[1], blocks[2])),
+    # a non-orthonormal eigenvector, a missing outcome, a wrong eigenvalue
+    (lambda vals, blocks, out: (vals, _scaled_column(blocks), out),
      "do not resolve the identity"),
-    (lambda vals, blocks: (vals[:2], blocks[:2]), "do not resolve the identity"),
-    (lambda vals, blocks: ((vals[0], vals[1] + 0.5, vals[2]), blocks), "does not reconstruct"),
+    (lambda vals, blocks, out: (vals[:2], blocks, out), "do not resolve 3 positions"),
+    (lambda vals, blocks, out: ((vals[0], vals[1] + 0.5, vals[2]), blocks, out),
+     "does not reconstruct"),
+    # malformed components: not a partition, not integers, not ascending, wrong
+    # shapes, not triples
+    (lambda vals, blocks, out: (vals, [(np.array([[0, 1, 1]]),) + blocks[0][1:]], out),
+     "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, [(np.array([[0, 1, 5]]),) + blocks[0][1:]], out),
+     "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, [(np.array([[0.0, 1.0, 2.0]]),) + blocks[0][1:]], out),
+     "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, [(np.array([[1, 0, 2]]),) + blocks[0][1:]], out),
+     "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, [(np.array([[0, 1]]),) + blocks[0][1:]], out),
+     "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, [blocks[0][:2] + (blocks[0][2][:, :, :2],)], out),
+     "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, [blocks[0][:2]], out), "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, None, out), "do not resolve 3 positions"),
+    # outcomes: non-integer, out of range, negative, wrong shape, an unused outcome
+    (lambda vals, blocks, out: (vals, blocks, out.astype(float)), "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, blocks, np.array([0, 1, 3])), "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, blocks, np.array([-1, 1, 2])), "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals, blocks, out[:2]), "do not resolve 3 positions"),
+    (lambda vals, blocks, out: (vals + (3.0,), blocks, out), "do not resolve 3 positions"),
 ])
 def test_observable_rejects_a_bad_resolution(change, message):
     n_op = number_op(bosons(1, 2))
     obs = spectral(n_op)
-    eigenvalues, blocks = change(obs.eigenvalues, obs.blocks)
+    eigenvalues, blocks, outcomes = change(obs.eigenvalues, obs.blocks, obs.outcomes)
     with pytest.raises(ValueError, match=message):
-        Observable(n_op, eigenvalues, blocks)
+        Observable(n_op, eigenvalues, blocks, outcomes)
+
+
+_SYSTEM = bosons(2, 1)
+_RHO = _SYSTEM.basis_state((1, 0)).density()
+_N_OP = number_op(_SYSTEM)
+_OBS = spectral(_N_OP)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: outcome_distribution(_RHO, _N_OP),
+    lambda: unrecorded_state(_RHO, _N_OP),
+    lambda: unrecorded_state([_RHO, _RHO], _N_OP),
+    lambda: unrecorded_conditioned_variance(_RHO, _N_OP, _OBS),
+    lambda: unrecorded_conditioned_variance(_RHO, _OBS, _N_OP),
+    lambda: cond_mean(_RHO, _N_OP, _OBS.projectors[0]),
+    lambda: cond_variance(_RHO, _N_OP, _OBS.projectors[0]),
+])
+def test_an_operator_where_an_observable_is_expected_is_a_type_error(call):
+    with pytest.raises(TypeError, match="^expected Observable, got Operator$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: prob(_RHO, _OBS),
+    lambda: prob([_RHO, _RHO], _OBS),
+    lambda: joint_prob(_RHO, [_OBS]),
+    lambda: cond_mean(_RHO, _OBS, _OBS),
+    lambda: cond_variance(_RHO, _OBS, _OBS),
+])
+def test_an_observable_where_a_projector_is_expected_is_a_type_error(call):
+    with pytest.raises(TypeError, match="^expected Operator, got Observable$"):
+        call()
+
+
+def test_a_number_observable_is_resolved_and_measured_without_an_eigensolver(monkeypatch):
+    system = bosons(2, 31)      # dim 1024: n_A has 1024 components of one eigenvector
+    n_a = number_op(system, [1, 0])
+    rho = system.superposition([(0, 5), (3, 2), (7, 0)], [0.6, 0.48, 0.64]).density()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    obs = spectral(n_a)
+    probs = dict(outcome_distribution(rho, obs).outcomes)
+    assert obs.eigenvalues == tuple(float(n) for n in range(32))
+    expected = {0.0: 0.36, 3.0: 0.2304, 7.0: 0.4096}
+    assert max(abs(p - expected.get(mu, 0.0)) for mu, p in probs.items()) <= 1e-15
 
 
 def test_block_consumers_reject_an_observable_on_another_system():

@@ -448,17 +448,23 @@ def test_particle_entanglement_vanishes_on_number_diagonal_mixtures(modes, swap,
 @st.composite
 def commuting_observables(draw):
     """A system and two commuting Hermitian operators with degenerate spectra:
-    U diag(a) U^H and U diag(b) U^H for small integer vectors a and b, or the
-    number operator of some modes and the total number operator."""
-    if draw(st.booleans()):
+    the number operator of some modes and the total number operator; or
+    U diag(a) U^H and U diag(b) U^H for small integer vectors a and b, with U
+    one dense unitary or, on a system of dim >= BLOCK_MIN_DIM, one unitary per
+    total-number sector, so that the operators conserve the total number and
+    split into number blocks."""
+    kind = draw(st.sampled_from(["number", "dense", "sectors"]))
+    if kind == "number":
         system, keep, _ = draw(systems_with_kept_modes())
         n_kept = tensor_embed(number_op(sub_system(system, keep)), system, keep)
         return system, n_kept, number_op(system)
-    system = draw(systems())
+    system = draw(systems()) if kind == "dense" else bosons(2, draw(st.integers(6, 8)))
+    labels = fock.number_diagonal(system) if kind == "sectors" else np.zeros(system.dim)
     rng = np.random.default_rng(draw(seeds))
-    g = rng.standard_normal((system.dim, system.dim)) \
-        + 1j * rng.standard_normal((system.dim, system.dim))
-    u = np.linalg.qr(g)[0]
+    u = np.zeros((system.dim, system.dim), dtype=complex)
+    for _, sel in sector_blocks(labels):
+        g = rng.standard_normal((len(sel),) * 2) + 1j * rng.standard_normal((len(sel),) * 2)
+        u[np.ix_(sel, sel)] = np.linalg.qr(g)[0]
     ops = []
     for _ in range(2):
         diag = draw(st.lists(st.integers(-2, 2), min_size=system.dim, max_size=system.dim))
@@ -467,10 +473,19 @@ def commuting_observables(draw):
     return system, ops[0], ops[1]
 
 
-def reference_moments(rho, target, given):
+def dense_projectors(observable):
+    """Each outcome's projector from one dense ``eigh`` of the observable's
+    operator, its eigenvectors grouped by their nearest outcome eigenvalue."""
+    evals, vecs = np.linalg.eigh(observable.operator.matrix)
+    near = np.abs(evals[:, None] - np.array(observable.eigenvalues)).argmin(axis=1)
+    return [vecs[:, near == j] @ vecs[:, near == j].conj().T
+            for j in range(len(observable.eigenvalues))]
+
+
+def reference_moments(rho, target, projs, given):
     """Conditional mean and variance of ``target`` from explicit d x d projectors."""
     p_given = np.trace(given @ rho).real
-    pmf = [np.trace(b @ b.conj().T @ given @ rho).real / p_given for b in target.blocks]
+    pmf = [np.trace(p @ given @ rho).real / p_given for p in projs]
     mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))
     return mean, sum((mu - mean) ** 2 * c for mu, c in zip(target.eigenvalues, pmf))
 
@@ -483,8 +498,11 @@ def test_block_measurement_matches_the_explicit_projector_reference(case, seed):
     r = rho.matrix
     for target, given_obs in ((spectral(op_x), spectral(op_y)),
                               (spectral(op_y), spectral(op_x))):
-        projs = [b @ b.conj().T for b in target.blocks]
-        for p in target.projectors:
+        projs = dense_projectors(target)
+        assert np.abs(sum(mu * p for mu, p in zip(target.eigenvalues, projs))
+                      - target.operator.matrix).max() <= 1e-12
+        for p, ref in zip(target.projectors, projs):
+            assert np.abs(p.matrix - ref).max() <= 1e-12
             assert np.linalg.norm(p.matrix - p.matrix.conj().T) <= PROJ_ATOL
             assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) <= PROJ_ATOL
 
@@ -493,15 +511,15 @@ def test_block_measurement_matches_the_explicit_projector_reference(case, seed):
         after = unrecorded_state(rho, target).matrix
         assert np.abs(after - sum(p @ r @ p for p in projs)).max() <= 1e-12
 
-        given_projs = [b @ b.conj().T for b in given_obs.blocks]
+        given_projs = dense_projectors(given_obs)
         weights = [np.trace(p @ r).real for p in given_projs]
         given = given_projs[int(np.argmax(weights))]
-        mean, var = reference_moments(r, target, given)
+        mean, var = reference_moments(r, target, projs, given)
         assert abs(cond_mean(rho, target, Operator(system, given)) - mean) <= 1e-12
         assert abs(cond_variance(rho, target, Operator(system, given)) - var) <= 1e-12
 
         kept = [(w, p) for w, p in zip(weights, given_projs) if w > PROB_FLOOR]
-        expected = sum(w * reference_moments(r, target, p)[1] for w, p in kept) \
+        expected = sum(w * reference_moments(r, target, projs, p)[1] for w, p in kept) \
             / sum(w for w, _ in kept)
         assert abs(unrecorded_conditioned_variance(rho, target, given_obs) - expected) <= 1e-12
 
@@ -569,10 +587,10 @@ def test_block_solver_matches_the_dense_solve(case):
     cuts = np.nonzero(np.diff(evals) > MERGE_TOL * max(evals[-1] - evals[0], 1.0))[0] + 1
     observable = spectral(op)
     assert len(observable.eigenvalues) == len(cuts) + 1
-    for mu, block, grp, ref in zip(observable.eigenvalues, observable.blocks,
-                                   np.split(evals, cuts), np.split(vecs, cuts, axis=1)):
+    for mu, proj, grp, ref in zip(observable.eigenvalues, observable.projectors,
+                                  np.split(evals, cuts), np.split(vecs, cuts, axis=1)):
         assert abs(mu - grp.mean()) <= 1e-12
-        assert np.abs(block @ block.conj().T - ref @ ref.conj().T).max() <= 1e-12
+        assert np.abs(proj.matrix - ref @ ref.conj().T).max() <= 1e-12
 
 
 @SETTINGS
