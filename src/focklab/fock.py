@@ -275,7 +275,7 @@ class PureState:
             raise ValueError("amplitude vector has wrong length")
         nrm = np.linalg.norm(amplitudes)
         if not abs(nrm - 1.0) <= NORM_ATOL:   # written so that NaN fails too
-            raise ValueError(f"state vector norm {nrm} is not 1 within {NORM_ATOL}")
+            raise ValueError(f"state vector is not normalised: norm {nrm}, tolerance {NORM_ATOL}")
         amplitudes.setflags(write=False)
         self.system = system
         self.amplitudes = amplitudes
@@ -479,18 +479,17 @@ def annihilation(system, mode):
     Bosonic: a|n> = sqrt(n)|n-1>, with raising past the cutoff mapped to zero
     (take cutoff above any total occupancy in play for exact results).
     Fermionic: Jordan-Wigner sign (-1)^(occupied modes with smaller index).
+    The ``ladder_sum`` of its one factor.
     """
     if isinstance(mode, str):
         mode = system.mode_index(mode)
-    rows, cols, values = _ladder_entries(system, mode)
-    mat = np.zeros((system.dim, system.dim), dtype=complex)
-    mat[rows, cols] = values
-    return Operator(system, mat)
+    return ladder_sum(system, [(1.0, ((mode, False),))])
 
 
 @functools.lru_cache
 def _ladder_entries(system, mode):
-    """Read-only (rows, cols, values) of the nonzero entries of ``annihilation``."""
+    """Read-only (rows, cols, values) of the nonzero entries of one mode's annihilation
+    operator."""
     if not 0 <= mode < system.n_modes:
         raise ValueError(f"mode index {mode} out of range")
     if system.total_number_restriction is not None:
@@ -544,7 +543,8 @@ def ladder_product(system, factors):
 
 def ladder_sum(system, terms):
     """Operator sum of ``coeff * product`` over ``(coeff, factors)`` terms, each
-    product scattered from its ``ladder_product`` entries."""
+    product scattered from its ``ladder_product`` entries: the only code that
+    scatters ladder entries into a dense matrix."""
     mat = np.zeros((system.dim, system.dim), dtype=complex)
     for coeff, factors in terms:
         rows, cols, values = ladder_product(system, factors)
@@ -827,13 +827,17 @@ def _reduced_matrices(system, rows, blocks, keep_idx):
     return sub, out.reshape(n, dim, dim)
 
 
-def expectation(state, op):
-    """<Omega> = Tr(Omega rho), returned as a complex number.
+def _expectations(stack, matrices):
+    """Tr(X_k rho_n) of each matrix of an (n, d, d) stack and each of a (k, d, d)
+    stack, as an (n, k) complex array: sum_ij X_ij rho_ji in O(d^2) per entry, by
+    one einsum.  The one Tr(X rho) of focklab."""
+    return np.einsum("kij,nji->nk", matrices, stack)
 
-    Summed as sum_ij Omega_ij rho_ji in O(d^2), exact for any Omega.
-    """
+
+def expectation(state, op):
+    """<Omega> = Tr(Omega rho), returned as a complex number, exact for any Omega."""
     rho = as_density(_on_system(state, op))
-    return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
+    return complex(_expectations(rho.matrix[None], op.matrix[None])[0, 0])
 
 
 def _hermitian_blocks(op):
@@ -897,7 +901,10 @@ def _evolve(blocks, times, x):
     """exp(-i H t) x = V (e^{-i lambda t} V^H x) for each t of ``times``, along a leading
     axis, from the ``eigh_blocks`` of H, for a (d,) vector or each column of a (d, m)
     array, which is not changed: V^H x is formed once, each time has the bits of its
-    time alone, and no unitary is formed.  The one place exp(-i H t) acts on a state."""
+    time alone, and no unitary is formed.  The one place exp(-i H t) acts on a state;
+    a time that is not finite raises."""
+    if not np.isfinite(times).all():
+        raise ValueError(f"evolution times {times} are not all finite")
     cols = _rotate(blocks, np.array(x, dtype=complex, order="C").reshape(len(x), -1), adjoint=True)
     out = np.empty((len(times), *cols.shape), dtype=complex)
     for row, t in zip(out, times):     # one product per time, whose bits its shape sets

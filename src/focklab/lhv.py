@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import NORM_ATOL, _is_integer, sub_system
-from .measurement import _block_probs
+from .measurement import PROB_FLOOR, _block_probs
 from .sampling import _flat_dirichlet
 
 ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
@@ -90,16 +90,18 @@ def lhv_from_separable(mixture, subsystem_observables):
     """The classical model matching a separable mixture's joint probabilities.
 
     Hidden values are the mixture components; the pmf of observable K at
-    hidden value R is the outcome distribution of the component factor.
-    ``subsystem_observables`` maps subsystem name -> Observable on that
-    subsystem's factor space.
+    hidden value R is the outcome distribution of the component factor, whose
+    roundoff entries in [-PROB_FLOOR, 0), which ``OutcomeDistribution`` allows,
+    are set to 0.  ``subsystem_observables`` maps subsystem name -> Observable on
+    that subsystem's factor space.
     """
     observables = {}
     for name, obs in subsystem_observables.items():
         if obs.system != sub_system(mixture.system, mixture.partition.modes_of(name)):
             raise ValueError("operator and state live on different systems")
+        pmf = _block_probs(mixture.factors[name], obs)
         observables[name] = LHVObservable(tuple(obs.eigenvalues),
-                                          _block_probs(mixture.factors[name], obs))
+                                          np.where(pmf < -PROB_FLOOR, pmf, np.maximum(pmf, 0.0)))
     return DiscreteLHVModel(mixture.probabilities.copy(), observables)
 
 

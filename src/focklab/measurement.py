@@ -22,6 +22,7 @@ from .fock import (
     _density_stack,
     _conjugate,
     _eigenvalues,
+    _expectations,
     _hermitian_blocks,
     _rotate,
     as_density,
@@ -165,17 +166,11 @@ def _real_probs(values):
     return values.real.copy()
 
 
-def _probs(stack, matrix):
-    """Tr(M rho) of each matrix of an (n, d, d) stack: one einsum, whose sums
-    have the bits of one ``expectation`` per state."""
-    return _real_probs(np.einsum("ij,nji->n", matrix, stack))
-
-
 def prob(states, projector):
     """P = Tr(Pi rho) of one state, as a float, or of each of a non-empty
     sequence of states on one system, as an (n,) array."""
     _, stack, one = _density_matrices(states, _of_kind(projector, Operator))
-    probs = _probs(stack, projector.matrix)
+    probs = _real_probs(_expectations(stack, projector.matrix[None])[:, 0])
     return float(probs[0]) if one else probs
 
 
@@ -306,7 +301,7 @@ def _unrecorded_variances(stack, target, given_observable):
     """
     total = weight = np.zeros(len(stack))
     for p_proj in given_observable._projectors():
-        p_i = _probs(stack, p_proj.matrix)
+        p_i = _real_probs(_expectations(stack, p_proj.matrix[None])[:, 0])
         kept = p_i > PROB_FLOOR
         if not kept.any():
             continue

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    NORM_ATOL,
     PAIR_CHUNK,
     ModeSystem,
     PureState,
@@ -273,29 +272,41 @@ def phase_state(n_max, p):
     return PureState(system, amps)
 
 
+def _clock_args(p, q, omega, dt):
+    """The phase indices of ``p`` and ``q`` as lists, each one index or a 1-D sequence,
+    and omega * dt, once it is finite; raises ValueError naming it."""
+    if not np.isfinite(omega * dt):
+        raise ValueError(f"omega * dt = {omega * dt!r} is not finite")
+    return [p] if np.ndim(p) == 0 else list(p), [q] if np.ndim(q) == 0 else list(q), omega * dt
+
+
 def clock_prob(p, q, omega, dt, n_max):
     """Probability that a clock at phase theta_p reads theta_q after dt.
 
     Closed form sin^2((n_max+1) Delta/2) / ((n_max+1)^2 sin^2(Delta/2)) with
     Delta = theta_p - theta_q - omega dt; the removable singularity at
-    Delta = 2 pi m is evaluated by its limit, 1.
+    Delta = 2 pi m is evaluated by its limit, 1.  ``p`` and ``q`` may each be
+    one phase index or a 1-D sequence of them, as for ``clock_prob_by_evolution``:
+    the result is a float for two indices, else the (len p, len q) table, each
+    entry with the bits of its own scalar call (``np.float_power`` squares as a
+    numpy scalar's ``** 2`` does).
     """
-    if not (_is_integer(p) and _is_integer(q) and _is_integer(n_max)
-            and 0 <= p <= n_max and 0 <= q <= n_max):
+    rows, cols, omega_dt = _clock_args(p, q, omega, dt)
+    if not (_is_integer(n_max) and all(_is_integer(i) and 0 <= i <= n_max
+                                       for i in rows + cols)):
         raise ValueError(f"phase indices p = {p!r} and q = {q!r} must be integers in "
                          f"0..n_max, with n_max = {n_max!r} an integer")
     m = n_max + 1
-    theta_p = 2.0 * np.pi * p / m
-    theta_q = 2.0 * np.pi * q / m
-    delta = theta_p - theta_q - omega * dt
+    theta = 2.0 * np.pi * np.array(rows + cols, dtype=float) / m
+    delta = theta[:len(rows), None] - theta[None, len(rows):] - omega_dt
     # reduce to the principal branch: the squared ratio is 2pi-periodic, and
     # evaluating both sines at the reduced angle avoids the cancellation that
     # otherwise wrecks the removable singularities at delta = 2 pi m
     delta -= 2.0 * np.pi * np.round(delta / (2.0 * np.pi))
     s = np.sin(delta / 2.0)
-    if s == 0.0:
-        return 1.0
-    return float(np.sin(m * delta / 2.0) ** 2 / (m ** 2 * s ** 2))
+    table = np.divide(np.float_power(np.sin(m * delta / 2.0), 2), m ** 2 * np.float_power(s, 2),
+                      out=np.ones_like(s), where=s != 0.0)
+    return float(table[0, 0]) if np.ndim(p) == 0 and np.ndim(q) == 0 else table
 
 
 def clock_prob_by_evolution(p, q, omega, dt, n_max):
@@ -303,10 +314,10 @@ def clock_prob_by_evolution(p, q, omega, dt, n_max):
 
     ``p`` and ``q`` may also be 1-D sequences of phase indices; the result is
     then the (len p, len q) table of the same probabilities, with the
-    system, the propagator and each phase state built once.
+    system, the propagator and each phase state built once.  A non-finite
+    omega * dt raises ValueError.
     """
-    rows = [p] if np.ndim(p) == 0 else list(p)
-    cols = [q] if np.ndim(q) == 0 else list(q)
+    rows, cols, _ = _clock_args(p, q, omega, dt)
     sys1 = ModeSystem([("osc", n_max)])
     h = omega * number_op(sys1)
     u = evolution_operator(h, dt)
@@ -316,30 +327,29 @@ def clock_prob_by_evolution(p, q, omega, dt, n_max):
         evolved = apply_unitary(u, states[i])
         for c, j in enumerate(cols):
             table[r, c] = np.abs(np.vdot(states[j].amplitudes, evolved.amplitudes)) ** 2
-    if np.ndim(p) == 0 and np.ndim(q) == 0:
-        return float(table[0, 0])
-    return table
+    return float(table[0, 0]) if np.ndim(p) == 0 and np.ndim(q) == 0 else table
 
 
 def internalise(amplitudes, n_ref):
     """Map a number superposition onto a system+reference entangled state.
 
     sum_m C_m |m>_S  ->  sum_m C_m |m>_S |n_ref - m>_R, which is compliant
-    with the number SSR on the combined space.
+    with the number SSR on the combined space; the ``PureState`` it builds
+    checks the norm.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     m_max = len(amps) - 1
     if n_ref < m_max:
         raise ValueError("reference occupancy must be at least m_max")
-    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
-        raise ValueError("amplitudes are not normalised")
     m = np.arange(m_max + 1)
     return ModeSystem([("S", m_max), ("R", n_ref)]).superposition(
         np.stack([m, n_ref - m], axis=1), amps)
 
 
 def externalise(state):
-    """Inverse of internalise: recover the C_m from the entangled form."""
+    """Inverse of internalise: recover the C_m from the entangled form of a PureState."""
+    if not isinstance(state, PureState):
+        raise TypeError(f"externalise expects a PureState, got {type(state).__name__}")
     system = state.system
     if system.n_modes != 2:
         raise ValueError("expected a two-mode system+reference state")

@@ -352,23 +352,21 @@ def two_mode_coherent_mixture(alpha_abs, cutoff):
 
 
 def dissociation_state(m_molecules, amplitudes):
-    """Entangled molecule-atom state sum_m C_m |M-m>_mol |2m>_atom."""
+    """Entangled molecule-atom state sum_m C_m |M-m>_mol |2m>_atom; the
+    ``PureState`` it builds checks the norm."""
     amps = np.asarray(amplitudes, dtype=complex)
     if len(amps) != m_molecules + 1:
         raise ValueError("need M+1 amplitudes")
-    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
-        raise ValueError("amplitudes are not normalised")
     m = np.arange(m_molecules + 1)
     return ModeSystem([("mol", m_molecules), ("atom", 2 * m_molecules)]).superposition(
         np.stack([m_molecules - m, 2 * m], axis=1), amps)
 
 
 def two_mode_N_boson(amplitudes):
-    """Pure state sum_k C_k |k>_A |N-k>_B with N fixed by len(amplitudes)-1."""
+    """Pure state sum_k C_k |k>_A |N-k>_B with N fixed by len(amplitudes)-1; the
+    ``PureState`` it builds checks the norm."""
     amps = np.asarray(amplitudes, dtype=complex)
     n_total = len(amps) - 1
-    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL:
-        raise ValueError("amplitudes are not normalised")
     return bosons(2, n_total, labels=["A", "B"]).superposition(_two_mode_rows(n_total), amps)
 
 

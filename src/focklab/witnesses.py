@@ -15,6 +15,7 @@ from .fock import (
     _abs_squared,
     _check_physical,
     _density_matrices,
+    _expectations,
     _reduced_matrices,
     _sector_stacks,
     annihilation,
@@ -96,15 +97,14 @@ def chsh_correlation_tensor(states):
     (3, 3) array, or the (n, 3, 3) tensors of n two-qubit states on one system.
 
     The nine products sigma_i x sigma_j are built once and contracted with
-    the (n, 4, 4) stack of densities in one einsum, whose sums have the bits
-    of one ``expectation`` per entry.
+    the (n, 4, 4) stack of densities by one ``fock._expectations``.
     """
     system, stack, one = _density_matrices(states)
     if system.dim != 4:
         raise ValueError("CHSH needs a two-qubit state (dimension 4)")
     paulis_b = pauli_ops(system, 1)
     products = np.stack([(sa @ sb).matrix for sa in pauli_ops(system, 0) for sb in paulis_b])
-    out = np.einsum("kij,nji->nk", products, stack).real.reshape(-1, 3, 3)
+    out = _expectations(stack, products).real.reshape(-1, 3, 3)
     return out[0] if one else out
 
 
@@ -197,7 +197,7 @@ def spin_epr(states, partition):
     spins1, spins2 = spin_ops(system, *m1), spin_ops(system, *m2)
     sx1, sx2, sy1, sy2 = (spectral(op) for op in (spins1.sx, spins2.sx, spins1.sy, spins2.sy))
     lhs = _unrecorded_variances(stack, sx1, sx2) * _unrecorded_variances(stack, sy1, sy2)
-    rhs = 0.25 * _abs_squared(np.einsum("ij,nji->n", spins1.sz.matrix, stack))
+    rhs = 0.25 * _abs_squared(_expectations(stack, spins1.sz.matrix[None])[:, 0])
     margin = rhs - lhs
     out = [WitnessVerdict(lhs=left, rhs=right, violated=m > DECISION_TOL, margin=m)
            for left, right, m in zip(lhs.tolist(), rhs.tolist(), margin.tolist())]

@@ -30,6 +30,7 @@ from focklab.fock import (
     PAIR_CHUNK,
     Mode,
     _density_matrices,
+    _expectations,
     _hermitian_blocks,
     _ladder_entries,
     _rotate,
@@ -178,6 +179,20 @@ def test_annihilation_ladder_factor():
     a = annihilation(system, 0)
     out = a.matrix @ system.basis_state((3,)).amplitudes
     assert abs(out[system.index_of((2,))] - np.sqrt(3)) < 1e-15
+
+
+def test_annihilation_is_the_scatter_of_its_ladder_entries():
+    # bit for bit the dense matrix of the one mode's (rows, cols, values)
+    for system in (ModeSystem([("a", 3)]), bosons(2, 3), fermions(3),
+                   ModeSystem([("a", 2), ("f", 1, "fermi"), ("b", 1)])):
+        for mode in range(system.n_modes):
+            rows, cols, values = _ladder_entries(system, mode)
+            want = np.zeros((system.dim, system.dim), dtype=complex)
+            want[rows, cols] = values
+            for key in (mode, system.modes[mode].label):
+                assert np.array_equal(annihilation(system, key).matrix, want)
+    with pytest.raises(ValueError, match="mode index 2 out of range"):
+        annihilation(bosons(2, 1), 2)
 
 
 def test_fermionic_sign_second_mode():
@@ -377,6 +392,21 @@ def test_evolution_to_an_empty_or_nested_sequence_of_times_is_named(times):
         with pytest.raises(ValueError, match="^unitary_evolve takes one time or a "
                                              "non-empty sequence of times$"):
             unitary_evolve(number_op(system), times, state)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_evolution_to_a_time_that_is_not_finite_is_named(t):
+    system = bosons(1, 3)
+    h = number_op(system)
+    with pytest.raises(ValueError, match="evolution times .* are not all finite"):
+        evolution_operator(h, t)
+    for state in (system.vacuum(), system.vacuum().density()):
+        for times in (t, [0.1, t]):
+            with pytest.raises(ValueError, match="evolution times .* are not all finite"):
+                unitary_evolve(h, times, state)
+    # a Hamiltonian that is not Hermitian is still named first
+    with pytest.raises(ValueError, match="Hermitian"):
+        unitary_evolve(annihilation(system, 0), t, system.vacuum())
 
 
 def test_evolution_rejects_a_state_of_another_system():
@@ -619,3 +649,22 @@ def test_eigh_blocks_is_the_only_eigensolver():
              for path in sorted(src.glob("*.py"))}
     found = {name: uses for name, uses in found.items() if uses}
     assert found == {"fock.py": [("eigh_blocks", "eigh"), ("eigh_blocks", "eigvalsh")]}
+
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 7, 16, 25, 64, 100, 255, 361])
+def test_the_trace_contraction_has_the_bits_of_each_einsum_it_replaces(dim):
+    rng = np.random.default_rng(dim)
+
+    def complex_stack(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    stack, matrices = complex_stack(3, dim, dim), complex_stack(4, dim, dim)
+    out = _expectations(stack, matrices)
+    assert out.shape == (3, 4)
+    assert np.array_equal(out, np.einsum("kij,nji->nk", matrices, stack))
+    for k, x in enumerate(matrices):
+        column = _expectations(stack, x[None])[:, 0]
+        assert np.array_equal(column, np.einsum("ij,nji->n", x, stack))
+        for n, rho in enumerate(stack):
+            assert _expectations(rho[None], x[None])[0, 0] == np.einsum("ij,ji->", x, rho)

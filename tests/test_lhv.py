@@ -250,6 +250,46 @@ def test_general_separable_mixture_has_matching_model():
         lhv_from_separable(mixture, {"A": observables["B"], "B": observables["A"]})
 
 
+def test_separable_model_takes_a_roundoff_negative_probability_as_zero():
+    # a factor that is an eigenstate of its own observable has a zero-probability
+    # outcome, which often comes out a few 1e-17 below zero
+    from focklab.fock import qubits, sub_system
+    from focklab.measurement import PROB_FLOOR, _block_probs
+    from focklab.witnesses import pauli_ops
+    rng = np.random.default_rng(1)
+    system = qubits(2)
+    partition = Partition([("A", (0,)), ("B", (1,))])
+    subs = {name: sub_system(system, (mode,)) for name, mode in (("A", 0), ("B", 1))}
+    negative = 0
+    for _ in range(200):
+        observables, factors = {}, {}
+        for name, sub in subs.items():
+            n = rng.standard_normal(3)
+            sx, sy, sz = pauli_ops(sub, 0)
+            n /= np.linalg.norm(n)
+            observables[name] = spectral(n[0] * sx + n[1] * sy + n[2] * sz)
+            factors[name] = observables[name].projectors[int(rng.integers(2))].matrix[None]
+        mixture = SeparableMixture(system, partition, [1.0], factors)
+        raw = {name: _block_probs(mixture.factors[name], obs) for name, obs in observables.items()}
+        negative += sum(int((pmf < 0).any()) for pmf in raw.values())
+        model = lhv_from_separable(mixture, observables)
+        for name, pmf in raw.items():
+            got = model.observables[name].pmf
+            assert got.min() >= 0.0
+            assert np.array_equal(got, np.where(pmf < 0.0, 0.0, pmf))
+            assert pmf.min() >= -PROB_FLOOR
+    assert negative > 0
+    # a probability of -1.5e-12, below -PROB_FLOOR but within the PSD slack of a
+    # factor of trace 1 - 8e-13, is not roundoff, and the model still refuses it,
+    # though as 0.0 its row would sum to 1 within NORM_ATOL
+    system = bosons(2, 2)
+    factor = np.diag([0.5, 0.5 + 0.7e-12, -1.5e-12]).astype(complex)[None]
+    mixture = SeparableMixture(system, partition, [1.0], {"A": factor, "B": factor})
+    sub = ModeSystem([system.modes[0]])
+    with pytest.raises(ValueError, match="pmf rows for 'A' are not distributions"):
+        lhv_from_separable(mixture, {"A": spectral(number_op(sub))})
+
+
 def test_ghz_search_counts():
     assert ghz_assignment_search() == 0
     assert ghz_assignment_search(xxx_target=None) == 64

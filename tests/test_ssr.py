@@ -484,6 +484,58 @@ def test_clock_table_equals_the_per_pair_probabilities_bit_for_bit(n_max):
         assert single == table[0, len(cols) - 1]
 
 
+def _scalar_clock(p, q, omega, dt, n_max):
+    """The closed form on numpy scalars, one (p, q) pair at a time: the reference
+    whose bits every entry of a ``clock_prob`` table keeps."""
+    m = n_max + 1
+    delta = 2.0 * np.pi * p / m - 2.0 * np.pi * q / m - omega * dt
+    delta -= 2.0 * np.pi * np.round(delta / (2.0 * np.pi))
+    s = np.sin(delta / 2.0)
+    return 1.0 if s == 0.0 else float(np.sin(m * delta / 2.0) ** 2 / (m ** 2 * s ** 2))
+
+
+@pytest.mark.parametrize("n_max", range(1, 21))
+def test_closed_form_clock_table_equals_its_scalar_calls_bit_for_bit(n_max):
+    rng = np.random.default_rng(100 + n_max)
+    # all phases in order, and a random selection with repeats, as a list or an array;
+    # omega dt = 2 pi / (n_max + 1) lands on the removable singularities
+    for rows, cols in ((range(n_max + 1), range(n_max + 1)),
+                       (list(rng.integers(0, n_max + 1, 5)), rng.integers(0, n_max + 1, 3))):
+        for omega, dt in ((rng.uniform(-3.0, 3.0), rng.uniform(0.0, 10.0)),
+                          (1.0, 2 * np.pi / (n_max + 1)), (0.0, 1.0)):
+            table = clock_prob(rows, cols, omega, dt, n_max)
+            assert table.shape == (len(rows), len(cols))
+            for i, p in enumerate(rows):
+                for j, q in enumerate(cols):
+                    single = clock_prob(p, q, omega, dt, n_max)
+                    assert type(single) is float
+                    assert table[i, j] == single == _scalar_clock(p, q, omega, dt, n_max)
+            # one sequence and one index give a one-row or one-column table
+            assert np.array_equal(clock_prob(rows[0], cols, omega, dt, n_max), table[:1])
+            assert np.array_equal(clock_prob(rows, cols[0], omega, dt, n_max), table[:, :1])
+    # a numpy scalar's ** 2 is a libm pow, which an array's square does not always match
+    for omega_dt in rng.uniform(-20.0, 20.0, 10):
+        want = [[_scalar_clock(p, q, 1.0, omega_dt, n_max) for q in range(n_max + 1)]
+                for p in range(n_max + 1)]
+        assert np.array_equal(clock_prob(range(n_max + 1), range(n_max + 1), 1.0, omega_dt,
+                                         n_max), want)
+
+
+@pytest.mark.parametrize("omega, dt", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.5),
+                                       (0.0, np.inf), (1e200, 1e200)])
+def test_clock_rejects_an_omega_dt_that_is_not_finite(omega, dt):
+    for clock in (clock_prob, clock_prob_by_evolution):
+        for p, q in ((0, 0), ([0, 1], [2, 3])):
+            with pytest.raises(ValueError, match=r"omega \* dt = .* is not finite"):
+                clock(p, q, omega, dt, 4)
+
+
+@pytest.mark.parametrize("state", [bosons(2, 2).vacuum().density(), np.ones(9), None])
+def test_externalise_of_anything_but_a_pure_state_is_a_type_error(state):
+    with pytest.raises(TypeError, match="externalise expects a PureState"):
+        externalise(state)
+
+
 def test_clock_table_rejects_a_phase_index_out_of_range():
     with pytest.raises(ValueError, match="phase index"):
         clock_prob_by_evolution([0, 1], [0, 5], 1.0, 0.3, 4)

@@ -705,6 +705,20 @@ def test_ghz_and_singlet_shapes():
     assert rep.compliant
 
 
+@pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-9, np.nan, np.inf])
+def test_the_three_amplitude_constructors_reject_an_unnormalised_vector(scale):
+    from focklab.ssr import internalise
+    amps = scale * np.array([0.6, -0.8])
+    for build in (lambda: dissociation_state(1, amps), lambda: two_mode_N_boson(amps),
+                  lambda: internalise(amps, 3)):
+        with pytest.raises(ValueError, match="state vector is not normalised"):
+            build()
+    # and take the normalised vector
+    for state in (dissociation_state(1, [0.6, 0.8j]), two_mode_N_boson([0.6, 0.8j]),
+                  internalise([0.6, 0.8j], 3)):
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_normalisation_errors():
     with pytest.raises(ValueError, match="normalised"):
         dissociation_state(2, [1.0, 1.0, 0.0])
