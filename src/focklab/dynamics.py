@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    MAX_DIM,
     NORM_ATOL,
     ModeSystem,
     Operator,
@@ -226,18 +227,15 @@ def _calibrate_half_transfer(system, h, blocks, n_bec):
 
 
 def _bisect(f, lo, hi):
-    """Root of ``f`` in [lo, hi], halving until hi - lo <= 1e-14 + 1e-15 |x|.
-
-    The relative term exceeds four machine epsilons, so the interval can
-    always shrink to the stopping width.
+    """Root of ``f`` in [lo, hi], halving until the midpoint equals an endpoint:
+    the bracket is then two adjacent floats, whatever the scale of the root.
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo * f_hi > 0:
         raise ValueError("f(lo) and f(hi) must have different signs")
     if f_lo == 0 or f_hi == 0:
         return lo if f_lo == 0 else hi
-    while hi - lo > 1e-14 + 1e-15 * abs(0.5 * (lo + hi)):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         f_mid = f(mid)
         if f_mid == 0:
             return mid
@@ -245,7 +243,7 @@ def _bisect(f, lo, hi):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def _run_atom_molecule_fock(n_bec, kappa, phi):
@@ -302,8 +300,14 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
         raise ValueError(f"unknown initial {initial!r}")
 
     nbar = float(n_bec)
-    n_max = int(nbar + 20.0 * math.sqrt(max(nbar, 1.0)) + 20)
+    top = MAX_DIM // 4 - 1     # the largest BEC number of an (atom, mol, bec) system
+    # past the mean the weights fall, so the grid stops at top + 1: a kept count
+    # above top shows there, before any component is built
+    n_max = min(int(nbar + 20.0 * math.sqrt(max(nbar, 1.0)) + 20), top + 1)
     weights = poisson_pmf(np.arange(n_max + 1), nbar)
+    if nbar > top or (weights[top + 1:] > 1e-15).any():
+        raise ValueError(f"a Poisson mean of {nbar!r} keeps BEC numbers above {top}, the "
+                         f"largest of a system within MAX_DIM = {MAX_DIM}")
     keep = np.nonzero(weights > 1e-15)[0]
     weights = weights[keep] / weights[keep].sum()
 

@@ -40,6 +40,10 @@ MAX_DIM = 4096
 # for blocks, so ``eigh_blocks`` solves it whole.
 BLOCK_MIN_DIM = 48
 
+# entries a chunked kernel forms at a time: row pairs of ``_reduced_matrices``,
+# columns of ``_rotate`` and residual rows of ``_residual_norms``
+PAIR_CHUNK = 1 << 18
+
 
 def _is_integer(value):
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
@@ -237,7 +241,7 @@ class Operator:
         return Operator(self.system, self.matrix.conj().T)
 
     def is_hermitian(self):
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= HERM_INPUT_ATOL
+        return _hermitian_residuals(self.matrix) <= HERM_INPUT_ATOL
 
     def _coerce(self, other):
         if not isinstance(other, Operator):
@@ -307,9 +311,7 @@ def _check_physical(matrix):
     same four checks, a failure names the index of the first failing matrix,
     and the (n, d) spectra are each matrix's own ``eigvalsh_blocks``.
     """
-    with np.errstate(invalid="ignore"):     # an infinite entry gives inf - inf = NaN
-        residual = matrix - matrix.swapaxes(-1, -2).conj()
-        herm = np.sqrt(_row_dots(residual.reshape(*matrix.shape[:-2], -1).view(float)))
+    herm = _hermitian_residuals(matrix)
     _require(herm <= HERM_ATOL, herm, "not Hermitian: residual {}")
     tr = matrix.trace(axis1=-2, axis2=-1)
     _require(abs(tr - 1.0) <= TRACE_ATOL, tr, f"trace {{}} is not 1 within {TRACE_ATOL}")
@@ -330,7 +332,29 @@ def _abs_squared(z):
 
 def _row_dots(x):
     """x . x of a real vector, or of each row of a stack of them."""
-    return x @ x if x.ndim == 1 else (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return x @ x if x.ndim == 1 else (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _residual_norms(x, rows):
+    """The Frobenius norm of a residual shaped like ``x``, a d x d matrix (a float)
+    or a stack of them over any leading axes (one norm per matrix): the one
+    residual norm of focklab.
+
+    ``rows(s)`` forms the residual's rows ``s``, a slice, of every matrix, at most
+    ``PAIR_CHUNK`` entries per matrix at a time, so that no d x d temporary is
+    held; up to d = 512 that is one block.  An infinite entry, or a square past
+    the float range, gives a NaN or infinite norm, which fails every ``<=``
+    check, and no warning.
+    """
+    step, lead = max(1, PAIR_CHUNK // x.shape[-1]), x.shape[:-2]
+    with np.errstate(invalid="ignore", over="ignore"):     # NaN and inf fail every check
+        return np.sqrt(sum(_row_dots(rows(slice(lo, lo + step)).reshape(*lead, -1).view(float))
+                           for lo in range(0, x.shape[-2], step)))
+
+
+def _hermitian_residuals(x):
+    """||X - X^H||_F of a matrix, or of each matrix of a stack, by ``_residual_norms``."""
+    return _residual_norms(x, lambda s: x[..., s, :] - x[..., :, s].swapaxes(-1, -2).conj())
 
 
 def _require(ok, values, message):
@@ -581,13 +605,8 @@ def _size_groups(labels):
     # a stable sort by label lays each label's indices out in one ascending run
     order = np.argsort(labels, kind="stable")
     ranked = labels[order]
-    head = np.empty(len(order), dtype=bool)
-    head[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
-    heads = np.flatnonzero(head)
-    counts = np.empty_like(heads)
-    counts[:-1] = heads[1:] - heads[:-1]
-    counts[-1] = len(order) - heads[-1]
+    heads = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    counts = np.diff(heads, append=len(order))
     return [(k, order[heads[counts == k, None] + np.arange(k)])
             for k in sorted(set(counts.tolist()))]
 
@@ -693,17 +712,10 @@ def eigvalsh_blocks(matrix):
 SECTOR_FLOOR = 1e-14
 
 
-def number_sectors(rho, labels):
-    """(label, weight, basis indices, normalised block) of ``rho`` per ``sector_blocks``
-    label of weight at least ``SECTOR_FLOOR``, labels ascending; both arrays are
-    read-only.  The sectors come from ``_sector_stacks`` of a stack of one."""
-    return sorted((sector for stack in _sector_stacks(rho.matrix[None], labels)
-                   for sector in zip(*stack[1:])), key=lambda sector: sector[0])
-
-
 def _sector_stacks(stack, labels):
-    """The ``number_sectors`` of each matrix of an (n, d, d) stack, joined into
-    one stack per block size k.
+    """The number sectors of each matrix of an (n, d, d) stack: per distinct
+    integer label of weight at least ``SECTOR_FLOOR``, its weight, its basis
+    indices and its normalised block, joined into one stack per block size k.
 
     Per size: the (m,) index of each sector's matrix in ``stack``, the labels
     and the weights as lists of ints and floats, the basis indices as a
@@ -784,10 +796,6 @@ def partial_trace(states, partition, keep):
     rows = np.broadcast_to(np.arange(system.dim), stack.shape[:2])
     out = _density_stack(*_reduced_matrices(system, rows, stack, partition.modes_of(keep)))
     return out[0] if one else out
-
-
-# row pairs ``_reduced_matrices`` forms at a time
-PAIR_CHUNK = 1 << 18
 
 
 def _reduced_matrices(system, rows, blocks, keep_idx):

@@ -24,6 +24,7 @@ from .fock import (
     _eigenvalues,
     _expectations,
     _hermitian_blocks,
+    _residual_norms,
     _rotate,
     as_density,
 )
@@ -60,9 +61,10 @@ class Observable:
         lam = np.asarray(self.eigenvalues)[self.outcomes, None]
         recon = _rotate(self.blocks, lam * v.conj().T)     # V Lambda V^H
         gram = _rotate(self.blocks, v, adjoint=True)     # V^H V, in place of V
-        if np.linalg.norm(gram - np.eye(dim)) > PROJ_ATOL:
+        pos = np.arange(dim)     # row s of the identity is pos[s] == pos
+        if _residual_norms(gram, lambda s: gram[s] - (pos[s, None] == pos)) > PROJ_ATOL:
             raise ValueError("projectors do not resolve the identity")
-        if np.linalg.norm(recon - self.operator.matrix) > PROJ_ATOL:
+        if _residual_norms(recon, lambda s: recon[s] - self.operator.matrix[s]) > PROJ_ATOL:
             raise ValueError("spectral resolution does not reconstruct the operator")
         for j in range(len(self.eigenvalues)):
             # ||P^2 - P||_F = sqrt Tr((M G)^2) = ||M G||_F, with M = B^H B and
@@ -247,16 +249,13 @@ def outcome_distribution(state, observable):
     return OutcomeDistribution(tuple(zip(observable.eigenvalues, probs.tolist())))
 
 
-def _check_commuting(observable, projector):
-    x, y = observable.operator.matrix, projector.matrix
-    if np.linalg.norm(x @ y - y @ x) > PROJ_ATOL:
-        raise ValueError("target and conditioning projector do not commute")
-
-
 def _conditional_moments(stack, target, given, p_given):
     """Mean and variance of ``target`` under P(j|i) = Tr(Xi_j Pi_i rho) / P(i), as
-    two (n,) arrays for an (n, d, d) stack and its (n,) P(i)."""
-    _check_commuting(target, given)
+    two (n,) arrays for an (n, d, d) stack and its (n,) P(i), once ``target``
+    commutes with ``given``: ||XP - PX||_F <= ``PROJ_ATOL``."""
+    x, y = target.operator.matrix, given.matrix
+    if _residual_norms(x, lambda s: x[s] @ y - y[s] @ x) > PROJ_ATOL:
+        raise ValueError("target and conditioning projector do not commute")
     pmf = (_block_probs(given.matrix @ stack, target) / p_given[:, None]).T
     mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))
     # float_power is the scalar pow of a state alone, which an array square is not always

@@ -14,21 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
-    PAIR_CHUNK,
     ModeSystem,
     PureState,
     _density_matrices,
     _on_system,
     _density_stack,
     _is_integer,
-    _row_dots,
+    _residual_norms,
+    _sector_stacks,
     apply_unitary,
     as_density,
     number_diagonal,
     number_op,
     evolution_operator,
     ladder_product,
-    number_sectors,
     sub_system,
 )
 from .states import SeparableMixture, summed_stack
@@ -89,15 +88,9 @@ def _diagonal_sector_ids(n_op):
 
 def _commutator_residuals(n_diag, x):
     """||[N, X]||_F = ||(n_i - n_j) X_ij||_F of the N with diagonal ``n_diag``: a
-    float of a d x d ``x``, an array of one per matrix of an (m, d, d) stack.
-    Formed in row blocks of at most ``PAIR_CHUNK`` entries per matrix, so that
-    no d x d temporary is held; up to d = 512 that is one block."""
-    step = max(1, PAIR_CHUNK // len(n_diag))
-    squares = 0.0
-    for lo in range(0, len(n_diag), step):
-        r = (n_diag[lo:lo + step, None] - n_diag) * x[..., lo:lo + step, :]
-        squares = squares + _row_dots(r.reshape(*x.shape[:-2], -1).view(float))
-    norms = np.sqrt(squares)
+    float of a d x d ``x``, an array of one per matrix of an (m, d, d) stack, by
+    ``fock._residual_norms``."""
+    norms = _residual_norms(x, lambda s: (n_diag[s, None] - n_diag) * x[..., s, :])
     return float(norms) if x.ndim == 2 else norms
 
 
@@ -197,8 +190,10 @@ def _warn_on_saturation(system, stack, powers):
 def sector_decompose(state, n_op):
     """Weights, basis indices and normalised blocks of the number sectors of ``rho``."""
     rho = as_density(_on_system(state, n_op))
-    return SectorDecomposition(tuple(
-        Sector(*sector) for sector in number_sectors(rho, _diagonal_sector_ids(n_op))))
+    stacks = _sector_stacks(rho.matrix[None], _diagonal_sector_ids(n_op))
+    return SectorDecomposition(tuple(sorted(
+        (Sector(*sector) for stack in stacks for sector in zip(*stack[1:])),
+        key=lambda sector: sector.total)))
 
 
 @dataclass(frozen=True)

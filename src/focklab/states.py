@@ -272,10 +272,11 @@ def binomial_state(theta, chi, n_total):
     sin^{N-k}(theta) e^{i(N-2k) chi/2}, the expansion of the N-th power of the
     rotated-mode creation operator applied to the vacuum.
     """
+    system = bosons(2, n_total, labels=["a", "b"])     # checks N before any amplitude
     amps = [math.sqrt(math.comb(n_total, k))
             * math.cos(theta) ** k * math.sin(theta) ** (n_total - k)
             * np.exp(1j * (n_total - 2 * k) * chi / 2.0) for k in range(n_total + 1)]
-    return bosons(2, n_total, labels=["a", "b"]).superposition(_two_mode_rows(n_total), amps)
+    return system.superposition(_two_mode_rows(n_total), amps)
 
 
 def rotated_mode_annihilation(system, theta, chi):

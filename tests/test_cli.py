@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focklab.cli import _REAL_DOMAINS, EXPERIMENTS, emit, main, run_experiment, run_scenario
+from focklab.cli import (
+    _REAL_DOMAINS, EXPERIMENTS, _domain, emit, main, run_experiment, run_scenario,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -404,6 +406,45 @@ def test_an_edge_value_of_any_param_passes_or_is_a_param_error(case, value):
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert not failed, (params, failed)
     assert not caught, (params, [str(w.message) for w in caught])
+
+
+# the integer params that size a basis; the counts of the chunked sweeps are left
+# out, because a valid huge count runs chunk after chunk for hours
+BASIS_SIZES = ("cutoff", "max_order", "n_values", "n_max_values")
+
+
+def _huge_value_cases():
+    """(experiment, param, value) for every real param and basis size at +-1e12
+    and +-1e300 (as integers for an integer param), where its domain holds it."""
+    cases = []
+    for name in sorted(EXPERIMENTS):
+        for key, default in EXPERIMENTS[name][1].items():
+            entry = default[0] if isinstance(default, list) else default
+            if isinstance(entry, float):
+                values = (1e12, -1e12, 1e300, -1e300)
+            elif key in BASIS_SIZES:
+                values = (10 ** 12, -10 ** 12, 10 ** 300, -10 ** 300)
+            else:
+                continue
+            valid, _ = _domain(key, entry)
+            cases += [(name, key, value) for value in values if valid(value)]
+    return cases
+
+
+@pytest.mark.parametrize("name, key, value", _huge_value_cases())
+def test_a_huge_value_of_a_param_passes_or_exits_2(tmp_path, capsys, name, key, value):
+    defaults = EXPERIMENTS[name][1]
+    params = {k: 2 for k, v in defaults.items()
+              if k.startswith("n_") and not isinstance(v, list)}
+    params.update(EDGE_BASE.get(name, {}))
+    params[key] = [value] if isinstance(defaults[key], list) else value
+    path = _write_scenario(tmp_path, {"schema_version": 1, "experiment": name,
+                                      "params": params})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([path])
+    # exit 1 would be a failed physics check, and any other error a traceback
+    assert code in (0, 2), (params, capsys.readouterr().out)
 
 
 # the messages of the param errors an experiment may raise for a param inside its domain

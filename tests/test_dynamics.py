@@ -1,9 +1,13 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from focklab import (
     BeamSplitterSpec,
+    DensityOperator,
     ModeSystem,
     Partition,
     annihilation,
@@ -23,7 +27,7 @@ from focklab.dynamics import (
     _bisect,
 )
 from focklab.measurement import ZeroProbabilityError
-from focklab.states import SeparableMixture, coherent
+from focklab.states import SeparableMixture, coherent, poisson_pmf
 from focklab.sampling import random_number_diagonal_mixture
 
 
@@ -93,6 +97,16 @@ def test_bisect_needs_a_sign_change():
     assert _bisect(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-14)
     with pytest.raises(ValueError, match="signs"):
         _bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e12, 1e300])
+def test_bisect_halves_to_adjacent_floats_at_any_scale(scale):
+    root = 0.3 * scale
+    assert abs(_bisect(lambda t: t - root, 0.0, scale) - root) <= np.spacing(root)
+    assert _bisect(lambda t: root - t, 0.0, scale) == pytest.approx(root, rel=1e-15)
+    # an exact zero at an endpoint or a midpoint is returned as it is met
+    assert _bisect(lambda t: t, 0.0, scale) == 0.0
+    assert _bisect(lambda t: t - 0.5 * scale, 0.0, scale) == 0.5 * scale
 
 
 def test_creation_operator_conjugation():
@@ -210,6 +224,50 @@ def test_atom_molecule_independent_of_kappa():
     a = atom_molecule_process(4, 1.0, 1.1).quantities["p_atom"]
     b = atom_molecule_process(4, 2.5, 1.1).quantities["p_atom"]
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 1e-8, 1e8, 1e10, 1e12, -1e12, 1e14, 1e300])
+def test_atom_molecule_calibrates_its_pulse_at_any_coupling_scale(kappa):
+    for phi in (0.0, np.pi / 2, 2.0):
+        q = atom_molecule_process(5, kappa, phi).quantities
+        assert q["p_atom"] == pytest.approx(np.sin(phi / 2) ** 2, abs=1e-10)
+        assert q["p_molecule"] == pytest.approx(np.cos(phi / 2) ** 2, abs=1e-10)
+        assert abs(q["coherence"]) <= 1e-10
+
+
+def _atomic_component(kept):
+    """A stand-in for one Fock component's run that records its BEC number and
+    leaves the atom atomic."""
+    def run(n, kappa, phi):
+        kept.append(n)
+        return SimpleNamespace(quantities={"atom_molecule_rdo": DensityOperator(
+            bosons(2, 1), np.diag([0.0, 0.0, 1.0, 0.0]))})
+    return run
+
+
+@pytest.mark.parametrize("nbar", [900.0, 1023, 1e12, 1e300])
+def test_a_poisson_mean_past_the_largest_system_is_refused_before_any_component(
+        nbar, monkeypatch):
+    kept = []
+    monkeypatch.setattr(dynamics, "_run_atom_molecule_fock", _atomic_component(kept))
+    message = (f"a Poisson mean of {float(nbar)!r} keeps BEC numbers above 1023, the "
+               "largest of a system within MAX_DIM = 4096")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        atom_molecule_process(nbar, 1.0, 0.3, initial="poisson")
+    assert kept == []
+
+
+@pytest.mark.parametrize("nbar", [0.5, 30.0, 700.0, 780.0])
+def test_a_poisson_mean_below_the_limit_keeps_its_components(nbar, monkeypatch):
+    # the grid of counts the mixture was built from before it stopped at 1024
+    n_max = int(nbar + 20.0 * np.sqrt(max(nbar, 1.0)) + 20)
+    weights = poisson_pmf(np.arange(n_max + 1), nbar)
+    expected = [n for n in np.nonzero(weights > 1e-15)[0] if n > 0]
+    kept = []
+    monkeypatch.setattr(dynamics, "_run_atom_molecule_fock", _atomic_component(kept))
+    res = atom_molecule_process(nbar, 1.0, 0.3, initial="poisson")
+    assert kept == expected
+    assert res.quantities["p_atom"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_atom_molecule_poisson_matches_fock():

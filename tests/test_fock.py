@@ -4,6 +4,7 @@ import pathlib
 import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import focklab
 from focklab import (
     ModeSystem,
+    Operator,
     Partition,
     DensityOperator,
     PureState,
@@ -22,6 +24,7 @@ from focklab import (
     fermions,
     number_op,
     partial_trace,
+    spectral,
     tensor_embed,
     unitary_evolve,
 )
@@ -32,6 +35,7 @@ from focklab.fock import (
     _density_matrices,
     _expectations,
     _hermitian_blocks,
+    _hermitian_residuals,
     _ladder_entries,
     _rotate,
     _sub_codes,
@@ -668,3 +672,69 @@ def test_the_trace_contraction_has_the_bits_of_each_einsum_it_replaces(dim):
         assert np.array_equal(column, np.einsum("ij,nji->n", x, stack))
         for n, rho in enumerate(stack):
             assert _expectations(rho[None], x[None])[0, 0] == np.einsum("ij,ji->", x, rho)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 1 << 18])
+def test_the_hermitian_residual_in_row_blocks_is_the_whole_matrix_norm(chunk, monkeypatch):
+    from focklab import fock
+    system = bosons(2, 3)
+    rng = np.random.default_rng(chunk)
+    # a stack over two leading axes, and one matrix of it
+    shape = (2, 3, system.dim, system.dim)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    whole = np.linalg.norm(x - x.conj().swapaxes(-1, -2), axis=(-2, -1))
+    monkeypatch.setattr(fock, "PAIR_CHUNK", chunk)
+    assert np.abs(_hermitian_residuals(x) - whole).max() <= 1e-12
+    assert abs(_hermitian_residuals(x[1, 2]) - whole[1, 2]) <= 1e-12
+    # both checks that read it keep their tolerances: an entry pair a i, a i has
+    # the residual 2 sqrt(2) a
+    rho = random_density(system, rng)
+    for a, ok in [(0.3e-12, True), (0.4e-12, False)]:
+        noisy = rho.matrix.copy()
+        noisy[[0, 1], [1, 0]] += 1j * a
+        if ok:
+            DensityOperator(system, noisy)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DensityOperator(system, noisy)
+    for a, ok in [(0.3e-10, True), (0.4e-10, False)]:
+        noisy = rho.matrix.copy()
+        noisy[[2, 5], [5, 2]] += 1j * a
+        assert Operator(system, noisy).is_hermitian() == ok
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (3, 3)])
+def test_an_operator_with_an_infinite_entry_is_not_hermitian_and_warns_nothing(entry):
+    system = bosons(1, 3)
+    mat = number_op(system).matrix.copy()
+    mat[entry] = np.inf
+    h = Operator(system, mat)
+    calls = (spectral, lambda h: evolution_operator(h, 0.5),
+             lambda h: unitary_evolve(h, 0.5, system.vacuum()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not h.is_hermitian()
+        for call in calls:
+            with pytest.raises(ValueError, match="^operator is not Hermitian within 1e-10$"):
+                call(h)
+
+
+def test_validation_and_the_hermitian_check_hold_row_blocks_not_matrices():
+    # dim 1024: one d x d complex matrix is 16 MiB
+    system = bosons(2, 31)
+    square = 16 * system.dim ** 2
+    matrix = system.superposition([(1, 2), (2, 1)], [0.6, 0.8j]).density().matrix
+    h = 0.3 * number_op(system) + creation(system, 0) @ annihilation(system, 1)
+    h = h + h.dag()
+    tracemalloc.start()
+    try:
+        # the checked copy of the input, and the residual's rows
+        DensityOperator(system, matrix)
+        validation = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert h.is_hermitian()
+        hermitian = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validation < 2 * square
+    assert hermitian < square

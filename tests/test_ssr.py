@@ -307,14 +307,14 @@ def test_ssr_check_memory_does_not_grow_with_the_dimension():
 
 @pytest.mark.parametrize("chunk", [1, 7, 16, 100, 1 << 18])
 def test_commutator_residuals_in_row_blocks_are_the_whole_matrix_norms(chunk, monkeypatch):
-    from focklab import ssr
+    from focklab import fock, ssr
     system = bosons(2, 3)
     rng = np.random.default_rng(chunk)
     shape = (3, system.dim, system.dim)
     stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     n_diag = number_diagonal(system, [1.0, 2.5])
     whole = [np.linalg.norm((n_diag[:, None] - n_diag) * x) for x in stack]
-    monkeypatch.setattr(ssr, "PAIR_CHUNK", chunk)
+    monkeypatch.setattr(fock, "PAIR_CHUNK", chunk)
     assert np.abs(ssr._commutator_residuals(n_diag, stack) - whole).max() <= 1e-12
     assert abs(ssr._commutator_residuals(n_diag, stack[1]) - whole[1]) <= 1e-12
 

@@ -246,6 +246,17 @@ def test_binomial_state_amplitudes_explicit():
         assert state.amplitude((k, n - k)) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_total, message", [
+    (2000, "dimension 4004001 exceeds MAX_DIM = 4096"),
+    (10 ** 12, "basis codes overflow int64"),
+    (2.5, "mode cutoff must be an integer >= 0, got 2.5"),
+    (-1, "mode cutoff must be an integer >= 0, got -1"),
+])
+def test_binomial_state_checks_its_size_before_any_amplitude(n_total, message):
+    with pytest.raises(ValueError, match=message):
+        binomial_state(0.4, 0.2, n_total)
+
+
 def test_binomial_state_matches_rotated_mode_construction():
     # independent route: apply the rotated-mode creation operator N times
     theta, chi, n = 1.1, -0.6, 3

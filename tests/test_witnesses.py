@@ -14,6 +14,7 @@ from focklab import (
     number_op,
     particle_entanglement,
     qubits,
+    sector_decompose,
     spin_epr,
     spin_ops,
 )
@@ -280,8 +281,8 @@ def test_particle_entanglement_checks_each_sector_size_twice(monkeypatch):
     system = bosons(2, 2)
     part = Partition([("A", (0,)), ("B", (1,))])
     rho = random_number_diagonal_mixture(system, part, np.random.default_rng(0)).summed()
-    keys = system.occupancies @ [3, 1]
-    sizes = {len(sel) for _, _, sel, _ in fock.number_sectors(rho, keys)}
+    # the sectors of keys 3 n_0 + n_1
+    sizes = {len(s.indices) for s in sector_decompose(rho, number_op(system, [3, 1])).sectors}
     stacks = []
     check = fock._check_physical
     for module in (fock, witnesses):
@@ -294,9 +295,9 @@ def test_particle_entanglement_checks_each_sector_size_twice(monkeypatch):
     sys4 = bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
     part4 = Partition([("A", (0, 1)), ("B", (2, 3))])
     rho4 = random_density(sys4, np.random.default_rng(1))
-    occ = sys4.occupancies
-    keys4 = occ[:, :2].sum(axis=1) * 3 + occ[:, 2:].sum(axis=1)
-    sizes4 = {len(sel) for _, _, sel, _ in fock.number_sectors(rho4, keys4)}
+    # the sectors of keys 3 (n_a1 + n_a2) + n_b1 + n_b2
+    sectors4 = sector_decompose(rho4, number_op(sys4, [3, 3, 1, 1])).sectors
+    sizes4 = {len(s.indices) for s in sectors4}
     stacks.clear()
     particle_entanglement(rho4, part4)
     assert sizes4 == {1, 2, 4}
