@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,15 +72,6 @@ SCENARIO_FIELDS = frozenset(
     {"schema_version", "experiment", "params", "tolerances", "seed"})
 
 
-@dataclass
-class Check:
-    name: str
-    expected: object
-    actual: object
-    tolerance: float
-    passed: bool
-
-
 def _plain(value):
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
@@ -96,7 +86,13 @@ def _check(name, expected, actual, tolerance):
         ok = bool(abs(actual - expected) <= tolerance)
     else:
         ok = bool(actual == expected)
-    return Check(name, expected, actual, float(tolerance), ok)
+    return _check_entry(name, expected, actual, tolerance, ok)
+
+
+def _check_entry(name, expected, actual, tolerance, passed):
+    """One check as the report holds it."""
+    return {"name": name, "expected": expected, "actual": actual,
+            "tolerance": float(tolerance), "passed": passed}
 
 
 def _tol(tol, default):
@@ -105,8 +101,9 @@ def _tol(tol, default):
 
 
 def _check_budget(count, entries, what="array entries"):
-    """Before any draw, reject a sweep whose largest array, of ``entries``
-    counted as ``count``, exceeds the largest dense matrix of a system."""
+    """Before any draw, reject a sweep whose largest array, or whose chunked
+    loop, of ``entries`` counted as ``count`` (array entries, samples, phases or
+    settings), exceeds the largest dense matrix of a system."""
     if entries > MAX_DIM ** 2:
         raise ValueError(f"{count} = {entries} {what} exceed the budget "
                          f"MAX_DIM**2 = {MAX_DIM ** 2}")
@@ -114,20 +111,23 @@ def _check_budget(count, entries, what="array entries"):
 
 def _check_below(name, actual, bound):
     actual = float(actual)
-    return Check(name, f"<= {bound}", actual, float(bound), bool(actual <= bound))
+    return _check_entry(name, f"<= {bound}", actual, bound, bool(actual <= bound))
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations; each returns a list of Check records
+# experiment implementations; each takes the merged params, the global
+# tolerance and the seed, and returns a list of check dicts.  Only an
+# experiment that draws builds a generator, so the others never import
+# numpy.random
 
 
-def _exp_ghz_parity(params, tol, rng):
+def _exp_ghz_parity(params, tol, seed):
     report = ghz_parity(ghz(), tol=_tol(tol, 1e-12))
     return [_check_below(f"parity_residual_{k}", v, report.tol)
             for k, v in sorted(report.residuals.items())]
 
 
-def _exp_twirl_coherent(params, tol, rng):
+def _exp_twirl_coherent(params, tol, seed):
     nbar = params["nbar"]
     cutoff = params["cutoff"]
     state = coherent(np.sqrt(nbar), cutoff)
@@ -145,7 +145,7 @@ def _exp_twirl_coherent(params, tol, rng):
     return checks
 
 
-def _exp_qcf_theorem(params, tol, rng):
+def _exp_qcf_theorem(params, tol, seed):
     n_states = params["n_states"]
     cutoff = params["cutoff"]
     max_order = params["max_order"]
@@ -157,7 +157,7 @@ def _exp_qcf_theorem(params, tol, rng):
               for n in range(max_order + 1) for m in range(max_order + 1)
               for l in range(max_order + 1) for k in range(max_order + 1)]
     balanced = np.array([n + l == m + k for n, m, l, k in powers])
-    states = random_global_ssr_state(system, rng, n_states)
+    states = random_global_ssr_state(system, np.random.default_rng(seed), n_states)
     twirled = twirl(states, number_op(system))
     import warnings
     with warnings.catch_warnings():
@@ -174,10 +174,12 @@ def _exp_qcf_theorem(params, tol, rng):
     ]
 
 
-def _exp_chsh_singlet(params, tol, rng):
+def _exp_chsh_singlet(params, tol, seed):
     n_settings = params["n_settings"]
+    _check_budget("n_settings", n_settings, "settings")
     singlet = bell_one_boson("psi-")
     t = chsh_correlation_tensor(singlet)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_settings):
         setting = random_chsh_setting(rng)
@@ -193,12 +195,13 @@ def _exp_chsh_singlet(params, tol, rng):
     ]
 
 
-def _exp_chsh_separable_bound(params, tol, rng):
+def _exp_chsh_separable_bound(params, tol, seed):
     n_mix = params["n_mixtures"]
     n_settings = params["n_settings"]
     # the summed states, then the (4, n_settings, 3) directions and |S| per pair
     _check_budget("n_mixtures * 4**2", n_mix * 4 ** 2)
     _check_budget("max(n_mixtures, 12) * n_settings", max(n_mix, 12) * n_settings)
+    rng = np.random.default_rng(seed)
     tensors = chsh_correlation_tensor(summed_stack(random_qubit_pair_mixture(rng, n_mix)))
     a1, a2, b1, b2 = random_chsh_directions(rng, n_settings)
     s_abs = chsh_batch(tensors, a1, a2, b1, b2)
@@ -206,7 +209,7 @@ def _exp_chsh_separable_bound(params, tol, rng):
                          2.0 + _tol(tol, 1e-10))]
 
 
-def _exp_lhv_ghz_search(params, tol, rng):
+def _exp_lhv_ghz_search(params, tol, seed):
     return [
         _check("satisfying_assignments", 0, ghz_assignment_search(), 0),
         _check("without_xxx_constraint", 64, ghz_assignment_search(xxx_target=None), 0),
@@ -214,12 +217,14 @@ def _exp_lhv_ghz_search(params, tol, rng):
     ]
 
 
-def _exp_lhv_chsh_bound(params, tol, rng):
-    best = lhv_chsh_bound_sweep(params["n_models"], params["n_settings"], rng)
+def _exp_lhv_chsh_bound(params, tol, seed):
+    n_models, n_settings = params["n_models"], params["n_settings"]
+    _check_budget("n_models * n_settings", n_models * n_settings, "settings")
+    best = lhv_chsh_bound_sweep(n_models, n_settings, seed)
     return [_check_below("lhv_max_abs_S", best, 2.0 + _tol(tol, 1e-12))]
 
 
-def _exp_extraction(params, tol, rng):
+def _exp_extraction(params, tol, seed):
     checks = []
     t_ = _tol(tol, 1e-12)
     targets = {
@@ -246,7 +251,7 @@ def _exp_extraction(params, tol, rng):
     return checks
 
 
-def _exp_atom_molecule(params, tol, rng):
+def _exp_atom_molecule(params, tol, seed):
     t_ = _tol(tol, 1e-10)
     kappa = params["kappa"]
     if 0.5 * kappa == 0:     # also when the coupling kappa/2 underflows
@@ -277,12 +282,12 @@ def _exp_atom_molecule(params, tol, rng):
     return checks
 
 
-def _exp_vacuum_interferometer(params, tol, rng):
+def _exp_vacuum_interferometer(params, tol, seed):
     t_ = _tol(tol, 1e-12)
     _check_budget("n_draws * 4**2", params["n_draws"] * 4 ** 2)
     # per draw: w, the two phases, then delta and tau from uniform(0.1, 3.0),
     # which is 0.1 + (3.0 - 0.1) u: the stream of five single draws
-    w, phase_a, phase_b, delta, tau = rng.random((params["n_draws"], 5)).T
+    w, phase_a, phase_b, delta, tau = np.random.default_rng(seed).random((params["n_draws"], 5)).T
     phase_a, phase_b = np.exp(2j * np.pi * np.stack([phase_a, phase_b]))
     delta, tau = 0.1 + (3.0 - 0.1) * delta, 0.1 + (3.0 - 0.1) * tau
     p10, p01 = ramsey_vacuum_superposition(np.sqrt(1.0 - w) * phase_a, np.sqrt(w) * phase_b,
@@ -296,7 +301,7 @@ def _exp_vacuum_interferometer(params, tol, rng):
     ]
 
 
-def _exp_verstraete(params, tol, rng):
+def _exp_verstraete(params, tol, seed):
     rho_mix, mixture = verstraete_state("mixture")
     rho_sec = verstraete_state("sectorized")
     diff = float(np.abs(rho_mix.matrix - rho_sec.matrix).max())
@@ -337,10 +342,11 @@ def _phase_averaged_pair(alpha, system, n_phases):
     return np.outer(vec, vec.conj()) * sums[totals[:, None] - totals[None, :] + 2 * cutoff]
 
 
-def _exp_two_mode_coherent_mixture(params, tol, rng):
+def _exp_two_mode_coherent_mixture(params, tol, seed):
     alpha = params["alpha"]
     cutoff = params["cutoff"]
     n_phases = params["n_phases"]
+    _check_budget("n_phases", n_phases, "phases")
     # |N - M| <= 2 cutoff, so an n-point phase average cancels every
     # off-sector term exactly only when n > 2 cutoff
     if n_phases <= 2 * cutoff:
@@ -366,7 +372,7 @@ def _exp_two_mode_coherent_mixture(params, tol, rng):
     ]
 
 
-def _exp_measurement_identities(params, tol, rng):
+def _exp_measurement_identities(params, tol, seed):
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
     _check_budget("n_states * 9**2", params["n_states"] * 9 ** 2)
@@ -374,7 +380,7 @@ def _exp_measurement_identities(params, tol, rng):
     obs_a = spectral(number_op(system, [1, 0]))
     obs_b = spectral(number_op(system, [0, 1]))
     proj_a, proj_b = obs_a.projectors, obs_b.projectors
-    rhos = random_density(system, rng, params["n_states"])
+    rhos = random_density(system, np.random.default_rng(seed), params["n_states"])
     after = unrecorded_state(rhos, obs_b)
     worst_bayes = worst_nosig = 0.0
     for pa in proj_a:
@@ -393,11 +399,12 @@ def _exp_measurement_identities(params, tol, rng):
     ]
 
 
-def _exp_separability_ssr(params, tol, rng):
+def _exp_separability_ssr(params, tol, seed):
     system = bosons(2, 2)
     _check_budget("n_mixtures * 9**2", params["n_mixtures"] * 9 ** 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    mixtures = random_number_diagonal_mixture(system, part, rng, params["n_mixtures"])
+    mixtures = random_number_diagonal_mixture(system, part, np.random.default_rng(seed),
+                                              params["n_mixtures"])
     ok = all(rep.all_local_compliant and rep.global_report.compliant
              for rep in separable_ssr_theorem_check(mixtures))
     _, verstraete_mix = verstraete_state("mixture")
@@ -408,13 +415,13 @@ def _exp_separability_ssr(params, tol, rng):
     ]
 
 
-def _exp_particle_entanglement(params, tol, rng):
+def _exp_particle_entanglement(params, tol, seed):
     t_ = _tol(tol, 1e-10)
     system = bosons(2, 2)
     _check_budget("n_mixtures * 9**2", params["n_mixtures"] * 9 ** 2)
     part = Partition([("A", (0,)), ("B", (1,))])
-    summed = summed_stack(random_number_diagonal_mixture(system, part, rng,
-                                                         params["n_mixtures"]))
+    summed = summed_stack(random_number_diagonal_mixture(
+        system, part, np.random.default_rng(seed), params["n_mixtures"]))
     worst = max([0.0] + particle_entanglement(summed, part))
     one_one = system.basis_state((1, 1))
     ep_prod = particle_entanglement(one_one, part)
@@ -429,18 +436,21 @@ def _exp_particle_entanglement(params, tol, rng):
     ]
 
 
-def _exp_spin_epr_bound(params, tol, rng):
+def _exp_spin_epr_bound(params, tol, seed):
     t_ = _tol(tol, 1e-10)
     _check_budget("n_mixtures * 16**2", params["n_mixtures"] * 16 ** 2)
     part = Partition([("one", (0, 1)), ("two", (2, 3))])
-    summed = summed_stack(random_one_boson_pair_mixture(rng, params["n_mixtures"]))
+    summed = summed_stack(random_one_boson_pair_mixture(np.random.default_rng(seed),
+                                                        params["n_mixtures"]))
     # margin > 0 would be a violation
     worst = max([0.0] + [v.margin for v in spin_epr(summed, part)])
     return [_check_below("separable_epr_margin_max", worst, t_)]
 
 
-def _exp_appendix_inequalities(params, tol, rng):
+def _exp_appendix_inequalities(params, tol, seed):
     n = params["n_samples"]
+    _check_budget("n_samples", n, "samples")
+    rng = np.random.default_rng(seed)
     low, high = 2, 8     # sample sizes drawn from [low, high)
     ok_sum = ok_int = True
     for start in range(0, n, CHUNK_ROWS):
@@ -475,7 +485,7 @@ def _exp_appendix_inequalities(params, tol, rng):
     ]
 
 
-def _exp_phase_clock(params, tol, rng):
+def _exp_phase_clock(params, tol, seed):
     t_ = _tol(tol, 1e-12)
     worst = 0.0
     for n_max in params["n_max_values"]:
@@ -560,7 +570,8 @@ def run_experiment(name, params=None, tolerance=None, seed=0):
     """Run one registered experiment and return the report dict.
 
     ``seed`` is a Python or numpy integer >= 0 (not a bool); the report holds
-    it as an int."""
+    it as an int.  The experiment gets it as an int, and one that draws builds
+    ``np.random.default_rng(seed)`` inside the timed ``wall_time_s``."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
     if not (_is_integer(seed) and seed >= 0):
@@ -577,16 +588,15 @@ def run_experiment(name, params=None, tolerance=None, seed=0):
         _check_param(name, key, value, defaults[key])
     merged = dict(defaults)
     merged.update(params)
-    rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    checks = sorted(func(merged, tolerance, rng), key=lambda c: c.name)
+    checks = sorted(func(merged, tolerance, seed), key=lambda c: c["name"])
     elapsed = time.perf_counter() - start
-    passed = sum(1 for c in checks if c.passed)
+    passed = sum(1 for c in checks if c["passed"])
     return {
         "schema_version": SCHEMA_VERSION,
         "experiment": name,
         "seed": seed,
-        "checks": [vars(c) for c in checks],
+        "checks": checks,
         "summary": {"total": len(checks), "passed": passed,
                     "failed": len(checks) - passed},
         "overall_pass": passed == len(checks),

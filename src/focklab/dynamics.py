@@ -6,7 +6,6 @@ interferometer, and number-SSR propagation under conserving Hamiltonians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +17,8 @@ from .fock import (
     DensityOperator,
     PureState,
     Partition,
+    _Record,
+    _set_field,
     _abs_squared,
     _check_physical,
     _eigenvalues,
@@ -41,35 +42,37 @@ REAL_ROTATION = "real-rotation"
 MINUS_I = "minus_i"
 
 
-@dataclass(frozen=True)
-class BeamSplitterSpec:
+class BeamSplitterSpec(_Record):
     """Mode pairs coupled with common reflectivity r and transmissivity t."""
 
-    mode_pairs: tuple
-    r: float
-    t: float
-    convention: str = REAL_ROTATION
+    __slots__ = ("mode_pairs", "r", "t", "convention")
 
-    def __post_init__(self):
-        for pair in self.mode_pairs:
+    def __init__(self, mode_pairs, r, t, convention=REAL_ROTATION):
+        _set_field(self, "mode_pairs", mode_pairs)
+        _set_field(self, "r", r)
+        _set_field(self, "t", t)
+        _set_field(self, "convention", convention)
+        for pair in mode_pairs:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and all(_is_integer(m) and m >= 0 for m in pair) and pair[0] != pair[1]):
                 raise ValueError(f"a mode pair is two distinct mode indices, got {pair!r}")
         with np.errstate(over="ignore"):    # a huge r or t squares to inf, which fails
-            norm2 = np.float64(self.r) ** 2 + np.float64(self.t) ** 2
+            norm2 = np.float64(r) ** 2 + np.float64(t) ** 2
         if not abs(norm2 - 1.0) <= NORM_ATOL:   # NaN fails too
             raise ValueError("r^2 + t^2 must equal 1")
-        if self.convention not in (REAL_ROTATION, MINUS_I):
-            raise ValueError(f"unknown convention {self.convention!r}")
+        if convention not in (REAL_ROTATION, MINUS_I):
+            raise ValueError(f"unknown convention {convention!r}")
 
 
-@dataclass(frozen=True)
-class ProcessResult:
+class ProcessResult(_Record):
     """Stagewise states plus derived scalar quantities of one protocol run."""
 
-    stages: tuple
-    final_state: object
-    quantities: dict
+    __slots__ = ("stages", "final_state", "quantities")
+
+    def __init__(self, stages, final_state, quantities):
+        _set_field(self, "stages", stages)
+        _set_field(self, "final_state", final_state)
+        _set_field(self, "quantities", quantities)
 
     def stage(self, label):
         for name, state in self.stages:
@@ -381,16 +384,20 @@ def ramsey_vacuum_superposition(alpha, beta, delta, tau):
 PROPAGATION_TIMES = (0.5, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class PropagationReport:
+class PropagationReport(_Record):
     """SSR residuals of an evolving separable state under a conserving H."""
 
-    conserving_residual: float
-    all_local_compliant: bool
-    times: tuple
-    global_residuals: tuple
-    compliant_at_all_times: bool
-    tol: float
+    __slots__ = ("conserving_residual", "all_local_compliant", "times", "global_residuals",
+                 "compliant_at_all_times", "tol")
+
+    def __init__(self, conserving_residual, all_local_compliant, times, global_residuals,
+                 compliant_at_all_times, tol):
+        _set_field(self, "conserving_residual", conserving_residual)
+        _set_field(self, "all_local_compliant", all_local_compliant)
+        _set_field(self, "times", times)
+        _set_field(self, "global_residuals", global_residuals)
+        _set_field(self, "compliant_at_all_times", compliant_at_all_times)
+        _set_field(self, "tol", tol)
 
 
 def ssr_propagation_check(mixture, h, weights=None):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -50,13 +50,55 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Mode:
+# object.__setattr__, bound once: a record's ``__init__`` sets each field through
+# it, at the cost of one global lookup
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of focklab's immutable records.  A record names its fields in
+    ``__slots__`` and sets each once, in its own ``__init__``, through
+    ``_set_field``; any later assignment or deletion raises AttributeError.
+    As for a frozen dataclass, the repr, equality and hash are those of the
+    fields in order, and equality needs the same class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the field values in order, read at C speed: a tuple, or the value of a
+        # one-field record (each of which holds a tuple)
+        cls._values = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):     # copy and pickle rebuild through ``__init__``
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Mode(_Record):
     """One truncated mode: occupancies run over 0..cutoff."""
 
-    label: str
-    cutoff: int
-    statistics: str = BOSE
+    __slots__ = ("label", "cutoff", "statistics")
+
+    def __init__(self, label, cutoff, statistics=BOSE):
+        _set_field(self, "label", label)
+        _set_field(self, "cutoff", cutoff)
+        _set_field(self, "statistics", statistics)
 
 
 class ModeSystem:
@@ -453,11 +495,10 @@ def _density_matrices(states, *operators):
     return rhos[0].system, stack, one
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Named assignment of disjoint mode-index sets to subsystems."""
 
-    subsystems: tuple
+    __slots__ = ("subsystems",)
 
     def __init__(self, subsystems):
         # accepts [(name, indices), ...]; indices kept in the order given
@@ -475,7 +516,7 @@ class Partition:
                 if i in seen:
                     raise ValueError("partition subsystems overlap")
                 seen.add(i)
-        object.__setattr__(self, "subsystems", tuple(parsed))
+        _set_field(self, "subsystems", tuple(parsed))
 
     @property
     def names(self):
@@ -595,7 +636,10 @@ def number_op(system, weights=None):
 def sector_blocks(labels):
     """(label, basis indices) per distinct integer label, labels ascending."""
     labels = np.asarray(labels)
-    return [(int(v), np.nonzero(labels == v)[0]) for v in np.unique(labels)]
+    # distinct by a sort: np.unique would import numpy.ma
+    ranked = np.sort(labels, axis=None)
+    distinct = ranked[:1].tolist() + ranked[1:][ranked[1:] != ranked[:-1]].tolist()
+    return [(int(v), np.nonzero(labels == v)[0]) for v in distinct]
 
 
 def _size_groups(labels):

@@ -8,11 +8,10 @@ over observables at fixed hidden value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_ATOL, _is_integer, sub_system
+from .fock import NORM_ATOL, _Record, _is_integer, _set_field, sub_system
 from .measurement import PROB_FLOOR, _block_probs
 from .sampling import _flat_dirichlet
 
@@ -23,12 +22,16 @@ ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |l
 CHUNK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class LHVObservable:
-    """Possible outcome values plus one pmf row per hidden value."""
+class LHVObservable(_Record):
+    """Possible outcome values plus one pmf row per hidden value: ``values``
+    holds the n outcome values, and ``pmf``, of shape (n_hidden, n), rows that
+    sum to 1."""
 
-    values: tuple          # outcome values, length n
-    pmf: np.ndarray        # shape (n_hidden, n), rows sum to 1
+    __slots__ = ("values", "pmf")
+
+    def __init__(self, values, pmf):
+        _set_field(self, "values", values)
+        _set_field(self, "pmf", pmf)
 
 
 def _are_distributions(rows):

@@ -8,7 +8,6 @@ eigenvalues and orthonormal eigenvector blocks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 from operator import matmul
 
@@ -17,6 +16,8 @@ import numpy as np
 from .fock import (
     Operator,
     DensityOperator,
+    _Record,
+    _set_field,
     _density_matrices,
     _on_system,
     _density_stack,
@@ -39,40 +40,43 @@ class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an outcome of probability below the floor."""
 
 
-@dataclass(frozen=True, eq=False)     # arrays are unhashable: compare by identity
-class Observable:
+class Observable(_Record):
     """Hermitian operator together with its spectral resolution.
 
     ``blocks`` are the operator's ``eigh_blocks`` triples, which hold its
     eigenvector matrix V (``fock._rotate``), and ``outcomes[r]`` is the index
     into ``eigenvalues`` of the eigenvector at position r.  The projector
     V D_j V^H of outcome j, D_j the 0/1 diagonal of its positions, is not stored.
+    Each residual check is written so that NaN fails it.
     """
 
-    operator: Operator
-    eigenvalues: tuple
-    blocks: tuple
-    outcomes: np.ndarray
+    __slots__ = ("operator", "eigenvalues", "blocks", "outcomes")
+    # arrays are unhashable: compare by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        dim = self.system.dim
-        _check_resolution(self.blocks, self.outcomes, dim, len(self.eigenvalues))
-        v = _rotate(self.blocks, np.eye(dim, dtype=complex))
-        lam = np.asarray(self.eigenvalues)[self.outcomes, None]
-        recon = _rotate(self.blocks, lam * v.conj().T)     # V Lambda V^H
-        gram = _rotate(self.blocks, v, adjoint=True)     # V^H V, in place of V
+    def __init__(self, operator, eigenvalues, blocks, outcomes):
+        _set_field(self, "operator", operator)
+        _set_field(self, "eigenvalues", eigenvalues)
+        _set_field(self, "blocks", blocks)
+        _set_field(self, "outcomes", outcomes)
+        dim = operator.system.dim
+        _check_resolution(blocks, outcomes, dim, len(eigenvalues))
+        v = _rotate(blocks, np.eye(dim, dtype=complex))
+        lam = np.asarray(eigenvalues)[outcomes, None]
+        recon = _rotate(blocks, lam * v.conj().T)     # V Lambda V^H
+        gram = _rotate(blocks, v, adjoint=True)     # V^H V, in place of V
         pos = np.arange(dim)     # row s of the identity is pos[s] == pos
-        if _residual_norms(gram, lambda s: gram[s] - (pos[s, None] == pos)) > PROJ_ATOL:
+        if not _residual_norms(gram, lambda s: gram[s] - (pos[s, None] == pos)) <= PROJ_ATOL:
             raise ValueError("projectors do not resolve the identity")
-        if _residual_norms(recon, lambda s: recon[s] - self.operator.matrix[s]) > PROJ_ATOL:
+        if not _residual_norms(recon, lambda s: recon[s] - operator.matrix[s]) <= PROJ_ATOL:
             raise ValueError("spectral resolution does not reconstruct the operator")
-        for j in range(len(self.eigenvalues)):
+        for j in range(len(eigenvalues)):
             # ||P^2 - P||_F = sqrt Tr((M G)^2) = ||M G||_F, with M = B^H B and
             # G = M - I for the eigenvectors B of outcome j: P^2 - P = B G B^H,
             # and M G = M^2 - M is Hermitian
-            cols = np.flatnonzero(self.outcomes == j)
+            cols = np.flatnonzero(outcomes == j)
             m = gram[cols[:, None], cols]
-            if np.linalg.norm(m @ (m - np.eye(len(m)))) > PROJ_ATOL:
+            if not np.linalg.norm(m @ (m - np.eye(len(m)))) <= PROJ_ATOL:
                 raise ValueError("projector is not idempotent")
 
     @property
@@ -121,14 +125,14 @@ def _of_kind(value, kind):
     return value
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(_Record):
     """Eigenvalue/probability pairs for measuring one observable."""
 
-    outcomes: tuple
+    __slots__ = ("outcomes",)
 
-    def __post_init__(self):
-        probs = np.array([p for _, p in self.outcomes])
+    def __init__(self, outcomes):
+        _set_field(self, "outcomes", outcomes)
+        probs = np.array([p for _, p in outcomes])
         if probs.min() < -PROB_FLOOR:
             raise ValueError("negative outcome probability")
         if not abs(probs.sum() - 1.0) <= 1e-10:    # written so that NaN fails too

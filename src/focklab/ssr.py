@@ -9,13 +9,14 @@ superposition and its number-entangled two-mode representation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import (
     ModeSystem,
     PureState,
+    _Record,
+    _set_field,
     _density_matrices,
     _on_system,
     _density_stack,
@@ -35,26 +36,34 @@ from .states import SeparableMixture, summed_stack
 SSR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SSRReport:
-    residual: float
-    compliant: bool
-    tol: float
+class SSRReport(_Record):
+    __slots__ = ("residual", "compliant", "tol")
+
+    def __init__(self, residual, compliant, tol):
+        _set_field(self, "residual", residual)
+        _set_field(self, "compliant", compliant)
+        _set_field(self, "tol", tol)
 
 
-@dataclass(frozen=True, eq=False)     # arrays compare elementwise, so by identity
-class Sector:
+class Sector(_Record):
     """Weight, basis indices and normalised block (read-only) of number sector ``total``."""
 
-    total: int
-    weight: float
-    indices: np.ndarray
-    block: np.ndarray
+    __slots__ = ("total", "weight", "indices", "block")
+    # arrays compare elementwise, so by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, total, weight, indices, block):
+        _set_field(self, "total", total)
+        _set_field(self, "weight", weight)
+        _set_field(self, "indices", indices)
+        _set_field(self, "block", block)
 
 
-@dataclass(frozen=True)
-class SectorDecomposition:
-    sectors: tuple
+class SectorDecomposition(_Record):
+    __slots__ = ("sectors",)
+
+    def __init__(self, sectors):
+        _set_field(self, "sectors", sectors)
 
     def weights(self):
         return {s.total: s.weight for s in self.sectors}
@@ -196,14 +205,19 @@ def sector_decompose(state, n_op):
         key=lambda sector: sector.total)))
 
 
-@dataclass(frozen=True)
-class SeparableSSRReport:
-    """Local SSR compliance per mixture component plus the global verdict."""
+class SeparableSSRReport(_Record):
+    """Local SSR compliance per mixture component plus the global verdict;
+    ``local_reports`` holds (component index, subsystem name, SSRReport) triples."""
 
-    local_reports: tuple      # ((component index, subsystem name, SSRReport), ...)
-    all_local_compliant: bool
-    global_report: SSRReport
-    fixed_probability_caveat: bool
+    __slots__ = ("local_reports", "all_local_compliant", "global_report",
+                 "fixed_probability_caveat")
+
+    def __init__(self, local_reports, all_local_compliant, global_report,
+                 fixed_probability_caveat):
+        _set_field(self, "local_reports", local_reports)
+        _set_field(self, "all_local_compliant", all_local_compliant)
+        _set_field(self, "global_report", global_report)
+        _set_field(self, "fixed_probability_caveat", fixed_probability_caveat)
 
 
 def _local_reports(mixtures, weights=None):

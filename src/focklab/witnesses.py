@@ -4,14 +4,14 @@ conditional variances, and the sector-projected particle entanglement measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fock import (
     NORM_ATOL,
     Operator,
     PureState,
+    _Record,
+    _set_field,
     _abs_squared,
     _check_physical,
     _density_matrices,
@@ -29,13 +29,15 @@ DECISION_TOL = 1e-9
 GHZ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpinOps:
+class SpinOps(_Record):
     """Schwinger spin operators of one two-mode subsystem."""
 
-    sx: Operator
-    sy: Operator
-    sz: Operator
+    __slots__ = ("sx", "sy", "sz")
+
+    def __init__(self, sx, sy, sz):
+        _set_field(self, "sx", sx)
+        _set_field(self, "sy", sy)
+        _set_field(self, "sz", sz)
 
 
 def spin_ops(system, mode_a, mode_b):
@@ -62,34 +64,36 @@ def pauli_ops(system, mode):
     return sigma_x, sigma_y, sigma_z
 
 
-@dataclass(frozen=True)
-class CHSHSetting:
+class CHSHSetting(_Record):
     """Unit measurement directions a1, a2 for one side and b1, b2 for the other."""
 
-    a1: tuple
-    a2: tuple
-    b1: tuple
-    b2: tuple
+    __slots__ = ("a1", "a2", "b1", "b2")
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2"):
+    def __init__(self, a1, a2, b1, b2):
+        _set_field(self, "a1", a1)
+        _set_field(self, "a2", a2)
+        _set_field(self, "b1", b1)
+        _set_field(self, "b2", b2)
+        for name in self.__slots__:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= NORM_ATOL:
                 raise ValueError(f"{name} is not a unit 3-vector")
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(_Record):
     """Outcome of a witness evaluation.
 
     ``margin`` is the amount by which the violating side exceeds the bound,
     so ``violated`` is always ``margin > DECISION_TOL``.
     """
 
-    lhs: float
-    rhs: float
-    violated: bool
-    margin: float
+    __slots__ = ("lhs", "rhs", "violated", "margin")
+
+    def __init__(self, lhs, rhs, violated, margin):
+        _set_field(self, "lhs", lhs)
+        _set_field(self, "rhs", rhs)
+        _set_field(self, "violated", violated)
+        _set_field(self, "margin", margin)
 
 
 def chsh_correlation_tensor(states):
@@ -139,11 +143,13 @@ def correlation_test(state, omega_a, omega_b):
                           violated=margin > DECISION_TOL, margin=float(margin))
 
 
-@dataclass(frozen=True)
-class GHZParityReport:
-    residuals: dict
-    passed: bool
-    tol: float
+class GHZParityReport(_Record):
+    __slots__ = ("residuals", "passed", "tol")
+
+    def __init__(self, residuals, passed, tol):
+        _set_field(self, "residuals", residuals)
+        _set_field(self, "passed", passed)
+        _set_field(self, "tol", tol)
 
 
 def ghz_parity(state, tol=GHZ_TOL):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from focklab.cli import (
     _REAL_DOMAINS, EXPERIMENTS, _domain, emit, main, run_experiment, run_scenario,
 )
+from focklab.fock import _is_integer
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -258,6 +260,45 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+# the experiments that draw random numbers; the other eight draw nothing
+DRAWING = {"appendix_inequalities", "chsh_separable_bound", "chsh_singlet", "lhv_chsh_bound",
+           "measurement_identities", "particle_entanglement", "qcf_theorem",
+           "separability_ssr", "spin_epr_bound", "vacuum_interferometer"}
+
+_LOADED = """
+import json, os, sys
+import focklab.cli
+from focklab.cli import run_scenario
+
+
+def loaded():
+    print(sorted(m for m in ("dataclasses", "numpy.ma", "numpy.random") if m in sys.modules))
+
+
+loaded()
+folder, drawing = sys.argv[1], set(sys.argv[2:])
+scenarios = []
+for name in sorted(os.listdir(folder)):
+    with open(os.path.join(folder, name)) as fh:
+        scenarios.append(json.load(fh))
+for draws in (False, True):
+    for scenario in scenarios:
+        if (scenario["experiment"] in drawing) == draws:
+            assert run_scenario(scenario)["overall_pass"], scenario
+    loaded()
+"""
+
+
+def test_a_cli_process_loads_no_module_its_experiments_do_not_use():
+    # importing the CLI builds no dataclass; an experiment that draws nothing
+    # imports no numpy.random, and no experiment imports numpy.ma
+    assert set(EXPERIMENTS) > DRAWING and len(DRAWING) == 10
+    out = subprocess.run([sys.executable, "-c", _LOADED, os.path.join(ROOT, "scenarios"),
+                          *sorted(DRAWING)], env=_child_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "[]", "['numpy.random']"]
+
+
 def test_table_format_has_summary_line(tmp_path, capsys):
     path = _write_scenario(tmp_path, {
         "schema_version": 1, "experiment": "ghz_parity"})
@@ -408,14 +449,18 @@ def test_an_edge_value_of_any_param_passes_or_is_a_param_error(case, value):
     assert not caught, (params, [str(w.message) for w in caught])
 
 
-# the integer params that size a basis; the counts of the chunked sweeps are left
-# out, because a valid huge count runs chunk after chunk for hours
+# the integer params that size a basis; every other integer param is the count of a sweep
 BASIS_SIZES = ("cutoff", "max_order", "n_values", "n_max_values")
+
+
+def _is_count(key, default):
+    return _is_integer(default) and key not in BASIS_SIZES
 
 
 def _huge_value_cases():
     """(experiment, param, value) for every real param and basis size at +-1e12
-    and +-1e300 (as integers for an integer param), where its domain holds it."""
+    and +-1e300 (as integers for an integer param), where its domain holds it, and
+    for every count at 10**12 and 10**300."""
     cases = []
     for name in sorted(EXPERIMENTS):
         for key, default in EXPERIMENTS[name][1].items():
@@ -425,7 +470,7 @@ def _huge_value_cases():
             elif key in BASIS_SIZES:
                 values = (10 ** 12, -10 ** 12, 10 ** 300, -10 ** 300)
             else:
-                continue
+                values = (10 ** 12, 10 ** 300)
             valid, _ = _domain(key, entry)
             cases += [(name, key, value) for value in values if valid(value)]
     return cases
@@ -444,7 +489,11 @@ def test_a_huge_value_of_a_param_passes_or_exits_2(tmp_path, capsys, name, key, 
         warnings.simplefilter("error")
         code = main([path])
     # exit 1 would be a failed physics check, and any other error a traceback
-    assert code in (0, 2), (params, capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    assert code in (0, 2), (params, out)
+    if _is_count(key, defaults[key]):
+        # a count past the work budget is refused before any draw, not run for days
+        assert code == 2 and err.endswith(" exceed the budget MAX_DIM**2 = 16777216\n"), err
 
 
 # the messages of the param errors an experiment may raise for a param inside its domain
@@ -762,6 +811,24 @@ def test_a_sweep_at_the_budget_runs(monkeypatch, name, max_dim, edge, over):
         with pytest.raises(ValueError,
                            match=rf"array entries exceed the budget MAX_DIM\*\*2 = {max_dim ** 2}$"):
             run_experiment(name, params)
+
+
+@pytest.mark.parametrize("name, max_dim, edge, over, message", [
+    ("appendix_inequalities", 4, {"n_samples": 16}, {"n_samples": 17}, "n_samples = 17 samples"),
+    ("two_mode_coherent_mixture", 7, {"n_phases": 49}, {"n_phases": 50},
+     "n_phases = 50 phases"),
+    ("lhv_chsh_bound", 6, {"n_models": 4, "n_settings": 9}, {"n_models": 4, "n_settings": 10},
+     "n_models * n_settings = 40 settings"),
+    ("chsh_singlet", 5, {"n_settings": 25}, {"n_settings": 26}, "n_settings = 26 settings"),
+])
+def test_a_chunked_loop_at_the_work_budget_runs(monkeypatch, name, max_dim, edge, over, message):
+    from focklab import cli
+    # the loop of the edge params takes max_dim**2 steps exactly
+    monkeypatch.setattr(cli, "MAX_DIM", max_dim)
+    assert run_experiment(name, edge)["overall_pass"]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{message} exceed the budget MAX_DIM**2 = {max_dim ** 2}")):
+        run_experiment(name, over)
 
 
 def _appendix_equality_actual(rng, n_samples):

@@ -135,6 +135,23 @@ def test_observable_rejects_a_bad_resolution(change, message):
         Observable(n_op, eigenvalues, blocks, outcomes)
 
 
+def test_an_observable_with_a_nan_eigenvalue_is_refused():
+    # the reconstruction residual is NaN, which fails the check as it fails a
+    # physicality check
+    obs = spectral(number_op(bosons(1, 2)))
+    with pytest.raises(ValueError, match="does not reconstruct the operator"):
+        Observable(obs.operator, (np.nan, 1.0, 2.0), obs.blocks, obs.outcomes)
+
+
+def test_an_observable_with_a_nan_eigenvector_is_refused():
+    obs = spectral(number_op(bosons(1, 2)))
+    (idx, evals, vecs), = obs.blocks
+    vecs = vecs.copy()
+    vecs[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="do not resolve the identity"):
+        Observable(obs.operator, obs.eigenvalues, [(idx, evals, vecs)], obs.outcomes)
+
+
 _SYSTEM = bosons(2, 1)
 _RHO = _SYSTEM.basis_state((1, 0)).density()
 _N_OP = number_op(_SYSTEM)

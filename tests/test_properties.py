@@ -233,6 +233,31 @@ def test_large_sectors_and_reduced_states_equal_the_per_sector_loop():
             for label, weight, sel, block in expected]
 
 
+def _unique_blocks(labels):
+    """``sector_blocks`` as it was written with np.unique, the reference."""
+    labels = np.asarray(labels)
+    return [(int(v), np.nonzero(labels == v)[0]) for v in np.unique(labels)]
+
+
+@SETTINGS
+@given(st.one_of(st.lists(st.integers(-3, 3), max_size=40),
+                 st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=8),
+                 st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.4, 0.5, 7.0]), max_size=40),
+                 st.lists(st.floats(-1e6, 1e6), max_size=8)),
+       st.booleans())
+def test_sector_blocks_equal_the_np_unique_reference(labels, as_array):
+    # distinct labels by a sort: the same blocks, and no numpy.ma import
+    labels = np.array(labels) if as_array else labels
+    got, want = sector_blocks(labels), _unique_blocks(labels)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+def test_sector_blocks_of_no_labels_are_empty():
+    assert sector_blocks([]) == _unique_blocks([]) == []
+    assert sector_blocks(np.zeros(0, dtype=int)) == []
+
+
 @SETTINGS
 @given(systems())
 def test_indices_of_the_basis_is_arange(system):
