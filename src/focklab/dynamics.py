@@ -18,7 +18,6 @@ from .fock import (
     PureState,
     Partition,
     _Record,
-    _set_field,
     _abs_squared,
     _check_physical,
     _eigenvalues,
@@ -46,33 +45,25 @@ class BeamSplitterSpec(_Record):
     """Mode pairs coupled with common reflectivity r and transmissivity t."""
 
     __slots__ = ("mode_pairs", "r", "t", "convention")
+    _defaults = {"convention": REAL_ROTATION}
 
-    def __init__(self, mode_pairs, r, t, convention=REAL_ROTATION):
-        _set_field(self, "mode_pairs", mode_pairs)
-        _set_field(self, "r", r)
-        _set_field(self, "t", t)
-        _set_field(self, "convention", convention)
-        for pair in mode_pairs:
+    def _check(self):
+        for pair in self.mode_pairs:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and all(_is_integer(m) and m >= 0 for m in pair) and pair[0] != pair[1]):
                 raise ValueError(f"a mode pair is two distinct mode indices, got {pair!r}")
         with np.errstate(over="ignore"):    # a huge r or t squares to inf, which fails
-            norm2 = np.float64(r) ** 2 + np.float64(t) ** 2
+            norm2 = np.float64(self.r) ** 2 + np.float64(self.t) ** 2
         if not abs(norm2 - 1.0) <= NORM_ATOL:   # NaN fails too
             raise ValueError("r^2 + t^2 must equal 1")
-        if convention not in (REAL_ROTATION, MINUS_I):
-            raise ValueError(f"unknown convention {convention!r}")
+        if self.convention not in (REAL_ROTATION, MINUS_I):
+            raise ValueError(f"unknown convention {self.convention!r}")
 
 
 class ProcessResult(_Record):
     """Stagewise states plus derived scalar quantities of one protocol run."""
 
     __slots__ = ("stages", "final_state", "quantities")
-
-    def __init__(self, stages, final_state, quantities):
-        _set_field(self, "stages", stages)
-        _set_field(self, "final_state", final_state)
-        _set_field(self, "quantities", quantities)
 
     def stage(self, label):
         for name, state in self.stages:
@@ -390,15 +381,6 @@ class PropagationReport(_Record):
     __slots__ = ("conserving_residual", "all_local_compliant", "times", "global_residuals",
                  "compliant_at_all_times", "tol")
 
-    def __init__(self, conserving_residual, all_local_compliant, times, global_residuals,
-                 compliant_at_all_times, tol):
-        _set_field(self, "conserving_residual", conserving_residual)
-        _set_field(self, "all_local_compliant", all_local_compliant)
-        _set_field(self, "times", times)
-        _set_field(self, "global_residuals", global_residuals)
-        _set_field(self, "compliant_at_all_times", compliant_at_all_times)
-        _set_field(self, "tol", tol)
-
 
 def ssr_propagation_check(mixture, h, weights=None):
     """Evolve a separable mixture under a number-conserving Hamiltonian.
@@ -410,7 +392,7 @@ def ssr_propagation_check(mixture, h, weights=None):
     """
     n_diag = number_diagonal(h.system, weights)
     conserving = _commutator_residuals(n_diag, h.matrix)
-    if conserving > 1e-10:
+    if not conserving <= 1e-10:     # NaN fails too
         raise ValueError(f"Hamiltonian does not conserve the weighted number "
                          f"(residual {conserving})")
     local_ok = all(rep.compliant for _, _, rep in _local_reports([mixture], weights)[0])

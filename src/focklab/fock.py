@@ -50,24 +50,56 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-# object.__setattr__, bound once: a record's ``__init__`` sets each field through
-# it, at the cost of one global lookup
+# object.__setattr__, bound once: ``_Record.__init__`` sets each field through it
 _set_field = object.__setattr__
 
 
 class _Record:
     """Base of focklab's immutable records.  A record names its fields in
-    ``__slots__`` and sets each once, in its own ``__init__``, through
-    ``_set_field``; any later assignment or deletion raises AttributeError.
-    As for a frozen dataclass, the repr, equality and hash are those of the
+    ``__slots__``, may give trailing ones defaults in ``_defaults``, and
+    validates them in ``_check``.  ``__init__`` binds its arguments to the
+    fields in order, as the signature (*fields) would: a missing, unknown or
+    repeated field is a TypeError.  It sets each field once and then calls
+    ``_check``; any later assignment or deletion raises AttributeError.  As
+    for a frozen dataclass, the repr, equality and hash are those of the
     fields in order, and equality needs the same class."""
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
         # the field values in order, read at C speed: a tuple, or the value of a
         # one-field record (each of which holds a tuple)
         cls._values = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    def __init__(self, *args, **kwargs):
+        # every field by position binds nothing; hot callers build records so
+        if kwargs or len(args) != len(self.__slots__):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self.__slots__, args):
+            _set_field(self, name, value)
+        self._check()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values in order: ``args``, then each later field from
+        ``kwargs`` or else from ``_defaults``."""
+        names = cls.__slots__
+        rest = names[len(args):]
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+        for name in kwargs:
+            if name not in rest:
+                how = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{cls.__name__}() got {how} argument {name!r}")
+        values = {**cls._defaults, **kwargs}
+        for name in rest:
+            if name not in values:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        return args + tuple([values[name] for name in rest])
+
+    def _check(self):
+        """Raise ValueError unless the fields are valid; the base checks nothing."""
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
@@ -94,11 +126,7 @@ class Mode(_Record):
     """One truncated mode: occupancies run over 0..cutoff."""
 
     __slots__ = ("label", "cutoff", "statistics")
-
-    def __init__(self, label, cutoff, statistics=BOSE):
-        _set_field(self, "label", label)
-        _set_field(self, "cutoff", cutoff)
-        _set_field(self, "statistics", statistics)
+    _defaults = {"statistics": BOSE}
 
 
 class ModeSystem:
@@ -130,6 +158,8 @@ class ModeSystem:
             parsed.append(m)
         if not parsed:
             raise ValueError("a ModeSystem needs at least one mode")
+        if len({m.label for m in parsed}) != len(parsed):
+            raise ValueError(f"mode labels repeat: {[m.label for m in parsed]}")
         self.modes = tuple(parsed)
         self.total_number_restriction = total_number_restriction
 
@@ -249,15 +279,21 @@ class ModeSystem:
 
 def bosons(n_modes, cutoff, labels=None, total=None):
     """Bosonic ModeSystem with a common cutoff."""
-    labels = labels or [f"m{i}" for i in range(n_modes)]
-    return ModeSystem([(lab, cutoff, BOSE) for lab in labels],
-                      total_number_restriction=total)
+    return _uniform(n_modes, cutoff, BOSE, labels, total)
 
 
 def fermions(n_modes, labels=None, total=None):
     """Fermionic ModeSystem (cutoff 1 per mode)."""
-    labels = labels or [f"m{i}" for i in range(n_modes)]
-    return ModeSystem([(lab, 1, FERMI) for lab in labels],
+    return _uniform(n_modes, 1, FERMI, labels, total)
+
+
+def _uniform(n_modes, cutoff, statistics, labels, total):
+    """ModeSystem of ``n_modes`` modes alike but for their labels, which are
+    ``m0, m1, ...`` unless ``labels`` gives one per mode."""
+    labels = [f"m{i}" for i in range(n_modes)] if labels is None else list(labels)
+    if len(labels) != n_modes:
+        raise ValueError(f"{len(labels)} labels given for {n_modes} modes")
+    return ModeSystem([(lab, cutoff, statistics) for lab in labels],
                       total_number_restriction=total)
 
 
@@ -516,7 +552,7 @@ class Partition(_Record):
                 if i in seen:
                     raise ValueError("partition subsystems overlap")
                 seen.add(i)
-        _set_field(self, "subsystems", tuple(parsed))
+        super().__init__(tuple(parsed))
 
     @property
     def names(self):
@@ -625,6 +661,8 @@ def number_diagonal(system, weights=None):
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (system.n_modes,):
         raise ValueError("one weight per mode required")
+    if not np.isfinite(weights).all():
+        raise ValueError(f"weights must be finite, got {weights.tolist()}")
     return system.occupancies @ weights
 
 
@@ -789,7 +827,19 @@ def _sector_stacks(stack, labels):
 
 def sub_system(system, mode_indices):
     """Unrestricted ModeSystem of the given modes of ``system``, in that order."""
-    return _sub_codes(system, tuple(mode_indices))[0]
+    return _sub_codes(system, _mode_indices(system, mode_indices))[0]
+
+
+def _mode_indices(system, mode_indices):
+    """``mode_indices`` as a tuple of ints, once each is an integer in
+    0..n_modes-1 given once; raises ValueError naming the first that is not."""
+    indices = tuple(mode_indices)
+    for i in indices:
+        if not (_is_integer(i) and 0 <= i < system.n_modes):
+            raise ValueError(f"mode index {i!r} is not an integer in 0..{system.n_modes - 1}")
+        if indices.count(i) > 1:
+            raise ValueError(f"mode index {i} repeats")
+    return tuple(int(i) for i in indices)
 
 
 @functools.lru_cache
@@ -819,7 +869,7 @@ def tensor_embed(op, system, mode_indices):
     in order.  The embedding uses the occupation-number product structure, which
     for fermionic modes is faithful for parity-even (number-conserving) operators.
     """
-    sub, index, rest = _sub_codes(system, tuple(int(i) for i in mode_indices))
+    sub, index, rest = _sub_codes(system, _mode_indices(system, mode_indices))
     if op.system != sub:
         raise ValueError("operator modes do not match the target mode indices")
     full = op.matrix[np.ix_(index, index)] * (rest[:, None] == rest[None, :])

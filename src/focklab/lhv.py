@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .fock import NORM_ATOL, _Record, _is_integer, _set_field, sub_system
+from .fock import NORM_ATOL, _Record, _is_integer, sub_system
 from .measurement import PROB_FLOOR, _block_probs
 from .sampling import _flat_dirichlet
 
@@ -28,10 +28,6 @@ class LHVObservable(_Record):
     sum to 1."""
 
     __slots__ = ("values", "pmf")
-
-    def __init__(self, values, pmf):
-        _set_field(self, "values", values)
-        _set_field(self, "pmf", pmf)
 
 
 def _are_distributions(rows):

@@ -17,7 +17,6 @@ from .fock import (
     Operator,
     DensityOperator,
     _Record,
-    _set_field,
     _density_matrices,
     _on_system,
     _density_stack,
@@ -54,11 +53,8 @@ class Observable(_Record):
     # arrays are unhashable: compare by identity
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, operator, eigenvalues, blocks, outcomes):
-        _set_field(self, "operator", operator)
-        _set_field(self, "eigenvalues", eigenvalues)
-        _set_field(self, "blocks", blocks)
-        _set_field(self, "outcomes", outcomes)
+    def _check(self):
+        operator, eigenvalues, blocks, outcomes = self._values(self)
         dim = operator.system.dim
         _check_resolution(blocks, outcomes, dim, len(eigenvalues))
         v = _rotate(blocks, np.eye(dim, dtype=complex))
@@ -130,9 +126,8 @@ class OutcomeDistribution(_Record):
 
     __slots__ = ("outcomes",)
 
-    def __init__(self, outcomes):
-        _set_field(self, "outcomes", outcomes)
-        probs = np.array([p for _, p in outcomes])
+    def _check(self):
+        probs = np.array([p for _, p in self.outcomes])
         if probs.min() < -PROB_FLOOR:
             raise ValueError("negative outcome probability")
         if not abs(probs.sum() - 1.0) <= 1e-10:    # written so that NaN fails too
@@ -163,12 +158,15 @@ def spectral(op):
 
 def _real_probs(values):
     """The real parts of a complex array of probabilities, one row per state;
-    raises naming the first state with an entry whose imaginary part exceeds
-    IMAG_ATOL."""
-    bad = np.abs(values.imag) > IMAG_ATOL
+    raises naming the first state with an entry that is not finite or whose
+    imaginary part exceeds IMAG_ATOL."""
+    finite = np.isfinite(values)
+    bad = ~finite | (np.abs(values.imag) > IMAG_ATOL)
     if bad.any():
         first = tuple(np.argwhere(bad)[0])
-        raise ValueError(f"state {first[0]}: probability has imaginary part {values.imag[first]}")
+        problem = (f"has imaginary part {values.imag[first]}" if finite[first]
+                   else f"{values[first]} is not finite")
+        raise ValueError(f"state {first[0]}: probability {problem}")
     return values.real.copy()
 
 
@@ -258,7 +256,7 @@ def _conditional_moments(stack, target, given, p_given):
     two (n,) arrays for an (n, d, d) stack and its (n,) P(i), once ``target``
     commutes with ``given``: ||XP - PX||_F <= ``PROJ_ATOL``."""
     x, y = target.operator.matrix, given.matrix
-    if _residual_norms(x, lambda s: x[s] @ y - y[s] @ x) > PROJ_ATOL:
+    if not _residual_norms(x, lambda s: x[s] @ y - y[s] @ x) <= PROJ_ATOL:     # NaN fails too
         raise ValueError("target and conditioning projector do not commute")
     pmf = (_block_probs(given.matrix @ stack, target) / p_given[:, None]).T
     mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))

@@ -16,7 +16,6 @@ from .fock import (
     ModeSystem,
     PureState,
     _Record,
-    _set_field,
     _density_matrices,
     _on_system,
     _density_stack,
@@ -39,11 +38,6 @@ SSR_TOL = 1e-10
 class SSRReport(_Record):
     __slots__ = ("residual", "compliant", "tol")
 
-    def __init__(self, residual, compliant, tol):
-        _set_field(self, "residual", residual)
-        _set_field(self, "compliant", compliant)
-        _set_field(self, "tol", tol)
-
 
 class Sector(_Record):
     """Weight, basis indices and normalised block (read-only) of number sector ``total``."""
@@ -52,18 +46,9 @@ class Sector(_Record):
     # arrays compare elementwise, so by identity
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, total, weight, indices, block):
-        _set_field(self, "total", total)
-        _set_field(self, "weight", weight)
-        _set_field(self, "indices", indices)
-        _set_field(self, "block", block)
-
 
 class SectorDecomposition(_Record):
     __slots__ = ("sectors",)
-
-    def __init__(self, sectors):
-        _set_field(self, "sectors", sectors)
 
     def weights(self):
         return {s.total: s.weight for s in self.sectors}
@@ -81,7 +66,7 @@ def _diagonal_of(n_op):
     nothing.  A diagonal known from the occupancies is ``number_diagonal``."""
     # entries 1.. of the flat matrix, in rows of d + 1 that each end on the diagonal
     off = n_op.matrix.reshape(-1)[1:].reshape(-1, len(n_op.matrix) + 1)[:, :-1].view(float)
-    if np.sqrt(np.einsum("ij,ij->", off, off)) > 1e-12:
+    if not np.sqrt(np.einsum("ij,ij->", off, off)) <= 1e-12:     # NaN fails too
         raise ValueError("number operator is not diagonal in the occupation basis")
     return n_op.matrix.diagonal().real
 
@@ -89,10 +74,10 @@ def _diagonal_of(n_op):
 def _diagonal_sector_ids(n_op):
     """Integer sector labels from a diagonal number operator."""
     diag = _diagonal_of(n_op)
-    ids = np.rint(diag).astype(int)
-    if np.max(np.abs(diag - ids)) > 1e-9:
+    ids = np.rint(diag)
+    if not (np.isfinite(diag).all() and np.max(np.abs(diag - ids)) <= 1e-9):
         raise ValueError("number operator spectrum is not integer")
-    return ids
+    return ids.astype(int)
 
 
 def _commutator_residuals(n_diag, x):
@@ -104,7 +89,7 @@ def _commutator_residuals(n_diag, x):
 
 
 def _ssr_report(residual, tol=SSR_TOL):
-    return SSRReport(residual=residual, compliant=residual <= tol, tol=tol)
+    return SSRReport(residual, residual <= tol, tol)     # by position: no keywords to bind
 
 
 def ssr_check(state, n_op, tol=SSR_TOL):
@@ -211,13 +196,6 @@ class SeparableSSRReport(_Record):
 
     __slots__ = ("local_reports", "all_local_compliant", "global_report",
                  "fixed_probability_caveat")
-
-    def __init__(self, local_reports, all_local_compliant, global_report,
-                 fixed_probability_caveat):
-        _set_field(self, "local_reports", local_reports)
-        _set_field(self, "all_local_compliant", all_local_compliant)
-        _set_field(self, "global_report", global_report)
-        _set_field(self, "fixed_probability_caveat", fixed_probability_caveat)
 
 
 def _local_reports(mixtures, weights=None):

@@ -11,7 +11,6 @@ from .fock import (
     Operator,
     PureState,
     _Record,
-    _set_field,
     _abs_squared,
     _check_physical,
     _density_matrices,
@@ -33,11 +32,6 @@ class SpinOps(_Record):
     """Schwinger spin operators of one two-mode subsystem."""
 
     __slots__ = ("sx", "sy", "sz")
-
-    def __init__(self, sx, sy, sz):
-        _set_field(self, "sx", sx)
-        _set_field(self, "sy", sy)
-        _set_field(self, "sz", sz)
 
 
 def spin_ops(system, mode_a, mode_b):
@@ -69,11 +63,7 @@ class CHSHSetting(_Record):
 
     __slots__ = ("a1", "a2", "b1", "b2")
 
-    def __init__(self, a1, a2, b1, b2):
-        _set_field(self, "a1", a1)
-        _set_field(self, "a2", a2)
-        _set_field(self, "b1", b1)
-        _set_field(self, "b2", b2)
+    def _check(self):
         for name in self.__slots__:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= NORM_ATOL:
@@ -88,12 +78,6 @@ class WitnessVerdict(_Record):
     """
 
     __slots__ = ("lhs", "rhs", "violated", "margin")
-
-    def __init__(self, lhs, rhs, violated, margin):
-        _set_field(self, "lhs", lhs)
-        _set_field(self, "rhs", rhs)
-        _set_field(self, "violated", violated)
-        _set_field(self, "margin", margin)
 
 
 def chsh_correlation_tensor(states):
@@ -145,11 +129,6 @@ def correlation_test(state, omega_a, omega_b):
 
 class GHZParityReport(_Record):
     __slots__ = ("residuals", "passed", "tol")
-
-    def __init__(self, residuals, passed, tol):
-        _set_field(self, "residuals", residuals)
-        _set_field(self, "passed", passed)
-        _set_field(self, "tol", tol)
 
 
 def ghz_parity(state, tol=GHZ_TOL):
@@ -205,7 +184,7 @@ def spin_epr(states, partition):
     lhs = _unrecorded_variances(stack, sx1, sx2) * _unrecorded_variances(stack, sy1, sy2)
     rhs = 0.25 * _abs_squared(_expectations(stack, spins1.sz.matrix[None])[:, 0])
     margin = rhs - lhs
-    out = [WitnessVerdict(lhs=left, rhs=right, violated=m > DECISION_TOL, margin=m)
+    out = [WitnessVerdict(left, right, m > DECISION_TOL, m)     # by position: no keywords to bind
            for left, right, m in zip(lhs.tolist(), rhs.tolist(), margin.tolist())]
     return out[0] if one else out
 

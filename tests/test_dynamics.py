@@ -9,6 +9,7 @@ from focklab import (
     BeamSplitterSpec,
     DensityOperator,
     ModeSystem,
+    Operator,
     Partition,
     annihilation,
     atom_molecule_process,
@@ -409,6 +410,19 @@ def test_propagation_rejects_nonconserving_hamiltonian():
     mix = random_number_diagonal_mixture(system, part, rng)
     with pytest.raises(ValueError, match="conserve"):
         ssr_propagation_check(mix, h)
+
+
+def test_propagation_refuses_a_nan_weight_or_hamiltonian_entry():
+    system = bosons(2, 2)
+    a = annihilation(system, 0)
+    mix = random_number_diagonal_mixture(system, Partition([("A", (0,)), ("B", (1,))]),
+                                         np.random.default_rng(3))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        ssr_propagation_check(mix, a + a.dag(), weights=[np.nan, 1])
+    h = _hopping_hamiltonian(system).matrix.copy()
+    h[0, 1] = np.nan
+    with pytest.raises(ValueError, match="conserve"):
+        ssr_propagation_check(mix, Operator(system, h))
 
 
 def test_a_sweep_with_one_bad_draw_fails_naming_its_index():

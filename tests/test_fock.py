@@ -42,6 +42,7 @@ from focklab.fock import (
     apply_unitary,
     evolution_operator,
     ladder_product,
+    sub_system,
 )
 from focklab.states import bell_one_boson, coherent, dissociation_state
 from focklab.sampling import random_density, random_pure
@@ -546,6 +547,44 @@ def test_partition_rejects_repeated_names():
     # modes_of would find only the first of two subsystems named "A"
     with pytest.raises(ValueError, match="names repeat"):
         Partition([("A", (0,)), ("A", (1,))])
+
+
+def test_a_label_list_needs_one_distinct_label_per_mode():
+    with pytest.raises(ValueError, match="1 labels given for 3 modes"):
+        bosons(3, 1, labels=["a"])
+    with pytest.raises(ValueError, match="3 labels given for 2 modes"):
+        fermions(2, labels=["a", "b", "c"])
+    # mode_index would find only the first of two modes labelled "x"
+    with pytest.raises(ValueError, match="mode labels repeat"):
+        ModeSystem([("x", 1), ("y", 1), ("x", 2)])
+    assert [m.label for m in bosons(2, 1, labels=("a", "b")).modes] == ["a", "b"]
+
+
+@pytest.mark.parametrize("indices, message", [
+    ([5], "mode index 5 is not an integer in 0..1"),
+    ([-1], "mode index -1 is not"),
+    ([1.0], "mode index 1.0 is not"),
+    ([True], "mode index True is not"),
+    ([0, 0], "mode index 0 repeats"),
+])
+def test_sub_system_and_tensor_embed_refuse_a_bad_mode_index(indices, message):
+    system = bosons(2, 1)
+    op = annihilation(sub_system(system, [1]), 0)
+    sub_system(system, [1])     # a cached lookup of mode 1 must not answer for 1.0 or True
+    with pytest.raises(ValueError, match=message):
+        sub_system(system, indices)
+    with pytest.raises(ValueError, match=message):
+        tensor_embed(op, system, indices)
+    # a numpy index is an integer
+    assert np.array_equal(tensor_embed(op, system, np.array([1])).matrix,
+                          annihilation(system, 1).matrix)
+
+
+def test_number_op_refuses_a_weight_that_is_not_finite():
+    system = bosons(2, 1)
+    for weights in ([np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            number_op(system, weights)
 
 
 def test_tensor_embed_rejects_mismatched_modes():

@@ -488,6 +488,24 @@ def test_block_probabilities_name_the_state_not_the_block():
         _block_probs(stack, obs)
 
 
+def test_a_probability_that_is_not_finite_is_refused_naming_the_state():
+    from focklab.measurement import _block_probs, _conditional_moments
+    system = bosons(1, 2)
+    obs = spectral(number_op(system))
+    vacuum = system.vacuum()
+    nan_projector = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    nan_projector[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^state 0: probability .* is not finite"):
+        cond_mean(vacuum, obs, Operator(system, nan_projector))
+    stack = np.array([np.eye(3) / 3, np.diag([0.5, 0.5, np.nan + 0j])])
+    with pytest.raises(ValueError, match="^state 1: probability .* is not finite"):
+        _block_probs(stack, obs)
+    # a NaN commutator norm fails the commutation check
+    with pytest.raises(ValueError, match="do not commute"):
+        _conditional_moments(vacuum.density().matrix[None], obs,
+                             Operator(system, nan_projector), np.array([1.0]))
+
+
 def test_an_outcome_no_state_can_take_is_skipped_unchecked():
     # the target swaps |1> and |2>: it commutes with the projector on |0>, not
     # with those on |1> or |2>, on which the states have no weight

@@ -25,6 +25,7 @@ from focklab import (
 )
 from focklab.cli import run_experiment
 from focklab.dynamics import PropagationReport
+from focklab.fock import _Record
 from focklab.ssr import Sector, SeparableSSRReport
 from focklab.witnesses import GHZParityReport, spin_ops
 
@@ -88,6 +89,36 @@ def _hashable(values):
 def test_a_record_is_built_by_position_or_by_keyword(cls, names, values):
     for record in (cls(*values), cls(**dict(zip(names, values)))):
         assert type(record) is cls and _holds(record, names, values)
+
+
+def _subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+def test_the_list_holds_every_record_class():
+    # a record class left out of RECORDS would skip every test here
+    loaded = {cls for cls in _subclasses(_Record) if cls.__module__.startswith("focklab.")}
+    assert loaded == {cls for cls, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, names, values", RECORDS, ids=IDS)
+def test_a_record_refuses_a_missing_unknown_repeated_or_surplus_field(cls, names, values):
+    with pytest.raises(TypeError, match=f"missing .*{names[0]}"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*values, extra=0)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, values[-1])
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _, _ in RECORDS if cls is not Partition],
+                         ids=[i for i in IDS if i != "Partition"])
+def test_only_the_base_binds_the_fields(cls):
+    # by identity: a tracer that wraps and then restores ``Observable.__init__``
+    # leaves the base's function in the class's own namespace
+    assert cls.__init__ is _Record.__init__
 
 
 def test_the_defaulted_fields_take_their_defaults():

@@ -643,10 +643,22 @@ def test_ssr_functions_reject_a_number_operator_that_is_not_diagonal(check):
     system = bosons(2, 2)
     rho = random_density(system, np.random.default_rng(11))
     n_op = number_op(system)
-    # off-diagonal Frobenius norm 1e-12 passes the bound, 2e-12 does not
+    # off-diagonal Frobenius norm 1e-12 passes the bound; 2e-12 and NaN do not
     check(rho, _with_off_diagonal(n_op, 1e-12 / np.sqrt(2)))
-    with pytest.raises(ValueError, match="not diagonal in the occupation basis"):
-        check(rho, _with_off_diagonal(n_op, 2e-12 / np.sqrt(2)))
+    for entry in (2e-12 / np.sqrt(2), np.nan):
+        with pytest.raises(ValueError, match="not diagonal in the occupation basis"):
+            check(rho, _with_off_diagonal(n_op, entry))
+
+
+@pytest.mark.parametrize("check", [twirl, sector_decompose])
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_sector_labels_reject_a_diagonal_entry_that_is_not_finite(check, entry):
+    system = bosons(2, 2)
+    rho = random_density(system, np.random.default_rng(11))
+    mat = number_op(system).matrix.copy()
+    mat[1, 1] = entry
+    with pytest.raises(ValueError, match="spectrum is not integer"):
+        check(rho, Operator(system, mat))
 
 
 def test_a_stack_of_mixtures_with_one_bad_mixture_fails_naming_its_index():
