@@ -50,7 +50,7 @@ from . import (
     ZeroProbabilityError,
 )
 from .dynamics import extraction_experiment, ramsey_vacuum_superposition
-from .fock import MAX_DIM, _is_integer, number_diagonal
+from .fock import MAX_DIM, _is_integer, _row_slices
 from .lhv import CHUNK_ROWS
 from .measurement import joint_prob, prob, unrecorded_state
 from .ssr import clock_prob_by_evolution, qcf
@@ -319,9 +319,12 @@ def _exp_verstraete(params, tol, seed):
     ]
 
 
-def _phase_averaged_pair(alpha, system, n_phases):
-    """(1/N) sum_t |b_t, b_t><b_t, b_t| on the two-mode ``system``, with
-    b_t = alpha e^{-i theta_t} and theta_t = 2 pi t / N for t < N = ``n_phases``.
+def _phase_averaged_rows(alpha, system, n_phases):
+    """The rows of (1/N) sum_t |b_t, b_t><b_t, b_t| on the two-mode ``system``, with
+    b_t = alpha e^{-i theta_t} and theta_t = 2 pi t / N for t < N = ``n_phases``,
+    one block of ``fock._row_slices`` at a time: per block ``(s, diff, quad)``,
+    with ``diff`` the number differences N_i - N_j and ``quad`` the entries of
+    rows ``s``.
 
     Amplitude (n, p) of |b_t, b_t> is c_n c_p e^{-i(n + p) theta_t}, with c the
     amplitudes of |alpha>, so entry (i, j) is v_i v_j^* S(N_i - N_j) for the
@@ -332,6 +335,7 @@ def _phase_averaged_pair(alpha, system, n_phases):
     amps = coherent_amplitudes([alpha], cutoff)[0]
     occ = system.occupancies
     vec = amps[occ[:, 0]] * amps[occ[:, 1]]
+    conj = vec.conj()
     totals = occ.sum(axis=1)
     diffs = np.arange(-2 * cutoff, 2 * cutoff + 1)
     sums = np.zeros(len(diffs), dtype=complex)
@@ -339,7 +343,11 @@ def _phase_averaged_pair(alpha, system, n_phases):
         theta = 2.0 * np.pi * np.arange(start, min(start + CHUNK_ROWS, n_phases)) / n_phases
         sums += np.exp(-1j * np.outer(diffs, theta)).sum(axis=1)
     sums /= n_phases
-    return np.outer(vec, vec.conj()) * sums[totals[:, None] - totals[None, :] + 2 * cutoff]
+    for s in _row_slices(system.dim, system.dim):
+        diff = totals[s, None] - totals
+        quad = np.outer(vec[s], conj)
+        quad *= sums[diff + 2 * cutoff]
+        yield s, diff, quad
 
 
 def _exp_two_mode_coherent_mixture(params, tol, seed):
@@ -352,20 +360,20 @@ def _exp_two_mode_coherent_mixture(params, tol, seed):
     if n_phases <= 2 * cutoff:
         raise ValueError(f"n_phases must exceed 2 * cutoff = {2 * cutoff}, got {n_phases}")
     rho = two_mode_coherent_mixture(alpha, cutoff)
-    system = rho.system
-    quad = _phase_averaged_pair(alpha, system, n_phases)
-    totals = number_diagonal(system)
-    selection = rho.matrix[totals[:, None] != totals[None, :]]
+    # both full-matrix checks a row block at a time; np.maximum keeps a NaN
+    quad_err = offsector = 0.0
+    for s, diff, quad in _phase_averaged_rows(alpha, rho.system, n_phases):
+        rows = rho.matrix[s]
+        quad_err = np.maximum(quad_err, np.abs(np.subtract(rows, quad, out=quad)).max())
+        offsector = np.maximum(offsector, np.abs(rows[diff != 0]).max(initial=0.0))
     part = Partition([("A", (0,)), ("B", (1,))])
     ra = partial_trace(rho, part, "A")
     off_a = ra.matrix - np.diag(np.diag(ra.matrix))
     pois = poisson_pmf(np.arange(cutoff + 1), alpha ** 2)
     pois /= pois.sum()
     return [
-        _check_below("analytic_vs_quadrature",
-                     float(np.abs(rho.matrix - quad).max()), _tol(tol, 1e-10)),
-        _check_below("selection_rule_offsector_max",
-                     float(np.abs(selection).max()) if selection.size else 0.0, 0.0),
+        _check_below("analytic_vs_quadrature", quad_err, _tol(tol, 1e-10)),
+        _check_below("selection_rule_offsector_max", offsector, 0.0),
         _check_below("reduced_A_offdiag", float(np.abs(off_a).max()), 1e-12),
         _check_below("reduced_A_poisson_err",
                      float(np.abs(ra.diagonal() - pois).max()), _tol(tol, 1e-10)),
@@ -447,33 +455,47 @@ def _exp_spin_epr_bound(params, tol, seed):
     return [_check_below("separable_epr_margin_max", worst, t_)]
 
 
+def _appendix_chunk(rng, rows):
+    """Whether the sum and the integral inequality hold for each of ``rows``
+    samples, as two booleans.
+
+    One sample per row, padded with P = C = D = 0 and a repeated last lambda,
+    which add exactly 0.0 to every oracle sum.  No array of the chunk outlives
+    the call, so a sweep holds one chunk at a time.
+    """
+    low, high = 2, 8     # sample sizes drawn from [low, high)
+    p = np.zeros((rows, high - 1))
+    # c, d and lambda of each sample side by side, split after the loop
+    drawn = np.empty((rows, 3 * (high - 1)))
+    sizes = np.empty(rows, dtype=int)
+    for row in range(rows):
+        size = sizes[row] = int(rng.integers(low, high))
+        # the exponentials of rng.dirichlet(np.ones(size)), normalised below
+        rng.standard_exponential(out=p[row, :size])
+        # one call for c, d and lambda: the stream of three rng.random(size)
+        rng.random(out=drawn[row, :3 * size])
+    _flat_dirichlet(p)
+    padding = np.arange(high - 1) >= sizes[:, None]
+    cols = np.arange(high - 1) + np.arange(3)[:, None, None] * sizes[:, None]
+    c, d, lam = split = drawn[np.arange(rows)[:, None], cols]
+    split[:, padding] = 0.0
+    c *= 10
+    d *= 10
+    # sorting with +inf in the padding leaves it last; it then repeats the largest lambda
+    lam[padding] = np.inf
+    lam.sort(axis=1)
+    lam = np.where(padding, lam[np.arange(rows), sizes - 1][:, None], lam)
+    return sum_inequality_oracle(p, c, d), integral_inequality_oracle(lam, p, c, d)
+
+
 def _exp_appendix_inequalities(params, tol, seed):
     n = params["n_samples"]
     _check_budget("n_samples", n, "samples")
     rng = np.random.default_rng(seed)
-    low, high = 2, 8     # sample sizes drawn from [low, high)
     ok_sum = ok_int = True
     for start in range(0, n, CHUNK_ROWS):
-        # one sample per row, padded with P = C = D = 0 and a repeated last
-        # lambda, which add exactly 0.0 to every oracle sum
-        p, c, d, lam = np.zeros((4, min(CHUNK_ROWS, n - start), high - 1))
-        sizes = np.empty(len(p), dtype=int)
-        for row in range(len(p)):
-            size = sizes[row] = int(rng.integers(low, high))
-            # the exponentials of rng.dirichlet(np.ones(size)), normalised below
-            rng.standard_exponential(out=p[row, :size])
-            # one call for c, d and lambda: the stream of three rng.random(size)
-            c[row, :size], d[row, :size], lam[row, :size] = rng.random(3 * size).reshape(3, -1)
-        _flat_dirichlet(p)
-        c *= 10
-        d *= 10
-        # sorting with +inf in the padding leaves it last; it then repeats the largest lambda
-        padding = np.arange(high - 1) >= sizes[:, None]
-        lam[padding] = np.inf
-        lam.sort(axis=1)
-        lam = np.where(padding, lam[np.arange(len(lam)), sizes - 1][:, None], lam)
-        ok_sum = ok_sum and sum_inequality_oracle(p, c, d)
-        ok_int = ok_int and integral_inequality_oracle(lam, p, c, d)
+        chunk_sum, chunk_int = _appendix_chunk(rng, min(CHUNK_ROWS, n - start))
+        ok_sum, ok_int = ok_sum and chunk_sum, ok_int and chunk_int
     p = _flat_dirichlet(rng.standard_exponential(5))
     c = rng.random(5) * 3
     lhs = float(np.sum(p * c) ** 2)

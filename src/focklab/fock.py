@@ -40,9 +40,10 @@ MAX_DIM = 4096
 # for blocks, so ``eigh_blocks`` solves it whole.
 BLOCK_MIN_DIM = 48
 
-# entries a chunked kernel forms at a time: row pairs of ``_reduced_matrices``,
-# columns of ``_rotate`` and residual rows of ``_residual_norms``
-PAIR_CHUNK = 1 << 18
+# entries a chunked kernel forms at a time, 256 KiB per complex temporary: row
+# pairs of ``_reduced_matrices``, columns of ``_rotate`` and the row blocks of
+# ``_row_slices``
+PAIR_CHUNK = 1 << 14
 
 
 def _is_integer(value):
@@ -413,21 +414,28 @@ def _row_dots(x):
     return x @ x if x.ndim == 1 else (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
+def _row_slices(n_rows, width):
+    """Slices of the rows 0..n_rows-1 of a matrix ``width`` entries wide, each of
+    at most ``PAIR_CHUNK`` entries (at least one row): the row blocks of every
+    chunked check.  ``PAIR_CHUNK`` is read at call time."""
+    step = max(1, PAIR_CHUNK // width)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
 def _residual_norms(x, rows):
     """The Frobenius norm of a residual shaped like ``x``, a d x d matrix (a float)
     or a stack of them over any leading axes (one norm per matrix): the one
     residual norm of focklab.
 
-    ``rows(s)`` forms the residual's rows ``s``, a slice, of every matrix, at most
-    ``PAIR_CHUNK`` entries per matrix at a time, so that no d x d temporary is
-    held; up to d = 512 that is one block.  An infinite entry, or a square past
-    the float range, gives a NaN or infinite norm, which fails every ``<=``
-    check, and no warning.
+    ``rows(s)`` forms the residual's rows ``s``, one of ``_row_slices``, of every
+    matrix, so that no d x d temporary is held; up to d = 128 that is one block.
+    An infinite entry, or a square past the float range, gives a NaN or infinite
+    norm, which fails every ``<=`` check, and no warning.
     """
-    step, lead = max(1, PAIR_CHUNK // x.shape[-1]), x.shape[:-2]
+    lead = x.shape[:-2]
     with np.errstate(invalid="ignore", over="ignore"):     # NaN and inf fail every check
-        return np.sqrt(sum(_row_dots(rows(slice(lo, lo + step)).reshape(*lead, -1).view(float))
-                           for lo in range(0, x.shape[-2], step)))
+        return np.sqrt(sum(_row_dots(rows(s).reshape(*lead, -1).view(float))
+                           for s in _row_slices(x.shape[-2], x.shape[-1])))
 
 
 def _hermitian_residuals(x):

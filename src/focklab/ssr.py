@@ -250,13 +250,17 @@ def separable_ssr_theorem_check(mixtures):
 
 def phase_state(n_max, p):
     """Orthonormal phase eigenstate |theta_p> of a single truncated mode."""
+    amps = _phase_amplitudes(n_max, p)
+    return PureState(ModeSystem([("osc", n_max)]), amps)
+
+
+def _phase_amplitudes(n_max, p):
+    """The amplitudes of ``phase_state(n_max, p)``, once ``p`` is a phase index."""
     if not _is_integer(p) or not 0 <= p <= n_max:
         raise ValueError(f"phase index p must be an integer in 0..{n_max}, got {p!r}")
-    system = ModeSystem([("osc", n_max)])
     n = np.arange(n_max + 1)
     theta = 2.0 * np.pi * p / (n_max + 1)
-    amps = np.exp(1j * n * theta) / np.sqrt(n_max + 1)
-    return PureState(system, amps)
+    return np.exp(1j * n * theta) / np.sqrt(n_max + 1)
 
 
 def _clock_args(p, q, omega, dt):
@@ -308,7 +312,7 @@ def clock_prob_by_evolution(p, q, omega, dt, n_max):
     sys1 = ModeSystem([("osc", n_max)])
     h = omega * number_op(sys1)
     u = evolution_operator(h, dt)
-    states = {i: phase_state(n_max, i) for i in set(rows + cols)}
+    states = {i: PureState(sys1, _phase_amplitudes(n_max, i)) for i in set(rows + cols)}
     table = np.empty((len(rows), len(cols)))
     for r, i in enumerate(rows):
         evolved = apply_unitary(u, states[i])

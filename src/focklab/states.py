@@ -346,7 +346,8 @@ def two_mode_coherent_mixture(alpha_abs, cutoff):
     single = alpha_abs ** n / np.sqrt(np.exp(log_fact))
     weight = single[occ[:, 0]] * single[occ[:, 1]]
     totals = number_diagonal(system)
-    mat = np.outer(weight, weight) * (totals[:, None] == totals[None, :])
+    mat = np.outer(weight, weight)
+    mat *= totals[:, None] == totals[None, :]      # in place: one d x d float array
     mat *= np.exp(-2.0 * nbar)
     mat /= np.real(np.trace(mat))
     return DensityOperator(system, mat)

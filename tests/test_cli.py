@@ -136,25 +136,70 @@ def _vector_quadrature(alpha, cutoff, n_phases):
     return quad / n_phases
 
 
-@pytest.mark.parametrize("alpha, cutoff", [(0.01, 3), (0.2, 5), (-0.3, 8), (0.5, 10)])
-def test_the_factored_quadrature_is_the_sum_over_two_mode_vectors(alpha, cutoff):
-    from focklab import bosons
-    from focklab.cli import CHUNK_ROWS, _phase_averaged_pair
+def _dense_quadrature(alpha, system, n_phases):
+    """The phase average as one d x d formula: v_i v_j^* S(N_i - N_j) over the
+    whole matrix, with the same phase sums as the row blocks."""
+    from focklab.cli import CHUNK_ROWS
     from focklab.states import coherent_amplitudes
+    cutoff = system.modes[0].cutoff
+    amps = coherent_amplitudes([alpha], cutoff)[0]
+    occ = system.occupancies
+    vec = amps[occ[:, 0]] * amps[occ[:, 1]]
+    totals = occ.sum(axis=1)
+    diffs = np.arange(-2 * cutoff, 2 * cutoff + 1)
+    sums = np.zeros(len(diffs), dtype=complex)
+    for start in range(0, n_phases, CHUNK_ROWS):
+        theta = 2.0 * np.pi * np.arange(start, min(start + CHUNK_ROWS, n_phases)) / n_phases
+        sums += np.exp(-1j * np.outer(diffs, theta)).sum(axis=1)
+    sums /= n_phases
+    return np.outer(vec, vec.conj()) * sums[totals[:, None] - totals[None, :] + 2 * cutoff]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("alpha, cutoff", [(0.01, 3), (0.2, 5), (-0.3, 8), (0.5, 10)])
+def test_the_factored_quadrature_is_the_sum_over_two_mode_vectors(alpha, cutoff, chunk,
+                                                                  monkeypatch):
+    from focklab import bosons, fock
+    from focklab.cli import CHUNK_ROWS, _phase_averaged_rows
+    from focklab.states import coherent_amplitudes
+    if chunk is not None:
+        monkeypatch.setattr(fock, "PAIR_CHUNK", chunk)
     system = bosons(2, cutoff, labels=["A", "B"])
+    dim = system.dim
     totals = system.occupancies.sum(axis=1)
     on = totals[:, None] == totals[None, :]
     amps = coherent_amplitudes([alpha], cutoff)[0]
     pair = np.outer(np.kron(amps, amps), np.kron(amps, amps).conj())
     # the smallest resolving grid, and one of three chunks, the last partial
     for n_phases in (2 * cutoff + 1, 2 * CHUNK_ROWS + 7):
-        quad = _phase_averaged_pair(alpha, system, n_phases)
+        quad = np.full((dim, dim), np.nan, dtype=complex)
+        step = max(1, fock.PAIR_CHUNK // dim)
+        for k, (s, diff, rows) in enumerate(_phase_averaged_rows(alpha, system, n_phases)):
+            # the blocks of fock._row_slices, in order, each with its number differences
+            assert s == slice(k * step, k * step + step)
+            assert rows.shape == (len(range(dim)[s]), dim)
+            assert np.array_equal(diff, totals[s, None] - totals)
+            quad[s] = rows
+        # the assembled rows have the bits of the dense formula
+        assert np.array_equal(quad.view(np.int64), _dense_quadrature(alpha, system, n_phases)
+                              .view(np.int64))
         # the phase sum of a zero number difference is exactly 1
         assert np.array_equal(quad[on], pair[on])
         err = np.abs(quad - _vector_quadrature(alpha, cutoff, n_phases))
         assert err[~on].max() <= 1e-15
         # in the sectors, the reference adds n_phases rounded terms per entry
         assert err[on].max() <= 1e-15 * np.sqrt(n_phases)
+
+
+def test_every_scenario_peaks_under_4_mib_once_warm():
+    # whole-matrix temporaries peaked at 8.9 MiB in two_mode_coherent_mixture
+    # (dim 361) and 3.2 MiB in extraction (dims up to 256)
+    folder = os.path.join(ROOT, "scenarios")
+    for name in sorted(os.listdir(folder)):
+        with open(os.path.join(folder, name)) as fh:
+            scenario = json.load(fh)
+        run_scenario(scenario)     # fills the per-system memos
+        assert _peak_bytes(lambda: run_scenario(scenario)) < 4 * 2 ** 20, name
 
 
 def test_summed_holds_at_most_four_matrices_whatever_its_components():
@@ -851,6 +896,33 @@ def test_the_appendix_sweep_keeps_the_stream_of_numpys_dirichlet(seed):
         actual = {c["name"]: c["actual"] for c in report["checks"]}["equality_case"]
         assert repr(actual) == repr(_appendix_equality_actual(np.random.default_rng(seed),
                                                               n_samples))
+
+
+def test_the_appendix_oracles_see_each_samples_own_draws(monkeypatch):
+    # c, d and lambda of a sample are split out of one generator call; chunks of
+    # 4 rows, the last partial
+    from focklab import cli
+    seen = []
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 4)
+    monkeypatch.setattr(cli, "sum_inequality_oracle",
+                        lambda p, c, d: seen.append((p.copy(), c.copy(), d.copy())) or True)
+    monkeypatch.setattr(cli, "integral_inequality_oracle",
+                        lambda lam, p, c, d: seen.append(lam.copy()) or True)
+    assert run_experiment("appendix_inequalities", {"n_samples": 10}, seed=5)["overall_pass"]
+    rng = np.random.default_rng(5)
+    want = []
+    for _ in range(10):
+        size = int(rng.integers(2, 8))
+        pad = 7 - size
+        p = np.pad(rng.dirichlet(np.ones(size)), (0, pad))
+        c, d = (np.pad(rng.random(size) * 10, (0, pad)) for _ in range(2))
+        lam = np.sort(rng.random(size))
+        want.append((p, c, d, np.pad(lam, (0, pad), mode="edge")))
+    assert len(seen) == 6
+    for k, start in enumerate((0, 4, 8)):
+        rows = want[start:start + 4]
+        for got, expected in zip(seen[2 * k] + (seen[2 * k + 1],), zip(*rows)):
+            assert np.array_equal(got, np.array(expected))
 
 
 def test_run_experiment_takes_a_numpy_integer_seed_and_reports_an_int():

@@ -777,3 +777,23 @@ def test_validation_and_the_hermitian_check_hold_row_blocks_not_matrices():
         tracemalloc.stop()
     assert validation < 2 * square
     assert hermitian < square
+
+
+def test_validation_at_dim_361_holds_its_copy_and_one_row_block_of_residual():
+    # bosons(2, 18), the coherent mixture's system: its whole residual, formed
+    # at once, was 4.1 MiB
+    system = bosons(2, 18)
+    dim = system.dim
+    matrix = system.superposition([(1, 2), (2, 1)], [0.6, 0.8j]).density().matrix
+    DensityOperator(system, matrix)
+    tracemalloc.start()
+    try:
+        DensityOperator(system, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk of complex entries is at most 256 KiB; the peak is the checked copy
+    # of the input, two chunks of residual rows and the two boolean patterns
+    # the block search reads
+    assert 16 * PAIR_CHUNK <= 256 * 2 ** 10
+    assert peak <= 16 * dim ** 2 + 2 * 16 * PAIR_CHUNK + 2 * dim ** 2

@@ -456,6 +456,22 @@ def test_clock_formula_matches_evolution():
     assert worst < 1e-12
 
 
+def test_the_clock_oracle_builds_one_mode_system_per_call(monkeypatch):
+    # it used to build one more per distinct phase state
+    from focklab import fock
+    built = []
+    init = fock.ModeSystem.__init__
+    monkeypatch.setattr(fock.ModeSystem, "__init__",
+                        lambda self, *args, **kwargs: built.append(args) or init(self, *args,
+                                                                                 **kwargs))
+    for n_max in (4, 9):
+        phases = range(0, n_max + 1, 2)
+        for p, q in ((phases, phases), (1, 3)):
+            built.clear()
+            clock_prob_by_evolution(p, q, 1.0, 0.3, n_max)
+            assert built == [([("osc", n_max)],)]
+
+
 def _per_pair_clock(p, q, omega, dt, n_max):
     """clock_prob_by_evolution as one evolution per (p, q) pair."""
     from focklab.fock import evolution_operator
