@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -99,6 +100,15 @@ class _Record:
                 raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
         return args + tuple([values[name] for name in rest])
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """A record of the field values in order, bound without ``_check``: for
+        builders that have checked a whole stack of them at once."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set_field(record, name, value)
+        return record
+
     def _check(self):
         """Raise ValueError unless the fields are valid; the base checks nothing."""
 
@@ -131,7 +141,8 @@ class Mode(_Record):
 
 
 class ModeSystem:
-    """Ordered list of modes with a fixed occupation-number basis.
+    """Ordered list of modes with a fixed occupation-number basis; immutable,
+    as a ``_Record`` is, since it keys the memos of its basis.
 
     Parameters
     ----------
@@ -139,6 +150,10 @@ class ModeSystem:
     total_number_restriction : int, optional
         Keep only basis states whose total occupancy equals this value.
     """
+
+    __slots__ = ("modes", "total_number_restriction", "_hash", "occupancies", "codes",
+                 "strides", "dim")
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     def __init__(self, modes, total_number_restriction=None):
         parsed = []
@@ -161,10 +176,8 @@ class ModeSystem:
             raise ValueError("a ModeSystem needs at least one mode")
         if len({m.label for m in parsed}) != len(parsed):
             raise ValueError(f"mode labels repeat: {[m.label for m in parsed]}")
-        self.modes = tuple(parsed)
-        self.total_number_restriction = total_number_restriction
-
-        radices = [m.cutoff + 1 for m in self.modes]
+        modes = tuple(parsed)
+        radices = [m.cutoff + 1 for m in modes]
         full_dim = math.prod(radices)
         if full_dim > np.iinfo(np.int64).max:
             raise ValueError("basis codes overflow int64: too many modes or levels")
@@ -176,8 +189,6 @@ class ModeSystem:
             raise ValueError("total_number_restriction must be an integer")
         elif not 0 <= total_number_restriction <= room:
             raise ValueError("empty Hilbert space")
-        # every memo lookup hashes its system: hash the modes once
-        self._hash = hash((self.modes, total_number_restriction))
         # built mode by mode: extending each prefix code by ascending digits keeps
         # the lexicographic order.  Under a restriction a prefix takes only the
         # digits that stay at or below the total and can still reach it, so every
@@ -203,10 +214,14 @@ class ModeSystem:
         occ = codes[:, None] // strides % radices
         for arr in (occ, codes, strides):
             arr.setflags(write=False)
-        self.occupancies = occ
-        self.codes = codes
-        self.strides = strides
-        self.dim = occ.shape[0]
+        # every memo lookup hashes its system: hash the modes once
+        key = hash((modes, total_number_restriction))
+        for name, value in zip(self.__slots__, (modes, total_number_restriction, key, occ,
+                                                codes, strides, occ.shape[0])):
+            _set_field(self, name, value)
+
+    def __reduce__(self):     # copy and pickle rebuild through ``__init__``
+        return ModeSystem, (self.modes, self.total_number_restriction)
 
     @property
     def n_modes(self):
@@ -303,18 +318,19 @@ def qubits(n):
     return bosons(n, 1, labels=[f"q{i}" for i in range(n)])
 
 
-class Operator:
-    """Dense operator on a ModeSystem basis."""
+class Operator(_Record):
+    """Dense operator on a ModeSystem basis; it holds a read-only copy of its matrix."""
 
     __slots__ = ("system", "matrix")
+    # arrays are unhashable: compare by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, system, matrix):
         matrix = np.array(matrix, dtype=complex)
         if matrix.shape != (system.dim, system.dim):
             raise ValueError(f"matrix shape {matrix.shape} does not match dim {system.dim}")
         matrix.setflags(write=False)
-        self.system = system
-        self.matrix = matrix
+        super().__init__(system, matrix)
 
     def dag(self):
         return Operator(self.system, self.matrix.conj().T)
@@ -347,10 +363,12 @@ class Operator:
         return f"Operator(dim={self.system.dim})"
 
 
-class PureState:
-    """Normalised state vector over the occupation basis."""
+class PureState(_Record):
+    """Normalised state vector over the occupation basis; it holds a read-only
+    copy of its amplitudes."""
 
     __slots__ = ("system", "amplitudes")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, system, amplitudes):
         amplitudes = np.array(amplitudes, dtype=complex)
@@ -360,8 +378,7 @@ class PureState:
         if not abs(nrm - 1.0) <= NORM_ATOL:   # written so that NaN fails too
             raise ValueError(f"state vector is not normalised: norm {nrm}, tolerance {NORM_ATOL}")
         amplitudes.setflags(write=False)
-        self.system = system
-        self.amplitudes = amplitudes
+        super().__init__(system, amplitudes)
 
     def density(self):
         return DensityOperator(self.system, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -456,10 +473,12 @@ def _require(ok, values, message):
     raise ValueError(f"stack matrix {i}: " + message.format(values[i]))
 
 
-class DensityOperator:
-    """Density operator; ``_check_physical`` runs at construction."""
+class DensityOperator(_Record):
+    """Density operator; ``_check_physical`` runs at construction on a read-only
+    copy of the matrix, which it holds."""
 
     __slots__ = ("system", "matrix")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, system, matrix):
         matrix = np.array(matrix, dtype=complex)
@@ -467,8 +486,7 @@ class DensityOperator:
             raise ValueError("density matrix shape does not match system")
         _check_physical(matrix)
         matrix.setflags(write=False)
-        self.system = system
-        self.matrix = matrix
+        super().__init__(system, matrix)
 
     def purity(self):
         # Tr(rho^2) = ||rho||_F^2 for the Hermitian rho validated at construction
@@ -491,12 +509,7 @@ def _density_stack(system, stack):
         raise ValueError("density stack shape does not match its system")
     _check_physical(stack)
     stack.setflags(write=False)
-    out = []
-    for matrix in stack:
-        rho = object.__new__(DensityOperator)
-        rho.system, rho.matrix = system, matrix
-        out.append(rho)
-    return out
+    return [DensityOperator._unchecked(system, matrix) for matrix in stack]
 
 
 def _on_system(state, *operators):
@@ -545,9 +558,15 @@ class Partition(_Record):
     __slots__ = ("subsystems",)
 
     def __init__(self, subsystems):
-        # accepts [(name, indices), ...]; indices kept in the order given
+        # accepts [(name, indices), ...] only; indices kept in the order given
+        form = "a partition is a sequence of (name, indices) pairs"
+        if isinstance(subsystems, Mapping):
+            raise ValueError(f"{form}, not a mapping: got {subsystems!r}")
         parsed = []
-        for name, idx in subsystems:
+        for entry in subsystems:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ValueError(f"{form}, got the entry {entry!r}")
+            name, idx = entry
             if not np.iterable(idx) or not all(_is_integer(i) for i in idx):
                 raise ValueError(f"mode indices of subsystem {name!r} must be a "
                                  f"sequence of integers, got {idx!r}")

@@ -43,11 +43,15 @@ def _check_distributions(rows, message):
         raise ValueError(message)
 
 
-class DiscreteLHVModel:
-    """Hidden-value distribution plus per-observable outcome pmfs."""
+class DiscreteLHVModel(_Record):
+    """Hidden-value distribution, held as a read-only copy of ``weights``, plus
+    per-observable outcome pmfs."""
+
+    __slots__ = ("weights", "observables")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, weights, observables):
-        weights = np.asarray(weights, dtype=float)
+        weights = np.array(weights, dtype=float)
         _check_distributions(weights, "hidden-value probabilities must be a distribution")
         n_hidden = len(weights)
         for name, obs in observables.items():
@@ -55,8 +59,8 @@ class DiscreteLHVModel:
             if pmf.shape != (n_hidden, len(obs.values)):
                 raise ValueError(f"pmf shape mismatch for observable {name!r}")
             _check_distributions(pmf, f"pmf rows for {name!r} are not distributions")
-        self.weights = weights
-        self.observables = dict(observables)
+        weights.setflags(write=False)
+        super().__init__(weights, dict(observables))
 
 
 def lhv_joint(model, assignments):
@@ -101,7 +105,7 @@ def lhv_from_separable(mixture, subsystem_observables):
         pmf = _block_probs(mixture.factors[name], obs)
         observables[name] = LHVObservable(tuple(obs.eigenvalues),
                                           np.where(pmf < -PROB_FLOOR, pmf, np.maximum(pmf, 0.0)))
-    return DiscreteLHVModel(mixture.probabilities.copy(), observables)
+    return DiscreteLHVModel(mixture.probabilities, observables)
 
 
 def chsh_mean(model):

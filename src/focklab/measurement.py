@@ -40,23 +40,43 @@ class ZeroProbabilityError(ValueError):
 
 
 class Observable(_Record):
-    """Hermitian operator together with its spectral resolution.
+    """Hermitian operator together with its spectral resolution, built from the
+    operator alone.
 
-    ``blocks`` are the operator's ``eigh_blocks`` triples, which hold its
-    eigenvector matrix V (``fock._rotate``), and ``outcomes[r]`` is the index
-    into ``eigenvalues`` of the eigenvector at position r.  The projector
-    V D_j V^H of outcome j, D_j the 0/1 diagonal of its positions, is not stored.
-    Each residual check is written so that NaN fails it.
+    The eigenvalues of every ``eigh_blocks`` component, one per position, are
+    sorted together (stable).  Eigenvalues closer than ``MERGE_TOL`` times the
+    spectral range are then merged into a single degenerate outcome, which
+    keeps the resolution robust after floating-point eigensolves.  ``blocks``
+    are the components as returned, read-only, which hold the eigenvector
+    matrix V (``fock._rotate``), and ``outcomes[r]`` is the index into
+    ``eigenvalues`` of the eigenvector at position r.  The projector V D_j V^H
+    of outcome j, D_j the 0/1 diagonal of its positions, is not stored.  Each
+    residual check is written so that NaN fails it; a copy or a pickle
+    resolves its operator again.
     """
 
     __slots__ = ("operator", "eigenvalues", "blocks", "outcomes")
     # arrays are unhashable: compare by identity
     __eq__, __hash__ = object.__eq__, object.__hash__
 
+    def __init__(self, operator):
+        blocks = _hermitian_blocks(_of_kind(operator, Operator))
+        for triple in blocks:
+            for arr in triple:
+                arr.setflags(write=False)
+        evals = _eigenvalues(blocks)
+        order = np.argsort(evals, kind="stable")
+        evals = evals[order]
+        gap = MERGE_TOL * max(float(evals[-1] - evals[0]), 1.0)
+        cuts = np.nonzero(np.diff(evals) > gap)[0] + 1
+        eigenvalues = tuple(float(np.mean(grp)) for grp in np.split(evals, cuts))
+        outcomes = np.searchsorted(cuts, np.argsort(order), side="right")     # by rank
+        outcomes.setflags(write=False)
+        super().__init__(operator, eigenvalues, tuple(blocks), outcomes)
+
     def _check(self):
         operator, eigenvalues, blocks, outcomes = self._values(self)
         dim = operator.system.dim
-        _check_resolution(blocks, outcomes, dim, len(eigenvalues))
         v = _rotate(blocks, np.eye(dim, dtype=complex))
         lam = np.asarray(eigenvalues)[outcomes, None]
         recon = _rotate(blocks, lam * v.conj().T)     # V Lambda V^H
@@ -75,6 +95,9 @@ class Observable(_Record):
             if not np.linalg.norm(m @ (m - np.eye(len(m)))) <= PROJ_ATOL:
                 raise ValueError("projector is not idempotent")
 
+    def __reduce__(self):     # a copy or a pickle resolves the operator again
+        return Observable, (self.operator,)
+
     @property
     def system(self):
         return self.operator.system
@@ -89,29 +112,6 @@ class Observable(_Record):
         for j in range(len(self.eigenvalues)):
             yield Operator(self.system, _conjugate(self.blocks, np.diag(
                 (self.outcomes == j).astype(complex))))
-
-
-def _check_resolution(blocks, outcomes, dim, count):
-    """Raise ValueError unless ``blocks`` are ``eigh_blocks`` triples, each with
-    (n, k) integer indices, ascending within a component, and (n, k, k)
-    eigenvectors, whose indices partition 0..d-1, and ``outcomes`` is a (d,)
-    integer array that holds each of 0..count-1.  A triple of any other form is
-    left out of the partition, which then fails."""
-    try:
-        rows = np.concatenate([np.ravel(i) for i, _, v in blocks if np.ndim(i) == 2
-                               and np.shape(v) == np.shape(i) + np.shape(i)[1:]
-                               and (i[:, 1:] > i[:, :-1]).all()])
-        outcomes = np.asarray(outcomes)
-        used = np.bincount(outcomes, minlength=count)      # raises below 0, or for a float
-        ok = (rows.dtype.kind in "iu" and len(rows) == dim
-              and (np.bincount(rows, minlength=dim) == 1).all()
-              and outcomes.dtype.kind in "iu" and outcomes.shape == (dim,)
-              and len(used) == count and used.all())
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ValueError(f"blocks and outcomes do not resolve {dim} positions into {count} "
-                         "outcomes")
 
 
 def _of_kind(value, kind):
@@ -135,25 +135,8 @@ class OutcomeDistribution(_Record):
 
 
 def spectral(op):
-    """Spectral resolution of a Hermitian operator.
-
-    The eigenvalues of every ``eigh_blocks`` component, one per position, are
-    sorted together (stable).  Eigenvalues closer than ``MERGE_TOL`` times the
-    spectral range are then merged into a single degenerate outcome, which
-    keeps the resolution robust after floating-point eigensolves.  The
-    components are kept as returned, with each position's read-only outcome
-    index, so no d x d eigenvector matrix is built.
-    """
-    blocks = _hermitian_blocks(op)
-    evals = _eigenvalues(blocks)
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    gap = MERGE_TOL * max(float(evals[-1] - evals[0]), 1.0)
-    cuts = np.nonzero(np.diff(evals) > gap)[0] + 1
-    eigenvalues = tuple(float(np.mean(grp)) for grp in np.split(evals, cuts))
-    outcomes = np.searchsorted(cuts, np.argsort(order), side="right")     # by rank
-    outcomes.setflags(write=False)
-    return Observable(op, eigenvalues, blocks, outcomes)
+    """The spectral resolution of a Hermitian operator: ``Observable(op)``."""
+    return Observable(op)
 
 
 def _real_probs(values):

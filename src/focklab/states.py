@@ -16,6 +16,7 @@ from .fock import (
     DensityOperator,
     PureState,
     Partition,
+    _Record,
     annihilation,
     bosons,
     qubits,
@@ -30,19 +31,19 @@ from .fock import (
 TAIL_TOL = 1e-10
 
 
-class SeparableMixture:
+class SeparableMixture(_Record):
     """Werner-form mixture sum_R P_R rho_R^A x rho_R^B x ...: the read-only (R,)
     ``probabilities`` and, per subsystem name in partition order, the read-only
     (R, k, k) stack of ``factors`` on ``sub_system(system, modes)``.  It is
     checked as a stack of one of ``mixture_stack``."""
 
     __slots__ = ("system", "partition", "probabilities", "factors")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, system, partition, probabilities, factors):
         (one,) = mixture_stack(system, partition, _real_array(probabilities, 1)[None],
                                {name: np.asarray(factors[name])[None] for name in factors})
-        self.system, self.partition = system, partition
-        self.probabilities, self.factors = one.probabilities, one.factors
+        super().__init__(*one._values(one))
 
     def summed(self):
         """The mixture as a single density operator on the full system: a
@@ -98,11 +99,9 @@ def mixture_stack(system, partition, probabilities, factors):
         checked.setflags(write=False)
         stacks.update(zip([names[j] for j in sel], np.split(checked, len(sel))))
     probs.setflags(write=False)
-    mixtures = [object.__new__(SeparableMixture) for _ in probs]
-    for i, mix in enumerate(mixtures):
-        mix.system, mix.partition, mix.probabilities = system, partition, probs[i]
-        mix.factors = {name: stacks[name][i] for name in names}
-    return mixtures
+    return [SeparableMixture._unchecked(system, partition, probs[i],
+                                        {name: stacks[name][i] for name in names})
+            for i in range(len(probs))]
 
 
 def summed_stack(mixtures):

@@ -27,7 +27,8 @@ from focklab import (
     tensor_embed,
     unrecorded_state,
 )
-from focklab.measurement import unrecorded_conditioned_variance
+from focklab import measurement
+from focklab.measurement import PROJ_ATOL, unrecorded_conditioned_variance
 from focklab.states import bell_one_boson, ghz, singlet_spin
 from focklab.witnesses import pauli_ops, spin_ops
 from focklab.sampling import random_density
@@ -90,66 +91,87 @@ def test_spectral_stores_no_projector_matrices():
     assert peak < 8_000_000
 
 
-def _scaled_column(blocks):
-    (idx, evals, vecs), = blocks
-    vecs = vecs.copy()
+def _spoiled(monkeypatch, op, spoil):
+    """Observable(op) whose solve gives its one ``eigh_blocks`` triple with the
+    eigenvalues and eigenvectors copied and then spoiled by ``spoil(evals, vecs)``."""
+    solve = measurement._hermitian_blocks
+
+    def spoiled_solve(operator):
+        (idx, evals, vecs), = solve(operator)
+        evals, vecs = evals.copy(), vecs.copy()
+        spoil(evals, vecs)
+        return [(idx, evals, vecs)]
+
+    monkeypatch.setattr(measurement, "_hermitian_blocks", spoiled_solve)
+    return Observable(op)
+
+
+def _double_a_column(evals, vecs):
     vecs[:, :, 1] *= 2.0
-    return [(idx, evals, vecs)]
 
 
-@pytest.mark.parametrize("change,message", [
-    # a non-orthonormal eigenvector, a missing outcome, a wrong eigenvalue
-    (lambda vals, blocks, out: (vals, _scaled_column(blocks), out),
-     "do not resolve the identity"),
-    (lambda vals, blocks, out: (vals[:2], blocks, out), "do not resolve 3 positions"),
-    (lambda vals, blocks, out: ((vals[0], vals[1] + 0.5, vals[2]), blocks, out),
-     "does not reconstruct"),
-    # malformed components: not a partition, not integers, not ascending, wrong
-    # shapes, not triples
-    (lambda vals, blocks, out: (vals, [(np.array([[0, 1, 1]]),) + blocks[0][1:]], out),
-     "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, [(np.array([[0, 1, 5]]),) + blocks[0][1:]], out),
-     "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, [(np.array([[0.0, 1.0, 2.0]]),) + blocks[0][1:]], out),
-     "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, [(np.array([[1, 0, 2]]),) + blocks[0][1:]], out),
-     "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, [(np.array([[0, 1]]),) + blocks[0][1:]], out),
-     "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, [blocks[0][:2] + (blocks[0][2][:, :, :2],)], out),
-     "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, [blocks[0][:2]], out), "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, None, out), "do not resolve 3 positions"),
-    # outcomes: non-integer, out of range, negative, wrong shape, an unused outcome
-    (lambda vals, blocks, out: (vals, blocks, out.astype(float)), "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, blocks, np.array([0, 1, 3])), "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, blocks, np.array([-1, 1, 2])), "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals, blocks, out[:2]), "do not resolve 3 positions"),
-    (lambda vals, blocks, out: (vals + (3.0,), blocks, out), "do not resolve 3 positions"),
+def _shift_an_eigenvalue(evals, vecs):
+    evals[0, 1] += 0.5
+
+
+def _nan_eigenvalue(evals, vecs):
+    evals[0, 0] = np.nan
+
+
+def _nan_eigenvector(evals, vecs):
+    vecs[0, 0, 0] = np.nan
+
+
+@pytest.mark.parametrize("spoil, message", [
+    # a non-orthonormal eigenvector, a wrong eigenvalue
+    (_double_a_column, "do not resolve the identity"),
+    (_shift_an_eigenvalue, "does not reconstruct"),
 ])
-def test_observable_rejects_a_bad_resolution(change, message):
-    n_op = number_op(bosons(1, 2))
-    obs = spectral(n_op)
-    eigenvalues, blocks, outcomes = change(obs.eigenvalues, obs.blocks, obs.outcomes)
+def test_observable_rejects_a_bad_resolution(monkeypatch, spoil, message):
     with pytest.raises(ValueError, match=message):
-        Observable(n_op, eigenvalues, blocks, outcomes)
+        _spoiled(monkeypatch, number_op(bosons(1, 2)), spoil)
 
 
-def test_an_observable_with_a_nan_eigenvalue_is_refused():
+def test_an_observable_with_a_nan_eigenvalue_is_refused(monkeypatch):
     # the reconstruction residual is NaN, which fails the check as it fails a
     # physicality check
-    obs = spectral(number_op(bosons(1, 2)))
     with pytest.raises(ValueError, match="does not reconstruct the operator"):
-        Observable(obs.operator, (np.nan, 1.0, 2.0), obs.blocks, obs.outcomes)
+        _spoiled(monkeypatch, number_op(bosons(1, 2)), _nan_eigenvalue)
 
 
-def test_an_observable_with_a_nan_eigenvector_is_refused():
-    obs = spectral(number_op(bosons(1, 2)))
-    (idx, evals, vecs), = obs.blocks
-    vecs = vecs.copy()
-    vecs[0, 0, 0] = np.nan
+def test_an_observable_with_a_nan_eigenvector_is_refused(monkeypatch):
     with pytest.raises(ValueError, match="do not resolve the identity"):
-        Observable(obs.operator, obs.eigenvalues, [(idx, evals, vecs)], obs.outcomes)
+        _spoiled(monkeypatch, number_op(bosons(1, 2)), _nan_eigenvector)
+
+
+def test_the_idempotence_check_refuses_what_the_resolution_check_lets_pass(monkeypatch):
+    # eigenvectors b_i e_i of the zero operator, b_i^2 = 1 + g_i exactly with
+    # g_i = 2 m_i 2^-52: the resolution residual sqrt(sum g_i^2) sits just below
+    # PROJ_ATOL, and the idempotence residual sqrt(sum (g_i + g_i^2)^2) above it
+    lengths = np.array([1.0 + m * 2.0 ** -52 for m in (129842, 130054, 130127)])
+    gram = lengths ** 2 - 1.0
+    assert np.linalg.norm(gram) <= PROJ_ATOL < np.linalg.norm(gram + gram ** 2)
+
+    def lengthen(evals, vecs):
+        vecs[0] = np.diag(lengths)
+
+    zero = Operator(bosons(1, 2), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="projector is not idempotent"):
+        _spoiled(monkeypatch, zero, lengthen)
+
+
+def test_every_block_array_of_an_observable_is_read_only():
+    for op in (number_op(bosons(1, 2)), number_op(bosons(2, 7))):
+        for arr in (arr for triple in spectral(op).blocks for arr in triple):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+@pytest.mark.parametrize("build", [Observable, spectral])
+@pytest.mark.parametrize("value", ["x", np.eye(2), None])
+def test_an_observable_of_something_not_an_operator_is_a_type_error(build, value):
+    with pytest.raises(TypeError, match="^expected Operator, got "):
+        build(value)
 
 
 _SYSTEM = bosons(2, 1)

@@ -9,20 +9,28 @@ import pytest
 from focklab import (
     BeamSplitterSpec,
     CHSHSetting,
+    DensityOperator,
+    DiscreteLHVModel,
     LHVObservable,
     Mode,
+    ModeSystem,
     Observable,
+    Operator,
     OutcomeDistribution,
     Partition,
     ProcessResult,
+    PureState,
     SSRReport,
     SectorDecomposition,
+    SeparableMixture,
     SpinOps,
     WitnessVerdict,
     bosons,
     number_op,
+    qubits,
     spectral,
 )
+from focklab import measurement
 from focklab.cli import run_experiment
 from focklab.dynamics import PropagationReport
 from focklab.fock import _Record
@@ -34,13 +42,22 @@ _SPINS = spin_ops(bosons(2, 1), 0, 1)
 _STATE = bosons(1, 1).vacuum()
 _REPORT = SSRReport(0.0, True, 1e-10)
 _SECTOR = Sector(1, 0.5, np.array([1, 2]), np.eye(2) / 2)
+_PAIR = Partition([("A", (0,)), ("B", (1,))])
+_FACTORS = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+_LHV_A = LHVObservable((1.0, -1.0), np.array([[1.0, 0.0], [0.25, 0.75]]))
 
-# (class, field names in order, one valid value per field)
+# (class, the constructor's arguments in order, one valid value per argument);
+# each is a field, and an Observable's operator is its only argument
 RECORDS = [
     (Mode, ("label", "cutoff", "statistics"), ("a", 3, "fermi")),
     (Partition, ("subsystems",), ((("A", (0,)), ("B", (1, 2))),)),
-    (Observable, ("operator", "eigenvalues", "blocks", "outcomes"),
-     (_OBS.operator, _OBS.eigenvalues, _OBS.blocks, _OBS.outcomes)),
+    (Observable, ("operator",), (_OBS.operator,)),
+    (Operator, ("system", "matrix"), (_STATE.system, np.array([[0.0, 1.0], [1.0, 0.0]]))),
+    (PureState, ("system", "amplitudes"), (_STATE.system, np.array([0.6, 0.8j]))),
+    (DensityOperator, ("system", "matrix"), (_STATE.system, np.diag([0.25, 0.75]))),
+    (SeparableMixture, ("system", "partition", "probabilities", "factors"),
+     (qubits(2), _PAIR, np.array([0.5, 0.5]), {"A": _FACTORS, "B": _FACTORS[::-1]})),
+    (DiscreteLHVModel, ("weights", "observables"), (np.array([0.5, 0.5]), {"A": _LHV_A})),
     (OutcomeDistribution, ("outcomes",), (((0.0, 0.25), (1.0, 0.75)),)),
     (SSRReport, ("residual", "compliant", "tol"), (0.5, False, 1e-10)),
     (Sector, ("total", "weight", "indices", "block"),
@@ -63,7 +80,16 @@ RECORDS = [
      (0.0, True, (0.5, 1.0), (0.0, 0.0), True, 1e-10)),
     (LHVObservable, ("values", "pmf"), ((1.0, -1.0), np.array([[0.25, 0.75]]))),
 ]
-IDENTITY = (Observable, Sector)
+IDENTITY = (Observable, Sector, Operator, PureState, DensityOperator, SeparableMixture,
+            DiscreteLHVModel)
+# records whose own __init__ checks the defining input, then binds through the base
+BUILT = (Partition, Observable, Operator, PureState, DensityOperator, SeparableMixture,
+         DiscreteLHVModel)
+# records that hold a checked copy of some of their input, not the input itself
+COPIES = (Partition, Operator, PureState, DensityOperator, SeparableMixture, DiscreteLHVModel)
+# records with a repr of their own (the operators' and states' dim), or, for an
+# Observable, with fields that are not its constructor's arguments
+OWN_REPR = (Observable, Operator, PureState, DensityOperator)
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
 
@@ -71,9 +97,19 @@ def _fields(record, names):
     return tuple(getattr(record, name) for name in names)
 
 
+def _same(got, want):
+    """Whether a kept copy equals its input: arrays entry by entry, a dict entry by entry."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_same(got[k], want[k]) for k in want)
+    if isinstance(want, np.ndarray):
+        return np.array_equal(got, want)
+    return got is want or got == want
+
+
 def _holds(record, names, values):
-    """Whether each field of ``record`` is its value; ``Partition`` keeps an equal copy."""
-    return all(got is want or type(record) is Partition and got == want
+    """Whether each field of ``record`` is its value, or an equal copy of it for a
+    record that keeps copies."""
+    return all(got is want or type(record) in COPIES and _same(got, want)
                for got, want in zip(_fields(record, names), values))
 
 
@@ -113,8 +149,8 @@ def test_a_record_refuses_a_missing_unknown_repeated_or_surplus_field(cls, names
         cls(*values, values[-1])
 
 
-@pytest.mark.parametrize("cls", [cls for cls, _, _ in RECORDS if cls is not Partition],
-                         ids=[i for i in IDS if i != "Partition"])
+@pytest.mark.parametrize("cls", [cls for cls, _, _ in RECORDS if cls not in BUILT],
+                         ids=[cls.__name__ for cls, _, _ in RECORDS if cls not in BUILT])
 def test_only_the_base_binds_the_fields(cls):
     # by identity: a tracer that wraps and then restores ``Observable.__init__``
     # leaves the base's function in the class's own namespace
@@ -137,10 +173,21 @@ def test_the_repr_names_each_field_in_order():
         "WitnessVerdict(lhs=1.0, rhs=0.5, violated=True, margin=0.5)"
 
 
-@pytest.mark.parametrize("cls, names, values", RECORDS, ids=IDS)
+@pytest.mark.parametrize("cls, names, values", [r for r in RECORDS if r[0] not in OWN_REPR],
+                         ids=[i for r, i in zip(RECORDS, IDS) if r[0] not in OWN_REPR])
 def test_every_repr_is_the_class_and_its_fields(cls, names, values):
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(cls(*values)) == f"{cls.__name__}({fields})"
+
+
+def test_an_operator_or_a_state_shows_its_dim_and_an_observable_its_resolution():
+    system = _STATE.system
+    assert repr(Operator(system, np.eye(2))) == "Operator(dim=2)"
+    assert repr(PureState(system, [1.0, 0.0])) == "PureState(dim=2)"
+    assert repr(DensityOperator(system, np.diag([1.0, 0.0]))) == "DensityOperator(dim=2)"
+    obs = Observable(_OBS.operator)
+    assert repr(obs) == (f"Observable(operator=Operator(dim=3), eigenvalues=(0.0, 1.0, 2.0), "
+                         f"blocks={obs.blocks!r}, outcomes={obs.outcomes!r})")
 
 
 @pytest.mark.parametrize("cls, names, values", [r for r in RECORDS if r[0] not in IDENTITY],
@@ -191,6 +238,9 @@ def test_a_copied_or_pickled_record_keeps_its_fields(cls, names, values):
     assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
 
 
+_PAIRS = r"^a partition is a sequence of \(name, indices\) pairs"
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: CHSHSetting((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0), (1.0, 0.0, 0.0)),
      "b1 is not a unit 3-vector"),
@@ -204,14 +254,89 @@ def test_a_copied_or_pickled_record_keeps_its_fields(cls, names, values):
     (lambda: OutcomeDistribution(((0.0, -0.5), (1.0, 1.5))), "negative outcome probability"),
     (lambda: OutcomeDistribution(((0.0, 0.5), (1.0, 0.25))), "do not sum to 1"),
     (lambda: OutcomeDistribution(((0.0, np.nan), (1.0, 1.0))), "do not sum to 1"),
-    (lambda: Observable(_OBS.operator, _OBS.eigenvalues[:2], _OBS.blocks, _OBS.outcomes),
-     "do not resolve 3 positions into 2 outcomes"),
-    (lambda: Observable(_OBS.operator, (0.0, 1.0, 5.0), _OBS.blocks, _OBS.outcomes),
-     "does not reconstruct the operator"),
+    (lambda: Observable(Operator(_STATE.system, [[0.0, 1.0], [0.0, 0.0]])),
+     "not Hermitian within"),
+    (lambda: Operator(_STATE.system, np.eye(3)), "does not match dim 2"),
+    (lambda: PureState(_STATE.system, [1.0, 1.0]), "not normalised"),
+    (lambda: DensityOperator(_STATE.system, np.eye(2)), "trace"),
+    (lambda: SeparableMixture(qubits(2), _PAIR, [0.5, 0.6], {"A": _FACTORS, "B": _FACTORS}),
+     "sum to 1"),
+    (lambda: DiscreteLHVModel([0.5, 0.6], {"A": _LHV_A}), "must be a distribution"),
+    # a mapping, or an entry that is not a (name, indices) pair, names the one form
+    (lambda: Partition({"A": (0,), "B": (1,)}), _PAIRS + ", not a mapping"),
+    (lambda: Partition({"AB": (0,), "CD": (1,)}), _PAIRS + ", not a mapping"),
+    (lambda: Partition(["AB", ("C", (1,))]), _PAIRS + ", got the entry 'AB'$"),
+    (lambda: Partition([("A", (0,), "B")]), _PAIRS + r", got the entry \('A', \(0,\), 'B'\)$"),
 ])
 def test_a_record_still_validates_its_fields(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_an_observable_still_refuses_a_resolution_that_does_not_reconstruct(monkeypatch):
+    # the solve gives eigenvalues (0, 1, 5) for the number operator's (0, 1, 2)
+    solve = measurement._hermitian_blocks
+
+    def spoiled_solve(op):
+        (idx, evals, vecs), = solve(op)
+        return [(idx, evals + np.array([[0.0, 0.0, 3.0]]), vecs)]
+
+    monkeypatch.setattr(measurement, "_hermitian_blocks", spoiled_solve)
+    with pytest.raises(ValueError, match="does not reconstruct the operator"):
+        Observable(_OBS.operator)
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda obs: pickle.loads(pickle.dumps(obs))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_or_pickled_observable_resolves_its_operator_again(clone):
+    obs = spectral(number_op(bosons(2, 7)))     # dim 64: 64 components of one position
+    again = clone(obs)
+    assert again is not obs and again.eigenvalues == obs.eigenvalues
+    assert np.array_equal(again.operator.matrix, obs.operator.matrix)
+    assert np.array_equal(again.outcomes, obs.outcomes)
+    assert len(again.blocks) == len(obs.blocks)
+    for triple, before in zip(again.blocks, obs.blocks):
+        for arr, was in zip(triple, before):
+            assert np.array_equal(arr, was) and not np.shares_memory(arr, was)
+            assert not arr.flags.writeable
+
+
+def test_a_model_holds_a_read_only_copy_of_its_weights():
+    weights = np.array([0.5, 0.5])
+    model = DiscreteLHVModel(weights, {"A": _LHV_A})
+    weights[0] = 7.0
+    assert model.weights.tolist() == [0.5, 0.5] and not model.weights.flags.writeable
+
+
+def test_a_rebound_value_is_refused():
+    rho = bosons(2, 2).vacuum().density()
+    with pytest.raises(AttributeError, match="DensityOperator is immutable"):
+        rho.matrix = 5 * np.eye(9)
+    with pytest.raises(AttributeError, match="ModeSystem is immutable"):
+        bosons(1, 1).dim = 99
+    assert rho.matrix.trace() == 1.0
+
+
+def test_a_mode_system_can_be_neither_assigned_nor_deleted_and_copies_rebuild_it():
+    system = bosons(2, 2, total=2)
+    for name in ModeSystem.__slots__ + ("extra",):
+        with pytest.raises(AttributeError, match="ModeSystem is immutable"):
+            setattr(system, name, 0)
+        with pytest.raises(AttributeError, match="ModeSystem is immutable"):
+            delattr(system, name)
+    assert system.dim == 3 and not hasattr(system, "__dict__")
+    for again in (copy.copy(system), copy.deepcopy(system), pickle.loads(pickle.dumps(system))):
+        assert again is not system and again == system and hash(again) == hash(system)
+        assert repr(again) == repr(system) == "ModeSystem(m0:2, m1:2, N=2, dim=3)"
+        assert np.array_equal(again.occupancies, system.occupancies)
+
+
+def test_a_deep_copy_of_spin_operators_copies_the_system_of_each():
+    spins = copy.deepcopy(_SPINS)
+    for op, was in zip((spins.sx, spins.sy, spins.sz), (_SPINS.sx, _SPINS.sy, _SPINS.sz)):
+        assert op.system is not was.system and op.system == was.system
+        assert np.array_equal(op.matrix, was.matrix)
 
 
 def test_a_check_is_the_dict_the_report_emits():

@@ -576,10 +576,8 @@ def _with_factor_scaled(mix, name, scale):
     """``mix`` with the ``name`` factor of its first component scaled, unchecked."""
     stack = mix.factors[name].copy()
     stack[0] *= scale
-    bad = object.__new__(SeparableMixture)
-    bad.system, bad.partition, bad.probabilities = mix.system, mix.partition, mix.probabilities
-    bad.factors = dict(mix.factors, **{name: stack})
-    return bad
+    return SeparableMixture._unchecked(mix.system, mix.partition, mix.probabilities,
+                                       dict(mix.factors, **{name: stack}))
 
 
 @pytest.mark.parametrize("pos", [0, 3, 6])
