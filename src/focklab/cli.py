@@ -59,7 +59,6 @@ from .witnesses import chsh_batch, chsh_correlation_tensor, spin_epr
 from .sampling import (
     _flat_dirichlet,
     random_chsh_directions,
-    random_chsh_setting,
     random_density,
     random_global_ssr_state,
     random_number_diagonal_mixture,
@@ -174,6 +173,14 @@ def _exp_qcf_theorem(params, tol, seed):
     ]
 
 
+def _chsh_directions(rng, rows):
+    """``rows`` settings as one (rows, 4, 3) array of the unit rows a1, a2, b1,
+    b2: the stream of one ``random_chsh_setting`` per setting."""
+    vecs = rng.standard_normal((rows, 4, 3))
+    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+    return vecs
+
+
 def _exp_chsh_singlet(params, tol, seed):
     n_settings = params["n_settings"]
     _check_budget("n_settings", n_settings, "settings")
@@ -181,10 +188,12 @@ def _exp_chsh_singlet(params, tol, seed):
     t = chsh_correlation_tensor(singlet)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_settings):
-        setting = random_chsh_setting(rng)
-        a, b = np.asarray(setting.a1), np.asarray(setting.b1)
-        worst = max(worst, abs(float(a @ t @ b) - (-float(a @ b))))
+    for start in range(0, n_settings, CHUNK_ROWS):
+        settings = _chsh_directions(rng, min(CHUNK_ROWS, n_settings - start))
+        a, b = settings[:, 0], settings[:, 2]
+        # a.T.b - (-a.b), one row per setting
+        worst = max(worst, float(np.abs(np.einsum("si,ij,sj->s", a, t, b)
+                                        + np.einsum("si,si->s", a, b)).max()))
     s = 1 / np.sqrt(2)
     optimal = CHSHSetting(a1=(s, s, 0.0), a2=(s, -s, 0.0),
                           b1=(1.0, 0.0, 0.0), b2=(0.0, 1.0, 0.0))
@@ -455,34 +464,29 @@ def _exp_spin_epr_bound(params, tol, seed):
     return [_check_below("separable_epr_margin_max", worst, t_)]
 
 
-def _appendix_chunk(rng, rows):
+def _appendix_chunk(size_rng, exp_rng, unif_rng, rows):
     """Whether the sum and the integral inequality hold for each of ``rows``
     samples, as two booleans.
 
-    One sample per row, padded with P = C = D = 0 and a repeated last lambda,
-    which add exactly 0.0 to every oracle sum.  No array of the chunk outlives
-    the call, so a sweep holds one chunk at a time.
+    A sample takes its size, an integer in [2, 8), from ``size_rng``, 7
+    standard exponentials from ``exp_rng`` and 21 uniforms, its c, d and
+    lambda side by side, from ``unif_rng``.  The first ``size`` entries of
+    each are the sample; the rest pad it with P = C = D = 0 and a repeated
+    last lambda, which add exactly 0.0 to every oracle sum.  So a chunk is
+    the per-sample draws of each generator, whatever its size.  No array of
+    the chunk outlives the call, so a sweep holds one chunk at a time.
     """
     low, high = 2, 8     # sample sizes drawn from [low, high)
-    p = np.zeros((rows, high - 1))
-    # c, d and lambda of each sample side by side, split after the loop
-    drawn = np.empty((rows, 3 * (high - 1)))
-    sizes = np.empty(rows, dtype=int)
-    for row in range(rows):
-        size = sizes[row] = int(rng.integers(low, high))
-        # the exponentials of rng.dirichlet(np.ones(size)), normalised below
-        rng.standard_exponential(out=p[row, :size])
-        # one call for c, d and lambda: the stream of three rng.random(size)
-        rng.random(out=drawn[row, :3 * size])
-    _flat_dirichlet(p)
+    sizes = size_rng.integers(low, high, rows)
     padding = np.arange(high - 1) >= sizes[:, None]
-    cols = np.arange(high - 1) + np.arange(3)[:, None, None] * sizes[:, None]
-    c, d, lam = split = drawn[np.arange(rows)[:, None], cols]
-    split[:, padding] = 0.0
-    c *= 10
-    d *= 10
+    p = exp_rng.standard_exponential((rows, high - 1))
+    p[padding] = 0.0
+    # the weights of rng.dirichlet(np.ones(size)) of the first size exponentials
+    _flat_dirichlet(p)
+    c, d, lam = unif_rng.random((rows, 3, high - 1)).transpose(1, 0, 2)
+    c, d = (np.where(padding, 0.0, x * 10) for x in (c, d))
     # sorting with +inf in the padding leaves it last; it then repeats the largest lambda
-    lam[padding] = np.inf
+    lam = np.where(padding, np.inf, lam)
     lam.sort(axis=1)
     lam = np.where(padding, lam[np.arange(rows), sizes - 1][:, None], lam)
     return sum_inequality_oracle(p, c, d), integral_inequality_oracle(lam, p, c, d)
@@ -492,9 +496,12 @@ def _exp_appendix_inequalities(params, tol, seed):
     n = params["n_samples"]
     _check_budget("n_samples", n, "samples")
     rng = np.random.default_rng(seed)
+    # one child per distribution of the samples; spawning leaves rng's own
+    # stream, which the equality case draws, where it was
+    children = rng.spawn(3)
     ok_sum = ok_int = True
     for start in range(0, n, CHUNK_ROWS):
-        chunk_sum, chunk_int = _appendix_chunk(rng, min(CHUNK_ROWS, n - start))
+        chunk_sum, chunk_int = _appendix_chunk(*children, min(CHUNK_ROWS, n - start))
         ok_sum, ok_int = ok_sum and chunk_sum, ok_int and chunk_int
     p = _flat_dirichlet(rng.standard_exponential(5))
     c = rng.random(5) * 3

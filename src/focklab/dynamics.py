@@ -172,12 +172,10 @@ def extraction_experiment(case, r, t):
             raise ZeroProbabilityError(f"pair {i}: sector probability {p_sector} below "
                                        f"floor at r = {spec.r!r}")
         projected_state = PureState(system, projected / np.sqrt(p_sector))
+        # by position: stages, final_state, quantities
         results.append(ProcessResult(
-            stages=(("input", initial), ("after_splitter", out),
-                    ("projected", projected_state)),
-            final_state=projected_state,
-            quantities={"sector": sector, "sector_probability": p_sector},
-        ))
+            (("input", initial), ("after_splitter", out), ("projected", projected_state)),
+            projected_state, {"sector": sector, "sector_probability": p_sector}))
     return results[0] if one else results
 
 
@@ -253,12 +251,9 @@ def _run_atom_molecule_fock(n_bec, kappa, phi):
     final = PureState(system, _evolve(blocks, [t_pulse], after_free.amplitudes)[0])
     partition = Partition([("am", (0, 1)), ("bec", (2,))])
     rdo = partial_trace(final, partition, "am")
-    return ProcessResult(
-        stages=(("initial", initial), ("after_pulse1", after_pulse1),
-                ("after_free", after_free), ("final", final)),
-        final_state=final,
-        quantities=_am_quantities(rdo),
-    )
+    return ProcessResult((("initial", initial), ("after_pulse1", after_pulse1),
+                          ("after_free", after_free), ("final", final)),
+                         final, _am_quantities(rdo))
 
 
 def _am_quantities(rdo):
@@ -315,7 +310,7 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
         component = _run_atom_molecule_fock(int(n), kappa, phi)
         rdo_mat += w * component.quantities["atom_molecule_rdo"].matrix
     rdo = DensityOperator(sys_am, rdo_mat)
-    return ProcessResult(stages=(), final_state=rdo, quantities=_am_quantities(rdo))
+    return ProcessResult((), rdo, _am_quantities(rdo))
 
 
 def ramsey_vacuum_superposition(alpha, beta, delta, tau):

@@ -56,15 +56,32 @@ def _is_integer(value):
 _set_field = object.__setattr__
 
 
+class _FrozenDict(dict):
+    """A dict that refuses every change: how a record holds a dict field.  It
+    shows, compares and reads as a dict, and a copy or a pickle is a new one
+    of its items."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("cannot change a record's dict: it is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _FrozenDict, (dict(self),)
+
+
 class _Record:
     """Base of focklab's immutable records.  A record names its fields in
     ``__slots__``, may give trailing ones defaults in ``_defaults``, and
     validates them in ``_check``.  ``__init__`` binds its arguments to the
     fields in order, as the signature (*fields) would: a missing, unknown or
-    repeated field is a TypeError.  It sets each field once and then calls
-    ``_check``; any later assignment or deletion raises AttributeError.  As
-    for a frozen dataclass, the repr, equality and hash are those of the
-    fields in order, and equality needs the same class."""
+    repeated field is a TypeError.  It sets each field once, a dict as a
+    read-only copy, and then calls ``_check``; any later assignment or
+    deletion raises AttributeError, and any change to a dict field
+    TypeError.  As for a frozen dataclass, the repr, equality and hash are
+    those of the fields in order, and equality needs the same class."""
 
     __slots__ = ()
     _defaults = {}
@@ -79,7 +96,7 @@ class _Record:
         if kwargs or len(args) != len(self.__slots__):
             args = self._bind(args, kwargs)
         for name, value in zip(self.__slots__, args):
-            _set_field(self, name, value)
+            _set_field(self, name, _FrozenDict(value) if type(value) is dict else value)
         self._check()
 
     @classmethod
@@ -106,7 +123,7 @@ class _Record:
         builders that have checked a whole stack of them at once."""
         record = object.__new__(cls)
         for name, value in zip(cls.__slots__, values):
-            _set_field(record, name, value)
+            _set_field(record, name, _FrozenDict(value) if type(value) is dict else value)
         return record
 
     def _check(self):
@@ -162,7 +179,8 @@ class ModeSystem:
                 if not isinstance(m, tuple) or not 2 <= len(m) <= 3:
                     raise ValueError("a mode is a Mode or a (str label, cutoff[, statistics]) "
                                      f"tuple, got {m!r}")
-                m = Mode(*m)
+                # by position, so the record binds without ``_bind``
+                m = Mode(*m) if len(m) == 3 else Mode(*m, BOSE)
             if not isinstance(m.label, str):
                 raise ValueError(f"mode label must be a string, got {m.label!r}")
             if not _is_integer(m.cutoff) or m.cutoff < 0:

@@ -16,9 +16,9 @@ from .measurement import PROB_FLOOR, _block_probs
 from .sampling import _flat_dirichlet
 
 ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
-# rows per array step of the stacked paths (the CHSH sweep's settings, the
-# oracle stacks of the appendix scenario), so peak memory does not grow with
-# the number of draws
+# rows per array step of the stacked paths (the CHSH sweeps' (model, setting)
+# pairs and settings, the oracle stacks of the appendix scenario), so peak
+# memory does not grow with the number of draws
 CHUNK_ROWS = 1024
 
 
@@ -124,32 +124,46 @@ def lhv_chsh_bound_sweep(n_models, n_settings, rng):
     drawn from ``rng`` (a numpy Generator or a seed).  The classical bound
     keeps every value at or below 2.
 
-    Each model's settings are drawn ``CHUNK_ROWS`` at a time as one
-    (settings, observable, hidden value) array of P(+1): the stream of one
-    ``rng.random(n_hidden)`` per observable A1, A2, B1, B2 per setting.  The
-    weights and pmf rows pass ``DiscreteLHVModel``'s checks, and S is summed
-    in ``chsh_mean``'s order, so the result is that of one model per setting
-    bit for bit.
+    Each distribution is drawn from its own child of ``rng`` (``spawn(3)``),
+    one fixed-width row per unit.  A model takes its number of hidden values,
+    an integer in [1, 6), from the first child and 5 standard exponentials
+    from the second: flat Dirichlet weights, with zero weight past that
+    number.  A setting takes a (4, 5) row of P(+1) of A1, A2, B1, B2 from the
+    third.  One array step holds at most ``CHUNK_ROWS`` (model, setting)
+    pairs: whole models, or one model's settings ``CHUNK_ROWS`` at a time, so
+    the result does not depend on ``CHUNK_ROWS``.  The weights and pmf rows
+    pass ``DiscreteLHVModel``'s checks, S is summed in ``chsh_mean``'s order
+    and a zero weight adds exactly 0.0, so the result is that of one model
+    per setting, drawn unit by unit from the three children, bit for bit.
     """
     for name, count in (("n_models", n_models), ("n_settings", n_settings)):
         if not _is_integer(count) or count < 0:
             raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
-    rng = np.random.default_rng(rng)
+    size_rng, weight_rng, p_rng = np.random.default_rng(rng).spawn(3)
+    if not n_settings:     # no (model, setting) pair to evaluate
+        return 0.0
+    low, high = 1, 6     # numbers of hidden values drawn from [low, high)
+    per_step = max(1, CHUNK_ROWS // n_settings)     # whole models per array step
     best = 0.0
-    for _ in range(n_models):
-        n_hidden = int(rng.integers(1, 6))
-        weights = _flat_dirichlet(rng.standard_exponential(n_hidden))
-        _check_distributions(weights, "hidden-value probabilities must be a distribution")
-        for start in range(0, n_settings, CHUNK_ROWS):
-            p_up = rng.random((min(CHUNK_ROWS, n_settings - start), 4, n_hidden))
+    for start in range(0, n_models, per_step):
+        models = min(per_step, n_models - start)
+        weights = weight_rng.standard_exponential((models, high - 1))
+        weights[np.arange(high - 1) >= size_rng.integers(low, high, (models, 1))] = 0.0
+        _check_distributions(_flat_dirichlet(weights),
+                             "hidden-value probabilities must be a distribution")
+        weights = weights[:, None]     # over the settings
+        for first in range(0, n_settings, CHUNK_ROWS):
+            # (model, setting, observable, hidden value)
+            p_up = p_rng.random((models, min(CHUNK_ROWS, n_settings - first), 4, high - 1))
             pmf = np.stack([p_up, 1.0 - p_up], axis=-1)
-            # the whole chunk at once; the failing observable is looked for
+            # the whole step at once; the failing observable is looked for
             # only when it fails
             if not _are_distributions(pmf):
                 for k, name in enumerate(("A1", "A2", "B1", "B2")):
-                    _check_distributions(pmf[:, k], f"pmf rows for {name!r} are not distributions")
+                    _check_distributions(pmf[:, :, k],
+                                         f"pmf rows for {name!r} are not distributions")
             # pmf @ (1, -1): both products are exact, so one rounding either way
-            a1, a2, b1, b2 = (pmf[:, k, :, 0] - pmf[:, k, :, 1] for k in range(4))
+            a1, a2, b1, b2 = (pmf[:, :, k, :, 0] - pmf[:, :, k, :, 1] for k in range(4))
             s = (np.sum(weights * a1 * b1, axis=-1) + np.sum(weights * a1 * b2, axis=-1)
                  + np.sum(weights * a2 * b1, axis=-1) - np.sum(weights * a2 * b2, axis=-1))
             best = max(best, float(np.abs(s).max()))

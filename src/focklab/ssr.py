@@ -239,12 +239,10 @@ def separable_ssr_theorem_check(mixtures):
     for local_reports, residual in zip(_local_reports(mixtures), global_residuals.tolist()):
         all_local = all(rep.compliant for _, _, rep in local_reports)
         global_report = _ssr_report(residual)
-        reports.append(SeparableSSRReport(
-            local_reports=local_reports,
-            all_local_compliant=all_local,
-            global_report=global_report,
-            fixed_probability_caveat=global_report.compliant and not all_local,
-        ))
+        # by position: local_reports, all_local_compliant, global_report,
+        # fixed_probability_caveat
+        reports.append(SeparableSSRReport(local_reports, all_local, global_report,
+                                          global_report.compliant and not all_local))
     return reports[0] if one else reports
 
 

@@ -876,53 +876,86 @@ def test_a_chunked_loop_at_the_work_budget_runs(monkeypatch, name, max_dim, edge
         run_experiment(name, over)
 
 
-def _appendix_equality_actual(rng, n_samples):
-    """The ``equality_case`` actual of ``appendix_inequalities``, drawn one
-    sample at a time with ``rng.dirichlet``."""
+def _appendix_reference(seed, n_samples):
+    """The (p, c, d, lambda) rows of ``n_samples`` appendix samples and the
+    ``equality_case`` actual, drawn one sample at a time: each sample's size
+    from the first of three children of the seed's generator, 7 exponentials
+    from the second, of which the first size give ``rng.dirichlet``'s
+    weights, and 21 uniforms from the third; the equality case from the
+    generator itself."""
+    rng = np.random.default_rng(seed)
+    size_rng, exp_rng, unif_rng = rng.spawn(3)
+    rows = []
     for _ in range(n_samples):
-        size = int(rng.integers(2, 8))
-        rng.dirichlet(np.ones(size))
-        rng.random(3 * size)
+        size = int(size_rng.integers(2, 8))
+        pad = 7 - size
+        state = exp_rng.bit_generator.state
+        p = np.pad(exp_rng.dirichlet(np.ones(size)), (0, pad))
+        exp_rng.bit_generator.state = state
+        exp_rng.standard_exponential(7)
+        c, d, lam = unif_rng.random((3, 7))[:, :size]
+        rows.append((p, np.pad(c * 10, (0, pad)), np.pad(d * 10, (0, pad)),
+                     np.pad(np.sort(lam), (0, pad), mode="edge")))
     p = rng.dirichlet(np.ones(5))
     c = rng.random(5) * 3
-    return float(np.sum(p * np.sqrt(c * c)) ** 2)
+    return rows, float(np.sum(p * np.sqrt(c * c)) ** 2)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 77])
-def test_the_appendix_sweep_keeps_the_stream_of_numpys_dirichlet(seed):
-    # the final weights come after every sample's draws, so their bits pin the stream
-    for n_samples in (1, 7, 1000):
-        report = run_experiment("appendix_inequalities", {"n_samples": n_samples}, seed=seed)
-        actual = {c["name"]: c["actual"] for c in report["checks"]}["equality_case"]
-        assert repr(actual) == repr(_appendix_equality_actual(np.random.default_rng(seed),
-                                                              n_samples))
-
-
-def test_the_appendix_oracles_see_each_samples_own_draws(monkeypatch):
-    # c, d and lambda of a sample are split out of one generator call; chunks of
-    # 4 rows, the last partial
+def _appendix_oracle_inputs(monkeypatch, n_samples, seed):
+    """The ``appendix_inequalities`` report, and the (p, c, d) and lambda of
+    each oracle call it makes, in order."""
     from focklab import cli
     seen = []
-    monkeypatch.setattr(cli, "CHUNK_ROWS", 4)
     monkeypatch.setattr(cli, "sum_inequality_oracle",
                         lambda p, c, d: seen.append((p.copy(), c.copy(), d.copy())) or True)
     monkeypatch.setattr(cli, "integral_inequality_oracle",
                         lambda lam, p, c, d: seen.append(lam.copy()) or True)
-    assert run_experiment("appendix_inequalities", {"n_samples": 10}, seed=5)["overall_pass"]
-    rng = np.random.default_rng(5)
-    want = []
-    for _ in range(10):
-        size = int(rng.integers(2, 8))
-        pad = 7 - size
-        p = np.pad(rng.dirichlet(np.ones(size)), (0, pad))
-        c, d = (np.pad(rng.random(size) * 10, (0, pad)) for _ in range(2))
-        lam = np.sort(rng.random(size))
-        want.append((p, c, d, np.pad(lam, (0, pad), mode="edge")))
-    assert len(seen) == 6
-    for k, start in enumerate((0, 4, 8)):
-        rows = want[start:start + 4]
-        for got, expected in zip(seen[2 * k] + (seen[2 * k + 1],), zip(*rows)):
-            assert np.array_equal(got, np.array(expected))
+    return run_experiment("appendix_inequalities", {"n_samples": n_samples}, seed=seed), seen
+
+
+@pytest.mark.parametrize("seed", [0, 3, 77])
+def test_the_appendix_sweep_keeps_the_stream_of_numpys_dirichlet(monkeypatch, seed):
+    # every sample's oracle inputs, and the equality case from the seed's own generator
+    for n_samples in (1, 7, 1000):
+        report, seen = _appendix_oracle_inputs(monkeypatch, n_samples, seed)
+        rows, equality = _appendix_reference(seed, n_samples)
+        actual = {c["name"]: c["actual"] for c in report["checks"]}["equality_case"]
+        assert repr(actual) == repr(equality)
+        assert len(seen) == 2     # one chunk
+        for got, want in zip(seen[0] + (seen[1],), zip(*rows)):
+            assert np.array_equal(got, np.array(want))
+
+
+def test_the_appendix_oracles_see_each_samples_own_draws(monkeypatch):
+    # chunks of 1, 4 (the last partial) and the default 1024 rows see the same samples
+    from focklab import cli
+    rows, _ = _appendix_reference(5, 10)
+    for chunk in (1, 4, cli.CHUNK_ROWS):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        report, seen = _appendix_oracle_inputs(monkeypatch, 10, 5)
+        assert report["overall_pass"]
+        starts = range(0, 10, chunk)
+        assert len(seen) == 2 * len(starts)
+        for k, start in enumerate(starts):
+            for got, want in zip(seen[2 * k] + (seen[2 * k + 1],),
+                                 zip(*rows[start:start + chunk])):
+                assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 77])
+def test_the_singlet_sweep_draws_one_random_chsh_setting_per_setting(seed):
+    from focklab.cli import _chsh_directions
+    from focklab.sampling import random_chsh_setting
+    for rows in (1, 20):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _chsh_directions(rng, rows)
+        settings = [random_chsh_setting(reference) for _ in range(rows)]
+        want = np.array([[s.a1, s.a2, s.b1, s.b2] for s in settings])
+        # the same normals: each unit row within a few ulps of its own
+        # normalisation, and both generators left at one point of the stream
+        assert got.shape == (rows, 4, 3)
+        assert np.allclose(got, want, rtol=0, atol=4e-16)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_run_experiment_takes_a_numpy_integer_seed_and_reports_an_int():

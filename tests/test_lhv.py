@@ -85,16 +85,30 @@ def test_random_models_respect_bound():
     assert best <= 2.0 + 1e-12
 
 
+def _leading_dirichlet(rng, size, width):
+    """numpy's ``rng.dirichlet(np.ones(size))`` of the first ``size`` of
+    ``width`` standard exponentials, leaving ``rng`` past all ``width``."""
+    state = rng.bit_generator.state
+    weights = rng.dirichlet(np.ones(size))
+    rng.bit_generator.state = state
+    rng.standard_exponential(width)
+    return weights
+
+
 def _object_per_draw_sweep(n_models, n_settings, rng):
-    """The sweep as one DiscreteLHVModel per setting, with chsh_mean."""
-    rng = np.random.default_rng(rng)
+    """The sweep as one DiscreteLHVModel per setting, with chsh_mean, drawn
+    unit by unit from three children of ``rng``: per model its number of
+    hidden values from the first and its weights from the second, per
+    setting a (4, 5) row of P(+1) from the third."""
+    size_rng, weight_rng, p_rng = np.random.default_rng(rng).spawn(3)
     best = 0.0
     for _ in range(n_models):
-        n_hidden = int(rng.integers(1, 6))
-        weights = rng.dirichlet(np.ones(n_hidden))
+        n_hidden = int(size_rng.integers(1, 6))
+        weights = _leading_dirichlet(weight_rng, n_hidden, 5)
         for _ in range(n_settings):
-            observables = {name: _pm_observable(rng.random(n_hidden))
-                           for name in ("A1", "A2", "B1", "B2")}
+            p_up = p_rng.random((4, 5))[:, :n_hidden]
+            observables = {name: _pm_observable(p)
+                           for name, p in zip(("A1", "A2", "B1", "B2"), p_up)}
             best = max(best, abs(chsh_mean(DiscreteLHVModel(weights, observables))))
     return best
 
@@ -105,7 +119,7 @@ def test_sweep_equals_the_object_per_draw_reference_bit_for_bit(chunk, monkeypat
     for seed in range(6):
         # one setting per model: the result is that setting's |S| itself
         assert lhv_chsh_bound_sweep(1, 1, seed) == _object_per_draw_sweep(1, 1, seed)
-        for n_models, n_settings in ((3, 2), (2, 3), (2, 4), (3, 7), (1, 10)):
+        for n_models, n_settings in ((3, 2), (2, 3), (2, 4), (3, 7), (1, 10), (40, 1)):
             got = lhv_chsh_bound_sweep(n_models, n_settings, seed)
             assert got == _object_per_draw_sweep(n_models, n_settings, seed)
             assert type(got) is float
@@ -115,16 +129,21 @@ def test_sweep_equals_the_object_per_draw_reference_bit_for_bit(chunk, monkeypat
 
 
 class _SpoiledDraws(np.random.Generator):
-    """Draws P(+1) with the given observables' rows spoiled by ``value``."""
+    """Draws P(+1) with the given observables' rows spoiled by ``value``; the
+    children it spawns, which the sweep draws from, spoil alike."""
 
     def __init__(self, seed, spoiled, value):
         super().__init__(np.random.PCG64(seed))
         self.spoiled, self.value = spoiled, value
 
+    def spawn(self, n_children):
+        return [_SpoiledDraws(seq, self.spoiled, self.value)
+                for seq in self.bit_generator.seed_seq.spawn(n_children)]
+
     def random(self, size=None):
         out = super().random(size)
-        if isinstance(size, tuple) and len(size) == 3:
-            out[:, list(self.spoiled), :] = self.value
+        if isinstance(size, tuple) and len(size) == 4:     # (model, setting, observable, hidden)
+            out[:, :, list(self.spoiled)] = self.value
         return out
 
 
@@ -165,6 +184,42 @@ def test_stacked_paths_hold_one_chunk_at_a_time(monkeypatch):
                                                 {"n_samples": n}))
              for n in (64, 640)]
     assert peaks[1] < peaks[0] + 16 * 2 ** 10
+    # the singlet's settings: 8 chunks of (64, 4, 3) directions would add 48 KiB
+    peaks = [_peak_bytes(lambda: run_experiment("chsh_singlet", {"n_settings": n}))
+             for n in (2 * 64, 8 * 64)]
+    assert peaks[1] < peaks[0] + 16 * 2 ** 10
+
+
+class _CountedDraws(np.random.Generator):
+    """Appends the name of each draw it and the children it spawns make to
+    ``calls``."""
+
+    def __init__(self, seed, calls):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = calls
+
+    def spawn(self, n_children):
+        return [_CountedDraws(seq, self.calls)
+                for seq in self.bit_generator.seed_seq.spawn(n_children)]
+
+    def __getattribute__(self, name):
+        if name in ("integers", "random", "standard_exponential", "standard_normal"):
+            object.__getattribute__(self, "calls").append(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("lhv_chsh_bound", {"n_models": 50, "n_settings": 20}),
+    ("appendix_inequalities", {"n_samples": 1000}),
+    ("chsh_singlet", {"n_settings": 20}),
+])
+def test_a_sweep_makes_a_handful_of_generator_calls_not_one_per_unit(monkeypatch, name, params):
+    # one call per distribution per chunk: here every sweep is one chunk; one
+    # call per unit would be 1100, 3002 and 80 calls
+    calls = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _CountedDraws(seed, calls))
+    assert run_experiment(name, params)["overall_pass"]
+    assert 1 <= len(calls) <= 5
 
 
 def test_all_four_sign_placements_bounded():

@@ -25,7 +25,10 @@ from focklab import (
     SeparableMixture,
     SpinOps,
     WitnessVerdict,
+    atom_molecule_process,
     bosons,
+    ghz,
+    ghz_parity,
     number_op,
     qubits,
     spectral,
@@ -34,6 +37,7 @@ from focklab import measurement
 from focklab.cli import run_experiment
 from focklab.dynamics import PropagationReport
 from focklab.fock import _Record
+from focklab.sampling import random_qubit_pair_mixture
 from focklab.ssr import Sector, SeparableSSRReport
 from focklab.witnesses import GHZParityReport, spin_ops
 
@@ -85,8 +89,13 @@ IDENTITY = (Observable, Sector, Operator, PureState, DensityOperator, SeparableM
 # records whose own __init__ checks the defining input, then binds through the base
 BUILT = (Partition, Observable, Operator, PureState, DensityOperator, SeparableMixture,
          DiscreteLHVModel)
-# records that hold a checked copy of some of their input, not the input itself
-COPIES = (Partition, Operator, PureState, DensityOperator, SeparableMixture, DiscreteLHVModel)
+# records that hold a checked or read-only copy of some of their input, not
+# the input itself: every record holds a dict field as a read-only copy
+COPIES = (Partition, Operator, PureState, DensityOperator, SeparableMixture, DiscreteLHVModel,
+          GHZParityReport, ProcessResult)
+# (class, field) of each record with a dict field
+DICT_FIELDS = [(SeparableMixture, "factors"), (DiscreteLHVModel, "observables"),
+               (GHZParityReport, "residuals"), (ProcessResult, "quantities")]
 # records with a repr of their own (the operators' and states' dim), or, for an
 # Observable, with fields that are not its constructor's arguments
 OWN_REPR = (Observable, Operator, PureState, DensityOperator)
@@ -300,6 +309,41 @@ def test_a_copied_or_pickled_observable_resolves_its_operator_again(clone):
         for arr, was in zip(triple, before):
             assert np.array_equal(arr, was) and not np.shares_memory(arr, was)
             assert not arr.flags.writeable
+
+
+def _refuses_every_change(held):
+    key = next(iter(held))
+    before = dict(held)
+    for change in (lambda: held.__setitem__(key, 0), lambda: held.__delitem__(key),
+                   lambda: held.update(extra=0), lambda: held.pop(key), held.popitem,
+                   held.clear, lambda: held.setdefault("extra", 0),
+                   lambda: held.__ior__({"extra": 0})):
+        with pytest.raises(TypeError, match="cannot change a record's dict: it is read-only"):
+            change()
+    return held == before
+
+
+@pytest.mark.parametrize("cls, field", DICT_FIELDS, ids=[cls.__name__ for cls, _ in DICT_FIELDS])
+def test_a_dict_field_is_a_read_only_copy_and_copies_and_pickles_alike(cls, field):
+    (names, values), = [(names, values) for c, names, values in RECORDS if c is cls]
+    given = dict(values[names.index(field)])
+    record = cls(**{**dict(zip(names, values)), field: given})
+    given["extra"] = 0     # the caller's dict stays the caller's
+    assert "extra" not in getattr(record, field)
+    assert _refuses_every_change(getattr(record, field))
+    clones = (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)))
+    for again in (clone(record) for clone in clones):
+        assert type(again) is cls and repr(again) == repr(record)
+        assert _refuses_every_change(getattr(again, field))
+
+
+def test_the_dict_fields_that_focklab_builds_are_read_only():
+    mix = random_qubit_pair_mixture(np.random.default_rng(0))
+    with pytest.raises(TypeError, match="read-only"):
+        mix.factors["A"] = np.zeros((4, 2, 2))
+    assert mix.summed().matrix.trace() == pytest.approx(1.0)
+    assert _refuses_every_change(ghz_parity(ghz()).residuals)
+    assert _refuses_every_change(atom_molecule_process(1, 1.0, 0.0).quantities)
 
 
 def test_a_model_holds_a_read_only_copy_of_its_weights():
