@@ -268,8 +268,9 @@ def _exp_atom_molecule(params, tol, seed):
                          f"transfers population without coupling, got {kappa!r}")
     checks = []
     for n in params["n_values"]:
-        for phi in params["phi_values"]:
-            res = atom_molecule_process(n, kappa, phi)
+        # one system, solve and calibration per N, for every phase
+        results = atom_molecule_process(n, kappa, params["phi_values"])
+        for phi, res in zip(params["phi_values"], results):
             checks.append(_check(f"p_atom_N{n}_phi{phi:.3f}",
                                  float(np.sin(phi / 2) ** 2),
                                  res.quantities["p_atom"], t_))
@@ -519,11 +520,12 @@ def _exp_phase_clock(params, tol, seed):
     worst = 0.0
     for n_max in params["n_max_values"]:
         phases = range(0, n_max + 1, max(1, n_max // 4))
-        for omega_dt in (0.0, 0.3, 2 * np.pi / (n_max + 1), 1.7):
-            # one propagator and one closed-form table per (n_max, omega dt)
-            direct = clock_prob_by_evolution(phases, phases, 1.0, omega_dt, n_max)
-            closed = clock_prob(phases, phases, 1.0, omega_dt, n_max)
-            worst = max(worst, float(np.abs(direct - closed).max()))
+        omega_dts = (0.0, 0.3, 2 * np.pi / (n_max + 1), 1.7)
+        # one oracle call, one solve and one closed-form call per n_max, with a
+        # (omega dt, p, q) table from each
+        direct = clock_prob_by_evolution(phases, phases, 1.0, omega_dts, n_max)
+        closed = clock_prob(phases, phases, 1.0, omega_dts, n_max)
+        worst = max(worst, float(np.abs(direct - closed).max()))
     return [_check_below("clock_formula_max_err", worst, t_)]
 
 

@@ -14,15 +14,16 @@ from .fock import (
     NORM_ATOL,
     ModeSystem,
     Operator,
-    DensityOperator,
     PureState,
     Partition,
     _Record,
     _abs_squared,
     _check_physical,
+    _density_stack,
     _eigenvalues,
     _evolve,
     _is_integer,
+    _one_or_many,
     _rotate,
     bosons,
     eigh_blocks,
@@ -198,7 +199,8 @@ def _calibrate_half_transfer(system, h, blocks, n_bec):
 
     Found numerically by root finding on the exact evolution, through the
     eigenpairs of the ``eigh_blocks`` of H: <target|V and V^H|start> are read
-    once by ``_rotate``, rather than trusting any closed-form duration.
+    once by ``_rotate``, rather than trusting any closed-form duration.  The
+    transfer is evaluated on a vector of times per ``_bisect`` step.
     """
     start, target = system.indices_of([(1, 0, n_bec), (0, 1, n_bec - 1)])
     # bracket around the quarter-Rabi estimate set by the coupling element
@@ -208,11 +210,13 @@ def _calibrate_half_transfer(system, h, blocks, n_bec):
     units = np.zeros((system.dim, 2), dtype=complex)
     units[[target, start], [0, 1]] = 1.0
     bra, col = _rotate(blocks, units, adjoint=True).T
-    row, evals = bra.conj(), _eigenvalues(blocks)
+    weights, rates = bra.conj() * col, -1j * _eigenvalues(blocks)
 
-    def transfer(t):
-        amp = np.sum(row * col * np.exp(-1j * evals * t))
-        return float(abs(amp) ** 2) - 0.5
+    def transfer(times):
+        # one row per time, each summed alone, as a vector of its own would be
+        terms = np.exp(np.multiply.outer(times, rates))
+        terms *= weights
+        return _abs_squared(np.add.reduce(terms, axis=1)) - 0.5
 
     guess = math.pi / (4.0 * rabi)
     return _bisect(transfer, 0.1 * guess, 1.9 * guess)
@@ -221,39 +225,63 @@ def _calibrate_half_transfer(system, h, blocks, n_bec):
 def _bisect(f, lo, hi):
     """Root of ``f`` in [lo, hi], halving until the midpoint equals an endpoint:
     the bracket is then two adjacent floats, whatever the scale of the root.
+
+    ``f`` maps a 1-D array of points to their values.  Each call takes the 7
+    midpoints that the next 3 halvings could meet, and the halvings then walk
+    them, so the result is that of halving one point at a time.
     """
-    f_lo, f_hi = f(lo), f(hi)
+    levels = 3     # of 2 to 5 levels per call, 3 took the least time
+    f_lo, f_hi = f(np.array([lo, hi])).tolist()
     if f_lo * f_hi > 0:
         raise ValueError("f(lo) and f(hi) must have different signs")
     if f_lo == 0 or f_hi == 0:
         return lo if f_lo == 0 else hi
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        f_mid = f(mid)
-        if f_mid == 0:
-            return mid
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return mid
+    while True:
+        # heap order: node i halves its bracket at mids[i - 1]; 2i and 2i + 1 take
+        # the lower and the upper half, one level after another
+        brackets, mids = [(lo, hi)], []
+        for _ in range(levels):
+            halves = [0.5 * (a + b) for a, b in brackets]
+            brackets = [pair for (a, b), m in zip(brackets, halves) for pair in ((a, m), (m, b))]
+            mids += halves
+        values = f(np.array(mids)).tolist()
+        node = 1
+        for _ in range(levels):
+            mid, f_mid = mids[node - 1], values[node - 1]
+            if mid in (lo, hi) or f_mid == 0:
+                return mid
+            if (f_mid < 0) == (f_lo < 0):
+                lo, f_lo, node = mid, f_mid, 2 * node + 1
+            else:
+                hi, node = mid, 2 * node
 
 
 def _run_atom_molecule_fock(n_bec, kappa, phi):
-    """Three-stage pulse/phase/pulse sequence from |one atom> |N in the BEC>."""
+    """Three-stage pulse/phase/pulse sequence from |one atom> |N in the BEC>, for one
+    phase ``phi`` or each of a 1-D sequence of them: one ProcessResult or the list.
+
+    The system, H, its ``eigh_blocks``, the pulse calibration and the first pulse
+    are built once; each phase takes its own free stage and second pulse, and the
+    final states are reduced by one ``partial_trace`` of their stack.
+    """
     system, h = _atom_molecule_hamiltonian(n_bec, kappa)
     blocks = eigh_blocks(h.matrix, True)
     t_pulse = _calibrate_half_transfer(system, h, blocks, n_bec)
     initial = system.basis_state((1, 0, n_bec))
     after_pulse1 = PureState(system, _evolve(blocks, [t_pulse], initial.amplitudes)[0])
-    # free stage at large detuning: phase phi accumulated by the molecule
-    after_free = PureState(system, np.exp(-1j * phi * system.occupancies[:, 1])
-                           * after_pulse1.amplitudes)
-    final = PureState(system, _evolve(blocks, [t_pulse], after_free.amplitudes)[0])
+    runs = []
+    for p in [phi] if np.ndim(phi) == 0 else phi:
+        # free stage at large detuning: phase p accumulated by the molecule
+        after_free = PureState(system, np.exp(-1j * p * system.occupancies[:, 1])
+                               * after_pulse1.amplitudes)
+        final = PureState(system, _evolve(blocks, [t_pulse], after_free.amplitudes)[0])
+        runs.append((("initial", initial), ("after_pulse1", after_pulse1),
+                     ("after_free", after_free), ("final", final)))
     partition = Partition([("am", (0, 1)), ("bec", (2,))])
-    rdo = partial_trace(final, partition, "am")
-    return ProcessResult((("initial", initial), ("after_pulse1", after_pulse1),
-                          ("after_free", after_free), ("final", final)),
-                         final, _am_quantities(rdo))
+    rdos = partial_trace([stages[-1][1] for stages in runs], partition, "am")
+    out = [ProcessResult(stages, stages[-1][1], _am_quantities(rdo))
+           for stages, rdo in zip(runs, rdos)]
+    return out[0] if np.ndim(phi) == 0 else out
 
 
 def _am_quantities(rdo):
@@ -279,7 +307,16 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
     with mean ``n_bec``, evolving each Fock component with its own calibrated
     pulses.  The N = 0 component has no partner atom to convert and stays
     atomic.
+
+    ``phi`` is one finite phase, giving one ProcessResult, or a non-empty 1-D
+    sequence of them, giving the list of results at each phase, each with the
+    bits of its call alone: a system is built, solved and calibrated once per
+    BEC number, for every phase.
     """
+    phases, one = _one_or_many(
+        phi, "atom_molecule_process takes one phase or a non-empty sequence of phases")
+    if not np.isfinite(phases).all():
+        raise ValueError(f"phases {phases} are not all finite")
     if initial == "fock":
         if not _is_integer(n_bec) or n_bec < 1:
             raise ValueError(f"n_bec of a Fock initial state must be an integer >= 1, "
@@ -301,16 +338,18 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
     weights = weights[keep] / weights[keep].sum()
 
     sys_am = ModeSystem([("atom", 1), ("mol", 1)])
-    rdo_mat = np.zeros((sys_am.dim, sys_am.dim), dtype=complex)
+    rdo_mats = np.zeros((len(phases), sys_am.dim, sys_am.dim), dtype=complex)
     i_atom = sys_am.index_of((1, 0))
     for w, n in zip(weights, keep):
         if n == 0:
-            rdo_mat[i_atom, i_atom] += w
+            rdo_mats[:, i_atom, i_atom] += w
             continue
-        component = _run_atom_molecule_fock(int(n), kappa, phi)
-        rdo_mat += w * component.quantities["atom_molecule_rdo"].matrix
-    rdo = DensityOperator(sys_am, rdo_mat)
-    return ProcessResult((), rdo, _am_quantities(rdo))
+        components = _run_atom_molecule_fock(int(n), kappa, phi)
+        for mat, component in zip(rdo_mats, [components] if one else components):
+            mat += w * component.quantities["atom_molecule_rdo"].matrix
+    out = [ProcessResult((), rdo, _am_quantities(rdo))
+           for rdo in _density_stack(sys_am, rdo_mats)]
+    return out[0] if one else out
 
 
 def ramsey_vacuum_superposition(alpha, beta, delta, tau):

@@ -1038,10 +1038,27 @@ def _conjugate(blocks, x, adjoint=False):
     return x
 
 
+def _one_or_many(values, message):
+    """``(array, one)``: one item, or a non-empty 1-D sequence of them, as a 1-D array,
+    and whether it was one item; an empty or nested sequence raises ValueError with
+    ``message``.  The one place a time or a phase argument tells one from many."""
+    array = np.atleast_1d(values)
+    if array.ndim != 1 or not array.size:
+        raise ValueError(message)
+    # Python ints past int64 make an object array, which ufuncs such as isfinite refuse
+    return array.astype(float) if array.dtype == object else array, np.ndim(values) == 0
+
+
 def evolution_operator(h, t):
-    """U = exp(-i H t) as a dense Operator: ``_evolve`` of the identity, from the
-    ``eigh_blocks`` of Hermitian H.  The one place focklab builds a d x d unitary."""
-    return Operator(h.system, _evolve(_hermitian_blocks(h), [t], np.eye(h.system.dim))[0])
+    """U = exp(-i H t) as a dense Operator for one time ``t``, or the list of them for a
+    non-empty sequence of times: ``_evolve`` of the identity, from one Hermitian check
+    and one ``eigh_blocks`` of H, each U with the bits of its time alone.  The one
+    place focklab builds a d x d unitary."""
+    blocks = _hermitian_blocks(h)
+    times, one = _one_or_many(
+        t, "evolution_operator takes one time or a non-empty sequence of times")
+    out = [Operator(h.system, u) for u in _evolve(blocks, times, np.eye(h.system.dim))]
+    return out[0] if one else out
 
 
 def _evolve(blocks, times, x):
@@ -1065,9 +1082,7 @@ def unitary_evolve(h, t, state):
     and solved once; a density operator takes ``_evolve`` on its rows, then on its
     columns, so that no unitary is formed, and a sequence is checked as one stack."""
     blocks = _hermitian_blocks(h)
-    times = np.atleast_1d(t)
-    if times.ndim != 1 or not times.size:
-        raise ValueError("unitary_evolve takes one time or a non-empty sequence of times")
+    times, one = _one_or_many(t, "unitary_evolve takes one time or a non-empty sequence of times")
     if isinstance(_on_system(state, h), PureState):
         out = [PureState(h.system, psi) for psi in _evolve(blocks, times, state.amplitudes)]
     else:     # U rho U^H = (U (U rho)^H)^H, the rows of every time first, in place
@@ -1075,7 +1090,7 @@ def unitary_evolve(h, t, state):
         for s, a in zip(times, rows):
             np.conj(_evolve(blocks, [s], np.conj(a, out=a).T)[0].T, out=a)
         out = _density_stack(h.system, rows)
-    return out[0] if np.ndim(t) == 0 else out
+    return out[0] if one else out
 
 
 def apply_unitary(u, state):

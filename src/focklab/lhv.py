@@ -44,8 +44,9 @@ def _check_distributions(rows, message):
 
 
 class DiscreteLHVModel(_Record):
-    """Hidden-value distribution, held as a read-only copy of ``weights``, plus
-    per-observable outcome pmfs."""
+    """Hidden-value distribution plus per-observable outcome pmfs, held as
+    read-only float copies: of ``weights``, and of each observable as an
+    ``LHVObservable`` of its values and its pmf."""
 
     __slots__ = ("weights", "observables")
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -54,13 +55,16 @@ class DiscreteLHVModel(_Record):
         weights = np.array(weights, dtype=float)
         _check_distributions(weights, "hidden-value probabilities must be a distribution")
         n_hidden = len(weights)
+        held = {}
         for name, obs in observables.items():
-            pmf = np.asarray(obs.pmf, dtype=float)
+            pmf = np.array(obs.pmf, dtype=float)
             if pmf.shape != (n_hidden, len(obs.values)):
                 raise ValueError(f"pmf shape mismatch for observable {name!r}")
             _check_distributions(pmf, f"pmf rows for {name!r} are not distributions")
+            pmf.setflags(write=False)
+            held[name] = LHVObservable(obs.values, pmf)
         weights.setflags(write=False)
-        super().__init__(weights, dict(observables))
+        super().__init__(weights, held)
 
 
 def lhv_joint(model, assignments):

@@ -199,7 +199,7 @@ def unrecorded_state(states, observable):
     between positions of distinct outcomes, of one state, or the list of them of
     a non-empty sequence of states on one system, checked as one stack."""
     system, stack, one = _density_matrices(states, _of_kind(observable, Observable))
-    mat = _conjugate(observable.blocks, stack.astype(complex), adjoint=True)
+    mat = _eigenbasis(stack, observable)
     mat[:, observable.outcomes[:, None] != observable.outcomes] = 0
     mat = _conjugate(observable.blocks, mat)
     mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
@@ -210,8 +210,7 @@ def unrecorded_state(states, observable):
 def _block_probs(x, observable):
     """Tr(P_j X) for each outcome j of ``observable`` and each matrix X of an (n, d, d)
     stack, as an (n, outcomes) array: the diagonal of V^H X V, formed component by
-    component from the diagonal blocks of X, then added per outcome in position
-    order by one ``np.add.reduceat``, whose sums do not go through BLAS."""
+    component from the diagonal blocks of X, then ``_outcome_sums``."""
     diag = np.empty(x.shape[:2], dtype=complex)
     for idx, evals, vecs in _of_kind(observable, Observable).blocks:
         # each component's k x k diagonal block of X (X itself when one component
@@ -222,6 +221,13 @@ def _block_probs(x, observable):
             x[:, idx[:, :, None], idx[:, None, :]].reshape(len(x), idx.size, -1)
         v_h = _rotate(own, np.tile(np.eye(idx.shape[1], dtype=complex), (len(idx), 1)), True)
         diag[:, idx.ravel()] = np.einsum("spb,pb->sp", _rotate(own, x_cc, True), v_h.conj())
+    return _outcome_sums(diag, observable)
+
+
+def _outcome_sums(diag, observable):
+    """The (n, d) values of each position of ``observable``'s eigenvectors added per
+    outcome, as (n, outcomes) probabilities: in position order by one
+    ``np.add.reduceat``, whose sums do not go through BLAS, then ``_real_probs``."""
     order = np.argsort(observable.outcomes, kind="stable")
     starts = np.searchsorted(observable.outcomes[order], np.arange(len(observable.eigenvalues)))
     return _real_probs(np.add.reduceat(diag[:, order], starts, axis=1))
@@ -234,31 +240,50 @@ def outcome_distribution(state, observable):
     return OutcomeDistribution(tuple(zip(observable.eigenvalues, probs.tolist())))
 
 
-def _conditional_moments(stack, target, given, p_given):
-    """Mean and variance of ``target`` under P(j|i) = Tr(Xi_j Pi_i rho) / P(i), as
-    two (n,) arrays for an (n, d, d) stack and its (n,) P(i), once ``target``
-    commutes with ``given``: ||XP - PX||_F <= ``PROJ_ATOL``."""
+def _eigenbasis(stack, observable):
+    """V^H rho V of each matrix rho of an (n, d, d) stack, V the eigenvectors of
+    ``observable``: a new complex stack, rotated by one ``_conjugate``."""
+    return _conjugate(observable.blocks, stack.astype(complex), adjoint=True)
+
+
+def _joint_terms(rotated, target, given):
+    """(V^H Pi V V^H rho V)_pp = sum_q (V^H Pi V)_pq (V^H rho V)_qp at each position p
+    of ``target``'s eigenvectors V, for the projector Pi ``given`` and each matrix of
+    ``rotated``, the ``_eigenbasis`` stack of ``target``: an (n, d) complex array, by
+    one einsum.  Its ``_outcome_sums`` are Tr(Xi_j Pi rho), and its row sums Tr(Pi rho)."""
+    return np.einsum("pq,nqp->np", _eigenbasis(given.matrix[None], target)[0], rotated)
+
+
+def _conditional_moments(terms, target, given, p_given):
+    """Mean and variance of ``target`` under P(j|i) = Tr(Xi_j Pi_i rho) / P(i), as two
+    (n,) arrays from the (n, d) ``_joint_terms`` of ``given`` and the (n,) P(i), once
+    ``target`` commutes with ``given``: ||XP - PX||_F <= ``PROJ_ATOL``."""
     x, y = target.operator.matrix, given.matrix
     if not _residual_norms(x, lambda s: x[s] @ y - y[s] @ x) <= PROJ_ATOL:     # NaN fails too
         raise ValueError("target and conditioning projector do not commute")
-    pmf = (_block_probs(given.matrix @ stack, target) / p_given[:, None]).T
+    pmf = (_outcome_sums(terms, target) / p_given[:, None]).T
     mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))
     # float_power is the scalar pow of a state alone, which an array square is not always
     return mean, sum(np.float_power(mu - mean, 2) * c for mu, c in zip(target.eigenvalues, pmf))
 
 
-def cond_mean(state, target, given):
-    """Conditioned mean sum_j mu_j P(j|i) of ``target`` given outcome projector ``given``."""
+def _conditioned(state, target, given):
+    """The conditional mean and variance of ``target`` given the projector ``given``
+    in one state, as two (1,) arrays."""
     rho = as_density(_on_system(state, _of_kind(target, Observable), given))
     p = _given_prob(rho, given)
-    return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[0][0])
+    terms = _joint_terms(_eigenbasis(rho.matrix[None], target), target, given)
+    return _conditional_moments(terms, target, given, np.array([p]))
+
+
+def cond_mean(state, target, given):
+    """Conditioned mean sum_j mu_j P(j|i) of ``target`` given outcome projector ``given``."""
+    return float(_conditioned(state, target, given)[0][0])
 
 
 def cond_variance(state, target, given):
     """Conditioned variance sum_j (mu_j - mean)^2 P(j|i)."""
-    rho = as_density(_on_system(state, _of_kind(target, Observable), given))
-    p = _given_prob(rho, given)
-    return float(_conditional_moments(rho.matrix[None], target, given, np.array([p]))[1][0])
+    return float(_conditioned(state, target, given)[1][0])
 
 
 def unrecorded_conditioned_variance(states, target, given_observable):
@@ -271,25 +296,30 @@ def unrecorded_conditioned_variance(states, target, given_observable):
     """
     _, stack, one = _density_matrices(states, _of_kind(target, Observable),
                                       _of_kind(given_observable, Observable))
-    out = _unrecorded_variances(stack, target, given_observable)
+    rotated = _eigenbasis(stack, target)
+    del stack     # so that one stack of states is held, the rotated one
+    out = _unrecorded_variances(rotated, target, given_observable)
     return float(out[0]) if one else out
 
 
-def _unrecorded_variances(stack, target, given_observable):
-    """``unrecorded_conditioned_variance`` of each matrix of an (n, d, d) stack.
+def _unrecorded_variances(rotated, target, given_observable):
+    """``unrecorded_conditioned_variance`` of each state of ``rotated``, its (n, d, d)
+    ``_eigenbasis`` stack of ``target``.
 
-    Each outcome's projector is built once for the stack, and checked to
-    commute with the target once when some state keeps the outcome; a state
-    adds exactly 0.0 for an outcome it skips.  Warns once when the outcomes
-    some state skipped held more than 1e-9 of its weight.
+    Each outcome's projector is built once for the stack, and its
+    ``_joint_terms`` give both P(i), their row sums, and the conditional moments.
+    It is checked to commute with the target once when some state keeps the
+    outcome; a state adds exactly 0.0 for an outcome it skips.  Warns once when
+    the outcomes some state skipped held more than 1e-9 of its weight.
     """
-    total = weight = np.zeros(len(stack))
+    total = weight = np.zeros(len(rotated))
     for p_proj in given_observable._projectors():
-        p_i = _real_probs(_expectations(stack, p_proj.matrix[None])[:, 0])
+        terms = _joint_terms(rotated, target, p_proj)
+        p_i = _real_probs(terms.sum(axis=1))
         kept = p_i > PROB_FLOOR
         if not kept.any():
             continue
-        var = _conditional_moments(stack, target, p_proj, np.where(kept, p_i, 1.0))[1]
+        var = _conditional_moments(terms, target, p_proj, np.where(kept, p_i, 1.0))[1]
         total = total + np.where(kept, p_i * var, 0.0)
         weight = weight + np.where(kept, p_i, 0.0)
     if (weight < 1.0 - 1e-9).any():

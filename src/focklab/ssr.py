@@ -20,6 +20,7 @@ from .fock import (
     _on_system,
     _density_stack,
     _is_integer,
+    _one_or_many,
     _residual_norms,
     _sector_stacks,
     apply_unitary,
@@ -262,11 +263,28 @@ def _phase_amplitudes(n_max, p):
 
 
 def _clock_args(p, q, omega, dt):
-    """The phase indices of ``p`` and ``q`` as lists, each one index or a 1-D sequence,
-    and omega * dt, once it is finite; raises ValueError naming it."""
-    if not np.isfinite(omega * dt):
-        raise ValueError(f"omega * dt = {omega * dt!r} is not finite")
-    return [p] if np.ndim(p) == 0 else list(p), [q] if np.ndim(q) == 0 else list(q), omega * dt
+    """The phase indices of ``p`` and ``q`` as lists, each one index or a 1-D sequence;
+    ``dt``, one time or a non-empty 1-D sequence, as a 1-D array; and omega * dt of
+    each time, once each is finite; raises ValueError naming the first that is not."""
+    times, _ = _one_or_many(dt, "the clock takes one time dt or a non-empty sequence of them")
+    with np.errstate(over="ignore", invalid="ignore"):     # not finite, which fails
+        omega_dt = omega * times
+    bad = ~np.isfinite(omega_dt)
+    if bad.any():
+        raise ValueError(f"omega * dt = {float(omega_dt[bad][0])!r} is not finite")
+    return [p] if np.ndim(p) == 0 else list(p), [q] if np.ndim(q) == 0 else list(q), \
+        times, omega_dt
+
+
+def _clock_result(table, p, q, dt):
+    """A (times, len p, len q) table as a clock's result: one table per time for a
+    sequence of times, else the time's table alone; and for two phase indices one
+    probability per time, or a float for one time."""
+    if np.ndim(p) == 0 and np.ndim(q) == 0:
+        table = table[:, 0, 0]
+    if np.ndim(dt) != 0:
+        return table
+    return float(table[0]) if table.ndim == 1 else table[0]
 
 
 def clock_prob(p, q, omega, dt, n_max):
@@ -274,20 +292,20 @@ def clock_prob(p, q, omega, dt, n_max):
 
     Closed form sin^2((n_max+1) Delta/2) / ((n_max+1)^2 sin^2(Delta/2)) with
     Delta = theta_p - theta_q - omega dt; the removable singularity at
-    Delta = 2 pi m is evaluated by its limit, 1.  ``p`` and ``q`` may each be
-    one phase index or a 1-D sequence of them, as for ``clock_prob_by_evolution``:
-    the result is a float for two indices, else the (len p, len q) table, each
-    entry with the bits of its own scalar call (``np.float_power`` squares as a
-    numpy scalar's ``** 2`` does).
+    Delta = 2 pi m is evaluated by its limit, 1.  ``p``, ``q`` and ``dt`` may each
+    be one item or a 1-D sequence, as for ``clock_prob_by_evolution``: the result
+    is a float for two indices and one time, else the (len p, len q) table, one per
+    time for a sequence of times, each entry with the bits of its own scalar call
+    (``np.float_power`` squares as a numpy scalar's ``** 2`` does).
     """
-    rows, cols, omega_dt = _clock_args(p, q, omega, dt)
+    rows, cols, _, omega_dt = _clock_args(p, q, omega, dt)
     if not (_is_integer(n_max) and all(_is_integer(i) and 0 <= i <= n_max
                                        for i in rows + cols)):
         raise ValueError(f"phase indices p = {p!r} and q = {q!r} must be integers in "
                          f"0..n_max, with n_max = {n_max!r} an integer")
     m = n_max + 1
     theta = 2.0 * np.pi * np.array(rows + cols, dtype=float) / m
-    delta = theta[:len(rows), None] - theta[None, len(rows):] - omega_dt
+    delta = theta[:len(rows), None] - theta[None, len(rows):] - omega_dt[:, None, None]
     # reduce to the principal branch: the squared ratio is 2pi-periodic, and
     # evaluating both sines at the reduced angle avoids the cancellation that
     # otherwise wrecks the removable singularities at delta = 2 pi m
@@ -295,28 +313,29 @@ def clock_prob(p, q, omega, dt, n_max):
     s = np.sin(delta / 2.0)
     table = np.divide(np.float_power(np.sin(m * delta / 2.0), 2), m ** 2 * np.float_power(s, 2),
                       out=np.ones_like(s), where=s != 0.0)
-    return float(table[0, 0]) if np.ndim(p) == 0 and np.ndim(q) == 0 else table
+    return _clock_result(table, p, q, dt)
 
 
 def clock_prob_by_evolution(p, q, omega, dt, n_max):
     """Oracle for clock_prob: evolve |theta_p> under omega*N and project.
 
     ``p`` and ``q`` may also be 1-D sequences of phase indices; the result is
-    then the (len p, len q) table of the same probabilities, with the
-    system, the propagator and each phase state built once.  A non-finite
-    omega * dt raises ValueError.
+    then the (len p, len q) table of the same probabilities.  ``dt`` may also be
+    a non-empty 1-D sequence of times; the result then holds one float or table
+    per time, each entry with the bits of its call alone.  The system, H, its
+    solve and each phase state are built once, and ``evolution_operator`` gives
+    one propagator per time.  A non-finite omega * dt raises ValueError.
     """
-    rows, cols, _ = _clock_args(p, q, omega, dt)
+    rows, cols, times, _ = _clock_args(p, q, omega, dt)
     sys1 = ModeSystem([("osc", n_max)])
-    h = omega * number_op(sys1)
-    u = evolution_operator(h, dt)
     states = {i: PureState(sys1, _phase_amplitudes(n_max, i)) for i in set(rows + cols)}
-    table = np.empty((len(rows), len(cols)))
-    for r, i in enumerate(rows):
-        evolved = apply_unitary(u, states[i])
-        for c, j in enumerate(cols):
-            table[r, c] = np.abs(np.vdot(states[j].amplitudes, evolved.amplitudes)) ** 2
-    return float(table[0, 0]) if np.ndim(p) == 0 and np.ndim(q) == 0 else table
+    table = np.empty((len(times), len(rows), len(cols)))
+    for u, plane in zip(evolution_operator(omega * number_op(sys1), times), table):
+        for r, i in enumerate(rows):
+            evolved = apply_unitary(u, states[i])
+            for c, j in enumerate(cols):
+                plane[r, c] = np.abs(np.vdot(states[j].amplitudes, evolved.amplitudes)) ** 2
+    return _clock_result(table, p, q, dt)
 
 
 def internalise(amplitudes, n_ref):

@@ -237,15 +237,24 @@ def _count_calls(monkeypatch, module, name):
 
 def test_reference_sweeps_build_their_fixed_parts_once(monkeypatch):
     from focklab import cli, ssr, states
-    # one propagator per (n_max, omega dt): two n_max values, four omega dt each
+    # one solve per n_max, for its four omega dt: two calls of four times each
     propagators = _count_calls(monkeypatch, ssr, "evolution_operator")
     assert run_experiment("phase_clock")["overall_pass"]
-    assert len(propagators) == 8
+    assert [len(times) for _, times in propagators] == [4, 4]
     # the coherent quadrature is one stack of amplitudes, not one state per phase
     singles = [_count_calls(monkeypatch, module, "coherent") for module in (states, cli)]
     stacks = _count_calls(monkeypatch, cli, "coherent_amplitudes")
     assert run_experiment("two_mode_coherent_mixture")["overall_pass"]
     assert ([len(calls) for calls in singles], len(stacks)) == ([0, 0], 1)
+
+
+def test_atom_molecule_solves_and_calibrates_once_per_bec_number(monkeypatch):
+    from focklab import dynamics
+    # the default run has two BEC numbers and two phases each
+    solves = _count_calls(monkeypatch, dynamics, "eigh_blocks")
+    calibrations = _count_calls(monkeypatch, dynamics, "_calibrate_half_transfer")
+    assert run_experiment("atom_molecule")["overall_pass"]
+    assert (len(solves), len(calibrations)) == (2, 2)
 
 
 def test_structured_report_roundtrip():

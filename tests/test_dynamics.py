@@ -279,6 +279,52 @@ def test_atom_molecule_poisson_matches_fock():
     assert abs(res.quantities["coherence"]) < 1e-12
 
 
+def _process_bits(result):
+    """Every bit of an atom-molecule result: its stages' amplitudes, its final
+    state and reduced operator, and its quantities."""
+    final, q = result.final_state, result.quantities     # a PureState, or a Poisson mixture
+    return ([(name, state.amplitudes.tobytes()) for name, state in result.stages],
+            (final.matrix if isinstance(final, DensityOperator) else final.amplitudes).tobytes(),
+            q["atom_molecule_rdo"].matrix.tobytes(),
+            repr((q["p_atom"], q["p_molecule"], q["coherence"])))
+
+
+@pytest.mark.parametrize("n_bec, initial", [(1, "fock"), (5, "fock"), (20, "fock"),
+                                            (3.0, "poisson")])
+def test_a_sequence_of_phases_equals_the_per_phase_calls_bit_for_bit(n_bec, initial):
+    # N = 20 has dim 84, where H is solved per block
+    phis = [0.0, np.pi / 2, 2.0, -1.3]
+    for given in (phis, np.array(phis), tuple(phis[:1])):
+        results = atom_molecule_process(n_bec, 1.0, given, initial=initial)
+        assert isinstance(results, list) and len(results) == len(given)
+        for result, phi in zip(results, given):
+            assert _process_bits(result) == \
+                _process_bits(atom_molecule_process(n_bec, 1.0, phi, initial=initial))
+
+
+def test_a_phase_past_int64_is_taken_as_its_float():
+    # the CLI takes any integer phase up to the float range
+    assert _process_bits(atom_molecule_process(2, 1.0, 10 ** 20)) == \
+        _process_bits(atom_molecule_process(2, 1.0, 1e20))
+    assert [_process_bits(r) for r in atom_molecule_process(2, 1.0, [10 ** 20, 1])] == \
+        [_process_bits(r) for r in atom_molecule_process(2, 1.0, [1e20, 1.0])]
+
+
+_PHASE_COUNT = "^atom_molecule_process takes one phase or a non-empty sequence of phases$"
+_NOT_FINITE = "^phases .* are not all finite$"
+
+
+@pytest.mark.parametrize("phi, message", [([], _PHASE_COUNT), ((), _PHASE_COUNT),
+                                          (np.array([]), _PHASE_COUNT),
+                                          ([[0.1, 0.2]], _PHASE_COUNT), (np.nan, _NOT_FINITE),
+                                          ([0.1, np.inf], _NOT_FINITE),
+                                          ([-np.inf], _NOT_FINITE)])
+def test_atom_molecule_rejects_an_empty_nested_or_non_finite_phase(phi, message):
+    for initial in ("fock", "poisson"):
+        with pytest.raises(ValueError, match=message):
+            atom_molecule_process(3, 1.0, phi, initial=initial)
+
+
 def test_atom_molecule_requires_boson():
     for n_bec in (0, 2.5, True, 1.0):
         with pytest.raises(ValueError, match="n_bec of a Fock initial state"):

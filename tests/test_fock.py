@@ -397,14 +397,41 @@ def test_evolution_to_an_empty_or_nested_sequence_of_times_is_named(times):
         with pytest.raises(ValueError, match="^unitary_evolve takes one time or a "
                                              "non-empty sequence of times$"):
             unitary_evolve(number_op(system), times, state)
+    with pytest.raises(ValueError, match="^evolution_operator takes one time or a "
+                                         "non-empty sequence of times$"):
+        evolution_operator(number_op(system), times)
+
+
+@pytest.mark.parametrize("system", [bosons(1, 4), bosons(2, 3), bosons(2, 7)],
+                         ids=["dim5", "dim16", "dim64-blocks"])
+def test_a_sequence_of_times_gives_the_unitary_of_each_time_alone_bit_for_bit(system):
+    # the hopping conserves the total number, so from dim 48 on H is solved per block
+    hop = creation(system, 0) @ annihilation(system, system.n_modes - 1)
+    h = 0.3 * number_op(system) + hop + hop.dag()
+    times = np.random.default_rng(system.dim).uniform(-5.0, 5.0, 6)
+    for given in (list(times), times, tuple(times[:1])):
+        many = evolution_operator(h, given)
+        assert isinstance(many, list) and len(many) == len(given)
+        for u, t in zip(many, given):
+            assert u.matrix.tobytes() == evolution_operator(h, t).matrix.tobytes()
+
+
+def test_a_time_past_int64_is_taken_as_its_float():
+    h = number_op(bosons(1, 3))
+    for t in (10 ** 20, [10 ** 20, 1]):
+        want = evolution_operator(h, np.array(t, dtype=float))
+        got = evolution_operator(h, t)
+        assert [u.matrix.tobytes() for u in np.atleast_1d(got)] == \
+            [u.matrix.tobytes() for u in np.atleast_1d(want)]
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_evolution_to_a_time_that_is_not_finite_is_named(t):
     system = bosons(1, 3)
     h = number_op(system)
-    with pytest.raises(ValueError, match="evolution times .* are not all finite"):
-        evolution_operator(h, t)
+    for times in (t, [0.1, t]):
+        with pytest.raises(ValueError, match="evolution times .* are not all finite"):
+            evolution_operator(h, times)
     for state in (system.vacuum(), system.vacuum().density()):
         for times in (t, [0.1, t]):
             with pytest.raises(ValueError, match="evolution times .* are not all finite"):

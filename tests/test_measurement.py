@@ -556,3 +556,20 @@ def test_an_outcome_at_or_below_the_floor_adds_exactly_nothing():
     assert unrecorded_conditioned_variance(rho, target, given) == 0.0
     assert unrecorded_conditioned_variance([system.basis_state((1, 0)), rho], target,
                                            given).tolist() == [0.0, 0.0]
+
+
+def test_the_unrecorded_variance_holds_one_rotated_stack_at_a_time():
+    # dim 256: one d x d complex matrix is 1 MiB, a stack of 4 states 4 MiB.  The
+    # states' stack and its copy in the target's eigenbasis meet only while it is
+    # rotated; the per-outcome P_i rho products of the old path peaked at 9.08 MiB
+    system = bosons(2, 15)
+    states = random_density(system, np.random.default_rng(0), 4)
+    target, given = spectral(number_op(system, [1, 0])), spectral(number_op(system))
+    unrecorded_conditioned_variance(states, target, given)
+    tracemalloc.start()
+    try:
+        unrecorded_conditioned_variance(states, target, given)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2 ** 20

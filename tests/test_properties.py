@@ -1086,6 +1086,42 @@ def test_a_density_evolves_block_by_block_as_the_dense_unitary_does(system, seed
     assert many[0].matrix.tobytes() == evolved.matrix.tobytes()
 
 
+def _per_outcome_unrecorded_variance(states, target, given_obs):
+    """unrecorded_conditioned_variance one conditioning outcome at a time, as the
+    reference: P(i) = Tr(P_i rho), then the target's pmf from the diagonal of
+    V^H (P_i rho) V by ``_block_probs``, per outcome."""
+    from focklab.measurement import _block_probs
+    stack = np.array([as_density(state).matrix for state in states])
+    total = weight = np.zeros(len(stack))
+    for proj in given_obs.projectors:
+        p_i = np.einsum("ij,nji->n", proj.matrix, stack).real
+        kept = p_i > PROB_FLOOR
+        if not kept.any():
+            continue
+        pmf = (_block_probs(proj.matrix @ stack, target) / np.where(kept, p_i, 1.0)[:, None]).T
+        mean = sum(mu * c for mu, c in zip(target.eigenvalues, pmf))
+        var = sum((mu - mean) ** 2 * c for mu, c in zip(target.eigenvalues, pmf))
+        total = total + np.where(kept, p_i * var, 0.0)
+        weight = weight + np.where(kept, p_i, 0.0)
+    return total / weight
+
+
+@SETTINGS
+@given(commuting_observables(), seeds, st.integers(1, 4))
+def test_the_unrecorded_variance_matches_the_per_outcome_reference(case, seed, n):
+    system, op_x, op_y = case
+    rng = np.random.default_rng(seed)
+    states = list(random_density(system, rng, n)) + [random_pure(system, rng)]
+    for target, given_obs in ((spectral(op_x), spectral(op_y)),
+                              (spectral(op_y), spectral(op_x))):
+        with warnings.catch_warnings():
+            # a state may skip an outcome below the floor and renormalise
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = unrecorded_conditioned_variance(states, target, given_obs)
+            want = _per_outcome_unrecorded_variance(states, target, given_obs)
+        assert np.abs(got - want).max() <= 1e-12
+
+
 @SETTINGS
 @given(commuting_observables(), seeds, st.integers(1, 4))
 def test_unrecorded_state_keeps_the_trace_and_the_measured_populations(case, seed, n):

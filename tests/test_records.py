@@ -29,6 +29,7 @@ from focklab import (
     bosons,
     ghz,
     ghz_parity,
+    lhv_joint,
     number_op,
     qubits,
     spectral,
@@ -107,11 +108,16 @@ def _fields(record, names):
 
 
 def _same(got, want):
-    """Whether a kept copy equals its input: arrays entry by entry, a dict entry by entry."""
+    """Whether a kept copy equals its input: arrays entry by entry, a dict entry by
+    entry, and a record kept as a copy of its fields (a model's observable) field
+    by field."""
     if isinstance(want, dict):
         return got.keys() == want.keys() and all(_same(got[k], want[k]) for k in want)
     if isinstance(want, np.ndarray):
         return np.array_equal(got, want)
+    if isinstance(want, _Record) and got is not want:
+        return type(got) is type(want) and all(
+            _same(getattr(got, name), getattr(want, name)) for name in want.__slots__)
     return got is want or got == want
 
 
@@ -351,6 +357,18 @@ def test_a_model_holds_a_read_only_copy_of_its_weights():
     model = DiscreteLHVModel(weights, {"A": _LHV_A})
     weights[0] = 7.0
     assert model.weights.tolist() == [0.5, 0.5] and not model.weights.flags.writeable
+
+
+def test_a_model_holds_read_only_float_copies_of_its_pmfs():
+    rows = np.array([[1, 0], [0, 1]])
+    obs = LHVObservable((1.0, -1.0), rows)
+    model = DiscreteLHVModel(np.array([1.0, 0.0]), {"A": obs})
+    obs.pmf[0, 0] = 7
+    assert lhv_joint(model, [("A", 0)]) == 1.0
+    held = model.observables["A"].pmf
+    assert held.dtype == float and held.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        held[0, 0] = 7.0
 
 
 def test_a_rebound_value_is_refused():

@@ -467,9 +467,10 @@ def test_the_clock_oracle_builds_one_mode_system_per_call(monkeypatch):
     for n_max in (4, 9):
         phases = range(0, n_max + 1, 2)
         for p, q in ((phases, phases), (1, 3)):
-            built.clear()
-            clock_prob_by_evolution(p, q, 1.0, 0.3, n_max)
-            assert built == [([("osc", n_max)],)]
+            for dt in (0.3, [0.3, 1.1, 2.0]):
+                built.clear()
+                clock_prob_by_evolution(p, q, 1.0, dt, n_max)
+                assert built == [([("osc", n_max)],)]
 
 
 def _per_pair_clock(p, q, omega, dt, n_max):
@@ -498,6 +499,17 @@ def test_clock_table_equals_the_per_pair_probabilities_bit_for_bit(n_max):
         single = clock_prob_by_evolution(p, q, omega, dt, n_max)
         assert type(single) is float
         assert single == table[0, len(cols) - 1]
+        # a sequence of times: one table per time, each that time's call alone
+        dts = np.random.default_rng(1000 + n_max).uniform(0.0, 10.0, 3)
+        for times in (list(dts), dts):
+            tables = clock_prob_by_evolution(rows, cols, omega, times, n_max)
+            assert tables.shape == (3, len(rows), len(cols))
+            pairs = clock_prob_by_evolution(p, q, omega, times, n_max)
+            assert pairs.shape == (3,)
+            for k, t in enumerate(times):
+                assert tables[k].tobytes() == \
+                    clock_prob_by_evolution(rows, cols, omega, t, n_max).tobytes()
+                assert pairs[k] == clock_prob_by_evolution(p, q, omega, t, n_max)
 
 
 def _scalar_clock(p, q, omega, dt, n_max):
@@ -529,6 +541,10 @@ def test_closed_form_clock_table_equals_its_scalar_calls_bit_for_bit(n_max):
             # one sequence and one index give a one-row or one-column table
             assert np.array_equal(clock_prob(rows[0], cols, omega, dt, n_max), table[:1])
             assert np.array_equal(clock_prob(rows, cols[0], omega, dt, n_max), table[:, :1])
+            # a sequence of times gives one table per time
+            tables = clock_prob(rows, cols, omega, [dt, 0.5 * dt], n_max)
+            assert tables.tobytes() == np.stack(
+                [table, clock_prob(rows, cols, omega, 0.5 * dt, n_max)]).tobytes()
     # a numpy scalar's ** 2 is a libm pow, which an array's square does not always match
     for omega_dt in rng.uniform(-20.0, 20.0, 10):
         want = [[_scalar_clock(p, q, 1.0, omega_dt, n_max) for q in range(n_max + 1)]
@@ -542,8 +558,18 @@ def test_closed_form_clock_table_equals_its_scalar_calls_bit_for_bit(n_max):
 def test_clock_rejects_an_omega_dt_that_is_not_finite(omega, dt):
     for clock in (clock_prob, clock_prob_by_evolution):
         for p, q in ((0, 0), ([0, 1], [2, 3])):
-            with pytest.raises(ValueError, match=r"omega \* dt = .* is not finite"):
-                clock(p, q, omega, dt, 4)
+            # alone, and as the one bad product of a sequence
+            for times in (dt, [0.5, dt, 1.0]):
+                with pytest.raises(ValueError, match=r"omega \* dt = .* is not finite"):
+                    clock(p, q, omega, times, 4)
+
+
+@pytest.mark.parametrize("times", [[], (), np.array([]), [[0.1, 0.2]]])
+def test_the_clock_rejects_an_empty_or_nested_sequence_of_times(times):
+    for clock in (clock_prob, clock_prob_by_evolution):
+        with pytest.raises(ValueError, match="^the clock takes one time dt or a non-empty "
+                                             "sequence of them$"):
+            clock([0, 1], 2, 1.0, times, 4)
 
 
 @pytest.mark.parametrize("state", [bosons(2, 2).vacuum().density(), np.ones(9), None])
