@@ -16,17 +16,19 @@ from .fock import (
     Operator,
     PureState,
     Partition,
+    _MEMO,
     _Record,
     _abs_squared,
     _check_physical,
     _density_stack,
     _eigenvalues,
     _evolve,
+    _kept_blocks,
     _is_integer,
+    _key,
     _one_or_many,
     _rotate,
     bosons,
-    eigh_blocks,
     evolution_operator,
     fermions,
     ladder_sum,
@@ -88,9 +90,16 @@ def beam_splitter(system, spec):
 
 def _splitter_hamiltonian(system, spec):
     """The Hermitian H with ``beam_splitter`` = exp(-i H atan2(r, t)); it does not
-    depend on r and t."""
+    depend on r and t, and is kept in ``_MEMO`` under the system, the mode pairs and
+    the convention."""
+    pairs = tuple(tuple(pair) for pair in spec.mode_pairs)
+    return _MEMO.get(_key("splitter", system, pairs, spec.convention),
+                     _splitter_generator, system, pairs, spec.convention)
+
+
+def _splitter_generator(system, mode_pairs, convention):
     terms = []
-    for ma, mb in spec.mode_pairs:
+    for ma, mb in mode_pairs:
         if max(ma, mb) >= system.n_modes:
             raise ValueError(f"mode pair {(ma, mb)} outside a system of {system.n_modes} modes")
         if system.modes[ma].statistics != system.modes[mb].statistics:
@@ -98,7 +107,7 @@ def _splitter_hamiltonian(system, spec):
         if system.modes[ma].cutoff != system.modes[mb].cutoff:
             raise ValueError("paired modes must share cutoffs")
         b_dag_a, a_dag_b = ((mb, True), (ma, False)), ((ma, True), (mb, False))
-        if spec.convention == REAL_ROTATION:
+        if convention == REAL_ROTATION:
             terms += [(1, b_dag_a), (-1, a_dag_b)]
         else:
             terms += [(-1j, a_dag_b), (-1j, b_dag_a)]
@@ -130,9 +139,10 @@ def extraction_experiment(case, r, t):
 
     Scalar ``r`` and ``t`` give one result; two sequences give the list of
     results at each (r, t) pair.  Only the splitter angle atan2(r, t) depends
-    on the pair, so the generator is built once and the input is evolved to
-    every angle by one ``unitary_evolve`` call: one Hermitian check, one
-    ``eigh_blocks`` and no unitary.
+    on the pair, so the input is evolved to every angle by one ``unitary_evolve``
+    call and no unitary is formed.  The system, the generator and its Hermitian
+    check and ``eigh_blocks`` are kept in ``_MEMO``, so a repeated case solves
+    nothing.
     """
     one = np.ndim(r) == 0 and np.ndim(t) == 0
     r_values, t_values = ([r], [t]) if one else (r, t)
@@ -181,12 +191,17 @@ def extraction_experiment(case, r, t):
 
 
 def _atom_molecule_hamiltonian(n_bec, kappa):
-    """Coupling (kappa/2)(bM^dag bA b2 + h.c.) on (atom, molecule, BEC) modes.
+    """Coupling (kappa/2)(bM^dag bA b2 + h.c.) on (atom, molecule, BEC) modes, as
+    ``(system, H)``, kept in ``_MEMO`` under (n_bec, kappa).
 
     Mode frequencies are dropped: the resonant pulses have zero detuning and
     the free stage is applied as an explicit phase, so only the coupling
     matters.  The conserved combination is n_A + 2 n_M + n_2.
     """
+    return _MEMO.get(_key("atom_molecule", n_bec, kappa), _atom_molecule_coupling, n_bec, kappa)
+
+
+def _atom_molecule_coupling(n_bec, kappa):
     system = ModeSystem([("atom", 1), ("mol", 1), ("bec", n_bec)])
     half = 0.5 * kappa
     return system, ladder_sum(system, [
@@ -260,12 +275,13 @@ def _run_atom_molecule_fock(n_bec, kappa, phi):
     """Three-stage pulse/phase/pulse sequence from |one atom> |N in the BEC>, for one
     phase ``phi`` or each of a 1-D sequence of them: one ProcessResult or the list.
 
-    The system, H, its ``eigh_blocks``, the pulse calibration and the first pulse
-    are built once; each phase takes its own free stage and second pulse, and the
+    The system, H and its ``_kept_blocks`` come from ``_MEMO``, built once per
+    (n_bec, kappa); the pulse calibration and the first pulse are built once per
+    call; each phase takes its own free stage and second pulse, and the
     final states are reduced by one ``partial_trace`` of their stack.
     """
     system, h = _atom_molecule_hamiltonian(n_bec, kappa)
-    blocks = eigh_blocks(h.matrix, True)
+    blocks = _kept_blocks(h)
     t_pulse = _calibrate_half_transfer(system, h, blocks, n_bec)
     initial = system.basis_state((1, 0, n_bec))
     after_pulse1 = PureState(system, _evolve(blocks, [t_pulse], initial.amplitudes)[0])

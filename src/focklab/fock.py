@@ -8,9 +8,17 @@ All matrices are dense complex numpy arrays; dimensions stay at desk scale
 
 Everything constructed here is immutable after creation (arrays are marked
 read-only), so values can be shared freely across threads.  That also makes
-the basis-derived index arrays pure functions of a hashable ``ModeSystem``,
-so the ladder entries, the entries of ladder products and the sub-system
-codes are memoised per system: O(d) arrays per entry, never d x d matrices.
+what a hashable ``ModeSystem`` and hashable parameters determine a pure
+function of them, and two kinds of memo keep such values:
+
+- the O(d) index arrays of a system (the ladder entries, the entries of
+  ladder products and the sub-system codes) in ``functools.lru_cache``
+  memos, bounded by entry count, never holding a d x d matrix;
+- the systems of ``bosons``, ``fermions`` and ``qubits``, the operators that
+  a system alone fixes (``number_op``, the spin and Pauli operators, the
+  splitter and atom-molecule Hamiltonians), and per such operator its
+  ``_hermitian_blocks`` and the Observable of ``spectral``, in ``_MEMO``,
+  bounded by the bytes of the arrays it holds (``_MEMO_BYTES``).
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
+from collections import OrderedDict
 from collections.abc import Mapping
 
 import numpy as np
@@ -45,6 +55,10 @@ BLOCK_MIN_DIM = 48
 # pairs of ``_reduced_matrices``, columns of ``_rotate`` and the row blocks of
 # ``_row_slices``
 PAIR_CHUNK = 1 << 14
+
+# bytes of arrays ``_MEMO`` may hold, 16 MiB: one d x d operator is 256 MiB at
+# MAX_DIM, so the memo bounds bytes, not entries
+_MEMO_BYTES = 1 << 24
 
 
 def _is_integer(value):
@@ -168,8 +182,8 @@ class ModeSystem:
         Keep only basis states whose total occupancy equals this value.
     """
 
-    __slots__ = ("modes", "total_number_restriction", "_hash", "occupancies", "codes",
-                 "strides", "dim")
+    __slots__ = ("modes", "total_number_restriction", "_spec", "_hash", "occupancies",
+                 "codes", "strides", "dim")
     __setattr__ = __delattr__ = _Record.__setattr__
 
     def __init__(self, modes, total_number_restriction=None):
@@ -232,10 +246,12 @@ class ModeSystem:
         occ = codes[:, None] // strides % radices
         for arr in (occ, codes, strides):
             arr.setflags(write=False)
-        # every memo lookup hashes its system: hash the modes once
-        key = hash((modes, total_number_restriction))
-        for name, value in zip(self.__slots__, (modes, total_number_restriction, key, occ,
-                                                codes, strides, occ.shape[0])):
+        # every memo lookup hashes its system and may compare it with an equal one:
+        # the modes' fields as plain tuples, hashed once, compare at C speed
+        spec = (tuple(m._values(m) for m in modes), total_number_restriction)
+        for name, value in zip(self.__slots__, (modes, total_number_restriction, spec,
+                                                hash(spec), occ, codes, strides,
+                                                occ.shape[0])):
             _set_field(self, name, value)
 
     def __reduce__(self):     # copy and pickle rebuild through ``__init__``
@@ -294,11 +310,7 @@ class ModeSystem:
         return Operator(self, np.eye(self.dim, dtype=complex))
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, ModeSystem)
-            and self.modes == other.modes
-            and self.total_number_restriction == other.total_number_restriction
-        )
+        return self is other or (isinstance(other, ModeSystem) and self._spec == other._spec)
 
     def __hash__(self):
         return self._hash
@@ -311,13 +323,159 @@ class ModeSystem:
         return f"ModeSystem({spec}{extra}, dim={self.dim})"
 
 
+class _Entry:
+    """One value of ``_Memo``: its ``derived`` results per (producer, operator id),
+    the ids of the arrays counted in ``nbytes``, and the operators it holds."""
+
+    __slots__ = ("value", "derived", "counted", "nbytes", "operators")
+
+    def __init__(self, key, value):
+        counted, operators = {}, []
+        _held(key, counted, operators)
+        _held(value, counted, operators)
+        self.value, self.derived, self.counted = value, {}, counted
+        self.nbytes, self.operators = sum(counted.values()), operators
+
+
+def _held(value, counted, operators):
+    """Add to ``counted`` the nbytes of each array that ``value`` holds, by the id
+    of the array that owns its data, and to ``operators`` each Operator: through
+    tuples, lists, dicts, records and systems; a bytes key counts its length."""
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        counted[id(value)] = value.nbytes
+    elif isinstance(value, bytes):
+        counted[id(value)] = len(value)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _held(item, counted, operators)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _held(item, counted, operators)
+    elif isinstance(value, (_Record, ModeSystem)):
+        if isinstance(value, Operator):
+            operators.append(value)
+        for name in type(value).__slots__:
+            _held(getattr(value, name), counted, operators)
+
+
+class _Memo:
+    """Least-recently-used memo of the values that a ModeSystem and hashable
+    parameters determine, holding at most ``_MEMO_BYTES`` of arrays.
+
+    ``get`` keeps one value per key; ``derived`` keeps, per Operator that a value
+    holds, a result computed from that operator alone, in the value's entry and
+    counted against the same budget.  A value larger than the budget is returned
+    but not kept.  Producers run outside the lock, which guards the bookkeeping
+    only, so a producer that raises stores nothing; of two threads that produce
+    one result at once, both get the one stored first.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()     # key -> _Entry, least recently used first
+        self._owners = {}     # id(op) -> (op, key) for each operator an entry holds
+        self.nbytes = 0
+
+    def get(self, key, produce, *args):
+        """``produce(*args)``, kept under ``key``; a key of None keeps nothing."""
+        if key is None:
+            return produce(*args)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry.value
+        value = produce(*args)
+        entry = _Entry(key, value)
+        with self._lock:
+            if key in self._entries:     # stored by another thread meanwhile
+                return self._entries[key].value
+            if entry.nbytes <= _MEMO_BYTES:
+                self._entries[key] = entry
+                self._owners.update((id(op), (op, key)) for op in entry.operators)
+                self.nbytes += entry.nbytes
+                self._trim()
+        return value
+
+    def derived(self, op, produce):
+        """``produce(op)``, kept in the entry that holds the operator ``op``;
+        computed afresh for an operator no entry holds."""
+        slot = (produce, id(op))
+        with self._lock:
+            owner = self._owners.get(id(op))
+            entry = self._entries[owner[1]] if owner is not None and owner[0] is op else None
+            if entry is not None:
+                self._entries.move_to_end(owner[1])
+                if slot in entry.derived:
+                    return entry.derived[slot]
+        result = produce(op)
+        if entry is None:
+            return result
+        counted = {}
+        _held(result, counted, [])
+        with self._lock:
+            if self._entries.get(owner[1]) is not entry:     # evicted meanwhile
+                return result
+            if slot in entry.derived:
+                return entry.derived[slot]
+            entry.derived[slot] = result
+            added = {i: n for i, n in counted.items() if i not in entry.counted}
+            entry.counted.update(added)
+            entry.nbytes += sum(added.values())
+            self.nbytes += sum(added.values())
+            self._entries.move_to_end(owner[1])
+            self._trim()
+        return result
+
+    def _trim(self):
+        """Evict least recently used entries until the memo is within its budget."""
+        while self.nbytes > _MEMO_BYTES:
+            key, entry = self._entries.popitem(last=False)
+            self.nbytes -= entry.nbytes
+            for op in entry.operators:
+                if self._owners.get(id(op), (None, None))[1] == key:
+                    del self._owners[id(op)]
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+            self._owners.clear()
+            self.nbytes = 0
+
+
+_MEMO = _Memo()
+
+
+def _key(*parts):
+    """``parts`` as a memo key once each is an int, str, None, ModeSystem or bytes, or a
+    float or complex (keyed by its bits, so -0.0 is not 0.0), or a tuple of such;
+    else None, which keeps nothing, so that input of any other type reaches its
+    producer and is checked there.  A bool, a numpy scalar or a list is not a part."""
+    key = []
+    for part in parts:
+        kind = type(part)
+        if kind is tuple:
+            part = _key(*part)
+        elif kind is float or kind is complex:
+            part = (kind, np.array(part).tobytes())
+        elif kind not in (int, str, type(None), ModeSystem, bytes):
+            return None
+        if part is None and kind is not type(None):
+            return None
+        key.append(part)
+    return tuple(key)
+
+
 def bosons(n_modes, cutoff, labels=None, total=None):
-    """Bosonic ModeSystem with a common cutoff."""
+    """Bosonic ModeSystem with a common cutoff; one system per set of plain
+    arguments, kept in ``_MEMO``."""
     return _uniform(n_modes, cutoff, BOSE, labels, total)
 
 
 def fermions(n_modes, labels=None, total=None):
-    """Fermionic ModeSystem (cutoff 1 per mode)."""
+    """Fermionic ModeSystem (cutoff 1 per mode), kept in ``_MEMO`` as ``bosons``."""
     return _uniform(n_modes, 1, FERMI, labels, total)
 
 
@@ -327,8 +485,8 @@ def _uniform(n_modes, cutoff, statistics, labels, total):
     labels = [f"m{i}" for i in range(n_modes)] if labels is None else list(labels)
     if len(labels) != n_modes:
         raise ValueError(f"{len(labels)} labels given for {n_modes} modes")
-    return ModeSystem([(lab, cutoff, statistics) for lab in labels],
-                      total_number_restriction=total)
+    return _MEMO.get(_key("system", cutoff, statistics, tuple(labels), total), ModeSystem,
+                     [(lab, cutoff, statistics) for lab in labels], total)
 
 
 def qubits(n):
@@ -712,8 +870,11 @@ def number_diagonal(system, weights=None):
 
 
 def number_op(system, weights=None):
-    """Diagonal weighted number operator sum_i w_i n_i (weights default to 1)."""
-    return Operator(system, np.diag(number_diagonal(system, weights)))
+    """Diagonal weighted number operator sum_i w_i n_i (weights default to 1), kept
+    in ``_MEMO`` under its system and diagonal."""
+    diag = number_diagonal(system, weights)
+    return _MEMO.get(_key("number_op", system, diag.tobytes()),
+                     lambda: Operator(system, np.diag(diag)))
 
 
 def sector_blocks(labels):
@@ -987,12 +1148,23 @@ def expectation(state, op):
     return complex(_expectations(rho.matrix[None], op.matrix[None])[0, 0])
 
 
+def _kept_blocks(op):
+    """``_hermitian_blocks`` of an operator, kept in ``_MEMO`` for an operator the memo
+    holds and computed afresh for any other: how Hamiltonians are solved."""
+    return _MEMO.derived(op, _hermitian_blocks)
+
+
 def _hermitian_blocks(op):
-    """The ``eigh_blocks`` eigenpairs of an operator, once it is Hermitian within
-    ``HERM_INPUT_ATOL``: the one check and solve of Hamiltonians and observables."""
+    """The ``eigh_blocks`` eigenpairs of an operator as a tuple of read-only triples,
+    once it is Hermitian within ``HERM_INPUT_ATOL``: the one check and solve of
+    Hamiltonians and observables."""
     if not op.is_hermitian():
         raise ValueError(f"operator is not Hermitian within {HERM_INPUT_ATOL}")
-    return eigh_blocks(op.matrix, True)
+    blocks = tuple(eigh_blocks(op.matrix, True))
+    for triple in blocks:
+        for arr in triple:
+            arr.setflags(write=False)
+    return blocks
 
 
 def _eigenvalues(blocks):
@@ -1038,13 +1210,26 @@ def _conjugate(blocks, x, adjoint=False):
     return x
 
 
+def _real_entries(values):
+    """Whether every entry of ``values`` is a real number, not a bool, string, complex
+    or None: an array is judged by its dtype, anything else entry by entry."""
+    entries = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    return entries.dtype.kind in "iuf" or entries.dtype == object and all(
+        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        for v in entries.flat)
+
+
 def _one_or_many(values, message):
-    """``(array, one)``: one item, or a non-empty 1-D sequence of them, as a 1-D array,
-    and whether it was one item; an empty or nested sequence raises ValueError with
-    ``message``.  The one place a time or a phase argument tells one from many."""
+    """``(array, one)``: one real number, or a non-empty 1-D sequence of them, as a 1-D
+    array, and whether it was one item; an empty or nested sequence raises ValueError
+    with ``message``, and an entry that is not a real number (a complex, a bool, a
+    string) with ``message`` and the argument.  The one place a time or a phase
+    argument tells one from many."""
     array = np.atleast_1d(values)
     if array.ndim != 1 or not array.size:
         raise ValueError(message)
+    if not _real_entries(values):
+        raise ValueError(f"{message}, each a real number: got {values!r}")
     # Python ints past int64 make an object array, which ufuncs such as isfinite refuse
     return array.astype(float) if array.dtype == object else array, np.ndim(values) == 0
 
@@ -1054,7 +1239,7 @@ def evolution_operator(h, t):
     non-empty sequence of times: ``_evolve`` of the identity, from one Hermitian check
     and one ``eigh_blocks`` of H, each U with the bits of its time alone.  The one
     place focklab builds a d x d unitary."""
-    blocks = _hermitian_blocks(h)
+    blocks = _kept_blocks(h)
     times, one = _one_or_many(
         t, "evolution_operator takes one time or a non-empty sequence of times")
     out = [Operator(h.system, u) for u in _evolve(blocks, times, np.eye(h.system.dim))]
@@ -1081,7 +1266,7 @@ def unitary_evolve(h, t, state):
     to each of a non-empty sequence of times, giving the list of states.  H is checked
     and solved once; a density operator takes ``_evolve`` on its rows, then on its
     columns, so that no unitary is formed, and a sequence is checked as one stack."""
-    blocks = _hermitian_blocks(h)
+    blocks = _kept_blocks(h)
     times, one = _one_or_many(t, "unitary_evolve takes one time or a non-empty sequence of times")
     if isinstance(_on_system(state, h), PureState):
         out = [PureState(h.system, psi) for psi in _evolve(blocks, times, state.amplitudes)]

@@ -23,8 +23,9 @@ from .fock import (
     _conjugate,
     _eigenvalues,
     _expectations,
-    _hermitian_blocks,
+    _MEMO,
     _residual_norms,
+    _hermitian_blocks,
     _rotate,
     as_density,
 )
@@ -61,9 +62,6 @@ class Observable(_Record):
 
     def __init__(self, operator):
         blocks = _hermitian_blocks(_of_kind(operator, Operator))
-        for triple in blocks:
-            for arr in triple:
-                arr.setflags(write=False)
         evals = _eigenvalues(blocks)
         order = np.argsort(evals, kind="stable")
         evals = evals[order]
@@ -135,8 +133,10 @@ class OutcomeDistribution(_Record):
 
 
 def spectral(op):
-    """The spectral resolution of a Hermitian operator: ``Observable(op)``."""
-    return Observable(op)
+    """The spectral resolution of a Hermitian operator: ``Observable(op)``, resolved
+    once and kept in ``fock._MEMO`` for an operator the memo holds, such as a
+    ``number_op`` or a spin operator."""
+    return _MEMO.derived(op, Observable)
 
 
 def _real_probs(values):

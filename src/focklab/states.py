@@ -22,6 +22,7 @@ from .fock import (
     qubits,
     _check_physical,
     _density_stack,
+    _real_entries,
     _sub_codes,
     number_diagonal,
     sector_blocks,
@@ -56,10 +57,7 @@ def _real_array(values, rank):
     ``rank`` and every entry is a real number, not a bool, string or complex.
     An array is judged by its dtype, anything else entry by entry."""
     entries = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    real = entries.dtype.kind in "iuf" or entries.dtype == object and all(
-        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-        for v in entries.flat)
-    if entries.ndim != rank or not real:
+    if entries.ndim != rank or not _real_entries(entries):
         raise ValueError(f"probabilities must be a rank-{rank} array of reals, got {values!r}")
     return entries.astype(float)
 
@@ -324,7 +322,7 @@ def verstraete_state(form="mixture"):
         idx = system.indices_of([(0, 0), (1, 1), (0, 1), (1, 0)])
         mat[idx[:2], idx[:2]] = 0.25                  # N = 0 and N = 2
         mat[np.ix_(idx[2:], idx[2:])] = 0.25          # N = 1, maximally entangled
-        return DensityOperator(system, mat)
+        return _density_stack(system, mat[None])[0]
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -345,11 +343,13 @@ def two_mode_coherent_mixture(alpha_abs, cutoff):
     single = alpha_abs ** n / np.sqrt(np.exp(log_fact))
     weight = single[occ[:, 0]] * single[occ[:, 1]]
     totals = number_diagonal(system)
-    mat = np.outer(weight, weight)
-    mat *= totals[:, None] == totals[None, :]      # in place: one d x d float array
-    mat *= np.exp(-2.0 * nbar)
-    mat /= np.real(np.trace(mat))
-    return DensityOperator(system, mat)
+    # formed in the real part of the one complex d x d array the state takes over
+    mat = np.zeros((system.dim, system.dim), dtype=complex)
+    real = np.outer(weight, weight, out=mat.real)
+    real *= totals[:, None] == totals[None, :]
+    real *= np.exp(-2.0 * nbar)
+    real /= np.trace(real)
+    return _density_stack(system, mat[None])[0]
 
 
 def dissociation_state(m_molecules, amplitudes):
@@ -381,4 +381,4 @@ def mixed_N_boson(probabilities):
     mat = np.zeros((system.dim, system.dim), dtype=complex)
     idx = system.indices_of(_two_mode_rows(n_total))
     mat[idx, idx] = probs
-    return DensityOperator(system, mat)
+    return _density_stack(system, mat[None])[0]

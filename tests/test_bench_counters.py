@@ -10,6 +10,7 @@ import json
 import os
 
 import focklab.cli
+import focklab.fock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,6 +39,8 @@ def test_each_per_layer_call_counter_names_a_wrapped_function_and_the_sweeps_cou
             wrapped.add(name)
             return super().wrap(name, func, observe)
 
+    # a cleared memo, so that the pass resolves its observables as a first pass does
+    focklab.fock._MEMO.clear()
     tracer = RecordingTracer()
     tracer.install()
     try:

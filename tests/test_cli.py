@@ -249,12 +249,18 @@ def test_reference_sweeps_build_their_fixed_parts_once(monkeypatch):
 
 
 def test_atom_molecule_solves_and_calibrates_once_per_bec_number(monkeypatch):
-    from focklab import dynamics
-    # the default run has two BEC numbers and two phases each
-    solves = _count_calls(monkeypatch, dynamics, "eigh_blocks")
+    from focklab import dynamics, fock
+    # the default run has two BEC numbers, 1 and 5, and two phases each.  On a
+    # cleared memo each Hamiltonian (dim 8 and 24) takes one eigensolve; a
+    # repeated run takes its solves from the memo, and calibrates again
+    fock._MEMO.clear()
+    solves = _count_calls(monkeypatch, fock, "eigh_blocks")
     calibrations = _count_calls(monkeypatch, dynamics, "_calibrate_half_transfer")
-    assert run_experiment("atom_molecule")["overall_pass"]
-    assert (len(solves), len(calibrations)) == (2, 2)
+    for runs in (1, 2):
+        assert run_experiment("atom_molecule")["overall_pass"]
+        # eigenvectors are asked for only by the solves; the checks take eigenvalues
+        assert [m.shape for m, vectors in solves if vectors] == [(8, 8), (24, 24)]
+        assert len(calibrations) == 2 * runs
 
 
 def test_structured_report_roundtrip():
@@ -767,7 +773,8 @@ def test_a_stacked_sweep_reports_the_bits_of_its_per_state_loop(name, key, per_s
 
 
 def test_the_extraction_sweep_solves_each_case_once(monkeypatch):
-    # one eigh_blocks per case and no physicality check, whatever the number of r
+    # on a cleared memo, one eigh_blocks per case and no physicality check,
+    # whatever the number of r; a repeated sweep, at any r, solves nothing
     from focklab import dynamics, fock
     calls = []
     check, solve = fock._check_physical, fock.eigh_blocks
@@ -776,13 +783,14 @@ def test_the_extraction_sweep_solves_each_case_once(monkeypatch):
                             lambda m: calls.append("check") or check(m))
     monkeypatch.setattr(fock, "eigh_blocks",
                         lambda m, vectors: calls.append(m.shape) or solve(m, vectors))
+    fock._MEMO.clear()
     counts = []
     for n in (5, 50):
         calls.clear()
         r_values = np.linspace(0.1, 0.9, n).tolist()
         assert run_experiment("extraction", params={"r_values": r_values})["overall_pass"]
         counts.append(sorted(calls))
-    assert counts[0] == counts[1] == [(16, 16), (81, 81), (256, 256)]
+    assert counts == [[(16, 16), (81, 81), (256, 256)], []]
 
 
 @pytest.mark.parametrize("params", [{"max_order": 10 ** 5}, {"max_order": 64, "n_states": 1},

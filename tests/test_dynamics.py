@@ -312,13 +312,16 @@ def test_a_phase_past_int64_is_taken_as_its_float():
 
 _PHASE_COUNT = "^atom_molecule_process takes one phase or a non-empty sequence of phases$"
 _NOT_FINITE = "^phases .* are not all finite$"
+_NOT_REAL = ("^atom_molecule_process takes one phase or a non-empty sequence of phases, "
+             "each a real number: got ")
 
 
 @pytest.mark.parametrize("phi, message", [([], _PHASE_COUNT), ((), _PHASE_COUNT),
                                           (np.array([]), _PHASE_COUNT),
                                           ([[0.1, 0.2]], _PHASE_COUNT), (np.nan, _NOT_FINITE),
                                           ([0.1, np.inf], _NOT_FINITE),
-                                          ([-np.inf], _NOT_FINITE)])
+                                          ([-np.inf], _NOT_FINITE), (1j, _NOT_REAL),
+                                          (True, _NOT_REAL), ([0.1, "1"], _NOT_REAL)])
 def test_atom_molecule_rejects_an_empty_nested_or_non_finite_phase(phi, message):
     for initial in ("fock", "poisson"):
         with pytest.raises(ValueError, match=message):

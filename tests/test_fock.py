@@ -1,6 +1,7 @@
 import ast
 import itertools
 import pathlib
+import re
 import sys
 import time
 import tracemalloc
@@ -439,6 +440,22 @@ def test_evolution_to_a_time_that_is_not_finite_is_named(t):
     # a Hamiltonian that is not Hermitian is still named first
     with pytest.raises(ValueError, match="Hermitian"):
         unitary_evolve(annihilation(system, 0), t, system.vacuum())
+
+
+@pytest.mark.parametrize("t", [1j, 0.5 + 0j, True, np.True_, "1", None, [0.1, 1j],
+                               [0.1, True], ["1"], np.array([True]), np.array([0.5 + 0j])])
+def test_evolution_to_a_time_that_is_not_real_is_named(t):
+    # a complex time gave exp(-iHt) with a real exponent, not unitary, and True was time 1
+    system = bosons(1, 3)
+    h = number_op(system)
+    with pytest.raises(ValueError, match=re.escape(
+            "evolution_operator takes one time or a non-empty sequence of times, each a "
+            f"real number: got {t!r}")):
+        evolution_operator(h, t)
+    for state in (system.vacuum(), system.vacuum().density()):
+        with pytest.raises(ValueError, match="^unitary_evolve takes one time or a non-empty "
+                                             "sequence of times, each a real number: got "):
+            unitary_evolve(h, t, state)
 
 
 def test_evolution_rejects_a_state_of_another_system():

@@ -572,6 +572,14 @@ def test_the_clock_rejects_an_empty_or_nested_sequence_of_times(times):
             clock([0, 1], 2, 1.0, times, 4)
 
 
+@pytest.mark.parametrize("dt", [1j, True, "1", [0.5, 1j], [0.5, True]])
+def test_the_clock_rejects_a_time_that_is_not_real(dt):
+    for clock in (clock_prob, clock_prob_by_evolution):
+        with pytest.raises(ValueError, match="^the clock takes one time dt or a non-empty "
+                                             "sequence of them, each a real number: got "):
+            clock([0, 1], 2, 1.0, dt, 4)
+
+
 @pytest.mark.parametrize("state", [bosons(2, 2).vacuum().density(), np.ones(9), None])
 def test_externalise_of_anything_but_a_pure_state_is_a_type_error(state):
     with pytest.raises(TypeError, match="externalise expects a PureState"):
