@@ -340,7 +340,7 @@ class _Entry:
 def _held(value, counted, operators):
     """Add to ``counted`` the nbytes of each array that ``value`` holds, by the id
     of the array that owns its data, and to ``operators`` each Operator: through
-    tuples, lists, dicts, records and systems; a bytes key counts its length."""
+    tuples, lists, records and systems; a bytes key counts its length."""
     if isinstance(value, np.ndarray):
         while isinstance(value.base, np.ndarray):
             value = value.base
@@ -349,9 +349,6 @@ def _held(value, counted, operators):
         counted[id(value)] = len(value)
     elif isinstance(value, (tuple, list)):
         for item in value:
-            _held(item, counted, operators)
-    elif isinstance(value, dict):
-        for item in value.values():
             _held(item, counted, operators)
     elif isinstance(value, (_Record, ModeSystem)):
         if isinstance(value, Operator):

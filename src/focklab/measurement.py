@@ -23,9 +23,9 @@ from .fock import (
     _conjugate,
     _eigenvalues,
     _expectations,
+    _hermitian_blocks,
     _MEMO,
     _residual_norms,
-    _hermitian_blocks,
     _rotate,
     as_density,
 )

@@ -75,6 +75,10 @@ def test_spectral_keeps_one_observable_per_held_operator_and_observable_resolves
     for triple, held in zip(again.blocks, obs.blocks):
         for arr, was in zip(triple, held):
             assert np.array_equal(arr, was) and not np.shares_memory(arr, was)
+    # the operator's kept solve is a result of its own, beside the observable
+    blocks = fock._kept_blocks(op)
+    assert isinstance(blocks, tuple) and fock._kept_blocks(op) is blocks
+    assert spectral(op) is obs
     # an operator the memo does not hold is resolved on each call
     other = 1.0 * op
     assert spectral(other) is not spectral(other)
