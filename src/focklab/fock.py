@@ -56,9 +56,11 @@ BLOCK_MIN_DIM = 48
 # ``_row_slices``
 PAIR_CHUNK = 1 << 14
 
-# bytes of arrays ``_MEMO`` may hold, 16 MiB: one d x d operator is 256 MiB at
-# MAX_DIM, so the memo bounds bytes, not entries
-_MEMO_BYTES = 1 << 24
+# bytes of arrays ``_MEMO`` may hold, 4 MiB: one d x d operator is 256 MiB at
+# MAX_DIM, so the memo bounds bytes, not entries.  The 18 scenarios keep 1.3 MiB;
+# no operator of dim 512 or more is kept, so a session at dim ~1000 holds no
+# d x d matrix past its use
+_MEMO_BYTES = 1 << 22
 
 
 def _is_integer(value):
@@ -340,21 +342,29 @@ class _Entry:
 def _held(value, counted, operators):
     """Add to ``counted`` the nbytes of each array that ``value`` holds, by the id
     of the array that owns its data, and to ``operators`` each Operator: through
-    tuples, lists, records and systems; a bytes key counts its length."""
+    tuples, lists and records, and a system's three index arrays, skipping plain
+    scalars unvisited; a bytes key counts its length."""
     if isinstance(value, np.ndarray):
         while isinstance(value.base, np.ndarray):
             value = value.base
         counted[id(value)] = value.nbytes
     elif isinstance(value, bytes):
         counted[id(value)] = len(value)
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            _held(item, counted, operators)
-    elif isinstance(value, (_Record, ModeSystem)):
+    elif isinstance(value, ModeSystem):
+        for array in (value.occupancies, value.codes, value.strides):
+            _held(array, counted, operators)
+    elif isinstance(value, (tuple, list, _Record)):
         if isinstance(value, Operator):
             operators.append(value)
-        for name in type(value).__slots__:
-            _held(getattr(value, name), counted, operators)
+        items = value if isinstance(value, (tuple, list)) else map(
+            functools.partial(getattr, value), type(value).__slots__)
+        for item in items:
+            if not isinstance(item, _SCALARS):
+                _held(item, counted, operators)
+
+
+# what ``_held`` need not visit: it holds no array
+_SCALARS = (int, float, complex, str, type(None), np.generic)
 
 
 class _Memo:
@@ -367,6 +377,11 @@ class _Memo:
     but not kept.  Producers run outside the lock, which guards the bookkeeping
     only, so a producer that raises stores nothing; of two threads that produce
     one result at once, both get the one stored first.
+
+    It saves work only when one process meets a system and an operator's
+    parameters again, whatever the states, seeds, times and angles: a library
+    session or a sweep.  A process that meets each once, such as one CLI run,
+    gains nothing and pays the keys and the byte count of each entry.
     """
 
     def __init__(self):

@@ -99,7 +99,8 @@ def test_filled_with_many_systems_the_memo_never_holds_more_than_its_budget():
     fock._MEMO.clear()
     first = number_op(bosons(2, 1))
     # dims 4 to 1024, each with its number operator and its observable: about
-    # 45 MiB in all, past the 16 MiB budget, so early entries are evicted
+    # 45 MiB in all, past the 4 MiB budget, so early entries are evicted and
+    # the operators above dim 512 are never kept
     for cutoff in range(1, 32):
         op = number_op(bosons(2, cutoff))
         if cutoff < 24:
@@ -114,9 +115,9 @@ def test_filled_with_many_systems_the_memo_never_holds_more_than_its_budget():
 def test_a_value_larger_than_the_budget_is_returned_but_not_kept():
     fock._MEMO.clear()
     small = number_op(bosons(2, 3))
-    big = number_op(bosons(2, 31))     # dim 1024: a 16 MiB matrix, past the budget
+    big = number_op(bosons(3, 7))     # dim 512: a 4 MiB matrix, past the budget with its system
     assert big.matrix.nbytes == fock._MEMO_BYTES
-    again = number_op(bosons(2, 31))
+    again = number_op(bosons(3, 7))
     assert again is not big and again.matrix.tobytes() == big.matrix.tobytes()
     assert number_op(bosons(2, 3)) is small and _accounted()
 
