@@ -192,16 +192,12 @@ def extraction_experiment(case, r, t):
 
 def _atom_molecule_hamiltonian(n_bec, kappa):
     """Coupling (kappa/2)(bM^dag bA b2 + h.c.) on (atom, molecule, BEC) modes, as
-    ``(system, H)``, kept in ``_MEMO`` under (n_bec, kappa).
+    ``(system, H)``.
 
     Mode frequencies are dropped: the resonant pulses have zero detuning and
     the free stage is applied as an explicit phase, so only the coupling
     matters.  The conserved combination is n_A + 2 n_M + n_2.
     """
-    return _MEMO.get(_key("atom_molecule", n_bec, kappa), _atom_molecule_coupling, n_bec, kappa)
-
-
-def _atom_molecule_coupling(n_bec, kappa):
     system = ModeSystem([("atom", 1), ("mol", 1), ("bec", n_bec)])
     half = 0.5 * kappa
     return system, ladder_sum(system, [
@@ -219,9 +215,13 @@ def _calibrate_half_transfer(system, h, blocks, n_bec):
     """
     start, target = system.indices_of([(1, 0, n_bec), (0, 1, n_bec - 1)])
     # bracket around the quarter-Rabi estimate set by the coupling element
-    rabi = abs(h.matrix[target, start])
+    rabi = float(abs(h.matrix[target, start]))
     if rabi == 0:
         raise ValueError("no atom-molecule coupling on this space")
+    guess = math.pi / (4.0 * rabi)
+    if not 1.9 * guess < math.inf:
+        raise ValueError(f"atom-molecule coupling {rabi!r} is too weak: its pulse time "
+                         "passes the float range")
     units = np.zeros((system.dim, 2), dtype=complex)
     units[[target, start], [0, 1]] = 1.0
     bra, col = _rotate(blocks, units, adjoint=True).T
@@ -233,7 +233,6 @@ def _calibrate_half_transfer(system, h, blocks, n_bec):
         terms *= weights
         return _abs_squared(np.add.reduce(terms, axis=1)) - 0.5
 
-    guess = math.pi / (4.0 * rabi)
     return _bisect(transfer, 0.1 * guess, 1.9 * guess)
 
 
@@ -256,7 +255,8 @@ def _bisect(f, lo, hi):
         # the lower and the upper half, one level after another
         brackets, mids = [(lo, hi)], []
         for _ in range(levels):
-            halves = [0.5 * (a + b) for a, b in brackets]
+            # the sum of the halves, which cannot overflow: 0.5 * (a + b) to the bit
+            halves = [0.5 * a + 0.5 * b for a, b in brackets]
             brackets = [pair for (a, b), m in zip(brackets, halves) for pair in ((a, m), (m, b))]
             mids += halves
         values = f(np.array(mids)).tolist()
@@ -275,10 +275,9 @@ def _run_atom_molecule_fock(n_bec, kappa, phi):
     """Three-stage pulse/phase/pulse sequence from |one atom> |N in the BEC>, for one
     phase ``phi`` or each of a 1-D sequence of them: one ProcessResult or the list.
 
-    The system, H and its ``_kept_blocks`` come from ``_MEMO``, built once per
-    (n_bec, kappa); the pulse calibration and the first pulse are built once per
-    call; each phase takes its own free stage and second pulse, and the
-    final states are reduced by one ``partial_trace`` of their stack.
+    The system, H and its solve, the pulse calibration and the first pulse are
+    built once per call; each phase takes its own free stage and second pulse,
+    and the final states are reduced by one ``partial_trace`` of their stack.
     """
     system, h = _atom_molecule_hamiltonian(n_bec, kappa)
     blocks = _kept_blocks(h)

@@ -14,11 +14,17 @@ function of them, and two kinds of memo keep such values:
 - the O(d) index arrays of a system (the ladder entries, the entries of
   ladder products and the sub-system codes) in ``functools.lru_cache``
   memos, bounded by entry count, never holding a d x d matrix;
-- the systems of ``bosons``, ``fermions`` and ``qubits``, the operators that
-  a system alone fixes (``number_op``, the spin and Pauli operators, the
-  splitter and atom-molecule Hamiltonians), and per such operator its
-  ``_hermitian_blocks`` and the Observable of ``spectral``, in ``_MEMO``,
-  bounded by the bytes of the arrays it holds (``_MEMO_BYTES``).
+- the systems of ``bosons``, ``fermions`` and ``qubits``, and the splitter
+  Hamiltonian, which a system and its mode pairs alone fix, in ``_MEMO``, a
+  key -> value LRU bounded by bytes (``_MEMO_BYTES``).  Other operators that
+  a system fixes, such as ``number_op`` and the spin operators, are built on
+  each call: keeping them saved less than a warm pass varies.
+
+An Operator that ``_MEMO`` stores keeps its own ``_hermitian_blocks`` solve
+and the Observable of ``spectral`` in a slot outside its fields, filled on
+first use and dropped when its entry is evicted; the memo counts a bound on
+them when it stores the operator.  Any other operator, a copy or a pickle of
+a stored one or an evicted one included, keeps nothing.
 """
 
 from __future__ import annotations
@@ -56,10 +62,10 @@ BLOCK_MIN_DIM = 48
 # ``_row_slices``
 PAIR_CHUNK = 1 << 14
 
-# bytes of arrays ``_MEMO`` may hold, 4 MiB: one d x d operator is 256 MiB at
-# MAX_DIM, so the memo bounds bytes, not entries.  The 18 scenarios keep 1.3 MiB;
-# no operator of dim 512 or more is kept, so a session at dim ~1000 holds no
-# d x d matrix past its use
+# bytes ``_MEMO`` may count, 4 MiB: one d x d operator is 256 MiB at MAX_DIM, so
+# the memo bounds bytes, not entries.  An operator counts three times its matrix
+# with what it may keep, so none of dim 296 or more is kept, and a session at
+# dim ~1000 holds no d x d matrix past its use
 _MEMO_BYTES = 1 << 22
 
 
@@ -325,58 +331,36 @@ class ModeSystem:
         return f"ModeSystem({spec}{extra}, dim={self.dim})"
 
 
-class _Entry:
-    """One value of ``_Memo``: its ``derived`` results per (producer, operator id),
-    the ids of the arrays counted in ``nbytes``, and the operators it holds."""
-
-    __slots__ = ("value", "derived", "counted", "nbytes", "operators")
-
-    def __init__(self, key, value):
-        counted, operators = {}, []
-        _held(key, counted, operators)
-        _held(value, counted, operators)
-        self.value, self.derived, self.counted = value, {}, counted
-        self.nbytes, self.operators = sum(counted.values()), operators
-
-
-def _held(value, counted, operators):
-    """Add to ``counted`` the nbytes of each array that ``value`` holds, by the id
-    of the array that owns its data, and to ``operators`` each Operator: through
-    tuples, lists and records, and a system's three index arrays, skipping plain
-    scalars unvisited; a bytes key counts its length."""
-    if isinstance(value, np.ndarray):
-        while isinstance(value.base, np.ndarray):
-            value = value.base
-        counted[id(value)] = value.nbytes
-    elif isinstance(value, bytes):
-        counted[id(value)] = len(value)
-    elif isinstance(value, ModeSystem):
-        for array in (value.occupancies, value.codes, value.strides):
-            _held(array, counted, operators)
-    elif isinstance(value, (tuple, list, _Record)):
-        if isinstance(value, Operator):
-            operators.append(value)
-        items = value if isinstance(value, (tuple, list)) else map(
-            functools.partial(getattr, value), type(value).__slots__)
-        for item in items:
-            if not isinstance(item, _SCALARS):
-                _held(item, counted, operators)
-
-
-# what ``_held`` need not visit: it holds no array
-_SCALARS = (int, float, complex, str, type(None), np.generic)
+def _held(value, found):
+    """Add to ``found``, by id, each array, bytes and Operator that ``value`` holds:
+    through tuples, lists and records and a system's three index arrays.  No
+    kept value holds a view of a larger array, so a view counts its own bytes."""
+    if isinstance(value, (np.ndarray, bytes, Operator)):
+        found[id(value)] = value
+    if isinstance(value, ModeSystem):
+        value = value.occupancies, value.codes, value.strides
+    elif isinstance(value, _Record):
+        value = [getattr(value, name) for name in value.__slots__]
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _held(item, found)
 
 
 class _Memo:
     """Least-recently-used memo of the values that a ModeSystem and hashable
-    parameters determine, holding at most ``_MEMO_BYTES`` of arrays.
+    parameters determine, holding at most ``_MEMO_BYTES``.
 
-    ``get`` keeps one value per key; ``derived`` keeps, per Operator that a value
-    holds, a result computed from that operator alone, in the value's entry and
-    counted against the same budget.  A value larger than the budget is returned
-    but not kept.  Producers run outside the lock, which guards the bookkeeping
-    only, so a producer that raises stores nothing; of two threads that produce
-    one result at once, both get the one stored first.
+    Each entry is counted once, when it is stored: the bytes of the arrays and
+    bytes its key and value hold, and for each Operator of the value a bound on
+    what it may later keep, its solve and its Observable: two d x d eigenvector
+    sets and 40 bytes a row.  An Operator it stores keeps those in its own slot
+    (``_derive``) until its entry is evicted or the memo cleared, when the slot
+    is dropped: a kept Observable refers back to its operator, so the slot
+    would otherwise keep the pair alive until a cyclic collection.  A caller
+    that holds an evicted operator solves it afresh.  A value larger than the
+    budget is returned but not kept.  Producers run outside the lock, which
+    guards the bookkeeping only, so a producer that raises stores nothing; of
+    two threads that produce one value at once, both get the one stored first.
 
     It saves work only when one process meets a system and an operator's
     parameters again, whatever the states, seeds, times and angles: a library
@@ -386,8 +370,8 @@ class _Memo:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._entries = OrderedDict()     # key -> _Entry, least recently used first
-        self._owners = {}     # id(op) -> (op, key) for each operator an entry holds
+        # key -> (value, nbytes, its operators), least recently used first
+        self._entries = OrderedDict()
         self.nbytes = 0
 
     def get(self, key, produce, *args):
@@ -395,89 +379,64 @@ class _Memo:
         if key is None:
             return produce(*args)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            if key in self._entries:
                 self._entries.move_to_end(key)
-                return entry.value
-        value = produce(*args)
-        entry = _Entry(key, value)
+                return self._entries[key][0]
+        value, found = produce(*args), {}
+        _held((key, value), found)
+        ops = [x for x in found.values() if isinstance(x, Operator)]
+        nbytes = sum(2 * x.matrix.nbytes + 40 * x.system.dim if isinstance(x, Operator)
+                     else memoryview(x).nbytes for x in found.values())
         with self._lock:
             if key in self._entries:     # stored by another thread meanwhile
-                return self._entries[key].value
-            if entry.nbytes <= _MEMO_BYTES:
-                self._entries[key] = entry
-                self._owners.update((id(op), (op, key)) for op in entry.operators)
-                self.nbytes += entry.nbytes
-                self._trim()
+                return self._entries[key][0]
+            if nbytes <= _MEMO_BYTES:
+                for op in ops:
+                    _set_field(op, "_kept", {})
+                self._entries[key] = value, nbytes, ops
+                self.nbytes += nbytes
+                while self.nbytes > _MEMO_BYTES:
+                    self._evict()
         return value
 
-    def derived(self, op, produce):
-        """``produce(op)``, kept in the entry that holds the operator ``op``;
-        computed afresh for an operator no entry holds."""
-        slot = (produce, id(op))
-        with self._lock:
-            owner = self._owners.get(id(op))
-            entry = self._entries[owner[1]] if owner is not None and owner[0] is op else None
-            if entry is not None:
-                self._entries.move_to_end(owner[1])
-                if slot in entry.derived:
-                    return entry.derived[slot]
-        result = produce(op)
-        if entry is None:
-            return result
-        counted = {}
-        _held(result, counted, [])
-        with self._lock:
-            if self._entries.get(owner[1]) is not entry:     # evicted meanwhile
-                return result
-            if slot in entry.derived:
-                return entry.derived[slot]
-            entry.derived[slot] = result
-            added = {i: n for i, n in counted.items() if i not in entry.counted}
-            entry.counted.update(added)
-            entry.nbytes += sum(added.values())
-            self.nbytes += sum(added.values())
-            self._entries.move_to_end(owner[1])
-            self._trim()
-        return result
-
-    def _trim(self):
-        """Evict least recently used entries until the memo is within its budget."""
-        while self.nbytes > _MEMO_BYTES:
-            key, entry = self._entries.popitem(last=False)
-            self.nbytes -= entry.nbytes
-            for op in entry.operators:
-                if self._owners.get(id(op), (None, None))[1] == key:
-                    del self._owners[id(op)]
+    def _evict(self):
+        """Drop the least recently used entry and what its operators keep."""
+        _, nbytes, ops = self._entries.popitem(last=False)[1]
+        self.nbytes -= nbytes
+        for op in ops:
+            _set_field(op, "_kept", None)
 
     def clear(self):
         with self._lock:
-            self._entries.clear()
-            self._owners.clear()
-            self.nbytes = 0
+            while self._entries:
+                self._evict()
 
 
 _MEMO = _Memo()
 
 
+def _derive(op, produce):
+    """``produce(op)``, kept on ``op`` while ``_MEMO`` holds it, where the first
+    result stored wins; computed afresh for any other operator, such as a
+    caller's own, ``1.0 * op``, a copy, a pickle or an evicted one."""
+    kept = getattr(op, "_kept", None)
+    if kept is None:
+        return produce(op)
+    return kept[produce] if produce in kept else kept.setdefault(produce, produce(op))
+
+
 def _key(*parts):
-    """``parts`` as a memo key once each is an int, str, None, ModeSystem or bytes, or a
-    float or complex (keyed by its bits, so -0.0 is not 0.0), or a tuple of such;
-    else None, which keeps nothing, so that input of any other type reaches its
-    producer and is checked there.  A bool, a numpy scalar or a list is not a part."""
-    key = []
+    """``parts`` as a memo key once each is an int, str, None, ModeSystem or bytes, or
+    a tuple of such; else None, which keeps nothing, so that input of any other
+    type reaches its producer and is checked there.  A bool, a float, a numpy
+    scalar or a list is not a part."""
     for part in parts:
-        kind = type(part)
-        if kind is tuple:
-            part = _key(*part)
-        elif kind is float or kind is complex:
-            part = (kind, np.array(part).tobytes())
-        elif kind not in (int, str, type(None), ModeSystem, bytes):
+        if type(part) not in _KEYED or type(part) is tuple and _key(*part) is None:
             return None
-        if part is None and kind is not type(None):
-            return None
-        key.append(part)
-    return tuple(key)
+    return parts
+
+
+_KEYED = (int, str, type(None), ModeSystem, bytes, tuple)
 
 
 def bosons(n_modes, cutoff, labels=None, total=None):
@@ -506,7 +465,15 @@ def qubits(n):
     return bosons(n, 1, labels=[f"q{i}" for i in range(n)])
 
 
-class Operator(_Record):
+class _Keeps:
+    """A ``_kept`` slot outside a record's fields, which it does not compare,
+    hash, show or pickle: set when ``_MEMO`` stores the record to the dict of
+    what ``_derive`` computes from it, and to None when the memo evicts it."""
+
+    __slots__ = ("_kept",)
+
+
+class Operator(_Record, _Keeps):
     """Dense operator on a ModeSystem basis; it holds a read-only copy of its matrix."""
 
     __slots__ = ("system", "matrix")
@@ -882,11 +849,8 @@ def number_diagonal(system, weights=None):
 
 
 def number_op(system, weights=None):
-    """Diagonal weighted number operator sum_i w_i n_i (weights default to 1), kept
-    in ``_MEMO`` under its system and diagonal."""
-    diag = number_diagonal(system, weights)
-    return _MEMO.get(_key("number_op", system, diag.tobytes()),
-                     lambda: Operator(system, np.diag(diag)))
+    """Diagonal weighted number operator sum_i w_i n_i (weights default to 1)."""
+    return Operator(system, np.diag(number_diagonal(system, weights)))
 
 
 def sector_blocks(labels):
@@ -1161,9 +1125,9 @@ def expectation(state, op):
 
 
 def _kept_blocks(op):
-    """``_hermitian_blocks`` of an operator, kept in ``_MEMO`` for an operator the memo
-    holds and computed afresh for any other: how Hamiltonians are solved."""
-    return _MEMO.derived(op, _hermitian_blocks)
+    """``_hermitian_blocks`` of an operator, kept on an operator that ``_MEMO`` holds
+    and computed afresh for any other: how Hamiltonians are solved."""
+    return _derive(op, _hermitian_blocks)
 
 
 def _hermitian_blocks(op):

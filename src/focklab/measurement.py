@@ -20,11 +20,11 @@ from .fock import (
     _density_matrices,
     _on_system,
     _density_stack,
+    _derive,
     _conjugate,
     _eigenvalues,
     _expectations,
     _hermitian_blocks,
-    _MEMO,
     _residual_norms,
     _rotate,
     as_density,
@@ -134,9 +134,9 @@ class OutcomeDistribution(_Record):
 
 def spectral(op):
     """The spectral resolution of a Hermitian operator: ``Observable(op)``, resolved
-    once and kept in ``fock._MEMO`` for an operator the memo holds, such as a
-    ``number_op`` or a spin operator."""
-    return _MEMO.derived(op, Observable)
+    once and kept on an operator that ``fock._MEMO`` holds, such as a splitter
+    Hamiltonian, and resolved on each call for any other, such as a ``number_op``."""
+    return _derive(op, Observable)
 
 
 def _real_probs(values):

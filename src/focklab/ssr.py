@@ -8,6 +8,7 @@ superposition and its number-entangled two-mode representation.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from .fock import (
     _sector_stacks,
     apply_unitary,
     as_density,
+    bosons,
     number_diagonal,
     number_op,
     evolution_operator,
@@ -291,11 +293,13 @@ def clock_prob(p, q, omega, dt, n_max):
     """Probability that a clock at phase theta_p reads theta_q after dt.
 
     Closed form sin^2((n_max+1) Delta/2) / ((n_max+1)^2 sin^2(Delta/2)) with
-    Delta = theta_p - theta_q - omega dt; the removable singularity at
-    Delta = 2 pi m is evaluated by its limit, 1.  ``p``, ``q`` and ``dt`` may each
-    be one item or a 1-D sequence, as for ``clock_prob_by_evolution``: the result
-    is a float for two indices and one time, else the (len p, len q) table, one per
-    time for a sequence of times, each entry with the bits of its own scalar call
+    Delta = theta_p - theta_q - omega dt, where omega dt enters as the angle of
+    e^{-i omega dt}, reduced as the oracle's phases are, so the accuracy holds
+    at any |omega dt|; the removable singularity at Delta = 2 pi m is evaluated
+    by its limit, 1.  ``p``, ``q`` and ``dt`` may each be one item or a 1-D
+    sequence, as for ``clock_prob_by_evolution``: the result is a float for two
+    indices and one time, else the (len p, len q) table, one per time for a
+    sequence of times, each entry with the bits of its own scalar call
     (``np.float_power`` squares as a numpy scalar's ``** 2`` does).
     """
     rows, cols, _, omega_dt = _clock_args(p, q, omega, dt)
@@ -305,7 +309,10 @@ def clock_prob(p, q, omega, dt, n_max):
                          f"0..n_max, with n_max = {n_max!r} an integer")
     m = n_max + 1
     theta = 2.0 * np.pi * np.array(rows + cols, dtype=float) / m
-    delta = theta[:len(rows), None] - theta[None, len(rows):] - omega_dt[:, None, None]
+    # -omega dt reduced as the oracle's phases are, by libm's cosine and sine,
+    # per time: a rounded 2 pi multiple would lose |omega dt| * 2.4e-16
+    turn = np.array([math.atan2(-math.sin(x), math.cos(x)) for x in omega_dt])
+    delta = theta[:len(rows), None] - theta[None, len(rows):] + turn[:, None, None]
     # reduce to the principal branch: the squared ratio is 2pi-periodic, and
     # evaluating both sines at the reduced angle avoids the cancellation that
     # otherwise wrecks the removable singularities at delta = 2 pi m
@@ -322,12 +329,13 @@ def clock_prob_by_evolution(p, q, omega, dt, n_max):
     ``p`` and ``q`` may also be 1-D sequences of phase indices; the result is
     then the (len p, len q) table of the same probabilities.  ``dt`` may also be
     a non-empty 1-D sequence of times; the result then holds one float or table
-    per time, each entry with the bits of its call alone.  The system, H, its
-    solve and each phase state are built once, and ``evolution_operator`` gives
-    one propagator per time.  A non-finite omega * dt raises ValueError.
+    per time, each entry with the bits of its call alone.  The system comes from
+    ``bosons``, one per n_max; H, its solve and each phase state are built once
+    per call, and ``evolution_operator`` gives one propagator per time.  A
+    non-finite omega * dt raises ValueError.
     """
     rows, cols, times, _ = _clock_args(p, q, omega, dt)
-    sys1 = ModeSystem([("osc", n_max)])
+    sys1 = bosons(1, n_max, labels=["osc"])
     states = {i: PureState(sys1, _phase_amplitudes(n_max, i)) for i in set(rows + cols)}
     table = np.empty((len(times), len(rows), len(cols)))
     for u, plane in zip(evolution_operator(omega * number_op(sys1), times), table):

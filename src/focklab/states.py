@@ -155,8 +155,9 @@ def poisson_pmf(n, mu):
     return np.where(mu == 0, n == 0, np.exp(n * log_mu - mu - log_fact))
 
 
-def _mean_within_cutoff(amplitudes, cutoff):
-    """Mean occupancies ``amplitudes**2`` of coherent modes truncated at ``cutoff``.
+def _poisson_within_cutoff(amplitudes, cutoff):
+    """Mean occupancies ``amplitudes**2`` of coherent modes truncated at ``cutoff``,
+    and their Poisson weights at 0..cutoff, one row per amplitude.
 
     ``amplitudes`` is one magnitude or an array of them.  Raises when the
     Poisson weight beyond the cutoff exceeds TAIL_TOL, naming the first
@@ -169,13 +170,14 @@ def _mean_within_cutoff(amplitudes, cutoff):
         # each square as the scalar power np.float64(a) ** 2 (libm pow), whose
         # last bit the array square a * a does not always reproduce
         nbar = np.array([a ** 2 for a in amplitudes.ravel()]).reshape(amplitudes.shape)
-        tail = 1.0 - poisson_pmf(np.arange(cutoff + 1), nbar[..., None]).sum(axis=-1)
+        pmf = poisson_pmf(np.arange(cutoff + 1), nbar[..., None])
+        tail = 1.0 - pmf.sum(axis=-1)
     ok = tail <= TAIL_TOL
     if not ok.all():
         i = int(np.argmin(ok.ravel()))
         where = f" (row {i})" if tail.ndim else ""
         raise ValueError(f"insufficient cutoff: Poisson tail {tail.ravel()[i]:.3e}{where}")
-    return nbar
+    return nbar, pmf
 
 
 def coherent_amplitudes(betas, cutoff):
@@ -184,27 +186,20 @@ def coherent_amplitudes(betas, cutoff):
     renormalised.
 
     Raises when an amplitude is not finite, or when the Poisson weight beyond
-    the cutoff exceeds TAIL_TOL, naming the first failing row.  Each row has
-    the bits of the state built on its own: |b| is a hypot, the complex
-    product of the recurrence is written out in real arithmetic and each
-    row's norm is its own ``np.linalg.norm``.
+    the cutoff exceeds TAIL_TOL, naming the first failing row.  Each amplitude
+    is sqrt(``poisson_pmf``(k, |b|^2)) e^{i k arg b}, so no term overflows at
+    a large |b|, and each row has the bits of the state built on its own:
+    |b| is a hypot, every step acts entry by entry and each row's norm is its
+    own ``np.linalg.norm``.
     """
     betas = np.asarray(betas, dtype=complex).reshape(-1)
     finite = np.isfinite(betas)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"coherent amplitude {complex(betas[i])} is not finite (row {i})")
-    br, bi = betas.real, betas.imag
-    nbar = _mean_within_cutoff(np.hypot(br, bi), cutoff)
-    amps = np.zeros((len(betas), cutoff + 1), dtype=complex)
-    amps[:, 0] = 1.0
-    re, im = amps.real, amps.imag
-    roots = np.sqrt(np.arange(cutoff + 1))
-    for k in range(1, cutoff + 1):
-        re[:, k] = re[:, k - 1] * br - im[:, k - 1] * bi
-        im[:, k] = re[:, k - 1] * bi + im[:, k - 1] * br
-        amps[:, k] /= roots[k]
-    amps *= np.exp(-nbar / 2.0)[:, None]
+    pmf = _poisson_within_cutoff(np.hypot(betas.real, betas.imag), cutoff)[1]
+    k = np.arange(cutoff + 1)
+    amps = np.sqrt(pmf) * np.exp(1j * k * np.angle(betas)[:, None])
     amps /= np.array([np.linalg.norm(row) for row in amps])[:, None]
     amps.setflags(write=False)
     return amps
@@ -334,7 +329,7 @@ def two_mode_coherent_mixture(alpha_abs, cutoff):
     truncated space.  The delta selection rule is exact by construction.
     """
     alpha_abs = abs(alpha_abs)
-    nbar = _mean_within_cutoff(alpha_abs, cutoff)
+    nbar = _poisson_within_cutoff(alpha_abs, cutoff)[0]
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))
     system = bosons(2, cutoff, labels=["A", "B"])

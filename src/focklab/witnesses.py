@@ -10,13 +10,11 @@ from .fock import (
     NORM_ATOL,
     Operator,
     PureState,
-    _MEMO,
     _Record,
     _abs_squared,
     _check_physical,
     _density_matrices,
     _expectations,
-    _key,
     _reduced_matrices,
     _sector_stacks,
     annihilation,
@@ -37,12 +35,7 @@ class SpinOps(_Record):
 
 
 def spin_ops(system, mode_a, mode_b):
-    """S_x = (bdag a + adag b)/2, S_y = (bdag a - adag b)/2i, S_z = (nb - na)/2, kept
-    in ``fock._MEMO`` under the system and the two mode indices."""
-    return _MEMO.get(_key("spin_ops", system, mode_a, mode_b), _spin_ops, system, mode_a, mode_b)
-
-
-def _spin_ops(system, mode_a, mode_b):
+    """S_x = (bdag a + adag b)/2, S_y = (bdag a - adag b)/2i, S_z = (nb - na)/2."""
     b_dag_a = ((mode_b, True), (mode_a, False))
     a_dag_b = ((mode_a, True), (mode_b, False))
     n_a = ((mode_a, True), (mode_a, False))
@@ -53,12 +46,7 @@ def _spin_ops(system, mode_a, mode_b):
 
 
 def pauli_ops(system, mode):
-    """Pauli matrices on a cutoff-1 mode, spin-up mapped to the occupied state, kept
-    in ``fock._MEMO`` under the system and the mode index."""
-    return _MEMO.get(_key("pauli_ops", system, mode), _pauli_ops, system, mode)
-
-
-def _pauli_ops(system, mode):
+    """Pauli matrices on a cutoff-1 mode, spin-up mapped to the occupied state."""
     if system.modes[mode].cutoff != 1:
         raise ValueError("pauli_ops needs a cutoff-1 mode")
     a = annihilation(system, mode)

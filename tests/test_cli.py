@@ -250,16 +250,17 @@ def test_reference_sweeps_build_their_fixed_parts_once(monkeypatch):
 
 def test_atom_molecule_solves_and_calibrates_once_per_bec_number(monkeypatch):
     from focklab import dynamics, fock
-    # the default run has two BEC numbers, 1 and 5, and two phases each.  On a
-    # cleared memo each Hamiltonian (dim 8 and 24) takes one eigensolve; a
-    # repeated run takes its solves from the memo, and calibrates again
+    # the default run has two BEC numbers, 1 and 5, and two phases each.  Each
+    # Hamiltonian (dim 8 and 24) takes one eigensolve and one calibration per
+    # run, for both phases; the memo does not keep them, so a repeated run
+    # solves again
     fock._MEMO.clear()
     solves = _count_calls(monkeypatch, fock, "eigh_blocks")
     calibrations = _count_calls(monkeypatch, dynamics, "_calibrate_half_transfer")
     for runs in (1, 2):
         assert run_experiment("atom_molecule")["overall_pass"]
         # eigenvectors are asked for only by the solves; the checks take eigenvalues
-        assert [m.shape for m, vectors in solves if vectors] == [(8, 8), (24, 24)]
+        assert [m.shape for m, vectors in solves if vectors] == [(8, 8), (24, 24)] * runs
         assert len(calibrations) == 2 * runs
 
 

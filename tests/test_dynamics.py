@@ -110,6 +110,16 @@ def test_bisect_halves_to_adjacent_floats_at_any_scale(scale):
     assert _bisect(lambda t: t - 0.5 * scale, 0.0, scale) == 0.5 * scale
 
 
+def test_bisect_near_the_largest_float_meets_no_infinite_midpoint():
+    # the two ends of the upper brackets sum past the largest float
+    top = 1.7e308
+    root = 0.95 * top
+    points = []
+    found = _bisect(lambda t: points.append(t) or t - root, 0.0, top)
+    assert abs(found - root) <= np.spacing(root)
+    assert np.isfinite(np.concatenate(points)).all()
+
+
 def test_creation_operator_conjugation():
     # U adag U^-1 = r bdag + t adag on columns that cannot see the cutoff
     system = bosons(2, 3)

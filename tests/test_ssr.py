@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -457,20 +458,36 @@ def test_clock_formula_matches_evolution():
 
 
 def test_the_clock_oracle_builds_one_mode_system_per_call(monkeypatch):
-    # it used to build one more per distinct phase state
+    # its system comes from ``bosons``: the first call per n_max builds it, and
+    # a repeated call builds none
     from focklab import fock
     built = []
     init = fock.ModeSystem.__init__
     monkeypatch.setattr(fock.ModeSystem, "__init__",
                         lambda self, *args, **kwargs: built.append(args) or init(self, *args,
                                                                                  **kwargs))
+    fock._MEMO.clear()
     for n_max in (4, 9):
         phases = range(0, n_max + 1, 2)
+        first = True
         for p, q in ((phases, phases), (1, 3)):
             for dt in (0.3, [0.3, 1.1, 2.0]):
                 built.clear()
                 clock_prob_by_evolution(p, q, 1.0, dt, n_max)
-                assert built == [([("osc", n_max)],)]
+                assert built == ([([("osc", n_max, "bose")], None)] if first else [])
+                first = False
+
+
+@pytest.mark.parametrize("omega_dt", [1e6, 1e10])
+def test_the_clock_formula_holds_at_a_large_omega_dt(omega_dt):
+    # the oracle's phases n omega dt are exact for an integral omega dt, so both
+    # sides reduce the same angles
+    for n_max in (4, 9):
+        phases = range(n_max + 1)
+        for omega, dt in ((1.0, omega_dt), (-1.0, omega_dt)):
+            table = clock_prob(phases, phases, omega, dt, n_max)
+            oracle = clock_prob_by_evolution(phases, phases, omega, dt, n_max)
+            assert np.abs(table - oracle).max() <= 1e-12
 
 
 def _per_pair_clock(p, q, omega, dt, n_max):
@@ -516,7 +533,8 @@ def _scalar_clock(p, q, omega, dt, n_max):
     """The closed form on numpy scalars, one (p, q) pair at a time: the reference
     whose bits every entry of a ``clock_prob`` table keeps."""
     m = n_max + 1
-    delta = 2.0 * np.pi * p / m - 2.0 * np.pi * q / m - omega * dt
+    turn = math.atan2(-math.sin(omega * dt), math.cos(omega * dt))
+    delta = 2.0 * np.pi * p / m - 2.0 * np.pi * q / m + turn
     delta -= 2.0 * np.pi * np.round(delta / (2.0 * np.pi))
     s = np.sin(delta / 2.0)
     return 1.0 if s == 0.0 else float(np.sin(m * delta / 2.0) ** 2 / (m ** 2 * s ** 2))

@@ -23,7 +23,7 @@ from focklab.states import (
     bell_one_boson,
     binomial_state,
     coherent,
-    _mean_within_cutoff,
+    _poisson_within_cutoff,
     coherent_amplitudes,
     dissociation_state,
     mixture_stack,
@@ -73,8 +73,8 @@ def test_stacked_means_equal_each_scalar_square():
     # the array square a * a and the scalar power differ in about 1 in 1000
     mags = np.random.default_rng(1).random(20000) * 3.0
     want = np.array([np.float64(a) ** 2 for a in mags.tolist()])
-    assert _mean_within_cutoff(mags, 40).tobytes() == want.tobytes()
-    assert _mean_within_cutoff(mags[7], 40) == want[7]
+    assert _poisson_within_cutoff(mags, 40)[0].tobytes() == want.tobytes()
+    assert _poisson_within_cutoff(mags[7], 40)[0] == want[7]
 
 
 def test_coherent_zero_is_vacuum():
@@ -109,31 +109,45 @@ def test_huge_amplitude_needs_more_cutoff(make):
         make(1e200, 5)
 
 
-def _reference_tail(amplitude, cutoff):
-    """The mean and Poisson tail of one coherent mode, as the per-state check had them."""
+def _reference_pmf(amplitude, cutoff):
+    """The mean and Poisson weights of one coherent mode, as the per-state check had them."""
     with np.errstate(over="ignore", invalid="ignore"):
         nbar = np.float64(amplitude) ** 2
         n = np.arange(cutoff + 1)
         if nbar == 0:
-            pmf = (n == 0).astype(float)
-        else:
-            log_fact = np.array([math.lgamma(k + 1.0) for k in n])
-            pmf = np.exp(n * math.log(nbar) - nbar - log_fact)
-        return float(nbar), 1.0 - pmf.sum()
+            return float(nbar), (n == 0).astype(float)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+        return float(nbar), np.exp(n * math.log(nbar) - nbar - log_fact)
+
+
+def _reference_tail(amplitude, cutoff):
+    """The mean and Poisson tail of one coherent mode, as the per-state check had them."""
+    nbar, pmf = _reference_pmf(amplitude, cutoff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return nbar, 1.0 - pmf.sum()
 
 
 def _reference_coherent(beta, cutoff):
-    """One coherent state's amplitudes by the scalar recurrence, state by state."""
+    """One coherent state's amplitudes from its Poisson weights, state by state."""
     beta = complex(beta)
-    nbar, tail = _reference_tail(abs(beta), cutoff)
-    assert tail <= 1e-10
+    nbar, pmf = _reference_pmf(abs(beta), cutoff)
+    assert 1.0 - pmf.sum() <= 1e-10
+    amps = np.sqrt(pmf) * np.exp(1j * np.arange(cutoff + 1) * np.angle(beta))
+    amps /= np.linalg.norm(amps)
+    return amps
+
+
+def _recurrence_coherent(beta, cutoff):
+    """One coherent state's amplitudes by the scalar recurrence beta^k / sqrt(k!),
+    scaled by e^{-|beta|^2/2} at the end: the former construction, which
+    overflows past |beta|^2 ~ 1424."""
+    beta = complex(beta)
     amps = np.zeros(cutoff + 1, dtype=complex)
     amps[0] = 1.0
     for k in range(1, cutoff + 1):
         amps[k] = amps[k - 1] * beta / np.sqrt(k)
-    amps *= np.exp(-nbar / 2.0)
-    amps /= np.linalg.norm(amps)
-    return amps
+    amps *= np.exp(-abs(beta) ** 2 / 2.0)
+    return amps / np.linalg.norm(amps)
 
 
 @functools.cache
@@ -207,6 +221,26 @@ def test_one_bad_row_fails_the_stack_with_the_single_state_message(bad, seed):
         coherent_amplitudes(betas, cutoff)
     with pytest.raises(ValueError, match=re.escape(message)):
         coherent(beta, cutoff)
+
+
+def test_a_large_mean_gives_a_finite_unit_row_where_the_recurrence_overflowed():
+    # |beta|^2 = 1430 at cutoff 1790 (dim 1791, inside MAX_DIM): beta^k / sqrt(k!)
+    # passed the float range before e^{-|beta|^2/2} scaled it down
+    with pytest.warns(RuntimeWarning):
+        _recurrence_coherent(math.sqrt(1430.0), 1790)
+    row = coherent_amplitudes([math.sqrt(1430.0)], 1790)[0]
+    assert np.isfinite(row).all() and abs(np.linalg.norm(row) - 1.0) <= 1e-12
+    assert coherent(math.sqrt(1430.0) * 1j, 1790).amplitudes.shape == (1791,)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 5, 12, 25])
+def test_the_amplitudes_match_the_former_recurrence(cutoff):
+    limit = _tail_limit(cutoff)[0]
+    for mag in (0.0, 0.3 * limit, 0.7 * limit, 0.999 * limit):
+        for phase in (0.0, 1.0, -2.5, np.pi):
+            beta = mag * complex(math.cos(phase), math.sin(phase))
+            row = coherent_amplitudes([beta], cutoff)[0]
+            assert np.abs(row - _recurrence_coherent(beta, cutoff)).max() <= 1e-14
 
 
 def test_bell_states():
