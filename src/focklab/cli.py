@@ -247,9 +247,9 @@ def _exp_extraction(params, tol, seed):
         try:
             results = extraction_experiment(case, r_values, t_values)
         except ZeroProbabilityError as exc:
-            # near r = 0 or 1 the particles do not split: nothing to extract
+            # near r = 0 or 1 the particles do not split: nothing the checks can resolve
             raise ValueError(f"parameter 'r_values' of extraction leaves the {case} split "
-                             f"with no weight ({exc})") from exc
+                             f"with no weight its checks can resolve ({exc})") from exc
         for r, result in zip(r_values, results):
             for occ, amp in pairs:
                 got = result.final_state.amplitude(occ)

@@ -23,11 +23,12 @@ from .fock import (
     _density_stack,
     _eigenvalues,
     _evolve,
-    _kept_blocks,
+    _hermitian_blocks,
     _is_integer,
     _key,
     _one_or_many,
     _rotate,
+    _unitaries,
     bosons,
     evolution_operator,
     fermions,
@@ -38,10 +39,16 @@ from .fock import (
 )
 from .ssr import SSR_TOL, _commutator_residuals, _local_reports
 from .states import poisson_pmf
-from .measurement import PROB_FLOOR, ZeroProbabilityError
+from .measurement import ZeroProbabilityError
 
 REAL_ROTATION = "real-rotation"
 MINUS_I = "minus_i"
+
+# least sector probability P of an extraction split: the projected state is the
+# evolved one divided by sqrt(P), so its amplitudes carry rounding of about
+# 2 eps / sqrt(P) (at most 4.7e-16 / sqrt(P) over every case and r), within
+# 4.7e-13 from this floor on, under half the 1e-12 of the extraction checks
+SPLIT_FLOOR = 1e-6
 
 
 class BeamSplitterSpec(_Record):
@@ -85,19 +92,21 @@ def beam_splitter(system, spec):
     with phi = atan2(r, t); at phi = pi/4 a single boson splits into
     (|1,0> - i|0,1>)/sqrt(2).
     """
-    return evolution_operator(_splitter_hamiltonian(system, spec), math.atan2(spec.r, spec.t))
+    return _unitaries(system, _splitter_blocks(system, spec), math.atan2(spec.r, spec.t))
 
 
-def _splitter_hamiltonian(system, spec):
-    """The Hermitian H with ``beam_splitter`` = exp(-i H atan2(r, t)); it does not
-    depend on r and t, and is kept in ``_MEMO`` under the system, the mode pairs and
-    the convention."""
+def _splitter_blocks(system, spec):
+    """The ``_hermitian_blocks`` solve of the Hermitian H with ``beam_splitter`` =
+    exp(-i H atan2(r, t)).  H does not depend on r and t, so its solve is kept in
+    ``_MEMO`` under the system, the mode pairs and the convention, and counted at
+    its arrays' bytes: O(sum k^2) for its number-sector components of size k, so
+    splitters well past dim 512 fit the budget."""
     pairs = tuple(tuple(pair) for pair in spec.mode_pairs)
     return _MEMO.get(_key("splitter", system, pairs, spec.convention),
-                     _splitter_generator, system, pairs, spec.convention)
+                     _solve_splitter, system, pairs, spec.convention)
 
 
-def _splitter_generator(system, mode_pairs, convention):
+def _solve_splitter(system, mode_pairs, convention):
     terms = []
     for ma, mb in mode_pairs:
         if max(ma, mb) >= system.n_modes:
@@ -112,7 +121,7 @@ def _splitter_generator(system, mode_pairs, convention):
         else:
             terms += [(-1j, a_dag_b), (-1j, b_dag_a)]
     # gen is anti-Hermitian in both conventions: exp(angle gen) = exp(-i (i gen) angle)
-    return Operator(system, 1j * ladder_sum(system, terms).matrix)
+    return _hermitian_blocks(Operator(system, 1j * ladder_sum(system, terms).matrix))
 
 
 def expm(gen):
@@ -139,10 +148,14 @@ def extraction_experiment(case, r, t):
 
     Scalar ``r`` and ``t`` give one result; two sequences give the list of
     results at each (r, t) pair.  Only the splitter angle atan2(r, t) depends
-    on the pair, so the input is evolved to every angle by one ``unitary_evolve``
-    call and no unitary is formed.  The system, the generator and its Hermitian
-    check and ``eigh_blocks`` are kept in ``_MEMO``, so a repeated case solves
-    nothing.
+    on the pair, so the input is evolved to every angle by one ``_evolve`` of the
+    splitter's solve (``_splitter_blocks``) and no unitary is formed.  The system
+    and that solve are kept in ``_MEMO``, so a repeated case solves nothing.
+
+    The projected state is divided by the root of its sector probability P, which
+    scales its rounding by 1/sqrt(P): a P below ``SPLIT_FLOOR`` (r below 5.8e-4 to
+    7.1e-4 by case, or above 1 - 2.9e-4 for ``three_boson``) raises
+    ``ZeroProbabilityError`` naming P and the floor.
     """
     one = np.ndim(r) == 0 and np.ndim(t) == 0
     r_values, t_values = ([r], [t]) if one else (r, t)
@@ -170,8 +183,9 @@ def extraction_experiment(case, r, t):
             specs.append(BeamSplitterSpec(mode_pairs=((0, 2), (1, 3)), r=r, t=t))
         except ValueError as exc:
             raise ValueError(f"pair {i}: {exc}") from None
-    outs = unitary_evolve(_splitter_hamiltonian(system, specs[0]),
-                          [math.atan2(spec.r, spec.t) for spec in specs], initial)
+    outs = [PureState(system, psi) for psi in _evolve(
+        _splitter_blocks(system, specs[0]), [math.atan2(spec.r, spec.t) for spec in specs],
+        initial.amplitudes)]
 
     in_sector = ((number_diagonal(system, [1, 1, 0, 0]) == sector[0])
                  & (number_diagonal(system, [0, 0, 1, 1]) == sector[1]))
@@ -179,9 +193,9 @@ def extraction_experiment(case, r, t):
     for i, (spec, out) in enumerate(zip(specs, outs)):
         projected = np.where(in_sector, out.amplitudes, 0.0)
         p_sector = float(np.linalg.norm(projected) ** 2)
-        if p_sector <= PROB_FLOOR:
+        if not p_sector >= SPLIT_FLOOR:
             raise ZeroProbabilityError(f"pair {i}: sector probability {p_sector} below "
-                                       f"floor at r = {spec.r!r}")
+                                       f"SPLIT_FLOOR = {SPLIT_FLOOR} at r = {spec.r!r}")
         projected_state = PureState(system, projected / np.sqrt(p_sector))
         # by position: stages, final_state, quantities
         results.append(ProcessResult(
@@ -280,7 +294,7 @@ def _run_atom_molecule_fock(n_bec, kappa, phi):
     and the final states are reduced by one ``partial_trace`` of their stack.
     """
     system, h = _atom_molecule_hamiltonian(n_bec, kappa)
-    blocks = _kept_blocks(h)
+    blocks = _hermitian_blocks(h)
     t_pulse = _calibrate_half_transfer(system, h, blocks, n_bec)
     initial = system.basis_state((1, 0, n_bec))
     after_pulse1 = PureState(system, _evolve(blocks, [t_pulse], initial.amplitudes)[0])

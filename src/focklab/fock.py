@@ -14,17 +14,17 @@ function of them, and two kinds of memo keep such values:
 - the O(d) index arrays of a system (the ladder entries, the entries of
   ladder products and the sub-system codes) in ``functools.lru_cache``
   memos, bounded by entry count, never holding a d x d matrix;
-- the systems of ``bosons``, ``fermions`` and ``qubits``, and the splitter
-  Hamiltonian, which a system and its mode pairs alone fix, in ``_MEMO``, a
-  key -> value LRU bounded by bytes (``_MEMO_BYTES``).  Other operators that
-  a system fixes, such as ``number_op`` and the spin operators, are built on
-  each call: keeping them saved less than a warm pass varies.
+- the systems of ``bosons``, ``fermions`` and ``qubits``, and the
+  ``_hermitian_blocks`` solve of the splitter Hamiltonian, which a system and
+  its mode pairs alone fix, in ``_MEMO``, a key -> value LRU bounded by bytes
+  (``_MEMO_BYTES``), whose entries count the bytes of the arrays they hold.
+  Other operators that a system fixes, such as ``number_op`` and the spin
+  operators, are built on each call: keeping them saved less than a warm pass
+  varies.
 
-An Operator that ``_MEMO`` stores keeps its own ``_hermitian_blocks`` solve
-and the Observable of ``spectral`` in a slot outside its fields, filled on
-first use and dropped when its entry is evicted; the memo counts a bound on
-them when it stores the operator.  Any other operator, a copy or a pickle of
-a stored one or an evicted one included, keeps nothing.
+No Operator keeps anything beyond its two fields: each call that needs an
+operator's solve runs ``_hermitian_blocks`` on it, and the memo keeps the one
+solve that is worth keeping as a value of its own.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ BLOCK_MIN_DIM = 48
 PAIR_CHUNK = 1 << 14
 
 # bytes ``_MEMO`` may count, 4 MiB: one d x d operator is 256 MiB at MAX_DIM, so
-# the memo bounds bytes, not entries.  An operator counts three times its matrix
-# with what it may keep, so none of dim 296 or more is kept, and a session at
-# dim ~1000 holds no d x d matrix past its use
+# the memo bounds bytes, not entries.  An entry counts the arrays it holds, and a
+# splitter solve holds O(sum k^2) for its components of size k, not d^2, so the
+# budget, not the dim, decides which solves are kept
 _MEMO_BYTES = 1 << 22
 
 
@@ -331,36 +331,31 @@ class ModeSystem:
         return f"ModeSystem({spec}{extra}, dim={self.dim})"
 
 
-def _held(value, found):
-    """Add to ``found``, by id, each array, bytes and Operator that ``value`` holds:
-    through tuples, lists and records and a system's three index arrays.  No
-    kept value holds a view of a larger array, so a view counts its own bytes."""
-    if isinstance(value, (np.ndarray, bytes, Operator)):
-        found[id(value)] = value
+def _held(value):
+    """The arrays that ``value`` holds, through tuples and a system's three index
+    arrays, by id; a view gives the array whose memory it shares, so each array
+    counts its bytes once."""
     if isinstance(value, ModeSystem):
         value = value.occupancies, value.codes, value.strides
-    elif isinstance(value, _Record):
-        value = [getattr(value, name) for name in value.__slots__]
-    if isinstance(value, (tuple, list)):
-        for item in value:
-            _held(item, found)
+    if isinstance(value, tuple):
+        return {k: x for item in value for k, x in _held(item).items()}
+    if not isinstance(value, np.ndarray):
+        return {}
+    base = value if value.base is None else value.base
+    return {id(base): base}
 
 
 class _Memo:
     """Least-recently-used memo of the values that a ModeSystem and hashable
     parameters determine, holding at most ``_MEMO_BYTES``.
 
-    Each entry is counted once, when it is stored: the bytes of the arrays and
-    bytes its key and value hold, and for each Operator of the value a bound on
-    what it may later keep, its solve and its Observable: two d x d eigenvector
-    sets and 40 bytes a row.  An Operator it stores keeps those in its own slot
-    (``_derive``) until its entry is evicted or the memo cleared, when the slot
-    is dropped: a kept Observable refers back to its operator, so the slot
-    would otherwise keep the pair alive until a cyclic collection.  A caller
-    that holds an evicted operator solves it afresh.  A value larger than the
-    budget is returned but not kept.  Producers run outside the lock, which
-    guards the bookkeeping only, so a producer that raises stores nothing; of
-    two threads that produce one value at once, both get the one stored first.
+    Each entry is counted once, when it is stored, at the bytes of the arrays
+    its key and value hold (``_held``); an evicted entry is dropped, and
+    nothing else refers to it, so refcounts alone free what no caller holds.
+    A value larger than the budget is returned but not kept.  Producers run
+    outside the lock, which guards the bookkeeping only, so a producer that
+    raises stores nothing; of two threads that produce one value at once,
+    both get the one stored first.
 
     It saves work only when one process meets a system and an operator's
     parameters again, whatever the states, seeds, times and angles: a library
@@ -370,8 +365,7 @@ class _Memo:
 
     def __init__(self):
         self._lock = threading.Lock()
-        # key -> (value, nbytes, its operators), least recently used first
-        self._entries = OrderedDict()
+        self._entries = OrderedDict()     # key -> (value, nbytes), least recently used first
         self.nbytes = 0
 
     def get(self, key, produce, *args):
@@ -382,61 +376,39 @@ class _Memo:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 return self._entries[key][0]
-        value, found = produce(*args), {}
-        _held((key, value), found)
-        ops = [x for x in found.values() if isinstance(x, Operator)]
-        nbytes = sum(2 * x.matrix.nbytes + 40 * x.system.dim if isinstance(x, Operator)
-                     else memoryview(x).nbytes for x in found.values())
+        value = produce(*args)
+        nbytes = sum(x.nbytes for x in _held((key, value)).values())
         with self._lock:
             if key in self._entries:     # stored by another thread meanwhile
                 return self._entries[key][0]
             if nbytes <= _MEMO_BYTES:
-                for op in ops:
-                    _set_field(op, "_kept", {})
-                self._entries[key] = value, nbytes, ops
+                self._entries[key] = value, nbytes
                 self.nbytes += nbytes
                 while self.nbytes > _MEMO_BYTES:
-                    self._evict()
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
         return value
-
-    def _evict(self):
-        """Drop the least recently used entry and what its operators keep."""
-        _, nbytes, ops = self._entries.popitem(last=False)[1]
-        self.nbytes -= nbytes
-        for op in ops:
-            _set_field(op, "_kept", None)
 
     def clear(self):
         with self._lock:
-            while self._entries:
-                self._evict()
+            self._entries.clear()
+            self.nbytes = 0
 
 
 _MEMO = _Memo()
 
 
-def _derive(op, produce):
-    """``produce(op)``, kept on ``op`` while ``_MEMO`` holds it, where the first
-    result stored wins; computed afresh for any other operator, such as a
-    caller's own, ``1.0 * op``, a copy, a pickle or an evicted one."""
-    kept = getattr(op, "_kept", None)
-    if kept is None:
-        return produce(op)
-    return kept[produce] if produce in kept else kept.setdefault(produce, produce(op))
-
-
 def _key(*parts):
-    """``parts`` as a memo key once each is an int, str, None, ModeSystem or bytes, or
-    a tuple of such; else None, which keeps nothing, so that input of any other
+    """``parts`` as a memo key once each is an int, str, None or ModeSystem, or a
+    tuple of such; else None, which keeps nothing, so that input of any other
     type reaches its producer and is checked there.  A bool, a float, a numpy
-    scalar or a list is not a part."""
+    scalar, bytes or a list is not a part."""
     for part in parts:
         if type(part) not in _KEYED or type(part) is tuple and _key(*part) is None:
             return None
     return parts
 
 
-_KEYED = (int, str, type(None), ModeSystem, bytes, tuple)
+_KEYED = (int, str, type(None), ModeSystem, tuple)
 
 
 def bosons(n_modes, cutoff, labels=None, total=None):
@@ -450,10 +422,13 @@ def fermions(n_modes, labels=None, total=None):
     return _uniform(n_modes, 1, FERMI, labels, total)
 
 
-def _uniform(n_modes, cutoff, statistics, labels, total):
+def _uniform(n_modes, cutoff, statistics, labels, total, prefix="m"):
     """ModeSystem of ``n_modes`` modes alike but for their labels, which are
-    ``m0, m1, ...`` unless ``labels`` gives one per mode."""
-    labels = [f"m{i}" for i in range(n_modes)] if labels is None else list(labels)
+    ``m0, m1, ...`` (``prefix`` then the index) unless ``labels`` gives one per
+    mode.  ``n_modes`` must be an integer >= 1, not a bool or a float."""
+    if not _is_integer(n_modes) or n_modes < 1:
+        raise ValueError(f"n_modes must be an integer >= 1, got {n_modes!r}")
+    labels = [f"{prefix}{i}" for i in range(n_modes)] if labels is None else list(labels)
     if len(labels) != n_modes:
         raise ValueError(f"{len(labels)} labels given for {n_modes} modes")
     return _MEMO.get(_key("system", cutoff, statistics, tuple(labels), total), ModeSystem,
@@ -461,19 +436,12 @@ def _uniform(n_modes, cutoff, statistics, labels, total):
 
 
 def qubits(n):
-    """n two-level systems realised as bosonic modes with cutoff 1."""
-    return bosons(n, 1, labels=[f"q{i}" for i in range(n)])
+    """n two-level systems realised as bosonic modes with cutoff 1, labelled
+    ``q0, q1, ...``."""
+    return _uniform(n, 1, BOSE, None, None, "q")
 
 
-class _Keeps:
-    """A ``_kept`` slot outside a record's fields, which it does not compare,
-    hash, show or pickle: set when ``_MEMO`` stores the record to the dict of
-    what ``_derive`` computes from it, and to None when the memo evicts it."""
-
-    __slots__ = ("_kept",)
-
-
-class Operator(_Record, _Keeps):
+class Operator(_Record):
     """Dense operator on a ModeSystem basis; it holds a read-only copy of its matrix."""
 
     __slots__ = ("system", "matrix")
@@ -1124,12 +1092,6 @@ def expectation(state, op):
     return complex(_expectations(rho.matrix[None], op.matrix[None])[0, 0])
 
 
-def _kept_blocks(op):
-    """``_hermitian_blocks`` of an operator, kept on an operator that ``_MEMO`` holds
-    and computed afresh for any other: how Hamiltonians are solved."""
-    return _derive(op, _hermitian_blocks)
-
-
 def _hermitian_blocks(op):
     """The ``eigh_blocks`` eigenpairs of an operator as a tuple of read-only triples,
     once it is Hermitian within ``HERM_INPUT_ATOL``: the one check and solve of
@@ -1212,13 +1174,18 @@ def _one_or_many(values, message):
 
 def evolution_operator(h, t):
     """U = exp(-i H t) as a dense Operator for one time ``t``, or the list of them for a
-    non-empty sequence of times: ``_evolve`` of the identity, from one Hermitian check
-    and one ``eigh_blocks`` of H, each U with the bits of its time alone.  The one
-    place focklab builds a d x d unitary."""
-    blocks = _kept_blocks(h)
+    non-empty sequence of times: ``_unitaries`` of one Hermitian check and one
+    ``eigh_blocks`` of H, each U with the bits of its time alone."""
+    return _unitaries(h.system, _hermitian_blocks(h), t)
+
+
+def _unitaries(system, blocks, t):
+    """exp(-i H t) on ``system`` as a dense Operator for one time, or the list of them
+    for a sequence, from the ``eigh_blocks`` of H: ``_evolve`` of the identity.  The
+    one place focklab builds a d x d unitary."""
     times, one = _one_or_many(
         t, "evolution_operator takes one time or a non-empty sequence of times")
-    out = [Operator(h.system, u) for u in _evolve(blocks, times, np.eye(h.system.dim))]
+    out = [Operator(system, u) for u in _evolve(blocks, times, np.eye(system.dim))]
     return out[0] if one else out
 
 
@@ -1242,7 +1209,7 @@ def unitary_evolve(h, t, state):
     to each of a non-empty sequence of times, giving the list of states.  H is checked
     and solved once; a density operator takes ``_evolve`` on its rows, then on its
     columns, so that no unitary is formed, and a sequence is checked as one stack."""
-    blocks = _kept_blocks(h)
+    blocks = _hermitian_blocks(h)
     times, one = _one_or_many(t, "unitary_evolve takes one time or a non-empty sequence of times")
     if isinstance(_on_system(state, h), PureState):
         out = [PureState(h.system, psi) for psi in _evolve(blocks, times, state.amplitudes)]

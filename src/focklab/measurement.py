@@ -20,7 +20,6 @@ from .fock import (
     _density_matrices,
     _on_system,
     _density_stack,
-    _derive,
     _conjugate,
     _eigenvalues,
     _expectations,
@@ -133,10 +132,9 @@ class OutcomeDistribution(_Record):
 
 
 def spectral(op):
-    """The spectral resolution of a Hermitian operator: ``Observable(op)``, resolved
-    once and kept on an operator that ``fock._MEMO`` holds, such as a splitter
-    Hamiltonian, and resolved on each call for any other, such as a ``number_op``."""
-    return _derive(op, Observable)
+    """The spectral resolution of a Hermitian operator: ``Observable(op)``, resolved on
+    each call; no operator keeps one."""
+    return Observable(op)
 
 
 def _real_probs(values):

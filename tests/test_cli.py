@@ -608,6 +608,23 @@ def test_params_that_leave_nothing_to_measure_are_param_errors(experiment, param
         run_experiment(experiment, params=params)
 
 
+@pytest.mark.parametrize("r", [0.0, 1.0] + [10.0 ** -k for k in range(1, 9)]
+                         + [1 - 10.0 ** -k for k in range(1, 9)])
+def test_an_extraction_r_computes_or_exits_2_naming_the_split_floor(tmp_path, capsys, r):
+    # the projected state is divided by the root of its sector probability, so a
+    # split with too little weight would fail its own 1e-12 checks (exit 1): it is
+    # refused (exit 2) instead, naming the probability and the floor
+    path = _write_scenario(tmp_path, {"schema_version": 1, "experiment": "extraction",
+                                      "params": {"r_values": [r]}})
+    code = main([path])
+    err = capsys.readouterr().err
+    if 1e-3 <= r <= 1 - 1e-3:
+        assert code == 0, (r, err)
+    else:
+        assert code == 2 and re.search(r"sector probability \S+ below SPLIT_FLOOR = 1e-06 "
+                                       r"at r = ", err), (r, code, err)
+
+
 def test_scenario_check_names_match_the_benchmark_record():
     # the benchmark fails every op whose check names differ from this record,
     # which it reads and never writes

@@ -1,9 +1,11 @@
 """The memo of values that a ModeSystem and hashable parameters determine
 (``fock._MEMO``): a repeated run solves nothing and reports the same bits, the
-memo stays within its byte budget, keeps nothing a producer raised on, and
-gives threads that produce one value at once the same value.
+memo counts exactly the bytes of the arrays it holds and stays within its
+budget, keeps nothing a producer raised on, and gives threads that produce one
+value at once the same value; no Operator keeps anything.
 """
 
+import collections
 import copy
 import gc
 import json
@@ -19,8 +21,9 @@ import pytest
 
 from focklab import Observable, bosons, fermions, number_op, qubits, spectral
 from focklab import fock
+from focklab.fock import ladder_sum
 from focklab.cli import run_experiment, run_scenario
-from focklab.dynamics import BeamSplitterSpec, _atom_molecule_hamiltonian, _splitter_hamiltonian
+from focklab.dynamics import BeamSplitterSpec, _atom_molecule_hamiltonian, _splitter_blocks
 from focklab.witnesses import pauli_ops, spin_ops
 
 
@@ -38,18 +41,26 @@ def _bits(report):
     return repr({k: v for k, v in report.items() if k != "wall_time_s"})
 
 
-# extraction_experiment and beam_splitter (the interferometer's) solve the kept
-# splitter Hamiltonian; the spin operators of spin_epr, the number operators of
-# the measurement identities and the atom-molecule H are not kept, so their
+# extraction_experiment and beam_splitter (the interferometer's) use the kept
+# splitter solve; the spin operators of spin_epr, the number operators of the
+# measurement identities and the atom-molecule H are not kept, so their
 # repeated run solves as often as the first
 _UNKEPT = ("spin_epr_bound", "measurement_identities", "atom_molecule")
 
+_SPEC = BeamSplitterSpec(mode_pairs=((0, 1),), r=0.6, t=0.8)
+
+
+def _splitter_solve(n_modes, cutoff, labels=None):
+    """The kept solve of the splitter Hamiltonian of modes 0 and 1 on
+    ``bosons(n_modes, cutoff, labels)``."""
+    return _splitter_blocks(bosons(n_modes, cutoff, labels), _SPEC)
+
 
 def _splitter_h(n_modes, cutoff):
-    """The splitter Hamiltonian of modes 0 and 1 on ``bosons(n_modes, cutoff)``:
-    an operator that the memo keeps."""
-    return _splitter_hamiltonian(bosons(n_modes, cutoff),
-                                 BeamSplitterSpec(mode_pairs=((0, 1),), r=0.6, t=0.8))
+    """The splitter Hamiltonian of modes 0 and 1 on ``bosons(n_modes, cutoff)``,
+    built here as the splitter builds it: an operator of the caller's own."""
+    system = bosons(n_modes, cutoff)
+    return 1j * ladder_sum(system, [(1, ((1, True), (0, False))), (-1, ((0, True), (1, False)))])
 
 
 @pytest.mark.parametrize("name", ["spin_epr_bound", "extraction", "vacuum_interferometer",
@@ -93,7 +104,7 @@ def test_each_producer_keeps_one_value_per_key():
     assert bosons(4, 1, labels=["a", "b", "c", "d"]) is system
     assert qubits(3) is qubits(3) and fermions(2, total=1) is fermions(2, total=1)
     spec = BeamSplitterSpec(mode_pairs=[[0, 2], [1, 3]], r=0.6, t=0.8)
-    assert _splitter_hamiltonian(system, spec) is _splitter_hamiltonian(
+    assert _splitter_blocks(system, spec) is _splitter_blocks(
         system, BeamSplitterSpec(mode_pairs=((0, 2), (1, 3)), r=0.8, t=0.6))
     # the number, spin and Pauli operators and the atom-molecule H are not kept:
     # built on each call
@@ -101,62 +112,65 @@ def test_each_producer_keeps_one_value_per_key():
     assert spin_ops(system, 0, 1).sx is not spin_ops(system, 0, 1).sx
     assert pauli_ops(system, 2)[2] is not pauli_ops(system, 2)[2]
     assert _atom_molecule_hamiltonian(2, 1.0)[1] is not _atom_molecule_hamiltonian(2, 1.0)[1]
-    # no key holds a float, a bool, a numpy scalar or a list, also inside a tuple
-    assert fock._key("k", 1, (2, "a"), None, system, b"") == ("k", 1, (2, "a"), None, system, b"")
-    for part in (1.0, True, np.int64(1), [1], (1, 2.0), ((1,), [2])):
+    # no key holds a float, a bool, a numpy scalar, bytes or a list, also inside a tuple
+    assert fock._key("k", 1, (2, "a"), None, system) == ("k", 1, (2, "a"), None, system)
+    for part in (1.0, True, np.int64(1), b"", [1], (1, 2.0), ((1,), [2])):
         assert fock._key("k", part) is None
     # a numpy integer is not keyed: an equal system, built afresh
     assert bosons(np.int64(4), np.int64(1), labels="abcd") == system
     assert bosons(4, np.int64(1), labels="abcd") is not system
 
 
-def test_spectral_keeps_one_observable_per_held_operator_and_observable_resolves_afresh():
+def test_spectral_resolves_every_operator_afresh():
     fock._MEMO.clear()
-    op = _splitter_h(2, 3)
-    obs = spectral(op)
-    assert spectral(op) is obs and spectral(_splitter_h(2, 3)) is obs
-    again = Observable(op)
-    assert again is not obs and again.eigenvalues == obs.eigenvalues
-    for triple, held in zip(again.blocks, obs.blocks):
-        for arr, was in zip(triple, held):
-            assert np.array_equal(arr, was) and not np.shares_memory(arr, was)
-    # the operator's kept solve is a result of its own, beside the observable
-    blocks = fock._kept_blocks(op)
-    assert isinstance(blocks, tuple) and fock._kept_blocks(op) is blocks
-    assert spectral(op) is obs
-    # an operator the memo does not hold is resolved on each call
-    other = 1.0 * op
-    assert spectral(other) is not spectral(other)
+    blocks = _splitter_solve(2, 3)
+    system = bosons(2, 3)
+    ops = (_splitter_h(2, 3), number_op(system), spin_ops(system, 0, 1).sx,
+           pauli_ops(qubits(2), 0)[0])
+    for op in ops:
+        obs = spectral(op)
+        again = spectral(op)
+        assert again is not obs and again.eigenvalues == obs.eigenvalues
+        assert Observable(op) is not obs
+        for triple, held in zip(again.blocks, obs.blocks):
+            for arr, was in zip(triple, held):
+                assert np.array_equal(arr, was) and not np.shares_memory(arr, was)
+    # the splitter's Observable holds its own solve, not the one the memo keeps
+    for triple, kept in zip(spectral(ops[0]).blocks, blocks):
+        assert not any(np.shares_memory(arr, was) for arr, was in zip(triple, kept))
+    assert _splitter_solve(2, 3) is blocks
 
 
 def test_an_operator_the_memo_does_not_hold_solves_again_on_each_call(monkeypatch):
     fock._MEMO.clear()
-    held = _splitter_h(2, 3)
     solves = _solves(monkeypatch)
-    # a caller's own, two of unkept producers, and one past the budget (dim 324)
-    for op in (1.0 * held, pauli_ops(qubits(2), 0)[0], number_op(bosons(2, 3)), _splitter_h(2, 17)):
-        for call in (fock._kept_blocks, spectral):
+    # the splitter's own H, two of unkept producers, and one of dim 324
+    for op in (_splitter_h(2, 3), pauli_ops(qubits(2), 0)[0], number_op(bosons(2, 3)),
+               _splitter_h(2, 17)):
+        for call in (fock._hermitian_blocks, spectral):
             solves.clear()
             assert call(op) is not call(op)
             assert solves == [True, True]
-    # a held operator solves once for its blocks and once for its Observable
+    # the splitter's solve is kept: one solve for every later call
     solves.clear()
-    results = [fock._kept_blocks(held), spectral(held)]
-    assert [fock._kept_blocks(held), spectral(held)] == results and solves == [True, True]
+    blocks = _splitter_solve(2, 3)
+    assert _splitter_solve(2, 3) is blocks and solves == [True]
 
 
-def test_a_copy_or_a_pickle_of_a_held_operator_keeps_no_solve():
+def test_no_operator_carries_a_slot_beyond_its_fields():
     fock._MEMO.clear()
+    blocks = _splitter_solve(2, 2)
     op = _splitter_h(2, 2)
-    blocks, obs = fock._kept_blocks(op), spectral(op)
-    for other in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
-        assert other is not op and other.matrix.tobytes() == op.matrix.tobytes()
-        assert not hasattr(other, "_kept")
-        assert fock._kept_blocks(other) is not blocks and spectral(other) is not obs
-        assert spectral(other) is not spectral(other)
-    # the slot is no field: the record shows and rebuilds from its two fields alone
+    assert fock.Operator.__mro__ == (fock.Operator, fock._Record, object)
+    assert fock.Operator.__slots__ == ("system", "matrix")
+    for other in (op, copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+        assert other.matrix.tobytes() == op.matrix.tobytes()
+        assert not hasattr(other, "_kept") and not hasattr(other, "__dict__")
+        with pytest.raises(AttributeError):
+            other._kept = {}
+    # the record shows and rebuilds from its two fields alone
     assert op.__reduce__()[1] == (op.system, op.matrix) and repr(op) == "Operator(dim=9)"
-    assert fock._kept_blocks(op) is blocks and spectral(op) is obs
+    assert _splitter_solve(2, 2) is blocks
 
 
 def _scenario_pass():
@@ -168,32 +182,30 @@ def _scenario_pass():
             assert run_scenario(json.load(fh))["overall_pass"], name
 
 
-def _held_operators():
-    found = {}
-    fock._held([value for value, *_ in fock._MEMO._entries.values()], found)
-    return [op for op in found.values() if isinstance(op, fock.Operator)]
+def _numpy_bytes():
+    """The bytes of numpy array memory that ``tracemalloc`` traces now."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(stat.size for stat in snapshot.statistics("filename"))
 
 
-def test_the_counted_bytes_bound_what_the_held_operators_keep():
+def test_the_counted_bytes_bound_what_the_kept_solves_allocate():
     fock._MEMO.clear()
-    _scenario_pass()
-    ops = _held_operators()
-    bound = sum(2 * op.matrix.nbytes + 40 * op.system.dim for op in ops)
-    for op in ops:
-        op._kept.clear()
+    _scenario_pass()     # fills every index cache, which a second pass only reads
+    fock._MEMO.clear()
     gc.collect()
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        for op in ops:
-            fock._kept_blocks(op), spectral(op)
+        base = _numpy_bytes()
+        _scenario_pass()
         gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - base
+        kept = _numpy_bytes() - base
     finally:
         tracemalloc.stop()
-    assert all(len(op._kept) == 2 for op in ops)
-    # the solves and Observables of every held operator, Python objects and all
-    assert 0 < kept <= bound
+    # the systems and splitter solves a pass leaves, each array's memory once
+    assert collections.Counter(key[0] for key in fock._MEMO._entries) == {"system": 13,
+                                                                           "splitter": 4}
+    assert 0 < kept <= fock._MEMO.nbytes and _accounted()
 
 
 def test_a_warm_pass_of_the_scenarios_evicts_nothing():
@@ -202,65 +214,77 @@ def test_a_warm_pass_of_the_scenarios_evicts_nothing():
     kept = dict(fock._MEMO._entries)
     _scenario_pass()
     assert fock._MEMO._entries.keys() == kept.keys()
-    assert all(fock._MEMO._entries[key][0] is value for key, (value, *_) in kept.items())
-    assert _accounted()
+    assert all(fock._MEMO._entries[key][0] is value for key, (value, _) in kept.items())
+    assert len(kept) == 17 and _accounted()
+
+
+def _exact_bytes(entry):
+    """The bytes of the memory that a memo entry's key and value reach, found by
+    ``gc.get_referents`` (types aside) and each array's ``base``: every array that
+    owns its memory counts its bytes once."""
+    seen, owners, todo = set(), {}, [entry]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.base is None:
+                owners[id(obj)] = obj.nbytes
+            else:
+                todo.append(obj.base)
+        else:
+            todo += gc.get_referents(obj)
+    return sum(owners.values())
 
 
 def _accounted():
-    """Whether the memo's byte count is the sum of its entries' and within budget,
-    and each operator an entry holds is listed with it and has the slot that keeps
-    what it derives."""
+    """Whether each entry counts exactly the array bytes its key and value hold, and
+    the memo's byte count is their sum and within budget."""
     memo = fock._MEMO
-    found = {}
-    fock._held([value for value, *_ in memo._entries.values()], found)
-    ops = [op for op in found.values() if isinstance(op, fock.Operator)]
-    listed = sorted(map(id, ops)) == sorted(id(op) for *_, kept in memo._entries.values()
-                                            for op in kept)
-    marked = all(type(op._kept) is dict for op in ops)
-    return (memo.nbytes == sum(n for _, n, _ in memo._entries.values()) <= fock._MEMO_BYTES
-            and listed and marked)
+    counts = [n for _, n in memo._entries.values()]
+    exact = [_exact_bytes((key, value)) for key, (value, _) in memo._entries.items()]
+    return counts == exact and memo.nbytes == sum(counts) <= fock._MEMO_BYTES
 
 
 def test_filled_with_many_systems_the_memo_never_holds_more_than_its_budget():
     fock._MEMO.clear()
-    first = _splitter_h(2, 1)
-    # dims 1024 down to 4, each with its splitter Hamiltonian and its observable:
-    # counted with what each operator may keep, far past the 4 MiB budget, so
-    # early entries are evicted and the operators above dim 295 are never kept
-    for cutoff in range(31, 0, -1):
-        op = _splitter_h(2, cutoff)
-        if cutoff < 24:
-            spectral(op)
+    first = _splitter_solve(2, 1)
+    # dims 4 up to 1024, then eleven more systems of dim 1024, each with its
+    # splitter solve: about 390 KiB an entry at dim 1024, far past the 4 MiB
+    # budget, so early entries are evicted
+    for cutoff in range(1, 32):
+        _splitter_solve(2, cutoff)
         assert _accounted(), cutoff
+    for i in range(11):
+        _splitter_solve(2, 31, labels=(f"a{i}", f"b{i}"))
+        assert _accounted(), i
     assert fock._MEMO.nbytes > fock._MEMO_BYTES // 2
-    assert len(fock._MEMO._entries) < 2 * 31
-    # the earliest operator was evicted: an equal one is built afresh
-    assert _splitter_h(2, 1) is not first and _accounted()
+    assert len(fock._MEMO._entries) < 2 * 42
+    # the earliest solve was evicted: an equal one is solved afresh
+    again = _splitter_solve(2, 1)
+    assert again is not first and _accounted()
+    for triple, was in zip(again, first):
+        assert all(np.array_equal(arr, old) for arr, old in zip(triple, was))
 
 
-def test_an_evicted_operator_drops_what_it_kept_and_is_freed_without_the_collector():
+def test_an_evicted_solve_is_freed_without_the_collector():
     fock._MEMO.clear()
-    op = _splitter_h(2, 9)
-    blocks, obs = fock._kept_blocks(op), spectral(op)
-    assert op._kept and obs.operator is op
-    matrix, vectors = weakref.ref(op.matrix), weakref.ref(blocks[0][2])
+    blocks = _splitter_solve(2, 9)
+    vectors = weakref.ref(blocks[-1][2])
     gc.collect()
     gc.disable()
     try:
-        # dims 256 down to 4: their bounds pass the budget, so the first entry goes
-        for cutoff in range(15, 0, -1):
-            spectral(_splitter_h(2, cutoff))
-        assert op._kept is None and _accounted()
-        # a caller that still holds it solves it afresh, and keeps nothing on it
-        assert spectral(op) is not obs and spectral(op) is not spectral(op)
-        assert op._kept is None
-        del op, blocks, obs
-        # no cycle through a kept Observable: refcounts alone free the arrays
-        assert matrix() is None and vectors() is None
-        held = spectral(_splitter_h(2, 3))
-        kept = weakref.ref(held.operator.matrix)
+        # two arrays of half the budget each push the solve and its system out
+        for i in range(2):
+            fock._MEMO.get(("filler", i), np.zeros, fock._MEMO_BYTES // 16, complex)
+        assert [key[0] for key in fock._MEMO._entries] == ["filler"] and _accounted()
+        assert vectors() is not None     # this test still holds the solve
+        del blocks
+        # nothing refers back to an evicted solve: refcounts alone free its arrays
+        assert vectors() is None
+        kept = weakref.ref(_splitter_solve(2, 3)[-1][2])
         fock._MEMO.clear()
-        del held
         assert kept() is None and fock._MEMO.nbytes == 0
     finally:
         gc.enable()
@@ -268,12 +292,15 @@ def test_an_evicted_operator_drops_what_it_kept_and_is_freed_without_the_collect
 
 def test_a_value_larger_than_the_budget_is_returned_but_not_kept():
     fock._MEMO.clear()
-    small = _splitter_h(2, 3)
-    big = _splitter_h(3, 7)     # dim 512: a 4 MiB matrix, past the budget with its system
-    assert big.matrix.nbytes == fock._MEMO_BYTES
-    again = _splitter_h(3, 7)
-    assert again is not big and again.matrix.tobytes() == big.matrix.tobytes()
-    assert _splitter_h(2, 3) is small and _accounted()
+    small = _splitter_solve(2, 3)
+    # the budget, not the dim, decides: the dim-512 splitter's solve is kept
+    big_dim = _splitter_solve(3, 7)
+    assert bosons(3, 7).dim == 512 and _splitter_solve(3, 7) is big_dim
+    # an array one entry past the budget is returned, each time afresh
+    big = fock._MEMO.get(("big",), np.zeros, fock._MEMO_BYTES // 8 + 1)
+    assert big.nbytes > fock._MEMO_BYTES and ("big",) not in fock._MEMO._entries
+    assert fock._MEMO.get(("big",), np.zeros, fock._MEMO_BYTES // 8 + 1) is not big
+    assert _splitter_solve(2, 3) is small and _accounted()
 
 
 def _raises_and_stores_nothing(call, message):
@@ -295,8 +322,14 @@ def _raises_and_stores_nothing(call, message):
     (lambda: fermions(2, labels=[0, 1]), "mode label must be a string"),
     (lambda: spin_ops(bosons(2, 1), 0, 2), "mode index 2 out of range"),
     (lambda: pauli_ops(bosons(1, 2), 0), "pauli_ops needs a cutoff-1 mode"),
-    (lambda: _splitter_hamiltonian(bosons(2, 1), BeamSplitterSpec(((0, 2),), 0.6, 0.8)),
+    (lambda: _splitter_blocks(bosons(2, 1), BeamSplitterSpec(((0, 2),), 0.6, 0.8)),
      "outside a system of 2 modes"),
+    # a mode count is an integer >= 1: True and 2.0 are refused, not read as 1 and 2
+    (lambda: bosons(True, 1), "n_modes must be an integer >= 1, got True"),
+    (lambda: fermions(True), "n_modes must be an integer >= 1, got True"),
+    (lambda: bosons(2.5, 3), "n_modes must be an integer >= 1, got 2.5"),
+    (lambda: qubits(2.0), "n_modes must be an integer >= 1, got 2.0"),
+    (lambda: bosons(-1, 2), "n_modes must be an integer >= 1, got -1"),
 ])
 def test_a_raising_producer_raises_the_same_error_twice_and_stores_nothing(call, message):
     fock._MEMO.clear()
@@ -321,8 +354,7 @@ def test_threads_that_call_one_producer_at_once_get_one_value():
                     fock._MEMO.clear()
                 barrier.wait(timeout=30)
                 system = bosons(4, 1, labels=["a1", "b1", "a2", "b2"])
-                h = _splitter_hamiltonian(system, spec)
-                results[r].append((system, h, spectral(h), fock._kept_blocks(h)))
+                results[r].append((system, _splitter_blocks(system, spec)))
         except Exception as exc:     # reported below, in the test's thread
             errors.append(exc)
             barrier.abort()

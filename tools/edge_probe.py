@@ -3,11 +3,11 @@ a time, and record how each edge ends.
 
 The edges are the largest cutoff or count inside ``MAX_DIM`` and the work
 budget (``MAX_DIM**2`` array entries), the smallest ones, nbar near the dim
-limit, kappa at 1e+-300 and r at 0 and 1, with a step past a limit where one
-applies.  Each case runs the focklab CLI on a scenario file in a child whose
-address space is capped as ``ulimit -v`` caps it (RLIMIT_AS).  The
-tool prints one JSON line per case: the exit code, the last stderr line, the
-wall time and the child's peak RSS.
+limit, kappa at 1e+-300 and r at 0 and 1 and near them, with a step past a
+limit where one applies.  Each case runs the focklab CLI on a scenario file in
+a child whose address space is capped as ``ulimit -v`` caps it (RLIMIT_AS).
+The tool prints one JSON line per case: the exit code, the last stderr line,
+the wall time and the child's peak RSS.
 
 An edge passes when it exits 0, or exits 2 with a message that holds the text
 its case names (the limit it crossed), and no ``RuntimeWarning`` reaches
@@ -96,6 +96,12 @@ CASES = [
     ("appendix_inequalities", {"n_samples": BUDGET}, MAX_DIM, None),
     ("phase_clock", {"n_max_values": [1]}, 2, None),
     ("phase_clock", {"n_max_values": [MAX_DIM - 1]}, MAX_DIM, None),
+    # r whose split keeps too little weight for its 1e-12 checks; listed last, so
+    # that each earlier case keeps its index
+    ("extraction", {"r_values": [1e-5]}, 256, "SPLIT_FLOOR = 1e-06"),
+    ("extraction", {"r_values": [1e-4]}, 256, "SPLIT_FLOOR = 1e-06"),
+    ("extraction", {"r_values": [0.9999]}, 256, "SPLIT_FLOOR = 1e-06"),
+    ("extraction", {"r_values": [1 - 1e-5]}, 256, "SPLIT_FLOOR = 1e-06"),
 ]
 
 
