@@ -22,49 +22,11 @@ import time
 
 import numpy as np
 
-from . import (
-    CHSHSetting,
-    Partition,
-    bosons,
-    number_op,
-    partial_trace,
-    spectral,
-    bell_one_boson,
-    coherent,
-    ghz,
-    verstraete_state,
-    two_mode_coherent_mixture,
-    twirl,
-    sector_decompose,
-    separable_ssr_theorem_check,
-    clock_prob,
-    chsh,
-    ghz_parity,
-    particle_entanglement,
-    ghz_assignment_search,
-    lhv_chsh_bound_sweep,
-    sum_inequality_oracle,
-    integral_inequality_oracle,
-    atom_molecule_process,
-    poisson_pmf,
-    ZeroProbabilityError,
-)
-from .dynamics import extraction_experiment, ramsey_vacuum_superposition
-from .fock import MAX_DIM, _is_integer, _row_slices
-from .lhv import CHUNK_ROWS
-from .measurement import joint_prob, prob, unrecorded_state
-from .ssr import clock_prob_by_evolution, qcf
-from .states import coherent_amplitudes, summed_stack
-from .witnesses import chsh_batch, chsh_correlation_tensor, spin_epr
-from .sampling import (
-    _flat_dirichlet,
-    random_chsh_directions,
-    random_density,
-    random_global_ssr_state,
-    random_number_diagonal_mixture,
-    random_one_boson_pair_mixture,
-    random_qubit_pair_mixture,
-)
+from . import dynamics, fock, lhv, measurement, sampling, ssr, states, witnesses
+
+# fock.MAX_DIM, held apart so that a sweep's work budget, MAX_DIM**2, can be
+# shrunk without shrinking the largest ModeSystem
+MAX_DIM = 4096
 
 SCHEMA_VERSION = 1
 SCENARIO_FIELDS = frozenset(
@@ -121,7 +83,7 @@ def _check_below(name, actual, bound):
 
 
 def _exp_ghz_parity(params, tol, seed):
-    report = ghz_parity(ghz(), tol=_tol(tol, 1e-12))
+    report = witnesses.ghz_parity(states.ghz(), tol=_tol(tol, 1e-12))
     return [_check_below(f"parity_residual_{k}", v, report.tol)
             for k, v in sorted(report.residuals.items())]
 
@@ -129,17 +91,17 @@ def _exp_ghz_parity(params, tol, seed):
 def _exp_twirl_coherent(params, tol, seed):
     nbar = params["nbar"]
     cutoff = params["cutoff"]
-    state = coherent(np.sqrt(nbar), cutoff)
-    n_op = number_op(state.system)
-    tw = twirl(state, n_op)
-    target = poisson_pmf(np.arange(cutoff + 1), nbar)
+    state = states.coherent(np.sqrt(nbar), cutoff)
+    n_op = fock.number_op(state.system)
+    tw = ssr.twirl(state, n_op)
+    target = states.poisson_pmf(np.arange(cutoff + 1), nbar)
     diag_err = float(np.abs(tw.diagonal() - target).max())
     off = tw.matrix - np.diag(np.diag(tw.matrix))
     checks = [
         _check_below("poisson_diag_max_err", diag_err, _tol(tol, 1e-10)),
         _check_below("offdiag_max", float(np.abs(off).max()), 1e-14),
         _check_below("idempotence", float(np.linalg.norm(
-            twirl(tw, n_op).matrix - tw.matrix)), 1e-12),
+            ssr.twirl(tw, n_op).matrix - tw.matrix)), 1e-12),
     ]
     return checks
 
@@ -151,20 +113,20 @@ def _exp_qcf_theorem(params, tol, seed):
     # one table entry per state and power tuple, held at once
     _check_budget("n_states * (max_order + 1)**4", n_states * (max_order + 1) ** 4,
                   "table entries")
-    system = bosons(2, cutoff)
+    system = fock.bosons(2, cutoff)
     powers = [(n, m, l, k)
               for n in range(max_order + 1) for m in range(max_order + 1)
               for l in range(max_order + 1) for k in range(max_order + 1)]
     balanced = np.array([n + l == m + k for n, m, l, k in powers])
-    states = random_global_ssr_state(system, np.random.default_rng(seed), n_states)
-    twirled = twirl(states, number_op(system))
+    sweep = sampling.random_global_ssr_state(system, np.random.default_rng(seed), n_states)
+    twirled = ssr.twirl(sweep, fock.number_op(system))
     import warnings
     with warnings.catch_warnings():
         # the sweep states carry weight at the cutoff; the vanishing theorem
         # is exact under truncation, so the saturation warning is noise here
         warnings.simplefilter("ignore", RuntimeWarning)
-        table = qcf(states, powers)
-        twirled_table = qcf(twirled, [p for p, b in zip(powers, balanced) if b])
+        table = ssr.qcf(sweep, powers)
+        twirled_table = ssr.qcf(twirled, [p for p, b in zip(powers, balanced) if b])
     worst_forbidden = np.abs(table[:, ~balanced]).max(initial=0.0)
     worst_invariance = np.abs(table[:, balanced] - twirled_table).max()
     return [
@@ -184,20 +146,20 @@ def _chsh_directions(rng, rows):
 def _exp_chsh_singlet(params, tol, seed):
     n_settings = params["n_settings"]
     _check_budget("n_settings", n_settings, "settings")
-    singlet = bell_one_boson("psi-")
-    t = chsh_correlation_tensor(singlet)
+    singlet = states.bell_one_boson("psi-")
+    t = witnesses.chsh_correlation_tensor(singlet)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for start in range(0, n_settings, CHUNK_ROWS):
-        settings = _chsh_directions(rng, min(CHUNK_ROWS, n_settings - start))
+    for start in range(0, n_settings, fock.CHUNK_ROWS):
+        settings = _chsh_directions(rng, min(fock.CHUNK_ROWS, n_settings - start))
         a, b = settings[:, 0], settings[:, 2]
         # a.T.b - (-a.b), one row per setting
         worst = max(worst, float(np.abs(np.einsum("si,ij,sj->s", a, t, b)
                                         + np.einsum("si,si->s", a, b)).max()))
     s = 1 / np.sqrt(2)
-    optimal = CHSHSetting(a1=(s, s, 0.0), a2=(s, -s, 0.0),
-                          b1=(1.0, 0.0, 0.0), b2=(0.0, 1.0, 0.0))
-    s_opt = abs(chsh(singlet, optimal))
+    optimal = witnesses.CHSHSetting(a1=(s, s, 0.0), a2=(s, -s, 0.0),
+                                    b1=(1.0, 0.0, 0.0), b2=(0.0, 1.0, 0.0))
+    s_opt = abs(witnesses.chsh(singlet, optimal))
     return [
         _check_below("correlation_vs_minus_ab", worst, _tol(tol, 1e-12)),
         _check("optimal_abs_S", 2.0 * np.sqrt(2.0), s_opt, _tol(tol, 1e-12)),
@@ -211,25 +173,26 @@ def _exp_chsh_separable_bound(params, tol, seed):
     _check_budget("n_mixtures * 4**2", n_mix * 4 ** 2)
     _check_budget("max(n_mixtures, 12) * n_settings", max(n_mix, 12) * n_settings)
     rng = np.random.default_rng(seed)
-    tensors = chsh_correlation_tensor(summed_stack(random_qubit_pair_mixture(rng, n_mix)))
-    a1, a2, b1, b2 = random_chsh_directions(rng, n_settings)
-    s_abs = chsh_batch(tensors, a1, a2, b1, b2)
+    tensors = witnesses.chsh_correlation_tensor(
+        states.summed_stack(sampling.random_qubit_pair_mixture(rng, n_mix)))
+    a1, a2, b1, b2 = sampling.random_chsh_directions(rng, n_settings)
+    s_abs = witnesses.chsh_batch(tensors, a1, a2, b1, b2)
     return [_check_below("separable_max_abs_S", float(s_abs.max()),
                          2.0 + _tol(tol, 1e-10))]
 
 
 def _exp_lhv_ghz_search(params, tol, seed):
     return [
-        _check("satisfying_assignments", 0, ghz_assignment_search(), 0),
-        _check("without_xxx_constraint", 64, ghz_assignment_search(xxx_target=None), 0),
-        _check("flipped_xxx_target", 64, ghz_assignment_search(xxx_target=-1), 0),
+        _check("satisfying_assignments", 0, lhv.ghz_assignment_search(), 0),
+        _check("without_xxx_constraint", 64, lhv.ghz_assignment_search(xxx_target=None), 0),
+        _check("flipped_xxx_target", 64, lhv.ghz_assignment_search(xxx_target=-1), 0),
     ]
 
 
 def _exp_lhv_chsh_bound(params, tol, seed):
     n_models, n_settings = params["n_models"], params["n_settings"]
     _check_budget("n_models * n_settings", n_models * n_settings, "settings")
-    best = lhv_chsh_bound_sweep(n_models, n_settings, seed)
+    best = lhv.lhv_chsh_bound_sweep(n_models, n_settings, seed)
     return [_check_below("lhv_max_abs_S", best, 2.0 + _tol(tol, 1e-12))]
 
 
@@ -245,8 +208,8 @@ def _exp_extraction(params, tol, seed):
     t_values = [np.sqrt(1.0 - r * r) for r in r_values]
     for case, pairs in targets.items():
         try:
-            results = extraction_experiment(case, r_values, t_values)
-        except ZeroProbabilityError as exc:
+            results = dynamics.extraction_experiment(case, r_values, t_values)
+        except measurement.ZeroProbabilityError as exc:
             # near r = 0 or 1 the particles do not split: nothing the checks can resolve
             raise ValueError(f"parameter 'r_values' of extraction leaves the {case} split "
                              f"with no weight its checks can resolve ({exc})") from exc
@@ -269,7 +232,7 @@ def _exp_atom_molecule(params, tol, seed):
     checks = []
     for n in params["n_values"]:
         # one system, solve and calibration per N, for every phase
-        results = atom_molecule_process(n, kappa, params["phi_values"])
+        results = dynamics.atom_molecule_process(n, kappa, params["phi_values"])
         for phi, res in zip(params["phi_values"], results):
             checks.append(_check(f"p_atom_N{n}_phi{phi:.3f}",
                                  float(np.sin(phi / 2) ** 2),
@@ -282,10 +245,9 @@ def _exp_atom_molecule(params, tol, seed):
     nbar = params.get("poisson_nbar")
     if nbar:
         phi = params["phi_values"][0]
-        res = atom_molecule_process(nbar, kappa, phi,
-                                    initial="poisson")
+        res = dynamics.atom_molecule_process(nbar, kappa, phi, initial="poisson")
         # the N = 0 component has no partner atom and stays atomic
-        w0 = float(poisson_pmf(0, nbar))
+        w0 = float(states.poisson_pmf(0, nbar))
         checks.append(_check(f"poisson_p_atom_phi{phi:.3f}",
                              w0 + (1.0 - w0) * float(np.sin(phi / 2) ** 2),
                              res.quantities["p_atom"], t_))
@@ -300,8 +262,8 @@ def _exp_vacuum_interferometer(params, tol, seed):
     w, phase_a, phase_b, delta, tau = np.random.default_rng(seed).random((params["n_draws"], 5)).T
     phase_a, phase_b = np.exp(2j * np.pi * np.stack([phase_a, phase_b]))
     delta, tau = 0.1 + (3.0 - 0.1) * delta, 0.1 + (3.0 - 0.1) * tau
-    p10, p01 = ramsey_vacuum_superposition(np.sqrt(1.0 - w) * phase_a, np.sqrt(w) * phase_b,
-                                           delta, tau)
+    p10, p01 = dynamics.ramsey_vacuum_superposition(np.sqrt(1.0 - w) * phase_a,
+                                                    np.sqrt(w) * phase_b, delta, tau)
     # float_power squares by pow, as a scalar ** 2 does
     worst10 = float(np.abs(p10 - w * np.float_power(np.sin(delta * tau / 2), 2)).max())
     worst01 = float(np.abs(p01 - w * np.float_power(np.cos(delta * tau / 2), 2)).max())
@@ -312,11 +274,11 @@ def _exp_vacuum_interferometer(params, tol, seed):
 
 
 def _exp_verstraete(params, tol, seed):
-    rho_mix, mixture = verstraete_state("mixture")
-    rho_sec = verstraete_state("sectorized")
+    rho_mix, mixture = states.verstraete_state("mixture")
+    rho_sec = states.verstraete_state("sectorized")
     diff = float(np.abs(rho_mix.matrix - rho_sec.matrix).max())
-    decomp = sector_decompose(rho_mix, number_op(rho_mix.system))
-    rep = separable_ssr_theorem_check(mixture)
+    decomp = ssr.sector_decompose(rho_mix, fock.number_op(rho_mix.system))
+    rep = ssr.separable_ssr_theorem_check(mixture)
     return [
         _check_below("mixture_vs_sectorized", diff, 1e-14),
         _check("weight_N0", 0.25, decomp.weight_of(0), _tol(tol, 1e-12)),
@@ -342,18 +304,19 @@ def _phase_averaged_rows(alpha, system, n_phases):
     one phase sum S(D) = (1/N) sum_t e^{-i D theta_t} per number difference,
     taken CHUNK_ROWS phases at a time."""
     cutoff = system.modes[0].cutoff
-    amps = coherent_amplitudes([alpha], cutoff)[0]
+    amps = states.coherent_amplitudes([alpha], cutoff)[0]
     occ = system.occupancies
     vec = amps[occ[:, 0]] * amps[occ[:, 1]]
     conj = vec.conj()
     totals = occ.sum(axis=1)
     diffs = np.arange(-2 * cutoff, 2 * cutoff + 1)
     sums = np.zeros(len(diffs), dtype=complex)
-    for start in range(0, n_phases, CHUNK_ROWS):
-        theta = 2.0 * np.pi * np.arange(start, min(start + CHUNK_ROWS, n_phases)) / n_phases
+    for start in range(0, n_phases, fock.CHUNK_ROWS):
+        stop = min(start + fock.CHUNK_ROWS, n_phases)
+        theta = 2.0 * np.pi * np.arange(start, stop) / n_phases
         sums += np.exp(-1j * np.outer(diffs, theta)).sum(axis=1)
     sums /= n_phases
-    for s in _row_slices(system.dim, system.dim):
+    for s in fock._row_slices(system.dim, system.dim):
         diff = totals[s, None] - totals
         quad = np.outer(vec[s], conj)
         quad *= sums[diff + 2 * cutoff]
@@ -369,17 +332,17 @@ def _exp_two_mode_coherent_mixture(params, tol, seed):
     # off-sector term exactly only when n > 2 cutoff
     if n_phases <= 2 * cutoff:
         raise ValueError(f"n_phases must exceed 2 * cutoff = {2 * cutoff}, got {n_phases}")
-    rho = two_mode_coherent_mixture(alpha, cutoff)
+    rho = states.two_mode_coherent_mixture(alpha, cutoff)
     # both full-matrix checks a row block at a time; np.maximum keeps a NaN
     quad_err = offsector = 0.0
     for s, diff, quad in _phase_averaged_rows(alpha, rho.system, n_phases):
         rows = rho.matrix[s]
         quad_err = np.maximum(quad_err, np.abs(np.subtract(rows, quad, out=quad)).max())
         offsector = np.maximum(offsector, np.abs(rows[diff != 0]).max(initial=0.0))
-    part = Partition([("A", (0,)), ("B", (1,))])
-    ra = partial_trace(rho, part, "A")
+    part = fock.Partition([("A", (0,)), ("B", (1,))])
+    ra = fock.partial_trace(rho, part, "A")
     off_a = ra.matrix - np.diag(np.diag(ra.matrix))
-    pois = poisson_pmf(np.arange(cutoff + 1), alpha ** 2)
+    pois = states.poisson_pmf(np.arange(cutoff + 1), alpha ** 2)
     pois /= pois.sum()
     return [
         _check_below("analytic_vs_quadrature", quad_err, _tol(tol, 1e-10)),
@@ -392,23 +355,23 @@ def _exp_two_mode_coherent_mixture(params, tol, seed):
 
 def _exp_measurement_identities(params, tol, seed):
     t_ = _tol(tol, 1e-10)
-    system = bosons(2, 2)
+    system = fock.bosons(2, 2)
     _check_budget("n_states * 9**2", params["n_states"] * 9 ** 2)
-    part = Partition([("A", (0,)), ("B", (1,))])
-    obs_a = spectral(number_op(system, [1, 0]))
-    obs_b = spectral(number_op(system, [0, 1]))
+    part = fock.Partition([("A", (0,)), ("B", (1,))])
+    obs_a = measurement.spectral(fock.number_op(system, [1, 0]))
+    obs_b = measurement.spectral(fock.number_op(system, [0, 1]))
     proj_a, proj_b = obs_a.projectors, obs_b.projectors
-    rhos = random_density(system, np.random.default_rng(seed), params["n_states"])
-    after = unrecorded_state(rhos, obs_b)
+    rhos = sampling.random_density(system, np.random.default_rng(seed), params["n_states"])
+    after = measurement.unrecorded_state(rhos, obs_b)
     worst_bayes = worst_nosig = 0.0
     for pa in proj_a:
-        before = prob(rhos, pa)
-        total = sum(joint_prob(rhos, [pa, pb]) for pb in proj_b)
+        before = measurement.prob(rhos, pa)
+        total = sum(measurement.joint_prob(rhos, [pa, pb]) for pb in proj_b)
         worst_bayes = max(worst_bayes, float(np.abs(total - before).max()))
-        worst_nosig = max(worst_nosig, float(np.abs(prob(after, pa) - before).max()))
+        worst_nosig = max(worst_nosig, float(np.abs(measurement.prob(after, pa) - before).max()))
     # one call per stack, so no stack holds more than the n_states the budget counts
-    unrecorded, direct = (np.array([rho.matrix for rho in partial_trace(states, part, "A")])
-                          for states in (after, rhos))
+    unrecorded, direct = (np.array([rho.matrix for rho in fock.partial_trace(stack, part, "A")])
+                          for stack in (after, rhos))
     worst_reduced = float(np.abs(unrecorded - direct).max())
     return [
         _check_below("bayes_max_err", worst_bayes, t_),
@@ -418,15 +381,15 @@ def _exp_measurement_identities(params, tol, seed):
 
 
 def _exp_separability_ssr(params, tol, seed):
-    system = bosons(2, 2)
+    system = fock.bosons(2, 2)
     _check_budget("n_mixtures * 9**2", params["n_mixtures"] * 9 ** 2)
-    part = Partition([("A", (0,)), ("B", (1,))])
-    mixtures = random_number_diagonal_mixture(system, part, np.random.default_rng(seed),
-                                              params["n_mixtures"])
+    part = fock.Partition([("A", (0,)), ("B", (1,))])
+    mixtures = sampling.random_number_diagonal_mixture(
+        system, part, np.random.default_rng(seed), params["n_mixtures"])
     ok = all(rep.all_local_compliant and rep.global_report.compliant
-             for rep in separable_ssr_theorem_check(mixtures))
-    _, verstraete_mix = verstraete_state("mixture")
-    caveat = separable_ssr_theorem_check(verstraete_mix)
+             for rep in ssr.separable_ssr_theorem_check(mixtures))
+    _, verstraete_mix = states.verstraete_state("mixture")
+    caveat = ssr.separable_ssr_theorem_check(verstraete_mix)
     return [
         _check("sufficiency_direction_holds", True, ok, 0),
         _check("verstraete_caveat", True, caveat.fixed_probability_caveat, 0),
@@ -435,17 +398,17 @@ def _exp_separability_ssr(params, tol, seed):
 
 def _exp_particle_entanglement(params, tol, seed):
     t_ = _tol(tol, 1e-10)
-    system = bosons(2, 2)
+    system = fock.bosons(2, 2)
     _check_budget("n_mixtures * 9**2", params["n_mixtures"] * 9 ** 2)
-    part = Partition([("A", (0,)), ("B", (1,))])
-    summed = summed_stack(random_number_diagonal_mixture(
+    part = fock.Partition([("A", (0,)), ("B", (1,))])
+    summed = states.summed_stack(sampling.random_number_diagonal_mixture(
         system, part, np.random.default_rng(seed), params["n_mixtures"]))
-    worst = max([0.0] + particle_entanglement(summed, part))
+    worst = max([0.0] + witnesses.particle_entanglement(summed, part))
     one_one = system.basis_state((1, 1))
-    ep_prod = particle_entanglement(one_one, part)
-    sys4 = bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
-    part4 = Partition([("A", (0, 1)), ("B", (2, 3))])
-    ep_ln2 = particle_entanglement(
+    ep_prod = witnesses.particle_entanglement(one_one, part)
+    sys4 = fock.bosons(4, 1, labels=["a1", "a2", "b1", "b2"])
+    part4 = fock.Partition([("A", (0, 1)), ("B", (2, 3))])
+    ep_ln2 = witnesses.particle_entanglement(
         sys4.superposition([(1, 0, 0, 1), (0, 1, 1, 0)], [1 / np.sqrt(2)] * 2), part4)
     return [
         _check_below("separable_EP_max", worst, t_),
@@ -457,11 +420,11 @@ def _exp_particle_entanglement(params, tol, seed):
 def _exp_spin_epr_bound(params, tol, seed):
     t_ = _tol(tol, 1e-10)
     _check_budget("n_mixtures * 16**2", params["n_mixtures"] * 16 ** 2)
-    part = Partition([("one", (0, 1)), ("two", (2, 3))])
-    summed = summed_stack(random_one_boson_pair_mixture(np.random.default_rng(seed),
-                                                        params["n_mixtures"]))
+    part = fock.Partition([("one", (0, 1)), ("two", (2, 3))])
+    summed = states.summed_stack(sampling.random_one_boson_pair_mixture(
+        np.random.default_rng(seed), params["n_mixtures"]))
     # margin > 0 would be a violation
-    worst = max([0.0] + [v.margin for v in spin_epr(summed, part)])
+    worst = max([0.0] + [v.margin for v in witnesses.spin_epr(summed, part)])
     return [_check_below("separable_epr_margin_max", worst, t_)]
 
 
@@ -483,14 +446,14 @@ def _appendix_chunk(size_rng, exp_rng, unif_rng, rows):
     p = exp_rng.standard_exponential((rows, high - 1))
     p[padding] = 0.0
     # the weights of rng.dirichlet(np.ones(size)) of the first size exponentials
-    _flat_dirichlet(p)
+    sampling._flat_dirichlet(p)
     c, d, lam = unif_rng.random((rows, 3, high - 1)).transpose(1, 0, 2)
     c, d = (np.where(padding, 0.0, x * 10) for x in (c, d))
     # sorting with +inf in the padding leaves it last; it then repeats the largest lambda
     lam = np.where(padding, np.inf, lam)
     lam.sort(axis=1)
     lam = np.where(padding, lam[np.arange(rows), sizes - 1][:, None], lam)
-    return sum_inequality_oracle(p, c, d), integral_inequality_oracle(lam, p, c, d)
+    return lhv.sum_inequality_oracle(p, c, d), lhv.integral_inequality_oracle(lam, p, c, d)
 
 
 def _exp_appendix_inequalities(params, tol, seed):
@@ -501,10 +464,10 @@ def _exp_appendix_inequalities(params, tol, seed):
     # stream, which the equality case draws, where it was
     children = rng.spawn(3)
     ok_sum = ok_int = True
-    for start in range(0, n, CHUNK_ROWS):
-        chunk_sum, chunk_int = _appendix_chunk(*children, min(CHUNK_ROWS, n - start))
+    for start in range(0, n, fock.CHUNK_ROWS):
+        chunk_sum, chunk_int = _appendix_chunk(*children, min(fock.CHUNK_ROWS, n - start))
         ok_sum, ok_int = ok_sum and chunk_sum, ok_int and chunk_int
-    p = _flat_dirichlet(rng.standard_exponential(5))
+    p = sampling._flat_dirichlet(rng.standard_exponential(5))
     c = rng.random(5) * 3
     lhs = float(np.sum(p * c) ** 2)
     rhs = float(np.sum(p * np.sqrt(c * c)) ** 2)
@@ -523,8 +486,8 @@ def _exp_phase_clock(params, tol, seed):
         omega_dts = (0.0, 0.3, 2 * np.pi / (n_max + 1), 1.7)
         # one oracle call, one solve and one closed-form call per n_max, with a
         # (omega dt, p, q) table from each
-        direct = clock_prob_by_evolution(phases, phases, 1.0, omega_dts, n_max)
-        closed = clock_prob(phases, phases, 1.0, omega_dts, n_max)
+        direct = ssr.clock_prob_by_evolution(phases, phases, 1.0, omega_dts, n_max)
+        closed = ssr.clock_prob(phases, phases, 1.0, omega_dts, n_max)
         worst = max(worst, float(np.abs(direct - closed).max()))
     return [_check_below("clock_formula_max_err", worst, t_)]
 
@@ -570,9 +533,9 @@ _REAL_DOMAINS = {"nbar": (0.0, math.inf), "poisson_nbar": (0.0, math.inf),
 
 def _domain(key, default):
     """(test, description) of one valid scalar for a param with this default."""
-    if _is_integer(default):
+    if fock._is_integer(default):
         low = 1 if key.startswith("n_") else 0
-        return (lambda v: _is_integer(v) and v >= low), f"an integer >= {low}"
+        return (lambda v: fock._is_integer(v) and v >= low), f"an integer >= {low}"
     low, high = _REAL_DOMAINS.get(key, (-math.inf, math.inf))
     text = "a finite number" + (f" in [{low}, {high}]" if key in _REAL_DOMAINS else "")
     return (lambda v: _is_finite(v) and low <= v <= high), text
@@ -605,11 +568,11 @@ def run_experiment(name, params=None, tolerance=None, seed=0):
     ``np.random.default_rng(seed)`` inside the timed ``wall_time_s``."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
-    if not (_is_integer(seed) and seed >= 0):
+    if not (fock._is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     seed = int(seed)
     func, defaults = EXPERIMENTS[name]
-    params = params or {}
+    params = {} if params is None else params
     if not isinstance(params, dict):
         raise ValueError("params must be an object")
     unknown = set(params) - set(defaults)
@@ -635,16 +598,22 @@ def run_experiment(name, params=None, tolerance=None, seed=0):
     }
 
 
+def _field(scenario, key, default):
+    """A scenario field, or ``default`` when it is left out or null."""
+    value = scenario.get(key)
+    return default if value is None else value
+
+
 def run_scenario(scenario, tolerance=None, seed=None):
     """Run a parsed scenario dict.
 
     ``tolerance`` and ``seed``, when given, override the scenario's global
-    tolerance and seed.
+    tolerance and seed.  Only a field left out or null takes its default.
     """
     if not isinstance(scenario, dict):
         raise ValueError("a scenario must be a JSON object")
     version = scenario.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not (fock._is_integer(version) and version == SCHEMA_VERSION):
         raise ValueError(f"unsupported schema_version {version!r}")
     unknown = set(scenario) - SCENARIO_FIELDS
     if unknown:
@@ -652,7 +621,7 @@ def run_scenario(scenario, tolerance=None, seed=None):
     name = scenario.get("experiment")
     if not isinstance(name, str):
         raise ValueError("scenario needs an 'experiment' name")
-    tolerances = scenario.get("tolerances") or {}
+    tolerances = _field(scenario, "tolerances", {})
     if not isinstance(tolerances, dict):
         raise ValueError("'tolerances' must be an object")
     unknown = set(tolerances) - {"global"}
@@ -663,7 +632,7 @@ def run_scenario(scenario, tolerance=None, seed=None):
     if tolerance is not None and not (_is_finite(tolerance) and tolerance >= 0):
         raise ValueError(f"global tolerance must be a finite number >= 0, got {tolerance!r}")
     if seed is None:
-        seed = scenario.get("seed", 0)
+        seed = _field(scenario, "seed", 0)
     return run_experiment(name, params=scenario.get("params"),
                           tolerance=tolerance, seed=seed)
 

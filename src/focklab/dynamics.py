@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from . import measurement, ssr, states
 from .fock import (
     MAX_DIM,
     NORM_ATOL,
@@ -37,9 +38,6 @@ from .fock import (
     partial_trace,
     unitary_evolve,
 )
-from .ssr import SSR_TOL, _commutator_residuals, _local_reports
-from .states import poisson_pmf
-from .measurement import ZeroProbabilityError
 
 REAL_ROTATION = "real-rotation"
 MINUS_I = "minus_i"
@@ -194,8 +192,9 @@ def extraction_experiment(case, r, t):
         projected = np.where(in_sector, out.amplitudes, 0.0)
         p_sector = float(np.linalg.norm(projected) ** 2)
         if not p_sector >= SPLIT_FLOOR:
-            raise ZeroProbabilityError(f"pair {i}: sector probability {p_sector} below "
-                                       f"SPLIT_FLOOR = {SPLIT_FLOOR} at r = {spec.r!r}")
+            raise measurement.ZeroProbabilityError(
+                f"pair {i}: sector probability {p_sector} below SPLIT_FLOOR = "
+                f"{SPLIT_FLOOR} at r = {spec.r!r}")
         projected_state = PureState(system, projected / np.sqrt(p_sector))
         # by position: stages, final_state, quantities
         results.append(ProcessResult(
@@ -359,7 +358,7 @@ def atom_molecule_process(n_bec, kappa, phi, initial="fock"):
     # past the mean the weights fall, so the grid stops at top + 1: a kept count
     # above top shows there, before any component is built
     n_max = min(int(nbar + 20.0 * math.sqrt(max(nbar, 1.0)) + 20), top + 1)
-    weights = poisson_pmf(np.arange(n_max + 1), nbar)
+    weights = states.poisson_pmf(np.arange(n_max + 1), nbar)
     if nbar > top or (weights[top + 1:] > 1e-15).any():
         raise ValueError(f"a Poisson mean of {nbar!r} keeps BEC numbers above {top}, the "
                          f"largest of a system within MAX_DIM = {MAX_DIM}")
@@ -454,18 +453,18 @@ def ssr_propagation_check(mixture, h, weights=None):
     at one of the ``PROPAGATION_TIMES``.
     """
     n_diag = number_diagonal(h.system, weights)
-    conserving = _commutator_residuals(n_diag, h.matrix)
+    conserving = ssr._commutator_residuals(n_diag, h.matrix)
     if not conserving <= 1e-10:     # NaN fails too
         raise ValueError(f"Hamiltonian does not conserve the weighted number "
                          f"(residual {conserving})")
-    local_ok = all(rep.compliant for _, _, rep in _local_reports([mixture], weights)[0])
-    residuals = tuple(_commutator_residuals(n_diag, rho.matrix)
+    local_ok = all(rep.compliant for _, _, rep in ssr._local_reports([mixture], weights)[0])
+    residuals = tuple(ssr._commutator_residuals(n_diag, rho.matrix)
                       for rho in unitary_evolve(h, PROPAGATION_TIMES, mixture.summed()))
     return PropagationReport(
         conserving_residual=conserving,
         all_local_compliant=local_ok,
         times=PROPAGATION_TIMES,
         global_residuals=residuals,
-        compliant_at_all_times=all(r <= SSR_TOL for r in residuals),
-        tol=SSR_TOL,
+        compliant_at_all_times=all(r <= ssr.SSR_TOL for r in residuals),
+        tol=ssr.SSR_TOL,
     )

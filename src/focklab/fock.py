@@ -62,6 +62,11 @@ BLOCK_MIN_DIM = 48
 # ``_row_slices``
 PAIR_CHUNK = 1 << 14
 
+# rows per array step of the stacked sweeps (the CHSH sweeps' (model, setting)
+# pairs and settings, the phases of the phase average, the oracle stacks of the
+# appendix scenario), so peak memory does not grow with the number of draws
+CHUNK_ROWS = 1024
+
 # bytes ``_MEMO`` may count, 4 MiB: one d x d operator is 256 MiB at MAX_DIM, so
 # the memo bounds bytes, not entries.  An entry counts the arrays it holds, and a
 # splitter solve holds O(sum k^2) for its components of size k, not d^2, so the

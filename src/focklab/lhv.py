@@ -11,15 +11,10 @@ import itertools
 
 import numpy as np
 
-from .fock import NORM_ATOL, _Record, _is_integer, sub_system
-from .measurement import PROB_FLOOR, _block_probs
-from .sampling import _flat_dirichlet
+from . import measurement, sampling
+from .fock import CHUNK_ROWS, NORM_ATOL, _Record, _is_integer, sub_system
 
 ORACLE_RTOL = 1e-12     # slack of the inequality oracles, relative to max(1, |lhs|)
-# rows per array step of the stacked paths (the CHSH sweeps' (model, setting)
-# pairs and settings, the oracle stacks of the appendix scenario), so peak
-# memory does not grow with the number of draws
-CHUNK_ROWS = 1024
 
 
 class LHVObservable(_Record):
@@ -106,9 +101,9 @@ def lhv_from_separable(mixture, subsystem_observables):
     for name, obs in subsystem_observables.items():
         if obs.system != sub_system(mixture.system, mixture.partition.modes_of(name)):
             raise ValueError("operator and state live on different systems")
-        pmf = _block_probs(mixture.factors[name], obs)
-        observables[name] = LHVObservable(tuple(obs.eigenvalues),
-                                          np.where(pmf < -PROB_FLOOR, pmf, np.maximum(pmf, 0.0)))
+        pmf = measurement._block_probs(mixture.factors[name], obs)
+        observables[name] = LHVObservable(tuple(obs.eigenvalues), np.where(
+            pmf < -measurement.PROB_FLOOR, pmf, np.maximum(pmf, 0.0)))
     return DiscreteLHVModel(mixture.probabilities, observables)
 
 
@@ -153,7 +148,7 @@ def lhv_chsh_bound_sweep(n_models, n_settings, rng):
         models = min(per_step, n_models - start)
         weights = weight_rng.standard_exponential((models, high - 1))
         weights[np.arange(high - 1) >= size_rng.integers(low, high, (models, 1))] = 0.0
-        _check_distributions(_flat_dirichlet(weights),
+        _check_distributions(sampling._flat_dirichlet(weights),
                              "hidden-value probabilities must be a distribution")
         weights = weights[:, None]     # over the settings
         for first in range(0, n_settings, CHUNK_ROWS):

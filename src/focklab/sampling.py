@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import states, witnesses
 from .fock import (PureState, Partition, _density_stack, _is_integer, bosons, number_diagonal,
                    qubits, sector_blocks, sub_system)
-from .states import mixture_stack
-from .witnesses import CHSHSetting
 
 
 def _sweep_size(n):
@@ -87,8 +86,8 @@ def random_unit_vector(rng):
 
 
 def random_chsh_setting(rng):
-    return CHSHSetting(a1=random_unit_vector(rng), a2=random_unit_vector(rng),
-                       b1=random_unit_vector(rng), b2=random_unit_vector(rng))
+    return witnesses.CHSHSetting(a1=random_unit_vector(rng), a2=random_unit_vector(rng),
+                                 b1=random_unit_vector(rng), b2=random_unit_vector(rng))
 
 
 def random_chsh_directions(rng, n):
@@ -134,7 +133,8 @@ def random_qubit_pair_mixture(rng, n=None):
     probs, normals = _weights_and_normals(rng, count, 4, 4 * 2 * 2 * 2 * 2)
     # (draw, component, factor, 2, 2)
     grams = _unit_trace_grams(normals.reshape(-1, 2, 2, 2)).reshape(count, 4, 2, 2, 2)
-    out = mixture_stack(system, partition, probs, {"A": grams[:, :, 0], "B": grams[:, :, 1]})
+    out = states.mixture_stack(system, partition, probs,
+                               {"A": grams[:, :, 0], "B": grams[:, :, 1]})
     return out[0] if one else out
 
 
@@ -154,7 +154,7 @@ def random_number_diagonal_mixture(system, partition, rng, n=None):
     factors = exps[:, 3:].reshape(count, 3, sum(dims))
     diags = [_flat_dirichlet(f) for f in np.split(factors, np.cumsum(dims)[:-1], axis=-1)]
     # times the identity: each draw on the diagonal, exactly 0 off it
-    out = mixture_stack(system, partition, probs, {
+    out = states.mixture_stack(system, partition, probs, {
         name: diag[..., None] * np.eye(d) for name, diag, d in zip(partition.names, diags, dims)})
     return out[0] if one else out
 
@@ -179,5 +179,6 @@ def random_one_boson_pair_mixture(rng, n=None):
     blocks = _unit_trace_grams(normals.reshape(-1, 2, 2, 2)).reshape(count, 3, 2, 2, 2)
     mats = np.zeros((count, 3, 2, pair.dim, pair.dim), dtype=complex)
     mats[..., sel[:, None], sel] = blocks
-    out = mixture_stack(system, partition, probs, {"one": mats[:, :, 0], "two": mats[:, :, 1]})
+    out = states.mixture_stack(system, partition, probs,
+                               {"one": mats[:, :, 0], "two": mats[:, :, 1]})
     return out[0] if one else out

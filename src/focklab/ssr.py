@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 
+from . import states
 from .fock import (
     ModeSystem,
     PureState,
@@ -22,6 +23,7 @@ from .fock import (
     _density_stack,
     _is_integer,
     _one_or_many,
+    _real_entries,
     _residual_norms,
     _sector_stacks,
     apply_unitary,
@@ -33,7 +35,6 @@ from .fock import (
     ladder_product,
     sub_system,
 )
-from .states import SeparableMixture, summed_stack
 
 SSR_TOL = 1e-10
 
@@ -232,10 +233,10 @@ def separable_ssr_theorem_check(mixtures):
     probabilities).  A sequence takes one ``summed_stack`` and one residual
     array per subsystem and for the sums.
     """
-    one = isinstance(mixtures, SeparableMixture)
+    one = isinstance(mixtures, states.SeparableMixture)
     if one:
         mixtures = [mixtures]
-    summed = summed_stack(mixtures)
+    summed = states.summed_stack(mixtures)
     global_residuals = _commutator_residuals(number_diagonal(summed[0].system),
                                              np.array([rho.matrix for rho in summed]))
     reports = []
@@ -264,18 +265,27 @@ def _phase_amplitudes(n_max, p):
     return np.exp(1j * n * theta) / np.sqrt(n_max + 1)
 
 
-def _clock_args(p, q, omega, dt):
+def _clock_args(p, q, omega, dt, n_max):
     """The phase indices of ``p`` and ``q`` as lists, each one index or a 1-D sequence;
     ``dt``, one time or a non-empty 1-D sequence, as a 1-D array; and omega * dt of
-    each time, once each is finite; raises ValueError naming the first that is not."""
+    each time.  Raises ValueError, before any state is built, naming the first of
+    these that is not valid: ``dt``, ``omega`` (one real number), a product
+    omega * dt that is not finite, or the phase indices, integers in 0..n_max."""
     times, _ = _one_or_many(dt, "the clock takes one time dt or a non-empty sequence of them")
+    if np.ndim(omega) != 0 or not _real_entries(omega):
+        raise ValueError(f"omega must be one real number, got {omega!r}")
     with np.errstate(over="ignore", invalid="ignore"):     # not finite, which fails
         omega_dt = omega * times
     bad = ~np.isfinite(omega_dt)
     if bad.any():
         raise ValueError(f"omega * dt = {float(omega_dt[bad][0])!r} is not finite")
-    return [p] if np.ndim(p) == 0 else list(p), [q] if np.ndim(q) == 0 else list(q), \
-        times, omega_dt
+    rows = [p] if np.ndim(p) == 0 else list(p)
+    cols = [q] if np.ndim(q) == 0 else list(q)
+    if not (_is_integer(n_max) and all(_is_integer(i) and 0 <= i <= n_max
+                                       for i in rows + cols)):
+        raise ValueError(f"phase indices p = {p!r} and q = {q!r} must be integers in "
+                         f"0..n_max, with n_max = {n_max!r} an integer")
+    return rows, cols, times, omega_dt
 
 
 def _clock_result(table, p, q, dt):
@@ -300,13 +310,11 @@ def clock_prob(p, q, omega, dt, n_max):
     sequence, as for ``clock_prob_by_evolution``: the result is a float for two
     indices and one time, else the (len p, len q) table, one per time for a
     sequence of times, each entry with the bits of its own scalar call
-    (``np.float_power`` squares as a numpy scalar's ``** 2`` does).
+    (``np.float_power`` squares as a numpy scalar's ``** 2`` does).  An ``omega``
+    that is not one real number, a non-finite omega * dt, or a phase index that is
+    not an integer in 0..n_max raises ValueError naming it.
     """
-    rows, cols, _, omega_dt = _clock_args(p, q, omega, dt)
-    if not (_is_integer(n_max) and all(_is_integer(i) and 0 <= i <= n_max
-                                       for i in rows + cols)):
-        raise ValueError(f"phase indices p = {p!r} and q = {q!r} must be integers in "
-                         f"0..n_max, with n_max = {n_max!r} an integer")
+    rows, cols, _, omega_dt = _clock_args(p, q, omega, dt, n_max)
     m = n_max + 1
     theta = 2.0 * np.pi * np.array(rows + cols, dtype=float) / m
     # -omega dt reduced as the oracle's phases are, by libm's cosine and sine,
@@ -331,18 +339,18 @@ def clock_prob_by_evolution(p, q, omega, dt, n_max):
     a non-empty 1-D sequence of times; the result then holds one float or table
     per time, each entry with the bits of its call alone.  The system comes from
     ``bosons``, one per n_max; H, its solve and each phase state are built once
-    per call, and ``evolution_operator`` gives one propagator per time.  A
-    non-finite omega * dt raises ValueError.
+    per call, and ``evolution_operator`` gives one propagator per time.  Its
+    arguments are checked as ``clock_prob``'s are, before any state is built.
     """
-    rows, cols, times, _ = _clock_args(p, q, omega, dt)
+    rows, cols, times, _ = _clock_args(p, q, omega, dt, n_max)
     sys1 = bosons(1, n_max, labels=["osc"])
-    states = {i: PureState(sys1, _phase_amplitudes(n_max, i)) for i in set(rows + cols)}
+    kets = {i: PureState(sys1, _phase_amplitudes(n_max, i)) for i in set(rows + cols)}
     table = np.empty((len(times), len(rows), len(cols)))
     for u, plane in zip(evolution_operator(omega * number_op(sys1), times), table):
         for r, i in enumerate(rows):
-            evolved = apply_unitary(u, states[i])
+            evolved = apply_unitary(u, kets[i])
             for c, j in enumerate(cols):
-                plane[r, c] = np.abs(np.vdot(states[j].amplitudes, evolved.amplitudes)) ** 2
+                plane[r, c] = np.abs(np.vdot(kets[j].amplitudes, evolved.amplitudes)) ** 2
     return _clock_result(table, p, q, dt)
 
 

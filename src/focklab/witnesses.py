@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import measurement
 from .fock import (
     NORM_ATOL,
     Operator,
@@ -22,7 +23,6 @@ from .fock import (
     expectation,
     ladder_sum,
 )
-from .measurement import _eigenbasis, _unrecorded_variances, spectral
 
 DECISION_TOL = 1e-9
 GHZ_TOL = 1e-12
@@ -180,9 +180,10 @@ def spin_epr(states, partition):
     if len(m1) != 2 or len(m2) != 2:
         raise ValueError("each subsystem must hold two modes")
     spins1, spins2 = spin_ops(system, *m1), spin_ops(system, *m2)
-    sx1, sx2, sy1, sy2 = (spectral(op) for op in (spins1.sx, spins2.sx, spins1.sy, spins2.sy))
-    lhs = _unrecorded_variances(_eigenbasis(stack, sx1), sx1, sx2) \
-        * _unrecorded_variances(_eigenbasis(stack, sy1), sy1, sy2)
+    sx1, sx2, sy1, sy2 = (measurement.spectral(op)
+                          for op in (spins1.sx, spins2.sx, spins1.sy, spins2.sy))
+    lhs = measurement._unrecorded_variances(measurement._eigenbasis(stack, sx1), sx1, sx2) \
+        * measurement._unrecorded_variances(measurement._eigenbasis(stack, sy1), sy1, sy2)
     rhs = 0.25 * _abs_squared(_expectations(stack, spins1.sz.matrix[None])[:, 0])
     margin = rhs - lhs
     out = [WitnessVerdict(left, right, m > DECISION_TOL, m)     # by position: no keywords to bind

@@ -8,6 +8,8 @@ scenarios call some other name for the same work.
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import focklab.cli
 import focklab.fock
@@ -61,3 +63,21 @@ def test_each_per_layer_call_counter_names_a_wrapped_function_and_the_sweeps_cou
     # a name is aggregated once it has made a call
     calls = module.aggregate(tracer.spans())
     assert [name for name in MUST_COUNT if name not in calls] == []
+
+
+def test_a_traced_cli_process_spans_the_layers_its_experiment_calls(tmp_path):
+    # bench/cli_child.py installs the tracer right after `import focklab.cli`, so
+    # it must find every layer in sys.modules and wrap the functions of each,
+    # though none has run yet; the spans then name the calls into the layers
+    spans_path = str(tmp_path / "spans.json")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(focklab.cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "cli_child.py"),
+                           spans_path, os.path.join(ROOT, "scenarios", "ghz_parity.json")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["overall_pass"]
+    spans, _, _ = _tracer_module().load_spans(spans_path)
+    names = {span[0] for span in spans}
+    assert {"op.cli", "witnesses.ghz_parity", "states.ghz"} <= names

@@ -108,7 +108,7 @@ def _peak_bytes(func):
 
 
 def test_quadrature_holds_one_chunk_of_phases_at_a_time():
-    from focklab.cli import CHUNK_ROWS
+    from focklab.fock import CHUNK_ROWS
     peaks = []
     # the first run fills the per-system memos
     for n_phases in (CHUNK_ROWS, 2 * CHUNK_ROWS, 8 * CHUNK_ROWS):
@@ -125,7 +125,7 @@ def test_quadrature_holds_one_chunk_of_phases_at_a_time():
 def _vector_quadrature(alpha, cutoff, n_phases):
     """The phase average as sum_t |b_t, b_t><b_t, b_t| / N over the stacked
     two-mode vectors of b_t = alpha e^{-i theta_t}, CHUNK_ROWS phases at a time."""
-    from focklab.cli import CHUNK_ROWS
+    from focklab.fock import CHUNK_ROWS
     from focklab.states import coherent_amplitudes
     quad = 0.0
     for start in range(0, n_phases, CHUNK_ROWS):
@@ -139,7 +139,7 @@ def _vector_quadrature(alpha, cutoff, n_phases):
 def _dense_quadrature(alpha, system, n_phases):
     """The phase average as one d x d formula: v_i v_j^* S(N_i - N_j) over the
     whole matrix, with the same phase sums as the row blocks."""
-    from focklab.cli import CHUNK_ROWS
+    from focklab.fock import CHUNK_ROWS
     from focklab.states import coherent_amplitudes
     cutoff = system.modes[0].cutoff
     amps = coherent_amplitudes([alpha], cutoff)[0]
@@ -160,7 +160,8 @@ def _dense_quadrature(alpha, system, n_phases):
 def test_the_factored_quadrature_is_the_sum_over_two_mode_vectors(alpha, cutoff, chunk,
                                                                   monkeypatch):
     from focklab import bosons, fock
-    from focklab.cli import CHUNK_ROWS, _phase_averaged_rows
+    from focklab.cli import _phase_averaged_rows
+    from focklab.fock import CHUNK_ROWS
     from focklab.states import coherent_amplitudes
     if chunk is not None:
         monkeypatch.setattr(fock, "PAIR_CHUNK", chunk)
@@ -236,16 +237,16 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_reference_sweeps_build_their_fixed_parts_once(monkeypatch):
-    from focklab import cli, ssr, states
+    from focklab import ssr, states
     # one solve per n_max, for its four omega dt: two calls of four times each
     propagators = _count_calls(monkeypatch, ssr, "evolution_operator")
     assert run_experiment("phase_clock")["overall_pass"]
     assert [len(times) for _, times in propagators] == [4, 4]
     # the coherent quadrature is one stack of amplitudes, not one state per phase
-    singles = [_count_calls(monkeypatch, module, "coherent") for module in (states, cli)]
-    stacks = _count_calls(monkeypatch, cli, "coherent_amplitudes")
+    singles = _count_calls(monkeypatch, states, "coherent")
+    stacks = _count_calls(monkeypatch, states, "coherent_amplitudes")
     assert run_experiment("two_mode_coherent_mixture")["overall_pass"]
-    assert ([len(calls) for calls in singles], len(stacks)) == ([0, 0], 1)
+    assert (len(singles), len(stacks)) == (0, 1)
 
 
 def test_atom_molecule_solves_and_calibrates_once_per_bec_number(monkeypatch):
@@ -358,6 +359,69 @@ def test_a_cli_process_loads_no_module_its_experiments_do_not_use():
                           *sorted(DRAWING)], env=_child_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines() == ["[]", "[]", "['numpy.random']"]
+    # the CLI's own work runs none of focklab's layers
+    out = subprocess.run([sys.executable, "-c", _LAYERS_RUN, "--list", "--help", "",
+                          "--format=yaml"], env=_child_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[0, 0, 2, 2]", "[]"]
+
+
+# the layers besides fock, which every experiment calls, that each experiment calls
+LAYERS_CALLED = {
+    "phase_clock": ["ssr"],
+    "two_mode_coherent_mixture": ["states"],
+    "lhv_ghz_search": ["lhv"],
+    "atom_molecule": ["dynamics"],
+    "extraction": ["dynamics"],
+    "vacuum_interferometer": ["dynamics"],
+    "twirl_coherent": ["ssr", "states"],
+    "verstraete": ["ssr", "states"],
+    "ghz_parity": ["states", "witnesses"],
+    "chsh_singlet": ["states", "witnesses"],
+    "appendix_inequalities": ["lhv", "sampling"],
+    "lhv_chsh_bound": ["lhv", "sampling"],
+    "measurement_identities": ["measurement", "sampling"],
+    "qcf_theorem": ["sampling", "ssr"],
+    "separability_ssr": ["sampling", "ssr", "states"],
+    "chsh_separable_bound": ["sampling", "states", "witnesses"],
+    "particle_entanglement": ["sampling", "states", "witnesses"],
+    "spin_epr_bound": ["measurement", "sampling", "states", "witnesses"],
+}
+
+# runs `focklab ARG` for each argument ("" for none), or the scenario file after
+# --scenario, then prints the focklab layers whose source has run
+_LAYERS_RUN = """
+import contextlib, io, json, sys, types
+import focklab.cli
+
+if sys.argv[1] == "--scenario":
+    with open(sys.argv[2]) as fh:
+        assert focklab.cli.run_scenario(json.load(fh))["overall_pass"]
+else:
+    codes = []
+    for arg in sys.argv[1:]:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                codes.append(focklab.cli.main([arg] if arg else []))
+            except SystemExit as exc:
+                codes.append(exc.code)
+    print(codes)
+print(sorted(name[len("focklab."):] for name, module in sys.modules.items()
+             if name.startswith("focklab.") and name != "focklab.cli"
+             and type(module) is types.ModuleType))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(LAYERS_CALLED))
+def test_a_cli_process_runs_only_the_layers_its_experiment_calls(name):
+    # each layer's source compiles on first use: a fresh process runs fock and
+    # the layers its experiment calls, and no other
+    assert sorted(LAYERS_CALLED) == sorted(EXPERIMENTS)
+    out = subprocess.run([sys.executable, "-c", _LAYERS_RUN, "--scenario",
+                          os.path.join(ROOT, "scenarios", f"{name}.json")],
+                         env=_child_env(), check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == [str(sorted(["fock"] + LAYERS_CALLED[name]))]
 
 
 def test_table_format_has_summary_line(tmp_path, capsys):
@@ -430,6 +494,7 @@ def test_zero_tolerance_is_honoured(tmp_path, capsys):
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("argv", [[], ["--tol", "0"], ["--seed", "1"]])
@@ -653,12 +718,32 @@ def test_scenario_check_names_match_the_benchmark_record():
                                    {"seed": "3"},
                                    {"seed": True},
                                    {"sead": 3},
-                                   {"tolerances": {"globl": 1e-3}}])
+                                   {"tolerances": {"globl": 1e-3}},
+                                   {"schema_version": True},
+                                   {"schema_version": 1.0},
+                                   {"params": False},
+                                   {"params": 0},
+                                   {"params": ""},
+                                   {"params": []},
+                                   {"tolerances": []},
+                                   {"tolerances": False}])
 def test_malformed_scenario_fields_exit_two(tmp_path, capsys, field):
+    # only a field left out or null takes its default: a false or empty one does not
     path = _write_scenario(tmp_path, {"schema_version": 1,
                                       "experiment": "ghz_parity", **field})
     assert main([path]) == 2
-    _assert_one_error_line(capsys)
+    err = _assert_one_error_line(capsys)
+    # the line names the field, or the tolerance key at fault
+    (key, value), = field.items()
+    assert key in err or any(name in err for name in getattr(value, "keys", list)())
+
+
+def test_a_null_scenario_field_takes_its_default(tmp_path, capsys):
+    path = _write_scenario(tmp_path, {"schema_version": 1, "experiment": "ghz_parity",
+                                      "params": None, "tolerances": None, "seed": None})
+    assert main([path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 0 and report["overall_pass"]
 
 
 def test_unwritable_out_exit_two(tmp_path, capsys):
@@ -817,12 +902,12 @@ def test_a_qcf_table_over_the_budget_exits_2_before_any_work(tmp_path, capsys, m
                                                              params):
     # n_states * (max_order + 1)**4 entries; MAX_DIM**2 = 16_777_216 allows
     # 20 states up to order 29, and one state up to order 63
-    from focklab import cli
+    from focklab import fock
 
     def no_work(*args):
         raise AssertionError("the scenario built a system")
 
-    monkeypatch.setattr(cli, "bosons", no_work)
+    monkeypatch.setattr(fock, "bosons", no_work)
     path = _write_scenario(tmp_path, {"schema_version": 1, "experiment": "qcf_theorem",
                                       "params": params})
     assert main([path]) == 2
@@ -831,6 +916,12 @@ def test_a_qcf_table_over_the_budget_exits_2_before_any_work(tmp_path, capsys, m
     assert capsys.readouterr().err == (
         f"error: n_states * (max_order + 1)**4 = {entries} table entries exceed "
         "the budget MAX_DIM**2 = 16777216\n")
+
+
+def test_the_work_budget_is_the_square_of_the_largest_system():
+    # the CLI holds its own copy, which the budget tests below shrink
+    from focklab import cli, fock
+    assert cli.MAX_DIM == fock.MAX_DIM
 
 
 def test_a_qcf_table_at_the_budget_runs(monkeypatch):
@@ -939,11 +1030,11 @@ def _appendix_reference(seed, n_samples):
 def _appendix_oracle_inputs(monkeypatch, n_samples, seed):
     """The ``appendix_inequalities`` report, and the (p, c, d) and lambda of
     each oracle call it makes, in order."""
-    from focklab import cli
+    from focklab import lhv
     seen = []
-    monkeypatch.setattr(cli, "sum_inequality_oracle",
+    monkeypatch.setattr(lhv, "sum_inequality_oracle",
                         lambda p, c, d: seen.append((p.copy(), c.copy(), d.copy())) or True)
-    monkeypatch.setattr(cli, "integral_inequality_oracle",
+    monkeypatch.setattr(lhv, "integral_inequality_oracle",
                         lambda lam, p, c, d: seen.append(lam.copy()) or True)
     return run_experiment("appendix_inequalities", {"n_samples": n_samples}, seed=seed), seen
 
@@ -963,10 +1054,10 @@ def test_the_appendix_sweep_keeps_the_stream_of_numpys_dirichlet(monkeypatch, se
 
 def test_the_appendix_oracles_see_each_samples_own_draws(monkeypatch):
     # chunks of 1, 4 (the last partial) and the default 1024 rows see the same samples
-    from focklab import cli
+    from focklab import fock
     rows, _ = _appendix_reference(5, 10)
-    for chunk in (1, 4, cli.CHUNK_ROWS):
-        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+    for chunk in (1, 4, fock.CHUNK_ROWS):
+        monkeypatch.setattr(fock, "CHUNK_ROWS", chunk)
         report, seen = _appendix_oracle_inputs(monkeypatch, 10, 5)
         assert report["overall_pass"]
         starts = range(0, 10, chunk)

@@ -179,7 +179,7 @@ def test_stacked_paths_hold_one_chunk_at_a_time(monkeypatch):
     assert _peak_bytes(lambda: lhv_chsh_bound_sweep(1, 200_000, 0)) < 8 * 2 ** 20
     # the appendix stacks: with 64-row chunks, 64 and 640 samples peak alike
     monkeypatch.setattr(lhv, "CHUNK_ROWS", 64)
-    monkeypatch.setattr("focklab.cli.CHUNK_ROWS", 64)
+    monkeypatch.setattr("focklab.fock.CHUNK_ROWS", 64)
     peaks = [_peak_bytes(lambda: run_experiment("appendix_inequalities",
                                                 {"n_samples": n}))
              for n in (64, 640)]

@@ -598,6 +598,23 @@ def test_the_clock_rejects_a_time_that_is_not_real(dt):
             clock([0, 1], 2, 1.0, dt, 4)
 
 
+@pytest.mark.parametrize("omega", [1j, 1 + 1j, [1.0, 2.0], np.array([1.0]), True, "1", None])
+def test_the_clock_rejects_an_omega_that_is_not_one_real_number(omega):
+    for clock in (clock_prob, clock_prob_by_evolution):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^omega must be one real number, got "):
+                clock(0, 1, omega, 0.3, 4)
+
+
+@pytest.mark.parametrize("p, q", [([[0, 1]], [0]), ([0], [[1]]), (["1"], 0), (None, 0)])
+def test_both_clocks_refuse_phase_indices_that_are_not_integers(p, q):
+    # the oracle checks them before it builds a state, as the closed form does
+    for clock in (clock_prob, clock_prob_by_evolution):
+        with pytest.raises(ValueError, match="^phase indices p = .* must be integers in 0..n_max"):
+            clock(p, q, 1.0, 0.3, 4)
+
+
 @pytest.mark.parametrize("state", [bosons(2, 2).vacuum().density(), np.ones(9), None])
 def test_externalise_of_anything_but_a_pure_state_is_a_type_error(state):
     with pytest.raises(TypeError, match="externalise expects a PureState"):
@@ -605,7 +622,7 @@ def test_externalise_of_anything_but_a_pure_state_is_a_type_error(state):
 
 
 def test_clock_table_rejects_a_phase_index_out_of_range():
-    with pytest.raises(ValueError, match="phase index"):
+    with pytest.raises(ValueError, match=r"phase indices p = \[0, 1\] and q = \[0, 5\] must"):
         clock_prob_by_evolution([0, 1], [0, 5], 1.0, 0.3, 4)
     # a phase index is an integer, not a float or a bool
     for p in (1.5, True):

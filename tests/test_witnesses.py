@@ -18,7 +18,7 @@ from focklab import (
     spin_epr,
     spin_ops,
 )
-from focklab import fock, witnesses
+from focklab import fock, measurement, witnesses
 from focklab.fock import PureState
 from focklab.witnesses import (
     casimir_residual,
@@ -246,8 +246,8 @@ def test_spin_epr_stack_resolves_the_spins_once_and_equals_each_state_alone(
                                  for _ in range(n_states - 1)]
     alone = [repr(spin_epr(state, part)) for state in states]
     calls = []
-    spectral = witnesses.spectral
-    monkeypatch.setattr(witnesses, "spectral", lambda op: calls.append(op) or spectral(op))
+    spectral = measurement.spectral
+    monkeypatch.setattr(measurement, "spectral", lambda op: calls.append(op) or spectral(op))
     stacked = spin_epr(states, part)
     assert len(calls) == 4
     # repr shows every bit of each float, and the sign of a zero
